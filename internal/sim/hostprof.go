@@ -107,6 +107,7 @@ type HostProgress struct {
 // provides the happens-before edge).
 type hostProf struct {
 	start   time.Time
+	mark    time.Time // running segment boundary (see windowLoop)
 	wallNs  int64
 	execNs  int64
 	drainNs int64
@@ -250,10 +251,12 @@ func (p *hostProf) window(k *Kernel, exec time.Duration) {
 	}
 }
 
-// tail charges wall-clock spent outside the window loop — the RunUntil
-// clock lift, final tick firing, and Run's deadlock scan — to the drain
-// (coordinator bookkeeping) bucket.
-func (p *hostProf) tail(d time.Duration) {
+// tail closes the segment chain at the end of Run/RunUntil: everything since
+// the last window's join — the final drain and scan, worker shutdown, the
+// RunUntil clock lift, final tick firing, Run's deadlock scan — is drain
+// (coordinator bookkeeping).
+func (p *hostProf) tail() {
+	d := time.Since(p.mark)
 	p.wallNs += int64(d)
 	p.drainNs += int64(d)
 }

@@ -1,63 +1,96 @@
+//go:build go1.23
+
+// The build line is the file's language version, not a platform switch: iter
+// needs go1.23 while go.mod stays at go 1.22 (bench/go.mod pins 1.22 and the
+// two modules build together). There is no other implementation.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // Proc is a coroutine process: model code that needs a thread-like control
 // flow (the NetPIPE driver, an MPI rank, the firmware bring-up sequence)
-// runs as a Proc. Under the hood each Proc is a goroutine, but exactly one
-// goroutine — either the simulator loop or one process — is ever runnable,
-// so execution is strictly sequential and deterministic.
+// runs as a Proc. Each Proc is a Go runtime coroutine (iter.Pull): waking it
+// is next(), parking it is yield(), and both are a direct switch between the
+// two stacks that never passes through the Go scheduler. Exactly one of the
+// simulator loop and its processes is ever running, so execution is strictly
+// sequential and deterministic.
 //
 // A Proc may only interact with the simulator through its own methods
-// (Sleep, Yield, ...) and through Signal.Wait; calling them from any other
-// goroutine corrupts the handshake.
+// (Sleep, Yield, ...) and through Signal.Wait, called from its own body;
+// calling them from anywhere else corrupts the hand-off.
 type Proc struct {
 	s    *Sim
 	name string
 
-	resume chan struct{} // simulator -> process: you may run
-	parked chan struct{} // process -> simulator: I am blocked again
-	wakeFn func()        // p.wake bound once; Sleep runs hot, a fresh method value per call is measurable
+	next   func() (struct{}, bool) // simulator -> process: run until you park
+	yield  func(struct{}) bool     // process -> simulator: I am blocked again
+	wakeFn func()                  // p.wake bound once; Sleep runs hot, a fresh method value per call is measurable
 	dead   bool
+}
+
+// Panic is what Run panics with when model code panicked off the caller's
+// stack: inside a process body (a coroutine) or on a kernel lane worker. The
+// re-raised panic unwinds the simulator's stack, so the value carries what
+// the lost trace would have shown.
+type Panic struct {
+	Where string // "process <name>" or "lane <n>"
+	At    Time   // virtual time of the panic
+	Value any    // the original panic value
+	Stack []byte // the stack that panicked
+}
+
+func (e *Panic) Error() string {
+	return fmt.Sprintf("sim: %s panicked at %v: %v\n%s", e.Where, e.At, e.Value, e.Stack)
+}
+
+// wrapPanic attributes a recovered panic value; one already attributed
+// (a process woken from inside another process's body) passes through.
+func wrapPanic(r any, where string, at Time) *Panic {
+	if e, ok := r.(*Panic); ok {
+		return e
+	}
+	return &Panic{Where: where, At: at, Value: r, Stack: debug.Stack()}
 }
 
 // Go spawns fn as a coroutine process starting at the current virtual time.
 // fn begins executing when the start event fires.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		s:      s,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{s: s, name: name}
 	p.wakeFn = p.wake
 	s.procs++
-	go func() {
-		<-p.resume // wait for the start event
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				panic(wrapPanic(r, "process "+name, s.now))
+			}
+		}()
+		p.yield = yield
 		fn(p)
 		p.dead = true
-		p.s.procs--
-		p.parked <- struct{}{}
-	}()
+		s.procs--
+	})
 	s.After(0, p.wakeFn)
 	return p
 }
 
-// wake transfers control to the process and blocks the simulator until the
-// process parks again (by sleeping, waiting, or finishing).
+// wake transfers control to the process and returns when the process parks
+// again (by sleeping, waiting, or finishing). A panic in the process body
+// comes out of here, on the waker's stack.
 func (p *Proc) wake() {
 	if p.dead {
 		panic("sim: waking dead process " + p.name)
 	}
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 }
 
-// park returns control to the simulator and blocks until woken.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+// park returns control to whoever woke the process and blocks until the
+// next wake.
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }

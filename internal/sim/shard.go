@@ -74,7 +74,7 @@ type Kernel struct {
 
 	// Persistent workers (lanes 1..n-1; lane 0 runs on the coordinator).
 	work []chan Time
-	join chan struct{}
+	join chan *Panic // a worker's window is done; non-nil when it panicked
 
 	// ticks are the registered barrier ticks (Every), the hook shard-aware
 	// observers hang off.
@@ -235,18 +235,15 @@ func (k *Kernel) Run() {
 	hp := k.prof
 	if hp != nil {
 		hp.horizon = 0 // no target: progress reports show an unknown ETA
+		hp.mark = time.Now()
 	}
 	k.runWindows(Never)
-	var t0 time.Time
-	if hp != nil {
-		t0 = time.Now()
-	}
 	k.horizon = -1
 	if p := k.blockedProcs(); p > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked across %d lanes with no pending events or mail", p, len(k.lanes)))
 	}
 	if hp != nil {
-		hp.tail(time.Since(t0))
+		hp.tail()
 	}
 }
 
@@ -272,12 +269,9 @@ func (k *Kernel) RunUntil(t Time) {
 	hp := k.prof
 	if hp != nil {
 		hp.horizon = t
+		hp.mark = time.Now()
 	}
 	k.runWindows(t)
-	var t0 time.Time
-	if hp != nil {
-		t0 = time.Now()
-	}
 	// The last window may have stopped short of t (next event beyond t, or
 	// none at all); lift the remaining lane clocks so Now() reads t, exactly
 	// like Sim.RunUntil. Lanes the last horizon already carried past t keep
@@ -292,7 +286,7 @@ func (k *Kernel) RunUntil(t Time) {
 		k.fireTicks(t + 1)
 	}
 	if hp != nil {
-		hp.tail(time.Since(t0))
+		hp.tail()
 		hp.horizon = 0
 	}
 }
@@ -317,7 +311,7 @@ func (k *Kernel) windowLoop(limit Time) {
 	hp := k.prof
 	if parallel && k.work == nil {
 		k.work = make([]chan Time, n)
-		k.join = make(chan struct{}, n)
+		k.join = make(chan *Panic, n)
 		// Lane busy times are profiler state, but workers capture the slice
 		// at creation: EnableHostProfile is documented to precede Run.
 		var busy []int64
@@ -327,18 +321,10 @@ func (k *Kernel) windowLoop(limit Time) {
 		for i := 1; i < n; i++ {
 			ch := make(chan Time)
 			k.work[i] = ch
-			lane := k.lanes[i]
 			id := i
 			go pprof.Do(context.Background(), pprof.Labels("lane", strconv.Itoa(id)), func(context.Context) {
 				for h := range ch {
-					if busy != nil {
-						t0 := time.Now()
-						lane.RunUntil(h)
-						busy[id] = int64(time.Since(t0))
-					} else {
-						lane.RunUntil(h)
-					}
-					k.join <- struct{}{}
+					k.join <- k.runLane(id, h, busy)
 				}
 			})
 		}
@@ -349,14 +335,12 @@ func (k *Kernel) windowLoop(limit Time) {
 			k.work = nil
 		}()
 	}
-	// mark is the running segment boundary: the profiled wall-clock is an
+	// hp.mark is the running segment boundary: the profiled wall-clock is an
 	// unbroken chain of drain segments (coordinator bookkeeping, lanes idle)
 	// and window-execution segments (fork to join), each ending where the
 	// next begins, so WallNs == DrainNs + ExecNs with no unattributed gaps.
-	var mark time.Time
-	if hp != nil {
-		mark = time.Now()
-	}
+	// The chain opens at Run's entry and its last drain segment is closed by
+	// hp.tail, so worker start-up and shutdown are inside it too.
 	for {
 		k.drain()
 		m := Never
@@ -370,11 +354,6 @@ func (k *Kernel) windowLoop(limit Time) {
 			}
 		}
 		if !any || m > limit {
-			if hp != nil {
-				d := time.Since(mark)
-				hp.drainNs += int64(d)
-				hp.wallNs += int64(d)
-			}
 			return
 		}
 		if len(k.ticks) > 0 {
@@ -386,7 +365,7 @@ func (k *Kernel) windowLoop(limit Time) {
 		var forkAt time.Time
 		if hp != nil {
 			forkAt = time.Now()
-			d := forkAt.Sub(mark)
+			d := forkAt.Sub(hp.mark)
 			hp.drainNs += int64(d)
 			hp.wallNs += int64(d)
 		}
@@ -401,8 +380,14 @@ func (k *Kernel) windowLoop(limit Time) {
 			} else {
 				k.lanes[0].RunUntil(h)
 			}
+			var failed *Panic
 			for i := 1; i < n; i++ {
-				<-k.join
+				if p := <-k.join; p != nil && failed == nil {
+					failed = p
+				}
+			}
+			if failed != nil {
+				panic(failed)
 			}
 		} else if hp != nil {
 			for i, l := range k.lanes {
@@ -416,12 +401,33 @@ func (k *Kernel) windowLoop(limit Time) {
 			}
 		}
 		if hp != nil {
-			mark = time.Now()
-			exec := mark.Sub(forkAt)
+			hp.mark = time.Now()
+			exec := hp.mark.Sub(forkAt)
 			hp.wallNs += int64(exec)
 			hp.window(k, exec)
 		}
 	}
+}
+
+// runLane is one window of worker lane i, timed into busy when the profiler
+// is on. A panic on a worker's stack would kill the program past any recover
+// in Run's caller, so it travels through the join instead and the coordinator
+// re-raises it.
+func (k *Kernel) runLane(i int, h Time, busy []int64) (failed *Panic) {
+	lane := k.lanes[i]
+	defer func() {
+		if r := recover(); r != nil {
+			failed = wrapPanic(r, "lane "+strconv.Itoa(i), lane.now)
+		}
+	}()
+	if busy != nil {
+		t0 := time.Now()
+		lane.RunUntil(h)
+		busy[i] = int64(time.Since(t0))
+	} else {
+		lane.RunUntil(h)
+	}
+	return nil
 }
 
 // blockedProcs sums live coroutine processes across lanes at quiescence.
