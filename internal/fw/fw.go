@@ -104,21 +104,49 @@ type Process struct {
 	// context, with NIC-side costs charged by the driver itself.
 	Handle func(ev Event)
 
-	rxFree   []*Pending
-	txFree   []*Pending
-	rxTotal  int
-	txTotal  int
-	rxLow    int // fewest rx pendings ever free (occupancy low-water)
-	txLow    int // fewest tx pendings ever free
+	rx, tx   pendPool
 	cmdSlots *sim.Credits
+}
+
+// pendPool is one direction's pending pool. Its size is fixed at init, as on
+// the chip (SRAM is charged for all of it up front, exhaustion comes at
+// exactly total), but the Go structures behind it are materialised on first
+// use: fresh counts the pendings nobody has needed yet, so a node that never
+// has more than a few messages in flight never builds the rest.
+type pendPool struct {
+	free  []*Pending // recycled structures, reused before a fresh one is built
+	fresh int        // pendings never yet materialised
+	total int
+	low   int // fewest pendings ever free (occupancy low-water)
+}
+
+func newPendPool(n int) pendPool { return pendPool{fresh: n, total: n, low: n} }
+
+// avail is the number of free pendings.
+func (q *pendPool) avail() int { return len(q.free) + q.fresh }
+
+// take removes one free pending (the caller has checked avail) and returns
+// the recycled structure it stands for, or nil when the caller is to build a
+// fresh one.
+func (q *pendPool) take() (p *Pending) {
+	if k := len(q.free); k > 0 {
+		p = q.free[k-1]
+		q.free = q.free[:k-1]
+	} else {
+		q.fresh--
+	}
+	if f := q.avail(); f < q.low {
+		q.low = f
+	}
+	return p
 }
 
 // RxPendingsFree reports free receive pendings (diagnostics, exhaustion
 // tests).
-func (p *Process) RxPendingsFree() int { return len(p.rxFree) }
+func (p *Process) RxPendingsFree() int { return p.rx.avail() }
 
 // TxPendingsFree reports free transmit pendings.
-func (p *Process) TxPendingsFree() int { return len(p.txFree) }
+func (p *Process) TxPendingsFree() int { return p.tx.avail() }
 
 // Pending is one upper/lower pending pair (§4.2). The lower half lives in
 // SeaStar SRAM and drives the data movement; the upper half lives in host
@@ -414,17 +442,9 @@ func (n *NIC) newProcess(pid uint32, accel bool, pendings int, handle func(Event
 		ID:       pid,
 		Accel:    accel,
 		Handle:   handle,
-		rxTotal:  pendings / 2,
-		txTotal:  pendings - pendings/2,
-		rxLow:    pendings / 2,
-		txLow:    pendings - pendings/2,
+		rx:       newPendPool(pendings / 2),
+		tx:       newPendPool(pendings - pendings/2),
 		cmdSlots: sim.NewCredits(n.S, name+".cmdfifo", mailboxSlots),
-	}
-	for i := 0; i < p.rxTotal; i++ {
-		p.rxFree = append(p.rxFree, &Pending{proc: p})
-	}
-	for i := 0; i < p.txTotal; i++ {
-		p.txFree = append(p.txFree, &Pending{proc: p, tx: true})
 	}
 	return p, nil
 }
@@ -603,8 +623,8 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 		SRAMUsed:      n.Chip.SRAM.Used(),
 	}
 	if p := n.generic; p != nil {
-		o.RxPendFree, o.RxPendTotal, o.RxPendLow = len(p.rxFree), p.rxTotal, p.rxLow
-		o.TxPendFree, o.TxPendTotal, o.TxPendLow = len(p.txFree), p.txTotal, p.txLow
+		o.RxPendFree, o.RxPendTotal, o.RxPendLow = p.rx.avail(), p.rx.total, p.rx.low
+		o.TxPendFree, o.TxPendTotal, o.TxPendLow = p.tx.avail(), p.tx.total, p.tx.low
 	}
 	for _, s := range n.sources {
 		o.Unacked += len(s.unacked)

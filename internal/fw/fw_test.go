@@ -318,6 +318,48 @@ func TestGoBackNCRCFailureDeliversFlaggedAndAcks(t *testing.T) {
 	}
 }
 
+// TestPendingPoolLazyButExact: pending structures are built on first use, but
+// the pool is exactly as large as registered — exhaustion, the free counts and
+// the low-water marks read as if all of it had been built at init — and a
+// recycled structure is reused before another fresh one is built.
+func TestPendingPoolLazyButExact(t *testing.T) {
+	fp := newFwPair(t, model.Defaults(), 8, ExhaustPanic) // 4 rx + 4 tx per node
+	proc := fp.nics[0].generic
+	if proc.RxPendingsFree() != 4 || proc.TxPendingsFree() != 4 || len(proc.rx.free)+len(proc.tx.free) != 0 {
+		t.Fatalf("at init: rx free %d, tx free %d, %d structures built; want 4, 4, 0",
+			proc.RxPendingsFree(), proc.TxPendingsFree(), len(proc.rx.free)+len(proc.tx.free))
+	}
+	for i := 0; i < 4; i++ {
+		if err := fp.put(0, 1, []byte("x"), nil); err != nil {
+			t.Fatalf("put %d of 4: %v", i, err)
+		}
+	}
+	if err := fp.put(0, 1, []byte("x"), nil); err != ErrNoTxPending {
+		t.Fatalf("fifth put: err = %v, want ErrNoTxPending at exactly the pool size", err)
+	}
+	fp.s.Run()
+	o := fp.nics[0].Occupancy()
+	if o.TxPendFree != 4 || o.TxPendTotal != 4 || o.TxPendLow != 0 {
+		t.Errorf("sender occupancy after drain: free %d total %d low %d, want 4 4 0", o.TxPendFree, o.TxPendTotal, o.TxPendLow)
+	}
+	// The receiver released each message before the next header arrived: one
+	// structure served all four, and three pendings were never built.
+	rx := &fp.nics[1].generic.rx
+	if ro := fp.nics[1].Occupancy(); ro.RxPendFree != 4 || ro.RxPendLow != 3 || len(rx.free) != 1 || rx.fresh != 3 {
+		t.Errorf("receiver: free %d low %d, %d built, %d fresh; want 4 3 1 3", ro.RxPendFree, ro.RxPendLow, len(rx.free), rx.fresh)
+	}
+	// A second burst recycles the four built structures; none is added.
+	for i := 0; i < 4; i++ {
+		if err := fp.put(0, 1, []byte("y"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp.s.Run()
+	if len(proc.tx.free) != 4 || proc.tx.fresh != 0 || len(fp.host[1].recv) != 8 {
+		t.Errorf("after second burst: %d built, %d fresh, %d delivered; want 4 0 8", len(proc.tx.free), proc.tx.fresh, len(fp.host[1].recv))
+	}
+}
+
 func TestDiscardConsumesStreamAndFreesPending(t *testing.T) {
 	fp := newFwPair(t, model.Defaults(), 16, ExhaustPanic)
 	// Override the host: discard every payload message.
@@ -346,6 +388,9 @@ func TestDiscardConsumesStreamAndFreesPending(t *testing.T) {
 	}
 	if !delivered {
 		t.Error("traffic stalled after discards: credits or pendings leaked")
+	}
+	if free := fp.nics[1].generic.RxPendingsFree(); free != 8 {
+		t.Errorf("rx pendings free = %d of 8 after discards", free)
 	}
 	if fp.nics[1].Chip.RxFIFO.Available() != fp.nics[1].Chip.RxFIFO.Capacity() {
 		t.Errorf("RX FIFO credits leaked: %d of %d",

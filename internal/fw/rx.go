@@ -124,18 +124,17 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		n.Chip.RxFIFO.Put(hdrCredits)
 		return
 	}
-	if len(proc.rxFree) == 0 {
+	if proc.rx.avail() == 0 {
 		if n.exhaust(m, "rx pending pool empty", flightrec.ExhaustRxPending) {
 			n.Chip.RxFIFO.Put(hdrCredits)
 		}
 		return
 	}
-	p := proc.rxFree[len(proc.rxFree)-1]
-	proc.rxFree = proc.rxFree[:len(proc.rxFree)-1]
-	if len(proc.rxFree) < proc.rxLow {
-		proc.rxLow = len(proc.rxFree)
+	p := proc.rx.take()
+	if p == nil {
+		p = &Pending{proc: proc}
 	}
-	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(len(proc.rxFree)), 0)
+	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(proc.rx.avail()), 0)
 	n.gbnAdvance(src, m)
 	n.FR.Record(flightrec.KRxHeader, n.S.Now(), m.Span, m.FwSeq, uint32(m.PayloadLen))
 	p.reset()
@@ -498,10 +497,10 @@ func (n *NIC) freeRx(p *Pending) {
 		if p.msg != nil {
 			span = p.msg.Span
 		}
-		n.FR.Record(flightrec.KPendFree, n.S.Now(), span, uint32(len(proc.rxFree)+1), 0)
+		n.FR.Record(flightrec.KPendFree, n.S.Now(), span, uint32(proc.rx.avail()+1), 0)
 	}
 	if p.msg != nil && p.consumed < p.msg.PayloadLen {
-		proc.rxFree = append(proc.rxFree, &Pending{proc: proc})
+		proc.rx.fresh++
 		return
 	}
 	if p.msg != nil {
@@ -511,7 +510,7 @@ func (n *NIC) freeRx(p *Pending) {
 	}
 	p.msg = nil
 	p.Inline = nil
-	proc.rxFree = append(proc.rxFree, p)
+	proc.rx.free = append(proc.rx.free, p)
 }
 
 // reset clears receive state for reuse.

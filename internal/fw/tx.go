@@ -29,7 +29,7 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 	if proc == nil {
 		return errors.New("fw: no firmware process for pid")
 	}
-	if len(proc.txFree) == 0 {
+	if proc.tx.avail() == 0 {
 		return ErrNoTxPending
 	}
 	if proc.Accel && req.Buf != nil && req.Buf.Segments() > 1 {
@@ -38,16 +38,15 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 		// DMA command lists.
 		return ErrAccelNonContiguous
 	}
-	p := proc.txFree[len(proc.txFree)-1]
-	proc.txFree = proc.txFree[:len(proc.txFree)-1]
-	if len(proc.txFree) < proc.txLow {
-		proc.txLow = len(proc.txFree)
+	p := proc.tx.take()
+	if p == nil {
+		p = &Pending{proc: proc, tx: true}
 	}
 	// The causal span is minted here, at the top of the transmit path, and
 	// copied onto every fabric message built from this request — including
 	// go-back-n retransmissions — so one span traces the message end to end.
 	req.Span = n.FR.NewSpan()
-	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), req.Span, uint32(len(proc.txFree)), 1)
+	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), req.Span, uint32(proc.tx.avail()), 1)
 	p.req = req
 	req.pending = p
 	j := n.getTxJob()
@@ -371,10 +370,10 @@ func (n *NIC) finishTx(req *TxReq, ok bool) {
 	if req.pending != nil {
 		p := req.pending
 		p.req = nil
-		proc.txFree = append(proc.txFree, p)
+		proc.tx.free = append(proc.tx.free, p)
 		req.pending = nil
 		if n.FR != nil {
-			n.FR.Record(flightrec.KPendFree, n.S.Now(), req.Span, uint32(len(proc.txFree)), 1)
+			n.FR.Record(flightrec.KPendFree, n.S.Now(), req.Span, uint32(proc.tx.avail()), 1)
 		}
 	}
 	n.Stats.Completions++
