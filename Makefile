@@ -16,9 +16,9 @@ race:
 vet:
 	go vet ./...
 
-# Substrate microbenchmarks (event kernel + one full put).
+# Substrate microbenchmarks (event kernel, process switch, one full put).
 bench:
-	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatedPut' -benchmem .
+	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|ProcSwitch|SimulatedPut' -benchmem .
 
 # Every paper figure, one iteration each.
 figures:

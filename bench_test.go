@@ -238,6 +238,24 @@ func BenchmarkSimulatorEventThroughputDeep(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkProcSwitch measures one simulated process switch pair: a single
+// Proc sleeping b.N times, so each op is one timed event plus the wake into
+// the process and its park back out. The set-up (the coroutine) is outside
+// the timer; the steady state allocates nothing. Its BENCH_substrate.json
+// row carries an ns_tol_pct band: a scheduler round-trip per switch (the
+// channel hand-off this replaced cost ~3x) fails `make check`.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New()
+	s.Go("sleeper", func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Sleep(sim.Nanosecond)
+		}
+	})
+	s.Run()
+}
+
 // BenchmarkFigure4LatencySequential is the parallel-driver baseline: the
 // identical Figure 4 workload with the worker pool forced to one worker.
 // Comparing it against BenchmarkFigure4Latency (which uses GOMAXPROCS

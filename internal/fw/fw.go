@@ -125,15 +125,15 @@ func newPendPool(n int) pendPool { return pendPool{fresh: n, total: n, low: n} }
 // avail is the number of free pendings.
 func (q *pendPool) avail() int { return len(q.free) + q.fresh }
 
-// take removes one free pending (the caller has checked avail) and returns
-// the recycled structure it stands for, or nil when the caller is to build a
-// fresh one.
-func (q *pendPool) take() (p *Pending) {
+// take removes one free pending (the caller has checked avail): a recycled
+// structure if there is one, else a fresh one built for proc.
+func (q *pendPool) take(proc *Process, tx bool) (p *Pending) {
 	if k := len(q.free); k > 0 {
 		p = q.free[k-1]
 		q.free = q.free[:k-1]
 	} else {
 		q.fresh--
+		p = &Pending{proc: proc, tx: tx}
 	}
 	if f := q.avail(); f < q.low {
 		q.low = f

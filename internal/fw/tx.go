@@ -38,10 +38,7 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 		// DMA command lists.
 		return ErrAccelNonContiguous
 	}
-	p := proc.tx.take()
-	if p == nil {
-		p = &Pending{proc: proc, tx: true}
-	}
+	p := proc.tx.take(proc, true)
 	// The causal span is minted here, at the top of the transmit path, and
 	// copied onto every fabric message built from this request — including
 	// go-back-n retransmissions — so one span traces the message end to end.

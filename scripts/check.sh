@@ -35,7 +35,7 @@ fi
 
 echo "== substrate benchmarks vs BENCH_substrate.json =="
 if ! bench_raw=$(go test -run xxx \
-    -bench 'SimulatorEventThroughput$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatedPut|PingPongTelemetry|PingPongFlightRec' \
+    -bench 'SimulatorEventThroughput$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|ProcSwitch|SimulatedPut|PingPongTelemetry|PingPongFlightRec' \
     -benchtime 200ms -benchmem . 2>&1); then
     echo "FAIL: benchmark run exited non-zero:"
     echo "$bench_raw"
@@ -119,18 +119,19 @@ echo "check.sh: halo allocs/op within 5% (seq $seq_allocs, 4 shards $par_allocs)
 # armed (telemetry, RAS sampler, link meters, stall detector, heartbeat
 # monitor, flight recorder; tracing excepted — it allocates per record by
 # design). The added allocations are instrument registration plus the
-# end-of-run merge/export — a fixed cost, not per-event — so the ratio
-# against the bare sharded arm is gated: measured ~1.69x, fails above
-# 1.8x (a reintroduced per-event allocation blows well past that).
-# Wall-clock over 3x only warns; it is machine-dependent.
-obs_alloc_ok=$(awk -v o="$obs_allocs" -v b="$par_allocs" \
-    'BEGIN { print (o <= 1.8 * b) ? 1 : 0 }')
+# end-of-run merge/export — a fixed cost, not per-event and not a share of
+# the bare arm — so the difference against the bare sharded arm is gated:
+# measured 589k, fails above 650k (a reintroduced per-event allocation
+# adds millions). Wall-clock over 3x only warns; it is machine-dependent.
+obs_added_max=650000
+obs_alloc_ok=$(awk -v o="$obs_allocs" -v b="$par_allocs" -v m="$obs_added_max" \
+    'BEGIN { print (o - b <= m) ? 1 : 0 }')
 if [ "$obs_alloc_ok" != "1" ]; then
-    echo "FAIL: observed halo allocs/op = $obs_allocs, bare sharded = $par_allocs (>1.8x)"
+    echo "FAIL: observed halo allocs/op = $obs_allocs, bare sharded = $par_allocs (more than $obs_added_max added)"
     echo "check.sh: observer allocation regression"
     exit 1
 fi
-echo "check.sh: observed halo allocs/op within 1.8x of bare (bare $par_allocs, observed $obs_allocs)"
+echo "check.sh: observed halo adds at most $obs_added_max allocs/op to bare (bare $par_allocs, observed $obs_allocs)"
 obs_ns_ok=$(awk -v o="$obs_ns" -v b="$par_ns" 'BEGIN { print (o <= 3.0 * b) ? 1 : 0 }')
 if [ "$obs_ns_ok" != "1" ]; then
     echo "WARN: observed halo ns/op = $obs_ns, bare sharded = $par_ns (>3x; machine-dependent, not fatal)"
