@@ -173,7 +173,7 @@ func main() {
 	p.FaultSeed = *faultSeed
 	// Flag validation happens here, before any machine exists, so a bad
 	// combination is a clear exit-2 diagnostic rather than a panic deep in
-	// construction (machine.seqOnly or a schedule-validation panic).
+	// construction (a schedule-validation panic).
 	if *seq && *shards > 1 {
 		fmt.Fprintf(os.Stderr, "netpipe: conflicting flags: -seq forces the sequential reference kernel; drop -seq or -shards %d\n", *shards)
 		os.Exit(2)
@@ -711,7 +711,8 @@ func runSeries(p model.Params, series, pattern string, maxBytes int, accel, gbn 
 		fmt.Print(mach.Stats())
 	}
 	if (len(p.Faults) > 0 || len(p.Schedule) > 0) && mach != nil {
-		fmt.Printf("\nfault plane: %v\n", mach.Faults().Snapshot())
+		fs, _ := mach.FaultSnapshot()
+		fmt.Printf("\nfault plane: %v\n", fs)
 	}
 	if fr.on && mach != nil {
 		writeDumps(mach, fr.out)

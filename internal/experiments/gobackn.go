@@ -142,7 +142,7 @@ func runIncast(p model.Params, senders, msgsPerSender, msgBytes int, gbn bool) G
 		res.NacksRcvd += m.Node(topo.NodeID(s)).NIC.Stats.NacksRcvd
 	}
 	if len(p.Faults) > 0 {
-		res.Faults = m.Faults().Snapshot()
+		res.Faults, _ = m.FaultSnapshot()
 	}
 	return res
 }

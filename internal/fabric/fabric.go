@@ -135,14 +135,13 @@ type Fabric struct {
 	// chunkFree recycles chunk carriers and their payload buffers between
 	// messages. A chunk cycles sender → wire → receiver and comes back via
 	// RecycleChunk once the receiver has consumed the bytes; pooling keeps
-	// the per-chunk data path allocation-free. sendFree does the same for
-	// the injection carriers that walk a header or chunk through credit
-	// grant and traversal.
-	chunkFree []*Chunk
-	// msgFree recycles message carriers; see RecycleMsg for the ownership
-	// rule.
-	msgFree  []*Message
-	sendFree []*sendOp
+	// the per-chunk data path allocation-free. msgFree does the same for
+	// message carriers (see RecycleMsg for the ownership rule) and
+	// carrierFree for the transport carriers that walk a header or chunk
+	// from injection to delivery.
+	chunkFree   []*Chunk
+	msgFree     []*Message
+	carrierFree []*carrier
 
 	// corruptNext counts messages whose payload should be corrupted
 	// end-to-end (test fault injection).
@@ -158,18 +157,31 @@ type Fabric struct {
 
 // New returns a fabric over the given topology.
 func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	f := &Fabric{
+	f := newLane(s, t, p)
+	f.eps = make(map[topo.NodeID]Endpoint)
+	if faultsConfigured(p) {
+		f.Faults() // params-configured rules activate the plane immediately
+	}
+	return f
+}
+
+// newLane builds the per-lane part of a fabric — links, route cache, pools,
+// counters — with neither an endpoint directory nor a fault plane: the
+// classic fabric adds its own, a Cluster keeps both per node.
+func newLane(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
+	return &Fabric{
 		S:      s,
 		Topo:   t,
 		P:      p,
 		links:  make(map[linkKey]*sim.Server),
-		eps:    make(map[topo.NodeID]Endpoint),
 		routes: make(map[[2]topo.NodeID][]topo.Dir),
 	}
-	if len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0 {
-		f.Faults() // params-configured rules activate the plane immediately
-	}
-	return f
+}
+
+// faultsConfigured reports whether the parameters declare any fault rule,
+// seed or schedule, i.e. whether fault planes must exist from the start.
+func faultsConfigured(p *model.Params) bool {
+	return len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0
 }
 
 // Attach registers the endpoint for node. Attaching twice panics: it is a
@@ -380,40 +392,63 @@ func (f *Fabric) route(src, dst topo.NodeID) []topo.Dir {
 	return route
 }
 
-// sendOp walks one header packet or payload chunk through its two deferred
-// steps — credit grant at the receiver window, then traversal and delivery.
-// The step callbacks are bound once and the carrier recycled at delivery, so
-// injection allocates nothing.
-type sendOp struct {
-	f       *Fabric
-	ep      Endpoint
-	m       *Message // header injection when c is nil
-	c       *Chunk   // chunk injection otherwise
-	hdrTake func()   // header credits granted: inject and traverse
-	hdrArr  func()   // header packet arrived
-	chTake  func()   // chunk credits granted: inject and traverse
-	chArr   func()   // chunk arrived
+// carrier walks one header packet or payload chunk from injection to
+// delivery, on either transport. Both run the same two model steps —
+// injected when the packet enters the wire, arrived when the endpoint
+// receives it — and differ only in the walk between them. The classic
+// transport takes the receiver's window credits at the source, then
+// reserves the whole fixed path at once (traverse). The hopwise transport
+// (shard.go) reserves one link per router (hop), hands the carrier to the
+// next router's lane through the kernel mailbox, and takes the credits at
+// the destination. The step callbacks are bound once and the carrier is
+// recycled into the pool of the fabric that delivers it, so steady-state
+// transport allocates nothing.
+type carrier struct {
+	f  *Fabric   // fabric (lane) the next step runs on
+	m  *Message  // the header's message, or the chunk's
+	c  *Chunk    // nil for a header packet
+	ep Endpoint  // destination endpoint, once credits are requested
+	at *NodePort // hopwise: the router the walk stands at
+	t  sim.Time  // hopwise: when the packet reaches at
+
+	creditsTakenFn, walkFn, reachedNICFn, arrivedFn func()
 }
 
-func (f *Fabric) getSendOp() *sendOp {
-	if k := len(f.sendFree); k > 0 {
-		s := f.sendFree[k-1]
-		f.sendFree = f.sendFree[:k-1]
-		return s
+func (f *Fabric) getCarrier(m *Message, c *Chunk) *carrier {
+	var k *carrier
+	if n := len(f.carrierFree); n > 0 {
+		k = f.carrierFree[n-1]
+		f.carrierFree = f.carrierFree[:n-1]
+	} else {
+		k = &carrier{}
+		k.creditsTakenFn, k.walkFn = k.creditsTaken, k.walk
+		k.reachedNICFn, k.arrivedFn = k.reachedNIC, k.arrived
 	}
-	s := &sendOp{f: f}
-	s.hdrTake = s.headerTaken
-	s.hdrArr = s.headerArrived
-	s.chTake = s.chunkTaken
-	s.chArr = s.chunkArrived
-	return s
+	k.f, k.m, k.c = f, m, c
+	return k
 }
 
-func (s *sendOp) headerTaken() {
-	f, m := s.f, s.m
+// nbytes is the packet's size on the wire and in the receive window.
+func (k *carrier) nbytes() int {
+	if k.c == nil {
+		return k.f.P.PacketBytes
+	}
+	return len(k.c.Data)
+}
+
+// injected is the moment the packet enters the wire and the TX state
+// machine considers it sent.
+func (k *carrier) injected() {
+	f, m := k.f, k.m
+	if c := k.c; c != nil {
+		if c.OnInjected != nil {
+			c.OnInjected()
+		}
+		return
+	}
 	if m.Rec != nil {
 		m.Rec.Stamp(telemetry.StampWire, f.S.Now())
-		m.Rec.SetHops(len(f.route(m.Src, m.Dst)))
+		m.Rec.SetHops(f.Topo.Hops(m.Src, m.Dst))
 	}
 	if m.OnInjected != nil {
 		m.OnInjected()
@@ -424,15 +459,32 @@ func (s *sendOp) headerTaken() {
 		f.Trace.Instant(int(m.Src), trace.TrackWire, "net", "tx "+m.Hdr.Type.String(), f.S.Now(),
 			map[string]interface{}{"msg": m.ID, "dst": m.Dst, "len": m.PayloadLen + len(m.Inline)})
 	}
-	f.traverse(m.Src, m.Dst, f.P.PacketBytes, s.hdrArr)
 }
 
-func (s *sendOp) headerArrived() {
-	f, ep, m := s.f, s.ep, s.m
-	s.ep, s.m = nil, nil
-	f.sendFree = append(f.sendFree, s)
+// arrived delivers the packet to the destination endpoint, on the fabric
+// that owns it, and recycles the carrier there.
+func (k *carrier) arrived() {
+	f, ep, m, c, pt := k.f, k.ep, k.m, k.c, k.at
+	k.ep, k.m, k.c, k.at = nil, nil, nil, nil
+	f.carrierFree = append(f.carrierFree, k)
+	if c != nil {
+		ep.ChunkArrived(c)
+		if c.Last {
+			f.Stats.Delivered++
+			if f.Trace.Enabled() {
+				f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
+					map[string]interface{}{"msg": m.ID, "src": m.Src})
+			}
+		}
+		return
+	}
 	m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())
-	if f.plane != nil {
+	// The header's arrival closes its delay/stall ledger entries, on the
+	// plane that opened them: the source node's on the hopwise transport,
+	// the fabric's own on the classic one.
+	if pt != nil {
+		pt.noteToSource(m, (*FaultPlane).noteDelivered)
+	} else if f.plane != nil {
 		f.plane.noteDelivered(m)
 	}
 	if f.Trace.Enabled() {
@@ -445,27 +497,22 @@ func (s *sendOp) headerArrived() {
 	}
 }
 
-func (s *sendOp) chunkTaken() {
-	f, c := s.f, s.c
-	if c.OnInjected != nil {
-		c.OnInjected()
-	}
-	f.traverse(c.Msg.Src, c.Msg.Dst, len(c.Data), s.chArr)
+// send is the classic transport's fault-free injection path (the fault
+// plane calls it for duplicated, delayed and resumed packets, bypassing
+// rule evaluation): c is nil for m's header packet. Credits are taken from
+// the receiver window before the wire is used — the receiver's bounded
+// FIFO backpressures the sender exactly as link-level flow control does on
+// the real machine.
+func (f *Fabric) send(m *Message, c *Chunk) {
+	k := f.getCarrier(m, c)
+	k.ep = f.eps[m.Dst]
+	k.ep.RxWindow().Take(int64(k.nbytes()), k.creditsTakenFn)
 }
 
-func (s *sendOp) chunkArrived() {
-	f, ep, c := s.f, s.ep, s.c
-	s.ep, s.c = nil, nil
-	f.sendFree = append(f.sendFree, s)
-	ep.ChunkArrived(c)
-	if c.Last {
-		f.Stats.Delivered++
-		if f.Trace.Enabled() {
-			m := c.Msg
-			f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
-				map[string]interface{}{"msg": m.ID, "src": m.Src})
-		}
-	}
+// creditsTaken runs once the receiver window granted the packet's credits.
+func (k *carrier) creditsTaken() {
+	k.injected()
+	k.f.traverse(k.m.Src, k.m.Dst, k.nbytes(), k.arrivedFn)
 }
 
 // SendHeader injects the message's header packet. It consumes header-packet
@@ -479,23 +526,11 @@ func (f *Fabric) SendHeader(m *Message) {
 	if f.plane != nil && f.plane.filterHeader(m) {
 		return
 	}
-	f.sendHeaderNow(m)
-}
-
-// sendHeaderNow is the fault-free injection path; the fault plane calls it
-// for duplicated, delayed and resumed headers, bypassing rule evaluation.
-func (f *Fabric) sendHeaderNow(m *Message) {
-	ep := f.eps[m.Dst]
-	s := f.getSendOp()
-	s.ep = ep
-	s.m = m
-	ep.RxWindow().Take(int64(f.P.PacketBytes), s.hdrTake)
+	f.send(m, nil)
 }
 
 // SendChunk injects payload bytes. The caller (the TX DMA model) must send
-// chunks of a message in order, after its header. Credits for the chunk are
-// taken before the wire is used — the receiver's bounded FIFO backpressures
-// the sender exactly as link-level flow control does on the real machine.
+// chunks of a message in order, after its header.
 func (f *Fabric) SendChunk(c *Chunk) {
 	m := c.Msg
 	if f.eps[m.Dst] == nil {
@@ -514,16 +549,7 @@ func (f *Fabric) SendChunk(c *Chunk) {
 	if f.plane != nil && f.plane.filterChunk(c) {
 		return
 	}
-	f.sendChunkNow(c)
-}
-
-// sendChunkNow is the fault-free chunk injection path (see sendHeaderNow).
-func (f *Fabric) sendChunkNow(c *Chunk) {
-	ep := f.eps[c.Msg.Dst]
-	s := f.getSendOp()
-	s.ep = ep
-	s.c = c
-	ep.RxWindow().Take(int64(len(c.Data)), s.chTake)
+	f.send(m, c)
 }
 
 // LinkUtilization reports the utilization of the directed link leaving node

@@ -126,13 +126,13 @@ type FaultPlane struct {
 	accepted map[flowPair]uint32
 
 	// Injection indirection: where a surviving (or cloned, delayed,
-	// resumed) frame re-enters the fabric, and where clone IDs come from.
-	// The classic whole-fabric plane binds these to sendHeaderNow/
-	// sendChunkNow and the fabric ID counter; the sharded per-source-node
-	// planes bind them to the hopwise path and the node's ID space.
-	sendHeader func(*Message)
-	sendChunk  func(*Chunk)
-	newID      func() uint64
+	// resumed) packet re-enters the fabric (a nil chunk means the message's
+	// header), and where clone IDs come from. The classic whole-fabric
+	// plane binds these to Fabric.send and the fabric ID counter; the
+	// sharded per-source-node planes bind them to NodePort.launch and the
+	// node's ID space.
+	send  func(*Message, *Chunk)
+	newID func() uint64
 
 	Stats FaultStats
 }
@@ -146,22 +146,15 @@ func newFaultPlane(f *Fabric) *FaultPlane {
 		seed = defaultFaultSeed
 	}
 	p := newFaultPlaneSeeded(f, seed)
-	p.sendHeader = f.sendHeaderNow
-	p.sendChunk = f.sendChunkNow
+	p.send = f.send
 	p.newID = func() uint64 { f.nextID++; return f.nextID }
-	for _, r := range f.P.Faults {
-		p.AddRule(r)
-	}
-	for _, r := range f.P.Schedule.Rules() {
-		p.AddRule(r)
-	}
 	return p
 }
 
-// newFaultPlaneSeeded builds an empty plane with its own PRNG; the caller
-// wires the injection indirection and rules.
+// newFaultPlaneSeeded builds a plane with its own PRNG and the rules the
+// parameters declare; the caller wires the injection indirection.
 func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
-	return &FaultPlane{
+	p := &FaultPlane{
 		f:        f,
 		rng:      rand.New(rand.NewSource(seed)),
 		fates:    make(map[uint64]*msgFate),
@@ -172,6 +165,13 @@ func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
 		msgOpen:  make(map[uint64]int),
 		accepted: make(map[flowPair]uint32),
 	}
+	for _, r := range f.P.Faults {
+		p.AddRule(r)
+	}
+	for _, r := range f.P.Schedule.Rules() {
+		p.AddRule(r)
+	}
+	return p
 }
 
 // Faults returns the fabric's fault plane, creating it on first use.
@@ -223,7 +223,7 @@ func (p *FaultPlane) AddRule(r model.FaultRule) {
 // Snapshot returns the plane's counters by value.
 func (p *FaultPlane) Snapshot() FaultStats { return p.Stats }
 
-// ---- Runtime scenario hooks ----
+// ---- Scenario hooks (driven by machine schedule events) ----
 
 // LinkDown takes the directed link leaving node in direction d out of
 // service: messages whose fixed path crosses it are dropped at injection.
@@ -233,12 +233,6 @@ func (p *FaultPlane) LinkDown(node topo.NodeID, d topo.Dir) { p.down[linkKey{nod
 
 // LinkUp restores a downed link.
 func (p *FaultPlane) LinkUp(node topo.NodeID, d topo.Dir) { delete(p.down, linkKey{node, d}) }
-
-// LinkDownFor takes a link down now and schedules its restoration.
-func (p *FaultPlane) LinkDownFor(node topo.NodeID, d topo.Dir, dur sim.Time) {
-	p.LinkDown(node, d)
-	p.f.S.After(dur, func() { p.LinkUp(node, d) })
-}
 
 // StallNode holds every injection destined to node, in order, until
 // ResumeNode — a hung NIC whose wire-side buffering absorbs traffic.
@@ -258,12 +252,6 @@ func (p *FaultPlane) ResumeNode(node topo.NodeID) {
 	for _, inject := range q {
 		inject()
 	}
-}
-
-// StallNodeFor stalls a node now and schedules its resume.
-func (p *FaultPlane) StallNodeFor(node topo.NodeID, dur sim.Time) {
-	p.StallNode(node)
-	p.f.S.After(dur, func() { p.ResumeNode(node) })
 }
 
 // CorruptLedger opens one ledger entry that nothing will ever close —
@@ -418,18 +406,18 @@ func (p *FaultPlane) injectHeader(m *Message) {
 		p.Stats.Stalls++
 		p.count("stall", frameClassOf(m))
 		p.msgOpen[m.ID]++
-		p.stalled[m.Dst] = append(q, func() { p.sendHeader(m) })
+		p.stalled[m.Dst] = append(q, func() { p.send(m, nil) })
 		return
 	}
-	p.sendHeader(m)
+	p.send(m, nil)
 }
 
 func (p *FaultPlane) injectChunk(c *Chunk) {
 	if q, ok := p.stalled[c.Msg.Dst]; ok {
-		p.stalled[c.Msg.Dst] = append(q, func() { p.sendChunk(c) })
+		p.stalled[c.Msg.Dst] = append(q, func() { p.send(c.Msg, c) })
 		return
 	}
-	p.sendChunk(c)
+	p.send(c.Msg, c)
 }
 
 // dropMsg discards a message at injection. The sender's TX state machine

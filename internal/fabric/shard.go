@@ -5,9 +5,12 @@
 // time — an optimization that is exact on a single event lane but couples
 // every node's state at zero latency. Here each hop is its own event,
 // executed on the lane that owns the current router, and every inter-node
-// handoff travels through the kernel's cross-shard mailboxes. The minimum
-// handoff distance — one link occupancy plus the per-hop wire latency —
-// is the conservative lookahead bound the kernel synchronizes on
+// handoff travels through the kernel's cross-shard mailboxes. Both
+// transports move packets with the same pooled carrier (fabric.go) and
+// share its injected and arrived steps; this file holds only the walk in
+// between — launch, the per-router hop, destination-side admission. The
+// minimum handoff distance — one link occupancy plus the per-hop wire
+// latency — is the conservative lookahead bound the kernel synchronizes on
 // (MinHandoffLatency).
 //
 // Node state is partitioned by lane: each lane owns a Fabric instance
@@ -23,9 +26,7 @@ import (
 
 	"portals3/internal/model"
 	"portals3/internal/sim"
-	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 	"portals3/internal/wire"
 )
 
@@ -85,10 +86,10 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		lanes:  make([]*Fabric, kern.Shards()),
 		ports:  make([]*NodePort, n),
 		eps:    make([]Endpoint, n),
-		faulty: len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0,
+		faulty: faultsConfigured(p),
 	}
 	for i := range cl.lanes {
-		cl.lanes[i] = newBareFabric(kern.Lane(i), t, p)
+		cl.lanes[i] = newLane(kern.Lane(i), t, p)
 	}
 	base := p.FaultSeed
 	if base == 0 {
@@ -108,33 +109,13 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 			// limits consequently apply per source node (documented in
 			// DESIGN.md §11).
 			pl := newFaultPlaneSeeded(pt.f, base^(int64(id+1)*0x9e3779b97f4a7c1))
-			pl.sendHeader = pt.launchHeader
-			pl.sendChunk = pt.launchChunk
+			pl.send = pt.launch
 			pl.newID = pt.allocID
-			for _, r := range p.Faults {
-				pl.AddRule(r)
-			}
-			for _, r := range p.Schedule.Rules() {
-				pl.AddRule(r)
-			}
 			pt.plane = pl
 		}
 		cl.ports[id] = pt
 	}
 	return cl
-}
-
-// newBareFabric builds a Fabric without fault-plane activation — the
-// cluster manages per-node planes itself.
-func newBareFabric(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	return &Fabric{
-		S:      s,
-		Topo:   t,
-		P:      p,
-		links:  make(map[linkKey]*sim.Server),
-		eps:    make(map[topo.NodeID]Endpoint),
-		routes: make(map[[2]topo.NodeID][]topo.Dir),
-	}
 }
 
 // Port returns node id's injection interface.
@@ -149,32 +130,11 @@ func (cl *Cluster) Plane(id topo.NodeID) *FaultPlane { return cl.ports[id].plane
 // Lane returns the lane index owning node id.
 func (cl *Cluster) Lane(id topo.NodeID) int { return cl.laneOf[id] }
 
-// SetTelemetry attaches one lane's telemetry handle (per-lane instances
-// keep the hot path lock-free; the machine merges them at snapshot time).
-func (cl *Cluster) SetTelemetry(lane int, tel *telemetry.Telemetry) { cl.lanes[lane].Tel = tel }
-
-// SetTrace attaches one lane's tracer; the hopwise transport records wire
-// events through it. Like telemetry, per-lane instances are merged — via
-// trace.Merged — at snapshot time.
-func (cl *Cluster) SetTrace(lane int, tr *trace.Tracer) { cl.lanes[lane].Trace = tr }
-
-// LaneFabric returns lane i's fabric instance (stats, link meters), for
-// the machine's lane-local observers.
+// LaneFabric returns lane i's fabric instance: its stats and link meters,
+// and the Tel/Trace handles the machine attaches per lane (per-lane
+// instances keep the hot path lock-free; the machine merges them at
+// snapshot time).
 func (cl *Cluster) LaneFabric(i int) *Fabric { return cl.lanes[i] }
-
-// StatsSum aggregates the per-lane fabric counters. Injection counts land
-// on the sender's lane and deliveries on the receiver's, so the sums are
-// independent of the partition.
-func (cl *Cluster) StatsSum() Stats {
-	var out Stats
-	for _, f := range cl.lanes {
-		out.Messages += f.Stats.Messages
-		out.Chunks += f.Stats.Chunks
-		out.LinkRetries += f.Stats.LinkRetries
-		out.Delivered += f.Stats.Delivered
-	}
-	return out
-}
 
 // FaultSnapshot sums the per-source-node fault ledgers; ok is false when
 // the cluster was built without fault configuration.
@@ -211,9 +171,6 @@ type NodePort struct {
 
 	plane *FaultPlane // per-source-node fault plane, nil when fault-free
 }
-
-// Node returns the port's node id.
-func (pt *NodePort) Node() topo.NodeID { return pt.node }
 
 // post sends fn through the kernel mailbox to execute on dst's lane at
 // time at, ordered by this node's shard-invariant post sequence.
@@ -272,7 +229,7 @@ func (pt *NodePort) SendHeader(m *Message) {
 	if pt.plane != nil && pt.plane.filterHeader(m) {
 		return
 	}
-	pt.launchHeader(m)
+	pt.launch(m, nil)
 }
 
 // SendChunk injects payload bytes into the hopwise transport.
@@ -284,67 +241,42 @@ func (pt *NodePort) SendChunk(c *Chunk) {
 	if pt.plane != nil && pt.plane.filterChunk(c) {
 		return
 	}
-	pt.launchChunk(c)
+	pt.launch(c.Msg, c)
 }
 
-// launchHeader starts a header's hop walk from the source node. The TX
-// machine considers the packet sent at injection (stamp + OnInjected);
-// receive-window credits are charged on the destination lane at arrival,
-// so flow control is destination-side in the hopwise model.
-func (pt *NodePort) launchHeader(m *Message) {
-	now := pt.f.S.Now()
-	if m.Rec != nil {
-		m.Rec.Stamp(telemetry.StampWire, now)
-		m.Rec.SetHops(pt.f.Topo.Hops(m.Src, m.Dst))
-	}
-	if m.OnInjected != nil {
-		m.OnInjected()
-	}
-	if pt.f.Trace.Enabled() {
-		pt.f.Trace.Instant(int(m.Src), trace.TrackWire, "net", "tx "+m.Hdr.Type.String(), now,
-			map[string]interface{}{"msg": m.ID, "dst": m.Dst, "len": m.PayloadLen + len(m.Inline)})
-	}
+// launch starts a packet's hop walk from the source node (c is nil for m's
+// header packet). The TX machine considers the packet sent at injection;
+// receive-window credits are charged on the destination lane at arrival, so
+// flow control is destination-side in the hopwise model.
+func (pt *NodePort) launch(m *Message, c *Chunk) {
+	f := pt.f
+	k := f.getCarrier(m, c)
+	k.injected()
+	k.at = pt
+	now := f.S.Now()
 	if m.Src == m.Dst {
 		// Loopback still pays NIC injection + ejection, entirely on-lane.
-		pt.f.S.At(now+2*pt.f.P.InjectLatency, func() { pt.recvHeader(m) })
+		f.S.At(now+2*f.P.InjectLatency, k.reachedNICFn)
 		return
 	}
-	pt.stepHeader(m, now+pt.f.P.InjectLatency)
+	k.t = now + f.P.InjectLatency
+	k.walk()
 }
 
-// stepHeader executes the walk at the current node: reserve the outgoing
-// link, then hand the walker to the next router through the mailbox.
-func (pt *NodePort) stepHeader(m *Message, t sim.Time) {
-	next, t2 := pt.hop(m.Dst, t, int64(pt.f.P.PacketBytes), pt.f.Topo.Hops(m.Src, m.Dst))
+// walk executes the carrier's walk at its current router: reserve the
+// outgoing link, then hand the carrier — now owned by the next router's
+// lane — over through the mailbox.
+func (k *carrier) walk() {
+	pt, m := k.at, k.m
+	next, t := pt.hop(m.Dst, k.t, int64(k.nbytes()), pt.f.Topo.Hops(m.Src, m.Dst))
 	np := pt.cl.ports[next]
+	k.at, k.f = np, np.f
 	if next == m.Dst {
-		pt.post(np, t2+pt.f.P.InjectLatency, func() { np.recvHeader(m) })
+		pt.post(np, t+pt.f.P.InjectLatency, k.reachedNICFn)
 		return
 	}
-	pt.post(np, t2, func() { np.stepHeader(m, t2) })
-}
-
-// launchChunk starts a payload chunk's hop walk (see launchHeader).
-func (pt *NodePort) launchChunk(c *Chunk) {
-	if c.OnInjected != nil {
-		c.OnInjected()
-	}
-	now := pt.f.S.Now()
-	if c.Msg.Src == c.Msg.Dst {
-		pt.f.S.At(now+2*pt.f.P.InjectLatency, func() { pt.recvChunk(c) })
-		return
-	}
-	pt.stepChunk(c, now+pt.f.P.InjectLatency)
-}
-
-func (pt *NodePort) stepChunk(c *Chunk, t sim.Time) {
-	next, t2 := pt.hop(c.Msg.Dst, t, int64(len(c.Data)), pt.f.Topo.Hops(c.Msg.Src, c.Msg.Dst))
-	np := pt.cl.ports[next]
-	if next == c.Msg.Dst {
-		pt.post(np, t2+pt.f.P.InjectLatency, func() { np.recvChunk(c) })
-		return
-	}
-	pt.post(np, t2, func() { np.stepChunk(c, t2) })
+	k.t = t
+	pt.post(np, t, k.walkFn)
 }
 
 // hop reserves this node's outgoing link toward dst for nbytes arriving at
@@ -366,70 +298,46 @@ func (pt *NodePort) hop(dst topo.NodeID, t sim.Time, nbytes int64, hops int) (to
 	return next, t2
 }
 
-// recvHeader runs on the destination lane at arrival: charge the receive
-// window, then deliver — destination-side admission replaces the classic
-// source-side credit take.
-func (pt *NodePort) recvHeader(m *Message) {
-	f := pt.f
-	ep := pt.cl.eps[m.Dst]
-	ep.RxWindow().Take(int64(f.P.PacketBytes), func() {
-		m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())
-		if pt.cl.faulty {
-			pt.noteToSource(m, (*FaultPlane).noteDelivered)
-		}
-		if f.Trace.Enabled() {
-			f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx hdr "+m.Hdr.Type.String(), f.S.Now(),
-				map[string]interface{}{"msg": m.ID, "src": m.Src})
-		}
-		ep.HeaderArrived(m)
-		if m.PayloadLen == 0 {
-			f.Stats.Delivered++
-		}
-	})
-}
-
-func (pt *NodePort) recvChunk(c *Chunk) {
-	f := pt.f
-	ep := pt.cl.eps[c.Msg.Dst]
-	ep.RxWindow().Take(int64(len(c.Data)), func() {
-		ep.ChunkArrived(c)
-		if c.Last {
-			f.Stats.Delivered++
-			if f.Trace.Enabled() {
-				m := c.Msg
-				f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
-					map[string]interface{}{"msg": m.ID, "src": m.Src})
-			}
-		}
-	})
+// reachedNIC runs on the destination lane when the packet reaches the NIC:
+// charge the receive window, then deliver — destination-side admission
+// replaces the classic source-side credit take.
+func (k *carrier) reachedNIC() {
+	k.ep = k.at.cl.eps[k.m.Dst]
+	k.ep.RxWindow().Take(int64(k.nbytes()), k.arrivedFn)
 }
 
 // FaultAccepted forwards the receiver-side commit to the source node's
 // fault plane — one hop of latency away, through the mailbox, so the
 // ledger lives entirely on the lane that opened its entries.
-func (pt *NodePort) FaultAccepted(m *Message) {
-	if pt.cl.faulty {
-		pt.noteToSource(m, (*FaultPlane).noteAccepted)
-	}
-}
+func (pt *NodePort) FaultAccepted(m *Message) { pt.noteToSource(m, (*FaultPlane).noteAccepted) }
 
 // FaultCondemned forwards a receiver-side discard to the source plane.
-func (pt *NodePort) FaultCondemned(m *Message) {
-	if pt.cl.faulty {
-		pt.noteToSource(m, (*FaultPlane).noteCondemned)
-	}
+func (pt *NodePort) FaultCondemned(m *Message) { pt.noteToSource(m, (*FaultPlane).noteCondemned) }
+
+// ledgerNote is one fault-ledger notification on its way to the plane that
+// opened the entry. Only identity fields of the message travel; the message
+// object itself stays (and may be recycled) on the noting lane.
+type ledgerNote struct {
+	plane *FaultPlane
+	apply func(*FaultPlane, *Message)
+	m     Message
 }
 
-// noteToSource posts a ledger note to the message's source plane. Only
-// identity fields travel; the message object itself stays (and may be
-// recycled) on the noting lane.
+func (n *ledgerNote) deliver() { n.apply(n.plane, &n.m) }
+
+// noteToSource posts a ledger note to the message's source plane (there is
+// none on a fault-free cluster).
 func (pt *NodePort) noteToSource(m *Message, apply func(*FaultPlane, *Message)) {
-	sp := pt.cl.ports[m.Src]
-	mm := &Message{ID: m.ID, Hdr: m.Hdr, Src: m.Src, Dst: m.Dst, FwSeq: m.FwSeq}
-	at := pt.f.S.Now() + pt.cl.Kern.Lookahead()
-	if sp == pt {
-		pt.f.S.At(at, func() { apply(sp.plane, mm) })
+	if !pt.cl.faulty {
 		return
 	}
-	pt.post(sp, at, func() { apply(sp.plane, mm) })
+	sp := pt.cl.ports[m.Src]
+	n := &ledgerNote{plane: sp.plane, apply: apply,
+		m: Message{ID: m.ID, Hdr: m.Hdr, Src: m.Src, Dst: m.Dst, FwSeq: m.FwSeq}}
+	at := pt.f.S.Now() + pt.cl.Kern.Lookahead()
+	if sp == pt {
+		pt.f.S.At(at, n.deliver)
+		return
+	}
+	pt.post(sp, at, n.deliver)
 }

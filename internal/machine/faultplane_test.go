@@ -92,7 +92,8 @@ func runFaultSoak(t *testing.T, seed int64, msgs int) ([][]byte, sim.Time, fabri
 			t.Fatalf("seed %#x: node %d panicked under go-back-n", seed, i)
 		}
 	}
-	return got, done, m.Faults().Snapshot()
+	fs, _ := m.FaultSnapshot()
+	return got, done, fs
 }
 
 // TestFaultSoakSeeded hammers the go-back-n pair with the full fault mix
@@ -155,51 +156,76 @@ func TestFaultSoakDeterminism(t *testing.T) {
 	}
 }
 
+// forEachPair runs a two-node fault scenario on every machine kind: the
+// classic pair, and the sharded pair at one and two lanes. build makes the
+// machine from the scenario's parameters (faults are declared there, in
+// Params.Schedule, the one fault-declaration API).
+func forEachPair(t *testing.T, run func(t *testing.T, build func(model.Params) *Machine)) {
+	t.Run("pair", func(t *testing.T) { run(t, NewPair) })
+	for _, shards := range []int{1, 2} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			run(t, func(p model.Params) *Machine {
+				tp, err := topo.New(2, 1, 1, false, false, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewSharded(p, tp, shards)
+			})
+		})
+	}
+}
+
 // TestStallNodeForHoldsThenDelivers: a stalled destination buffers arrivals
 // in order and releases them at resume — a hung NIC that recovers.
 func TestStallNodeForHoldsThenDelivers(t *testing.T) {
-	p := model.Defaults()
-	m := NewPair(p)
-	m.EnableGoBackN()
-	// Stall the receiver before the put's frames arrive, resume at 300µs.
-	m.StallNodeFor(1, 300*sim.Microsecond)
-	payload := bytes.Repeat([]byte{0x77}, 4096)
-	_, got, at := onePut(t, m, payload)
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload corrupted across a stall window")
-	}
-	if at < 300*sim.Microsecond {
-		t.Errorf("delivery at %v inside the stall window", at)
-	}
-	fs := m.Faults().Snapshot()
-	if fs.Stalls == 0 {
-		t.Error("no frames were held by the stall")
-	}
-	if fs.Open() != 0 {
-		t.Errorf("ledger does not balance: %v", fs)
-	}
+	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
+		p := model.Defaults()
+		// Stall the receiver before the put's frames arrive, resume at 300µs.
+		p.Schedule = model.FaultSchedule{{Kind: model.SchedStall, Node: 1, At: 0, Dur: 300 * sim.Microsecond}}
+		m := build(p)
+		m.EnableGoBackN()
+		payload := bytes.Repeat([]byte{0x77}, 4096)
+		_, got, at := onePut(t, m, payload)
+		if !bytes.Equal(got, payload) {
+			t.Fatal("payload corrupted across a stall window")
+		}
+		if at < 300*sim.Microsecond {
+			t.Errorf("delivery at %v inside the stall window", at)
+		}
+		fs, _ := m.FaultSnapshot()
+		if fs.Stalls == 0 {
+			t.Error("no frames were held by the stall")
+		}
+		if fs.Open() != 0 {
+			t.Errorf("ledger does not balance: %v", fs)
+		}
+	})
 }
 
 // TestLinkDownWindowRecoveredByGoBackN: frames crossing a downed link are
 // dropped for the window's duration; go-back-n redelivers once it is back.
 func TestLinkDownWindowRecoveredByGoBackN(t *testing.T) {
-	p := model.Defaults()
-	m := NewPair(p)
-	m.EnableGoBackN()
-	m.LinkDownFor(0, topo.Dir{Axis: topo.X, Sign: 1}, 200*sim.Microsecond)
-	payload := bytes.Repeat([]byte{0x3c}, 4096)
-	_, got, at := onePut(t, m, payload)
-	if !bytes.Equal(got, payload) {
-		t.Fatal("payload corrupted across a link-down window")
-	}
-	if at < 200*sim.Microsecond {
-		t.Errorf("delivery at %v inside the down window", at)
-	}
-	fs := m.Faults().Snapshot()
-	if fs.DropsLink == 0 {
-		t.Error("no frames dropped by the downed link")
-	}
-	if fs.Open() != 0 {
-		t.Errorf("ledger does not balance: %v", fs)
-	}
+	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
+		p := model.Defaults()
+		p.Schedule = model.FaultSchedule{{Kind: model.SchedLinkDown, Node: 0,
+			Dir: topo.Dir{Axis: topo.X, Sign: 1}, At: 0, Dur: 200 * sim.Microsecond}}
+		m := build(p)
+		m.EnableGoBackN()
+		payload := bytes.Repeat([]byte{0x3c}, 4096)
+		_, got, at := onePut(t, m, payload)
+		if !bytes.Equal(got, payload) {
+			t.Fatal("payload corrupted across a link-down window")
+		}
+		if at < 200*sim.Microsecond {
+			t.Errorf("delivery at %v inside the down window", at)
+		}
+		fs, _ := m.FaultSnapshot()
+		if fs.DropsLink == 0 {
+			t.Error("no frames dropped by the downed link")
+		}
+		if fs.Open() != 0 {
+			t.Errorf("ledger does not balance: %v", fs)
+		}
+	})
 }

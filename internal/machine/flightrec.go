@@ -69,19 +69,6 @@ func (m *Machine) Reports() []FailureReport {
 	return append([]FailureReport(nil), m.reports...)
 }
 
-// reportFailure funnels a detection that may originate on a lane worker
-// mid-window (a node panic): timestamped from the failing node's lane, no
-// detection-time dump on a sharded machine — snapshotting other lanes
-// mid-window would race. Detectors that run at safe points (barrier ticks,
-// post-Run audits) call fileReport directly and do take dumps.
-func (m *Machine) reportFailure(kind FailureKind, node topo.NodeID, reason string) {
-	at := m.S.Now()
-	if m.kern != nil && node >= 0 {
-		at = m.laneSim(node).Now()
-	}
-	m.fileReport(kind, node, reason, at, m.kern == nil)
-}
-
 // fileReport is the single failure funnel: record the report and, when the
 // flight recorder is running and the caller vouches for dump safety (dump
 // is true only on the classic machine, at kernel barrier ticks, or after
@@ -105,7 +92,7 @@ func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, 
 func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 	if m.rec == nil {
 		m.rec = flightrec.NewRecorder(ringEvents)
-		if m.kern != nil {
+		if m.Sharded() {
 			// Node-scoped spans at every shard count, so shards=1 and
 			// shards=N dumps are byte-comparable (DESIGN.md §11).
 			m.rec.UseNodeSpans()
@@ -213,12 +200,11 @@ func (sd *StallDetector) Stop() { sd.halted = true }
 // a node holding open work (queued transmits, open receive streams, unacked
 // go-back-n sends, undrained driver events) whose progress counter does not
 // advance for a full window is reported as stalled, with a dump. Ticks run
-// every window/4 and self-terminate with the event heap, like the sampler,
-// so Machine.Run still returns. On a sharded machine ticks fire at kernel
-// barriers (sim.Kernel.Every) — the lane workers have joined there, so the
-// cross-node progress reads and the attached dump are race-free, and the
-// canonical tick times make detections land at identical virtual times at
-// every shard count.
+// every window/4 through Machine.every and self-terminate, like the
+// sampler, so Machine.Run still returns; on a sharded machine they are
+// barrier ticks, so the cross-node progress reads and the attached dump are
+// race-free and detections land at identical virtual times at every shard
+// count.
 func (m *Machine) StartStallDetector(window sim.Time) *StallDetector {
 	if m.stall != nil {
 		return m.stall
@@ -235,25 +221,7 @@ func (m *Machine) StartStallDetector(window sim.Time) *StallDetector {
 	if period <= 0 {
 		period = 1
 	}
-	if m.kern != nil {
-		m.kern.Every(period, func(now sim.Time) {
-			if !sd.halted {
-				sd.checkAt(now)
-			}
-		})
-		return sd
-	}
-	var tick func()
-	tick = func() {
-		if sd.halted {
-			return
-		}
-		sd.checkAt(m.S.Now())
-		if m.S.Pending() > 0 {
-			m.S.After(period, tick)
-		}
-	}
-	m.S.After(period, tick)
+	m.every(period, false, &sd.halted, sd.checkAt)
 	return sd
 }
 

@@ -18,14 +18,15 @@ import (
 // no progress for the whole window — the stall detector must fire and
 // snapshot a dump — and once the link restores, go-back-n redelivers. It
 // returns the machine, the delivered payload, and the end-of-run dump.
-func runStallScenario(t *testing.T) (*Machine, []byte, []byte, *flightrec.Dump) {
+func runStallScenario(t *testing.T, build func(model.Params) *Machine) (*Machine, []byte, []byte, *flightrec.Dump) {
 	t.Helper()
 	p := model.Defaults()
-	m := NewPair(p)
+	p.Schedule = model.FaultSchedule{{Kind: model.SchedLinkDown, Node: 0,
+		Dir: topo.Dir{Axis: topo.X, Sign: 1}, At: 0, Dur: 2 * sim.Millisecond}}
+	m := build(p)
 	m.EnableGoBackN()
 	m.EnableFlightRecorder(0)
 	m.StartStallDetector(400 * sim.Microsecond) // > GbnTimeout (150us)
-	m.LinkDownFor(0, topo.Dir{Axis: topo.X, Sign: 1}, 2*sim.Millisecond)
 	payload := bytes.Repeat([]byte{0x5a}, 4096)
 	_, got, at := onePut(t, m, payload)
 	if at < 2*sim.Millisecond {
@@ -35,7 +36,11 @@ func runStallScenario(t *testing.T) (*Machine, []byte, []byte, *flightrec.Dump) 
 }
 
 func TestStallDetectorFiresAndRecovers(t *testing.T) {
-	m, payload, got, _ := runStallScenario(t)
+	forEachPair(t, testStallDetectorFiresAndRecovers)
+}
+
+func testStallDetectorFiresAndRecovers(t *testing.T, build func(model.Params) *Machine) {
+	m, payload, got, _ := runStallScenario(t, build)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted across the stall")
 	}
@@ -92,7 +97,11 @@ func TestStallDetectorFiresAndRecovers(t *testing.T) {
 // full hop timeline — serialized on the sender, rewound through go-back-n
 // while the link was down, then accepted and delivered on the receiver.
 func TestStallDumpReconstructsCausalChain(t *testing.T) {
-	_, _, _, final := runStallScenario(t)
+	forEachPair(t, testStallDumpReconstructsCausalChain)
+}
+
+func testStallDumpReconstructsCausalChain(t *testing.T, build func(model.Params) *Machine) {
+	_, _, _, final := runStallScenario(t, build)
 	spans := final.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("Spans() = %v, want exactly the one data message", spans)
@@ -139,8 +148,12 @@ func TestStallDumpReconstructsCausalChain(t *testing.T) {
 // byte-identical dumps — both the at-detection stall dump and the
 // end-of-run snapshot.
 func TestStallDumpDeterministic(t *testing.T) {
-	ma, _, _, finalA := runStallScenario(t)
-	mb, _, _, finalB := runStallScenario(t)
+	forEachPair(t, testStallDumpDeterministic)
+}
+
+func testStallDumpDeterministic(t *testing.T, build func(model.Params) *Machine) {
+	ma, _, _, finalA := runStallScenario(t, build)
+	mb, _, _, finalB := runStallScenario(t, build)
 	if !bytes.Equal(finalA.Bytes(), finalB.Bytes()) {
 		t.Error("end-of-run dumps differ between same-seed runs")
 	}

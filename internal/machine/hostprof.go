@@ -65,22 +65,24 @@ type HostProfile struct {
 // machine's kernel. Classic machines have no lanes to account; profiling
 // them is a pprof job, not a lane-skew one.
 func (m *Machine) EnableHostProfile() {
+	m.profiledKernel().EnableHostProfile()
+}
+
+// profiledKernel marks the host profiler armed and returns the kernel that
+// carries it.
+func (m *Machine) profiledKernel() *sim.Kernel {
 	if m.kern == nil {
 		panic("machine: host-execution profiling needs a sharded machine (NewSharded)")
 	}
-	m.kern.EnableHostProfile()
 	m.hostprofOn = true
+	return m.kern
 }
 
 // SetProgress registers fn for live host-execution snapshots about every
 // `every` of wall-clock (see sim.Kernel.SetProgress for the delivery
 // contract). Implies EnableHostProfile.
 func (m *Machine) SetProgress(every time.Duration, fn func(sim.HostProgress)) {
-	if m.kern == nil {
-		panic("machine: host-execution profiling needs a sharded machine (NewSharded)")
-	}
-	m.kern.SetProgress(every, fn)
-	m.hostprofOn = true
+	m.profiledKernel().SetProgress(every, fn)
 }
 
 // HostProfile snapshots the host-execution profile, nil when profiling was

@@ -62,24 +62,29 @@ type Machine struct {
 
 	nodes    map[topo.NodeID]*Node
 	gbn      bool
-	tracer   *trace.Tracer
-	tel      *telemetry.Telemetry
 	sampler  *Sampler
 	ras      *RAS
 	failures []NodeFailure
 
+	// lanes is the event-lane table: one entry on a classic machine (New),
+	// one per kernel shard on a sharded one (NewSharded). Every node lives
+	// on exactly one lane; engine is what advances them all — the bare
+	// simulator or the parallel kernel.
+	lanes  []lane
+	engine interface {
+		Run()
+		RunUntil(sim.Time)
+	}
+
 	// Sharded-machine state (NewSharded; nil on a classic machine): the
-	// parallel kernel, the per-lane fabric cluster, per-lane telemetry and
-	// trace instances, and the mutex serializing the failure funnel across
-	// lanes.
+	// parallel kernel and the hopwise fabric cluster. mu serializes the
+	// failure funnel across lanes.
 	kern *sim.Kernel
 	cl   *fabric.Cluster
-	tels []*telemetry.Telemetry
-	trs  []*trace.Tracer
 	mu   sync.Mutex
 
 	// Host-execution profiling (hostprof.go): whether the kernel profiler
-	// is armed, and the measured wall-clock of the kernel run calls — the
+	// is armed, and the measured wall-clock of the engine's run calls — the
 	// external reference the profiler's accounting is validated against.
 	hostprofOn bool
 	runWall    time.Duration
@@ -90,6 +95,18 @@ type Machine struct {
 	ledgerReported bool
 }
 
+// lane is one event lane's share of the machine: the simulator its nodes
+// run on, the fabric instance owning their links, pools and counters, and
+// the observers they record into (nil until enabled). Lane-local observers
+// keep the hot path lock-free; Telemetry and Trace merge them at snapshot
+// time, and the merge is byte-identical at every shard count.
+type lane struct {
+	sim *sim.Sim
+	fab *fabric.Fabric
+	tel *telemetry.Telemetry
+	tr  *trace.Tracer
+}
+
 // Node is one XT3 node.
 type Node struct {
 	ID      topo.NodeID
@@ -97,6 +114,8 @@ type Node struct {
 	Chip    *seastar.Chip
 	NIC     *fw.NIC
 	Generic *nal.GenericDriver
+
+	lane *lane
 }
 
 // New builds a machine over the given topology.
@@ -110,6 +129,8 @@ func New(p model.Params, tp *topo.Topology) *Machine {
 		nodes:  make(map[topo.NodeID]*Node),
 	}
 	m.Fab = fabric.New(s, tp, &m.P)
+	m.lanes = []lane{{sim: s, fab: m.Fab}}
+	m.engine = s
 	m.applySchedule()
 	return m
 }
@@ -132,24 +153,29 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 	if !m.Topo.Valid(id) {
 		panic(fmt.Sprintf("machine: invalid node %d", id))
 	}
-	ls := m.laneSim(id)
-	kern := oskernel.New(ls, &m.P, m.OSKind(id), id)
-	chip := seastar.New(ls, &m.P, id)
-	nic, err := fw.New(ls, &m.P, chip, m.nodePort(id), id)
+	// A node lives on one lane and injects through one port: the classic
+	// fabric itself, or the node's own port on a sharded cluster.
+	ln, port := &m.lanes[0], fabric.Port(m.Fab)
+	if m.cl != nil {
+		ln, port = &m.lanes[m.cl.Lane(id)], m.cl.Port(id)
+	}
+	kern := oskernel.New(ln.sim, &m.P, m.OSKind(id), id)
+	chip := seastar.New(ln.sim, &m.P, id)
+	nic, err := fw.New(ln.sim, &m.P, chip, port, id)
 	if err != nil {
 		panic(err)
 	}
 	if m.gbn {
 		nic.Policy = fw.ExhaustGoBackN
 	}
-	nic.Trace = m.nodeTrace(id)
-	kern.Trace = nic.Trace
+	nic.Trace = ln.tr
+	kern.Trace = ln.tr
 	drv, err := nal.NewGeneric(kern, nic, m.Topo, &m.P)
 	if err != nil {
 		panic(err)
 	}
-	n := &Node{ID: id, Kernel: kern, Chip: chip, NIC: nic, Generic: drv}
-	if m.tel != nil || m.tels != nil {
+	n := &Node{ID: id, Kernel: kern, Chip: chip, NIC: nic, Generic: drv, lane: ln}
+	if ln.tel != nil {
 		m.wireTelemetry(n)
 	}
 	if m.rec != nil {
@@ -164,95 +190,81 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 // interrupt and Portals-event activity) and returns the tracer. Call it
 // before spawning processes; write the result with Tracer.WriteChrome.
 //
-// On a sharded machine each lane records into its own tracer (every node
-// lives on exactly one lane, so a node's records stay in one instance and
-// in lane-local time order); read the merged timeline through
+// Each lane records into its own tracer (every node lives on exactly one
+// lane, so a node's records stay in one instance and in lane-local time
+// order). On a classic machine the returned tracer is the whole timeline;
+// on a sharded one it is lane 0's, and the merged timeline is read through
 // Machine.Trace after the run. The merge sorts by (timestamp, node), which
 // preserves each lane's relative order, so the written trace is
 // byte-identical at every shard count.
 func (m *Machine) EnableTracing() *trace.Tracer {
-	if m.kern != nil {
-		if m.trs == nil {
-			m.trs = make([]*trace.Tracer, m.kern.Shards())
-			for i := range m.trs {
-				m.trs[i] = trace.New()
-				m.cl.SetTrace(i, m.trs[i])
-			}
-			for _, n := range m.nodes {
-				n.NIC.Trace = m.nodeTrace(n.ID)
-				n.Kernel.Trace = n.NIC.Trace
-			}
+	if m.lanes[0].tr == nil {
+		for i := range m.lanes {
+			ln := &m.lanes[i]
+			ln.tr = trace.New()
+			ln.fab.Trace = ln.tr
 		}
-		// The per-lane instances are live; read the merged timeline through
-		// Machine.Trace after the run.
-		return m.trs[0]
-	}
-	if m.tracer == nil {
-		m.tracer = trace.New()
-		m.Fab.Trace = m.tracer
 		for _, n := range m.nodes {
-			n.NIC.Trace = m.tracer
-			n.Kernel.Trace = m.tracer
+			n.NIC.Trace = n.lane.tr
+			n.Kernel.Trace = n.lane.tr
 		}
 	}
-	return m.tracer
+	return m.lanes[0].tr
 }
 
-// Trace returns the machine's tracer (nil unless tracing is enabled). On a
-// sharded machine it merges the per-lane tracers into a fresh one — call
-// it after Run, from the driver goroutine.
+// Trace returns the machine's tracer (nil unless tracing is enabled): the
+// live instance on a classic machine, a fresh merge of the per-lane
+// tracers on a sharded one — call it after Run, from the driver goroutine.
 func (m *Machine) Trace() *trace.Tracer {
-	if m.trs != nil {
-		return trace.Merged(m.trs...)
+	if !m.Sharded() || m.lanes[0].tr == nil {
+		return m.lanes[0].tr
 	}
-	return m.tracer
+	trs := make([]*trace.Tracer, len(m.lanes))
+	for i := range m.lanes {
+		trs[i] = m.lanes[i].tr
+	}
+	return trace.Merged(trs...)
 }
 
-// EnableTelemetry attaches a telemetry handle to the machine — existing and
-// subsequently built nodes — and returns it: per-message latency
+// EnableTelemetry attaches a telemetry handle to every lane — existing and
+// subsequently built nodes — and returns lane 0's: per-message latency
 // attribution through the generic driver, per-node interrupt dispatch
 // histograms, and the registry the RAS sampler and exporters use. Like
 // tracing, enable it before spawning processes; a machine without it pays
-// one pointer test per site and allocates nothing.
+// one pointer test per site and allocates nothing. On a sharded machine
+// read the merged view through Machine.Telemetry after the run.
 func (m *Machine) EnableTelemetry() *telemetry.Telemetry {
-	if m.kern != nil {
-		if m.tels == nil {
-			m.tels = make([]*telemetry.Telemetry, m.kern.Shards())
-			for i := range m.tels {
-				m.tels[i] = telemetry.New()
-				m.cl.SetTelemetry(i, m.tels[i])
-			}
-			for _, n := range m.nodes {
-				m.wireTelemetry(n)
-			}
+	if m.lanes[0].tel == nil {
+		for i := range m.lanes {
+			ln := &m.lanes[i]
+			ln.tel = telemetry.New()
+			ln.fab.Tel = ln.tel
 		}
-		// The per-lane instances are live; read the merged view through
-		// Machine.Telemetry after the run.
-		return m.tels[0]
-	}
-	if m.tel == nil {
-		m.tel = telemetry.New()
-		m.Fab.Tel = m.tel
 		for _, n := range m.nodes {
 			m.wireTelemetry(n)
 		}
 	}
-	return m.tel
+	return m.lanes[0].tel
 }
 
-// Telemetry returns the machine's telemetry handle (nil unless enabled).
-// On a sharded machine it merges the per-lane instances into a fresh one —
-// call it after Run, from the driver goroutine.
+// Telemetry returns the machine's telemetry handle (nil unless enabled):
+// the live instance on a classic machine, a fresh merge of the per-lane
+// instances on a sharded one — call it after Run, from the driver
+// goroutine.
 func (m *Machine) Telemetry() *telemetry.Telemetry {
-	if m.tels != nil {
-		return telemetry.Merged(m.tels...)
+	if !m.Sharded() || m.lanes[0].tel == nil {
+		return m.lanes[0].tel
 	}
-	return m.tel
+	tels := make([]*telemetry.Telemetry, len(m.lanes))
+	for i := range m.lanes {
+		tels[i] = m.lanes[i].tel
+	}
+	return telemetry.Merged(tels...)
 }
 
-// wireTelemetry points one node's components at its telemetry handle.
+// wireTelemetry points one node's components at its lane's telemetry.
 func (m *Machine) wireTelemetry(n *Node) {
-	tel := m.nodeTel(n.ID)
+	tel := n.lane.tel
 	n.Generic.Tel = tel
 	n.Kernel.IrqHist = tel.Reg.Histogram("host_irq_dispatch_ps", telemetry.NodeLabel(int(n.ID)))
 }
@@ -264,40 +276,6 @@ func (m *Machine) EnableGoBackN() {
 	for _, n := range m.nodes {
 		n.NIC.Policy = fw.ExhaustGoBackN
 	}
-}
-
-// Faults returns the fabric's fault-injection plane, creating it on first
-// use. Scenarios configure rules either up front via Params.Faults or at
-// runtime through the plane (AddRule, LinkDownFor, StallNodeFor, ...);
-// either way the plane's seeded PRNG keeps the run reproducible. Sharded
-// machines keep one plane per source node, so there is no single plane to
-// hand out — declare faults via Params.Faults or Params.Schedule instead.
-func (m *Machine) Faults() *fabric.FaultPlane {
-	m.seqOnly("runtime fault-plane access (declare Params.Faults or Params.Schedule up front)")
-	return m.Fab.Faults()
-}
-
-// InjectFault appends one fault rule at runtime.
-func (m *Machine) InjectFault(r model.FaultRule) {
-	m.seqOnly("runtime fault injection (declare Params.Faults or a Params.Schedule burst up front)")
-	m.Fab.Faults().AddRule(r)
-}
-
-// StallNodeFor holds all traffic destined to a node for dur, releasing it
-// in arrival order — a hung NIC that later resumes. On sharded machines
-// use a Params.Schedule stall entry, which plants the same window as
-// lane-local events before the kernel starts.
-func (m *Machine) StallNodeFor(node topo.NodeID, dur sim.Time) {
-	m.seqOnly("StallNodeFor (put a stall entry in Params.Schedule)")
-	m.Fab.Faults().StallNodeFor(node, dur)
-}
-
-// LinkDownFor takes the directed link leaving node in direction d out of
-// service for dur; messages routed across it are dropped meanwhile. On
-// sharded machines use a Params.Schedule linkdown entry.
-func (m *Machine) LinkDownFor(node topo.NodeID, d topo.Dir, dur sim.Time) {
-	m.seqOnly("LinkDownFor (put a linkdown entry in Params.Schedule)")
-	m.Fab.Faults().LinkDownFor(node, d, dur)
 }
 
 // App is one running application process.
@@ -357,7 +335,7 @@ func (m *Machine) Spawn(node topo.NodeID, name string, mode Mode, main func(app 
 		return nil, fmt.Errorf("machine: unknown mode %d", mode)
 	}
 
-	lib.Trace = m.nodeTrace(n.ID)
+	lib.Trace = n.lane.tr
 	n.NIC.S.Go(name, func(p *sim.Proc) {
 		app.Proc = p
 		app.API = nal.NewAPI(p, lib, bridge, &m.P)
@@ -378,17 +356,9 @@ const accelPendings = 256
 // FailureLedger report (with a dump when the flight recorder is on)
 // instead of panicking.
 func (m *Machine) Run() {
-	if m.kern != nil {
-		if m.hostprofOn {
-			t0 := time.Now()
-			m.kern.Run()
-			m.runWall += time.Since(t0)
-		} else {
-			m.kern.Run()
-		}
-	} else {
-		m.S.Run()
-	}
+	t0 := time.Now()
+	m.engine.Run()
+	m.runWall += time.Since(t0)
 	if m.sampler != nil && !m.sampler.halted {
 		// On a sharded machine every lane's clock reads the final horizon
 		// here (RunUntil sets it), which is shard-invariant, so the closing
@@ -408,18 +378,13 @@ func (m *Machine) Run() {
 // starting the sampler (whose meters would otherwise never be exported)
 // and meters the closing sample already flushed (Flush is idempotent).
 func (m *Machine) flushMeters() {
-	now := m.S.Now()
-	if m.kern != nil {
-		for i, tel := range m.tels {
-			for _, mt := range m.cl.LaneFabric(i).Meters() {
-				mt.Flush(tel, now)
-			}
-		}
+	if m.lanes[0].tel == nil {
 		return
 	}
-	if m.tel != nil {
-		for _, mt := range m.Fab.Meters() {
-			mt.Flush(m.tel, now)
+	now := m.S.Now()
+	for _, ln := range m.lanes {
+		for _, mt := range ln.fab.Meters() {
+			mt.Flush(ln.tel, now)
 		}
 	}
 }
@@ -433,15 +398,7 @@ func (m *Machine) flushMeters() {
 // RunUntil-driven run remains bit-identical at every shard count
 // (sim.Kernel.RunUntil documents the argument).
 func (m *Machine) RunUntil(t sim.Time) {
-	if m.kern != nil {
-		if m.hostprofOn {
-			t0 := time.Now()
-			m.kern.RunUntil(t)
-			m.runWall += time.Since(t0)
-		} else {
-			m.kern.RunUntil(t)
-		}
-		return
-	}
-	m.S.RunUntil(t)
+	t0 := time.Now()
+	m.engine.RunUntil(t)
+	m.runWall += time.Since(t0)
 }

@@ -35,7 +35,9 @@ func (m *Machine) Failures() []NodeFailure {
 
 // installFailureHandler is called at node construction. Panics route
 // through the machine's failure funnel (flightrec.go), so a panic with the
-// flight recorder on also snapshots a dump.
+// flight recorder on also snapshots a dump — on a classic machine only: a
+// sharded node panics on a lane worker mid-window, where snapshotting the
+// other lanes would race.
 func (m *Machine) installFailureHandler(n *Node) {
 	nic := n.NIC
 	id := n.ID
@@ -46,7 +48,7 @@ func (m *Machine) installFailureHandler(n *Node) {
 		m.mu.Lock()
 		m.failures = append(m.failures, NodeFailure{Node: id, Reason: reason, At: at})
 		m.mu.Unlock()
-		m.reportFailure(FailurePanic, id, reason)
+		m.fileReport(FailurePanic, id, reason, at, !m.Sharded())
 		nic.Kill()
 	}
 }
@@ -117,35 +119,19 @@ func (m *Machine) StartRAS(period sim.Time) *RAS {
 		if hb <= 0 {
 			hb = 1
 		}
-		m.kern.Every(hb, func(now sim.Time) {
-			if r.halted {
-				return
-			}
+		m.every(hb, true, &r.halted, func(sim.Time) {
 			for _, id := range ids {
 				if n := m.nodes[id]; !n.NIC.Dead() {
 					n.NIC.Heartbeat++
 				}
 			}
 		})
-		m.kern.Every(period, func(now sim.Time) {
-			if !r.halted {
-				r.check(now)
-			}
-		})
-		return r
-	}
-	for _, id := range ids {
-		m.nodes[id].NIC.StartHeartbeat(period / 4)
-	}
-	var sample func()
-	sample = func() {
-		if r.halted {
-			return
+	} else {
+		for _, id := range ids {
+			m.nodes[id].NIC.StartHeartbeat(period / 4)
 		}
-		r.check(m.S.Now())
-		m.S.After(period, sample)
 	}
-	m.S.After(period, sample)
+	m.every(period, true, &r.halted, r.check)
 	return r
 }
 

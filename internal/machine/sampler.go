@@ -15,14 +15,14 @@ import (
 // gathering path the real Red Storm RAS network provided, feeding the
 // machine's telemetry registry for export.
 //
-// On a sharded machine the sampler is lane-local: ticks fire at the
-// kernel's canonical barrier times (sim.Kernel.Every), where every lane's
-// clock agrees and the lane workers have joined, so the coordinator may
-// read any node's counters race-free. Per-node series land in the owning
-// lane's telemetry instance; the fabric aggregates are recorded as
+// The sampler is lane-local: ticks fire through Machine.every — on a
+// sharded machine at the kernel's canonical barrier times, where every
+// lane's clock agrees and the lane workers have joined, so the coordinator
+// may read any node's counters race-free. Per-node series land in the
+// owning lane's telemetry instance; the fabric aggregates are recorded as
 // per-lane partials that telemetry.Merged sums pointwise (samples share
-// timestamps across lanes by construction). Either way the merged export
-// is byte-identical at every shard count.
+// timestamps across lanes by construction), so the merged export is
+// byte-identical at every shard count.
 
 // nodeSeries caches one node's series pointers so a tick does no map
 // lookups beyond discovering newly built nodes.
@@ -51,8 +51,7 @@ type nodeSeries struct {
 	evqHigh    *telemetry.Gauge
 }
 
-// laneFab caches one lane's fabric-aggregate series (the classic machine
-// has exactly one, bound to its single telemetry instance).
+// laneFab caches one lane's fabric-aggregate series.
 type laneFab struct {
 	messages  *telemetry.Series
 	chunks    *telemetry.Series
@@ -67,8 +66,8 @@ type Sampler struct {
 	halted bool
 	nodes  map[topo.NodeID]*nodeSeries
 
-	// Fabric aggregates: one entry on a classic machine, one per lane on a
-	// sharded one (partials that sum pointwise under telemetry.Merged).
+	// Fabric aggregates, one entry per lane (partials that sum pointwise
+	// under telemetry.Merged).
 	fabs []laneFab
 
 	// Simulator internals — classic machine only. Per-lane event counts
@@ -99,44 +98,26 @@ type Sampler struct {
 // enabled if it was not already.
 //
 // Unlike the classic heartbeat monitor (StartRAS), the sampler
-// self-terminates: a classic tick only reschedules while other work is
-// pending on the event heap, and sharded barrier ticks stop at kernel
-// quiescence — so Machine.Run still returns, with a final sample taken at
-// quiesce time.
+// self-terminates (Machine.every without keepAlive), so Machine.Run still
+// returns, with a final sample taken at quiesce time.
 func (m *Machine) StartSampler(period sim.Time) *Sampler {
 	if m.sampler != nil {
 		return m.sampler
 	}
-	m.EnableTelemetry()
+	tel0 := m.EnableTelemetry()
 	sp := &Sampler{m: m, period: period, nodes: make(map[topo.NodeID]*nodeSeries)}
 	m.sampler = sp
+	sp.fabs = make([]laneFab, len(m.lanes))
+	for i, ln := range m.lanes {
+		sp.fabs[i] = bindFab(ln.tel)
+	}
 	if m.kern != nil {
-		sp.fabs = make([]laneFab, m.kern.Shards())
-		for i, tel := range m.tels {
-			sp.fabs[i] = bindFab(tel)
-		}
-		sp.kernWindows = m.tels[0].SeriesFor("kernel_windows_total")
-		m.kern.Every(period, func(now sim.Time) {
-			if !sp.halted {
-				sp.sampleAt(now)
-			}
-		})
-		return sp
+		sp.kernWindows = tel0.SeriesFor("kernel_windows_total")
+	} else {
+		sp.simFired = tel0.SeriesFor("sim_events_fired_total")
+		sp.simPending = tel0.SeriesFor("sim_events_pending")
 	}
-	sp.fabs = []laneFab{bindFab(m.tel)}
-	sp.simFired = m.tel.SeriesFor("sim_events_fired_total")
-	sp.simPending = m.tel.SeriesFor("sim_events_pending")
-	var tick func()
-	tick = func() {
-		if sp.halted {
-			return
-		}
-		sp.sampleAt(m.S.Now())
-		if m.S.Pending() > 0 {
-			m.S.After(period, tick)
-		}
-	}
-	m.S.After(period, tick)
+	m.every(period, false, &sp.halted, sp.sampleAt)
 	return sp
 }
 
@@ -172,7 +153,7 @@ func (sp *Sampler) sampleAt(now sim.Time) {
 		n := m.nodes[id]
 		ns := sp.nodes[id]
 		if ns == nil {
-			ns = sp.bindNode(id)
+			ns = sp.bindNode(n)
 		}
 		ns.heartbeat.Append(now, float64(n.NIC.Heartbeat))
 		ns.interrupts.Append(now, float64(n.Kernel.Interrupts))
@@ -195,20 +176,15 @@ func (sp *Sampler) sampleAt(now sim.Time) {
 		ns.srcLow.Set(float64(occ.SourcesLow))
 		ns.evqHigh.Set(float64(n.Generic.EvQueueHigh()))
 	}
-	if m.kern != nil {
-		for i := range sp.fabs {
-			f := m.cl.LaneFabric(i)
-			sp.fabs[i].append(now, f.Stats)
-			for _, mt := range f.Meters() {
-				sp.meterAt(mt, m.tels[i], now)
-			}
+	for i, ln := range m.lanes {
+		sp.fabs[i].append(now, ln.fab.Stats)
+		for _, mt := range ln.fab.Meters() {
+			sp.meterAt(mt, ln.tel, now)
 		}
+	}
+	if sp.kernWindows != nil {
 		sp.kernWindows.Append(now, float64(m.kern.Windows))
 		return
-	}
-	sp.fabs[0].append(now, m.Fab.Stats)
-	for _, mt := range m.Fab.Meters() {
-		sp.meterAt(mt, m.tel, now)
 	}
 	sp.simFired.Append(now, float64(m.S.Fired))
 	sp.simPending.Append(now, float64(m.S.Pending()))
@@ -235,9 +211,9 @@ func (lf *laneFab) append(now sim.Time, st fabric.Stats) {
 
 // bindNode creates the series set for a newly seen node, in the node's
 // lane-local telemetry instance.
-func (sp *Sampler) bindNode(id topo.NodeID) *nodeSeries {
-	tel := sp.m.nodeTel(id)
-	nl := telemetry.NodeLabel(int(id))
+func (sp *Sampler) bindNode(n *Node) *nodeSeries {
+	tel := n.lane.tel
+	nl := telemetry.NodeLabel(int(n.ID))
 	ns := &nodeSeries{
 		heartbeat:  tel.SeriesFor("node_fw_heartbeat_total", nl),
 		interrupts: tel.SeriesFor("node_host_interrupts_total", nl),
@@ -260,6 +236,6 @@ func (sp *Sampler) bindNode(id topo.NodeID) *nodeSeries {
 		srcLow:     tel.Reg.Gauge("node_fw_sources_low", nl),
 		evqHigh:    tel.Reg.Gauge("node_evq_high", nl),
 	}
-	sp.nodes[id] = ns
+	sp.nodes[n.ID] = ns
 	return ns
 }

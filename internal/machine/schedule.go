@@ -8,12 +8,11 @@ import (
 )
 
 // Declarative fault-schedule application (model.FaultSchedule): the path
-// that finally runs timed faults on sharded machines. The runtime scenario
-// helpers (StallNodeFor, LinkDownFor) mutate the fault plane from the
-// driver goroutine, which only a single-lane machine can tolerate; a
-// schedule instead compiles to events planted at machine construction, so
-// by the time the kernel runs, every fault activation is an ordinary
-// lane-local event.
+// the one way to run timed faults, on every machine. A driver goroutine
+// mutating a fault plane mid-run is something only a single-lane machine
+// could tolerate; a schedule instead compiles to events planted at machine
+// construction, so by the time the kernel runs, every fault activation is
+// an ordinary lane-local event.
 //
 // Sharded machines keep one fault plane per source node (injections are
 // filtered where they happen), so link-down and stall state must be
@@ -44,13 +43,13 @@ func (m *Machine) applySchedule() {
 	if len(timed) == 0 {
 		return
 	}
-	if m.kern == nil {
+	if m.cl == nil {
 		m.planScheduleOn(m.S, m.Fab.Faults(), -1, timed)
 		return
 	}
 	for id := 0; id < m.Topo.Nodes(); id++ {
 		nid := topo.NodeID(id)
-		m.planScheduleOn(m.laneSim(nid), m.cl.Plane(nid), id, timed)
+		m.planScheduleOn(m.lanes[m.cl.Lane(nid)].sim, m.cl.Plane(nid), id, timed)
 	}
 }
 

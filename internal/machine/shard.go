@@ -5,27 +5,24 @@ import (
 	"portals3/internal/model"
 	"portals3/internal/oskernel"
 	"portals3/internal/sim"
-	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 )
 
-// This file assembles sharded machines: the same node components as the
-// classic single-lane machine, but each node built on its lane's simulator
-// against its NodePort, run by the parallel kernel (sim.Kernel) under the
-// fabric's conservative lookahead. A sharded machine with shards=1 is the
-// bit-identical reference for any shard count (DESIGN.md §11); the classic
-// machine remains the reference for the whole-path wire model.
+// This file assembles sharded machines: the same node components and the
+// same lane table as the classic machine, but one lane per kernel shard,
+// each node built on its lane's simulator against its NodePort, run by the
+// parallel kernel (sim.Kernel) under the fabric's conservative lookahead. A
+// sharded machine with shards=1 is the bit-identical reference for any
+// shard count (DESIGN.md §11); the classic machine remains the reference
+// for the whole-path wire model.
 //
 // Observers — tracing, the RAS sampler, the heartbeat monitor, the stall
-// detector — run lane-local on a sharded machine: each lane records into
-// its own tracer/telemetry instance, liveness checks fire at the kernel's
-// canonical barrier ticks (sim.Kernel.Every), and the per-lane artifacts
-// merge deterministically at snapshot time (DESIGN.md §12). RunUntil works
-// on both kernels (the sharded horizon rounds up to the next window
-// barrier, DESIGN.md §14); only runtime fault injection — the
-// Faults/InjectFault/StallNodeFor/LinkDownFor mutators, superseded by
-// Params.Schedule — still panics via seqOnly.
+// detector — are lane-local on every machine: each lane records into its
+// own tracer/telemetry instance, periodic checks fire through
+// Machine.every (classic self-rescheduling events, or the kernel's
+// canonical barrier ticks), and the per-lane artifacts merge
+// deterministically at snapshot time (DESIGN.md §12). Faults are declared
+// up front on both (Params.Faults, Params.Schedule).
 
 // NewSharded builds a machine over the given topology whose nodes are
 // partitioned into `shards` parallel event lanes. Nodes are assigned to
@@ -53,9 +50,14 @@ func NewSharded(p model.Params, tp *topo.Topology, shards int) *Machine {
 		Topo:   tp,
 		OSKind: func(topo.NodeID) oskernel.Kind { return oskernel.Catamount },
 		nodes:  make(map[topo.NodeID]*Node),
+		lanes:  make([]lane, shards),
+		engine: kern,
 		kern:   kern,
 	}
 	m.cl = fabric.NewCluster(kern, tp, &m.P, laneOf)
+	for i := range m.lanes {
+		m.lanes[i] = lane{sim: kern.Lane(i), fab: m.cl.LaneFabric(i)}
+	}
 	m.applySchedule()
 	return m
 }
@@ -67,55 +69,42 @@ func (m *Machine) Sharded() bool { return m.kern != nil }
 // diagnostics such as the window count.
 func (m *Machine) ShardKernel() *sim.Kernel { return m.kern }
 
-// laneSim returns the simulator a node's components live on.
-func (m *Machine) laneSim(id topo.NodeID) *sim.Sim {
-	if m.kern == nil {
-		return m.S
-	}
-	return m.kern.Lane(m.cl.Lane(id))
-}
-
-// nodePort returns the fabric interface a node's NIC holds.
-func (m *Machine) nodePort(id topo.NodeID) fabric.Port {
-	if m.kern == nil {
-		return m.Fab
-	}
-	return m.cl.Port(id)
-}
-
-// seqOnly panics when a sequential-only feature is used on a sharded
-// machine.
-func (m *Machine) seqOnly(feature string) {
-	if m.kern != nil {
-		panic("machine: " + feature + " is not supported on a sharded machine (use the classic machine.New)")
-	}
-}
-
 // FaultSnapshot returns the machine's fault-ledger counters: the classic
 // fabric's plane, or the sum of a sharded cluster's per-node planes.
 func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) {
-	if m.kern != nil {
+	if m.cl != nil {
 		return m.cl.FaultSnapshot()
 	}
 	return m.Fab.FaultSnapshot()
 }
 
-// nodeTel returns the telemetry handle a node's components wire to: the
-// machine-wide instance on a classic machine, the node's lane instance on
-// a sharded one.
-func (m *Machine) nodeTel(id topo.NodeID) *telemetry.Telemetry {
-	if m.tels != nil {
-		return m.tels[m.cl.Lane(id)]
+// every calls fn at each multiple of period until *halted — the one clock
+// the machine's periodic observers (sampler, stall detector, heartbeat
+// monitor) run on. On a classic machine it is a self-rescheduling event
+// that, unless keepAlive, stops once nothing else is pending, so Run still
+// returns. On a sharded machine it is a kernel barrier tick
+// (sim.Kernel.Every): the lane workers have joined there, so fn may read
+// any node race-free, the canonical tick times make whatever it records
+// identical at every shard count, and ticks never keep the machine alive
+// (RunUntil still fires the ones due through its horizon).
+func (m *Machine) every(period sim.Time, keepAlive bool, halted *bool, fn func(now sim.Time)) {
+	if m.kern != nil {
+		m.kern.Every(period, func(now sim.Time) {
+			if !*halted {
+				fn(now)
+			}
+		})
+		return
 	}
-	return m.tel
-}
-
-// nodeTrace returns the tracer a node's components record into: the
-// machine-wide instance on a classic machine, the node's lane instance on
-// a sharded one (nil until tracing is enabled).
-func (m *Machine) nodeTrace(id topo.NodeID) *trace.Tracer {
-	if m.trs != nil {
-		return m.trs[m.cl.Lane(id)]
+	var tick func()
+	tick = func() {
+		if *halted {
+			return
+		}
+		fn(m.S.Now())
+		if keepAlive || m.S.Pending() > 0 {
+			m.S.After(period, tick)
+		}
 	}
-	return m.tracer
+	m.S.After(period, tick)
 }

@@ -56,10 +56,14 @@ func (m *Machine) Stats() Stats {
 			HTWrBusy:   n.Chip.HTWrite.Utilization(),
 		})
 	}
-	if m.kern != nil {
-		out.Fabric = m.cl.StatsSum()
-	} else {
-		out.Fabric = m.Fab.Stats
+	// Injection counts land on the sender's lane and deliveries on the
+	// receiver's, so the sums are independent of the partition.
+	for _, ln := range m.lanes {
+		st := ln.fab.Stats
+		out.Fabric.Messages += st.Messages
+		out.Fabric.Chunks += st.Chunks
+		out.Fabric.LinkRetries += st.LinkRetries
+		out.Fabric.Delivered += st.Delivered
 	}
 	return out
 }

@@ -322,3 +322,40 @@ func TestCounterConsistencyMultiNode(t *testing.T) {
 		t.Errorf("completed records %v > delivered %d", comp.Value, st.Fabric.Delivered)
 	}
 }
+
+// TestClassicObserverHandlesAreLive: on a classic machine the lane table has
+// one entry, and Telemetry()/Trace() hand back that entry's live instances —
+// the very handles Enable* returned — not merged copies, before and after
+// the run. (Sharded machines merge per-lane instances into a fresh one.)
+func TestClassicObserverHandlesAreLive(t *testing.T) {
+	m := NewPair(model.Defaults())
+	if m.Telemetry() != nil || m.Trace() != nil {
+		t.Fatal("observers exist before Enable*")
+	}
+	tel, tr := m.EnableTelemetry(), m.EnableTracing()
+	if m.EnableTelemetry() != tel || m.EnableTracing() != tr {
+		t.Error("a second Enable* built new observers")
+	}
+	payload := bytes.Repeat([]byte{0x42}, 2048)
+	if _, got, _ := onePut(t, m, payload); !bytes.Equal(got, payload) {
+		t.Fatal("payload corrupted")
+	}
+	if m.Telemetry() != tel {
+		t.Error("Telemetry() is not the handle EnableTelemetry returned")
+	}
+	if m.Trace() != tr {
+		t.Error("Trace() is not the handle EnableTracing returned")
+	}
+	if tr.Len() == 0 {
+		t.Error("the live tracer recorded nothing")
+	}
+	if m.Fab.Tel != tel || m.Fab.Trace != tr {
+		t.Error("the fabric records into different observers than the nodes")
+	}
+
+	tp, _ := topo.New(2, 1, 1, false, false, false)
+	sm := NewSharded(model.Defaults(), tp, 1)
+	if stel := sm.EnableTelemetry(); sm.Telemetry() == stel {
+		t.Error("sharded Telemetry() returned lane 0's live instance, want a merge")
+	}
+}

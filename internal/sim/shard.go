@@ -37,11 +37,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -211,20 +212,22 @@ func (k *Kernel) drain() int {
 		k.outbox[i] = k.outbox[i][:0]
 	}
 	b := k.batch
-	sort.Slice(b, func(i, j int) bool {
-		if b[i].at != b[j].at {
-			return b[i].at < b[j].at
-		}
-		if b[i].srcNode != b[j].srcNode {
-			return b[i].srcNode < b[j].srcNode
-		}
-		return b[i].srcSeq < b[j].srcSeq
-	})
+	if len(b) > 1 {
+		// The key is a total order (a node never reuses a sequence number),
+		// so any correct sort produces the same batch.
+		slices.SortFunc(b, comparePosts)
+	}
 	for i := range b {
 		k.lanes[b[i].dst].At(b[i].at, b[i].fn)
 		b[i].fn = nil
 	}
 	return len(b)
+}
+
+// comparePosts orders mailbox entries by (time, source node, source
+// sequence).
+func comparePosts(a, b post) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.srcNode, b.srcNode), cmp.Compare(a.srcSeq, b.srcSeq))
 }
 
 // Run executes the sharded simulation to completion: windows advance until

@@ -238,3 +238,36 @@ func TestKernelWindowCountInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelDrainAllocatesNothing pins the barrier's steady state: draining
+// a window's mailboxes — none, one or many posts — sorts and applies them
+// without allocating. A thin-window job runs tens of thousands of windows
+// per second of wall-clock, so one allocation here is most of its total.
+func TestKernelDrainAllocatesNothing(t *testing.T) {
+	for _, posts := range []int{0, 1, 64} {
+		k := NewKernel(2, 10*Nanosecond)
+		fired := 0
+		fn := func() { fired++ }
+		at := Time(0)
+		var seq uint64
+		window := func() {
+			at += k.Lookahead()
+			// Posted in descending key order, so the sort has work to do.
+			for i := posts; i > 0; i-- {
+				seq++
+				k.Post(0, 1, at, int32(i), seq, fn)
+			}
+			if n := k.drain(); n != posts {
+				t.Fatalf("drained %d posts, want %d", n, posts)
+			}
+			k.Lane(1).RunUntil(at)
+		}
+		window() // grow the mailbox, the batch and the lane heap once
+		if got := testing.AllocsPerRun(50, window); got != 0 {
+			t.Errorf("a window with %d posts allocates %.0f objects, want 0", posts, got)
+		}
+		if want := 52 * posts; fired != want {
+			t.Errorf("%d posts per window: %d fired, want %d", posts, fired, want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-commit gate: vet, build, race-enabled tests, then the substrate
-# benchmarks checked against the committed baselines in BENCH_substrate.json.
+# Pre-commit gate: vet, build, race-enabled tests, a smoke run of the
+# examples and small tools, then the substrate benchmarks checked against the
+# committed baselines in BENCH_substrate.json.
 #
 # Wall-clock comparisons use a generous tolerance because ns/op moves with
 # the host machine; allocations per op are deterministic and enforced
@@ -27,6 +28,24 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== smoke: examples and tools =="
+# No test executes these programs, and they read machine internals the
+# tests reach differently (examples/halo reads m.Fab); run each once and
+# require a zero exit with some output.
+for prog in examples/accelerated examples/fileserver examples/halo examples/pingpong \
+    examples/quickstart examples/redstorm cmd/xt3topo cmd/fwsram; do
+    if ! smoke_out=$(go run "./$prog" 2>&1); then
+        echo "FAIL: go run ./$prog exited non-zero:"
+        echo "$smoke_out"
+        exit 1
+    fi
+    if [ -z "$smoke_out" ]; then
+        echo "FAIL: go run ./$prog printed nothing"
+        exit 1
+    fi
+done
+echo "check.sh: 8 programs ran"
 
 if [ "$1" = "-fast" ]; then
     echo "check.sh: fast mode, skipping benchmarks"
