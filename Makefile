@@ -1,6 +1,6 @@
 # Stdlib-only Go; these targets just bundle the usual invocations.
 
-.PHONY: all build test race vet bench figures check check-fast soak soak-short
+.PHONY: all build test race vet bench figures check check-fast contracts soak soak-short
 
 all: build
 
@@ -24,21 +24,25 @@ bench:
 figures:
 	go test -run xxx -bench 'Figure' -benchtime 1x -benchmem .
 
-# The pre-commit gate: vet + build + race tests + substrate benchmarks
-# against the committed BENCH_substrate.json baselines.
-check:
-	sh scripts/check.sh
+# The pre-commit gate: gofmt + vet + build + race tests + a smoke run of the
+# examples and tools, then the host-cost contracts.
+check: check-fast contracts
 
 check-fast:
-	sh scripts/check.sh -fast
+	sh scripts/check.sh
+
+# The host-cost contracts of DESIGN.md §7: allocation counts of the substrate
+# and workload benchmarks, as plain tests (`go test ./...` runs them too; they
+# skip under -race). Wall-clock belongs to bench/ (BENCHMARK.json).
+contracts:
+	go test -run '^TestContract' -count=1 .
 
 # Chaos soak campaigns: seeded virtual-time fault schedules over the
 # standard workloads at shards 1 and 4, ledger-balanced and byte-identical
 # across shard counts; failures auto-bisect to a minimal schedule under
-# soak_artifacts/. Trend history accumulates in SOAK_trend.json next to
-# BENCH_substrate.json, and each arm drops a host-execution profile
-# (render with p3stat) under soak_artifacts/. soak-short is the ~1 minute
-# CI gate.
+# soak_artifacts/. Trend history accumulates in SOAK_trend.json, and each
+# arm drops a host-execution profile (render with p3stat) under
+# soak_artifacts/. soak-short is the ~1 minute CI gate.
 soak:
 	go run ./cmd/soak -seeds 5 -hostprof -out SOAK_trend.json
 

@@ -241,9 +241,8 @@ func BenchmarkSimulatorEventThroughputDeep(b *testing.B) {
 // BenchmarkProcSwitch measures one simulated process switch pair: a single
 // Proc sleeping b.N times, so each op is one timed event plus the wake into
 // the process and its park back out. The set-up (the coroutine) is outside
-// the timer; the steady state allocates nothing. Its BENCH_substrate.json
-// row carries an ns_tol_pct band: a scheduler round-trip per switch (the
-// channel hand-off this replaced cost ~3x) fails `make check`.
+// the timer; the steady state allocates nothing. A scheduler round-trip per
+// switch (a channel hand-off costs ~3x) is job_wall_s on bench/'s fig4_latency.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -283,24 +282,9 @@ func BenchmarkSimulatedPut(b *testing.B) {
 	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
 }
 
-// BenchmarkPingPongTelemetryOff is the telemetry-overhead baseline: the
-// BenchmarkSimulatedPut workload with telemetry left disabled. Its
-// allocs/op must not move when the telemetry subsystem evolves — the
-// disabled path is one nil test per site.
-func BenchmarkPingPongTelemetryOff(b *testing.B) {
-	b.ReportAllocs()
-	cfg := netpipe.DefaultConfig()
-	cfg.MaxBytes = 1
-	cfg.MinIters = b.N
-	cfg.MaxIters = b.N
-	cfg.Mode = machine.Generic
-	b.ResetTimer()
-	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
-}
-
-// BenchmarkPingPongTelemetryOn is the same workload with full telemetry:
+// BenchmarkPingPongTelemetryOn is BenchmarkSimulatedPut with full telemetry:
 // message attribution records, per-node interrupt histograms, and the RAS
-// sampler at a 100 µs simulated period. The delta against ...Off is the
+// sampler at a 100 µs simulated period. The delta against the put is the
 // whole observability tax.
 func BenchmarkPingPongTelemetryOn(b *testing.B) {
 	b.ReportAllocs()
@@ -320,7 +304,7 @@ func BenchmarkPingPongTelemetryOn(b *testing.B) {
 // BenchmarkPingPongFlightRecOn is the same workload with the flight
 // recorder and stall detector armed. The recorder's hot path is a nil test
 // plus a fixed-slot ring write per firmware transition, so the delta
-// against ...TelemetryOff must stay within a few percent and allocs/op
+// against BenchmarkSimulatedPut must stay within a few percent; allocs/op
 // must not move at all.
 func BenchmarkPingPongFlightRecOn(b *testing.B) {
 	b.ReportAllocs()
@@ -357,9 +341,8 @@ func benchTorusHalo(b *testing.B, shards int) {
 }
 
 // BenchmarkTorusHaloSeq is the sequential reference arm (shards=1: the
-// single-lane kernel, one event heap). scripts/check.sh compares it against
-// BenchmarkTorusHaloShard4 for the sharded kernel's speedup and allocation
-// gates (BENCH_substrate.json, torus_halo section).
+// single-lane kernel, one event heap). TestContractHaloArms compares it
+// against BenchmarkTorusHaloShard4 for the sharded kernel's allocations.
 func BenchmarkTorusHaloSeq(b *testing.B) { benchTorusHalo(b, 1) }
 
 // BenchmarkTorusHaloShard4 is the parallel arm: four event lanes under
@@ -373,8 +356,7 @@ func BenchmarkTorusHaloShard4(b *testing.B) { benchTorusHalo(b, 4) }
 // monitor and the flight recorder. Tracing stays off: it allocates per
 // wire record by design and is not a production-on instrument. The delta
 // against BenchmarkTorusHaloShard4 is the price of lane-local observation
-// on the hot path; scripts/check.sh gates it (BENCH_substrate.json,
-// torus_halo section).
+// on the hot path; TestContractHaloArms bounds it.
 func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTorusConfig()
@@ -395,16 +377,16 @@ func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	}
 }
 
-// BenchmarkTorusCollective runs the 512-rank (8×8×8) MPI
+// benchTorusCollective runs the 512-rank (8×8×8) MPI
 // allreduce/broadcast-tree workload on four event lanes — the
 // machine-scale collective arm of the workload suite. ns/op is the
 // wall-clock cost of the whole simulated job; sim_us is its
-// (shard-invariant) virtual completion time. scripts/check.sh gates it
-// against BENCH_substrate.json.
-func BenchmarkTorusCollective(b *testing.B) {
+// (shard-invariant) virtual completion time.
+func benchTorusCollective(b *testing.B, steps int) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultCollectiveConfig()
 	cfg.Shards = 4
+	cfg.Steps = steps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiments.TorusCollective(cfg)
@@ -416,14 +398,16 @@ func BenchmarkTorusCollective(b *testing.B) {
 	}
 }
 
-// BenchmarkHotSpot runs the 512-node hot-spot traffic generator on four
+func BenchmarkTorusCollective(b *testing.B) { benchTorusCollective(b, 2) }
+
+// benchHotSpot runs the 512-node hot-spot traffic generator on four
 // event lanes: 30% of every sender's messages converge on one victim
 // node, the maximal head-of-line-blocking case of the generator pair.
-// scripts/check.sh gates it against BENCH_substrate.json.
-func BenchmarkHotSpot(b *testing.B) {
+func benchHotSpot(b *testing.B, msgs int) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTrafficConfig()
 	cfg.Shards = 4
+	cfg.Msgs = msgs
 	cfg.HotFrac = 0.3
 	cfg.HotNode = 219 // center of the 8x8x8 torus
 	b.ResetTimer()
@@ -436,6 +420,8 @@ func BenchmarkHotSpot(b *testing.B) {
 		b.ReportMetric(float64(r.Windows), "windows")
 	}
 }
+
+func BenchmarkHotSpot(b *testing.B) { benchHotSpot(b, 8) }
 
 // BenchmarkAblationInlineOptimization removes the ≤12-byte
 // payload-in-header path (§6) and reports the small-message cost.

@@ -348,41 +348,11 @@ func (o torusOpts) baseConfig(p model.Params) experiments.TorusConfig {
 		cfg.HostProf = true
 	}
 	if o.progress {
-		cfg.Progress = printProgress
+		// Stderr: stdout stays reserved for the workload's tables.
+		cfg.Progress = func(hp sim.HostProgress) { fmt.Fprintln(os.Stderr, "progress:", hp) }
 		cfg.ProgressEvery = o.progressEvery
 	}
 	return cfg
-}
-
-// printProgress renders one live host-execution snapshot on stderr — the
-// -progress line. Stdout stays reserved for the workload's tables.
-func printProgress(hp sim.HostProgress) {
-	eta := "?"
-	if hp.ETANs >= 0 {
-		eta = fmtWall(hp.ETANs)
-	}
-	target := ""
-	if hp.Horizon > 0 && hp.Horizon != sim.Never {
-		target = fmt.Sprintf("/%.1fus", float64(hp.Horizon)/1e6)
-	}
-	fmt.Fprintf(os.Stderr,
-		"progress: t=%.1fus%s wall=%s rate=%.1fus/s events=%d (%.0f/s) windows=%d imb=%.1f%% heap=%.1fMB eta=%s\n",
-		float64(hp.SimNow)/1e6, target, fmtWall(hp.WallNs), hp.SimRate,
-		hp.Events, hp.EventRate, hp.Windows, hp.ImbalancePct,
-		float64(hp.HeapInuse)/(1<<20), eta)
-}
-
-// fmtWall renders wall-clock nanoseconds compactly (1.2s, 340ms).
-func fmtWall(ns int64) string {
-	d := time.Duration(ns)
-	switch {
-	case d >= time.Minute:
-		return fmt.Sprintf("%dm%02ds", int(d.Minutes()), int(d.Seconds())%60)
-	case d >= time.Second:
-		return fmt.Sprintf("%.1fs", d.Seconds())
-	default:
-		return fmt.Sprintf("%dms", d.Milliseconds())
-	}
 }
 
 // writeHostProfile writes the accumulated host-execution profile JSON.

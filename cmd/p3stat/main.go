@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"portals3/internal/machine"
+	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/trace"
 )
@@ -128,7 +129,7 @@ func renderHostProfile(hp *machine.HostProfile, path string, top int) {
 		fmt.Println()
 		return
 	}
-	lanes := append([]machine.HostLane(nil), hp.Lanes...)
+	lanes := append([]sim.LaneProfile(nil), hp.Lanes...)
 	sort.Slice(lanes, func(i, j int) bool {
 		a, b := lanes[i], lanes[j]
 		if a.StragglerWindows != b.StragglerWindows {

@@ -101,6 +101,10 @@ func main() {
 	if err != nil {
 		fatalf(2, "soak: %v", err)
 	}
+	var onProgress func(sim.HostProgress) // nil (off) without -progress
+	if *progress {
+		onProgress = func(hp sim.HostProgress) { fmt.Fprintln(os.Stderr, "progress:", hp) }
+	}
 	if *short {
 		*seeds = 1
 	}
@@ -113,10 +117,7 @@ func main() {
 		if err != nil {
 			fatalf(2, "soak: %v", err)
 		}
-		c := soak.Campaign{Workload: *workload, Shards: shardCounts[0], Schedule: sched, FlightRec: true}
-		if *progress {
-			c.Progress = printProgress
-		}
+		c := soak.Campaign{Workload: *workload, Shards: shardCounts[0], Schedule: sched, FlightRec: true, Progress: onProgress}
 		if _, err := soak.Resolve(c); err != nil {
 			fatalf(2, "%v", err)
 		}
@@ -151,9 +152,7 @@ func main() {
 					Kind: model.SchedCorrupt, Node: 2, At: 300 * sim.Microsecond,
 				})
 			}
-			if *progress {
-				c.Progress = printProgress
-			}
+			c.Progress = onProgress
 			ok, rec := runArms(c, shardCounts, *bisect, *artifacts, *hostprof)
 			records = append(records, rec)
 			if !ok {
@@ -264,20 +263,6 @@ func triage(c soak.Campaign, shards int, artifacts string) {
 		fmt.Printf("minimal schedule written to %s\n", schedPath)
 	}
 	writeDumps(artifacts, base, out.Result.Dumps)
-}
-
-// printProgress renders one live host-execution snapshot on stderr,
-// mirroring netpipe's -progress line.
-func printProgress(hp sim.HostProgress) {
-	eta := "?"
-	if hp.ETANs >= 0 {
-		eta = fmt.Sprintf("%.1fs", float64(hp.ETANs)/1e9)
-	}
-	fmt.Fprintf(os.Stderr,
-		"progress: t=%.1fus wall=%.1fs rate=%.1fus/s events=%d (%.0f/s) windows=%d imb=%.1f%% heap=%.1fMB eta=%s\n",
-		float64(hp.SimNow)/1e6, float64(hp.WallNs)/1e9, hp.SimRate,
-		hp.Events, hp.EventRate, hp.Windows, hp.ImbalancePct,
-		float64(hp.HeapInuse)/(1<<20), eta)
 }
 
 // writeHostProfile saves one arm's host-execution profile under the

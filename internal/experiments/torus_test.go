@@ -104,8 +104,8 @@ func TestTorusDifferentialFaults(t *testing.T) {
 }
 
 // TestTorusHaloSpeedup is an informational wall-clock probe, skipped in
-// -short; the enforced speedup gate lives in scripts/check.sh over
-// BenchmarkTorusHalo*.
+// -short; what bounds the lane-parallel job's wall-clock is job_wall_s on
+// bench/'s halo_512 (DESIGN.md §7).
 func TestTorusHaloSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup probe: not in -short")

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 
 	"portals3/internal/flightrec"
 	"portals3/internal/sim"
@@ -98,7 +97,9 @@ func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 			m.rec.UseNodeSpans()
 		}
 		for _, n := range m.nodes {
-			m.wireFlightRec(n)
+			if n != nil {
+				m.wireFlightRec(n)
+			}
 		}
 	}
 	return m.rec
@@ -133,19 +134,16 @@ func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time) *fli
 		return nil
 	}
 	d := &flightrec.Dump{Reason: reason, Trigger: trigger, At: at, Node: node}
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := m.nodes[id]
+	for _, n := range m.nodes {
+		if n == nil {
+			continue
+		}
 		occ := n.NIC.Occupancy()
 		occ.EvQueueDepth = n.Generic.EvQueueDepth()
 		occ.EvQueueHigh = n.Generic.EvQueueHigh()
-		ring := m.rec.Ring(int(id))
+		ring := m.rec.Ring(int(n.ID))
 		d.Nodes = append(d.Nodes, flightrec.NodeDump{
-			Node:    int(id),
+			Node:    int(n.ID),
 			Occ:     occ,
 			Dropped: ring.Dropped(),
 			Events:  ring.Events(),
@@ -228,13 +226,11 @@ func (m *Machine) StartStallDetector(window sim.Time) *StallDetector {
 // checkAt examines every node once at the given canonical time.
 func (sd *StallDetector) checkAt(now sim.Time) {
 	m := sd.m
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := m.nodes[id]
+	for _, n := range m.nodes {
+		if n == nil {
+			continue
+		}
+		id := n.ID
 		prog := n.NIC.Progress()
 		last, seen := sd.lastProg[id]
 		if !seen || prog != last {

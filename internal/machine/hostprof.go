@@ -18,47 +18,17 @@ import (
 // a file to the host-execution renderer.
 const HostProfileKind = "host_profile"
 
-// HostLane is one lane's host-execution accounting in the exported
-// artifact (sim.LaneProfile with stable JSON keys).
-type HostLane struct {
-	Lane             int    `json:"lane"`
-	BusyNs           int64  `json:"busy_ns"`
-	WaitNs           int64  `json:"wait_ns"`
-	Events           uint64 `json:"events"`
-	StragglerWindows uint64 `json:"straggler_windows"`
-}
-
-// HostProfile is the exported host-execution artifact. Runs is 1 for a
-// single run and counts merged arms after Merge (a sweep writes one
-// profile covering every load arm).
+// HostProfile is the exported host-execution artifact: the kernel's
+// profile (for every lane, busy+wait+drain sums to WallNs within clock
+// granularity) plus the machine-measured wall of the kernel run calls, the
+// external reference that accounting is checked against. Runs is 1 for a
+// single run and counts merged arms after Merge (a sweep writes one profile
+// covering every load arm).
 type HostProfile struct {
-	Kind   string `json:"kind"`
-	Runs   int    `json:"runs"`
-	Shards int    `json:"shards"`
-
-	Windows uint64 `json:"windows"`
-	Events  uint64 `json:"events"`
-
-	// WallNs is the kernel-accounted wall-clock (drain + window execution +
-	// coordinator tails); RunWallNs is the machine-measured wall of the
-	// kernel run calls, the external reference the accounting is checked
-	// against. For every lane, busy+wait+drain sums to WallNs within clock
-	// granularity.
-	WallNs    int64 `json:"wall_ns"`
-	RunWallNs int64 `json:"run_wall_ns"`
-	ExecNs    int64 `json:"exec_ns"`
-	DrainNs   int64 `json:"drain_ns"`
-
-	MeanImbalancePct float64 `json:"mean_imbalance_pct"`
-	MaxImbalancePct  float64 `json:"max_imbalance_pct"`
-
-	MemSamples    int    `json:"mem_samples"`
-	HeapInuseHigh uint64 `json:"heap_inuse_high"`
-	HeapAllocHigh uint64 `json:"heap_alloc_high"`
-	SysHigh       uint64 `json:"sys_high"`
-	NumGC         uint32 `json:"num_gc"`
-
-	Lanes []HostLane `json:"lanes"`
+	Kind      string `json:"kind"`
+	Runs      int    `json:"runs"`
+	RunWallNs int64  `json:"run_wall_ns"`
+	sim.KernelProfile
 }
 
 // EnableHostProfile arms the host-execution profiler on a sharded
@@ -95,34 +65,7 @@ func (m *Machine) HostProfile() *HostProfile {
 	if kp == nil {
 		return nil
 	}
-	hp := &HostProfile{
-		Kind:             HostProfileKind,
-		Runs:             1,
-		Shards:           kp.Shards,
-		Windows:          kp.Windows,
-		Events:           kp.Events,
-		WallNs:           kp.WallNs,
-		RunWallNs:        int64(m.runWall),
-		ExecNs:           kp.ExecNs,
-		DrainNs:          kp.DrainNs,
-		MeanImbalancePct: kp.MeanImbalancePct,
-		MaxImbalancePct:  kp.MaxImbalancePct,
-		MemSamples:       kp.MemSamples,
-		HeapInuseHigh:    kp.HeapInuseHigh,
-		HeapAllocHigh:    kp.HeapAllocHigh,
-		SysHigh:          kp.SysHigh,
-		NumGC:            kp.NumGC,
-	}
-	for _, l := range kp.Lanes {
-		hp.Lanes = append(hp.Lanes, HostLane{
-			Lane:             l.Lane,
-			BusyNs:           l.BusyNs,
-			WaitNs:           l.WaitNs,
-			Events:           l.Events,
-			StragglerWindows: l.StragglerWindows,
-		})
-	}
-	return hp
+	return &HostProfile{Kind: HostProfileKind, Runs: 1, RunWallNs: int64(m.runWall), KernelProfile: *kp}
 }
 
 // Merge folds another run's profile into this one — how a sweep's per-arm

@@ -60,7 +60,7 @@ type Machine struct {
 	// Catamount everywhere (a compute partition).
 	OSKind func(topo.NodeID) oskernel.Kind
 
-	nodes    map[topo.NodeID]*Node
+	nodes    []*Node // dense by id; nil until Node builds it
 	gbn      bool
 	sampler  *Sampler
 	ras      *RAS
@@ -126,7 +126,7 @@ func New(p model.Params, tp *topo.Topology) *Machine {
 		P:      p,
 		Topo:   tp,
 		OSKind: func(topo.NodeID) oskernel.Kind { return oskernel.Catamount },
-		nodes:  make(map[topo.NodeID]*Node),
+		nodes:  make([]*Node, tp.Nodes()),
 	}
 	m.Fab = fabric.New(s, tp, &m.P)
 	m.lanes = []lane{{sim: s, fab: m.Fab}}
@@ -147,11 +147,11 @@ func NewPair(p model.Params) *Machine {
 
 // Node returns (building on first use) the node with the given id.
 func (m *Machine) Node(id topo.NodeID) *Node {
-	if n, ok := m.nodes[id]; ok {
-		return n
-	}
 	if !m.Topo.Valid(id) {
 		panic(fmt.Sprintf("machine: invalid node %d", id))
+	}
+	if n := m.nodes[id]; n != nil {
+		return n
 	}
 	// A node lives on one lane and injects through one port: the classic
 	// fabric itself, or the node's own port on a sharded cluster.
@@ -205,8 +205,10 @@ func (m *Machine) EnableTracing() *trace.Tracer {
 			ln.fab.Trace = ln.tr
 		}
 		for _, n := range m.nodes {
-			n.NIC.Trace = n.lane.tr
-			n.Kernel.Trace = n.lane.tr
+			if n != nil {
+				n.NIC.Trace = n.lane.tr
+				n.Kernel.Trace = n.lane.tr
+			}
 		}
 	}
 	return m.lanes[0].tr
@@ -241,7 +243,9 @@ func (m *Machine) EnableTelemetry() *telemetry.Telemetry {
 			ln.fab.Tel = ln.tel
 		}
 		for _, n := range m.nodes {
-			m.wireTelemetry(n)
+			if n != nil {
+				m.wireTelemetry(n)
+			}
 		}
 	}
 	return m.lanes[0].tel
@@ -274,7 +278,9 @@ func (m *Machine) wireTelemetry(n *Node) {
 func (m *Machine) EnableGoBackN() {
 	m.gbn = true
 	for _, n := range m.nodes {
-		n.NIC.Policy = fw.ExhaustGoBackN
+		if n != nil {
+			n.NIC.Policy = fw.ExhaustGoBackN
+		}
 	}
 }
 

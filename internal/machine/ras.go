@@ -109,26 +109,23 @@ func (m *Machine) StartRAS(period sim.Time) *RAS {
 		dead:   make(map[topo.NodeID]sim.Time),
 	}
 	m.ras = r
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if m.kern != nil {
 		hb := period / 4
 		if hb <= 0 {
 			hb = 1
 		}
 		m.every(hb, true, &r.halted, func(sim.Time) {
-			for _, id := range ids {
-				if n := m.nodes[id]; !n.NIC.Dead() {
+			for _, n := range m.nodes {
+				if n != nil && !n.NIC.Dead() {
 					n.NIC.Heartbeat++
 				}
 			}
 		})
 	} else {
-		for _, id := range ids {
-			m.nodes[id].NIC.StartHeartbeat(period / 4)
+		for _, n := range m.nodes {
+			if n != nil {
+				n.NIC.StartHeartbeat(period / 4)
+			}
 		}
 	}
 	m.every(period, true, &r.halted, r.check)
@@ -138,14 +135,11 @@ func (m *Machine) StartRAS(period sim.Time) *RAS {
 // check samples every watched node's heartbeat once at time now.
 func (r *RAS) check(now sim.Time) {
 	m := r.m
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := m.nodes[id]
-		hb := n.NIC.Heartbeat
+	for _, n := range m.nodes {
+		if n == nil {
+			continue
+		}
+		id, hb := n.ID, n.NIC.Heartbeat
 		if _, gone := r.dead[id]; gone {
 			continue
 		}

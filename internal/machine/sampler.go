@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"sort"
-
 	"portals3/internal/fabric"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
@@ -144,14 +142,11 @@ func (sp *Sampler) sampleAt(now sim.Time) {
 	sp.lastAt = now
 	m := sp.m
 	sp.Samples++
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := m.nodes[id]
-		ns := sp.nodes[id]
+	for _, n := range m.nodes {
+		if n == nil {
+			continue
+		}
+		ns := sp.nodes[n.ID]
 		if ns == nil {
 			ns = sp.bindNode(n)
 		}

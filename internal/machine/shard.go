@@ -49,7 +49,7 @@ func NewSharded(p model.Params, tp *topo.Topology, shards int) *Machine {
 		P:      p,
 		Topo:   tp,
 		OSKind: func(topo.NodeID) oskernel.Kind { return oskernel.Catamount },
-		nodes:  make(map[topo.NodeID]*Node),
+		nodes:  make([]*Node, tp.Nodes()),
 		lanes:  make([]lane, shards),
 		engine: kern,
 		kern:   kern,

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"portals3/internal/fabric"
@@ -35,15 +34,12 @@ type Stats struct {
 // Stats snapshots every instantiated node plus the fabric counters.
 func (m *Machine) Stats() Stats {
 	var out Stats
-	ids := make([]topo.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		n := m.nodes[id]
+	for _, n := range m.nodes {
+		if n == nil {
+			continue
+		}
 		out.Nodes = append(out.Nodes, NodeStats{
-			Node:       id,
+			Node:       n.ID,
 			OS:         n.Kernel.Kind.String(),
 			Interrupts: n.Kernel.Interrupts,
 			Coalesced:  n.Kernel.Coalesced,

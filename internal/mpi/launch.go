@@ -29,7 +29,8 @@ func Launch(m *machine.Machine, nodes []topo.NodeID, impl Impl, mode machine.Mod
 		return LaunchAt(m, nodes, ConfigFor(&m.P, impl), mode, DefaultStart, main)
 	}
 	peers := make([]core.ProcessID, len(nodes))
-	bar := &launchBarrier{need: len(nodes), sig: sim.NewSignal(m.S)}
+	// Every rank must have its sinks posted before any rank may send.
+	bar := sim.NewBarrier(m.S, len(nodes))
 	for i, node := range nodes {
 		i := i
 		app, err := m.Spawn(node, fmt.Sprintf("rank%d", i), mode, func(app *machine.App) {
@@ -37,7 +38,7 @@ func Launch(m *machine.Machine, nodes []topo.NodeID, impl Impl, mode machine.Mod
 			if err != nil {
 				panic(fmt.Sprintf("mpi: rank %d init: %v", i, err))
 			}
-			bar.wait(app.Proc)
+			bar.Wait(app.Proc)
 			main(r)
 		})
 		if err != nil {
@@ -79,22 +80,4 @@ func LaunchAt(m *machine.Machine, nodes []topo.NodeID, cfg Config, mode machine.
 		peers[i] = app.ID()
 	}
 	return nil
-}
-
-// launchBarrier is the out-of-band job-launch synchronization: every rank
-// must have its sinks posted before any rank may send. (The real launcher
-// does this over the RAS network, outside the Portals data path.)
-type launchBarrier struct {
-	need int
-	have int
-	sig  *sim.Signal
-}
-
-func (b *launchBarrier) wait(p *sim.Proc) {
-	b.have++
-	if b.have == b.need {
-		b.sig.Raise()
-		return
-	}
-	b.sig.Wait(p)
 }

@@ -155,25 +155,6 @@ func (c Config) iters(size int) int {
 	return n
 }
 
-// startGate synchronizes the two benchmark processes before timing begins.
-type startGate struct {
-	need, have int
-	sig        *sim.Signal
-}
-
-func newStartGate(s *sim.Sim, need int) *startGate {
-	return &startGate{need: need, sig: sim.NewSignal(s)}
-}
-
-func (g *startGate) wait(p *sim.Proc) {
-	g.have++
-	if g.have == g.need {
-		g.sig.Raise()
-		return
-	}
-	g.sig.Wait(p)
-}
-
 // fillPercentiles copies a round-latency histogram's p50/p99 into a point.
 func fillPercentiles(pt *Point, h *telemetry.Histogram) {
 	if h.Count() == 0 {

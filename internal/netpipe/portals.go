@@ -149,7 +149,7 @@ func RunPortals(p model.Params, op Op, pat Pattern, cfg Config) Result {
 	}
 	sizes := Sizes(cfg.MaxBytes, cfg.Perturbation)
 	var points []Point
-	gate := newStartGate(m.S, 2)
+	gate := sim.NewBarrier(m.S, 2) // both sides set up before timing begins
 
 	// Peer ids are filled in after both Spawn calls return (pids are
 	// assigned synchronously); the closures read them at run time.
@@ -157,7 +157,7 @@ func RunPortals(p model.Params, op Op, pat Pattern, cfg Config) Result {
 	run := func(rank int) func(app *machine.App) {
 		return func(app *machine.App) {
 			side := npSetup(app, cfg.MaxBytes, ids[1-rank], op)
-			gate.wait(app.Proc)
+			gate.Wait(app.Proc)
 			for _, sz := range sizes {
 				k := cfg.iters(sz)
 				var elapsed sim.Time

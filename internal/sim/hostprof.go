@@ -31,6 +31,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 )
@@ -42,40 +43,41 @@ import (
 // time) keeps the watermarks honest at a negligible cost.
 const memSampleStride = 32
 
-// LaneProfile is one lane's share of the host-execution accounting.
+// LaneProfile is one lane's share of the host-execution accounting. The
+// JSON keys are the exported artifact's (machine.HostProfile).
 type LaneProfile struct {
-	Lane   int
-	BusyNs int64 // wall-clock spent executing this lane's events
-	WaitNs int64 // wall-clock spent at window barriers waiting for stragglers
-	Events uint64
+	Lane   int    `json:"lane"`
+	BusyNs int64  `json:"busy_ns"` // wall-clock spent executing this lane's events
+	WaitNs int64  `json:"wait_ns"` // wall-clock spent at window barriers waiting for stragglers
+	Events uint64 `json:"events"`
 	// StragglerWindows counts windows in which this lane had the longest
 	// busy time — the window's critical path, the lane everyone else
 	// waited for.
-	StragglerWindows uint64
+	StragglerWindows uint64 `json:"straggler_windows"`
 }
 
 // KernelProfile is a snapshot of the kernel's host-execution profile.
 type KernelProfile struct {
-	Shards  int
-	Windows uint64
-	WallNs  int64 // total profiled wall-clock (drain + window execution)
-	ExecNs  int64 // fork-to-join window execution
-	DrainNs int64 // coordinator drain/scan/tick segments (all lanes idle)
-	Events  uint64
+	Shards  int    `json:"shards"`
+	Windows uint64 `json:"windows"`
+	WallNs  int64  `json:"wall_ns"`  // total profiled wall-clock (drain + window execution)
+	ExecNs  int64  `json:"exec_ns"`  // fork-to-join window execution
+	DrainNs int64  `json:"drain_ns"` // coordinator drain/scan/tick segments (all lanes idle)
+	Events  uint64 `json:"events"`
 
 	// Lane load-imbalance per window: skew = (max busy − mean busy) / mean
 	// busy, in percent, over windows with nonzero mean busy time.
-	MeanImbalancePct float64
-	MaxImbalancePct  float64
+	MeanImbalancePct float64 `json:"mean_imbalance_pct"`
+	MaxImbalancePct  float64 `json:"max_imbalance_pct"`
 
 	// Host memory watermarks, sampled at window barriers.
-	MemSamples    int
-	HeapInuseHigh uint64
-	HeapAllocHigh uint64
-	SysHigh       uint64
-	NumGC         uint32
+	MemSamples    int    `json:"mem_samples"`
+	HeapInuseHigh uint64 `json:"heap_inuse_high"`
+	HeapAllocHigh uint64 `json:"heap_alloc_high"`
+	SysHigh       uint64 `json:"sys_high"`
+	NumGC         uint32 `json:"num_gc"`
 
-	Lanes []LaneProfile
+	Lanes []LaneProfile `json:"lanes"`
 }
 
 // HostProgress is one live progress snapshot, delivered to the function
@@ -98,6 +100,34 @@ type HostProgress struct {
 	// Horizon at the last interval's rate; negative when no horizon is
 	// active or the rate is zero.
 	ETANs int64
+}
+
+// String renders the snapshot as the one-line body of a -progress report.
+func (hp HostProgress) String() string {
+	target, eta := "", "?"
+	if hp.Horizon > 0 && hp.Horizon != Never {
+		target = fmt.Sprintf("/%.1fus", float64(hp.Horizon)/1e6)
+	}
+	if hp.ETANs >= 0 {
+		eta = fmtWall(hp.ETANs)
+	}
+	return fmt.Sprintf("t=%.1fus%s wall=%s rate=%.1fus/s events=%d (%.0f/s) windows=%d imb=%.1f%% heap=%.1fMB eta=%s",
+		float64(hp.SimNow)/1e6, target, fmtWall(hp.WallNs), hp.SimRate,
+		hp.Events, hp.EventRate, hp.Windows, hp.ImbalancePct,
+		float64(hp.HeapInuse)/(1<<20), eta)
+}
+
+// fmtWall renders wall-clock nanoseconds compactly (1.2s, 340ms).
+func fmtWall(ns int64) string {
+	d := time.Duration(ns)
+	switch {
+	case d >= time.Minute:
+		return fmt.Sprintf("%dm%02ds", int(d.Minutes()), int(d.Seconds())%60)
+	case d >= time.Second:
+		return fmt.Sprintf("%.1fs", d.Seconds())
+	default:
+		return fmt.Sprintf("%dms", d.Milliseconds())
+	}
 }
 
 // hostProf is the kernel's live profiler state. All fields are owned by

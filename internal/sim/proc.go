@@ -21,7 +21,7 @@ import (
 // sequential and deterministic.
 //
 // A Proc may only interact with the simulator through its own methods
-// (Sleep, Yield, ...) and through Signal.Wait, called from its own body;
+// (Sleep, ...) and through Signal.Wait, called from its own body;
 // calling them from anywhere else corrupts the hand-off.
 type Proc struct {
 	s    *Sim
@@ -110,10 +110,6 @@ func (p *Proc) Sleep(d Time) {
 	p.s.After(d, p.wakeFn)
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current time run, then
-// resumes.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // String identifies the process in diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
@@ -206,5 +202,27 @@ func (g *Signal) Raise() {
 	g.callbksSpare = cbs[:0]
 }
 
-// HasWaiters reports whether any process or callback is currently waiting.
-func (g *Signal) HasWaiters() bool { return len(g.procs) > 0 || len(g.callbks) > 0 }
+// Barrier is a one-shot counting barrier for the processes of one simulator:
+// the first need-1 arrivals block and the last releases them all. It is the
+// out-of-band start synchronization of a job launch or a benchmark pair
+// (the real launcher does this over the RAS network, outside the Portals
+// data path).
+type Barrier struct {
+	need, have int
+	sig        *Signal
+}
+
+// NewBarrier returns a barrier that opens at the need-th Wait.
+func NewBarrier(s *Sim, need int) *Barrier {
+	return &Barrier{need: need, sig: NewSignal(s)}
+}
+
+// Wait blocks the calling process until need processes have arrived.
+func (b *Barrier) Wait(p *Proc) {
+	b.have++
+	if b.have == b.need {
+		b.sig.Raise()
+		return
+	}
+	b.sig.Wait(p)
+}

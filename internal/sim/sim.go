@@ -64,11 +64,6 @@ func New() *Sim {
 	return &Sim{rng: rand.New(rand.NewSource(0x5ea57a7))}
 }
 
-// NewSeeded returns a simulator whose RNG is seeded with seed.
-func NewSeeded(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
-
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 

@@ -1,0 +1,5 @@
+//go:build race
+
+package portals3
+
+const raceEnabled = true
