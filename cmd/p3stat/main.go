@@ -120,6 +120,12 @@ func renderHostProfile(hp *machine.HostProfile, path string, top int) {
 	fmt.Printf("  wall %s: exec %s (%s), drain %s (%s); measured run wall %s\n",
 		wallMs(hp.WallNs), wallMs(hp.ExecNs), pctOf(hp.ExecNs, hp.WallNs),
 		wallMs(hp.DrainNs), pctOf(hp.DrainNs, hp.WallNs), wallMs(hp.RunWallNs))
+	fmt.Printf("  barrier: %d inline windows (%s), %d parks",
+		hp.InlineWindows, pctOf(int64(hp.InlineWindows), int64(hp.Windows)), hp.Parks)
+	if hp.Windows > 0 {
+		fmt.Printf(" (%.1f per 1000 windows)", 1000*float64(hp.Parks)/float64(hp.Windows))
+	}
+	fmt.Println()
 	fmt.Printf("  lane imbalance per window: mean %.1f%%, max %.1f%%\n",
 		hp.MeanImbalancePct, hp.MaxImbalancePct)
 	fmt.Printf("  memory high-water: heap-inuse %.1fMB, heap-alloc %.1fMB, sys %.1fMB, %d GCs (%d samples)\n",

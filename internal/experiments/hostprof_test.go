@@ -88,6 +88,7 @@ func TestHostProfileMerge(t *testing.T) {
 	wantWall := a.WallNs + b.WallNs
 	wantEvents := a.Events + b.Events
 	wantWindows := a.Windows + b.Windows
+	wantBarrier := [2]uint64{a.Parks + b.Parks, a.InlineWindows + b.InlineWindows}
 	wantLane0 := a.Lanes[0].BusyNs + b.Lanes[0].BusyNs
 	maxHeap := a.HeapInuseHigh
 	if b.HeapInuseHigh > maxHeap {
@@ -102,5 +103,12 @@ func TestHostProfileMerge(t *testing.T) {
 	}
 	if a.HeapInuseHigh != maxHeap {
 		t.Fatalf("heap watermark %d, want max %d", a.HeapInuseHigh, maxHeap)
+	}
+	if got := [2]uint64{a.Parks, a.InlineWindows}; got != wantBarrier || a.InlineWindows > a.Windows {
+		t.Fatalf("barrier counts (parks, inline windows) %v, want %v of %d windows", got, wantBarrier, a.Windows)
+	}
+	js, err := a.JSON()
+	if err != nil || !bytes.Contains(js, []byte(`"parks": `)) || !bytes.Contains(js, []byte(`"inline_windows": `)) {
+		t.Fatalf("exported profile lacks the barrier counts (err %v):\n%s", err, js)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -101,25 +100,6 @@ func TestTorusDifferentialFaults(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestTorusHaloSpeedup is an informational wall-clock probe, skipped in
-// -short; what bounds the lane-parallel job's wall-clock is job_wall_s on
-// bench/'s halo_512 (DESIGN.md §7).
-func TestTorusHaloSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup probe: not in -short")
-	}
-	cfg := DefaultTorusConfig()
-	start := time.Now()
-	TorusHalo(cfg)
-	seq := time.Since(start)
-	c4 := cfg
-	c4.Shards = 4
-	start = time.Now()
-	TorusHalo(c4)
-	par := time.Since(start)
-	t.Logf("512-node halo: seq %v, 4 shards %v (%.2fx)", seq, par, float64(seq)/float64(par))
 }
 
 // digestDiff renders the first divergent line of two digests.

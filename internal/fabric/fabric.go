@@ -138,10 +138,12 @@ type Fabric struct {
 	// the per-chunk data path allocation-free. msgFree does the same for
 	// message carriers (see RecycleMsg for the ownership rule) and
 	// carrierFree for the transport carriers that walk a header or chunk
-	// from injection to delivery.
+	// from injection to delivery; noteFree for the hopwise transport's
+	// fault-ledger notes (shard.go).
 	chunkFree   []*Chunk
 	msgFree     []*Message
 	carrierFree []*carrier
+	noteFree    []*ledgerNote
 
 	// corruptNext counts messages whose payload should be corrupted
 	// end-to-end (test fault injection).

@@ -316,14 +316,32 @@ func (pt *NodePort) FaultCondemned(m *Message) { pt.noteToSource(m, (*FaultPlane
 
 // ledgerNote is one fault-ledger notification on its way to the plane that
 // opened the entry. Only identity fields of the message travel; the message
-// object itself stays (and may be recycled) on the noting lane.
+// object itself stays (and may be recycled) on the noting lane. Notes are
+// pooled like carriers: deliver is bound once, and the note is recycled into
+// the pool of the lane that delivers it.
 type ledgerNote struct {
-	plane *FaultPlane
-	apply func(*FaultPlane, *Message)
-	m     Message
+	plane     *FaultPlane
+	apply     func(*FaultPlane, *Message)
+	m         Message
+	deliverFn func()
 }
 
-func (n *ledgerNote) deliver() { n.apply(n.plane, &n.m) }
+func (f *Fabric) getNote() *ledgerNote {
+	if n := len(f.noteFree); n > 0 {
+		note := f.noteFree[n-1]
+		f.noteFree = f.noteFree[:n-1]
+		return note
+	}
+	note := &ledgerNote{}
+	note.deliverFn = note.deliver
+	return note
+}
+
+func (n *ledgerNote) deliver() {
+	n.apply(n.plane, &n.m)
+	f := n.plane.f
+	f.noteFree = append(f.noteFree, n)
+}
 
 // noteToSource posts a ledger note to the message's source plane (there is
 // none on a fault-free cluster).
@@ -332,12 +350,13 @@ func (pt *NodePort) noteToSource(m *Message, apply func(*FaultPlane, *Message)) 
 		return
 	}
 	sp := pt.cl.ports[m.Src]
-	n := &ledgerNote{plane: sp.plane, apply: apply,
-		m: Message{ID: m.ID, Hdr: m.Hdr, Src: m.Src, Dst: m.Dst, FwSeq: m.FwSeq}}
+	n := pt.f.getNote()
+	n.plane, n.apply = sp.plane, apply
+	n.m.ID, n.m.Hdr, n.m.Src, n.m.Dst, n.m.FwSeq = m.ID, m.Hdr, m.Src, m.Dst, m.FwSeq
 	at := pt.f.S.Now() + pt.cl.Kern.Lookahead()
 	if sp == pt {
-		pt.f.S.At(at, n.deliver)
+		pt.f.S.At(at, n.deliverFn)
 		return
 	}
-	pt.post(sp, at, n.deliver)
+	pt.post(sp, at, n.deliverFn)
 }

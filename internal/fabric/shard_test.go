@@ -71,6 +71,9 @@ func handoffSend(cl *Cluster, src, dst topo.NodeID) {
 
 func TestClusterPoolHandoff(t *testing.T) {
 	p := model.Defaults()
+	// Arm the per-node fault planes, with no rule to fire: every delivered
+	// header then sends a ledger note back to its source's lane.
+	p.FaultSeed = 1
 	tp, err := topo.New(2, 1, 1, false, false, false)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +126,17 @@ func TestClusterPoolHandoff(t *testing.T) {
 	if len(l0.carrierFree) != 0 || len(l1.carrierFree) != 2 {
 		t.Errorf("transport carriers pooled = %d on lane 0, %d on lane 1; want 0 and 2",
 			len(l0.carrierFree), len(l1.carrierFree))
+	}
+	// So do the ledger notes, which travel the other way: drawn from the
+	// receiver's lane pool, recycled on the source's lane where they close
+	// the entry. Nine deliveries used one note, and the last of them (at
+	// node 1) sent it to rest on lane 0.
+	if len(l0.noteFree) != 1 || len(l1.noteFree) != 0 {
+		t.Errorf("ledger notes pooled = %d on lane 0, %d on lane 1; want 1 and 0",
+			len(l0.noteFree), len(l1.noteFree))
+	}
+	if fs, ok := cl.FaultSnapshot(); !ok || fs.Injected() != 0 || fs.Open() != 0 {
+		t.Errorf("fault ledger = %+v (armed %v), want armed and empty", fs, ok)
 	}
 }
 

@@ -60,7 +60,7 @@ func (n *NIC) getStub(m *fabric.Message) *Pending {
 
 func (n *NIC) putStub(s *Pending) {
 	s.msg = nil
-	s.queued = nil
+	s.dropQueued()
 	s.arrived = 0
 	n.stubFree = append(n.stubFree, s)
 }
@@ -141,10 +141,10 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 	p.Inline = m.Inline
 	p.crc = n.headerCRC(m)
 	if stub, ok := n.streams[m.ID]; ok && stub != p {
-		// Adopt chunks that raced ahead of this handler.
-		p.queued = stub.queued
+		// Adopt chunks that raced ahead of this handler; the stub takes
+		// this pending's empty queue back to its free list.
+		p.queued, stub.queued = stub.queued, p.queued
 		p.arrived = stub.arrived
-		stub.queued = nil
 		n.putStub(stub)
 	}
 	if m.PayloadLen > 0 {
@@ -468,14 +468,22 @@ func (p *Pending) Release() {
 // drainQueued consumes chunks that arrived before the host's command, then
 // handles the degenerate already-complete cases.
 func (n *NIC) drainQueued(p *Pending) {
-	queued := p.queued
-	p.queued = nil
-	for _, c := range queued {
+	queued := len(p.queued)
+	for _, c := range p.queued {
 		n.consumeChunk(p, c)
 	}
-	if len(queued) == 0 && p.consumed >= p.msg.PayloadLen {
+	p.dropQueued()
+	if queued == 0 && p.consumed >= p.msg.PayloadLen {
 		n.checkRxComplete(p)
 	}
+}
+
+// dropQueued empties the early-chunk queue, keeping its backing array: a
+// message whose chunks beat the host's command would otherwise regrow it
+// from nothing every time.
+func (p *Pending) dropQueued() {
+	clear(p.queued)
+	p.queued = p.queued[:0]
 }
 
 // freeRx returns a pending to its process pool. The released structure
@@ -512,7 +520,7 @@ func (n *NIC) freeRx(p *Pending) {
 
 // reset clears receive state for reuse.
 func (p *Pending) reset() {
-	p.queued = nil
+	p.dropQueued()
 	p.arrived = 0
 	p.consumed = 0
 	p.crc = 0

@@ -69,8 +69,8 @@ func (m *Machine) HostProfile() *HostProfile {
 }
 
 // Merge folds another run's profile into this one — how a sweep's per-arm
-// profiles become a single artifact. Times, events, windows and straggler
-// counts add; watermarks and max imbalance take the max; the mean
+// profiles become a single artifact. Times, events, windows, parks and
+// straggler counts add; watermarks and max imbalance take the max; the mean
 // imbalance averages weighted by window count. Lane lists align by index
 // (arms of one sweep share a shard count; a differing count merges the
 // common prefix and appends the rest).
@@ -92,6 +92,8 @@ func (hp *HostProfile) Merge(o *HostProfile) {
 	hp.RunWallNs += o.RunWallNs
 	hp.ExecNs += o.ExecNs
 	hp.DrainNs += o.DrainNs
+	hp.Parks += o.Parks
+	hp.InlineWindows += o.InlineWindows
 	if o.MaxImbalancePct > hp.MaxImbalancePct {
 		hp.MaxImbalancePct = o.MaxImbalancePct
 	}

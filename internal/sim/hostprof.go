@@ -16,7 +16,8 @@
 //     the goroutine that ran it.
 //   - wait (per lane): the window's fork-to-join wall minus the lane's
 //     busy time — the time the lane sat at the barrier waiting for the
-//     window's straggler.
+//     window's straggler, its worker polling or, past the budget, parked.
+//     An idle lane the coordinator lifts contributes next to no busy time.
 //
 // By construction busy(i) + wait(i) + drain == profiled wall for every
 // lane i, up to clock-read granularity; TestKernelHostProfileAccounting
@@ -64,6 +65,13 @@ type KernelProfile struct {
 	ExecNs  int64  `json:"exec_ns"`  // fork-to-join window execution
 	DrainNs int64  `json:"drain_ns"` // coordinator drain/scan/tick segments (all lanes idle)
 	Events  uint64 `json:"events"`
+
+	// Is the barrier spinning or sleeping? Parks counts the times a worker
+	// or the coordinator ran out of poll budget and slept on its wake-up
+	// channel, InlineWindows the windows run wholly on the coordinator (at
+	// most one worker held an event). Both count from NewKernel.
+	Parks         uint64 `json:"parks"`
+	InlineWindows uint64 `json:"inline_windows"`
 
 	// Lane load-imbalance per window: skew = (max busy − mean busy) / mean
 	// busy, in percent, over windows with nonzero mean busy time.
@@ -133,7 +141,7 @@ func fmtWall(ns int64) string {
 // hostProf is the kernel's live profiler state. All fields are owned by
 // the coordinator goroutine; lane busy times cross over through
 // Kernel.laneBusy, whose slots are written by each lane's runner during a
-// window and read by the coordinator after the join (the join channel
+// window and read by the coordinator after it (the worker's done-epoch
 // provides the happens-before edge).
 type hostProf struct {
 	start   time.Time
@@ -220,6 +228,7 @@ func (k *Kernel) Profile() *KernelProfile {
 		ExecNs:  p.execNs,
 		DrainNs: p.drainNs,
 
+		InlineWindows:   k.inline,
 		MaxImbalancePct: p.imbMax,
 		MemSamples:      p.memSamples,
 		HeapInuseHigh:   p.heapInuseHigh,
@@ -230,6 +239,9 @@ func (k *Kernel) Profile() *KernelProfile {
 	}
 	for i := range kp.Lanes {
 		kp.Events += kp.Lanes[i].Events
+	}
+	for w := range k.workers {
+		kp.Parks += k.workers[w].work.parks + k.workers[w].done.parks
 	}
 	if p.imbWindows > 0 {
 		kp.MeanImbalancePct = p.imbSum / float64(p.imbWindows)
@@ -291,8 +303,9 @@ func (p *hostProf) tail() {
 	p.drainNs += int64(d)
 }
 
-// sampleMem takes one ReadMemStats watermark sample.
-func (p *hostProf) sampleMem() {
+// sampleMem takes one ReadMemStats watermark sample and returns the heap
+// in use.
+func (p *hostProf) sampleMem() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	p.memSamples++
@@ -306,6 +319,7 @@ func (p *hostProf) sampleMem() {
 		p.sysHigh = ms.Sys
 	}
 	p.numGC = ms.NumGC
+	return ms.HeapInuse
 }
 
 // maybeProgress delivers a progress snapshot when the report period has
@@ -316,20 +330,7 @@ func (p *hostProf) maybeProgress(k *Kernel) {
 	if elapsed < p.every {
 		return
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	p.memSamples++
-	if ms.HeapInuse > p.heapInuseHigh {
-		p.heapInuseHigh = ms.HeapInuse
-	}
-	if ms.HeapAlloc > p.heapAllocHigh {
-		p.heapAllocHigh = ms.HeapAlloc
-	}
-	if ms.Sys > p.sysHigh {
-		p.sysHigh = ms.Sys
-	}
-	p.numGC = ms.NumGC
-
+	heapInuse := p.sampleMem()
 	simNow := k.horizon
 	var events uint64
 	for i := range p.lanes {
@@ -344,7 +345,7 @@ func (p *hostProf) maybeProgress(k *Kernel) {
 		Events:    events,
 		SimRate:   float64(simNow-p.lastSim) / float64(Microsecond) / secs,
 		EventRate: float64(events-p.lastEvents) / secs,
-		HeapInuse: ms.HeapInuse,
+		HeapInuse: heapInuse,
 		ETANs:     -1,
 	}
 	if p.intWindows > 0 {

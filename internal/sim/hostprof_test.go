@@ -206,6 +206,9 @@ func TestKernelInlineProfileAccounting(t *testing.T) {
 	if p == nil || p.Windows == 0 {
 		t.Fatalf("no profile from inline run: %+v", p)
 	}
+	if p.InlineWindows != p.Windows || p.Parks != 0 {
+		t.Errorf("one worker: %d of %d windows inline, %d parks; want all and none", p.InlineWindows, p.Windows, p.Parks)
+	}
 	for _, l := range p.Lanes {
 		sum := l.BusyNs + l.WaitNs + p.DrainNs
 		diff := sum - p.WallNs

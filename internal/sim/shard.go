@@ -13,10 +13,22 @@
 //     insertion sequence is identical at any shard count.
 //  2. It computes m, the minimum next-event time across all lanes, and the
 //     window horizon h = m + lookahead − 1.
-//  3. Every lane runs RunUntil(h) in parallel (fork/join over persistent
-//     workers). Within the window a lane may freely schedule more local
-//     events; anything destined for another node goes through Post.
+//  3. Every lane runs RunUntil(h), spread over W = min(lanes, GOMAXPROCS)
+//     workers that stay on their Ps for the whole Run (worker 0 is the
+//     coordinator; worker w owns lanes w, w+W, …). The coordinator publishes
+//     the window number to each worker holding an event at or before h, runs
+//     the other lanes itself (its own, and the idle workers' clock lifts),
+//     then waits for the signalled workers' done-epochs. With at most one
+//     such worker the whole window runs on the coordinator: a cross-core
+//     hand-off costs more than an idle lane. Within the window a lane may
+//     freely schedule local events; other nodes are reached through Post.
 //  4. Repeat until every lane is empty and no mail is pending.
+//
+// Each direction of the barrier is a gate: an atomic epoch the waiter polls,
+// parking only past a bounded budget, so a window whose workers arrive in
+// time does no channel operation, lock or clock read. The epoch store orders
+// all its publisher wrote before it: horizon and drained mail on the way
+// out; lane state, laneBusy and a *Panic on the way back.
 //
 // Safety argument: a model registered with lookahead L promises that every
 // cross-node handoff posted while executing an event at time t targets a
@@ -40,10 +52,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -68,28 +82,35 @@ type Kernel struct {
 	// dst: only lane src's worker appends during a window, only the
 	// coordinator drains at the barrier. Slices are reused — steady-state
 	// posting allocates nothing.
-	outbox  [][]post
-	horizon Time // current window horizon, for the Post safety assert
+	outbox [][]post
 
-	batch []post // coordinator scratch for the sorted drain
-
-	// Persistent workers (lanes 1..n-1; lane 0 runs on the coordinator).
-	work []chan Time
-	join chan *Panic // a worker's window is done; non-nil when it panicked
+	// workers[w] is worker w's side of the window barrier (index 0, the
+	// coordinator, is unused); stride is W, the number of workers the
+	// current Run spreads the lanes over.
+	workers []worker
+	stride  int
 
 	// ticks are the registered barrier ticks (Every), the hook shard-aware
 	// observers hang off.
 	ticks []*ktick
 
-	// Windows counts synchronization windows executed, for diagnostics.
-	Windows uint64
-
 	// Host-execution profiler (hostprof.go); nil unless EnableHostProfile.
 	// laneBusy[i] is lane i's busy time for the current window, written
 	// only by the goroutine that ran the lane and read by the coordinator
-	// after the join (the join channel is the happens-before edge).
+	// after the window (a worker's done-epoch is the happens-before edge).
 	prof     *hostProf
 	laneBusy []int64
+
+	// The workers read the fields above every window; the coordinator
+	// writes the ones below every window, so those sit on other cache lines.
+	_ [64]byte
+
+	horizon Time   // current window horizon, for the Post safety assert
+	batch   []post // coordinator scratch for the sorted drain
+	inline  uint64 // windows run wholly on the coordinator
+
+	// Windows counts synchronization windows executed, for diagnostics.
+	Windows uint64
 }
 
 // ktick is one registered periodic barrier tick.
@@ -105,8 +126,8 @@ type ktick struct {
 // strictly below the next window's minimum event time m, passing the tick
 // time as the canonical timestamp.
 //
-// Why this is the observer hook: at a barrier the lane workers are joined
-// (happens-before through the work/join channels), every lane's clock sits
+// Why this is the observer hook: at a barrier every worker is joined
+// (happens-before through its done-epoch), every lane's clock sits
 // at the previous horizon, and the set of executed events — everything at
 // or before that horizon — is shard-invariant (see the determinism argument
 // above). A tick may therefore read, and at barrier time even write, any
@@ -164,10 +185,15 @@ func NewKernel(shards int, lookahead Time) *Kernel {
 		lanes:     make([]*Sim, shards),
 		lookahead: lookahead,
 		outbox:    make([][]post, shards*shards),
+		workers:   make([]worker, min(shards, 64)), // window's forked set is a uint64
 		horizon:   -1,
 	}
 	for i := range k.lanes {
 		k.lanes[i] = New()
+	}
+	for w := 1; w < len(k.workers); w++ {
+		k.workers[w].work.wake = make(chan struct{}, 1)
+		k.workers[w].done.wake = make(chan struct{}, 1)
 	}
 	return k
 }
@@ -306,38 +332,12 @@ func (k *Kernel) runWindows(limit Time) {
 }
 
 func (k *Kernel) windowLoop(limit Time) {
-	n := len(k.lanes)
-	// With a single scheduling core there is no parallelism to win, only
-	// per-window handoff cost to pay; run the lanes inline. The window
-	// protocol — and therefore every simulated result — is identical.
-	parallel := n > 1 && runtime.GOMAXPROCS(0) > 1
-	hp := k.prof
-	if parallel && k.work == nil {
-		k.work = make([]chan Time, n)
-		k.join = make(chan *Panic, n)
-		// Lane busy times are profiler state, but workers capture the slice
-		// at creation: EnableHostProfile is documented to precede Run.
-		var busy []int64
-		if hp != nil {
-			busy = k.laneBusy
-		}
-		for i := 1; i < n; i++ {
-			ch := make(chan Time)
-			k.work[i] = ch
-			id := i
-			go pprof.Do(context.Background(), pprof.Labels("lane", strconv.Itoa(id)), func(context.Context) {
-				for h := range ch {
-					k.join <- k.runLane(id, h, busy)
-				}
-			})
-		}
-		defer func() {
-			for i := 1; i < n; i++ {
-				close(k.work[i])
-			}
-			k.work = nil
-		}()
+	k.stride = min(len(k.workers), runtime.GOMAXPROCS(0))
+	if k.stride > 1 {
+		k.startWorkers()
+		defer k.stopWorkers()
 	}
+	hp := k.prof
 	// hp.mark is the running segment boundary: the profiled wall-clock is an
 	// unbroken chain of drain segments (coordinator bookkeeping, lanes idle)
 	// and window-execution segments (fork to join), each ending where the
@@ -372,37 +372,7 @@ func (k *Kernel) windowLoop(limit Time) {
 			hp.drainNs += int64(d)
 			hp.wallNs += int64(d)
 		}
-		if parallel {
-			for i := 1; i < n; i++ {
-				k.work[i] <- h
-			}
-			if hp != nil {
-				t0 := time.Now()
-				k.lanes[0].RunUntil(h)
-				k.laneBusy[0] = int64(time.Since(t0))
-			} else {
-				k.lanes[0].RunUntil(h)
-			}
-			var failed *Panic
-			for i := 1; i < n; i++ {
-				if p := <-k.join; p != nil && failed == nil {
-					failed = p
-				}
-			}
-			if failed != nil {
-				panic(failed)
-			}
-		} else if hp != nil {
-			for i, l := range k.lanes {
-				t0 := time.Now()
-				l.RunUntil(h)
-				k.laneBusy[i] = int64(time.Since(t0))
-			}
-		} else {
-			for _, l := range k.lanes {
-				l.RunUntil(h)
-			}
-		}
+		k.window(h)
 		if hp != nil {
 			hp.mark = time.Now()
 			exec := hp.mark.Sub(forkAt)
@@ -412,25 +382,153 @@ func (k *Kernel) windowLoop(limit Time) {
 	}
 }
 
-// runLane is one window of worker lane i, timed into busy when the profiler
-// is on. A panic on a worker's stack would kill the program past any recover
-// in Run's caller, so it travels through the join instead and the coordinator
-// re-raises it.
-func (k *Kernel) runLane(i int, h Time, busy []int64) (failed *Panic) {
-	lane := k.lanes[i]
+// window runs every lane to h. forked is the set of workers signalled: those
+// holding an event at or before h, when more than one does. The coordinator
+// runs everyone else's lanes — its own and each idle worker's O(1) clock lift.
+func (k *Kernel) window(h Time) {
+	var forked uint64
+	for i, l := range k.lanes {
+		if at, ok := l.nextAt(); ok && at <= h {
+			forked |= 1 << (i % k.stride)
+		}
+	}
+	if forked&(forked-1) == 0 { // at most one worker has anything to do
+		forked = 0
+		k.inline++
+	}
+	forked &^= 1
+	for w := 1; w < k.stride; w++ {
+		if forked>>w&1 != 0 {
+			k.workers[w].work.publish(k.Windows)
+		}
+	}
+	var failed *Panic
+	for w := 0; w < k.stride && failed == nil; w++ {
+		if forked>>w&1 == 0 {
+			failed = k.runLanes(w, h)
+		}
+	}
+	for w := 1; w < k.stride; w++ {
+		if forked>>w&1 != 0 {
+			k.workers[w].done.await(k.Windows)
+			if failed == nil {
+				failed = k.workers[w].failed
+			}
+		}
+	}
+	if failed != nil {
+		panic(failed)
+	}
+}
+
+// runLanes is one window of worker w's lanes (w, w+W, …), each timed into
+// laneBusy when the profiler is on. A panic on a worker's stack would kill
+// the program past any recover in Run's caller, so whichever goroutine ran
+// the lane it comes back attributed and the coordinator re-raises it.
+func (k *Kernel) runLanes(w int, h Time) (failed *Panic) {
+	i := w
 	defer func() {
 		if r := recover(); r != nil {
-			failed = wrapPanic(r, "lane "+strconv.Itoa(i), lane.now)
+			failed = wrapPanic(r, "lane "+strconv.Itoa(i), k.lanes[i].now)
 		}
 	}()
-	if busy != nil {
-		t0 := time.Now()
-		lane.RunUntil(h)
-		busy[i] = int64(time.Since(t0))
-	} else {
-		lane.RunUntil(h)
+	for ; i < len(k.lanes); i += k.stride {
+		var t0 time.Time
+		if k.laneBusy != nil {
+			t0 = time.Now()
+		}
+		k.lanes[i].RunUntil(h)
+		if k.laneBusy != nil {
+			k.laneBusy[i] = int64(time.Since(t0))
+		}
 	}
 	return nil
+}
+
+// A gate's poll budget: spinTight polls back to back (about a microsecond),
+// polls that yield the P up to spinYield (a millisecond or two — longer than
+// an ordinary straggler or drain, since a park and its wake-up are two trips
+// through the scheduler), then a park, so a long-idle worker frees its core.
+const (
+	spinTight = 1_000
+	spinYield = 20_000
+	stopEpoch = math.MaxUint64 // published in place of a window number: exit
+)
+
+// gate is one direction of the barrier: a rising epoch its one publisher
+// stores and its one waiter polls; parks counts the waiter's parks.
+type gate struct {
+	epoch  atomic.Uint64
+	asleep atomic.Bool
+	wake   chan struct{} // one slot: at most one wake-up is ever in flight
+	parks  uint64
+}
+
+// worker is one worker's barrier state, padded so that no two workers'
+// polled words share a cache line.
+type worker struct {
+	work   gate   // coordinator → worker: run the window with this number
+	done   gate   // worker → coordinator: that window is finished
+	failed *Panic // the window's panic, written before done is published
+	_      [64]byte
+}
+
+func (g *gate) publish(e uint64) {
+	g.epoch.Store(e)
+	if g.asleep.Load() && g.asleep.CompareAndSwap(true, false) {
+		g.wake <- struct{}{}
+	}
+}
+
+// await returns the epoch once it has reached min. Parking is the usual
+// store-flag-then-recheck: whoever swaps asleep back to false owns the
+// wake-up, so the publisher sends exactly when the waiter receives.
+func (g *gate) await(min uint64) uint64 {
+	for spins := 0; ; spins++ {
+		if e := g.epoch.Load(); e >= min {
+			return e
+		}
+		switch {
+		case spins < spinTight:
+		case spins < spinYield:
+			runtime.Gosched()
+		default:
+			g.parks++
+			g.asleep.Store(true)
+			if g.epoch.Load() < min || !g.asleep.CompareAndSwap(true, false) {
+				<-g.wake
+			}
+			spins = 0
+		}
+	}
+}
+
+// startWorkers launches workers 1..W-1 for one Run/RunUntil, each under the
+// pprof label of its lowest lane.
+func (k *Kernel) startWorkers() {
+	for w := 1; w < k.stride; w++ {
+		ws := &k.workers[w]
+		ws.work.epoch.Store(0)
+		ws.done.epoch.Store(0)
+		first := k.Windows + 1
+		go pprof.Do(context.Background(), pprof.Labels("lane", strconv.Itoa(w)), func(context.Context) {
+			e := ws.work.await(first)
+			for ; e != stopEpoch; e = ws.work.await(e + 1) {
+				ws.failed = k.runLanes(w, k.horizon)
+				ws.done.publish(e)
+			}
+			ws.done.publish(e)
+		})
+	}
+}
+
+// stopWorkers releases the workers and waits until each has let go of the
+// kernel — on a panicking window's way out too.
+func (k *Kernel) stopWorkers() {
+	for w := 1; w < k.stride; w++ {
+		k.workers[w].work.publish(stopEpoch)
+		k.workers[w].done.await(stopEpoch)
+	}
 }
 
 // blockedProcs sums live coroutine processes across lanes at quiescence.
