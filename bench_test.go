@@ -238,12 +238,42 @@ func BenchmarkSimulatorEventThroughputDeep(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkProcSwitch measures one simulated process switch pair: a single
-// Proc sleeping b.N times, so each op is one timed event plus the wake into
-// the process and its park back out. The set-up (the coroutine) is outside
-// the timer; the steady state allocates nothing. A scheduler round-trip per
-// switch (a channel hand-off costs ~3x) is job_wall_s on bench/'s fig4_latency.
+// BenchmarkProcSwitch measures one simulated process switch pair: a timed
+// event raises a signal, which wakes the waiting process (a coroutine switch
+// in), and the process waits again (a switch back out). A Raise-woken process
+// always leaves the CPU, so parks/op is 1; a lone sleeper no longer switches at
+// all (BenchmarkSleepInPlace). The set-up (the coroutine) is outside the
+// timer; the steady state allocates nothing. A scheduler round-trip per switch
+// (a channel hand-off costs ~3x) is job_wall_s on bench/'s fig4_latency.
 func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New()
+	sig := sim.NewSignal(s)
+	s.Go("waiter", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			sig.Wait(p)
+		}
+	})
+	n := 0
+	var tick func()
+	tick = func() {
+		sig.Raise()
+		if n++; n < b.N {
+			s.After(sim.Nanosecond, tick)
+		}
+	}
+	s.After(0, func() { // after the waiter's start event
+		b.ResetTimer()
+		tick()
+	})
+	s.Run()
+	b.ReportMetric(float64(s.Parks)/float64(b.N), "parks/op")
+}
+
+// BenchmarkSleepInPlace is the sleep that stays on the CPU: a single Proc
+// sleeping b.N times finds its own wake-up next in line every time, so each op
+// is one timed event queued and taken in place, with no switch (parks/op 0).
+func BenchmarkSleepInPlace(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
 	s.Go("sleeper", func(p *sim.Proc) {
@@ -253,6 +283,7 @@ func BenchmarkProcSwitch(b *testing.B) {
 		}
 	})
 	s.Run()
+	b.ReportMetric(float64(s.Parks)/float64(b.N), "parks/op")
 }
 
 // BenchmarkFigure4LatencySequential is the parallel-driver baseline: the

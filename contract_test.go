@@ -45,6 +45,7 @@ func TestContractSimAllocatesNothingPerEvent(t *testing.T) {
 		"zero-delay event": BenchmarkSimulatorZeroDelayLane,
 		"deep-heap event":  BenchmarkSimulatorEventThroughputDeep,
 		"Proc switch":      BenchmarkProcSwitch,
+		"in-place Sleep":   BenchmarkSleepInPlace,
 	} {
 		if got := allocsPerOp(t, perEvent, bench); got != 0 {
 			t.Errorf("%s: %d allocs/op, want 0", name, got)

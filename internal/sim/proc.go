@@ -29,16 +29,26 @@ type Proc struct {
 
 	next   func() (struct{}, bool) // simulator -> process: run until you park
 	yield  func(struct{}) bool     // process -> simulator: I am blocked again
-	wakeFn func()                  // p.wake bound once; Sleep runs hot, a fresh method value per call is measurable
+	wakeFn func()                  // p.resume bound once; Sleep runs hot, a fresh method value per call is measurable
 	dead   bool
+	// whole: this activation began as an event of its own (resume), not
+	// inside someone's callback (Raise) that still has to finish.
+	whole bool
 }
 
 // Panic is what Run panics with when model code panicked off the caller's
-// stack: inside a process body (a coroutine) or on a kernel lane worker. The
-// re-raised panic unwinds the simulator's stack, so the value carries what
-// the lost trace would have shown.
+// stack: inside a process body (a coroutine), in an event a sleeping process
+// dispatched on its own stack, or on a kernel lane worker. The re-raised
+// panic unwinds the simulator's stack, so the value carries what the lost
+// trace would have shown.
+//
+// A panic is attributed once, where it first leaves the stack it happened on,
+// and surfaces from Run once. An event callback (or the MaxEvents guard) that
+// panics under a sleeping process's in-place dispatch names the event, never
+// the process as culprit — the process only carried it; Stack shows the
+// callback. On a classic Sim's own run loop it stays the raw value.
 type Panic struct {
-	Where string // "process <name>" or "lane <n>"
+	Where string // "process <name>", "event dispatched from process <name>" or "lane <n>"
 	At    Time   // virtual time of the panic
 	Value any    // the original panic value
 	Stack []byte // the stack that panicked
@@ -61,7 +71,7 @@ func wrapPanic(r any, where string, at Time) *Panic {
 // fn begins executing when the start event fires.
 func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name}
-	p.wakeFn = p.wake
+	p.wakeFn = p.resume
 	s.procs++
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
@@ -88,9 +98,20 @@ func (p *Proc) wake() {
 	p.next()
 }
 
+// resume is the wake-up the event loop dispatches: the start event and every
+// Sleep's wake-up.
+func (p *Proc) resume() {
+	p.whole = true
+	p.wake()
+}
+
 // park returns control to whoever woke the process and blocks until the
 // next wake.
-func (p *Proc) park() { p.yield(struct{}{}) }
+func (p *Proc) park() {
+	p.whole = false
+	p.s.Parks++
+	p.yield(struct{}{})
+}
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -103,12 +124,47 @@ func (p *Proc) Now() Time { return p.s.now }
 
 // Sleep advances virtual time by d for this process. Other events run in
 // the meantime.
+//
+// The wake-up is queued like any event. When parking would only have the run
+// loop dispatch the events ahead of it and switch straight back, the process
+// dispatches them itself and takes its wake-up in place. That needs a whole
+// activation (a Raise's callback would still have to finish, at the old
+// time), a wake-up within the run's horizon (then so is every event ahead of
+// it) and no other process dispatching (one woken from inside that loop
+// cannot resume the dispatcher beneath it on the stack). DESIGN.md §7.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.s.After(d, p.wakeFn)
+	s := p.s
+	s.After(d, p.wakeFn)
+	if p.whole && !s.dispatching && d <= s.limit-s.now && p.dispatchUntil(s.seq) {
+		return
+	}
 	p.park()
+}
+
+// dispatchUntil runs events in dispatch order on the process's own stack up
+// to and including its wake-up, the event numbered mine — which is queued, so
+// the queue cannot run dry first. It reports false, the wake-up still queued,
+// when Stop ended the run.
+func (p *Proc) dispatchUntil(mine uint64) bool {
+	s := p.s
+	s.dispatching = true
+	defer func() {
+		s.dispatching = false
+		if r := recover(); r != nil {
+			panic(wrapPanic(r, "event dispatched from process "+p.name, s.now))
+		}
+	}()
+	for !s.stopped {
+		ev := s.pop()
+		if ev.seq == mine {
+			return true
+		}
+		ev.fn()
+	}
+	return false
 }
 
 // String identifies the process in diagnostics.

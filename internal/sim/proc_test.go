@@ -15,7 +15,7 @@ func recovered(fn func()) (r any) {
 	return nil
 }
 
-// wantProcPanic checks r is the attributed form of a process-body panic.
+// wantProcPanic checks r is a panic attributed to where, raised by explode.
 func wantProcPanic(t *testing.T, r any, where string, at Time, value any) {
 	t.Helper()
 	e, ok := r.(*Panic)
@@ -66,6 +66,35 @@ func TestNestedProcPanicWrappedOnce(t *testing.T) {
 		t.Error("outer continued past a wake that panicked")
 	})
 	wantProcPanic(t, recovered(s.Run), "process inner", Microsecond, "inner broke")
+}
+
+// TestEventPanicUnderSleeperNamesTheEvent: an event callback that panics while
+// a sleeping process is dispatching it unwinds through that process's
+// coroutine, yet surfaces from Run once, attributed to the event — the
+// sleeper carried it, it did not cause it — with the callback's stack; on a
+// kernel lane too. What the sleeper's own body does afterwards is still its own.
+func TestEventPanicUnderSleeperNamesTheEvent(t *testing.T) {
+	s := New()
+	s.Go("sleeper", func(p *Proc) { p.Sleep(10 * Microsecond) })
+	s.At(4*Microsecond, func() { explode("handler broke") })
+	wantProcPanic(t, recovered(s.Run), "event dispatched from process sleeper", 4*Microsecond, "handler broke")
+
+	k := NewKernel(2, 100)
+	k.Lane(0).At(5, func() {})
+	k.Lane(1).Go("sleeper", func(p *Proc) { p.Sleep(50) })
+	k.Lane(1).At(9, func() { explode("handler broke") })
+	wantProcPanic(t, recovered(k.Run), "event dispatched from process sleeper", 9, "handler broke")
+
+	s = New()
+	s.Go("sleeper", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		explode("body broke")
+	})
+	s.At(4*Microsecond, func() {})
+	wantProcPanic(t, recovered(s.Run), "process sleeper", 10*Microsecond, "body broke")
+	if s.Parks != 0 {
+		t.Errorf("the sleeper parked %d times, want every sleep in place", s.Parks)
+	}
 }
 
 // TestKernelProcPanicSurfaces: the same through Kernel.Run, for a process on

@@ -535,7 +535,7 @@ func (k *Kernel) stopWorkers() {
 func (k *Kernel) blockedProcs() int {
 	total := 0
 	for _, l := range k.lanes {
-		total += l.procs
+		total += int(l.procs)
 	}
 	return total
 }
