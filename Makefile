@@ -18,7 +18,7 @@ vet:
 
 # Substrate microbenchmarks (event kernel, process switch, one full put).
 bench:
-	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|ProcSwitch|SleepInPlace|SimulatedPut' -benchmem .
+	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut' -benchmem .
 
 # Every paper figure, one iteration each.
 figures:

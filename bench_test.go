@@ -214,9 +214,10 @@ func BenchmarkSimulatorZeroDelayLane(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSimulatorEventThroughputDeep dispatches through a heap kept
-// 1024 events deep, exercising the 4-ary sift paths a loaded machine sees
-// (thousands of in-flight chunks, credits and timers).
+// BenchmarkSimulatorEventThroughputDeep dispatches through a queue kept
+// 1024 events deep, each at an instant of its own: past 64 entries the queue
+// files events in its wheel (DESIGN.md §7), so this is the wheel with no ties
+// to exploit — four events to a bucket, every bucket refilled.
 func BenchmarkSimulatorEventThroughputDeep(b *testing.B) {
 	b.ReportAllocs()
 	const depth = 1024
@@ -233,6 +234,38 @@ func BenchmarkSimulatorEventThroughputDeep(b *testing.B) {
 	}
 	for i := 0; i < depth; i++ {
 		s.After(sim.Time(i+1)*sim.Nanosecond, tick)
+	}
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkSimulatorEventThroughputLane is the queue as a lane of a 512-node
+// machine loads it (measured on halo_512, DESIGN.md §7): events come due in
+// bursts of 200 that share an instant, each scheduled 65 ns – 2.1 µs ahead
+// over a standing depth of 1,000, and one event in a hundred arms a 150 µs
+// retransmission timer, which waits outside the wheel's span.
+func BenchmarkSimulatorEventThroughputLane(b *testing.B) {
+	b.ReportAllocs()
+	s := sim.New()
+	fired := 0
+	timer := func() {}
+	for _, ns := range []sim.Time{65, 131, 262, 524, 2100} {
+		d := ns * sim.Nanosecond
+		var tick func()
+		tick = func() {
+			fired++
+			if fired >= b.N {
+				s.Stop()
+				return
+			}
+			if fired%100 == 0 {
+				s.After(150*sim.Microsecond, timer)
+			}
+			s.After(d, tick)
+		}
+		for i := 0; i < 200; i++ {
+			s.After(d, tick)
+		}
 	}
 	b.ResetTimer()
 	s.Run()

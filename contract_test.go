@@ -41,11 +41,12 @@ func allocsPerOp(t *testing.T, n int, bench func(*testing.B)) int64 {
 
 func TestContractSimAllocatesNothingPerEvent(t *testing.T) {
 	for name, bench := range map[string]func(*testing.B){
-		"timed event":      BenchmarkSimulatorEventThroughput,
-		"zero-delay event": BenchmarkSimulatorZeroDelayLane,
-		"deep-heap event":  BenchmarkSimulatorEventThroughputDeep,
-		"Proc switch":      BenchmarkProcSwitch,
-		"in-place Sleep":   BenchmarkSleepInPlace,
+		"timed event":       BenchmarkSimulatorEventThroughput,
+		"zero-delay event":  BenchmarkSimulatorZeroDelayLane,
+		"deep-queue event":  BenchmarkSimulatorEventThroughputDeep,
+		"lane-shaped event": BenchmarkSimulatorEventThroughputLane,
+		"Proc switch":       BenchmarkProcSwitch,
+		"in-place Sleep":    BenchmarkSleepInPlace,
 	} {
 		if got := allocsPerOp(t, perEvent, bench); got != 0 {
 			t.Errorf("%s: %d allocs/op, want 0", name, got)

@@ -122,7 +122,7 @@ type Fabric struct {
 	// attribution records of messages that die before delivery.
 	Tel *telemetry.Telemetry
 
-	links  map[linkKey]*sim.Server
+	links  []*sim.Server // dense, by linkIndex; built with the first link
 	eps    map[topo.NodeID]Endpoint
 	routes map[[2]topo.NodeID][]topo.Dir // routing is fixed-path, so cache per pair
 	nextID uint64
@@ -175,7 +175,6 @@ func newLane(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 		S:      s,
 		Topo:   t,
 		P:      p,
-		links:  make(map[linkKey]*sim.Server),
 		routes: make(map[[2]topo.NodeID][]topo.Dir),
 	}
 }
@@ -201,15 +200,32 @@ func (f *Fabric) Attach(node topo.NodeID, ep Endpoint) {
 // Endpoint returns the endpoint attached to node, or nil.
 func (f *Fabric) Endpoint(node topo.NodeID) Endpoint { return f.eps[node] }
 
+// linksPerNode is a router's network ports: X+ X- Y+ Y- Z+ Z-.
+const linksPerNode = 6
+
+// linkIndex is the place of the directed link leaving node in direction d in
+// a table of a topology's links.
+func linkIndex(node topo.NodeID, d topo.Dir) int {
+	i := int(node)*linksPerNode + int(d.Axis)*2
+	if d.Sign < 0 {
+		i++
+	}
+	return i
+}
+
 // link returns (creating on first use) the serial resource for the directed
-// link leaving node in direction d.
+// link leaving node in direction d. Every hop of every packet comes through
+// here, so the lookup is an index, not a hash.
 func (f *Fabric) link(node topo.NodeID, d topo.Dir) *sim.Server {
-	k := linkKey{node, d}
-	if sv, ok := f.links[k]; ok {
-		return sv
+	i := linkIndex(node, d)
+	if i < len(f.links) && f.links[i] != nil {
+		return f.links[i]
+	}
+	if f.links == nil {
+		f.links = make([]*sim.Server, f.Topo.Nodes()*linksPerNode)
 	}
 	sv := sim.NewServer(f.S, fmt.Sprintf("link[%d %v]", node, d))
-	f.links[k] = sv
+	f.links[i] = sv
 	return sv
 }
 
@@ -557,8 +573,8 @@ func (f *Fabric) SendChunk(c *Chunk) {
 // LinkUtilization reports the utilization of the directed link leaving node
 // in direction d (zero if the link was never used).
 func (f *Fabric) LinkUtilization(node topo.NodeID, d topo.Dir) float64 {
-	if sv, ok := f.links[linkKey{node, d}]; ok {
-		return sv.Utilization()
+	if i := linkIndex(node, d); i < len(f.links) && f.links[i] != nil {
+		return f.links[i].Utilization()
 	}
 	return 0
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"portals3/internal/model"
@@ -300,6 +301,9 @@ func TestAttachTwicePanics(t *testing.T) {
 func TestLinkUtilizationReported(t *testing.T) {
 	p := model.Defaults()
 	s, f, _, _ := pairFabric(t, p)
+	if u := f.LinkUtilization(0, topo.Dir{Axis: topo.X, Sign: 1}); u != 0 || f.links != nil {
+		t.Errorf("before any traffic: utilization %v, link table built: %v", u, f.links != nil)
+	}
 	m := f.NewMessage(putHeader(0, 1, 0), 0, 1, nil)
 	f.SendHeader(m)
 	s.Run()
@@ -308,6 +312,18 @@ func TestLinkUtilizationReported(t *testing.T) {
 	}
 	if u := f.LinkUtilization(1, topo.Dir{Axis: topo.X, Sign: 1}); u != 0 {
 		t.Errorf("unused link reports nonzero utilization %v", u)
+	}
+	// Every (node, direction) has a link of its own, named as it always was.
+	seen := map[*sim.Server]bool{}
+	for node := topo.NodeID(0); node < 2; node++ {
+		for _, d := range []topo.Dir{{Axis: topo.X, Sign: 1}, {Axis: topo.X, Sign: -1}, {Axis: topo.Y, Sign: 1},
+			{Axis: topo.Y, Sign: -1}, {Axis: topo.Z, Sign: 1}, {Axis: topo.Z, Sign: -1}} {
+			sv := f.link(node, d)
+			if want := fmt.Sprintf("link[%d %v]", node, d); sv.Name() != want || seen[sv] || f.link(node, d) != sv {
+				t.Errorf("link(%d, %v) is %q (shared: %v), want its own %q", node, d, sv.Name(), seen[sv], want)
+			}
+			seen[sv] = true
+		}
 	}
 }
 

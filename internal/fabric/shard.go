@@ -268,7 +268,7 @@ func (pt *NodePort) launch(m *Message, c *Chunk) {
 // lane — over through the mailbox.
 func (k *carrier) walk() {
 	pt, m := k.at, k.m
-	next, t := pt.hop(m.Dst, k.t, int64(k.nbytes()), pt.f.Topo.Hops(m.Src, m.Dst))
+	next, t := pt.hop(m.Src, m.Dst, k.t, int64(k.nbytes()))
 	np := pt.cl.ports[next]
 	k.at, k.f = np, np.f
 	if next == m.Dst {
@@ -283,11 +283,15 @@ func (k *carrier) walk() {
 // time t and returns the neighbor plus the arrival time there. Links are
 // owned by the lane of the node they leave, so contention is resolved in
 // local event order — per-hop, as on the real router.
-func (pt *NodePort) hop(dst topo.NodeID, t sim.Time, nbytes int64, hops int) (topo.NodeID, sim.Time) {
+func (pt *NodePort) hop(src, dst topo.NodeID, t sim.Time, nbytes int64) (topo.NodeID, sim.Time) {
 	f := pt.f
 	d, ok := f.Topo.NextHop(pt.node, dst)
 	if !ok {
 		panic("fabric: hop walk already at destination")
+	}
+	hops := 0
+	if f.Tel != nil { // the route's length labels the head-of-line histogram, nothing else
+		hops = f.Topo.Hops(src, dst)
 	}
 	occupancy := sim.BytesAt(nbytes, f.P.LinkBps)
 	t2 := f.linkReserve(pt.node, d, t, occupancy, hops) + f.P.HopLatency

@@ -9,11 +9,15 @@
 // three segments, timestamped so consecutive segments share a boundary
 // reading (no unattributed gaps):
 //
-//   - drain: the coordinator's serial work between windows — mailbox
-//     drain, the minimum-event scan, barrier ticks, and loop bookkeeping.
+//   - drain: the coordinator's serial work between windows — the scan of
+//     the lanes' next-event times and the outboxes' minima, barrier ticks,
+//     loop bookkeeping and, once, the merge of the last window's mail.
 //     Every lane is idle during this segment, so it is charged globally.
-//   - busy (per lane): the lane's own RunUntil(h) execution, measured by
-//     the goroutine that ran it.
+//     (Until PR 20 it also held the sort and scheduling of every window's
+//     mail, which each lane now does for itself as busy time: drain shares
+//     of profiles from before and after are not comparable.)
+//   - busy (per lane): the lane's merge of its mail and its RunUntil(h),
+//     measured by the goroutine that ran it.
 //   - wait (per lane): the window's fork-to-join wall minus the lane's
 //     busy time — the time the lane sat at the barrier waiting for the
 //     window's straggler, its worker polling or, past the budget, parked.
@@ -48,7 +52,7 @@ const memSampleStride = 32
 // JSON keys are the exported artifact's (machine.HostProfile).
 type LaneProfile struct {
 	Lane   int    `json:"lane"`
-	BusyNs int64  `json:"busy_ns"` // wall-clock spent executing this lane's events
+	BusyNs int64  `json:"busy_ns"` // wall-clock spent merging this lane's mail and executing its events
 	WaitNs int64  `json:"wait_ns"` // wall-clock spent at window barriers waiting for stragglers
 	Events uint64 `json:"events"`
 	// StragglerWindows counts windows in which this lane had the longest
@@ -63,7 +67,7 @@ type KernelProfile struct {
 	Windows uint64 `json:"windows"`
 	WallNs  int64  `json:"wall_ns"`  // total profiled wall-clock (drain + window execution)
 	ExecNs  int64  `json:"exec_ns"`  // fork-to-join window execution
-	DrainNs int64  `json:"drain_ns"` // coordinator drain/scan/tick segments (all lanes idle)
+	DrainNs int64  `json:"drain_ns"` // coordinator scan/tick segments (all lanes idle); the mail merge is lane busy time, so not comparable with profiles written before PR 20
 	Events  uint64 `json:"events"`
 
 	// Is the barrier spinning or sleeping? Parks counts the times a worker
@@ -294,7 +298,7 @@ func (p *hostProf) window(k *Kernel, exec time.Duration) {
 }
 
 // tail closes the segment chain at the end of Run/RunUntil: everything since
-// the last window's join — the final drain and scan, worker shutdown, the
+// the last window's join — the final scan and merge, worker shutdown, the
 // RunUntil clock lift, final tick firing, Run's deadlock scan — is drain
 // (coordinator bookkeeping).
 func (p *hostProf) tail() {

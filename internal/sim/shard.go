@@ -1,34 +1,41 @@
 // Sharded parallel event kernel: N per-shard event lanes (each a complete
-// Sim with its 4-ary heap and zero-delay ring) advanced in lock-step
+// Sim with its own event queue) advanced in lock-step
 // windows under conservative lookahead — the classic Chandy–Misra/null-
 // message discipline, specialized to a fabric whose minimum cross-shard
 // handoff latency is a known constant.
 //
 // The synchronization protocol, per window:
 //
-//  1. The coordinator drains every cross-lane mailbox, sorts the posts by
-//     (time, source node, source sequence) — keys that depend only on the
-//     simulated workload, never on the shard count — and applies them to
-//     their destination lanes in that order, so each lane's tie-breaking
-//     insertion sequence is identical at any shard count.
-//  2. It computes m, the minimum next-event time across all lanes, and the
-//     window horizon h = m + lookahead − 1.
-//  3. Every lane runs RunUntil(h), spread over W = min(lanes, GOMAXPROCS)
-//     workers that stay on their Ps for the whole Run (worker 0 is the
-//     coordinator; worker w owns lanes w, w+W, …). The coordinator publishes
-//     the window number to each worker holding an event at or before h, runs
-//     the other lanes itself (its own, and the idle workers' clock lifts),
+//  1. The coordinator computes m, the minimum next-event time across all
+//     lanes — each lane's own next event, which whoever ran the lane published
+//     at the end of the last window, and the earliest post in each outbox the
+//     last window filled, a minimum Post keeps beside the mail — and the
+//     window horizon h = m + lookahead − 1. It reads no queue and no mail.
+//  2. Every lane first merges its own mail — the posts the previous window
+//     addressed to it, sorted by (time, source node, source sequence), keys
+//     that depend only on the simulated workload, never on the shard count —
+//     so each lane's tie-breaking insertion sequence is identical at any
+//     shard count, and then runs RunUntil(h). This window's posts go to the
+//     outboxes of the other parity, which nobody reads until the next one.
+//     The lanes are spread over W = min(lanes, GOMAXPROCS) workers that stay
+//     on their Ps for the whole Run (worker 0 is the coordinator; worker w
+//     owns lanes w, w+W, …). The coordinator publishes the window number to
+//     each worker holding an event or mail due at or before h, runs the other
+//     lanes itself (its own, and the idle workers' merges and clock lifts),
 //     then waits for the signalled workers' done-epochs. With at most one
 //     such worker the whole window runs on the coordinator: a cross-core
 //     hand-off costs more than an idle lane. Within the window a lane may
 //     freely schedule local events; other nodes are reached through Post.
-//  4. Repeat until every lane is empty and no mail is pending.
+//  3. Repeat until every lane is empty and no mail is pending; the
+//     coordinator then merges what the last window posted, so every event is
+//     in a lane when Run or RunUntil returns.
 //
 // Each direction of the barrier is a gate: an atomic epoch the waiter polls,
 // parking only past a bounded budget, so a window whose workers arrive in
 // time does no channel operation, lock or clock read. The epoch store orders
-// all its publisher wrote before it: horizon and drained mail on the way
-// out; lane state, laneBusy and a *Panic on the way back.
+// all its publisher wrote before it: horizon, window number and — through the
+// coordinator, who waited for its writer — the mail on the way out; lane
+// state, next-event times, laneBusy and a *Panic on the way back.
 //
 // Safety argument: a model registered with lookahead L promises that every
 // cross-node handoff posted while executing an event at time t targets a
@@ -43,9 +50,12 @@
 // event times, which the partition does not change; within a window each
 // lane executes only its own nodes' events in (time, insertion-seq) order;
 // and every inter-node handoff — including between nodes that share a lane
-// — travels through the mailbox with shard-invariant sort keys. Induction
-// over windows gives identical per-node event sequences at any shard
-// count. See DESIGN.md §11.
+// — travels through the mailbox with shard-invariant sort keys, all of a
+// window's mail being merged before the next window runs. A lane sorting its
+// own mail inserts it in the order one global sort would have given that
+// lane (a total order restricted to a subset is that subset's order).
+// Induction over windows gives identical per-node event sequences at any
+// shard count. See DESIGN.md §11.
 package sim
 
 import (
@@ -66,8 +76,15 @@ type post struct {
 	at      Time
 	srcNode int32  // simulated node that posted (sort key, shard-invariant)
 	srcSeq  uint64 // that node's post sequence (sort key, shard-invariant)
-	dst     int    // destination lane
 	fn      func()
+}
+
+// outbox is what one lane has posted to another during the windows of one
+// parity. min is the earliest of its posts' times (Never when it is empty), so
+// the coordinator learns when a lane's mail falls due without reading the mail.
+type outbox struct {
+	posts []post
+	min   Time
 }
 
 // Kernel is a sharded parallel event kernel. Build one with NewKernel,
@@ -78,11 +95,18 @@ type Kernel struct {
 	lanes     []*Sim
 	lookahead Time
 
-	// outbox[src*shards+dst] is the SPSC mailbox from lane src to lane
-	// dst: only lane src's worker appends during a window, only the
-	// coordinator drains at the barrier. Slices are reused — steady-state
-	// posting allocates nothing.
-	outbox [][]post
+	// out[p][src*shards+dst] is the SPSC mailbox from lane src to lane dst
+	// for windows of parity p: whoever runs lane src appends to it during
+	// such a window, whoever runs lane dst empties it during the next one
+	// (merge), while lane src posts into the other set. Slices are reused —
+	// steady-state posting and merging allocate nothing.
+	out   [2][]outbox
+	batch [][]post // batch[dst]: lane dst's scratch for sorting its mail
+
+	// next[i] is the time of lane i's next event, Never when it has none:
+	// written by whoever ran the lane, at the end of each window, so that the
+	// coordinator reads one word of a lane between windows and no queue.
+	next []Time
 
 	// workers[w] is worker w's side of the window barrier (index 0, the
 	// coordinator, is unused); stride is W, the number of workers the
@@ -106,7 +130,6 @@ type Kernel struct {
 	_ [64]byte
 
 	horizon Time   // current window horizon, for the Post safety assert
-	batch   []post // coordinator scratch for the sorted drain
 	inline  uint64 // windows run wholly on the coordinator
 
 	// Windows counts synchronization windows executed, for diagnostics.
@@ -184,12 +207,19 @@ func NewKernel(shards int, lookahead Time) *Kernel {
 	k := &Kernel{
 		lanes:     make([]*Sim, shards),
 		lookahead: lookahead,
-		outbox:    make([][]post, shards*shards),
+		batch:     make([][]post, shards),
+		next:      make([]Time, shards),
 		workers:   make([]worker, min(shards, 64)), // window's forked set is a uint64
 		horizon:   -1,
 	}
 	for i := range k.lanes {
 		k.lanes[i] = New()
+	}
+	for p := range k.out {
+		k.out[p] = make([]outbox, shards*shards)
+		for i := range k.out[p] {
+			k.out[p][i].min = Never
+		}
 	}
 	for w := 1; w < len(k.workers); w++ {
 		k.workers[w].work.wake = make(chan struct{}, 1)
@@ -217,43 +247,55 @@ func (k *Kernel) Post(src, dst int, at Time, srcNode int32, srcSeq uint64, fn fu
 	if at <= k.horizon {
 		panic(fmt.Sprintf("sim: cross-shard post at %v violates lookahead window ending %v", at, k.horizon))
 	}
-	i := src*len(k.lanes) + dst
-	k.outbox[i] = append(k.outbox[i], post{at: at, srcNode: srcNode, srcSeq: srcSeq, dst: dst, fn: fn})
+	ob := &k.out[k.Windows&1][src*len(k.lanes)+dst]
+	ob.posts = append(ob.posts, post{at: at, srcNode: srcNode, srcSeq: srcSeq, fn: fn})
+	if at < ob.min {
+		ob.min = at
+	}
 }
 
-// drain applies all pending mailbox posts to their destination lanes in
-// the deterministic (time, source node, source sequence) order.
-func (k *Kernel) drain() int {
-	k.batch = k.batch[:0]
-	for i := range k.outbox {
-		if len(k.outbox[i]) == 0 {
+// merge moves lane dst's mail out of one parity's outboxes into the lane, in
+// the deterministic (time, source node, source sequence) order. It is the one
+// place mail is sorted and scheduled. Whoever runs the lane calls it, on the
+// previous window's mail before RunUntil; the coordinator calls it for every
+// lane, on what the last window posted, when the window loop ends.
+func (k *Kernel) merge(dst int, mail []outbox) {
+	b := k.batch[dst]
+	for src := range k.lanes {
+		ob := &mail[src*len(k.lanes)+dst]
+		if len(ob.posts) == 0 {
 			continue
 		}
-		k.batch = append(k.batch, k.outbox[i]...)
-		// Clear the closure slots so drained posts are released, keeping
-		// the backing array pooled for the next window.
-		for j := range k.outbox[i] {
-			k.outbox[i][j] = post{}
-		}
-		k.outbox[i] = k.outbox[i][:0]
+		b = append(b, ob.posts...)
+		// Clear the closure slots so merged posts are released, keeping the
+		// backing array pooled for the window after next.
+		clear(ob.posts)
+		ob.posts, ob.min = ob.posts[:0], Never
 	}
-	b := k.batch
 	if len(b) > 1 {
 		// The key is a total order (a node never reuses a sequence number),
-		// so any correct sort produces the same batch.
+		// so any correct sort produces the same batch; and a global sort
+		// restricted to one destination is that destination's sort.
 		slices.SortFunc(b, comparePosts)
 	}
+	l := k.lanes[dst]
 	for i := range b {
-		k.lanes[b[i].dst].At(b[i].at, b[i].fn)
-		b[i].fn = nil
+		l.At(b[i].at, b[i].fn)
 	}
-	return len(b)
+	clear(b)
+	k.batch[dst] = b[:0]
 }
 
 // comparePosts orders mailbox entries by (time, source node, source
 // sequence).
 func comparePosts(a, b post) int {
-	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.srcNode, b.srcNode), cmp.Compare(a.srcSeq, b.srcSeq))
+	if a.at != b.at {
+		return cmp.Compare(a.at, b.at)
+	}
+	if a.srcNode != b.srcNode {
+		return cmp.Compare(a.srcNode, b.srcNode)
+	}
+	return cmp.Compare(a.srcSeq, b.srcSeq)
 }
 
 // Run executes the sharded simulation to completion: windows advance until
@@ -321,10 +363,11 @@ func (k *Kernel) RunUntil(t Time) {
 }
 
 // runWindows advances the window protocol while the minimum next-event time
-// lies at or before limit. On return all mail is drained into lanes (the
-// drain precedes the limit check) and the next pending event, if any, lies
-// beyond limit. The coordinator runs under a lane=0 pprof label (it executes
-// lane 0's events itself), so CPU profiles attribute every sample to a lane.
+// lies at or before limit. On return all mail is merged into lanes (the loop's
+// exit does what the next window's runners would have) and the next pending
+// event, if any, lies beyond limit. The coordinator runs under a lane=0 pprof
+// label (it executes lane 0's events itself), so CPU profiles attribute every
+// sample to a lane.
 func (k *Kernel) runWindows(limit Time) {
 	pprof.Do(context.Background(), pprof.Labels("lane", "0"), func(context.Context) {
 		k.windowLoop(limit)
@@ -337,6 +380,9 @@ func (k *Kernel) windowLoop(limit Time) {
 		k.startWorkers()
 		defer k.stopWorkers()
 	}
+	for i, l := range k.lanes { // the caller may have scheduled on the lanes
+		k.next[i] = l.due()
+	}
 	hp := k.prof
 	// hp.mark is the running segment boundary: the profiled wall-clock is an
 	// unbroken chain of drain segments (coordinator bookkeeping, lanes idle)
@@ -345,18 +391,21 @@ func (k *Kernel) windowLoop(limit Time) {
 	// The chain opens at Run's entry and its last drain segment is closed by
 	// hp.tail, so worker start-up and shutdown are inside it too.
 	for {
-		k.drain()
+		// What the last window posted (or the caller, before the first) is
+		// merged by the next window's runners; here its minima join the lanes'
+		// own next-event times, which is all the coordinator needs of it.
+		mail := k.out[k.Windows&1]
 		m := Never
-		any := false
-		for _, l := range k.lanes {
-			if at, ok := l.nextAt(); ok {
-				any = true
-				if at < m {
-					m = at
-				}
+		for dst := range k.next {
+			for src := range k.lanes {
+				k.next[dst] = min(k.next[dst], mail[src*len(k.lanes)+dst].min)
 			}
+			m = min(m, k.next[dst])
 		}
-		if !any || m > limit {
+		if m == Never || m > limit {
+			for dst := range k.lanes {
+				k.merge(dst, mail)
+			}
 			return
 		}
 		if len(k.ticks) > 0 {
@@ -382,13 +431,22 @@ func (k *Kernel) windowLoop(limit Time) {
 	}
 }
 
+// due is the time of the lane's next event, Never when it has none.
+func (s *Sim) due() Time {
+	if at, ok := s.nextAt(); ok {
+		return at
+	}
+	return Never
+}
+
 // window runs every lane to h. forked is the set of workers signalled: those
-// holding an event at or before h, when more than one does. The coordinator
-// runs everyone else's lanes — its own and each idle worker's O(1) clock lift.
+// holding an event or mail due at or before h, when more than one does. The
+// coordinator runs everyone else's lanes — its own, and each idle worker's:
+// a merge of mail that is not due yet and an O(1) clock lift.
 func (k *Kernel) window(h Time) {
 	var forked uint64
-	for i, l := range k.lanes {
-		if at, ok := l.nextAt(); ok && at <= h {
+	for i, at := range k.next {
+		if at <= h {
 			forked |= 1 << (i % k.stride)
 		}
 	}
@@ -421,10 +479,12 @@ func (k *Kernel) window(h Time) {
 	}
 }
 
-// runLanes is one window of worker w's lanes (w, w+W, …), each timed into
-// laneBusy when the profiler is on. A panic on a worker's stack would kill
-// the program past any recover in Run's caller, so whichever goroutine ran
-// the lane it comes back attributed and the coordinator re-raises it.
+// runLanes is one window of worker w's lanes (w, w+W, …): each takes in the
+// mail the previous window posted to it, runs to h and publishes when its
+// next event is due, all of it timed into laneBusy when the profiler is on.
+// A panic on a worker's stack would kill the program past any recover in
+// Run's caller, so whichever goroutine ran the lane it comes back attributed
+// and the coordinator re-raises it.
 func (k *Kernel) runLanes(w int, h Time) (failed *Panic) {
 	i := w
 	defer func() {
@@ -432,12 +492,15 @@ func (k *Kernel) runLanes(w int, h Time) (failed *Panic) {
 			failed = wrapPanic(r, "lane "+strconv.Itoa(i), k.lanes[i].now)
 		}
 	}()
+	mail := k.out[(k.Windows+1)&1]
 	for ; i < len(k.lanes); i += k.stride {
 		var t0 time.Time
 		if k.laneBusy != nil {
 			t0 = time.Now()
 		}
+		k.merge(i, mail)
 		k.lanes[i].RunUntil(h)
+		k.next[i] = k.lanes[i].due()
 		if k.laneBusy != nil {
 			k.laneBusy[i] = int64(time.Since(t0))
 		}

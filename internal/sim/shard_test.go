@@ -239,15 +239,20 @@ func TestKernelWindowCountInvariance(t *testing.T) {
 	}
 }
 
-// TestKernelDrainAllocatesNothing pins the barrier's steady state: draining
-// a window's mailboxes — none, one or many posts — sorts and applies them
-// without allocating. A thin-window job runs tens of thousands of windows
-// per second of wall-clock, so one allocation here is most of its total.
+// TestKernelDrainAllocatesNothing pins the mailboxes' steady state: posting a
+// window's mail — none, one or many posts, from both lanes — and merging it
+// into its destination lane sorts and schedules it without allocating, and
+// every post lands exactly once, in key order. A thin-window job runs tens of
+// thousands of windows per second of wall-clock, so one allocation here is
+// most of its total.
 func TestKernelDrainAllocatesNothing(t *testing.T) {
 	for _, posts := range []int{0, 1, 64} {
 		k := NewKernel(2, 10*Nanosecond)
-		fired := 0
-		fn := func() { fired++ }
+		var landed []int32
+		land := make([]func(), posts+1)
+		for i := range land {
+			land[i] = func() { landed = append(landed, int32(i)) }
+		}
 		at := Time(0)
 		var seq uint64
 		window := func() {
@@ -255,19 +260,127 @@ func TestKernelDrainAllocatesNothing(t *testing.T) {
 			// Posted in descending key order, so the sort has work to do.
 			for i := posts; i > 0; i-- {
 				seq++
-				k.Post(0, 1, at, int32(i), seq, fn)
+				k.Post(i&1, 1, at, int32(i), seq, land[i])
 			}
-			if n := k.drain(); n != posts {
-				t.Fatalf("drained %d posts, want %d", n, posts)
+			mail := k.out[k.Windows&1]
+			for dst := 0; dst < 2; dst++ {
+				k.merge(dst, mail)
 			}
+			for i := range mail {
+				if len(mail[i].posts) != 0 || mail[i].min != Never {
+					t.Fatalf("outbox %d holds %d posts (min %v) after the merge", i, len(mail[i].posts), mail[i].min)
+				}
+			}
+			if got := k.Lane(0).Pending() + k.Lane(1).Pending(); got != posts {
+				t.Fatalf("%d events pending after merging %d posts", got, posts)
+			}
+			landed = landed[:0]
 			k.Lane(1).RunUntil(at)
+			for i, node := range landed {
+				if node != int32(i+1) {
+					t.Fatalf("post %d of the window came from node %d: %v", i, node, landed)
+				}
+			}
+			if len(landed) != posts {
+				t.Fatalf("%d of %d posts landed", len(landed), posts)
+			}
 		}
-		window() // grow the mailbox, the batch and the lane heap once
+		window() // grow the outboxes, the batch and the lane queue once
 		if got := testing.AllocsPerRun(50, window); got != 0 {
 			t.Errorf("a window with %d posts allocates %.0f objects, want 0", posts, got)
 		}
-		if want := 52 * posts; fired != want {
-			t.Errorf("%d posts per window: %d fired, want %d", posts, fired, want)
+	}
+}
+
+// mergeTrace runs a model that sends all its work through the mailboxes — a
+// node posts to itself, to a neighbour (often on its own lane) and to node 0,
+// where the posts of every node visited in the same round fall on one instant
+// and only (source node, source sequence) orders them — starting from mail
+// posted before the run, and returns the per-node (time, label) logs.
+func mergeTrace(lanes int, drive func(*Kernel)) string {
+	const L, nodes, depth = Time(100), 12, 4
+	k := NewKernel(lanes, L)
+	laneOf := func(n int) int { return n * lanes / nodes }
+	logs := make([][]string, nodes)
+	seqs := make([]uint64, nodes)
+	post := func(from, to int, at Time, fn func()) {
+		seqs[from]++
+		k.Post(laneOf(from), laneOf(to), at, int32(from), seqs[from], fn)
+	}
+	var visit func(n, ttl int, label string)
+	visit = func(n, ttl int, label string) {
+		now := k.Lane(laneOf(n)).Now()
+		logs[n] = append(logs[n], fmt.Sprint(int64(now), " ", label))
+		if ttl == 0 {
+			return
+		}
+		next := (n + 1) % nodes
+		post(n, n, now+L+Time(n%3), func() { visit(n, ttl-1, label+"s") })
+		post(n, next, now+L, func() { visit(next, ttl-1, label+"n") })
+		post(n, 0, (now/L+2)*L, func() { visit(0, 0, label+"z") })
+	}
+	for n := 0; n < nodes; n++ {
+		post(n, n, Time(10+n%2), func() { visit(n, depth, fmt.Sprint("from", n, ":")) })
+	}
+	drive(k)
+	var sb strings.Builder
+	for n, log := range logs {
+		fmt.Fprintf(&sb, "node %d: %s\n", n, strings.Join(log, ", "))
+	}
+	return sb.String()
+}
+
+// TestKernelMergeDeterminism: each lane sorting and scheduling its own mail
+// gives every node the log one lane gives it — at every lane count, with no
+// workers, a worker owning two lanes and a worker per lane, in one Run and
+// stepped through RunUntil horizons that leave mail beyond them.
+func TestKernelMergeDeterminism(t *testing.T) {
+	ref := mergeTrace(1, (*Kernel).Run)
+	if strings.Count(ref, ",") < 400 || !strings.Contains(ref, "z, ") {
+		t.Fatalf("the reference log is too thin to order anything:\n%s", ref)
+	}
+	stepped := func(k *Kernel) {
+		for h := Time(0); h < 800; h += 70 {
+			k.RunUntil(h)
+		}
+		k.Run()
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(procs, func() {
+			for lanes := 1; lanes <= 4; lanes++ {
+				if got := mergeTrace(lanes, (*Kernel).Run); got != ref {
+					t.Errorf("GOMAXPROCS=%d, %d lanes diverge from 1 lane:\nref:\n%s\ngot:\n%s", procs, lanes, ref, got)
+				}
+				if got := mergeTrace(lanes, stepped); got != ref {
+					t.Errorf("GOMAXPROCS=%d, %d lanes stepped diverge from one Run on 1 lane:\nref:\n%s\ngot:\n%s", procs, lanes, ref, got)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelMailBeyondTheLimit: mail due after a RunUntil's limit is in its
+// lane when the call returns — Pending counts it — and the next call delivers
+// it; mail posted between calls is taken up the same way.
+func TestKernelMailBeyondTheLimit(t *testing.T) {
+	for lanes := 1; lanes <= 2; lanes++ {
+		k := NewKernel(lanes, 100)
+		far := lanes - 1
+		var landed []Time
+		land := func() { landed = append(landed, k.Lane(far).Now()) }
+		k.Lane(0).At(10, func() { k.Post(0, far, 500, 0, 1, land) })
+		k.RunUntil(200)
+		if len(landed) != 0 || k.Lane(far).Pending() != 1 {
+			t.Fatalf("%d lanes: after RunUntil(200) %v landed and %d events pend on the far lane, want none and 1", lanes, landed, k.Lane(far).Pending())
+		}
+		k.Post(0, far, 400, 0, 2, land) // from the driver, between calls
+		k.RunUntil(450)
+		if fmt.Sprint(landed) != "[400ps]" || k.Lane(far).Pending() != 1 {
+			t.Fatalf("%d lanes: after RunUntil(450) %v landed, %d pending; want [400ps] and 1", lanes, landed, k.Lane(far).Pending())
+		}
+		k.Run()
+		if fmt.Sprint(landed) != "[400ps 500ps]" {
+			t.Fatalf("%d lanes: %v landed in all, want [400ps 500ps]", lanes, landed)
 		}
 	}
 }
