@@ -39,12 +39,13 @@ contracts:
 
 # Chaos soak campaigns: seeded virtual-time fault schedules over the
 # standard workloads at shards 1 and 4, ledger-balanced and byte-identical
-# across shard counts; failures auto-bisect to a minimal schedule under
-# soak_artifacts/. Trend history accumulates in SOAK_trend.json, and each
-# arm drops a host-execution profile (render with p3stat) under
-# soak_artifacts/. soak-short is the ~1 minute CI gate.
+# across shard counts; failures auto-bisect to a minimal schedule. Everything
+# a run leaves behind lands under the git-ignored soak_artifacts/: each arm's
+# host-execution profile, a failing run's dumps (render either with p3stat)
+# and this checkout's trend file, which grows by one entry per invocation.
+# soak-short is the ~1 minute CI gate.
 soak:
-	go run ./cmd/soak -seeds 5 -hostprof -out SOAK_trend.json
+	go run ./cmd/soak -seeds 5 -hostprof -out soak_artifacts/SOAK_trend.json
 
 soak-short:
-	go run ./cmd/soak -short -hostprof -out SOAK_trend.json
+	go run ./cmd/soak -short -hostprof -out soak_artifacts/SOAK_trend.json

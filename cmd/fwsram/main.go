@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,10 +22,16 @@ import (
 	"portals3/internal/model"
 )
 
-func main() {
-	sources := flag.Int("sources", 0, "global source structures (default: the paper's 1024)")
-	pendings := flag.String("pendings", "", "comma-separated pendings per firmware-level process (default: the paper's 1274)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fwsram", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sources := fs.Int("sources", 0, "global source structures (default: the paper's 1024)")
+	pendings := fs.String("pendings", "", "comma-separated pendings per firmware-level process (default: the paper's 1274)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	p := model.Defaults()
 	if *sources > 0 {
@@ -36,8 +43,8 @@ func main() {
 		for _, s := range strings.Split(*pendings, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || v < 0 {
-				fmt.Fprintf(os.Stderr, "bad pending count %q\n", s)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "fwsram: -pendings: bad pending count %q\n", s)
+				return 2
 			}
 			pools = append(pools, v)
 		}
@@ -45,23 +52,24 @@ func main() {
 
 	m := p.SRAMOccupancy(pools)
 	free := p.SRAMFree(pools)
-	fmt.Printf("SeaStar local SRAM:        %8d bytes (384 KB, paper §2)\n", p.SRAMBytes)
-	fmt.Printf("firmware image:            %8d bytes (22 KB, paper §4)\n", p.FwImageBytes)
-	fmt.Printf("sources:                   %8d x %d B = %d bytes\n", p.NumSources, p.SourceBytes, int64(p.NumSources)*p.SourceBytes)
+	fmt.Fprintf(stdout, "SeaStar local SRAM:        %8d bytes (384 KB, paper §2)\n", p.SRAMBytes)
+	fmt.Fprintf(stdout, "firmware image:            %8d bytes (22 KB, paper §4)\n", p.FwImageBytes)
+	fmt.Fprintf(stdout, "sources:                   %8d x %d B = %d bytes\n", p.NumSources, p.SourceBytes, int64(p.NumSources)*p.SourceBytes)
 	for i, pi := range pools {
 		kind := "generic"
 		if i > 0 {
 			kind = fmt.Sprintf("accel #%d", i)
 		}
-		fmt.Printf("pendings (%-8s):       %8d x %d B = %d bytes\n", kind, pi, p.PendingBytes, int64(pi)*p.PendingBytes)
+		fmt.Fprintf(stdout, "pendings (%-8s):       %8d x %d B = %d bytes\n", kind, pi, p.PendingBytes, int64(pi)*p.PendingBytes)
 	}
-	fmt.Printf("M = S*Ssize + sum Pi*Psize = %d bytes\n", m)
-	fmt.Printf("free after image + pools:  %8d bytes\n", free)
+	fmt.Fprintf(stdout, "M = S*Ssize + sum Pi*Psize = %d bytes\n", m)
+	fmt.Fprintf(stdout, "free after image + pools:  %8d bytes\n", free)
 	if free < 0 {
-		fmt.Println("CONFIGURATION DOES NOT FIT")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "CONFIGURATION DOES NOT FIT")
+		return 1
 	}
 	extra := free / (int64(p.NumGenericPendings) * p.PendingBytes)
-	fmt.Printf("additional %d-pending pools that still fit: %d\n", p.NumGenericPendings, extra)
-	fmt.Println(`(paper §4.2: "several more similarly sized pending pools can be supported")`)
+	fmt.Fprintf(stdout, "additional %d-pending pools that still fit: %d\n", p.NumGenericPendings, extra)
+	fmt.Fprintln(stdout, `(paper §4.2: "several more similarly sized pending pools can be supported")`)
+	return 0
 }

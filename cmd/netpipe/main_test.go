@@ -1,0 +1,129 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
+
+// runCLI runs the tool in-process.
+func runCLI(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// TestFlagValidation: every bad combination in run's pre-flight block exits
+// 2 before any machine exists — nothing on stdout, no panic, exactly one
+// line on stderr that names the tool and the offending flag.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string // substring of the diagnostic
+	}{
+		{"", "nothing to run"},
+		{"-fig 9", `unknown figure "9"`},
+		{"-series warp", `unknown series "warp"`},
+		{"-series put -pattern zigzag", `unknown pattern "zigzag"`},
+		{"-series put -faults drop:data", "-faults"},
+		{"-series put -faults drop:data:NaN", "-faults"},
+		{"-torus -seq -shards 2", "-seq"},
+		{"-series put -progress", "-torus"},
+		{"-series put -hostprof h.json", "-torus"},
+		{"-torus -progress -progress-every 0s", "-progress-every"},
+		{"-torus -dim 2", "-dim 2"},
+		{"-torus -dim 3 -shards 0", "-shards 0"},
+		{"-torus -dim 3 -shards 28", "-shards 28"},
+		{"-workload ring", `-workload "ring"`},
+		{"-workload hotspot -dim 3 -hot 27", "-hot 27"},
+		{"-workload hotspot -dim 3 -hotfrac 0", "-hotfrac 0"},
+		{"-workload hotspot -dim 3 -hotfrac 1.5", "-hotfrac 1.5"},
+		{"-workload random -dim 3 -load 0", "-load 0"},
+		{"-workload sweep -dim 3 -loads 0.5,fast", "-loads"},
+		{"-workload sweep -dim 3 -loads 0.5,-1", "-loads"},
+		{"-series put -schedule teleport:1:2us", "-schedule"},
+		{"-series put -schedule stall:1:2562047h:1us", "-schedule"},
+		{"-fig 4 -schedule stall:1:1us:1us", "single run"},
+		{"-ablations -schedule stall:1:1us:1us", "single run"},
+		{"-series put -schedule stall:2:1us:1us", "node 2 outside"},
+		{"-torus -dim 3 -schedule linkdown:27:X+:1us:1us", "node 27 outside"},
+	} {
+		code, stdout, stderr := runCLI(strings.Fields(tc.args)...)
+		if code != 2 || stdout != "" {
+			t.Errorf("netpipe %s: exit %d, stdout %q; want 2 and nothing", tc.args, code, stdout)
+		}
+		if !strings.HasPrefix(stderr, "netpipe: ") || strings.Count(stderr, "\n") != 1 || !strings.HasSuffix(stderr, "\n") {
+			t.Errorf("netpipe %s: stderr is not one attributed line: %q", tc.args, stderr)
+		}
+		if !strings.Contains(stderr, tc.want) {
+			t.Errorf("netpipe %s: stderr %q does not mention %q", tc.args, stderr, tc.want)
+		}
+	}
+}
+
+// TestFigure4Golden pins the tool's stdout for the paper's latency figure;
+// the simulated numbers in it are the ones testdata/golden.txt pins at the
+// root, so this golden moves only with the rendering.
+func TestFigure4Golden(t *testing.T) {
+	code, stdout, stderr := runCLI("-fig", "4")
+	if code != 0 || stderr != "" {
+		t.Fatalf("netpipe -fig 4: exit %d, stderr %q", code, stderr)
+	}
+	const path = "testdata/fig4.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(stdout), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("netpipe -fig 4 differs from %s (rerun with -update after checking the change is meant):\n%s", path, stdout)
+	}
+}
+
+// TestRunModesWriteWhatTheFlagsNamed: both run modes take the bytes from
+// machine.Artifacts and put them where each flag said — a series run with
+// every plane armed and a scheduled stall the detector reports, and a
+// two-lane torus run.
+func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+
+	code, stdout, stderr := runCLI("-series", "put", "-max", "4096", "-gbn", "-stats",
+		"-flightrec", "-flightrec-events", "64", "-dump-on-stall", "40", "-dumpout", in("dumps/x.p3dump"),
+		"-trace", in("t.json"), "-telemetry", in("r.json"), "-sample", "100",
+		"-schedule", "stall:1:150us:100us")
+	if code != 1 || !strings.Contains(stdout, "failure: stall on node") {
+		t.Errorf("series run: exit %d, want 1 for the reported stall\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	code, stdout, stderr = runCLI("-torus", "-dim", "3", "-shards", "2", "-steps", "1",
+		"-telemetry", in("torus.json"), "-hostprof", in("h.json"))
+	if code != 0 || stderr != "" {
+		t.Errorf("torus run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
+	}
+
+	for name, magic := range map[string]string{
+		"dumps/x.p3dump":         "P3DUMP01",
+		"dumps/x.0.stall.p3dump": "P3DUMP01",
+		"t.json":                 "[",
+		"r.json":                 "{\n  \"sim_time_ps\"",
+		"torus.json":             "{\n  \"sim_time_ps\"",
+		"h.json":                 "{\n  \"kind\": \"host_profile\"",
+	} {
+		b, err := os.ReadFile(in(name))
+		if err != nil {
+			t.Error(err)
+		} else if !bytes.HasPrefix(b, []byte(magic)) {
+			t.Errorf("%s starts %q, want %q", name, b[:min(len(b), 24)], magic)
+		}
+	}
+}

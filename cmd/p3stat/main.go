@@ -1,92 +1,144 @@
-// Command p3stat renders saved observability artifacts: telemetry JSON
-// exports (cmd/netpipe -telemetry), host-execution profiles (cmd/netpipe
-// -hostprof), and chrome-trace timelines (cmd/netpipe -trace), as aligned
-// text tables — the offline half of the machine's RAS view.
+// Command p3stat renders every artifact the machine writes
+// (machine.Artifacts) as aligned text — the offline half of the machine's
+// RAS view. It needs only the path: the file's content says what it is.
 //
-//	p3stat run.json                # metrics, latency breakdown, series
-//	p3stat out.hostprof.json       # host-execution (lane busy/wait/drain) table
-//	p3stat -trace timeline.json    # per-track / per-handler summary
+//	p3stat run.json                 # telemetry: breakdown, histograms, occupancy, links, series
+//	p3stat h.json                   # host-execution profile: lane busy/wait table
+//	p3stat t.json                   # Chrome trace: per-track / per-handler summary
+//	p3stat netpipe.p3dump           # flight-recorder dump: occupancy + merged timeline
+//	p3stat -spans netpipe.p3dump    # list the causal span ids in a dump
+//	p3stat -span 17 netpipe.p3dump  # one message's hop-by-hop path
+//	p3stat -chrome out.json netpipe.p3dump  # the dump as a Chrome trace (Perfetto)
 //
-// Host profiles are recognized by their "kind": "host_profile" field; any
-// other JSON document renders as telemetry.
+// Routing: a file that starts with the P3DUMP01 magic is a dump, a leading
+// '[' is a Chrome trace, a JSON object whose "kind" is "host_profile" is a
+// host profile, any other JSON object is a telemetry export.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
+	"portals3/internal/experiments"
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/trace"
 )
 
-func main() {
-	traceIn := flag.String("trace", "", "summarize a chrome-trace timeline instead of telemetry JSON")
-	top := flag.Int("top", 16, "rows shown per table section; 0 shows everything")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	switch {
-	case *traceIn != "":
-		if err := summarizeTrace(*traceIn); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case flag.NArg() > 0:
-		for _, path := range flag.Args() {
-			if err := renderFile(path, *top); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
-	}
+// dumpView selects what a flight-recorder dump renders as; the zero value
+// is the full report.
+type dumpView struct {
+	span   uint64
+	spans  bool
+	chrome string
 }
 
-func summarizeTrace(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p3stat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 16, "rows shown per table section; 0 shows everything")
+	var dv dumpView
+	fs.Uint64Var(&dv.span, "span", 0, "render only this causal span's hop-by-hop timeline (dumps)")
+	fs.BoolVar(&dv.spans, "spans", false, "list the causal span ids present (dumps)")
+	fs.StringVar(&dv.chrome, "chrome", "", "write the dump as a chrome-trace timeline to this file instead of text")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	defer f.Close()
-	recs, err := trace.ReadChrome(f)
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "p3stat: no artifact given (usage: p3stat [flags] FILE...)")
+		return 2
 	}
-	telemetry.Summarize(recs).Render(os.Stdout)
+	for _, path := range fs.Args() {
+		b, err := os.ReadFile(path)
+		if err == nil {
+			if err = render(stdout, b, path, *top, dv); err != nil {
+				err = fmt.Errorf("%s: %w", path, err)
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "p3stat: %v\n", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// render routes one artifact's bytes by their content.
+func render(w io.Writer, b []byte, path string, top int, dv dumpView) error {
+	body := bytes.TrimLeft(b, " \t\r\n")
+	switch {
+	case bytes.HasPrefix(b, []byte("P3DUMP01")):
+		d, err := flightrec.Decode(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		return renderDump(w, d, path, dv)
+	case dv != dumpView{}:
+		return fmt.Errorf("-span, -spans and -chrome read flight-recorder dumps; this is not one")
+	case bytes.HasPrefix(body, []byte("[")):
+		recs, err := trace.ReadChrome(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		telemetry.Summarize(recs).Render(w)
+	case bytes.HasPrefix(body, []byte("{")):
+		var kind struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(b, &kind); err != nil {
+			return err
+		}
+		if kind.Kind == machine.HostProfileKind {
+			var hp machine.HostProfile
+			if err := json.Unmarshal(b, &hp); err != nil {
+				return err
+			}
+			renderHostProfile(w, &hp, path, top)
+			return nil
+		}
+		e, err := telemetry.ReadJSON(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		renderTelemetry(w, e, path, top)
+	default:
+		return fmt.Errorf("not an artifact: want a P3DUMP01 dump, a Chrome trace array, a host profile or a telemetry export")
+	}
 	return nil
 }
 
-// renderFile routes one artifact by its JSON kind discriminator: a
-// host-execution profile renders as the lane table, anything else as a
-// telemetry export.
-func renderFile(path string, top int) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var kind struct {
-		Kind string `json:"kind"`
-	}
-	if json.Unmarshal(b, &kind) == nil && kind.Kind == machine.HostProfileKind {
-		var hp machine.HostProfile
-		if err := json.Unmarshal(b, &hp); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
+func renderDump(w io.Writer, d *flightrec.Dump, path string, dv dumpView) error {
+	switch {
+	case dv.chrome != "":
+		var buf bytes.Buffer
+		if err := d.WriteChrome(&buf); err != nil {
+			return err
 		}
-		renderHostProfile(&hp, path, top)
-		return nil
+		if err := os.WriteFile(dv.chrome, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s: %d nodes, %d spans -> %s\n", path, len(d.Nodes), len(d.Spans()), dv.chrome)
+	case dv.spans:
+		fmt.Fprintf(w, "%s: %s at %v (trigger %s)\n", path, d.Reason, d.At, d.Trigger)
+		for _, s := range d.Spans() {
+			fmt.Fprintf(w, "  span %-8d %d events\n", s, len(d.Span(s)))
+		}
+	case dv.span != 0:
+		d.RenderSpan(w, dv.span)
+	default:
+		d.RenderText(w)
 	}
-	e, err := telemetry.ReadJSON(strings.NewReader(string(b)))
-	if err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	render(e, path, top)
 	return nil
 }
 
@@ -106,33 +158,33 @@ func pctOf(part, total int64) string {
 // wall-clock split, lane imbalance, memory high-water marks, and the
 // per-lane busy/wait breakdown ranked by straggler windows — the lanes
 // the rest of the machine most often waited for, first.
-func renderHostProfile(hp *machine.HostProfile, path string, top int) {
+func renderHostProfile(w io.Writer, hp *machine.HostProfile, path string, top int) {
 	merged := ""
 	if hp.Runs > 1 {
 		merged = fmt.Sprintf(", %d runs merged", hp.Runs)
 	}
-	fmt.Printf("# %s  host-execution profile (shards %d%s)\n", path, hp.Shards, merged)
-	fmt.Printf("  windows %d, events %d", hp.Windows, hp.Events)
+	fmt.Fprintf(w, "# %s  host-execution profile (shards %d%s)\n", path, hp.Shards, merged)
+	fmt.Fprintf(w, "  windows %d, events %d", hp.Windows, hp.Events)
 	if hp.Windows > 0 {
-		fmt.Printf(" (%.1f events/window)", float64(hp.Events)/float64(hp.Windows))
+		fmt.Fprintf(w, " (%.1f events/window)", float64(hp.Events)/float64(hp.Windows))
 	}
-	fmt.Println()
-	fmt.Printf("  wall %s: exec %s (%s), drain %s (%s); measured run wall %s\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  wall %s: exec %s (%s), drain %s (%s); measured run wall %s\n",
 		wallMs(hp.WallNs), wallMs(hp.ExecNs), pctOf(hp.ExecNs, hp.WallNs),
 		wallMs(hp.DrainNs), pctOf(hp.DrainNs, hp.WallNs), wallMs(hp.RunWallNs))
-	fmt.Printf("  barrier: %d inline windows (%s), %d parks",
+	fmt.Fprintf(w, "  barrier: %d inline windows (%s), %d parks",
 		hp.InlineWindows, pctOf(int64(hp.InlineWindows), int64(hp.Windows)), hp.Parks)
 	if hp.Windows > 0 {
-		fmt.Printf(" (%.1f per 1000 windows)", 1000*float64(hp.Parks)/float64(hp.Windows))
+		fmt.Fprintf(w, " (%.1f per 1000 windows)", 1000*float64(hp.Parks)/float64(hp.Windows))
 	}
-	fmt.Println()
-	fmt.Printf("  lane imbalance per window: mean %.1f%%, max %.1f%%\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  lane imbalance per window: mean %.1f%%, max %.1f%%\n",
 		hp.MeanImbalancePct, hp.MaxImbalancePct)
-	fmt.Printf("  memory high-water: heap-inuse %.1fMB, heap-alloc %.1fMB, sys %.1fMB, %d GCs (%d samples)\n",
+	fmt.Fprintf(w, "  memory high-water: heap-inuse %.1fMB, heap-alloc %.1fMB, sys %.1fMB, %d GCs (%d samples)\n",
 		float64(hp.HeapInuseHigh)/(1<<20), float64(hp.HeapAllocHigh)/(1<<20),
 		float64(hp.SysHigh)/(1<<20), hp.NumGC, hp.MemSamples)
 	if len(hp.Lanes) == 0 {
-		fmt.Println()
+		fmt.Fprintln(w)
 		return
 	}
 	lanes := append([]sim.LaneProfile(nil), hp.Lanes...)
@@ -147,16 +199,16 @@ func renderHostProfile(hp *machine.HostProfile, path string, top int) {
 		return a.Lane < b.Lane
 	})
 	shown := lanes[:capLen(len(lanes), top)]
-	fmt.Printf("\nlane breakdown (worst stragglers first):\n")
-	fmt.Printf("  %6s %10s %7s %10s %12s %10s %9s\n",
+	fmt.Fprintf(w, "\nlane breakdown (worst stragglers first):\n")
+	fmt.Fprintf(w, "  %6s %10s %7s %10s %12s %10s %9s\n",
 		"lane", "busy", "busy%", "wait", "events", "straggler", "windows%")
 	for _, l := range shown {
-		fmt.Printf("  %6d %10s %7s %10s %12d %10d %9s\n",
+		fmt.Fprintf(w, "  %6d %10s %7s %10s %12d %10d %9s\n",
 			l.Lane, wallMs(l.BusyNs), pctOf(l.BusyNs, hp.WallNs), wallMs(l.WaitNs),
 			l.Events, l.StragglerWindows, pctOf(int64(l.StragglerWindows), int64(hp.Windows)))
 	}
-	footer(len(shown), len(lanes), "lanes")
-	fmt.Println()
+	footer(w, len(shown), len(lanes), "lanes")
+	fmt.Fprintln(w)
 }
 
 // ps-valued metric names render in microseconds; everything else raw.
@@ -173,18 +225,26 @@ func capLen(n, top int) int {
 }
 
 // footer prints the elision line after a capped section.
-func footer(shown, total int, unit string) {
+func footer(w io.Writer, shown, total int, unit string) {
 	if shown < total {
-		fmt.Printf("  ... %d of %d %s shown (-top=0 for all)\n", shown, total, unit)
+		fmt.Fprintf(w, "  ... %d of %d %s shown (-top=0 for all)\n", shown, total, unit)
 	}
 }
 
-func render(e *telemetry.Export, path string, top int) {
-	fmt.Printf("# %s  (sim time %.3f us)\n", path, float64(e.SimTimePs)/1e6)
+// fullName is a metric or series name with its label set.
+func fullName(name, labels string) string {
+	if labels != "" {
+		name += "{" + labels + "}"
+	}
+	return name
+}
+
+func renderTelemetry(w io.Writer, e *telemetry.Export, path string, top int) {
+	fmt.Fprintf(w, "# %s  (sim time %.3f us)\n", path, float64(e.SimTimePs)/1e6)
 
 	if bd, ok := e.Breakdown(); ok {
-		fmt.Println()
-		bd.Render(os.Stdout)
+		fmt.Fprintln(w)
+		bd.Render(w)
 	}
 
 	var hists, scalars []telemetry.ExportMetric
@@ -197,109 +257,64 @@ func render(e *telemetry.Export, path string, top int) {
 	}
 
 	if len(hists) > 0 {
-		fmt.Printf("\nhistograms:\n")
-		fmt.Printf("  %-44s %8s %12s %12s %12s %12s %12s\n",
+		fmt.Fprintf(w, "\nhistograms:\n")
+		fmt.Fprintf(w, "  %-44s %8s %12s %12s %12s %12s %12s\n",
 			"name", "count", "mean", "p50", "p99", "p999", "max")
 		for _, m := range hists[:capLen(len(hists), top)] {
-			name := m.Name
-			if m.Labels != "" {
-				name += "{" + m.Labels + "}"
-			}
 			mean := 0.0
 			if m.Count > 0 {
 				mean = float64(m.Sum) / float64(m.Count)
 			}
 			if isPs(m.Name) {
-				fmt.Printf("  %-44s %8d %10.3fus %10.3fus %10.3fus %10.3fus %10.3fus\n",
-					name, m.Count, mean/1e6, float64(m.P50)/1e6,
+				fmt.Fprintf(w, "  %-44s %8d %10.3fus %10.3fus %10.3fus %10.3fus %10.3fus\n",
+					fullName(m.Name, m.Labels), m.Count, mean/1e6, float64(m.P50)/1e6,
 					float64(m.P99)/1e6, float64(m.P999)/1e6, float64(m.Max)/1e6)
 			} else {
-				fmt.Printf("  %-44s %8d %12.1f %12d %12d %12d %12d\n",
-					name, m.Count, mean, m.P50, m.P99, m.P999, m.Max)
+				fmt.Fprintf(w, "  %-44s %8d %12.1f %12d %12d %12d %12d\n",
+					fullName(m.Name, m.Labels), m.Count, mean, m.P50, m.P99, m.P999, m.Max)
 			}
 		}
-		footer(capLen(len(hists), top), len(hists), "histograms")
+		footer(w, capLen(len(hists), top), len(hists), "histograms")
 	}
 
-	renderOccupancy(e, top)
-	renderLinkContention(e, top)
-	renderHopLatency(e)
+	renderOccupancy(w, e, top)
+	renderLinkContention(w, e, top)
+	if rows := experiments.HopCurve(e); len(rows) > 0 {
+		fmt.Fprintln(w)
+		experiments.RenderHopCurve(w, rows)
+	}
 
 	if len(scalars) > 0 {
-		fmt.Printf("\ncounters and gauges:\n")
+		fmt.Fprintf(w, "\ncounters and gauges:\n")
 		for _, m := range scalars[:capLen(len(scalars), top)] {
-			name := m.Name
-			if m.Labels != "" {
-				name += "{" + m.Labels + "}"
-			}
-			fmt.Printf("  %-60s %14g\n", name, m.Value)
+			fmt.Fprintf(w, "  %-60s %14g\n", fullName(m.Name, m.Labels), m.Value)
 		}
-		footer(capLen(len(scalars), top), len(scalars), "counters")
+		footer(w, capLen(len(scalars), top), len(scalars), "counters")
 	}
 
 	if len(e.Series) > 0 {
-		fmt.Printf("\nsampler series:\n")
-		fmt.Printf("  %-44s %8s %14s %14s\n", "name", "samples", "first", "last")
+		fmt.Fprintf(w, "\nsampler series:\n")
+		fmt.Fprintf(w, "  %-44s %8s %14s %14s\n", "name", "samples", "first", "last")
 		for _, s := range e.Series[:capLen(len(e.Series), top)] {
-			name := s.Name
-			if s.Labels != "" {
-				name += "{" + s.Labels + "}"
-			}
 			var first, last float64
 			if len(s.Values) > 0 {
 				first, last = s.Values[0], s.Values[len(s.Values)-1]
 			}
-			fmt.Printf("  %-44s %8d %14g %14g\n", name, len(s.Values), first, last)
+			fmt.Fprintf(w, "  %-44s %8d %14g %14g\n", fullName(s.Name, s.Labels), len(s.Values), first, last)
 		}
-		footer(capLen(len(e.Series), top), len(e.Series), "series")
+		footer(w, capLen(len(e.Series), top), len(e.Series), "series")
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-// occRow is one node's firmware occupancy assembled from the export.
-type occRow struct {
-	rxFree, rxLow   float64
-	txFree, txLow   float64
-	srcFree, srcLow float64
-	evq, evqHigh    float64
-}
-
-// labelVal extracts one label's value from a rendered label set
-// (`dir="X+",node="3"`), returning "" when absent.
-func labelVal(labels, key string) string {
-	marker := key + `="`
-	i := strings.Index(labels, marker)
-	if i < 0 {
-		return ""
-	}
-	rest := labels[i+len(marker):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return ""
-	}
-	return rest[:j]
-}
-
-// labelInt extracts one numeric label value, returning -1 when absent or
-// non-numeric.
-func labelInt(labels, key string) int {
-	v := labelVal(labels, key)
-	if v == "" {
+// nodeID parses a node="N" label value, -1 when absent or not a node id.
+func nodeID(v string) int {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
 		return -1
-	}
-	n := 0
-	for _, c := range v {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
 	}
 	return n
 }
-
-// nodeOf extracts the node id from a rendered label set (`node="3"`),
-// returning -1 when absent.
-func nodeOf(labels string) int { return labelInt(labels, "node") }
 
 // linkRow is one directed link's contention stats assembled from the
 // sampler's utilization series and watermark gauges.
@@ -316,10 +331,10 @@ type linkRow struct {
 // window is flushed at the instant each link went idle, so late-run peaks
 // count too), with their queue-depth watermarks and accumulated
 // head-of-line blocking time.
-func renderLinkContention(e *telemetry.Export, top int) {
+func renderLinkContention(w io.Writer, e *telemetry.Export, top int) {
 	rows := make(map[string]*linkRow)
-	row := func(labels string) *linkRow {
-		node, dir := nodeOf(labels), labelVal(labels, "dir")
+	row := func(nodeLabel, dir string) *linkRow {
+		node := nodeID(nodeLabel)
 		if node < 0 || dir == "" {
 			return nil
 		}
@@ -335,7 +350,7 @@ func renderLinkContention(e *telemetry.Export, top int) {
 		if s.Name != "fabric_link_utilization" || len(s.Values) == 0 {
 			continue
 		}
-		if r := row(s.Labels); r != nil {
+		if r := row(s.Label("node"), s.Label("dir")); r != nil {
 			for _, v := range s.Values {
 				if v > r.util {
 					r.util = v
@@ -346,11 +361,11 @@ func renderLinkContention(e *telemetry.Export, top int) {
 	for _, m := range e.Metrics {
 		switch m.Name {
 		case "fabric_link_hol_wait_ps":
-			if r := row(m.Labels); r != nil {
+			if r := row(m.Label("node"), m.Label("dir")); r != nil {
 				r.waitPs = m.Value
 			}
 		case "fabric_link_queue_high":
-			if r := row(m.Labels); r != nil {
+			if r := row(m.Label("node"), m.Label("dir")); r != nil {
 				r.queueHigh = m.Value
 			}
 		}
@@ -376,92 +391,32 @@ func renderLinkContention(e *telemetry.Export, top int) {
 		return a.dir < b.dir
 	})
 	shown := all[:capLen(len(all), top)]
-	fmt.Printf("\nlink contention (top %d of %d directed links by peak utilization):\n",
+	fmt.Fprintf(w, "\nlink contention (top %d of %d directed links by peak utilization):\n",
 		len(shown), len(all))
-	fmt.Printf("  %6s %5s %9s %10s %14s\n", "node", "dir", "peak-util", "queue-high", "hol-wait")
+	fmt.Fprintf(w, "  %6s %5s %9s %10s %14s\n", "node", "dir", "peak-util", "queue-high", "hol-wait")
 	for _, r := range shown {
-		fmt.Printf("  %6d %5s %8.1f%% %10g %12.3fus\n",
+		fmt.Fprintf(w, "  %6d %5s %8.1f%% %10g %12.3fus\n",
 			r.node, r.dir, 100*r.util, r.queueHigh, r.waitPs/1e6)
 	}
-	footer(len(shown), len(all), "links")
+	footer(w, len(shown), len(all), "links")
 }
 
-// hopRow pairs the two by-hop-count histograms: link-level head-of-line
-// blocking and end-to-end message latency at each routing distance.
-type hopRow struct {
-	hops                    int
-	travCount, msgCount     uint64
-	holMean, holP99         float64
-	e2eMean, e2eP50, e2eP99 float64
-}
-
-// renderHopLatency assembles the latency-under-load view: for each hop
-// count, link traversals with their head-of-line blocking and delivered
-// messages with their end-to-end latency.
-func renderHopLatency(e *telemetry.Export) {
-	rows := make(map[int]*hopRow)
-	row := func(labels string) *hopRow {
-		h := labelInt(labels, "hops")
-		if h < 0 {
-			return nil
-		}
-		r := rows[h]
-		if r == nil {
-			r = &hopRow{hops: h}
-			rows[h] = r
-		}
-		return r
-	}
-	mean := func(m telemetry.ExportMetric) float64 {
-		if m.Count == 0 {
-			return 0
-		}
-		return float64(m.Sum) / float64(m.Count)
-	}
-	for _, m := range e.Metrics {
-		switch m.Name {
-		case "fabric_link_hol_wait_by_hops_ps":
-			if r := row(m.Labels); r != nil {
-				r.travCount = m.Count
-				r.holMean = mean(m)
-				r.holP99 = float64(m.P99)
-			}
-		case "portals_msg_e2e_by_hops_ps":
-			if r := row(m.Labels); r != nil {
-				r.msgCount = m.Count
-				r.e2eMean = mean(m)
-				r.e2eP50 = float64(m.P50)
-				r.e2eP99 = float64(m.P99)
-			}
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	hops := make([]int, 0, len(rows))
-	for h := range rows {
-		hops = append(hops, h)
-	}
-	sort.Ints(hops)
-	fmt.Printf("\nlatency under load by hop count:\n")
-	fmt.Printf("  %4s %10s %12s %12s %10s %12s %12s %12s\n",
-		"hops", "traversals", "hol-mean", "hol-p99", "msgs", "e2e-mean", "e2e-p50", "e2e-p99")
-	for _, h := range hops {
-		r := rows[h]
-		fmt.Printf("  %4d %10d %10.3fus %10.3fus %10d %10.3fus %10.3fus %10.3fus\n",
-			r.hops, r.travCount, r.holMean/1e6, r.holP99/1e6,
-			r.msgCount, r.e2eMean/1e6, r.e2eP50/1e6, r.e2eP99/1e6)
-	}
+// occRow is one node's firmware occupancy assembled from the export.
+type occRow struct {
+	rxFree, rxLow   float64
+	txFree, txLow   float64
+	srcFree, srcLow float64
+	evq, evqHigh    float64
 }
 
 // renderOccupancy assembles the firmware occupancy table from the sampler's
 // occupancy series (free now) and watermark gauges (worst case), one row
 // per node. Under -top, the most-pressured nodes show first: lowest pool
 // low-water mark, then highest event-queue high-water mark.
-func renderOccupancy(e *telemetry.Export, top int) {
+func renderOccupancy(w io.Writer, e *telemetry.Export, top int) {
 	rows := make(map[int]*occRow)
-	row := func(labels string) *occRow {
-		id := nodeOf(labels)
+	row := func(nodeLabel string) *occRow {
+		id := nodeID(nodeLabel)
 		if id < 0 {
 			return nil
 		}
@@ -473,7 +428,7 @@ func renderOccupancy(e *telemetry.Export, top int) {
 		return r
 	}
 	for _, s := range e.Series {
-		r := row(s.Labels)
+		r := row(s.Label("node"))
 		if r == nil || len(s.Values) == 0 {
 			continue
 		}
@@ -491,7 +446,7 @@ func renderOccupancy(e *telemetry.Export, top int) {
 	}
 	seen := false
 	for _, m := range e.Metrics {
-		r := row(m.Labels)
+		r := row(m.Label("node"))
 		if r == nil {
 			continue
 		}
@@ -534,15 +489,15 @@ func renderOccupancy(e *telemetry.Export, top int) {
 		return ids[i] < ids[j]
 	})
 	shown := ids[:capLen(len(ids), top)]
-	fmt.Printf("\nfirmware occupancy (free now / low-water; evq depth / high-water; most-pressured first):\n")
-	fmt.Printf("  %6s %16s %16s %16s %14s\n", "node", "rx-pend", "tx-pend", "sources", "evq")
+	fmt.Fprintf(w, "\nfirmware occupancy (free now / low-water; evq depth / high-water; most-pressured first):\n")
+	fmt.Fprintf(w, "  %6s %16s %16s %16s %14s\n", "node", "rx-pend", "tx-pend", "sources", "evq")
 	for _, id := range shown {
 		r := rows[id]
-		fmt.Printf("  %6d %16s %16s %16s %14s\n", id,
+		fmt.Fprintf(w, "  %6d %16s %16s %16s %14s\n", id,
 			fmt.Sprintf("%g lo %g", r.rxFree, r.rxLow),
 			fmt.Sprintf("%g lo %g", r.txFree, r.txLow),
 			fmt.Sprintf("%g lo %g", r.srcFree, r.srcLow),
 			fmt.Sprintf("%g hi %g", r.evq, r.evqHigh))
 	}
-	footer(len(shown), len(ids), "nodes")
+	footer(w, len(shown), len(ids), "nodes")
 }

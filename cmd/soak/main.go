@@ -9,12 +9,13 @@
 //
 //	soak                      # 3 seeds per workload, shards 1 and 4
 //	soak -short               # 1 seed per workload (the CI gate)
-//	soak -seeds 10 -out SOAK_trend.json
+//	soak -seeds 10 -out soak_artifacts/SOAK_trend.json
 //
 // A failing campaign is auto-bisected to a minimal still-failing schedule
 // (ddmin over the schedule entries, memoized), re-verified standalone, and
-// rendered as a ready-to-paste repro command; flight-recorder dumps and
-// the minimal schedule are written under -artifacts.
+// rendered as a ready-to-paste repro command; what the failing run recorded
+// (machine.Artifacts: flight-recorder dumps, host profile; render any of
+// them with p3stat) and the minimal schedule are written under -artifacts.
 //
 // Replay mode runs one explicit schedule — the bisector's output:
 //
@@ -25,16 +26,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
-	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/soak"
 )
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // trendRecord is one campaign's row in the trend JSON. wall_ms and
 // peak_heap_bytes are host-side (summed and maxed across the shard arms):
@@ -58,15 +61,46 @@ type trendRecord struct {
 // trendFile is the cumulative trend document: one entry appended per soak
 // invocation, capped to the most recent 50.
 type trendFile struct {
-	Runs []struct {
-		Run       int           `json:"run"`
-		Campaigns []trendRecord `json:"campaigns"`
-	} `json:"runs"`
+	Runs []trendRun `json:"runs"`
 }
 
-func fatalf(code int, format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(code)
+type trendRun struct {
+	Run       int           `json:"run"`
+	Campaigns []trendRecord `json:"campaigns"`
+}
+
+// cli is the driver's output streams and the options every campaign shares.
+type cli struct {
+	out, err  io.Writer
+	artifacts string // directory for what failing (or -hostprof) runs recorded
+	hostprof  bool
+	bisect    bool
+}
+
+// fail prints one attributed diagnostic line and returns the exit code.
+func (c cli) fail(code int, format string, a ...interface{}) int {
+	fmt.Fprintf(c.err, "soak: "+format+"\n", a...)
+	return code
+}
+
+// saveArm writes what one arm recorded under the artifacts directory: the
+// host profile with -hostprof, the dumps when the arm failed. Write errors
+// are reported and survived: a campaign's verdict does not depend on them.
+func (c cli) saveArm(base string, r *soak.Result) {
+	a := r.Artifacts
+	if !c.hostprof {
+		a.HostProfile = nil
+	}
+	if !r.Failed() {
+		a.Dump, a.ReportDumps = nil, nil
+	}
+	paths, err := a.WriteFiles(c.artifacts, base)
+	for _, path := range paths {
+		fmt.Fprintf(c.out, "artifact written to %s (render with p3stat)\n", path)
+	}
+	if err != nil {
+		c.fail(1, "%v", err)
+	}
 }
 
 func parseShards(s string) ([]int, error) {
@@ -81,56 +115,65 @@ func parseShards(s string) ([]int, error) {
 	return out, nil
 }
 
-func main() {
-	workload := flag.String("workload", "", "single workload: "+strings.Join(soak.Workloads, ", ")+" (default: all)")
-	seed := flag.Int64("seed", 1, "first campaign seed")
-	seeds := flag.Int("seeds", 3, "seeds per workload in suite mode")
-	entries := flag.Int("entries", 4, "generated schedule length per campaign")
-	shardsFlag := flag.String("shards", "1,4", "comma-separated shard counts; every count must produce a byte-identical summary")
-	schedule := flag.String("schedule", "", "explicit fault schedule (replay mode; requires -workload)")
-	short := flag.Bool("short", false, "one seed per workload (the CI gate)")
-	plant := flag.Bool("plant", false, "plant a ledger corruption in every campaign — the failure-detection self-check; campaigns must FAIL and bisect to the planted entry")
-	bisect := flag.Bool("bisect", true, "auto-bisect failing campaigns to a minimal schedule")
-	out := flag.String("out", "", "append the run's campaign records to this trend JSON file")
-	artifacts := flag.String("artifacts", "soak_artifacts", "directory for failure artifacts (p3dump files, minimal schedules)")
-	progress := flag.Bool("progress", false, "print live host-execution progress lines to stderr during long campaigns")
-	hostprof := flag.Bool("hostprof", false, "write each arm's host-execution profile JSON under -artifacts (render with p3stat)")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	c := cli{out: stdout, err: stderr}
+	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "", "single workload: "+strings.Join(soak.Workloads, ", ")+" (default: all)")
+	seed := fs.Int64("seed", 1, "first campaign seed")
+	seeds := fs.Int("seeds", 3, "seeds per workload in suite mode")
+	entries := fs.Int("entries", 4, "generated schedule length per campaign")
+	shardsFlag := fs.String("shards", "1,4", "comma-separated shard counts; every count must produce a byte-identical summary")
+	schedule := fs.String("schedule", "", "explicit fault schedule (replay mode; requires -workload)")
+	short := fs.Bool("short", false, "one seed per workload (the CI gate)")
+	plant := fs.Bool("plant", false, "plant a ledger corruption in every campaign — the failure-detection self-check; campaigns must FAIL and bisect to the planted entry")
+	fs.BoolVar(&c.bisect, "bisect", true, "auto-bisect failing campaigns to a minimal schedule")
+	out := fs.String("out", "", "append the run's campaign records to this trend JSON file")
+	fs.StringVar(&c.artifacts, "artifacts", "soak_artifacts", "directory for failure artifacts (flight-recorder dumps, minimal schedules) and -hostprof profiles")
+	progress := fs.Bool("progress", false, "print live host-execution progress lines to stderr during long campaigns")
+	fs.BoolVar(&c.hostprof, "hostprof", false, "write each arm's host-execution profile JSON under -artifacts")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	shardCounts, err := parseShards(*shardsFlag)
 	if err != nil {
-		fatalf(2, "soak: %v", err)
+		return c.fail(2, "-shards: %v", err)
 	}
 	var onProgress func(sim.HostProgress) // nil (off) without -progress
 	if *progress {
-		onProgress = func(hp sim.HostProgress) { fmt.Fprintln(os.Stderr, "progress:", hp) }
+		onProgress = func(hp sim.HostProgress) { fmt.Fprintln(stderr, "progress:", hp) }
 	}
 	if *short {
 		*seeds = 1
 	}
+	if *workload != "" {
+		if _, err := soak.Topology(*workload); err != nil {
+			fmt.Fprintln(stderr, err) // already attributed: "soak: unknown workload ..."
+			return 2
+		}
+	}
 
 	if *schedule != "" {
 		if *workload == "" {
-			fatalf(2, "soak: -schedule requires -workload")
+			return c.fail(2, "-schedule requires -workload")
 		}
 		sched, err := model.ParseSchedule(*schedule)
 		if err != nil {
-			fatalf(2, "soak: %v", err)
+			return c.fail(2, "-schedule: %v", err)
 		}
-		c := soak.Campaign{Workload: *workload, Shards: shardCounts[0], Schedule: sched, FlightRec: true, Progress: onProgress}
-		if _, err := soak.Resolve(c); err != nil {
-			fatalf(2, "%v", err)
+		cam := soak.Campaign{Workload: *workload, Shards: shardCounts[0], Schedule: sched, FlightRec: true, Progress: onProgress}
+		if _, err := soak.Resolve(cam); err != nil {
+			fmt.Fprintln(stderr, err) // already attributed: "soak: schedule entry ..."
+			return 2
 		}
-		r := soak.Run(c)
-		fmt.Print(r.Summary())
-		if *hostprof {
-			writeHostProfile(*artifacts, fmt.Sprintf("%s-replay-shards%d", c.Workload, c.Shards), r.HostProfile)
-		}
+		r := soak.Run(cam)
+		fmt.Fprint(stdout, r.Summary())
+		c.saveArm(fmt.Sprintf("%s-replay-shards%d", cam.Workload, cam.Shards), &r)
 		if r.Failed() {
-			writeDumps(*artifacts, fmt.Sprintf("%s-replay", c.Workload), r.Dumps)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	workloads := soak.Workloads
@@ -142,18 +185,19 @@ func main() {
 	failed := false
 	for _, w := range workloads {
 		for s := *seed; s < *seed+int64(*seeds); s++ {
-			c := soak.Campaign{Workload: w, Seed: s, Entries: *entries}
+			cam := soak.Campaign{Workload: w, Seed: s, Entries: *entries}
 			if *plant {
-				sched, err := soak.Resolve(c)
+				sched, err := soak.Resolve(cam)
 				if err != nil {
-					fatalf(2, "%v", err)
+					fmt.Fprintln(stderr, err)
+					return 2
 				}
-				c.Schedule = append(sched, model.ScheduleEntry{
+				cam.Schedule = append(sched, model.ScheduleEntry{
 					Kind: model.SchedCorrupt, Node: 2, At: 300 * sim.Microsecond,
 				})
 			}
-			c.Progress = onProgress
-			ok, rec := runArms(c, shardCounts, *bisect, *artifacts, *hostprof)
+			cam.Progress = onProgress
+			ok, rec := c.runArms(cam, shardCounts)
 			records = append(records, rec)
 			if !ok {
 				failed = true
@@ -162,55 +206,54 @@ func main() {
 	}
 	if *out != "" {
 		if err := appendTrend(*out, records); err != nil {
-			fatalf(1, "soak: writing %s: %v", *out, err)
+			return c.fail(1, "writing %s: %v", *out, err)
 		}
-		fmt.Printf("trend appended to %s (%d campaigns)\n", *out, len(records))
+		fmt.Fprintf(stdout, "trend appended to %s (%d campaigns)\n", *out, len(records))
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("soak: %d campaigns passed (%s; shards %s)\n",
+	fmt.Fprintf(stdout, "soak: %d campaigns passed (%s; shards %s)\n",
 		len(records), strings.Join(workloads, ", "), *shardsFlag)
+	return 0
 }
 
 // runArms runs one (workload, seed) campaign at every shard count,
 // requires byte-identical summaries across arms, and triages any failure.
 // The trend record's host-side columns aggregate across arms: wall-clock
 // sums (total soak time for the campaign), peak heap takes the max.
-func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string, hostprof bool) (bool, trendRecord) {
+func (c cli) runArms(cam soak.Campaign, shardCounts []int) (bool, trendRecord) {
 	var ref *soak.Result
 	var refSummary string
 	ok := true
 	var wallNs int64
 	var peakHeap uint64
 	for _, n := range shardCounts {
-		cc := c
+		cc := cam
 		cc.Shards = n
 		r := soak.Run(cc)
 		wallNs += r.WallNs
 		if r.PeakHeapBytes > peakHeap {
 			peakHeap = r.PeakHeapBytes
 		}
-		if hostprof {
-			writeHostProfile(artifacts, fmt.Sprintf("%s-seed%d-shards%d", c.Workload, c.Seed, n), r.HostProfile)
-		}
-		fmt.Printf("campaign %s seed=%d shards=%d: ", c.Workload, c.Seed, n)
+		c.saveArm(fmt.Sprintf("%s-seed%d-shards%d", cam.Workload, cam.Seed, n), &r)
+		fmt.Fprintf(c.out, "campaign %s seed=%d shards=%d: ", cam.Workload, cam.Seed, n)
 		if r.Failed() {
-			fmt.Printf("FAIL (%d invariant violations)\n", len(r.Errors))
+			fmt.Fprintf(c.out, "FAIL (%d invariant violations)\n", len(r.Errors))
 			ok = false
 		} else {
-			fmt.Printf("pass (finish=%dus injected=%d)\n", r.FinishPs/1e6, r.Ledger.Injected())
+			fmt.Fprintf(c.out, "pass (finish=%dus injected=%d)\n", r.FinishPs/1e6, r.Ledger.Injected())
 		}
 		if ref == nil {
 			ref, refSummary = &r, r.Summary()
 		} else if got := r.Summary(); got != refSummary {
 			ok = false
-			fmt.Printf("campaign %s seed=%d: summary DIVERGES between shards=%d and shards=%d:\n--- shards=%d\n%s--- shards=%d\n%s",
-				c.Workload, c.Seed, shardCounts[0], n, shardCounts[0], refSummary, n, got)
+			fmt.Fprintf(c.out, "campaign %s seed=%d: summary DIVERGES between shards=%d and shards=%d:\n--- shards=%d\n%s--- shards=%d\n%s",
+				cam.Workload, cam.Seed, shardCounts[0], n, shardCounts[0], refSummary, n, got)
 		}
 	}
 	rec := trendRecord{
-		Workload: c.Workload, Seed: c.Seed,
+		Workload: cam.Workload, Seed: cam.Seed,
 		Shards:   shardList(shardCounts),
 		FinishPs: ref.FinishPs, Msgs: ref.Msgs,
 		Injected: ref.Ledger.Injected(), Recovered: ref.Ledger.Recovered,
@@ -219,103 +262,50 @@ func runArms(c soak.Campaign, shardCounts []int, bisect bool, artifacts string, 
 		WallMs: wallNs / 1e6, PeakHeapBytes: peakHeap,
 	}
 	if !ok {
-		fmt.Print(refSummary)
-		if bisect {
-			triage(c, shardCounts[0], artifacts)
+		fmt.Fprint(c.out, refSummary)
+		if c.bisect {
+			c.triage(cam, shardCounts[0])
 		}
 	}
 	return ok, rec
 }
 
 // triage bisects a failing campaign and renders the minimal reproduction.
-func triage(c soak.Campaign, shards int, artifacts string) {
-	cc := c
+func (c cli) triage(cam soak.Campaign, shards int) {
+	cc := cam
 	cc.Shards = shards
 	out, err := soak.Bisect(cc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: bisect: %v\n", err)
+		c.fail(1, "bisect: %v", err)
 		return
 	}
 	if !out.Failed {
-		fmt.Println("bisect: failure did not reproduce under bisection (summary divergence only?)")
+		fmt.Fprintln(c.out, "bisect: failure did not reproduce under bisection (summary divergence only?)")
 		return
 	}
-	fmt.Printf("bisect: %d trials, %d of %d schedule entries remain", out.Trials, len(out.Minimal), len(out.Full))
+	fmt.Fprintf(c.out, "bisect: %d trials, %d of %d schedule entries remain", out.Trials, len(out.Minimal), len(out.Full))
 	if out.Verified {
-		fmt.Printf(" (re-verified failing standalone)\n")
+		fmt.Fprintf(c.out, " (re-verified failing standalone)\n")
 	} else {
-		fmt.Printf(" (WARNING: minimal schedule passed on re-verification)\n")
+		fmt.Fprintf(c.out, " (WARNING: minimal schedule passed on re-verification)\n")
 	}
-	fmt.Printf("minimal schedule: %s\n", out.Minimal)
-	fmt.Printf("repro: %s\n", out.Repro(cc))
+	fmt.Fprintf(c.out, "minimal schedule: %s\n", out.Minimal)
+	fmt.Fprintf(c.out, "repro: %s\n", out.Repro(cc))
 	if np, ok := soak.NetpipeRepro(out.Minimal); ok {
-		fmt.Printf("repro (netpipe pair): %s\n", np)
+		fmt.Fprintf(c.out, "repro (netpipe pair): %s\n", np)
 	}
-	base := fmt.Sprintf("%s-seed%d", c.Workload, c.Seed)
-	if err := os.MkdirAll(artifacts, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return
-	}
-	schedPath := filepath.Join(artifacts, base+".minimal.schedule")
-	if err := os.WriteFile(schedPath, []byte(out.Minimal.String()+"\n"), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-	} else {
-		fmt.Printf("minimal schedule written to %s\n", schedPath)
-	}
-	writeDumps(artifacts, base, out.Result.Dumps)
-}
-
-// writeHostProfile saves one arm's host-execution profile under the
-// artifacts directory.
-func writeHostProfile(artifacts, base string, hp *machine.HostProfile) {
-	if hp == nil {
-		return
-	}
-	if err := os.MkdirAll(artifacts, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return
-	}
-	b, err := hp.JSON()
+	base := fmt.Sprintf("%s-seed%d", cam.Workload, cam.Seed)
+	schedPath := filepath.Join(c.artifacts, base+".minimal.schedule")
+	err = os.MkdirAll(c.artifacts, 0o755)
 	if err == nil {
-		path := filepath.Join(artifacts, base+".hostprof.json")
-		if err = os.WriteFile(path, b, 0o644); err == nil {
-			fmt.Printf("host profile written to %s (render with p3stat)\n", path)
-		}
+		err = os.WriteFile(schedPath, []byte(out.Minimal.String()+"\n"), 0o644)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
+		c.fail(1, "%v", err)
+	} else {
+		fmt.Fprintf(c.out, "minimal schedule written to %s\n", schedPath)
 	}
-}
-
-// writeDumps saves every flight-recorder artifact of a failing run.
-func writeDumps(artifacts, base string, dumps map[string][]byte) {
-	if len(dumps) == 0 {
-		return
-	}
-	if err := os.MkdirAll(artifacts, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-		return
-	}
-	names := make([]string, 0, len(dumps))
-	for name := range dumps {
-		names = append(names, name)
-	}
-	// Deterministic artifact order.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	for _, name := range names {
-		path := filepath.Join(artifacts, fmt.Sprintf("%s.%s.p3dump", base, name))
-		if err := os.WriteFile(path, dumps[name], 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "soak: %v\n", err)
-			continue
-		}
-		fmt.Printf("dump written to %s (render with p3dump)\n", path)
-	}
+	c.saveArm(base, &out.Result)
 }
 
 func shardList(counts []int) string {
@@ -326,8 +316,8 @@ func shardList(counts []int) string {
 	return strings.Join(parts, ",")
 }
 
-// appendTrend appends this run's records to the trend file, keeping the
-// most recent 50 runs.
+// appendTrend appends this run's records to the trend file (created, with
+// its directory, on first use), keeping the most recent 50 runs.
 func appendTrend(path string, records []trendRecord) error {
 	var tf trendFile
 	if b, err := os.ReadFile(path); err == nil {
@@ -339,15 +329,15 @@ func appendTrend(path string, records []trendRecord) error {
 	if n := len(tf.Runs); n > 0 {
 		run = tf.Runs[n-1].Run + 1
 	}
-	tf.Runs = append(tf.Runs, struct {
-		Run       int           `json:"run"`
-		Campaigns []trendRecord `json:"campaigns"`
-	}{Run: run, Campaigns: records})
+	tf.Runs = append(tf.Runs, trendRun{Run: run, Campaigns: records})
 	if len(tf.Runs) > 50 {
 		tf.Runs = tf.Runs[len(tf.Runs)-50:]
 	}
 	b, err := json.MarshalIndent(&tf, "", "  ")
 	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)

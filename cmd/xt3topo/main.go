@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -20,57 +21,70 @@ import (
 	"portals3/internal/topo"
 )
 
-func main() {
-	dims := flag.String("dims", "", "topology as NxNxN (default: Red Storm 27x16x24)")
-	wrap := flag.String("wrap", "z", "torus axes, subset of xyz")
-	info := flag.Bool("info", false, "print machine shape summary")
-	route := flag.String("route", "", "print the route between two nodes: src,dst")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	tp := buildTopo(*dims, *wrap)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xt3topo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dims := fs.String("dims", "", "topology as NxNxN (default: Red Storm 27x16x24)")
+	wrap := fs.String("wrap", "z", "torus axes, subset of xyz")
+	info := fs.Bool("info", false, "print machine shape summary")
+	route := fs.String("route", "", "print the route between two nodes: src,dst")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	bad := func(format string, a ...interface{}) int {
+		fmt.Fprintf(stderr, "xt3topo: "+format+"\n", a...)
+		return 2
+	}
+
+	tp, err := buildTopo(*dims, *wrap)
+	if err != nil {
+		return bad("-dims %q: %v", *dims, err)
+	}
+	var src, dst int
+	if *route != "" {
+		a, b, ok := strings.Cut(*route, ",")
+		var err1, err2 error
+		src, err1 = strconv.Atoi(strings.TrimSpace(a))
+		dst, err2 = strconv.Atoi(strings.TrimSpace(b))
+		if !ok || err1 != nil || err2 != nil || !tp.Valid(topo.NodeID(src)) || !tp.Valid(topo.NodeID(dst)) {
+			return bad("-route %q: want src,dst with node ids in [0, %d)", *route, tp.Nodes())
+		}
+	}
 	p := model.Defaults()
 
 	if *info || *route == "" {
 		nx, ny, nz := tp.Dims()
-		fmt.Printf("topology: %d x %d x %d = %d nodes\n", nx, ny, nz, tp.Nodes())
-		fmt.Printf("torus axes:")
+		fmt.Fprintf(stdout, "topology: %d x %d x %d = %d nodes\n", nx, ny, nz, tp.Nodes())
+		fmt.Fprintf(stdout, "torus axes:")
 		for _, a := range []topo.Axis{topo.X, topo.Y, topo.Z} {
 			if tp.Wrapped(a) {
-				fmt.Printf(" %v", a)
+				fmt.Fprintf(stdout, " %v", a)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		d := tp.Diameter()
-		fmt.Printf("diameter: %d hops\n", d)
-		fmt.Printf("per-hop latency: %v\n", p.HopLatency)
+		fmt.Fprintf(stdout, "diameter: %d hops\n", d)
+		fmt.Fprintf(stdout, "per-hop latency: %v\n", p.HopLatency)
 		near := wireLatency(&p, 1)
 		far := wireLatency(&p, d)
-		fmt.Printf("wire latency (64B packet): nearest neighbor %v, farthest pair %v\n", near, far)
-		fmt.Printf("(paper §1 requirements: 2 us nearest-neighbor MPI, 5 us farthest)\n")
+		fmt.Fprintf(stdout, "wire latency (64B packet): nearest neighbor %v, farthest pair %v\n", near, far)
+		fmt.Fprintf(stdout, "(paper §1 requirements: 2 us nearest-neighbor MPI, 5 us farthest)\n")
 	}
 
 	if *route != "" {
-		parts := strings.Split(*route, ",")
-		if len(parts) != 2 {
-			fmt.Fprintln(os.Stderr, "route wants src,dst")
-			os.Exit(2)
-		}
-		src, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		dst, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err1 != nil || err2 != nil || !tp.Valid(topo.NodeID(src)) || !tp.Valid(topo.NodeID(dst)) {
-			fmt.Fprintln(os.Stderr, "bad node ids")
-			os.Exit(2)
-		}
 		s, d := topo.NodeID(src), topo.NodeID(dst)
-		fmt.Printf("route %d%v -> %d%v: %d hops\n", s, tp.Coord(s), d, tp.Coord(d), tp.Hops(s, d))
+		fmt.Fprintf(stdout, "route %d%v -> %d%v: %d hops\n", s, tp.Coord(s), d, tp.Coord(d), tp.Hops(s, d))
 		path := tp.Route(s, d)
 		var dirs []string
 		for _, h := range path {
 			dirs = append(dirs, h.String())
 		}
-		fmt.Printf("  links: %s\n", strings.Join(dirs, " "))
-		fmt.Printf("  wire latency (64B packet): %v\n", wireLatency(&p, len(path)))
+		fmt.Fprintf(stdout, "  links: %s\n", strings.Join(dirs, " "))
+		fmt.Fprintf(stdout, "  wire latency (64B packet): %v\n", wireLatency(&p, len(path)))
 	}
+	return 0
 }
 
 // wireLatency is the pure network time for a header packet over h hops.
@@ -78,30 +92,23 @@ func wireLatency(p *model.Params, hops int) sim.Time {
 	return 2*p.InjectLatency + sim.Time(hops)*(p.HopLatency+sim.BytesAt(64, p.LinkBps))
 }
 
-func buildTopo(dims, wrap string) *topo.Topology {
+func buildTopo(dims, wrap string) (*topo.Topology, error) {
 	if dims == "" {
-		return topo.RedStorm()
+		return topo.RedStorm(), nil
 	}
 	parts := strings.Split(strings.ToLower(dims), "x")
 	if len(parts) != 3 {
-		fmt.Fprintln(os.Stderr, "dims wants NxNxN")
-		os.Exit(2)
+		return nil, fmt.Errorf("want NxNxN")
 	}
 	var n [3]int
 	for i, s := range parts {
 		v, err := strconv.Atoi(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad dimension %q\n", s)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad dimension %q", s)
 		}
 		n[i] = v
 	}
 	w := strings.ToLower(wrap)
-	tp, err := topo.New(n[0], n[1], n[2],
+	return topo.New(n[0], n[1], n[2],
 		strings.Contains(w, "x"), strings.Contains(w, "y"), strings.Contains(w, "z"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	return tp
 }

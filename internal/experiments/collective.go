@@ -123,7 +123,7 @@ func TorusCollective(cfg TorusConfig) TorusResult {
 	}
 	ras := startObservers(m, cfg)
 	m.Run()
-	harvest(m, cfg, ras, &res)
+	harvest(m, ras, &res)
 	appendRankErrors(&res, rankErrs)
 	return res
 }

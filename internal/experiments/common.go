@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"portals3/internal/machine"
@@ -72,31 +71,17 @@ func startObservers(m *machine.Machine, cfg TorusConfig) *machine.RAS {
 	return nil
 }
 
-// harvest collects the post-run artifacts every workload digest carries:
-// finish time, window count, counter table, telemetry/dump/trace bytes,
-// the fault ledger, failure reports and RAS verdicts.
-func harvest(m *machine.Machine, cfg TorusConfig, ras *machine.RAS, res *TorusResult) {
-	res.Shards = cfg.Shards
+// harvest collects what every workload digest carries: finish time, window
+// count, counter table, whatever the armed planes recorded
+// (machine.Artifacts), the fault ledger, failure reports and RAS verdicts.
+func harvest(m *machine.Machine, ras *machine.RAS, res *TorusResult) {
+	res.Shards = m.ShardKernel().Shards()
 	res.FinishPs = int64(m.S.Now())
 	res.Windows = m.ShardKernel().Windows
 	res.StatsText = m.Stats().String()
-	if cfg.Telemetry {
-		var tb bytes.Buffer
-		if err := m.Telemetry().WriteJSON(&tb, m.S.Now()); err != nil {
-			panic(err)
-		}
-		res.TelemetryJSON = tb.Bytes()
-	}
-	if cfg.FlightRec {
-		res.DumpBytes = m.TakeDump("end of run").Bytes()
-	}
-	if cfg.Trace {
-		var trb bytes.Buffer
-		if err := m.Trace().WriteChrome(&trb); err != nil {
-			panic(err)
-		}
-		res.TraceBytes = trb.Bytes()
-	}
+	res.Artifacts = m.Artifacts("end of run")
+	res.TelemetryJSON = res.Artifacts.Telemetry
+	res.HostProfile = m.HostProfile()
 	if st, ok := m.FaultSnapshot(); ok {
 		res.FaultsLine = st.String()
 		res.FaultStats = st
@@ -108,9 +93,6 @@ func harvest(m *machine.Machine, cfg TorusConfig, ras *machine.RAS, res *TorusRe
 		for _, f := range ras.Dead() {
 			res.Errors = append(res.Errors, "ras: "+f.String())
 		}
-	}
-	if cfg.HostProf || cfg.Progress != nil {
-		res.HostProfile = m.HostProfile()
 	}
 }
 

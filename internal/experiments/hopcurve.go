@@ -6,11 +6,10 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"portals3/internal/telemetry"
 )
@@ -26,19 +25,15 @@ type HopRow struct {
 	HolP99Ps   float64 // head-of-line wait per traversal, p99
 }
 
-// HopCurve extracts the per-hop-count rows from a telemetry JSON export
-// (the portals_msg_e2e_by_hops_ps and fabric_link_hol_wait_by_hops_ps
-// histogram families), sorted by hop count. An export with neither family
-// returns an empty slice.
-func HopCurve(telemetryJSON []byte) ([]HopRow, error) {
-	e, err := telemetry.ReadJSON(bytes.NewReader(telemetryJSON))
-	if err != nil {
-		return nil, err
-	}
+// HopCurve extracts the per-hop-count rows from a telemetry export (the
+// portals_msg_e2e_by_hops_ps and fabric_link_hol_wait_by_hops_ps histogram
+// families), sorted by hop count. An export with neither family returns an
+// empty slice.
+func HopCurve(e *telemetry.Export) []HopRow {
 	rows := make(map[int]*HopRow)
-	row := func(labels string) *HopRow {
-		h := hopLabel(labels)
-		if h < 0 {
+	row := func(m telemetry.ExportMetric) *HopRow {
+		h, err := strconv.Atoi(m.Label("hops"))
+		if err != nil || h < 0 {
 			return nil
 		}
 		if rows[h] == nil {
@@ -55,11 +50,11 @@ func HopCurve(telemetryJSON []byte) ([]HopRow, error) {
 	for _, m := range e.Metrics {
 		switch m.Name {
 		case "portals_msg_e2e_by_hops_ps":
-			if r := row(m.Labels); r != nil {
+			if r := row(m); r != nil {
 				r.Msgs, r.E2EMeanPs, r.E2EP99Ps = m.Count, mean(m), float64(m.P99)
 			}
 		case "fabric_link_hol_wait_by_hops_ps":
-			if r := row(m.Labels); r != nil {
+			if r := row(m); r != nil {
 				r.Traversals, r.HolMeanPs, r.HolP99Ps = m.Count, mean(m), float64(m.P99)
 			}
 		}
@@ -69,29 +64,7 @@ func HopCurve(telemetryJSON []byte) ([]HopRow, error) {
 		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Hops < out[j].Hops })
-	return out, nil
-}
-
-// hopLabel extracts the hops="N" label value, -1 if absent or malformed.
-func hopLabel(labels string) int {
-	const key = `hops="`
-	i := strings.Index(labels, key)
-	if i < 0 {
-		return -1
-	}
-	rest := labels[i+len(key):]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return -1
-	}
-	n := 0
-	for _, c := range rest[:j] {
-		if c < '0' || c > '9' {
-			return -1
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
+	return out
 }
 
 // RenderHopCurve prints the rows as the netpipe/p3stat table.

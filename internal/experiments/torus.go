@@ -86,10 +86,14 @@ type TorusResult struct {
 	FinishPs int64  // virtual completion time
 	Windows  uint64 // kernel synchronization windows executed
 
-	StatsText     string // machine counter table
-	TelemetryJSON []byte // merged telemetry snapshot (Telemetry on)
-	DumpBytes     []byte // end-of-run flight-recorder dump (FlightRec on)
-	TraceBytes    []byte // merged Chrome trace (Trace on)
+	StatsText string // machine counter table
+
+	// Artifacts is what the armed planes recorded, as the machine encodes
+	// it — the value drivers write to disk; the Digest compares its
+	// Telemetry, Dump and Trace. TelemetryJSON is Artifacts.Telemetry under
+	// the name the benchmark reads it by.
+	Artifacts     machine.Artifacts
+	TelemetryJSON []byte
 	FaultsLine    string // summed fault-ledger counters (faults configured)
 
 	// FaultStats is the numeric fault-ledger snapshot behind FaultsLine,
@@ -116,11 +120,11 @@ func (r TorusResult) Digest() []byte {
 	b.WriteString("--- stats\n")
 	b.WriteString(r.StatsText)
 	b.WriteString("--- telemetry\n")
-	b.Write(r.TelemetryJSON)
+	b.Write(r.Artifacts.Telemetry)
 	b.WriteString("--- dump\n")
-	b.Write(r.DumpBytes)
+	b.Write(r.Artifacts.Dump)
 	b.WriteString("--- trace\n")
-	b.Write(r.TraceBytes)
+	b.Write(r.Artifacts.Trace)
 	return b.Bytes()
 }
 
@@ -234,7 +238,7 @@ func TorusHalo(cfg TorusConfig) TorusResult {
 	m.Run()
 
 	res := TorusResult{Nodes: nodes, Errors: spawnErrs}
-	harvest(m, cfg, ras, &res)
+	harvest(m, ras, &res)
 
 	// Verify every received face against the sender's pure pattern.
 	got := make([]byte, B)

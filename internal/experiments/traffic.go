@@ -221,7 +221,7 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 	}
 	ras := startObservers(m, cfg.TorusConfig)
 	m.Run()
-	harvest(m, cfg.TorusConfig, ras, &res)
+	harvest(m, ras, &res)
 	appendRankErrors(&res, sendErrs)
 	for id := 0; id < nodes; id++ {
 		if gotCount[id] != wantCount[id] {

@@ -1,7 +1,6 @@
 package flightrec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -62,28 +61,6 @@ type Dump struct {
 // dumpMagic leads every encoded dump.
 var dumpMagic = [8]byte{'P', '3', 'D', 'U', 'M', 'P', '0', '1'}
 
-type binWriter struct {
-	w   io.Writer
-	b   [8]byte
-	err error
-}
-
-func (bw *binWriter) u64(v uint64) {
-	if bw.err != nil {
-		return
-	}
-	binary.LittleEndian.PutUint64(bw.b[:], v)
-	_, bw.err = bw.w.Write(bw.b[:])
-}
-
-func (bw *binWriter) i64(v int64) { bw.u64(uint64(v)) }
-func (bw *binWriter) str(s string) {
-	bw.u64(uint64(len(s)))
-	if bw.err == nil {
-		_, bw.err = io.WriteString(bw.w, s)
-	}
-}
-
 type binReader struct {
 	r   io.Reader
 	b   [8]byte
@@ -94,10 +71,20 @@ func (br *binReader) u64() uint64 {
 	if br.err != nil {
 		return 0
 	}
-	if _, br.err = io.ReadFull(br.r, br.b[:]); br.err != nil {
+	if _, err := io.ReadFull(br.r, br.b[:]); err != nil {
+		br.fail(err)
 		return 0
 	}
 	return binary.LittleEndian.Uint64(br.b[:])
+}
+
+// fail records a read error. Past the magic every field is required, so a
+// clean EOF is as much a truncation as a short read.
+func (br *binReader) fail(err error) {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	br.err = fmt.Errorf("flightrec: truncated dump: %w", err)
 }
 
 func (br *binReader) i64() int64 { return int64(br.u64()) }
@@ -112,31 +99,18 @@ func (br *binReader) str() string {
 		return ""
 	}
 	buf := make([]byte, n)
-	if _, br.err = io.ReadFull(br.r, buf); br.err != nil {
+	if _, err := io.ReadFull(br.r, buf); err != nil {
+		br.fail(err)
 		return ""
 	}
 	return string(buf)
 }
 
-// occEncode writes an occupancy in the canonical field order; occDecode is
-// its inverse, field for field.
-func occEncode(bw *binWriter, o *Occupancy) {
-	for _, v := range []int64{
-		int64(o.RxPendFree), int64(o.RxPendTotal), int64(o.RxPendLow),
-		int64(o.TxPendFree), int64(o.TxPendTotal), int64(o.TxPendLow),
-		int64(o.SourcesFree), int64(o.SourcesTotal), int64(o.SourcesLow),
-		int64(o.TxQueueDepth), int64(o.TxQueueHigh),
-		int64(o.RxStreams), int64(o.RxStreamsHigh),
-		int64(o.Unacked),
-		int64(o.EvQueueDepth), int64(o.EvQueueHigh),
-		o.SRAMUsed,
-	} {
-		bw.i64(v)
-	}
-}
-
-func occDecode(br *binReader, o *Occupancy) {
-	ptrs := []*int{
+// occFields lists an occupancy's int fields in the canonical encoding order
+// (SRAMUsed, an int64, follows them) — one list, so Bytes and Decode cannot
+// disagree field for field.
+func occFields(o *Occupancy) []*int {
+	return []*int{
 		&o.RxPendFree, &o.RxPendTotal, &o.RxPendLow,
 		&o.TxPendFree, &o.TxPendTotal, &o.TxPendLow,
 		&o.SourcesFree, &o.SourcesTotal, &o.SourcesLow,
@@ -145,55 +119,55 @@ func occDecode(br *binReader, o *Occupancy) {
 		&o.Unacked,
 		&o.EvQueueDepth, &o.EvQueueHigh,
 	}
-	for _, p := range ptrs {
-		*p = int(br.i64())
-	}
-	o.SRAMUsed = br.i64()
 }
 
-// Encode writes the dump in the deterministic binary format: fixed-width
+// Bytes encodes the dump in the deterministic binary format: fixed-width
 // little-endian fields, nodes in ascending id order (TakeDump builds them
 // that way), no host-time or pointer content anywhere.
-func (d *Dump) Encode(w io.Writer) error {
-	bw := &binWriter{w: w}
-	if _, err := w.Write(dumpMagic[:]); err != nil {
-		return err
+func (d *Dump) Bytes() []byte {
+	size := 48 + len(d.Reason) + len(d.Trigger)
+	for i := range d.Nodes {
+		size += 160 + 32*len(d.Nodes[i].Events)
 	}
-	bw.str(d.Reason)
-	bw.str(d.Trigger)
-	bw.i64(int64(d.At))
-	bw.i64(int64(d.Node))
-	bw.u64(uint64(len(d.Nodes)))
+	b := append(make([]byte, 0, size), dumpMagic[:]...)
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	str := func(s string) {
+		u64(uint64(len(s)))
+		b = append(b, s...)
+	}
+	str(d.Reason)
+	str(d.Trigger)
+	u64(uint64(d.At))
+	u64(uint64(d.Node))
+	u64(uint64(len(d.Nodes)))
 	for i := range d.Nodes {
 		nd := &d.Nodes[i]
-		bw.i64(int64(nd.Node))
-		occEncode(bw, &nd.Occ)
-		bw.u64(nd.Dropped)
-		bw.u64(uint64(len(nd.Events)))
+		u64(uint64(nd.Node))
+		for _, f := range occFields(&nd.Occ) {
+			u64(uint64(*f))
+		}
+		u64(uint64(nd.Occ.SRAMUsed))
+		u64(nd.Dropped)
+		u64(uint64(len(nd.Events)))
 		for _, e := range nd.Events {
-			bw.i64(int64(e.T))
-			bw.u64(e.Span)
-			bw.u64(uint64(e.A)<<32 | uint64(e.B))
-			bw.u64(uint64(e.Kind))
+			u64(uint64(e.T))
+			u64(e.Span)
+			u64(uint64(e.A)<<32 | uint64(e.B))
+			u64(uint64(e.Kind))
 		}
 	}
-	return bw.err
+	return b
 }
 
-// Bytes encodes the dump into memory (determinism tests compare these).
-func (d *Dump) Bytes() []byte {
-	var buf bytes.Buffer
-	if err := d.Encode(&buf); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	return buf.Bytes()
-}
-
-// Decode reads a dump written by Encode.
+// Decode reads a dump written by Bytes. The counts in the file are not
+// trusted: nodes and events are appended as their bytes arrive and decoding
+// stops at the first read error, so a file costs what it contains, not what
+// its header claims (a 210-byte file announcing 2^26 events once allocated
+// 2 GB before reporting EOF).
 func Decode(r io.Reader) (*Dump, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flightrec: reading dump magic: %w", err)
 	}
 	if magic != dumpMagic {
 		return nil, fmt.Errorf("flightrec: not a p3dump file (magic %q)", magic[:])
@@ -205,37 +179,39 @@ func Decode(r io.Reader) (*Dump, error) {
 	d.At = sim.Time(br.i64())
 	d.Node = int(br.i64())
 	nNodes := br.u64()
-	if br.err != nil {
-		return nil, br.err
+	if br.err == nil && nNodes > 1<<20 {
+		br.err = fmt.Errorf("flightrec: implausible node count %d", nNodes)
 	}
-	if nNodes > 1<<20 {
-		return nil, fmt.Errorf("flightrec: implausible node count %d", nNodes)
-	}
-	d.Nodes = make([]NodeDump, nNodes)
-	for i := range d.Nodes {
-		nd := &d.Nodes[i]
+	for i := uint64(0); i < nNodes && br.err == nil; i++ {
+		var nd NodeDump
 		nd.Node = int(br.i64())
-		occDecode(br, &nd.Occ)
+		for _, f := range occFields(&nd.Occ) {
+			*f = int(br.i64())
+		}
+		nd.Occ.SRAMUsed = br.i64()
 		nd.Dropped = br.u64()
 		nEv := br.u64()
-		if br.err != nil {
-			return nil, br.err
+		if br.err == nil && nEv > 1<<28 {
+			br.err = fmt.Errorf("flightrec: implausible event count %d", nEv)
 		}
-		if nEv > 1<<28 {
-			return nil, fmt.Errorf("flightrec: implausible event count %d", nEv)
-		}
-		nd.Events = make([]Event, nEv)
-		for j := range nd.Events {
-			e := &nd.Events[j]
+		for j := uint64(0); j < nEv && br.err == nil; j++ {
+			var e Event
 			e.T = sim.Time(br.i64())
 			e.Span = br.u64()
 			ab := br.u64()
 			e.A = uint32(ab >> 32)
 			e.B = uint32(ab)
 			e.Kind = Kind(br.u64())
+			if br.err == nil {
+				nd.Events = append(nd.Events, e)
+			}
 		}
+		d.Nodes = append(d.Nodes, nd)
 	}
-	return d, br.err
+	if br.err != nil {
+		return nil, br.err
+	}
+	return d, nil
 }
 
 // TimelineEvent is one dump event tagged with its node.

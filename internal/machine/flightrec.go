@@ -11,7 +11,7 @@ import (
 // This file is the machine's forensics loop: the flight recorder wiring,
 // the single failure funnel every detector reports through, the stall
 // detector, and the dump snapshotting that turns a failure into a
-// post-mortem artifact (rendered by cmd/p3dump).
+// post-mortem artifact (rendered by cmd/p3stat).
 
 // FailureKind classifies a FailureReport.
 type FailureKind int
@@ -105,9 +105,6 @@ func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 	return m.rec
 }
 
-// FlightRecorder returns the machine's recorder (nil unless enabled).
-func (m *Machine) FlightRecorder() *flightrec.Recorder { return m.rec }
-
 // wireFlightRec points one node's components at its ring.
 func (m *Machine) wireFlightRec(n *Node) {
 	r := m.rec.Ring(int(n.ID))
@@ -119,11 +116,7 @@ func (m *Machine) wireFlightRec(n *Node) {
 // occupancy watermarks into a dump with the "snapshot" trigger — the
 // end-of-run artifact. Returns nil when the recorder is off.
 func (m *Machine) TakeDump(reason string) *flightrec.Dump {
-	return m.takeDump(reason, "snapshot", -1)
-}
-
-func (m *Machine) takeDump(reason, trigger string, node int) *flightrec.Dump {
-	return m.takeDumpAt(reason, trigger, node, m.S.Now())
+	return m.takeDumpAt(reason, "snapshot", -1, m.S.Now())
 }
 
 // takeDumpAt snapshots with an explicit timestamp — the canonical tick

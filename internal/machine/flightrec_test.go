@@ -349,7 +349,7 @@ func TestFlightRecorderOffIsFree(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted")
 	}
-	if m.FlightRecorder() != nil {
+	if m.rec != nil {
 		t.Fatal("recorder exists without EnableFlightRecorder")
 	}
 	if d := m.TakeDump("x"); d != nil {

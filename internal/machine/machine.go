@@ -60,11 +60,12 @@ type Machine struct {
 	// Catamount everywhere (a compute partition).
 	OSKind func(topo.NodeID) oskernel.Kind
 
-	nodes    []*Node // dense by id; nil until Node builds it
-	gbn      bool
-	sampler  *Sampler
-	ras      *RAS
-	failures []NodeFailure
+	nodes     []*Node // dense by id; nil until Node builds it
+	gbn       bool
+	idleTicks int32 // pending self-terminating observer ticks (every); shares gbn's word, so Machine keeps its size class
+	sampler   *Sampler
+	ras       *RAS
+	failures  []NodeFailure
 
 	// lanes is the event-lane table: one entry on a classic machine (New),
 	// one per kernel shard on a sharded one (NewSharded). Every node lives

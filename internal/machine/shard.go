@@ -81,8 +81,10 @@ func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) {
 // every calls fn at each multiple of period until *halted — the one clock
 // the machine's periodic observers (sampler, stall detector, heartbeat
 // monitor) run on. On a classic machine it is a self-rescheduling event
-// that, unless keepAlive, stops once nothing else is pending, so Run still
-// returns. On a sharded machine it is a kernel barrier tick
+// that, unless keepAlive, stops once nothing but other such observers'
+// ticks is pending (m.idleTicks counts those: two observers must not keep
+// each other, and so the run, alive), so Run still returns. On a sharded
+// machine it is a kernel barrier tick
 // (sim.Kernel.Every): the lane workers have joined there, so fn may read
 // any node race-free, the canonical tick times make whatever it records
 // identical at every shard count, and ticks never keep the machine alive
@@ -97,14 +99,23 @@ func (m *Machine) every(period sim.Time, keepAlive bool, halted *bool, fn func(n
 		return
 	}
 	var tick func()
+	arm := func() {
+		if !keepAlive {
+			m.idleTicks++
+		}
+		m.S.After(period, tick)
+	}
 	tick = func() {
+		if !keepAlive {
+			m.idleTicks--
+		}
 		if *halted {
 			return
 		}
 		fn(m.S.Now())
-		if keepAlive || m.S.Pending() > 0 {
-			m.S.After(period, tick)
+		if keepAlive || m.S.Pending() > int(m.idleTicks) {
+			arm()
 		}
 	}
-	m.S.After(period, tick)
+	arm()
 }

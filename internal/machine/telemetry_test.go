@@ -2,7 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"portals3/internal/core"
@@ -124,41 +123,21 @@ func TestTelemetryAttributionEndToEnd(t *testing.T) {
 	if bd.DriftPct > 1.0 {
 		t.Errorf("segment sum drifts %.4f%% from e2e, budget is 1%%", bd.DriftPct)
 	}
-
-	// And the Prometheus rendering carries every stage.
-	var prom bytes.Buffer
-	if err := tel.WritePrometheus(&prom, m.S.Now()); err != nil {
-		t.Fatal(err)
-	}
-	for s := telemetry.Seg(0); s < telemetry.NumSegs; s++ {
-		want := `portals_msg_segment_ps_count{stage="` + s.String() + `"}`
-		if !strings.Contains(prom.String(), want) {
-			t.Errorf("prometheus export missing %s", want)
-		}
-	}
 }
 
 // TestTelemetryDeterministic: two identical runs export byte-identical
 // telemetry — the simulator's determinism contract extends to the
 // observability layer.
 func TestTelemetryDeterministic(t *testing.T) {
-	run := func() (string, string) {
+	run := func() string {
 		m := pingPongWithTelemetry(t, 1024, 8, 100*sim.Microsecond)
-		var prom, js bytes.Buffer
-		if err := m.Telemetry().WritePrometheus(&prom, m.S.Now()); err != nil {
-			t.Fatal(err)
-		}
+		var js bytes.Buffer
 		if err := m.Telemetry().WriteJSON(&js, m.S.Now()); err != nil {
 			t.Fatal(err)
 		}
-		return prom.String(), js.String()
+		return js.String()
 	}
-	p1, j1 := run()
-	p2, j2 := run()
-	if p1 != p2 {
-		t.Error("prometheus export differs between identical runs")
-	}
-	if j1 != j2 {
+	if run() != run() {
 		t.Error("JSON export differs between identical runs")
 	}
 }

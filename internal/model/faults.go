@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"portals3/internal/sim"
 )
@@ -120,7 +119,8 @@ func (r FaultRule) Between(after, until sim.Time) FaultRule {
 //
 // e.g. "drop:data:0.02,drop:fcack:0.1,delay:data:0.05:20us". Kinds are
 // drop, dup, delay, reorder; frames are any, data, fcack (ack), fcnack
-// (nack); delay/reorder rules require a Go duration as the fourth field.
+// (nack); delay/reorder rules require a duration as the fourth field, in the
+// schedule grammar's syntax (a Go duration, or picoseconds as "250ps").
 func ParseFaults(spec string) ([]FaultRule, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
@@ -158,7 +158,7 @@ func ParseFaults(spec string) ([]FaultRule, error) {
 			return nil, fmt.Errorf("fault rule %q: unknown frame class %q", item, fields[1])
 		}
 		prob, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || prob <= 0 || prob > 1 {
+		if err != nil || !(prob > 0 && prob <= 1) { // written so NaN fails
 			return nil, fmt.Errorf("fault rule %q: probability must be in (0, 1]", item)
 		}
 		r := NewFault(kind, frame, prob)
@@ -167,11 +167,9 @@ func ParseFaults(spec string) ([]FaultRule, error) {
 				return nil, fmt.Errorf("fault rule %q: %s needs a duration, e.g. %s:%s:%s:20us",
 					item, fields[0], fields[0], fields[1], fields[2])
 			}
-			d, err := time.ParseDuration(fields[3])
-			if err != nil || d <= 0 {
+			if r.Delay, err = parseDur(fields[3]); err != nil || r.Delay == 0 {
 				return nil, fmt.Errorf("fault rule %q: bad duration %q", item, fields[3])
 			}
-			r.Delay = sim.Time(d.Nanoseconds()) * sim.Nanosecond
 		}
 		out = append(out, r)
 	}

@@ -13,6 +13,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -183,7 +184,7 @@ func (s FaultSchedule) Validate(tp *topo.Topology) error {
 			if e.Dur <= 0 {
 				return fmt.Errorf("schedule entry %d (%s): window must be positive", i, e)
 			}
-			if e.Rule.Prob <= 0 || e.Rule.Prob > 1 {
+			if !(e.Rule.Prob > 0 && e.Rule.Prob <= 1) { // written so NaN fails
 				return fmt.Errorf("schedule entry %d (%s): probability must be in (0, 1]", i, e)
 			}
 			if (e.Rule.Kind == FaultDelay || e.Rule.Kind == FaultReorder) && e.Rule.Delay <= 0 {
@@ -361,8 +362,8 @@ func parseDur(s string) (sim.Time, error) {
 		return sim.Time(n), nil
 	}
 	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("bad duration %q", s)
+	if err != nil || d < 0 || d > math.MaxInt64/time.Duration(sim.Nanosecond) {
+		return 0, fmt.Errorf("bad duration %q", s) // the bound: picoseconds overflow past ~106 days
 	}
 	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
 }

@@ -42,7 +42,7 @@ func (o BisectOutcome) Repro(c Campaign) string {
 
 // Bisect resolves the campaign's schedule, confirms it fails, minimizes it
 // with ddmin, and re-verifies the minimal schedule standalone (with the
-// flight recorder on, so the outcome carries p3dump artifacts).
+// flight recorder on, so the outcome carries the dumps).
 func Bisect(c Campaign) (BisectOutcome, error) {
 	full, err := Resolve(c)
 	if err != nil {

@@ -80,7 +80,7 @@ type Campaign struct {
 	Schedule model.FaultSchedule
 
 	// FlightRec enables the per-node flight recorder so a failing run
-	// carries p3dump-renderable artifacts.
+	// carries its dumps (render with p3stat).
 	FlightRec bool
 
 	// Progress, when set, receives live host-execution snapshots during
@@ -102,9 +102,10 @@ type Result struct {
 	// Errors lists every violated invariant; empty on a passing run.
 	Errors []string
 
-	// Dumps holds flight-recorder artifacts (FlightRec on): "end-of-run"
-	// plus one entry per failure report that carried a detection dump.
-	Dumps map[string][]byte
+	// Artifacts is what the run's armed planes recorded (machine.Artifacts):
+	// the host profile always, the end-of-run dump and every failure
+	// report's detection dump with FlightRec on.
+	Artifacts machine.Artifacts
 
 	// Host-execution measurements. Wall-clock and heap are host-side and
 	// nondeterministic, so Summary deliberately never reads them — they
@@ -247,26 +248,17 @@ func audit(m *machine.Machine, res *Result) {
 	}
 	for _, r := range m.Reports() {
 		res.Errors = append(res.Errors, "failure report: "+r.String())
-		if r.Dump != nil {
-			if res.Dumps == nil {
-				res.Dumps = make(map[string][]byte)
-			}
-			res.Dumps[fmt.Sprintf("report-%d-%s", len(res.Dumps), r.Kind)] = r.Dump.Bytes()
-		}
 	}
-	if m.FlightRecorder() != nil {
-		if res.Dumps == nil {
-			res.Dumps = make(map[string][]byte)
-		}
-		res.Dumps["end-of-run"] = m.TakeDump("end of soak campaign").Bytes()
-	}
+	res.Artifacts = m.Artifacts("end of soak campaign")
+	res.HostProfile = m.HostProfile()
 }
 
-// runTorus drives the halo-exchange workload through the experiments
-// package, which carries its own delivery verification.
-func runTorus(c Campaign, sched model.FaultSchedule, res *Result) {
-	cfg := experiments.TorusConfig{
-		Dim: 3, Bytes: 512, Steps: 4, Radius: 1,
+// torusConfig is what every torus workload shares: a 3x3x3 torus at the
+// campaign's shard count, go-back-n carrying recovery, the schedule, the
+// stall detector sized above it, and the host profiler armed.
+func torusConfig(c Campaign, sched model.FaultSchedule) experiments.TorusConfig {
+	return experiments.TorusConfig{
+		Dim:         3,
 		Shards:      c.Shards,
 		GoBackN:     true,
 		Schedule:    sched,
@@ -275,14 +267,21 @@ func runTorus(c Campaign, sched model.FaultSchedule, res *Result) {
 		HostProf:    true,
 		Progress:    c.Progress,
 	}
+}
+
+// runTorus drives the halo-exchange workload through the experiments
+// package, which carries its own delivery verification.
+func runTorus(c Campaign, sched model.FaultSchedule, res *Result) {
+	cfg := torusConfig(c, sched)
+	cfg.Bytes, cfg.Steps, cfg.Radius = 512, 4, 1
 	r := experiments.TorusHalo(cfg)
-	absorb(res, &r, r.Nodes*6*cfg.Steps, c.FlightRec)
+	absorb(res, &r, r.Nodes*6*cfg.Steps)
 }
 
 // absorb copies an experiments-run outcome into the campaign result and
 // applies the ledger invariant — the shared tail of every torus workload,
 // which runs its own machine inside the experiments package.
-func absorb(res *Result, r *experiments.TorusResult, msgs int, flightRec bool) {
+func absorb(res *Result, r *experiments.TorusResult, msgs int) {
 	res.FinishPs = r.FinishPs
 	res.Msgs = msgs
 	res.Ledger = r.FaultStats
@@ -290,28 +289,18 @@ func absorb(res *Result, r *experiments.TorusResult, msgs int, flightRec bool) {
 		res.Errors = append(res.Errors, fmt.Sprintf("ledger imbalance: %d fault(s) neither recovered nor condemned", r.FaultStats.Open()))
 	}
 	res.Errors = append(res.Errors, r.Errors...)
-	if flightRec && len(r.DumpBytes) > 0 {
-		res.Dumps = map[string][]byte{"end-of-run": r.DumpBytes}
-	}
+	res.Artifacts = r.Artifacts
 	res.HostProfile = r.HostProfile
 }
 
 // runCollective drives the MPI allreduce/broadcast-tree workload: every
 // campaign exercises the full MPI stack (sinks, eager protocol, binomial
-// trees) under the scheduled faults, with go-back-n carrying recovery.
+// trees) under the scheduled faults.
 func runCollective(c Campaign, sched model.FaultSchedule, res *Result) {
-	cfg := experiments.TorusConfig{
-		Dim: 3, Bytes: 128, Steps: 3,
-		Shards:      c.Shards,
-		GoBackN:     true,
-		Schedule:    sched,
-		FlightRec:   c.FlightRec,
-		StallWindow: stallWindow(sched),
-		HostProf:    true,
-		Progress:    c.Progress,
-	}
+	cfg := torusConfig(c, sched)
+	cfg.Bytes, cfg.Steps = 128, 3
 	r := experiments.TorusCollective(cfg)
-	absorb(res, &r, experiments.CollectiveMsgs(r.Nodes, cfg.Steps), c.FlightRec)
+	absorb(res, &r, experiments.CollectiveMsgs(r.Nodes, cfg.Steps))
 }
 
 // runTraffic drives one traffic generator — uniform-random or the 30%
@@ -319,26 +308,18 @@ func runCollective(c Campaign, sched model.FaultSchedule, res *Result) {
 // so the injection window stays open across the schedule's fault windows.
 func runTraffic(c Campaign, sched model.FaultSchedule, res *Result, hot bool) {
 	cfg := experiments.TrafficConfig{
-		TorusConfig: experiments.TorusConfig{
-			Dim: 3, Bytes: 512,
-			Shards:      c.Shards,
-			GoBackN:     true,
-			Schedule:    sched,
-			FlightRec:   c.FlightRec,
-			StallWindow: stallWindow(sched),
-			HostProf:    true,
-			Progress:    c.Progress,
-		},
-		Msgs: 24,
-		Load: 0.25,
-		Seed: uint64(c.Seed)*0x9E3779B9 + 0xd1ce,
+		TorusConfig: torusConfig(c, sched),
+		Msgs:        24,
+		Load:        0.25,
+		Seed:        uint64(c.Seed)*0x9E3779B9 + 0xd1ce,
 	}
+	cfg.Bytes = 512
 	if hot {
 		cfg.HotFrac = 0.3
 		cfg.HotNode = 13 // center of the 3x3x3 torus
 	}
 	r := experiments.TorusTraffic(cfg)
-	absorb(res, &r, experiments.TrafficMsgs(cfg), c.FlightRec)
+	absorb(res, &r, experiments.TrafficMsgs(cfg))
 }
 
 // runLine drives the two line workloads: incast (senders 1..3 converge on
@@ -506,7 +487,6 @@ func runLine(c Campaign, sched model.FaultSchedule, res *Result, incast bool) {
 	}
 	res.Errors = append(res.Errors, mu...)
 	audit(m, res)
-	res.HostProfile = m.HostProfile()
 }
 
 // fillByte is the uniform fill of message seq from sender nid — a pure

@@ -164,10 +164,10 @@ func TestFlightRecorderArtifactsOnFailure(t *testing.T) {
 	if !r.Failed() {
 		t.Fatal("planted campaign passed")
 	}
-	if len(r.Dumps) == 0 {
-		t.Fatal("failing campaign with FlightRec produced no dumps")
-	}
-	if _, ok := r.Dumps["end-of-run"]; !ok {
+	if r.Artifacts.Dump == nil {
 		t.Error("no end-of-run dump captured")
+	}
+	if len(r.Artifacts.ReportDumps) == 0 {
+		t.Error("the ledger report's detection dump was not captured")
 	}
 }

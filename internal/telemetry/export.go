@@ -1,83 +1,18 @@
-// Exporters: Prometheus text exposition format and a JSON document that
-// round-trips through ReadJSON for offline rendering (cmd/p3stat). Both
-// emit metrics in sorted (name, labels) order and series in creation
-// order, so exports of a deterministic run are byte-identical.
+// The exporter: a JSON document that round-trips through ReadJSON for
+// offline rendering (cmd/p3stat). Metrics and series are emitted in sorted
+// (name, labels) order, so exports of a deterministic run are
+// byte-identical.
 package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"portals3/internal/sim"
 )
-
-// promLabels renders a pre-rendered label string for the exposition
-// format, with an optional extra label (used for histogram `le` bounds).
-func promLabels(s, extraK, extraV string) string {
-	if extraK != "" {
-		if s != "" {
-			s += ","
-		}
-		s += fmt.Sprintf("%s=%q", extraK, extraV)
-	}
-	if s == "" {
-		return ""
-	}
-	return "{" + s + "}"
-}
-
-// WritePrometheus emits every registered metric in the Prometheus text
-// exposition format, plus one gauge per sampler series holding its most
-// recent sample. now is the virtual time of the export, emitted as the
-// portals_sim_time_ps gauge.
-func (t *Telemetry) WritePrometheus(w io.Writer, now sim.Time) error {
-	if t == nil {
-		return nil
-	}
-	bw := &errWriter{w: w}
-	fmt.Fprintf(bw, "# TYPE portals_sim_time_ps gauge\nportals_sim_time_ps %d\n", int64(now))
-	lastType := ""
-	for _, m := range t.Reg.Metrics() {
-		if m.Name != lastType {
-			lastType = m.Name
-			kind := "counter"
-			switch m.Kind {
-			case KindGauge:
-				kind = "gauge"
-			case KindHistogram:
-				kind = "histogram"
-			}
-			fmt.Fprintf(bw, "# TYPE %s %s\n", m.Name, kind)
-		}
-		switch m.Kind {
-		case KindCounter:
-			fmt.Fprintf(bw, "%s%s %d\n", m.Name, promLabels(m.labelStr, "", ""), m.C.Value())
-		case KindGauge:
-			fmt.Fprintf(bw, "%s%s %g\n", m.Name, promLabels(m.labelStr, "", ""), m.G.Value())
-		case KindHistogram:
-			var cum uint64
-			for _, b := range m.H.Buckets() {
-				cum += b.Count
-				fmt.Fprintf(bw, "%s_bucket%s %d\n", m.Name,
-					promLabels(m.labelStr, "le", fmt.Sprintf("%d", b.Upper)), cum)
-			}
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", m.Name, promLabels(m.labelStr, "le", "+Inf"), m.H.Count())
-			fmt.Fprintf(bw, "%s_sum%s %d\n", m.Name, promLabels(m.labelStr, "", ""), m.H.Sum())
-			fmt.Fprintf(bw, "%s_count%s %d\n", m.Name, promLabels(m.labelStr, "", ""), m.H.Count())
-		}
-	}
-	// Sampler series surface as gauges holding their latest sample.
-	for _, s := range t.seriesSorted() {
-		if len(s.Samples) == 0 {
-			continue
-		}
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", s.Name)
-		fmt.Fprintf(bw, "%s%s %g\n", s.Name, promLabels(s.labelStr, "", ""), s.Samples[len(s.Samples)-1].V)
-	}
-	return bw.err
-}
 
 // seriesSorted returns series sorted by (name, labels) for export.
 func (t *Telemetry) seriesSorted() []*Series {
@@ -191,6 +126,41 @@ func ReadJSON(r io.Reader) (*Export, error) {
 	return &e, nil
 }
 
+// Label returns the value of one label of the metric's rendered label set
+// (`dir="X+",node="3"`), "" when the key is absent.
+func (m ExportMetric) Label(key string) string { return labelValue(m.Labels, key) }
+
+// Label returns the value of one label of the series' rendered label set,
+// "" when the key is absent.
+func (s ExportSeries) Label(key string) string { return labelValue(s.Labels, key) }
+
+// labelValue inverts labelString for one key: labels is a comma-separated
+// list of key="value" pairs with Go-quoted values. A set that does not
+// parse (a hand-edited export) reads as having no labels past that point.
+func labelValue(labels, key string) string {
+	for labels != "" {
+		k, rest, ok := strings.Cut(labels, "=")
+		if !ok {
+			return ""
+		}
+		q, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return ""
+		}
+		if k == key {
+			v, err := strconv.Unquote(q)
+			if err != nil {
+				return ""
+			}
+			return v
+		}
+		if labels, ok = strings.CutPrefix(rest[len(q):], ","); !ok {
+			return ""
+		}
+	}
+	return ""
+}
+
 // Metric finds an exported metric by name and exact label string, or nil.
 func (e *Export) Metric(name, labels string) *ExportMetric {
 	for i := range e.Metrics {
@@ -199,19 +169,4 @@ func (e *Export) Metric(name, labels string) *ExportMetric {
 		}
 	}
 	return nil
-}
-
-// errWriter folds write errors so export loops stay readable.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) Write(p []byte) (int, error) {
-	if ew.err != nil {
-		return 0, ew.err
-	}
-	n, err := ew.w.Write(p)
-	ew.err = err
-	return n, err
 }

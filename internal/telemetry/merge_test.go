@@ -137,18 +137,6 @@ func TestMergedTelemetryExportMatchesSequential(t *testing.T) {
 			wantJSON.Bytes(), gotJSON.Bytes())
 	}
 
-	var wantProm, gotProm bytes.Buffer
-	if err := seq.WritePrometheus(&wantProm, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.WritePrometheus(&gotProm, now); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantProm.Bytes(), gotProm.Bytes()) {
-		t.Fatalf("merged Prometheus export differs from sequential:\nseq: %s\ngot: %s",
-			wantProm.Bytes(), gotProm.Bytes())
-	}
-
 	// The merged quantiles are the sequential machine's, not approximations.
 	em := merged.Snapshot(now)
 	es := seq.Snapshot(now)

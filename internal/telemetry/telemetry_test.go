@@ -198,44 +198,25 @@ func TestMsgRecIncompleteAndPool(t *testing.T) {
 	nr.Stamp(StampSubmit, 1)
 }
 
-func TestPrometheusExport(t *testing.T) {
+func TestExportLabelAccessor(t *testing.T) {
 	tel := New()
-	tel.Reg.Counter("demo_total", NodeLabel(0)).Add(42)
-	tel.Reg.Gauge("demo_gauge").Set(1.5)
-	h := tel.Reg.Histogram("demo_ps", L("stage", "wire"))
-	h.Observe(100)
-	h.Observe(200)
-	tel.SeriesFor("demo_series", NodeLabel(0)).Append(1000, 3)
-
-	var sb strings.Builder
-	if err := tel.WritePrometheus(&sb, 12345); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"portals_sim_time_ps 12345",
-		"# TYPE demo_total counter",
-		`demo_total{node="0"} 42`,
-		"demo_gauge 1.5",
-		"# TYPE demo_ps histogram",
-		`demo_ps_bucket{stage="wire",le="+Inf"} 2`,
-		`demo_ps_sum{stage="wire"} 300`,
-		`demo_ps_count{stage="wire"} 2`,
-		`demo_series{node="0"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q\n%s", want, out)
+	tel.Reg.Counter("demo_total", NodeLabel(12), DirLabel("X+"), L("note", `a,b="c"`)).Add(1)
+	tel.SeriesFor("demo_series", HopsLabel(3)).Append(1000, 3)
+	e := tel.Snapshot(0)
+	m := e.Metrics[0]
+	for key, want := range map[string]string{"node": "12", "dir": "X+", "note": `a,b="c"`, "ode": "", "hops": ""} {
+		if got := m.Label(key); got != want {
+			t.Errorf("metric %s: Label(%q) = %q, want %q", m.Labels, key, got, want)
 		}
 	}
-	// Deterministic: a second export is byte-identical.
-	var sb2 strings.Builder
-	tel.WritePrometheus(&sb2, 12345)
-	if sb.String() != sb2.String() {
-		t.Error("prometheus export not deterministic")
+	if got := e.Series[0].Label("hops"); got != "3" {
+		t.Errorf("series Label(hops) = %q, want 3", got)
 	}
-	// Cumulative bucket counts must end at the total count.
-	if strings.Count(out, "demo_ps_bucket") < 3 {
-		t.Error("expected at least two value buckets plus +Inf")
+	// Label sets no exporter wrote must read as absent, not panic.
+	for _, labels := range []string{"node", "node=", `node="3`, `node=3`, `=,=`, `a="1"node="2"`} {
+		if got := (ExportMetric{Labels: labels}).Label("node"); got != "" {
+			t.Errorf("Label(node) of malformed %q = %q, want empty", labels, got)
+		}
 	}
 }
 

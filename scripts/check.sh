@@ -1,6 +1,6 @@
 #!/bin/sh
-# `make check-fast`: gofmt, vet, build, race-enabled tests and a smoke run of
-# the examples and small tools. `make check` adds the host-cost contract
+# `make check-fast`: gofmt, vet, build, race-enabled tests, a smoke run of
+# the examples and small tools, and one artifact set written and read back. `make check` adds the host-cost contract
 # tests (`make contracts`, DESIGN.md §7), which skip under the race runtime.
 set -e
 cd "$(dirname "$0")/.."
@@ -39,3 +39,23 @@ for prog in examples/accelerated examples/fileserver examples/halo examples/ping
     fi
 done
 echo "check.sh: 8 programs ran"
+
+echo "== smoke: one artifact set, written by netpipe, read back by p3stat =="
+# Both run modes write what the machine recorded (machine.Artifacts); p3stat
+# must render every file given only its path.
+art=$(mktemp -d)
+trap 'rm -rf "$art"' EXIT
+go run ./cmd/netpipe -torus -dim 3 -telemetry "$art/torus.json" -hostprof "$art/hostprof.json" >/dev/null
+go run ./cmd/netpipe -series put -max 4096 -flightrec -dumpout "$art/run.p3dump" -trace "$art/trace.json" >/dev/null
+for f in torus.json hostprof.json run.p3dump trace.json; do
+    if ! smoke_out=$(go run ./cmd/p3stat "$art/$f" 2>&1); then
+        echo "FAIL: p3stat $f exited non-zero:"
+        echo "$smoke_out"
+        exit 1
+    fi
+    if [ -z "$smoke_out" ]; then
+        echo "FAIL: p3stat $f printed nothing"
+        exit 1
+    fi
+done
+echo "check.sh: p3stat rendered 4 artifacts"
