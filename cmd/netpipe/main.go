@@ -205,6 +205,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if o.progressEvery <= 0 {
 		return c.fail(2, "-progress-every %v must be positive", o.progressEvery)
 	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"max", o.maxBytes, 1}, {"msgs", o.msgs, 1},
+		{"steps", o.steps, 0}, {"sample", o.sampleUs, 0},
+		{"flightrec-events", o.ringEvents, 0}, {"dump-on-stall", o.stallUs, 0},
+	} {
+		if f.val < f.min {
+			return c.fail(2, "-%s %d must be at least %d", f.name, f.val, f.min)
+		}
+	}
 	if *torus {
 		nodes := o.dim * o.dim * o.dim
 		if o.dim < 3 {
@@ -496,7 +508,8 @@ func runSweep(c cli, p model.Params, o opts) int {
 			load, float64(r.FinishPs)/1e6, r.Windows)
 		experiments.RenderHopCurve(c.out, rows)
 		if o.telemetryOut != "" {
-			path := fmt.Sprintf("load%.2f-%s", load, o.telemetryOut)
+			dir, base := filepath.Split(o.telemetryOut)
+			path := fmt.Sprintf("%sload%.2f-%s", dir, load, base)
 			if err := c.save(path, "telemetry", r.Artifacts.Telemetry); err != nil {
 				return c.fail(1, "%v", err)
 			}

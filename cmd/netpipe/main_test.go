@@ -36,6 +36,14 @@ func TestFlagValidation(t *testing.T) {
 		{"-series put -progress", "-torus"},
 		{"-series put -hostprof h.json", "-torus"},
 		{"-torus -progress -progress-every 0s", "-progress-every"},
+		{"-series put -max -5", "-max -5"},
+		{"-series put -max 0", "-max 0"},
+		{"-workload random -dim 3 -msgs -3", "-msgs -3"},
+		{"-workload sweep -dim 3 -msgs 0", "-msgs 0"},
+		{"-torus -dim 3 -steps -1", "-steps -1"},
+		{"-series put -telemetry r.json -sample -1", "-sample -1"},
+		{"-series put -flightrec -flightrec-events -8", "-flightrec-events -8"},
+		{"-series put -dump-on-stall -400", "-dump-on-stall -400"},
 		{"-torus -dim 2", "-dim 2"},
 		{"-torus -dim 3 -shards 0", "-shards 0"},
 		{"-torus -dim 3 -shards 28", "-shards 28"},
@@ -124,6 +132,27 @@ func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
 			t.Error(err)
 		} else if !bytes.HasPrefix(b, []byte(magic)) {
 			t.Errorf("%s starts %q, want %q", name, b[:min(len(b), 24)], magic)
+		}
+	}
+}
+
+// TestSweepTelemetryPrefixesTheBaseName: a sweep writes one export per load
+// with the load prefixed to the file's name, not glued onto the whole path
+// (which, for any path with a directory in it, named a directory that does
+// not exist and failed the run after all its arms had finished).
+func TestSweepTelemetryPrefixesTheBaseName(t *testing.T) {
+	dir := t.TempDir()
+	code, stdout, stderr := runCLI("-workload", "sweep", "-dim", "3", "-msgs", "2", "-loads", "0.5,1",
+		"-telemetry", filepath.Join(dir, "x.json"))
+	if code != 0 || stderr != "" {
+		t.Fatalf("sweep run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
+	}
+	for _, name := range []string{"load0.50-x.json", "load1.00-x.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Error(err)
+		} else if !bytes.HasPrefix(b, []byte("{\n  \"sim_time_ps\"")) {
+			t.Errorf("%s is not a telemetry export: starts %q", name, b[:min(len(b), 24)])
 		}
 	}
 }

@@ -125,7 +125,7 @@ type Fabric struct {
 	links  []*sim.Server // dense, by linkIndex; built with the first link
 	eps    map[topo.NodeID]Endpoint
 	routes map[[2]topo.NodeID][]topo.Dir // routing is fixed-path, so cache per pair
-	nextID uint64
+	seqs   []uint64                      // per-node message sequences (mintID)
 
 	// Link-contention meters (linkstats.go), live only while Tel is set.
 	meters    map[linkKey]*LinkMeter
@@ -149,10 +149,11 @@ type Fabric struct {
 	// end-to-end (test fault injection).
 	corruptNext int
 
-	// plane, when non-nil, filters every injection through the seeded
-	// fault-injection rules (see faults.go). Fault-free fabrics keep it
-	// nil and pay one pointer test per injection.
-	plane *FaultPlane
+	// planes, when non-nil, holds one fault plane per source node (dense by
+	// id) and filters every injection through its node's seeded rules (see
+	// faults.go); the lanes of a Cluster share one table. Fault-free fabrics
+	// keep it nil and pay one test per injection.
+	planes []*FaultPlane
 
 	Stats Stats
 }
@@ -162,14 +163,17 @@ func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 	f := newLane(s, t, p)
 	f.eps = make(map[topo.NodeID]Endpoint)
 	if faultsConfigured(p) {
-		f.Faults() // params-configured rules activate the plane immediately
+		f.planes = make([]*FaultPlane, t.Nodes())
+		for id := range f.planes {
+			f.planes[id] = newNodePlane(f, topo.NodeID(id), f.send)
+		}
 	}
 	return f
 }
 
 // newLane builds the per-lane part of a fabric — links, route cache, pools,
-// counters — with neither an endpoint directory nor a fault plane: the
-// classic fabric adds its own, a Cluster keeps both per node.
+// counters — with neither an endpoint directory nor fault planes: the
+// classic fabric adds its own, a Cluster shares both among its lanes.
 func newLane(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 	return &Fabric{
 		S:      s,
@@ -180,7 +184,7 @@ func newLane(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 }
 
 // faultsConfigured reports whether the parameters declare any fault rule,
-// seed or schedule, i.e. whether fault planes must exist from the start.
+// seed or schedule, i.e. whether the machine has fault planes at all.
 func faultsConfigured(p *model.Params) bool {
 	return len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0
 }
@@ -261,28 +265,31 @@ func (f *Fabric) RecycleChunk(c *Chunk) {
 // (modeling the rare multi-bit error the end-to-end CRC-32 exists to catch).
 func (f *Fabric) CorruptNext(n int) { f.corruptNext += n }
 
+// mintID advances node's message sequence and returns the next message ID,
+// (node+1)<<32 | seq — the one scheme on every machine. An ID embeds its
+// source node so that it never depends on how the nodes' injections
+// interleave, within a lane or across lanes. The classic fabric builds the
+// sequence table with its first message (set-up pays nothing for it); the
+// lanes of a Cluster share one, each touching only its own nodes' entries.
+func (f *Fabric) mintID(node topo.NodeID) uint64 {
+	if f.seqs == nil {
+		f.seqs = make([]uint64, f.Topo.Nodes())
+	}
+	f.seqs[node]++
+	return uint64(uint32(node)+1)<<32 | f.seqs[node]
+}
+
 // NewMessage allocates a message with a fresh ID and the end-to-end CRC
 // computed over the full payload. The payload slice is only read here (for
 // the CRC); the actual bytes travel in chunks read from host memory at DMA
 // time by the sending NIC.
 func (f *Fabric) NewMessage(hdr wire.Header, src, dst topo.NodeID, payload []byte) *Message {
-	f.nextID++
-	m := f.getMsg()
-	m.ID = f.nextID
-	m.Hdr = hdr
-	m.Src = src
-	m.Dst = dst
-	m.CRC = wire.CRC32(&hdr, payload)
 	n := len(payload)
-	inline := 0
+	m := f.NewStream(hdr, src, dst, n)
 	if n <= f.P.InlineDataMax && hdr.Type != wire.TypeGet && hdr.Type != wire.TypeAck {
-		inline = n
-		m.Inline = m.inlBuf[:inline]
-		copy(m.Inline, payload[:inline])
-		m.Hdr.InlineLen = uint8(inline)
-		m.CRC = wire.CRC32(&m.Hdr, payload) // InlineLen is part of the header
+		m.SetInline(payload) // InlineLen is part of the header the CRC covers
 	}
-	m.PayloadLen = n - inline
+	m.CRC = wire.CRC32(&m.Hdr, payload)
 	return m
 }
 
@@ -292,9 +299,8 @@ func (f *Fabric) NewMessage(hdr wire.Header, src, dst topo.NodeID, payload []byt
 // final chunk is injected) and inlining is the sender's explicit decision
 // via SetInline.
 func (f *Fabric) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message {
-	f.nextID++
 	m := f.getMsg()
-	m.ID = f.nextID
+	m.ID = f.mintID(src)
 	m.Hdr = hdr
 	m.Src = src
 	m.Dst = dst
@@ -498,13 +504,8 @@ func (k *carrier) arrived() {
 	}
 	m.Rec.Stamp(telemetry.StampRxHdr, f.S.Now())
 	// The header's arrival closes its delay/stall ledger entries, on the
-	// plane that opened them: the source node's on the hopwise transport,
-	// the fabric's own on the classic one.
-	if pt != nil {
-		pt.noteToSource(m, (*FaultPlane).noteDelivered)
-	} else if f.plane != nil {
-		f.plane.noteDelivered(m)
-	}
+	// source node's plane, which opened them.
+	f.noteToSource(pt, m, (*FaultPlane).noteDelivered)
 	if f.Trace.Enabled() {
 		f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx hdr "+m.Hdr.Type.String(), f.S.Now(),
 			map[string]interface{}{"msg": m.ID, "src": m.Src})
@@ -541,7 +542,7 @@ func (f *Fabric) SendHeader(m *Message) {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
 	}
 	f.Stats.Messages++
-	if f.plane != nil && f.plane.filterHeader(m) {
+	if f.planes != nil && f.planes[m.Src].filterHeader(m) {
 		return
 	}
 	f.send(m, nil)
@@ -564,7 +565,7 @@ func (f *Fabric) SendChunk(c *Chunk) {
 		}
 	}
 	f.Stats.Chunks++
-	if f.plane != nil && f.plane.filterChunk(c) {
+	if f.planes != nil && f.planes[m.Src].filterChunk(c) {
 		return
 	}
 	f.send(m, c)

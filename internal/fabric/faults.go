@@ -6,10 +6,16 @@
 // describes the protocol; APEnet+ and MVAPICH validate equivalent NIC-level
 // retransmission logic exactly this way).
 //
-// Determinism contract. The plane owns a private PRNG seeded from
-// Params.FaultSeed and consumes randomness only when a rule's probability
-// is evaluated, in injection order — which the simulator already makes
-// deterministic. It never draws from the simulator's RNG, so enabling
+// Scope. Every machine keeps one plane per source node: rules are
+// evaluated where injections happen, against a node-private PRNG stream, so
+// a decision never depends on how the nodes' injections interleave. A rule's
+// Count consequently limits it per source node, and a link-down or stall is
+// a state every plane must hold (the machine plants the schedule on each).
+//
+// Determinism contract. A plane's PRNG is seeded from Params.FaultSeed and
+// its node id and consumes randomness only when a rule's probability is
+// evaluated, in the node's injection order — which the simulator already
+// makes deterministic. It never draws from the simulator's RNG, so enabling
 // faults cannot perturb the base timing model, and a given
 // (topology, workload, Faults, FaultSeed) tuple replays bit-identically.
 //
@@ -38,7 +44,7 @@ import (
 	"portals3/internal/wire"
 )
 
-// defaultFaultSeed seeds the plane when Params.FaultSeed is zero.
+// defaultFaultSeed seeds the planes when Params.FaultSeed is zero.
 const defaultFaultSeed = 0xfa017
 
 // FaultStats counts the plane's activity. Injected() and Open() derive the
@@ -60,6 +66,19 @@ type FaultStats struct {
 func (s FaultStats) Injected() uint64 {
 	return s.DropsData + s.DropsFcAck + s.DropsFcNack + s.DropsLink +
 		s.Dups + s.Delays + s.Stalls
+}
+
+// Add accumulates another plane's counters.
+func (s *FaultStats) Add(o FaultStats) {
+	s.DropsData += o.DropsData
+	s.DropsFcAck += o.DropsFcAck
+	s.DropsFcNack += o.DropsFcNack
+	s.DropsLink += o.DropsLink
+	s.Dups += o.Dups
+	s.Delays += o.Delays
+	s.Stalls += o.Stalls
+	s.Recovered += o.Recovered
+	s.Condemned += o.Condemned
 }
 
 // Open is the ledger balance: faults whose outcome is still unresolved. A
@@ -88,11 +107,11 @@ type dropKey struct {
 	seq      uint32
 }
 
-// FaultPlane applies fault rules to a fabric's injections. Obtain one with
-// Fabric.Faults(); all methods must run at simulation time (single
-// goroutine), like the rest of the fabric.
+// FaultPlane applies fault rules to one source node's injections. All
+// methods must run at simulation time on the node's own lane, like the rest
+// of the fabric.
 type FaultPlane struct {
-	f   *Fabric
+	f   *Fabric // the node's lane
 	rng *rand.Rand
 
 	rules []model.FaultRule
@@ -125,14 +144,10 @@ type FaultPlane struct {
 	// instead of waiting forever.
 	accepted map[flowPair]uint32
 
-	// Injection indirection: where a surviving (or cloned, delayed,
-	// resumed) packet re-enters the fabric (a nil chunk means the message's
-	// header), and where clone IDs come from. The classic whole-fabric
-	// plane binds these to Fabric.send and the fabric ID counter; the
-	// sharded per-source-node planes bind them to NodePort.launch and the
-	// node's ID space.
-	send  func(*Message, *Chunk)
-	newID func() uint64
+	// send is where a surviving (or cloned, delayed, resumed) packet
+	// re-enters the fabric — Fabric.send or the node's NodePort.launch; a
+	// nil chunk means the message's header.
+	send func(*Message, *Chunk)
 
 	Stats FaultStats
 }
@@ -140,23 +155,16 @@ type FaultPlane struct {
 // flowPair keys per-flow state (a dropKey without the sequence).
 type flowPair struct{ src, dst topo.NodeID }
 
-func newFaultPlane(f *Fabric) *FaultPlane {
+// newNodePlane builds node id's plane on lane f with the rules the
+// parameters declare and the stream seed ^ (id+1)·golden.
+func newNodePlane(f *Fabric, id topo.NodeID, send func(*Message, *Chunk)) *FaultPlane {
 	seed := f.P.FaultSeed
 	if seed == 0 {
 		seed = defaultFaultSeed
 	}
-	p := newFaultPlaneSeeded(f, seed)
-	p.send = f.send
-	p.newID = func() uint64 { f.nextID++; return f.nextID }
-	return p
-}
-
-// newFaultPlaneSeeded builds a plane with its own PRNG and the rules the
-// parameters declare; the caller wires the injection indirection.
-func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
 	p := &FaultPlane{
 		f:        f,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(rand.NewSource(seed ^ (int64(id+1) * 0x9e3779b97f4a7c1))),
 		fates:    make(map[uint64]*msgFate),
 		stalled:  make(map[topo.NodeID][]func()),
 		down:     make(map[linkKey]bool),
@@ -164,64 +172,71 @@ func newFaultPlaneSeeded(f *Fabric, seed int64) *FaultPlane {
 		dupOpen:  make(map[uint64]bool),
 		msgOpen:  make(map[uint64]int),
 		accepted: make(map[flowPair]uint32),
+		send:     send,
 	}
 	for _, r := range f.P.Faults {
-		p.AddRule(r)
+		p.addRule(r)
 	}
 	for _, r := range f.P.Schedule.Rules() {
-		p.AddRule(r)
+		p.addRule(r)
 	}
 	return p
 }
 
-// Faults returns the fabric's fault plane, creating it on first use.
-// Fault-free fabrics never create one and pay only a nil test per
-// injection.
-func (f *Fabric) Faults() *FaultPlane {
-	if f.plane == nil {
-		f.plane = newFaultPlane(f)
+// Plane returns node id's fault plane (nil on a fault-free machine). The
+// machine's schedule mutates each plane through events on the owning
+// lane's simulator; plane state must never be touched from another lane
+// while the kernel runs.
+func (f *Fabric) Plane(id topo.NodeID) *FaultPlane {
+	if f.planes == nil {
+		return nil
 	}
-	return f.plane
+	return f.planes[id]
 }
 
-// FaultSnapshot returns the plane's counters without activating a plane;
-// ok is false when no fault was ever configured (the counters are zero).
+// FaultSnapshot sums the per-source-node fault ledgers; ok is false when
+// the machine was built without fault configuration.
 func (f *Fabric) FaultSnapshot() (FaultStats, bool) {
-	if f.plane == nil {
-		return FaultStats{}, false
+	var out FaultStats
+	for _, pl := range f.planes {
+		out.Add(pl.Stats)
 	}
-	return f.plane.Stats, true
+	return out, f.planes != nil
 }
 
-// FaultAccepted tells the plane the receiving firmware accepted a data
-// message (its go-back-n sequence committed). No-op without a plane.
-func (f *Fabric) FaultAccepted(m *Message) {
-	if f.plane != nil {
-		f.plane.noteAccepted(m)
+// noteToSource routes a receiver-side ledger note to the plane of m's
+// source node, which opened the entry (there is none on a fault-free
+// machine). The note travels the way packets do: the classic transport has
+// one lane and closes the entry in place; the hopwise one posts it from the
+// noting router, at, through the kernel mailbox (shard.go).
+func (f *Fabric) noteToSource(at *NodePort, m *Message, apply func(*FaultPlane, *Message)) {
+	if f.planes == nil {
+		return
 	}
+	if at == nil {
+		apply(f.planes[m.Src], m)
+		return
+	}
+	at.postNote(f.planes[m.Src], m, apply)
 }
 
-// FaultCondemned tells the plane the receiving firmware condemned a
-// message (duplicate, gap, exhaustion or dead-pid discard). No-op without
-// a plane.
-func (f *Fabric) FaultCondemned(m *Message) {
-	if f.plane != nil {
-		f.plane.noteCondemned(m)
-	}
-}
+// FaultAccepted tells the source's plane the receiving firmware accepted a
+// data message (its go-back-n sequence committed).
+func (f *Fabric) FaultAccepted(m *Message) { f.noteToSource(nil, m, (*FaultPlane).noteAccepted) }
 
-// AddRule appends one rule at runtime. Rules are evaluated in insertion
-// order; the first match wins.
-func (p *FaultPlane) AddRule(r model.FaultRule) {
+// FaultCondemned tells the source's plane the receiving firmware condemned
+// a message (duplicate, gap, exhaustion or dead-pid discard).
+func (f *Fabric) FaultCondemned(m *Message) { f.noteToSource(nil, m, (*FaultPlane).noteCondemned) }
+
+// addRule appends one rule. Rules are evaluated in insertion order; the
+// first match wins.
+func (p *FaultPlane) addRule(r model.FaultRule) {
 	if (r.Kind == model.FaultDelay || r.Kind == model.FaultReorder) && r.Delay <= 0 {
 		panic("fabric: delay/reorder fault rule needs a positive Delay")
 	}
 	p.rules = append(p.rules, r)
 	p.fired = append(p.fired, 0)
 }
-
-// Snapshot returns the plane's counters by value.
-func (p *FaultPlane) Snapshot() FaultStats { return p.Stats }
 
 // ---- Scenario hooks (driven by machine schedule events) ----
 
@@ -478,12 +493,13 @@ func (p *FaultPlane) swallowChunk(c *Chunk) {
 	p.f.RecycleChunk(c)
 }
 
-// cloneMsg builds the duplicate copy of a message: a fresh ID (receivers
-// demultiplex streams by ID), same wire contents and go-back-n sequence.
+// cloneMsg builds the duplicate copy of a message: a fresh ID from its
+// source's sequence (receivers demultiplex streams by ID), same wire contents
+// and go-back-n sequence.
 func (p *FaultPlane) cloneMsg(m *Message) *Message {
 	f := p.f
 	m2 := f.getMsg()
-	m2.ID = p.newID()
+	m2.ID = f.mintID(m.Src)
 	m2.Hdr = m.Hdr
 	m2.Src = m.Src
 	m2.Dst = m.Dst

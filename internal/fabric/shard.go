@@ -68,7 +68,6 @@ type Cluster struct {
 	lanes  []*Fabric
 	ports  []*NodePort
 	eps    []Endpoint
-	faulty bool
 }
 
 // NewCluster partitions the topology's nodes over the kernel's lanes.
@@ -86,14 +85,17 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		lanes:  make([]*Fabric, kern.Shards()),
 		ports:  make([]*NodePort, n),
 		eps:    make([]Endpoint, n),
-		faulty: faultsConfigured(p),
+	}
+	// One table of message sequences and one of fault planes, shared by
+	// every lane; each lane touches only its own nodes' entries.
+	seqs := make([]uint64, n)
+	var planes []*FaultPlane
+	if faultsConfigured(p) {
+		planes = make([]*FaultPlane, n)
 	}
 	for i := range cl.lanes {
 		cl.lanes[i] = newLane(kern.Lane(i), t, p)
-	}
-	base := p.FaultSeed
-	if base == 0 {
-		base = defaultFaultSeed
+		cl.lanes[i].seqs, cl.lanes[i].planes = seqs, planes
 	}
 	for id := 0; id < n; id++ {
 		lane := laneOf(topo.NodeID(id))
@@ -102,16 +104,8 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		}
 		cl.laneOf[id] = lane
 		pt := &NodePort{cl: cl, node: topo.NodeID(id), lane: lane, f: cl.lanes[lane]}
-		if cl.faulty {
-			// Per-source-node plane: rules are evaluated where injections
-			// happen, with a node-private PRNG stream so decisions do not
-			// depend on how nodes interleave within a lane. Rule Count
-			// limits consequently apply per source node (documented in
-			// DESIGN.md §11).
-			pl := newFaultPlaneSeeded(pt.f, base^(int64(id+1)*0x9e3779b97f4a7c1))
-			pl.send = pt.launch
-			pl.newID = pt.allocID
-			pt.plane = pl
+		if planes != nil {
+			planes[id] = newNodePlane(pt.f, pt.node, pt.launch)
 		}
 		cl.ports[id] = pt
 	}
@@ -120,12 +114,6 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 
 // Port returns node id's injection interface.
 func (cl *Cluster) Port(id topo.NodeID) *NodePort { return cl.ports[id] }
-
-// Plane returns node id's fault plane (nil on a fault-free cluster). The
-// machine's schedule application mutates each plane through lane-local
-// events on the owning lane's simulator; plane state must never be touched
-// from another lane while the kernel runs.
-func (cl *Cluster) Plane(id topo.NodeID) *FaultPlane { return cl.ports[id].plane }
 
 // Lane returns the lane index owning node id.
 func (cl *Cluster) Lane(id topo.NodeID) int { return cl.laneOf[id] }
@@ -136,28 +124,6 @@ func (cl *Cluster) Lane(id topo.NodeID) int { return cl.laneOf[id] }
 // snapshot time).
 func (cl *Cluster) LaneFabric(i int) *Fabric { return cl.lanes[i] }
 
-// FaultSnapshot sums the per-source-node fault ledgers; ok is false when
-// the cluster was built without fault configuration.
-func (cl *Cluster) FaultSnapshot() (FaultStats, bool) {
-	if !cl.faulty {
-		return FaultStats{}, false
-	}
-	var out FaultStats
-	for _, pt := range cl.ports {
-		s := pt.plane.Stats
-		out.DropsData += s.DropsData
-		out.DropsFcAck += s.DropsFcAck
-		out.DropsFcNack += s.DropsFcNack
-		out.DropsLink += s.DropsLink
-		out.Dups += s.Dups
-		out.Delays += s.Delays
-		out.Stalls += s.Stalls
-		out.Recovered += s.Recovered
-		out.Condemned += s.Condemned
-	}
-	return out, true
-}
-
 // NodePort is one node's fabric interface on a sharded machine. All its
 // methods run on the node's own lane.
 type NodePort struct {
@@ -166,10 +132,7 @@ type NodePort struct {
 	lane int
 	f    *Fabric // the owning lane's fabric (pools, links, stats, telemetry)
 
-	nextID  uint64 // per-node message ID sequence (IDs are (node+1)<<32 | seq)
 	postSeq uint64 // per-node mailbox ordering sequence, shard-invariant
-
-	plane *FaultPlane // per-source-node fault plane, nil when fault-free
 }
 
 // post sends fn through the kernel mailbox to execute on dst's lane at
@@ -177,14 +140,6 @@ type NodePort struct {
 func (pt *NodePort) post(dst *NodePort, at sim.Time, fn func()) {
 	pt.postSeq++
 	pt.cl.Kern.Post(pt.lane, dst.lane, at, int32(pt.node), pt.postSeq, fn)
-}
-
-// allocID mints a node-scoped message ID. Classic fabrics number messages
-// globally; a shard-invariant scheme must not depend on cross-node
-// injection interleaving, so sharded IDs embed the source node.
-func (pt *NodePort) allocID() uint64 {
-	pt.nextID++
-	return uint64(uint32(pt.node)+1)<<32 | pt.nextID
 }
 
 // Attach registers the node's endpoint in the cluster directory.
@@ -198,15 +153,9 @@ func (pt *NodePort) Attach(node topo.NodeID, ep Endpoint) {
 	pt.cl.eps[node] = ep
 }
 
-// NewStream is Fabric.NewStream against the lane pool with node-scoped IDs.
+// NewStream is Fabric.NewStream against the lane pool.
 func (pt *NodePort) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int) *Message {
-	m := pt.f.getMsg()
-	m.ID = pt.allocID()
-	m.Hdr = hdr
-	m.Src = src
-	m.Dst = dst
-	m.PayloadLen = payloadLen
-	return m
+	return pt.f.NewStream(hdr, src, dst, payloadLen)
 }
 
 // AllocChunk takes a carrier from the current lane's pool.
@@ -226,7 +175,7 @@ func (pt *NodePort) SendHeader(m *Message) {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
 	}
 	pt.f.Stats.Messages++
-	if pt.plane != nil && pt.plane.filterHeader(m) {
+	if pl := pt.f.planes; pl != nil && pl[pt.node].filterHeader(m) {
 		return
 	}
 	pt.launch(m, nil)
@@ -238,7 +187,7 @@ func (pt *NodePort) SendChunk(c *Chunk) {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", c.Msg.Dst))
 	}
 	pt.f.Stats.Chunks++
-	if pt.plane != nil && pt.plane.filterChunk(c) {
+	if pl := pt.f.planes; pl != nil && pl[pt.node].filterChunk(c) {
 		return
 	}
 	pt.launch(c.Msg, c)
@@ -313,10 +262,12 @@ func (k *carrier) reachedNIC() {
 // FaultAccepted forwards the receiver-side commit to the source node's
 // fault plane — one hop of latency away, through the mailbox, so the
 // ledger lives entirely on the lane that opened its entries.
-func (pt *NodePort) FaultAccepted(m *Message) { pt.noteToSource(m, (*FaultPlane).noteAccepted) }
+func (pt *NodePort) FaultAccepted(m *Message) { pt.f.noteToSource(pt, m, (*FaultPlane).noteAccepted) }
 
 // FaultCondemned forwards a receiver-side discard to the source plane.
-func (pt *NodePort) FaultCondemned(m *Message) { pt.noteToSource(m, (*FaultPlane).noteCondemned) }
+func (pt *NodePort) FaultCondemned(m *Message) {
+	pt.f.noteToSource(pt, m, (*FaultPlane).noteCondemned)
+}
 
 // ledgerNote is one fault-ledger notification on its way to the plane that
 // opened the entry. Only identity fields of the message travel; the message
@@ -347,20 +298,17 @@ func (n *ledgerNote) deliver() {
 	f.noteFree = append(f.noteFree, n)
 }
 
-// noteToSource posts a ledger note to the message's source plane (there is
-// none on a fault-free cluster).
-func (pt *NodePort) noteToSource(m *Message, apply func(*FaultPlane, *Message)) {
-	if !pt.cl.faulty {
-		return
-	}
-	sp := pt.cl.ports[m.Src]
+// postNote posts a ledger note from this router to the source plane sp —
+// one lookahead away, through the mailbox, so the ledger lives entirely on
+// the lane that opened its entries.
+func (pt *NodePort) postNote(sp *FaultPlane, m *Message, apply func(*FaultPlane, *Message)) {
 	n := pt.f.getNote()
-	n.plane, n.apply = sp.plane, apply
+	n.plane, n.apply = sp, apply
 	n.m.ID, n.m.Hdr, n.m.Src, n.m.Dst, n.m.FwSeq = m.ID, m.Hdr, m.Src, m.Dst, m.FwSeq
 	at := pt.f.S.Now() + pt.cl.Kern.Lookahead()
-	if sp == pt {
-		pt.f.S.At(at, n.deliverFn)
+	if src := pt.cl.ports[m.Src]; src != pt {
+		pt.post(src, at, n.deliverFn)
 		return
 	}
-	pt.post(sp, at, n.deliverFn)
+	pt.f.S.At(at, n.deliverFn)
 }

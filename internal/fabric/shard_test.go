@@ -135,7 +135,7 @@ func TestClusterPoolHandoff(t *testing.T) {
 		t.Errorf("ledger notes pooled = %d on lane 0, %d on lane 1; want 1 and 0",
 			len(l0.noteFree), len(l1.noteFree))
 	}
-	if fs, ok := cl.FaultSnapshot(); !ok || fs.Injected() != 0 || fs.Open() != 0 {
+	if fs, ok := cl.LaneFabric(0).FaultSnapshot(); !ok || fs.Injected() != 0 || fs.Open() != 0 {
 		t.Errorf("fault ledger = %+v (armed %v), want armed and empty", fs, ok)
 	}
 }

@@ -149,12 +149,11 @@ const DefaultRingEvents = 4096
 // Ring is one node's recorder. A nil *Ring is valid and disabled; every
 // method is nil-safe, so components hold the pointer unconditionally.
 type Ring struct {
-	rec     *Recorder
 	node    int
 	buf     []Event
 	head    int    // next write index
 	n       uint64 // lifetime events recorded
-	spanSeq uint64 // per-node span sequence (node-scoped span mode)
+	spanSeq uint64 // spans minted by this ring
 }
 
 // Enabled reports whether records will be kept.
@@ -173,22 +172,17 @@ func (r *Ring) Record(k Kind, t sim.Time, span uint64, a, b uint32) {
 	r.n++
 }
 
-// NewSpan mints a fresh causal span id. In the default mode the id comes
-// from the machine-wide counter; in node-scoped mode (sharded machines)
-// each ring numbers its own spans, tagged with the minting node in the
-// high half, so span ids never depend on how nodes interleave across
-// event lanes. The nil ring returns span 0 ("untracked"), so the submit
-// path needs no separate enabled test.
+// NewSpan mints a fresh causal span id, (node+1)<<32 | per-ring sequence:
+// each ring numbers its own spans, tagged with the minting node in the high
+// half, so span ids never depend on how nodes interleave, within an event
+// lane or across lanes. The nil ring returns span 0 ("untracked"), so the
+// submit path needs no separate enabled test.
 func (r *Ring) NewSpan() uint64 {
 	if r == nil {
 		return 0
 	}
-	if r.rec.nodeSpans {
-		r.spanSeq++
-		return uint64(uint32(r.node)+1)<<32 | r.spanSeq
-	}
-	r.rec.nextSpan++
-	return r.rec.nextSpan
+	r.spanSeq++
+	return uint64(uint32(r.node)+1)<<32 | r.spanSeq
 }
 
 // Len reports how many events the ring currently holds.
@@ -224,12 +218,10 @@ func (r *Ring) Events() []Event {
 	return append(out, r.buf[:r.head]...)
 }
 
-// Recorder owns the per-node rings and the machine-wide span counter.
+// Recorder owns the per-node rings.
 type Recorder struct {
-	cap       int
-	rings     map[int]*Ring
-	nextSpan  uint64
-	nodeSpans bool
+	cap   int
+	rings map[int]*Ring
 }
 
 // NewRecorder builds a recorder whose rings hold capPerNode events each
@@ -241,24 +233,12 @@ func NewRecorder(capPerNode int) *Recorder {
 	return &Recorder{cap: capPerNode, rings: make(map[int]*Ring)}
 }
 
-// UseNodeSpans switches span minting to the node-scoped scheme: span ids
-// become (node+1)<<32 | per-ring sequence. Sharded machines require this —
-// a machine-wide counter would order spans by lane interleaving — and
-// enable it at every shard count so dumps stay comparable. Must be set
-// before any span is minted.
-func (rec *Recorder) UseNodeSpans() {
-	if rec.nextSpan != 0 {
-		panic("flightrec: UseNodeSpans after spans were minted")
-	}
-	rec.nodeSpans = true
-}
-
 // Ring returns (allocating on first use) the ring for one node.
 func (rec *Recorder) Ring(node int) *Ring {
 	if r, ok := rec.rings[node]; ok {
 		return r
 	}
-	r := &Ring{rec: rec, node: node, buf: make([]Event, rec.cap)}
+	r := &Ring{node: node, buf: make([]Event, rec.cap)}
 	rec.rings[node] = r
 	return r
 }

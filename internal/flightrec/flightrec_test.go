@@ -24,11 +24,15 @@ func TestNilRingIsDisabled(t *testing.T) {
 func TestRingRecordAndSpans(t *testing.T) {
 	rec := NewRecorder(8)
 	r := rec.Ring(3)
-	if s := r.NewSpan(); s != 1 {
-		t.Fatalf("first span = %d, want 1", s)
+	// Spans are node-scoped: (node+1)<<32 | the ring's own sequence.
+	if s := r.NewSpan(); s != 4<<32|1 {
+		t.Fatalf("node 3's first span = %#x, want %#x", s, uint64(4<<32|1))
 	}
-	if s := rec.Ring(5).NewSpan(); s != 2 {
-		t.Fatalf("spans not machine-wide: second span = %d, want 2", s)
+	if s := rec.Ring(5).NewSpan(); s != 6<<32|1 {
+		t.Fatalf("node 5's first span = %#x, want %#x: another ring's minting moved it", s, uint64(6<<32|1))
+	}
+	if s := r.NewSpan(); s != 4<<32|2 {
+		t.Fatalf("node 3's second span = %#x, want %#x", s, uint64(4<<32|2))
 	}
 	r.Record(KCmdDequeue, 10, 0, 7, 0)
 	r.Record(KTxHeader, 20, 1, 1, 64)

@@ -660,19 +660,3 @@ func (n *NIC) Kill() { n.killed = true }
 
 // Dead reports whether the node has failed.
 func (n *NIC) Dead() bool { return n.killed }
-
-// StartHeartbeat begins periodic RAS heartbeat ticks — the idle polling
-// loop's counter increments (§4.2). Because the ticker keeps the event heap
-// non-empty, callers drive the simulation with RunUntil; it is started by
-// machine.StartRAS, not by default.
-func (n *NIC) StartHeartbeat(period sim.Time) {
-	var tick func()
-	tick = func() {
-		if n.killed {
-			return
-		}
-		n.Heartbeat++
-		n.S.After(period, tick)
-	}
-	n.S.After(period, tick)
-}

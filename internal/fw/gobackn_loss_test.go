@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"portals3/internal/fabric"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/wire"
@@ -12,8 +13,21 @@ import (
 // These tests drive the go-back-n paths that only real frame loss reaches:
 // the retransmission timeout (control frame lost), the sender-side timer
 // recovery when the NACK itself is lost, and duplicate suppression. Loss is
-// injected through the fabric's fault plane, so every run is seeded and
-// replayable.
+// declared in Params.Faults and injected by the fabric's fault planes, so
+// every run is seeded and replayable.
+
+// lossyPair is a go-back-n pair whose fabric applies the given fault rules.
+func lossyPair(t *testing.T, rules ...model.FaultRule) *fwPair {
+	p := model.Defaults()
+	p.Faults = rules
+	return newFwPair(t, p, 64, ExhaustGoBackN)
+}
+
+// ledger is the pair's fault ledger, summed over both nodes' planes.
+func (fp *fwPair) ledger() fabric.FaultStats {
+	fs, _ := fp.fab.FaultSnapshot()
+	return fs
+}
 
 // TestFlowControlFromUnknownPeerAllocatesNoSource is the regression test
 // for the handleFlowControl allocation bug: an inbound FC frame from a peer
@@ -50,9 +64,7 @@ func TestFlowControlFromUnknownPeerAllocatesNoSource(t *testing.T) {
 // sender's GbnTimeout fires and retransmits, and the receiver accepts the
 // retransmission exactly once (the duplicate is re-acked and condemned).
 func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameFcAck, 1).WithCount(1))
+	fp := lossyPair(t, model.NewFault(model.FaultDrop, model.FrameFcAck, 1).WithCount(1))
 
 	payload := make([]byte, 8192)
 	for i := range payload {
@@ -82,7 +94,7 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 	if fp.nics[1].Stats.DupAcks != 1 {
 		t.Errorf("DupAcks = %d: the retransmission must be re-acked as a duplicate", fp.nics[1].Stats.DupAcks)
 	}
-	fs := plane.Snapshot()
+	fs := fp.ledger()
 	if fs.DropsFcAck != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -92,10 +104,9 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 // demanding its rewind is dropped too. The sender's timer alone must
 // recover the flow, in order.
 func TestGbnNackLostTimerRecovers(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameData, 1).WithCount(1))
-	plane.AddRule(model.NewFault(model.FaultDrop, model.FrameFcNack, 1).WithCount(1))
+	fp := lossyPair(t,
+		model.NewFault(model.FaultDrop, model.FrameData, 1).WithCount(1),
+		model.NewFault(model.FaultDrop, model.FrameFcNack, 1).WithCount(1))
 
 	first := bytes.Repeat([]byte{0xa1}, 2048)
 	second := bytes.Repeat([]byte{0xb2}, 2048)
@@ -129,7 +140,7 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 	if fp.nics[0].Stats.Retransmits < 2 {
 		t.Errorf("Retransmits = %d, want both unacked messages resent", fp.nics[0].Stats.Retransmits)
 	}
-	fs := plane.Snapshot()
+	fs := fp.ledger()
 	if fs.DropsData != 1 || fs.DropsFcNack != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -139,9 +150,7 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 // condemned without a second deposit — the receiver's payload bytes and
 // completion count are those of a single delivery.
 func TestGbnDuplicateDataCondemned(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDup, model.FrameData, 1).WithCount(1))
+	fp := lossyPair(t, model.NewFault(model.FaultDup, model.FrameData, 1).WithCount(1))
 
 	payload := make([]byte, 8192)
 	for i := range payload {
@@ -165,7 +174,7 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 	if fp.nics[1].Stats.DupAcks != 1 {
 		t.Errorf("DupAcks = %d, want the copy re-acked", fp.nics[1].Stats.DupAcks)
 	}
-	fs := plane.Snapshot()
+	fs := fp.ledger()
 	if fs.Dups != 1 || fs.Condemned != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}
@@ -174,10 +183,8 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 // TestGbnDelayedMessageRecovered: a delayed message reorders across flows
 // but stays in order within its flow; the ledger closes at delivery.
 func TestGbnDelayedMessageRecovered(t *testing.T) {
-	fp := newFwPair(t, model.Defaults(), 64, ExhaustGoBackN)
-	plane := fp.fab.Faults()
-	plane.AddRule(model.NewFault(model.FaultDelay, model.FrameData, 1).
-		WithCount(1).WithDelay(20 * sim.Microsecond))
+	fp := lossyPair(t, model.NewFault(model.FaultDelay, model.FrameData, 1).
+		WithCount(1).WithDelay(20*sim.Microsecond))
 
 	payload := bytes.Repeat([]byte{0xc3}, 4096)
 	if err := fp.put(0, 1, payload, nil); err != nil {
@@ -188,7 +195,7 @@ func TestGbnDelayedMessageRecovered(t *testing.T) {
 	if len(h.recv) != 1 || !bytes.Equal(h.recv[0], payload) {
 		t.Fatalf("delayed message: delivered %d times", len(h.recv))
 	}
-	fs := plane.Snapshot()
+	fs := fp.ledger()
 	if fs.Delays != 1 || fs.Recovered != 1 || fs.Open() != 0 {
 		t.Errorf("ledger: %v", fs)
 	}

@@ -26,11 +26,17 @@ func soakRules() []model.FaultRule {
 	}
 }
 
-// runFaultSoak streams msgs pipelined 1 KiB puts through a go-back-n pair
-// whose fabric runs the soak fault mix under the given seed. It returns the
-// received payloads (by slot), the virtual completion time, and the plane's
-// final counters.
+// runFaultSoak is runFaultSoakOn the classic pair.
 func runFaultSoak(t *testing.T, seed int64, msgs int) ([][]byte, sim.Time, fabric.FaultStats) {
+	t.Helper()
+	return runFaultSoakOn(t, NewPair, seed, msgs)
+}
+
+// runFaultSoakOn streams msgs pipelined 1 KiB puts through a go-back-n pair
+// (whichever two-node machine build makes) whose fabric runs the soak fault
+// mix under the given seed. It returns the received payloads (by slot), the
+// virtual completion time, and the planes' final counters.
+func runFaultSoakOn(t *testing.T, build func(model.Params) *Machine, seed int64, msgs int) ([][]byte, sim.Time, fabric.FaultStats) {
 	t.Helper()
 	const msgBytes = 1024
 	const window = 4 // puts in flight at once
@@ -39,7 +45,7 @@ func runFaultSoak(t *testing.T, seed int64, msgs int) ([][]byte, sim.Time, fabri
 	p.NumGenericPendings = 32
 	p.Faults = soakRules()
 	p.FaultSeed = seed
-	m := NewPair(p)
+	m := build(p)
 	m.EnableGoBackN()
 
 	got := make([][]byte, msgs)
@@ -164,15 +170,19 @@ func forEachPair(t *testing.T, run func(t *testing.T, build func(model.Params) *
 	t.Run("pair", func(t *testing.T) { run(t, NewPair) })
 	for _, shards := range []int{1, 2} {
 		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			run(t, func(p model.Params) *Machine {
-				tp, err := topo.New(2, 1, 1, false, false, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return NewSharded(p, tp, shards)
-			})
-		})
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { run(t, shardedPair(shards)) })
+	}
+}
+
+// shardedPair builds the two-node line as a sharded machine of the given
+// lane count.
+func shardedPair(shards int) func(model.Params) *Machine {
+	return func(p model.Params) *Machine {
+		tp, err := topo.New(2, 1, 1, false, false, false)
+		if err != nil {
+			panic(err)
+		}
+		return NewSharded(p, tp, shards)
 	}
 }
 

@@ -91,11 +91,6 @@ func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, 
 func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 	if m.rec == nil {
 		m.rec = flightrec.NewRecorder(ringEvents)
-		if m.Sharded() {
-			// Node-scoped spans at every shard count, so shards=1 and
-			// shards=N dumps are byte-comparable (DESIGN.md §11).
-			m.rec.UseNodeSpans()
-		}
 		for _, n := range m.nodes {
 			if n != nil {
 				m.wireFlightRec(n)

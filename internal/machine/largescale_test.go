@@ -237,3 +237,61 @@ func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestHopwiseLatencyAdditive is the first analytic oracle for the machine-
+// scale path: on an idle torus the hop-by-hop transport is store-and-forward
+// with nothing to wait for, so a header-only put (8 bytes, inline in the
+// header packet) pays one packet's serialization plus the router latency per
+// hop and everything else — host, firmware, injection, ejection — once.
+// Across the whole diameter of the 8^3 torus the k-hop latency must exceed
+// the 1-hop latency by exactly (k-1) x (HopLatency + one packet at link
+// rate), to the picosecond.
+func TestHopwiseLatencyAdditive(t *testing.T) {
+	p := model.Defaults()
+	tp, err := topo.XT3Torus(8, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perHop := p.HopLatency + sim.BytesAt(int64(p.PacketBytes), p.LinkBps)
+
+	// oneWay is the time from the Put call on node 0 to the PUT_END event
+	// at dst, on a fresh (idle) machine.
+	oneWay := func(dst topo.NodeID) sim.Time {
+		m := NewSharded(p, tp, 2)
+		var sent, arrived sim.Time
+		var rx *App
+		rx, _ = m.Spawn(dst, "rx", Generic, func(app *App) {
+			_, eq := recvSetup(t, app, 64, core.MDOpPut)
+			waitFor(t, app, eq, core.EventPutEnd)
+			arrived = app.Proc.Now()
+		})
+		m.Spawn(0, "tx", Generic, func(app *App) {
+			app.Proc.Sleep(50 * sim.Microsecond) // let the receiver post its ME
+			eq, _ := app.API.EQAlloc(16)
+			md, _ := app.API.MDBind(core.MDesc{Region: app.Alloc(8), Threshold: core.ThresholdInfinite, EQ: eq})
+			sent = app.Proc.Now()
+			app.API.Put(md, core.NoAck, rx.ID(), testPtl, 7, 0, 0)
+		})
+		m.Run()
+		if arrived <= sent {
+			t.Fatalf("put to node %d: sent at %v, arrived at %v", dst, sent, arrived)
+		}
+		return arrived - sent
+	}
+
+	// The first node at each distance from node 0, out to the diameter.
+	at := map[int]topo.NodeID{}
+	for id := tp.Nodes() - 1; id > 0; id-- {
+		at[tp.Hops(0, topo.NodeID(id))] = topo.NodeID(id)
+	}
+	if len(at) != 12 {
+		t.Fatalf("the 8^3 torus has nodes at %d distinct distances from node 0, want 1..12", len(at))
+	}
+	base := oneWay(at[1])
+	for k := 2; k <= 12; k++ {
+		if got, want := oneWay(at[k])-base, sim.Time(k-1)*perHop; got != want {
+			t.Errorf("%d hops (node %d): %v ps over the 1-hop latency, want (k-1) x %v = %v ps",
+				k, at[k], int64(got), int64(perHop), int64(want))
+		}
+	}
+}

@@ -154,12 +154,7 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 	if n := m.nodes[id]; n != nil {
 		return n
 	}
-	// A node lives on one lane and injects through one port: the classic
-	// fabric itself, or the node's own port on a sharded cluster.
-	ln, port := &m.lanes[0], fabric.Port(m.Fab)
-	if m.cl != nil {
-		ln, port = &m.lanes[m.cl.Lane(id)], m.cl.Port(id)
-	}
+	ln, port := m.home(id)
 	kern := oskernel.New(ln.sim, &m.P, m.OSKind(id), id)
 	chip := seastar.New(ln.sim, &m.P, id)
 	nic, err := fw.New(ln.sim, &m.P, chip, port, id)
@@ -185,6 +180,15 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 	m.installFailureHandler(n)
 	m.nodes[id] = n
 	return n
+}
+
+// home returns the lane node id lives on and the port it injects through:
+// the classic fabric itself, or the node's own port on a sharded cluster.
+func (m *Machine) home(id topo.NodeID) (*lane, fabric.Port) {
+	if m.cl != nil {
+		return &m.lanes[m.cl.Lane(id)], m.cl.Port(id)
+	}
+	return &m.lanes[0], m.Fab
 }
 
 // EnableTracing starts recording a machine-wide timeline (wire, firmware,

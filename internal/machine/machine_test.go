@@ -107,11 +107,17 @@ func TestPutDeliversEndToEnd(t *testing.T) {
 	}
 }
 
-// onewayLatency measures a single ping-pong round trip of size bytes and
-// returns RTT/2, NetPIPE-style.
+// onewayLatency measures a single ping-pong round trip of size bytes on the
+// classic pair and returns RTT/2, NetPIPE-style.
 func onewayLatency(t *testing.T, mode Mode, size int) sim.Time {
 	t.Helper()
-	m := NewPair(model.Defaults())
+	return pingPong(t, NewPair(model.Defaults()), mode, size) / 2
+}
+
+// pingPong runs one put of size bytes from node 0 to node 1 and one back on
+// the given two-node machine, and returns the round-trip time.
+func pingPong(t *testing.T, m *Machine, mode Mode, size int) sim.Time {
+	t.Helper()
 	var rtt sim.Time
 
 	var a, b *App
@@ -142,7 +148,7 @@ func onewayLatency(t *testing.T, mode Mode, size int) sim.Time {
 		rtt = app.Proc.Now() - start
 	})
 	m.Run()
-	return rtt / 2
+	return rtt
 }
 
 func TestSmallMessageLatencyBallpark(t *testing.T) {

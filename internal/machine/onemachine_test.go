@@ -1,0 +1,154 @@
+package machine
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"portals3/internal/flightrec"
+	"portals3/internal/model"
+	"portals3/internal/sim"
+	"portals3/internal/topo"
+)
+
+// What the classic machine and the sharded one share above the walk, stated
+// as properties rather than goldens: one message-ID and span scheme, one
+// fault-plane scope, one heartbeat clock (DESIGN.md §11). On a two-node line
+// a route is one hop and the receive window never fills, so the whole-path
+// and hop-by-hop walks coincide and the two machines must agree exactly.
+
+// TestOneLaneMatchesClassicUnderFaults: the same rules and seed draw the
+// same faults on both machines — every plane is per source node with the
+// same stream — so the ledgers, the deliveries and the completion time are
+// identical.
+func TestOneLaneMatchesClassicUnderFaults(t *testing.T) {
+	msgs := 40
+	if testing.Short() {
+		msgs = 20
+	}
+	for _, seed := range []int64{1, 0xfa017, 0x5ea57a7} {
+		gotC, doneC, fsC := runFaultSoakOn(t, NewPair, seed, msgs)
+		gotS, doneS, fsS := runFaultSoakOn(t, shardedPair(1), seed, msgs)
+		if fsC.Injected() == 0 {
+			t.Errorf("seed %#x: no fault injected; the comparison is vacuous", seed)
+		}
+		if fsC != fsS {
+			t.Errorf("seed %#x: fault ledgers differ:\n  classic  %v\n  one lane %v", seed, fsC, fsS)
+		}
+		if doneC == 0 || doneC != doneS {
+			t.Errorf("seed %#x: completion %v on the classic machine, %v on one lane", seed, doneC, doneS)
+		}
+		for i := range gotC {
+			if !bytes.Equal(gotC[i], gotS[i]) {
+				t.Fatalf("seed %#x: slot %d delivered differently", seed, i)
+			}
+		}
+	}
+}
+
+// TestIDsCarryTheirNode: on every machine a message ID is (source+1)<<32 |
+// the source's own sequence and a flight-recorder span is (node+1)<<32 | the
+// minting ring's sequence, so neither depends on how nodes interleave.
+func TestIDsCarryTheirNode(t *testing.T) {
+	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
+		m := build(model.Defaults())
+		m.EnableTracing()
+		m.EnableFlightRecorder(0)
+		pingPong(t, m, Generic, 4096)
+
+		sent := map[int]uint64{} // node -> messages it injected
+		for _, r := range m.Trace().Records() {
+			if !strings.HasPrefix(r.Name, "tx ") {
+				continue
+			}
+			id := r.Args["msg"].(uint64)
+			sent[r.PID]++
+			if want := uint64(r.PID+1)<<32 | sent[r.PID]; id != want {
+				t.Errorf("node %d's message %d has ID %#x, want %#x", r.PID, sent[r.PID], id, want)
+			}
+		}
+		if sent[0] == 0 || sent[1] == 0 {
+			t.Fatalf("traced injections per node = %v, want both nodes sending", sent)
+		}
+
+		minted := map[int]uint64{}
+		for _, nd := range m.TakeDump("ids").Nodes {
+			for _, e := range nd.Events {
+				if e.Kind != flightrec.KTxSerialize {
+					continue
+				}
+				minted[nd.Node]++
+				if want := uint64(nd.Node+1)<<32 | minted[nd.Node]; e.Span != want {
+					t.Errorf("node %d's span %d is %#x, want %#x", nd.Node, minted[nd.Node], e.Span, want)
+				}
+			}
+		}
+		if minted[0] == 0 || minted[1] == 0 {
+			t.Fatalf("spans minted per node = %v, want both nodes minting", minted)
+		}
+	})
+}
+
+// TestCorruptEntryLandsOnItsNodesPlane: a corrupt:NODE:AT schedule entry
+// opens its unclosable ledger entry on that node's plane and on no other, on
+// every machine.
+func TestCorruptEntryLandsOnItsNodesPlane(t *testing.T) {
+	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
+		sched, err := model.ParseSchedule("corrupt:1:5us")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := model.Defaults()
+		p.Schedule = sched
+		m := build(p)
+		m.Run()
+		for id := topo.NodeID(0); id < 2; id++ {
+			ln, _ := m.home(id)
+			want := uint64(id) // one entry on node 1's plane, none on node 0's
+			if got := ln.fab.Plane(id).Stats.Open(); got != want {
+				t.Errorf("node %d's plane holds %d open entries, want %d", id, got, want)
+			}
+		}
+		if reports := m.Reports(); len(reports) != 1 || reports[0].Kind != FailureLedger {
+			t.Errorf("reports = %v, want the one ledger imbalance", reports)
+		}
+	})
+}
+
+// TestRASDeclaresDeathAtTheSameTime: heartbeats and the monitor run on the
+// machine's one periodic clock, so a node killed mid-run is declared dead at
+// the same virtual time on every machine. (The kill falls strictly between
+// heartbeat ticks: where a tick and a sample coincide the classic clock runs
+// the sample first and the kernel's barrier ticks the heartbeat first — the
+// remaining difference in every — which no monitor verdict may depend on.)
+func TestRASDeclaresDeathAtTheSameTime(t *testing.T) {
+	const period = 100 * sim.Microsecond
+	var verdicts []string
+	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
+		m := build(model.Defaults())
+		m.Node(0)
+		m.Node(1)
+		ras := m.StartRAS(period)
+		m.RunUntil(260 * sim.Microsecond)
+		m.Node(1).NIC.Kill() // the lanes are joined at a RunUntil return
+		m.RunUntil(10 * period)
+		ras.Stop()
+		m.Run()
+		dead := ras.Dead()
+		// The last heartbeat lands at 250 us; the samples at 400, 500 and 600
+		// us read it unchanged.
+		if len(dead) != 1 || dead[0].Node != 1 || dead[0].At != 6*period {
+			t.Errorf("dead = %v, want node 1 at %v", dead, 6*period)
+		}
+		if hb := m.Node(0).NIC.Heartbeat; hb < 39 {
+			t.Errorf("the live node's heartbeat = %d after %v, want one tick per %v", hb, 10*period, period/4)
+		}
+		verdicts = append(verdicts, fmt.Sprint(dead))
+	})
+	for _, v := range verdicts[1:] {
+		if v != verdicts[0] {
+			t.Errorf("verdicts differ between machines: %q", verdicts)
+		}
+	}
+}

@@ -77,26 +77,23 @@ func (r *RAS) Dead() []NodeFailure {
 // Stop halts the monitor (and lets the event heap drain).
 func (r *RAS) Stop() { r.halted = true }
 
-// StartRAS begins firmware heartbeats on every instantiated node and a
-// monitor that samples them every period, declaring a node dead after
-// three silent samples.
+// StartRAS begins firmware heartbeats on every node and a monitor that
+// samples them every period, declaring a node dead after three silent
+// samples. Both halves run on the machine's periodic clock (every):
+// heartbeat ticks at period/4 increment every live NIC's counter — the idle
+// polling loop's increments of §4.2 — and the monitor samples at period. A
+// node that panics mid-run stops accruing heartbeats (NIC.Kill also halts
+// the firmware's own per-handler increments) and is declared dead three
+// monitor samples later.
 //
-// On a classic machine heartbeats are firmware self-ticks
-// (NIC.StartHeartbeat) and the monitor reschedules itself forever, so
-// drive the simulation with RunUntil (and Stop the monitor before a final
-// Run). On a sharded machine both halves run as kernel barrier ticks
-// (sim.Kernel.Every) instead: heartbeat ticks at period/4 increment every
-// live NIC's counter, and the monitor samples at period — registered in
-// that order, so at a coinciding tick time the increment precedes the
-// read. Barrier ticks stop at kernel quiescence, so a sharded RAS does not
-// keep the machine alive and Machine.Run returns normally. The classic
-// RunUntil idiom works sharded too: Machine.RunUntil fires the barrier
-// ticks due through its horizon even once the lanes are quiescent, so a
-// RunUntil-driven loop keeps the monitor sampling at the same virtual
-// times at every shard count. A node that
-// panics mid-run stops accruing heartbeats (NIC.Kill also halts the
-// firmware's own per-handler increments) and is declared dead three
-// monitor samples later, at the same virtual time at every shard count.
+// The clock is what differs between the machines (see every). On a classic
+// machine the ticks reschedule themselves forever, so drive the simulation
+// with RunUntil (and Stop the monitor before a final Run). On a sharded one
+// they are kernel barrier ticks, which stop at kernel quiescence, so
+// Machine.Run returns normally; the RunUntil idiom works there too —
+// Machine.RunUntil fires the barrier ticks due through its horizon even
+// once the lanes are quiescent — and the monitor samples at the same
+// virtual times at every shard count.
 func (m *Machine) StartRAS(period sim.Time) *RAS {
 	if m.ras != nil {
 		return m.ras
@@ -109,25 +106,17 @@ func (m *Machine) StartRAS(period sim.Time) *RAS {
 		dead:   make(map[topo.NodeID]sim.Time),
 	}
 	m.ras = r
-	if m.kern != nil {
-		hb := period / 4
-		if hb <= 0 {
-			hb = 1
-		}
-		m.every(hb, true, &r.halted, func(sim.Time) {
-			for _, n := range m.nodes {
-				if n != nil && !n.NIC.Dead() {
-					n.NIC.Heartbeat++
-				}
-			}
-		})
-	} else {
-		for _, n := range m.nodes {
-			if n != nil {
-				n.NIC.StartHeartbeat(period / 4)
-			}
-		}
+	hb := period / 4
+	if hb <= 0 {
+		hb = 1
 	}
+	m.every(hb, true, &r.halted, func(sim.Time) {
+		for _, n := range m.nodes {
+			if n != nil && !n.NIC.Dead() {
+				n.NIC.Heartbeat++
+			}
+		}
+	})
 	m.every(period, true, &r.halted, r.check)
 	return r
 }

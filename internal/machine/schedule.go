@@ -14,7 +14,7 @@ import (
 // construction, so by the time the kernel runs, every fault activation is
 // an ordinary lane-local event.
 //
-// Sharded machines keep one fault plane per source node (injections are
+// Every machine keeps one fault plane per source node (injections are
 // filtered where they happen), so link-down and stall state must be
 // visible to every plane: each timed entry becomes one event per node, on
 // that node's own lane, mutating only that node's plane. Events are
@@ -43,19 +43,15 @@ func (m *Machine) applySchedule() {
 	if len(timed) == 0 {
 		return
 	}
-	if m.cl == nil {
-		m.planScheduleOn(m.S, m.Fab.Faults(), -1, timed)
-		return
-	}
 	for id := 0; id < m.Topo.Nodes(); id++ {
 		nid := topo.NodeID(id)
-		m.planScheduleOn(m.lanes[m.cl.Lane(nid)].sim, m.cl.Plane(nid), id, timed)
+		ln, _ := m.home(nid)
+		m.planScheduleOn(ln.sim, ln.fab.Plane(nid), id, timed)
 	}
 }
 
-// planScheduleOn plants one plane's view of the timed entries on its
-// lane's simulator. self is the plane's node id on sharded machines (each
-// node owns a plane) and -1 on a classic machine (one plane sees all).
+// planScheduleOn plants node self's view of the timed entries, on its
+// plane and its lane's simulator.
 func (m *Machine) planScheduleOn(s *sim.Sim, pl *fabric.FaultPlane, self int, timed []model.ScheduleEntry) {
 	for _, e := range timed {
 		e := e
@@ -86,8 +82,8 @@ func (m *Machine) planScheduleOn(s *sim.Sim, pl *fabric.FaultPlane, self int, ti
 			})
 		case model.SchedCorrupt:
 			// Planted ledger corruption lands on the affected node's own
-			// plane (the classic machine's single plane sees everything).
-			if self == -1 || self == e.Node {
+			// plane.
+			if self == e.Node {
 				s.At(e.At, func() { pl.CorruptLedger() })
 			}
 		}

@@ -69,13 +69,10 @@ func (m *Machine) Sharded() bool { return m.kern != nil }
 // diagnostics such as the window count.
 func (m *Machine) ShardKernel() *sim.Kernel { return m.kern }
 
-// FaultSnapshot returns the machine's fault-ledger counters: the classic
-// fabric's plane, or the sum of a sharded cluster's per-node planes.
+// FaultSnapshot returns the machine's fault-ledger counters, the sum of
+// its per-source-node planes (every lane's fabric sees them all).
 func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) {
-	if m.cl != nil {
-		return m.cl.FaultSnapshot()
-	}
-	return m.Fab.FaultSnapshot()
+	return m.lanes[0].fab.FaultSnapshot()
 }
 
 // every calls fn at each multiple of period until *halted — the one clock

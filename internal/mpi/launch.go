@@ -17,36 +17,10 @@ const DefaultStart = 500 * sim.Microsecond
 
 // Launch spawns an MPI job: one rank per listed node, running main. It
 // mirrors yod/mpirun on the real machine — the job launcher distributes the
-// rank-to-node map and synchronizes startup before user code runs.
-//
-// On a classic machine startup uses an out-of-band signal barrier. On a
-// sharded machine the barrier's shared counter would be touched from every
-// lane at once, so Launch delegates to LaunchAt's virtual-time barrier
-// instead — same guarantee (no rank sends before every rank's sinks are
-// posted), no cross-lane state.
+// rank-to-node map and synchronizes startup before user code runs — and is
+// LaunchAt with impl's standard profile and the DefaultStart barrier.
 func Launch(m *machine.Machine, nodes []topo.NodeID, impl Impl, mode machine.Mode, main func(r *Rank)) error {
-	if m.Sharded() {
-		return LaunchAt(m, nodes, ConfigFor(&m.P, impl), mode, DefaultStart, main)
-	}
-	peers := make([]core.ProcessID, len(nodes))
-	// Every rank must have its sinks posted before any rank may send.
-	bar := sim.NewBarrier(m.S, len(nodes))
-	for i, node := range nodes {
-		i := i
-		app, err := m.Spawn(node, fmt.Sprintf("rank%d", i), mode, func(app *machine.App) {
-			r, err := NewRank(app.API, app.Proc, app.Alloc, &m.P, ConfigFor(&m.P, impl), i, peers)
-			if err != nil {
-				panic(fmt.Sprintf("mpi: rank %d init: %v", i, err))
-			}
-			bar.Wait(app.Proc)
-			main(r)
-		})
-		if err != nil {
-			return err
-		}
-		peers[i] = app.ID()
-	}
-	return nil
+	return LaunchAt(m, nodes, ConfigFor(&m.P, impl), mode, DefaultStart, main)
 }
 
 // LaunchAt spawns an MPI job with an explicit profile and a virtual-time

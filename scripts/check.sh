@@ -1,7 +1,9 @@
 #!/bin/sh
 # `make check-fast`: gofmt, vet, build, race-enabled tests, a smoke run of
-# the examples and small tools, and one artifact set written and read back. `make check` adds the host-cost contract
-# tests (`make contracts`, DESIGN.md §7), which skip under the race runtime.
+# the examples and small tools, one artifact set written and read back, and
+# the benchmark module's self-test and tests. `make check` adds the host-cost
+# contract tests (`make contracts`, DESIGN.md §7), which skip under the race
+# runtime.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -59,3 +61,17 @@ for f in torus.json hostprof.json run.p3dump trace.json; do
     fi
 done
 echo "check.sh: p3stat rendered 4 artifacts"
+
+echo "== benchmark module: build, self-test, tests =="
+# bench/ is a module of its own, so nothing above compiles or runs it, and
+# its fabric and firmware rungs (bench/layers.go) drive internal/ through
+# calls no root test makes: a change there can break them at run time without
+# breaking their build.
+go build -C bench -o /dev/null .
+if ! smoke_out=$(go run -C bench portals3/bench -smoke 2>&1); then
+    echo "FAIL: bench -smoke exited non-zero:"
+    echo "$smoke_out"
+    exit 1
+fi
+echo "$smoke_out" | tail -n 1
+go test -C bench ./...
