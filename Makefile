@@ -1,6 +1,6 @@
 # Stdlib-only Go; these targets just bundle the usual invocations.
 
-.PHONY: all build test race vet bench figures check check-fast contracts soak soak-short
+.PHONY: all build test race vet bench figures check check-fast contracts machine-scale soak soak-short
 
 all: build
 
@@ -36,6 +36,11 @@ check-fast:
 # skip under -race). Wall-clock belongs to bench/ (BENCHMARK.json).
 contracts:
 	go test -run '^TestContract' -count=1 .
+
+# The machine-scale proof, outside tier-1 (~10 s, ~550 MB): the 32,768-rank
+# collective runs once and fails above 1 GiB of heap or on any rank error.
+machine-scale:
+	go test -run xxx -bench TorusCollective32k -benchtime 1x .
 
 # Chaos soak campaigns: seeded virtual-time fault schedules over the
 # standard workloads at shards 1 and 4, ledger-balanced and byte-identical

@@ -10,6 +10,7 @@
 package portals3
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -463,6 +464,36 @@ func benchTorusCollective(b *testing.B, steps int) {
 }
 
 func BenchmarkTorusCollective(b *testing.B) { benchTorusCollective(b, 2) }
+
+// collectiveHeap runs the default collective on a dim×dim×dim torus and two
+// lanes under the host profiler and returns the heap high-water (HeapAlloc,
+// sampled every 32 windows) and the rank count. Any rank error is fatal.
+func collectiveHeap(tb testing.TB, dim int) (heap uint64, ranks int) {
+	cfg := experiments.DefaultCollectiveConfig()
+	cfg.Dim, cfg.Shards, cfg.HostProf = dim, 2, true
+	runtime.GC() // the high-water is the process's: start it from this job's own heap
+	r := experiments.TorusCollective(cfg)
+	if len(r.Errors) > 0 {
+		tb.Fatalf("%d-rank collective failed: %s", r.Nodes, r.Errors[0])
+	}
+	return r.HostProfile.HeapAllocHigh, r.Nodes
+}
+
+// BenchmarkTorusCollective32k is the machine-scale proof: one MPI rank on
+// every node of a 32×32×32 torus — 32,768 ranks, three times Red Storm — runs
+// the collective job to completion inside 1 GiB of heap (~10 s; `make
+// machine-scale` runs it once). TestContractBytesPerRank holds the same
+// bytes/rank at 4,096 ranks on every `go test`.
+func BenchmarkTorusCollective32k(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		heap, ranks := collectiveHeap(b, 32)
+		if heap > 1<<30 {
+			b.Fatalf("%d-rank collective: heap high-water %.0f MB, want at most 1024", ranks, float64(heap)/(1<<20))
+		}
+		b.ReportMetric(float64(heap)/(1<<20), "heap_MB")
+		b.ReportMetric(float64(heap)/float64(ranks), "bytes/rank")
+	}
+}
 
 // benchHotSpot runs the 512-node hot-spot traffic generator on four
 // event lanes: 30% of every sender's messages converge on one victim

@@ -95,6 +95,22 @@ func TestContractWorkloadMarginals(t *testing.T) {
 				name, got, short, a, long, z, want)
 		}
 	}
-	marginal("collective rank-step", benchTorusCollective, 2, 6, 8.40)
+	marginal("collective rank-step", benchTorusCollective, 2, 6, 4.40)
 	marginal("hot-spot message", benchHotSpot, 8, 24, 18.48)
+}
+
+// TestContractBytesPerRank pins what one MPI rank of a machine-scale job
+// costs the host while the job runs: the heap high-water of the 4,096-rank
+// collective (16×16×16, 2 lanes), divided by its ranks. 17 KB measured; with
+// the sinks and the event-queue ring of every rank backed whole, written or
+// not, it is 147 KB.
+func TestContractBytesPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime shadows the heap; the plain run asserts the contract")
+	}
+	heap, ranks := collectiveHeap(t, 16)
+	if got := heap / uint64(ranks); got > 32<<10 {
+		t.Errorf("%d-rank collective: heap high-water %d bytes per rank (%.1f MB), want at most %d",
+			ranks, got, float64(heap)/(1<<20), 32<<10)
+	}
 }

@@ -7,10 +7,13 @@
 // sum and the broadcast against the root's pattern without any out-of-band
 // state.
 //
-// The ranks launch through mpi.LaunchAt with a shrunken resource profile:
-// at machine scale (1k–10k ranks) the interactive-job defaults — four
-// 512 KiB sinks and an 8192-deep event queue per rank — would pin
-// gigabytes of host memory for traffic that never exceeds a few KiB.
+// The ranks launch through mpi.LaunchAt with a shrunken resource profile
+// (two 32 KiB sinks, a 512-deep event queue) instead of the interactive-job
+// defaults. The profile is part of the workload: a sink unlinks and is
+// respawned when the room left in it falls below one eager message, so the
+// sink size fixes that schedule and with it every digest of this job.
+// It no longer buys host memory — sinks nobody writes to and queue slots
+// nobody fills are not backed at either size.
 package experiments
 
 import (
@@ -22,7 +25,7 @@ import (
 	"portals3/internal/topo"
 )
 
-// Machine-scale rank resource profile (see package comment).
+// The job's rank resource profile (see package comment).
 const (
 	collNumSinks  = 2
 	collSinkBytes = 32 << 10

@@ -81,9 +81,6 @@ func MaxUint64(dst, src []byte) {
 // absorbs its children before reporting to its parent.
 func (r *Rank) Reduce(root int, op ReduceOp, buf core.Region, off, n int) {
 	v := vrank(r.rank, root, r.size)
-	scratch := r.alloc(n)
-	local := make([]byte, n)
-	incoming := make([]byte, n)
 	mask := 1
 	for mask < r.size {
 		if v&mask != 0 {
@@ -93,6 +90,8 @@ func (r *Rank) Reduce(root int, op ReduceOp, buf core.Region, off, n int) {
 		}
 		child := v | mask
 		if child < r.size {
+			scratch, operands := r.collScratch(n, 2*n)
+			local, incoming := operands[:n], operands[n:]
 			r.Recv(rrank(child, root, r.size), reduceTag, scratch, 0, n)
 			buf.ReadAt(off, local)
 			scratch.ReadAt(0, incoming)
@@ -101,6 +100,22 @@ func (r *Rank) Reduce(root int, op ReduceOp, buf core.Region, off, n int) {
 		}
 		mask <<= 1
 	}
+}
+
+// collScratch is the receive side's working memory for Reduce and Gather: an
+// n-byte region to receive into and nbytes of host memory to combine in.
+// Both live on the Rank, taken by the first call that receives and reused by
+// every later one, so the senders of a tree (half of all ranks are leaves)
+// never pay for them. The region is exactly n bytes, as a fresh one would be:
+// its segment count is what the bridges charge DMA commands by.
+func (r *Rank) collScratch(n, nbytes int) (core.Region, []byte) {
+	if r.scratch == nil || r.scratch.Len() != n {
+		r.scratch = r.alloc(n)
+	}
+	if cap(r.operands) < nbytes {
+		r.operands = make([]byte, nbytes)
+	}
+	return r.scratch, r.operands[:nbytes]
 }
 
 // Allreduce is Reduce to rank 0 followed by Bcast — the rendezvous-free
@@ -115,10 +130,9 @@ func (r *Rank) Allreduce(op ReduceOp, buf core.Region, off, n int) {
 // serves here.
 func (r *Rank) Gather(root int, buf core.Region, off, n int, dst core.Region) {
 	if r.rank == root {
-		chunk := make([]byte, n)
+		scratch, chunk := r.collScratch(n, n)
 		buf.ReadAt(off, chunk)
 		dst.WriteAt(root*n, chunk)
-		scratch := r.alloc(n)
 		for i := 0; i < r.size-1; i++ {
 			req := r.Irecv(AnySource, gatherTag, scratch, 0, n)
 			req.Wait()

@@ -50,9 +50,13 @@ type Config struct {
 
 	// Receive-side resource sizing. Zero means the package default —
 	// the generous interactive-job shape (4 × 512 KiB sinks, 8192-deep
-	// EQ). Machine-scale workloads that run a rank on every node of a
-	// 1k–10k-node torus shrink these: at the defaults a 1000-rank job
-	// pins 2 GiB of sink memory on the host running the simulation.
+	// EQ). These are simulated quantities: a sink unlinks and is
+	// respawned when the room left in it falls below one eager message,
+	// and the event queue overflows at its depth, so a workload that
+	// sets them fixes its respawn schedule with them. They are not a
+	// way to save memory on the host running the simulation: a sink
+	// costs it nothing until a message lands in it, an event queue only
+	// what it has held at once (oskernel.NewRegion, core.EQ).
 	NumSinks  int // unexpected-message buffers after the fence
 	SinkBytes int // bytes per sink buffer
 	EQDepth   int // MPI event queue depth
@@ -169,6 +173,11 @@ type Rank struct {
 	// because one of them might match it.
 	sinkInflight int
 	rdvSeq       uint64
+
+	// Collective working memory (collScratch, Barrier), kept across calls.
+	scratch  core.Region
+	operands []byte
+	empty    core.Region
 
 	// Stats for tests.
 	EagerSends  uint64

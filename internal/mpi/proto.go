@@ -444,7 +444,10 @@ func (r *Rank) takeUnexpected(src, tag int) *unexpMsg {
 // reports to rank 0, rank 0 releases everyone — adequate for the job sizes
 // simulated here.
 func (r *Rank) Barrier() {
-	empty := r.alloc(0)
+	if r.empty == nil {
+		r.empty = r.alloc(0)
+	}
+	empty := r.empty
 	if r.rank == 0 {
 		for i := 1; i < r.size; i++ {
 			r.Recv(AnySource, barrierTag, empty, 0, 0)

@@ -187,11 +187,16 @@ func (k *Kernel) KernelWork(cycles int64, fn func()) {
 // NewRegion allocates application memory the way this OS does: one
 // physically contiguous block on Catamount, discontiguous 4 KB pages on
 // Linux. The region satisfies both core.Region and fw.Buffer.
+//
+// What is modelled is fixed here — length, segment count, and through them
+// every pin, DMA-command and SRAM charge. What the host running the
+// simulation pays is not: backing bytes appear with the first WriteAt that
+// needs them, and memory nobody has written reads as zeros.
 func (k *Kernel) NewRegion(n int) Region {
 	if k.Kind == Catamount {
-		return contigRegion(make([]byte, n))
+		return &contigRegion{length: n}
 	}
-	return newPagedRegion(n, int(k.P.PageBytes))
+	return &pagedRegion{page: int(k.P.PageBytes), length: n}
 }
 
 // Region is host memory as the DMA engines and the Portals library see it.
@@ -204,72 +209,98 @@ type Region interface {
 	Segments() int
 }
 
+// checkRange panics on an access outside [0, length). Both region kinds call
+// it before looking at their backing, so a bad access fails the same way
+// whether or not anything has been written yet.
+func checkRange(off, n, length int) {
+	if off < 0 || n > length-off {
+		panic(fmt.Sprintf("oskernel: region access [%d, %d) outside [0, %d)", off, off+n, length))
+	}
+}
+
 // contigRegion is Catamount memory: virtually contiguous pages map to
 // physically contiguous pages (§3.3), so the whole buffer is one segment.
-type contigRegion []byte
+type contigRegion struct {
+	length int
+	mem    []byte // nil until the first non-empty write
+}
 
-func (r contigRegion) Len() int                  { return len(r) }
-func (r contigRegion) ReadAt(off int, p []byte)  { copy(p, r[off:off+len(p)]) }
-func (r contigRegion) WriteAt(off int, p []byte) { copy(r[off:off+len(p)], p) }
-func (r contigRegion) Segments() int             { return 1 }
+func (r *contigRegion) Len() int      { return r.length }
+func (r *contigRegion) Segments() int { return 1 }
+
+func (r *contigRegion) ReadAt(off int, p []byte) {
+	checkRange(off, len(p), r.length)
+	if r.mem == nil {
+		clear(p)
+		return
+	}
+	copy(p, r.mem[off:])
+}
+
+func (r *contigRegion) WriteAt(off int, p []byte) {
+	checkRange(off, len(p), r.length)
+	if len(p) == 0 {
+		return
+	}
+	if r.mem == nil {
+		r.mem = make([]byte, r.length)
+	}
+	copy(r.mem[off:], p)
+}
 
 // pagedRegion is Linux memory: independently allocated 4 KB pages. Reads
 // and writes genuinely walk the page list, and Segments reports the page
 // count the host must describe to the NIC.
 type pagedRegion struct {
-	pages  [][]byte
+	pages  [][]byte // nil until the first non-empty write; a page until touched
 	page   int
 	length int
 	pinned bool
 }
 
-func newPagedRegion(n, page int) *pagedRegion {
-	r := &pagedRegion{page: page, length: n}
-	for n > 0 {
-		sz := page
-		if n < sz {
-			sz = n
-		}
-		r.pages = append(r.pages, make([]byte, sz))
-		n -= sz
-	}
-	return r
-}
-
 func (r *pagedRegion) Len() int { return r.length }
 
+func (r *pagedRegion) Segments() int { return (r.length + r.page - 1) / r.page }
+
 func (r *pagedRegion) ReadAt(off int, p []byte) {
-	r.walk(off, len(p), func(pg []byte, pgOff, n, done int) {
-		copy(p[done:done+n], pg[pgOff:pgOff+n])
-	})
+	checkRange(off, len(p), r.length)
+	if r.pages == nil {
+		clear(p)
+		return
+	}
+	for len(p) > 0 {
+		po := off % r.page
+		take := min(r.page-po, len(p))
+		if pg := r.pages[off/r.page]; pg != nil {
+			copy(p[:take], pg[po:])
+		} else {
+			clear(p[:take])
+		}
+		off += take
+		p = p[take:]
+	}
 }
 
 func (r *pagedRegion) WriteAt(off int, p []byte) {
-	r.walk(off, len(p), func(pg []byte, pgOff, n, done int) {
-		copy(pg[pgOff:pgOff+n], p[done:done+n])
-	})
-}
-
-func (r *pagedRegion) walk(off, n int, fn func(pg []byte, pgOff, n, done int)) {
-	if off < 0 || off+n > r.length {
-		panic("oskernel: paged region access out of range")
+	checkRange(off, len(p), r.length)
+	if len(p) == 0 {
+		return
 	}
-	done := 0
-	for n > 0 {
-		pi := off / r.page
-		po := off % r.page
-		take := r.page - po
-		if take > n {
-			take = n
+	if r.pages == nil {
+		r.pages = make([][]byte, r.Segments())
+	}
+	for len(p) > 0 {
+		pi, po := off/r.page, off%r.page
+		take := min(r.page-po, len(p))
+		if r.pages[pi] == nil {
+			// The last page is as short as the region's tail.
+			r.pages[pi] = make([]byte, min(r.page, r.length-pi*r.page))
 		}
-		fn(r.pages[pi], po, take, done)
+		copy(r.pages[pi][po:], p[:take])
 		off += take
-		n -= take
-		done += take
+		p = p[take:]
 	}
 }
-
-func (r *pagedRegion) Segments() int { return len(r.pages) }
 
 // Pin marks the region's pages wired for DMA; the Linux bridges call it
 // before handing buffers to the NIC. (Catamount memory is always wired.)
