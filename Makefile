@@ -1,6 +1,6 @@
 # Stdlib-only Go; these targets just bundle the usual invocations.
 
-.PHONY: all build test race vet bench figures check check-fast contracts machine-scale soak soak-short
+.PHONY: all build test race vet bench figures check check-fast contracts alloc-sites machine-scale soak soak-short
 
 all: build
 
@@ -36,6 +36,18 @@ check-fast:
 # skip under -race). Wall-clock belongs to bench/ (BENCHMARK.json).
 contracts:
 	go test -run '^TestContract' -count=1 .
+
+# Where a contract's allocations come from: every allocation of two
+# iterations of root benchmark W (a Benchmark* name of bench_test.go without
+# the prefix: UniformLossy, HotSpot, TorusCollective, SimulatedPut, ...)
+# profiled and the 30 busiest sites listed by objects allocated. Counts
+# include testing.Benchmark's one-iteration trial, so a job-sized body reads
+# three jobs. The binary and the profile land in the git-ignored .bench_build/.
+W ?= UniformLossy
+alloc-sites:
+	mkdir -p .bench_build
+	go test -run xxx -bench 'Benchmark$(W)$$' -benchtime 2x -memprofile .bench_build/alloc.pprof -memprofilerate 1 -o .bench_build/alloc.test .
+	go tool pprof -sample_index=alloc_objects -top -nodecount 30 .bench_build/alloc.test .bench_build/alloc.pprof
 
 # The machine-scale proof, outside tier-1 (~10 s, ~550 MB): the 32,768-rank
 # collective runs once and fails above 1 GiB of heap or on any rank error.

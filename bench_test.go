@@ -518,6 +518,34 @@ func benchHotSpot(b *testing.B, msgs int) {
 
 func BenchmarkHotSpot(b *testing.B) { benchHotSpot(b, 8) }
 
+// benchUniformLossy is bench/'s uniform_lossy_512 shape, the one job that
+// runs the recovery path: 512 nodes, 1 KB uniform traffic on one lane under
+// go-back-n, with 1 % of data frames dropped, 1 % duplicated and 1 % of
+// acknowledgments dropped (seed 1).
+func benchUniformLossy(b *testing.B, msgs int) {
+	b.ReportAllocs()
+	cfg := experiments.DefaultTrafficConfig()
+	cfg.Msgs = msgs
+	cfg.GoBackN = true
+	cfg.Faults = []model.FaultRule{
+		model.NewFault(model.FaultDrop, model.FrameData, 0.01),
+		model.NewFault(model.FaultDrop, model.FrameFcAck, 0.01),
+		model.NewFault(model.FaultDup, model.FrameData, 0.01),
+	}
+	cfg.FaultSeed = 1
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := experiments.TorusTraffic(cfg)
+		if len(r.Errors) > 0 {
+			b.Fatalf("lossy run failed: %s", r.Errors[0])
+		}
+		b.ReportMetric(float64(r.FinishPs)/1e6, "sim_us")
+		b.ReportMetric(float64(r.FaultStats.Recovered), "recovered")
+	}
+}
+
+func BenchmarkUniformLossy(b *testing.B) { benchUniformLossy(b, 32) }
+
 // BenchmarkAblationInlineOptimization removes the ≤12-byte
 // payload-in-header path (§6) and reports the small-message cost.
 func BenchmarkAblationInlineOptimization(b *testing.B) {

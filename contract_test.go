@@ -54,10 +54,10 @@ func TestContractSimAllocatesNothingPerEvent(t *testing.T) {
 	}
 }
 
-func TestContractPutAllocatesTwoAndObserversAddNone(t *testing.T) {
+func TestContractPutAllocatesNothingAndObserversAddNone(t *testing.T) {
 	off := allocsPerOp(t, perMessage, BenchmarkSimulatedPut)
-	if off != 2 {
-		t.Errorf("simulated put: %d allocs/msg, want 2", off)
+	if off != 0 {
+		t.Errorf("simulated put: %d allocs/msg, want 0", off)
 	}
 	for name, bench := range map[string]func(*testing.B){
 		"telemetry + sampler":              BenchmarkPingPongTelemetryOn,
@@ -82,11 +82,19 @@ func TestContractHaloArms(t *testing.T) {
 	}
 }
 
-// TestContractWorkloadMarginals pins what one more collective rank-step and
-// one more message per hot-spot sender allocate on 512 nodes, (long − short
-// run) / extra work: lane scheduling moves it 0.01, one alloc per message 5 %.
+// TestContractWorkloadMarginals pins what one more collective rank-step, one
+// more message per hot-spot sender and one more message per sender under loss
+// and go-back-n recovery allocate on 512 nodes, (long − short run) / extra
+// work: lane scheduling moves it 0.01, one alloc per message 5 %. A message
+// that waits costs queue entries and what lives as long as it does (its
+// requests, pendings and source structures, each pool growing one at a time),
+// never a carrier or a closure per stage: each pin has a ceiling it may only
+// be re-based under (DESIGN.md §7, rows 9, 10 and 16).
 func TestContractWorkloadMarginals(t *testing.T) {
-	marginal := func(name string, bench func(*testing.B, int), short, long int, want float64) {
+	marginal := func(name string, bench func(*testing.B, int), short, long int, want, ceiling float64) {
+		if want > ceiling {
+			t.Errorf("%s: pinned at %.2f allocs, above its ceiling of %.2f: a re-base may only go down", name, want, ceiling)
+		}
 		a := allocsPerOp(t, perJob, func(b *testing.B) { bench(b, short) })
 		z := allocsPerOp(t, perJob, func(b *testing.B) { bench(b, long) })
 		got := float64(z-a) / float64((long-short)*512)
@@ -95,8 +103,9 @@ func TestContractWorkloadMarginals(t *testing.T) {
 				name, got, short, a, long, z, want)
 		}
 	}
-	marginal("collective rank-step", benchTorusCollective, 2, 6, 4.40)
-	marginal("hot-spot message", benchHotSpot, 8, 24, 18.48)
+	marginal("collective rank-step", benchTorusCollective, 2, 6, 3.16, 4.40)
+	marginal("hot-spot message", benchHotSpot, 8, 24, 7.59, 13)
+	marginal("lossy message", benchUniformLossy, 8, 24, 7.47, 11)
 }
 
 // TestContractBytesPerRank pins what one MPI rank of a machine-scale job

@@ -228,9 +228,16 @@ func (f *Fabric) link(node topo.NodeID, d topo.Dir) *sim.Server {
 	if f.links == nil {
 		f.links = make([]*sim.Server, f.Topo.Nodes()*linksPerNode)
 	}
-	sv := sim.NewServer(f.S, fmt.Sprintf("link[%d %v]", node, d))
+	sv := sim.NewServerLabel(f.S, sim.Label{Format: linkName, A: int32(node), B: int32(i % linksPerNode)})
 	f.links[i] = sv
 	return sv
+}
+
+// linkName formats a link's diagnostic name from its node and its port (its
+// linkIndex within the node) when somebody reads it.
+func linkName(node, port int32) string {
+	d := topo.Dir{Axis: topo.Axis(port / 2), Sign: 1 - 2*int(port%2)}
+	return fmt.Sprintf("link[%d %v]", node, d)
 }
 
 // AllocChunk returns a chunk carrier with an n-byte data buffer, reusing a
@@ -339,14 +346,20 @@ func (f *Fabric) RecycleMsg(m *Message) {
 // SetInline moves the (small) payload into the header packet: "these 12
 // bytes can be copied to the host along with the header" (paper §6).
 // It panics beyond wire.InlineMax — callers must honor the hardware limit.
-func (m *Message) SetInline(data []byte) {
-	if len(data) > wire.InlineMax {
+func (m *Message) SetInline(data []byte) { copy(m.InlineSpace(len(data)), data) }
+
+// InlineSpace is SetInline for a sender that produces the n payload bytes
+// itself: it makes them the message's inline payload and returns them to be
+// filled — the header packet's own space, so an inline payload is never
+// copied through a buffer of its own.
+func (m *Message) InlineSpace(n int) []byte {
+	if n > wire.InlineMax {
 		panic("fabric: inline payload exceeds header packet space")
 	}
-	m.Inline = m.inlBuf[:len(data)]
-	copy(m.Inline, data)
-	m.Hdr.InlineLen = uint8(len(data))
+	m.Inline = m.inlBuf[:n]
+	m.Hdr.InlineLen = uint8(n)
 	m.PayloadLen = 0
+	return m.Inline
 }
 
 // SetCRC stores the sender-computed end-to-end CRC. It must be called
@@ -424,9 +437,10 @@ func (f *Fabric) route(src, dst topo.NodeID) []topo.Dir {
 // reserves the whole fixed path at once (traverse). The hopwise transport
 // (shard.go) reserves one link per router (hop), hands the carrier to the
 // next router's lane through the kernel mailbox, and takes the credits at
-// the destination. The step callbacks are bound once and the carrier is
-// recycled into the pool of the fabric that delivers it, so steady-state
-// transport allocates nothing.
+// the destination. A packet waits for one thing at a time, so the carrier
+// binds one continuation, once, and next says which step it runs; the
+// carrier is recycled into the pool of the fabric that delivers it, so
+// steady-state transport allocates nothing.
 type carrier struct {
 	f  *Fabric   // fabric (lane) the next step runs on
 	m  *Message  // the header's message, or the chunk's
@@ -435,7 +449,8 @@ type carrier struct {
 	at *NodePort // hopwise: the router the walk stands at
 	t  sim.Time  // hopwise: when the packet reaches at
 
-	creditsTakenFn, walkFn, reachedNICFn, arrivedFn func()
+	next func(*carrier)
+	fn   func()
 }
 
 func (f *Fabric) getCarrier(m *Message, c *Chunk) *carrier {
@@ -445,11 +460,17 @@ func (f *Fabric) getCarrier(m *Message, c *Chunk) *carrier {
 		f.carrierFree = f.carrierFree[:n-1]
 	} else {
 		k = &carrier{}
-		k.creditsTakenFn, k.walkFn = k.creditsTaken, k.walk
-		k.reachedNICFn, k.arrivedFn = k.reachedNIC, k.arrived
+		k.fn = func() { k.next(k) }
 	}
 	k.f, k.m, k.c = f, m, c
 	return k
+}
+
+// then names the step the carrier's continuation runs when it next fires,
+// and returns the continuation.
+func (k *carrier) then(step func(*carrier)) func() {
+	k.next = step
+	return k.fn
 }
 
 // nbytes is the packet's size on the wire and in the receive window.
@@ -525,13 +546,13 @@ func (k *carrier) arrived() {
 func (f *Fabric) send(m *Message, c *Chunk) {
 	k := f.getCarrier(m, c)
 	k.ep = f.eps[m.Dst]
-	k.ep.RxWindow().Take(int64(k.nbytes()), k.creditsTakenFn)
+	k.ep.RxWindow().Take(int64(k.nbytes()), k.then((*carrier).creditsTaken))
 }
 
 // creditsTaken runs once the receiver window granted the packet's credits.
 func (k *carrier) creditsTaken() {
 	k.injected()
-	k.f.traverse(k.m.Src, k.m.Dst, k.nbytes(), k.arrivedFn)
+	k.f.traverse(k.m.Src, k.m.Dst, k.nbytes(), k.then((*carrier).arrived))
 }
 
 // SendHeader injects the message's header packet. It consumes header-packet

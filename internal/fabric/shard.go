@@ -205,7 +205,7 @@ func (pt *NodePort) launch(m *Message, c *Chunk) {
 	now := f.S.Now()
 	if m.Src == m.Dst {
 		// Loopback still pays NIC injection + ejection, entirely on-lane.
-		f.S.At(now+2*f.P.InjectLatency, k.reachedNICFn)
+		f.S.At(now+2*f.P.InjectLatency, k.then((*carrier).reachedNIC))
 		return
 	}
 	k.t = now + f.P.InjectLatency
@@ -221,11 +221,11 @@ func (k *carrier) walk() {
 	np := pt.cl.ports[next]
 	k.at, k.f = np, np.f
 	if next == m.Dst {
-		pt.post(np, t+pt.f.P.InjectLatency, k.reachedNICFn)
+		pt.post(np, t+pt.f.P.InjectLatency, k.then((*carrier).reachedNIC))
 		return
 	}
 	k.t = t
-	pt.post(np, t, k.walkFn)
+	pt.post(np, t, k.then((*carrier).walk))
 }
 
 // hop reserves this node's outgoing link toward dst for nbytes arriving at
@@ -256,7 +256,7 @@ func (pt *NodePort) hop(src, dst topo.NodeID, t sim.Time, nbytes int64) (topo.No
 // replaces the classic source-side credit take.
 func (k *carrier) reachedNIC() {
 	k.ep = k.at.cl.eps[k.m.Dst]
-	k.ep.RxWindow().Take(int64(k.nbytes()), k.arrivedFn)
+	k.ep.RxWindow().Take(int64(k.nbytes()), k.then((*carrier).arrived))
 }
 
 // FaultAccepted forwards the receiver-side commit to the source node's

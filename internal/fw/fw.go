@@ -106,6 +106,14 @@ type Process struct {
 
 	rx, tx   pendPool
 	cmdSlots *sim.Credits
+
+	// The mailbox (rx.go, command): commands wait in cmds from the host's
+	// post until the firmware pops them; the first posted of them have
+	// crossed HyperTransport and wait for the PowerPC.
+	cmds      fifo[mboxCmd]
+	posted    int
+	grantedFn func() // a command FIFO slot was granted
+	postedFn  func() // the command's posted write reached the NIC
 }
 
 // pendPool is one direction's pending pool. Its size is fixed at init, as on
@@ -134,6 +142,7 @@ func (q *pendPool) take(proc *Process, tx bool) (p *Pending) {
 	} else {
 		q.fresh--
 		p = &Pending{proc: proc, tx: tx}
+		p.queued = p.queued1[:0]
 	}
 	if f := q.avail(); f < q.low {
 		q.low = f
@@ -172,19 +181,12 @@ type Pending struct {
 	buf        Buffer
 	bufOff     int
 	mlen       int
-	done       func(ok bool)
+	ctx        any
 	released   bool
 
-	// Host-command callbacks, bound once per pooled structure, and the
-	// staged receive-command arguments they apply once the command's cycles
-	// have been charged (see Pending.stage).
-	progFn  func()
-	discFn  func()
-	relFn   func()
-	stgBuf  Buffer
-	stgOff  int
-	stgMlen int
-	stgDone func(ok bool)
+	// queued1 backs queued for the first early chunk, so a message of one
+	// chunk that beats the host's command queues without allocating.
+	queued1 [1]*fabric.Chunk
 
 	// Lower pending transmit state.
 	req *TxReq
@@ -198,9 +200,10 @@ type TxReq struct {
 	Buf Buffer
 	Off int
 	Len int
-	// Done runs host-side when the TX_DONE event is delivered; ok reports
-	// transmit success.
-	Done func(ok bool)
+	// Ctx is the submitting driver's own handle for the request — what it
+	// needs to finish the send when the TX_DONE event delivers the request
+	// back. The firmware never looks at it.
+	Ctx any
 
 	// Rec is the latency-attribution record set by the submitting driver
 	// when telemetry is enabled. It transfers to the fabric message at
@@ -213,13 +216,28 @@ type TxReq struct {
 	// go-back-n retransmissions, which therefore share the original's span.
 	Span uint64
 
-	pending  *Pending
-	job      *txJob // per-message stage carrier, recycled at header injection
-	ctrl     bool   // NIC-level flow control frame, no pending, no host data
-	seq      uint32
-	crc      uint32
-	msg      *fabric.Message
-	finished bool
+	pending *Pending
+	ctrl    bool // NIC-level flow control frame, no pending, no host data
+	state   txState
+	seq     uint32
+	crc     uint32
+	msg     *fabric.Message
+}
+
+// txState says who holds a transmit request. The firmware keeps it so that a
+// request recycled while the firmware still refers to it, or recycled twice,
+// stops the run at the call instead of corrupting a later message.
+type txState uint8
+
+const (
+	txHost   txState = iota // the submitter's: fresh, backlogged, or delivered with TX_DONE
+	txQueued                // in the mailbox, on the TX list or on the wire
+	txHeld                  // transmitted, on its flow's unacked list (go-back-n)
+	txFree                  // in the NIC's pool
+)
+
+func (s txState) String() string {
+	return [...]string{"the host's", "queued", "held for its ack", "free"}[s]
 }
 
 // AllocTxReq returns a zeroed transmit request from the NIC's pool. Drivers
@@ -228,6 +246,7 @@ func (n *NIC) AllocTxReq() *TxReq {
 	if k := len(n.txrFree); k > 0 {
 		req := n.txrFree[k-1]
 		n.txrFree = n.txrFree[:k-1]
+		req.state = txHost
 		return req
 	}
 	return &TxReq{}
@@ -238,7 +257,10 @@ func (n *NIC) AllocTxReq() *TxReq {
 // firmware holds no reference past that point (go-back-n releases the
 // request from its unacked list before posting the event).
 func (n *NIC) RecycleTxReq(req *TxReq) {
-	*req = TxReq{}
+	if req.state != txHost {
+		panic("fw: transmit request recycled while " + req.state.String())
+	}
+	*req = TxReq{state: txFree}
 	n.txrFree = append(n.txrFree, req)
 }
 
@@ -250,11 +272,13 @@ type source struct {
 	// Go-back-n state, used only under ExhaustGoBackN: rxSeq is the last
 	// in-order sequence successfully received from this peer, txSeq the
 	// last sequence assigned toward it, unacked the fully transmitted but
-	// not yet acknowledged sends, oldest first.
+	// not yet acknowledged sends, oldest first. unacked1 backs its first
+	// entry: most flows of a machine-scale job never hold two.
 	rxSeq      uint32
 	txSeq      uint32
-	unacked    []*TxReq
 	timerArmed bool
+	unacked    []*TxReq
+	unacked1   [1]*TxReq
 	lastAck    sim.Time
 	// ackedSeq is the peer's cumulative acknowledgment high-water mark. An
 	// ack can outrun our own transmit completion — the peer re-acks a
@@ -320,10 +344,27 @@ type NIC struct {
 	sourceFree int
 	srcLow     int // fewest sources ever free (occupancy low-water)
 
-	txq     []*TxReq // pending transmits; txqHead indexes the next one
-	txqHead int
-	txqHigh int // deepest TX queue backlog (occupancy high-water)
-	txBusy  bool
+	// txq is the single TX list (§4.3); its head is the message the transmit
+	// state machine is moving while txBusy. One message moves at a time, so
+	// the machine's one continuation (txStepFn, which runs txNext: see
+	// txThen) is the NIC's, not a carrier's.
+	txq      fifo[*TxReq]
+	txqHigh  int // deepest TX queue backlog (occupancy high-water)
+	txBusy   bool
+	txNext   func(*NIC)
+	txStepFn func()
+
+	// handlers holds the firmware handlers waiting for the PowerPC, which
+	// serves them in order: dispatchFn runs the head (see exec).
+	handlers   fifo[handler]
+	dispatchFn func()
+
+	// Go-back-n (gobackn.go): the armed retransmission timers, which all wait
+	// GbnTimeout and so expire in arming order, and the scratch list a NACK
+	// collects its rewind in.
+	gbnTimers  fifo[gbnTimer]
+	gbnTimerFn func()
+	gbnResend  []*TxReq
 
 	// early holds chunks that arrive before the header handler has
 	// allocated a pending (hardware demultiplexes; the PowerPC is still
@@ -334,16 +375,14 @@ type NIC struct {
 
 	killed bool
 
-	// txcFree and depFree recycle the per-chunk pipeline carriers (see
-	// tx.go/rx.go) so the data path allocates nothing per chunk; cmdFree,
-	// hdrFree and stubFree do the same for the per-message mailbox-command,
-	// header-dispatch and early-chunk-stub paths.
+	// The free lists that remain are of what moves concurrently behind a
+	// server shared with other traffic, where no one queue orders it: payload
+	// chunks in the TX pipeline (bounded by the TX FIFO) and in host deposit
+	// (by the RX FIFO), host event writes, the stubs of streams whose header
+	// handler has not run yet (by the RX FIFO too), and the drivers'
+	// transmit requests, which live as long as their message is unacked.
 	txcFree  []*txChunk
-	txjFree  []*txJob
-	tdFree   []*txDone
 	depFree  []*rxDeposit
-	cmdFree  []*cmdJob
-	hdrFree  []*hdrJob
 	stubFree []*Pending
 	evpFree  []*evPost
 	txrFree  []*TxReq
@@ -381,6 +420,8 @@ func New(s *sim.Sim, p *model.Params, chip *seastar.Chip, fab fabric.Port, node 
 	n.OnPanic = func(reason string) {
 		panic(fmt.Sprintf("fw[node %d]: %s", node, reason))
 	}
+	n.txStepFn = func() { n.txNext(n) }
+	n.dispatchFn = n.dispatch
 	if err := chip.SRAM.Alloc("sources", int64(p.NumSources)*p.SourceBytes); err != nil {
 		return nil, err
 	}
@@ -427,14 +468,17 @@ func (n *NIC) RegisterAccel(pid uint32, pendings int, handle func(Event)) (*Proc
 }
 
 func (n *NIC) newProcess(pid uint32, accel bool, pendings int, handle func(Event)) (*Process, error) {
-	name := fmt.Sprintf("pendings[pid %d]", pid)
-	if !accel {
-		name = "pendings[generic]"
+	// The generic process's names are constants; only an accelerated one
+	// (a handful per machine) formats its own.
+	pool, box, isAccel := "pendings[generic]", "pendings[generic].proc+mailbox", int32(0)
+	if accel {
+		pool = fmt.Sprintf("pendings[pid %d]", pid)
+		box, isAccel = pool+".proc+mailbox", 1
 	}
-	if err := n.Chip.SRAM.Alloc(name, int64(pendings)*n.P.PendingBytes); err != nil {
+	if err := n.Chip.SRAM.Alloc(pool, int64(pendings)*n.P.PendingBytes); err != nil {
 		return nil, err
 	}
-	if err := n.Chip.SRAM.Alloc(name+".proc+mailbox", 512); err != nil {
+	if err := n.Chip.SRAM.Alloc(box, 512); err != nil {
 		return nil, err
 	}
 	p := &Process{
@@ -444,9 +488,19 @@ func (n *NIC) newProcess(pid uint32, accel bool, pendings int, handle func(Event
 		Handle:   handle,
 		rx:       newPendPool(pendings / 2),
 		tx:       newPendPool(pendings - pendings/2),
-		cmdSlots: sim.NewCredits(n.S, name+".cmdfifo", mailboxSlots),
+		cmdSlots: sim.NewCreditsLabel(n.S, sim.Label{Format: cmdfifoName, A: int32(pid), B: isAccel}, mailboxSlots),
 	}
+	p.grantedFn = p.cmdGranted
+	p.postedFn = p.cmdPosted
 	return p, nil
+}
+
+// cmdfifoName formats a mailbox command FIFO's diagnostic name when read.
+func cmdfifoName(pid, accel int32) string {
+	if accel == 0 {
+		return "pendings[generic].cmdfifo"
+	}
+	return fmt.Sprintf("pendings[pid %d].cmdfifo", uint32(pid))
 }
 
 // procForPid resolves the firmware-level process targeted by a host pid:
@@ -461,23 +515,75 @@ func (n *NIC) procForPid(pid uint32) *Process {
 // Generic returns the generic process (nil before RegisterGeneric).
 func (n *NIC) Generic() *Process { return n.generic }
 
-// exec runs fn as one firmware handler, charging cycles on the PowerPC and
-// ticking the RAS heartbeat. name labels the handler in traces. The span is
-// only built when a tracer is attached — this is the hottest dispatch point
-// in the model, and tracing-off runs must pay nothing for it.
-func (n *NIC) exec(name string, cycles int64, fn func()) {
+// fwOp names a firmware handler.
+type fwOp uint8
+
+const (
+	opTxProgram fwOp = iota
+	opTxDone
+	opRxHeader
+	opRxDone
+	opMailbox
+	opRxProgramLocal
+	opRxDiscardLocal
+	opReleaseLocal
+)
+
+func (op fwOp) String() string {
+	return [...]string{"tx-program", "tx-done", "rx-header", "rx-done", "mailbox-cmd",
+		"rx-program-local", "rx-discard-local", "release-local"}[op]
+}
+
+// handler is one firmware handler waiting for the PowerPC: which one, its
+// cost, and the one thing it works on (the TX handlers work on the head of
+// the TX list and carry nothing).
+type handler struct {
+	op     fwOp
+	ok     bool // opRxDone: the end-to-end CRC verdict
+	cycles int64
+	msg    *fabric.Message // opRxHeader
+	pend   *Pending        // opRxDone and the NIC-local receive commands
+	proc   *Process        // opMailbox: the mailbox whose head command runs
+}
+
+// exec queues h as one firmware handler, charging cycles on the PowerPC and
+// ticking the RAS heartbeat. The PowerPC serves in order, so the handler
+// waits as an entry of n.handlers and the one continuation bound per NIC
+// runs the head — this is the hottest dispatch point in the model, and it
+// builds nothing per handler.
+func (n *NIC) exec(op fwOp, cycles int64, h handler) {
 	n.Heartbeat++
+	h.op, h.cycles = op, cycles
+	n.handlers.push(h)
+	n.Chip.Exec(cycles, n.dispatchFn)
+}
+
+// dispatch runs the handler the PowerPC has just finished charging for. The
+// trace span is only built when a tracer is attached.
+func (n *NIC) dispatch() {
+	h := n.handlers.pop()
 	if n.Trace.Enabled() {
-		dur := n.P.PPCCycles(n.P.FwDispatchCycles + cycles)
-		n.Chip.Exec(cycles, func() {
-			n.Trace.Span(int(n.Node), trace.TrackPPC, "fw", name, n.S.Now()-dur, dur, nil)
-			fn()
-		})
-		return
+		dur := n.P.PPCCycles(n.P.FwDispatchCycles + h.cycles)
+		n.Trace.Span(int(n.Node), trace.TrackPPC, "fw", h.op.String(), n.S.Now()-dur, dur, nil)
 	}
-	// Tracing off: hand fn straight to the CPU — no wrapper closure on the
-	// hot path.
-	n.Chip.Exec(cycles, fn)
+	switch h.op {
+	case opTxProgram:
+		n.txProgram()
+	case opTxDone:
+		n.txDone()
+	case opRxHeader:
+		n.handleHeader(h.msg)
+	case opRxDone:
+		n.rxDone(h.pend, h.ok)
+	case opMailbox:
+		h.proc.runCmd()
+	case opRxProgramLocal:
+		h.pend.program()
+	case opRxDiscardLocal:
+		h.pend.discard()
+	case opReleaseLocal:
+		n.freeRx(h.pend)
+	}
 }
 
 // allocSource finds or allocates the source structure for a peer; nil means
@@ -496,6 +602,7 @@ func (n *NIC) allocSource(nid topo.NodeID) *source {
 	}
 	n.FR.Record(flightrec.KSrcAlloc, n.S.Now(), 0, uint32(n.sourceFree), 0)
 	s := &source{nid: nid}
+	s.unacked = s.unacked1[:0]
 	n.sources[nid] = s
 	return s
 }
@@ -516,19 +623,17 @@ func (n *NIC) postEvent(p *Process, ev Event) {
 	n.Chip.WriteHost(fwEventBytes, j.fn)
 }
 
-// evPost carries one host event delivery; the continuations are bound once
-// and the carrier recycled, so posting an event allocates nothing. The
-// three entry points cover the three delivery shapes: a plain event queue
-// write (fn), a header write that must also return RX FIFO credits (crFn),
-// and the rx-done firmware handler that posts the completion (rdFn).
+// evPost carries one event record through its HyperTransport write to the
+// host — the write engine also carries payload deposits and serves them in
+// between, so an event in flight needs a carrier of its own. It binds one
+// continuation; a header event's write must also return the header's RX FIFO
+// credits, which credits says.
 type evPost struct {
 	n       *NIC
 	p       *Process
 	ev      Event
 	credits int64
 	fn      func()
-	crFn    func()
-	rdFn    func()
 }
 
 func (n *NIC) getEvPost() *evPost {
@@ -539,41 +644,31 @@ func (n *NIC) getEvPost() *evPost {
 	}
 	j := &evPost{n: n}
 	j.fn = j.run
-	j.crFn = j.runCredits
-	j.rdFn = j.runRxDone
 	return j
 }
 
-func (j *evPost) recycle() (*NIC, *Process, Event) {
-	n, p, ev := j.n, j.p, j.ev
-	j.p = nil
-	j.ev = Event{}
-	n.evpFree = append(n.evpFree, j)
-	return n, p, ev
-}
-
 func (j *evPost) run() {
-	_, p, ev := j.recycle()
+	n, p, ev, credits := j.n, j.p, j.ev, j.credits
+	j.p, j.ev, j.credits = nil, Event{}, 0
+	n.evpFree = append(n.evpFree, j)
+	if credits > 0 {
+		n.Chip.RxFIFO.Put(credits)
+	}
 	p.Handle(ev)
 }
 
-func (j *evPost) runCredits() {
-	credits := j.credits
-	n, p, ev := j.recycle()
-	n.Chip.RxFIFO.Put(credits)
-	p.Handle(ev)
-}
-
-func (j *evPost) runRxDone() {
-	n, p, ev := j.recycle()
-	// The rx-done handler has run: the completion event push to the host
-	// begins now — the event-post attribution boundary for chunked messages.
-	ev.Pending.msg.Rec.Stamp(telemetry.StampEvPost, n.S.Now())
-	if p.Accel {
-		p.Handle(ev)
+// rxDone is the rx-done firmware handler: post the completion of a chunked
+// receive.
+func (n *NIC) rxDone(p *Pending, ok bool) {
+	// The completion event push to the host begins now — the event-post
+	// attribution boundary for chunked messages.
+	p.msg.Rec.Stamp(telemetry.StampEvPost, n.S.Now())
+	ev := Event{Kind: EvRxDone, Pending: p, OK: ok}
+	if p.proc.Accel {
+		p.proc.Handle(ev)
 		return
 	}
-	n.postEvent(p, ev)
+	n.postEvent(p.proc, ev)
 }
 
 // exhaust applies the exhaustion policy for an unservable incoming message.
@@ -596,7 +691,7 @@ func (n *NIC) exhaust(m *fabric.Message, what string, code uint32) bool {
 // noteTxq updates the TX queue's backlog high-water mark; call after any
 // append or insert.
 func (n *NIC) noteTxq() {
-	if d := len(n.txq) - n.txqHead; d > n.txqHigh {
+	if d := n.txq.len(); d > n.txqHigh {
 		n.txqHigh = d
 	}
 }
@@ -616,7 +711,7 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 		SourcesFree:   n.sourceFree,
 		SourcesTotal:  n.P.NumSources,
 		SourcesLow:    n.srcLow,
-		TxQueueDepth:  len(n.txq) - n.txqHead,
+		TxQueueDepth:  n.txq.len(),
 		TxQueueHigh:   n.txqHigh,
 		RxStreams:     len(n.streams),
 		RxStreamsHigh: n.streamsHigh,
@@ -636,7 +731,7 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 // receive streams and unacknowledged go-back-n sends. The stall detector
 // pairs it with Progress — open work with no progress is a stalled flow.
 func (n *NIC) OpenWork() int {
-	open := len(n.txq) - n.txqHead + len(n.streams)
+	open := n.txq.len() + len(n.streams)
 	for _, s := range n.sources {
 		open += len(s.unacked)
 	}

@@ -62,15 +62,17 @@ func (h *testHost) handle(ev Event) {
 			self.rxOK = append(self.rxOK, ok)
 		})
 	case EvRxDone:
-		if d := ev.Pending.Done(); d != nil {
+		if d, _ := ev.Pending.Ctx().(func(bool)); d != nil {
 			d(ev.OK)
 		}
 		h.finish(ev.Pending)
 	case EvTxDone:
 		h.txDone++
-		if ev.Tx.Done != nil {
-			ev.Tx.Done(ev.OK)
+		if d, _ := ev.Tx.Ctx.(func(bool)); d != nil {
+			d(ev.OK)
 		}
+		// Like the generic driver: the request's life ends with its TX_DONE.
+		h.nic.RecycleTxReq(ev.Tx)
 	}
 }
 
@@ -132,11 +134,11 @@ func (fp *fwPair) put(a, b int, payload []byte, done func(ok bool)) error {
 		Length: uint32(len(payload)),
 	}
 	return fp.nics[a].SubmitTx(&TxReq{
-		Pid:  1,
-		Hdr:  hdr,
-		Buf:  sliceBuf(payload),
-		Len:  len(payload),
-		Done: done,
+		Pid: 1,
+		Hdr: hdr,
+		Buf: sliceBuf(payload),
+		Len: len(payload),
+		Ctx: done,
 	})
 }
 
@@ -381,7 +383,7 @@ func TestDiscardConsumesStreamAndFreesPending(t *testing.T) {
 	// came back.
 	hdr := wire.Header{Type: wire.TypePut, SrcNid: 0, DstNid: 1, Length: 4}
 	fp.nics[0].SubmitTx(&TxReq{Pid: 1, Hdr: hdr, Buf: sliceBuf("ping"), Len: 4,
-		Done: func(bool) { delivered = true }})
+		Ctx: func(bool) { delivered = true }})
 	fp.s.Run()
 	if fp.nics[1].Stats.Discards != 2 {
 		t.Errorf("Discards = %d", fp.nics[1].Stats.Discards)

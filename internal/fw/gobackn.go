@@ -3,6 +3,7 @@ package fw
 import (
 	"portals3/internal/fabric"
 	"portals3/internal/flightrec"
+	"portals3/internal/sim"
 	"portals3/internal/topo"
 	"portals3/internal/wire"
 )
@@ -134,6 +135,7 @@ func (n *NIC) gbnHoldCompletion(req *TxReq) {
 		n.finishTx(req, true)
 		return
 	}
+	req.state = txHeld
 	src.unacked = append(src.unacked, req)
 	n.gbnArmTimer(src)
 }
@@ -171,11 +173,12 @@ func (n *NIC) handleFlowControl(m *fabric.Message) {
 				kept = append(kept, req)
 			}
 		}
+		clear(src.unacked[len(kept):])
 		src.unacked = kept
 	case wire.TypeFcNack:
 		n.Stats.NacksRcvd++
 		src.lastAck = n.S.Now()
-		var resend []*TxReq
+		resend := n.gbnResend[:0]
 		kept := src.unacked[:0]
 		for _, req := range src.unacked {
 			if req.seq >= seq {
@@ -184,58 +187,74 @@ func (n *NIC) handleFlowControl(m *fabric.Message) {
 				kept = append(kept, req)
 			}
 		}
+		clear(src.unacked[len(kept):])
 		src.unacked = kept
 		n.gbnRequeue(resend)
+		clear(resend)
+		n.gbnResend = resend[:0]
 	}
 }
 
 // gbnRequeue schedules retransmissions, preserving sequence order and the
 // single-TX-FIFO serialization. Requeued messages go behind an in-flight
-// transmission but ahead of everything not yet started.
+// transmission but ahead of everything not yet started. resend is only read.
 func (n *NIC) gbnRequeue(resend []*TxReq) {
 	if len(resend) == 0 {
 		return
 	}
 	n.Stats.Retransmits += uint64(len(resend))
-	if n.FR != nil {
-		for _, req := range resend {
-			n.FR.Record(flightrec.KGbnRewind, n.S.Now(), req.Span, req.seq, 0)
-		}
+	for _, req := range resend {
+		req.state = txQueued
+		n.FR.Record(flightrec.KGbnRewind, n.S.Now(), req.Span, req.seq, 0)
 	}
-	insert := n.txqHead
+	insert := 0
 	if n.txBusy {
-		insert++
+		insert = 1
 	}
-	rest := append([]*TxReq(nil), n.txq[insert:]...)
-	n.txq = append(n.txq[:insert], append(resend, rest...)...)
+	n.txq.insert(insert, resend...)
 	n.noteTxq()
 	n.pumpTx()
 }
 
-// gbnArmTimer starts (or keeps) the per-flow retransmission timer.
+// gbnTimer is one armed retransmission timer: the flow and when it was armed.
+type gbnTimer struct {
+	src     *source
+	armedAt sim.Time
+}
+
+// gbnArmTimer starts (or keeps) the per-flow retransmission timer. Every
+// timer waits the same GbnTimeout, so they expire in the order they were
+// armed: each is an entry of n.gbnTimers, and the one continuation the NIC
+// binds (with its first timer — a NIC without the protocol binds none)
+// expires the head.
 func (n *NIC) gbnArmTimer(src *source) {
 	if src.timerArmed {
 		return
 	}
 	src.timerArmed = true
-	armedAt := n.S.Now()
-	n.S.After(n.P.GbnTimeout, func() {
-		src.timerArmed = false
-		if len(src.unacked) == 0 {
-			return
-		}
-		if src.lastAck > armedAt {
-			// The peer spoke since we armed; give it another period.
-			n.gbnArmTimer(src)
-			return
-		}
-		n.Stats.GbnTimeouts++
-		resend := append([]*TxReq(nil), src.unacked...)
-		src.unacked = src.unacked[:0]
-		if n.FR != nil {
-			n.FR.Record(flightrec.KGbnTimeout, n.S.Now(), 0, uint32(len(resend)), 0)
-		}
-		n.gbnRequeue(resend)
+	if n.gbnTimerFn == nil {
+		n.gbnTimerFn = n.gbnTimerExpired
+	}
+	n.gbnTimers.push(gbnTimer{src: src, armedAt: n.S.Now()})
+	n.S.After(n.P.GbnTimeout, n.gbnTimerFn)
+}
+
+func (n *NIC) gbnTimerExpired() {
+	t := n.gbnTimers.pop()
+	src := t.src
+	src.timerArmed = false
+	if len(src.unacked) == 0 {
+		return
+	}
+	if src.lastAck > t.armedAt {
+		// The peer spoke since we armed; give it another period.
 		n.gbnArmTimer(src)
-	})
+		return
+	}
+	n.Stats.GbnTimeouts++
+	n.FR.Record(flightrec.KGbnTimeout, n.S.Now(), 0, uint32(len(src.unacked)), 0)
+	n.gbnRequeue(src.unacked)
+	clear(src.unacked)
+	src.unacked = src.unacked[:0]
+	n.gbnArmTimer(src)
 }

@@ -74,6 +74,7 @@ func TestGbnAckLostTimeoutRetransmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp.s.Run()
+	defer fp.conserved(t, func() { fp.put(0, 1, payload, nil) })
 
 	h := fp.host[1]
 	if len(h.recv) != 1 {
@@ -117,6 +118,7 @@ func TestGbnNackLostTimerRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp.s.Run()
+	defer fp.conserved(t, func() { fp.put(0, 1, first, nil); fp.put(0, 1, second, nil) })
 
 	h := fp.host[1]
 	if len(h.recv) != 2 {
@@ -160,6 +162,7 @@ func TestGbnDuplicateDataCondemned(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp.s.Run()
+	defer fp.conserved(t, func() { fp.put(0, 1, payload, nil) })
 
 	h := fp.host[1]
 	if len(h.recv) != 1 {
@@ -191,6 +194,7 @@ func TestGbnDelayedMessageRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp.s.Run()
+	defer fp.conserved(t, func() { fp.put(0, 1, payload, nil) })
 	h := fp.host[1]
 	if len(h.recv) != 1 || !bytes.Equal(h.recv[0], payload) {
 		t.Fatalf("delayed message: delivered %d times", len(h.recv))

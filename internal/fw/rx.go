@@ -20,32 +20,6 @@ func (n *NIC) headerCRC(m *fabric.Message) uint32 {
 	return crc32.Update(c, crc32.IEEETable, m.Inline)
 }
 
-// hdrJob defers one arrived header to the firmware CPU without allocating a
-// fresh dispatch closure per message.
-type hdrJob struct {
-	n  *NIC
-	m  *fabric.Message
-	fn func()
-}
-
-func (n *NIC) getHdrJob() *hdrJob {
-	if k := len(n.hdrFree); k > 0 {
-		j := n.hdrFree[k-1]
-		n.hdrFree = n.hdrFree[:k-1]
-		return j
-	}
-	j := &hdrJob{n: n}
-	j.fn = j.run
-	return j
-}
-
-func (j *hdrJob) run() {
-	n, m := j.n, j.m
-	j.m = nil
-	n.hdrFree = append(n.hdrFree, j)
-	n.handleHeader(m)
-}
-
 // getStub returns a stream stub for chunks racing ahead of the header
 // handler; stubs recycle once the real pending adopts their state.
 func (n *NIC) getStub(m *fabric.Message) *Pending {
@@ -55,7 +29,9 @@ func (n *NIC) getStub(m *fabric.Message) *Pending {
 		s.msg = m
 		return s
 	}
-	return &Pending{msg: m}
+	s := &Pending{msg: m}
+	s.queued = s.queued1[:0]
+	return s
 }
 
 func (n *NIC) putStub(s *Pending) {
@@ -83,9 +59,7 @@ func (n *NIC) HeaderArrived(m *fabric.Message) {
 		n.streams[m.ID] = n.getStub(m)
 		n.noteStreams()
 	}
-	j := n.getHdrJob()
-	j.m = m
-	n.exec("rx-header", n.P.FwRxHdrCycles, j.fn)
+	n.exec(opRxHeader, n.P.FwRxHdrCycles, handler{msg: m})
 }
 
 // handleHeader is the firmware's new-message handler (§4.3): source lookup
@@ -141,9 +115,8 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 	p.Inline = m.Inline
 	p.crc = n.headerCRC(m)
 	if stub, ok := n.streams[m.ID]; ok && stub != p {
-		// Adopt chunks that raced ahead of this handler; the stub takes
-		// this pending's empty queue back to its free list.
-		p.queued, stub.queued = stub.queued, p.queued
+		// Adopt chunks that raced ahead of this handler.
+		p.queued = append(p.queued, stub.queued...)
 		p.arrived = stub.arrived
 		n.putStub(stub)
 	}
@@ -190,7 +163,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		j.p = proc
 		j.ev = ev
 		j.credits = hdrCredits
-		n.Chip.WriteHost(int64(wire.HeaderBytes+len(m.Inline)+fwEventBytes), j.crFn)
+		n.Chip.WriteHost(int64(wire.HeaderBytes+len(m.Inline)+fwEventBytes), j.fn)
 		return
 	}
 
@@ -211,7 +184,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 	j.p = proc
 	j.ev = ev
 	j.credits = hdrCredits
-	n.Chip.WriteHost(int64(wire.HeaderBytes+fwEventBytes), j.crFn)
+	n.Chip.WriteHost(int64(wire.HeaderBytes+fwEventBytes), j.fn)
 }
 
 // condemn marks a message's remaining payload for silent discard.
@@ -360,46 +333,32 @@ func (n *NIC) checkRxComplete(p *Pending) {
 		}
 		n.FR.Record(flightrec.KRxDone, n.S.Now(), p.msg.Span, okA, 0)
 	}
-	j := n.getEvPost()
-	j.p = p.proc
-	j.ev = Event{Kind: EvRxDone, Pending: p, OK: ok}
-	n.exec("rx-done", n.P.FwRxDoneCycles, j.rdFn)
+	n.exec(opRxDone, n.P.FwRxDoneCycles, handler{pend: p, ok: ok})
 }
 
 // SubmitRx is the host's receive command (§4.3): after Portals matching,
 // the host tells the firmware where the message's payload belongs — the
 // pending id, the target buffer, and how many bytes to accept (the rest is
-// implicitly discarded). done is recorded on the pending for the driver's
-// completion handling.
-func (p *Pending) SubmitRx(buf Buffer, bufOff, mlen int, done func(ok bool)) {
+// implicitly discarded). ctx is the driver's own handle for the receive,
+// kept on the pending for its completion handling (Ctx); the firmware never
+// looks at it.
+func (p *Pending) SubmitRx(buf Buffer, bufOff, mlen int, ctx any) {
 	n := p.proc.nic
-	p.stage(buf, bufOff, mlen, done)
-	p.proc.command(n.P.FwRxCmdCycles+n.P.FwDMAProgramCycles, p.progFn)
+	p.stage(buf, bufOff, mlen, ctx)
+	p.proc.command(mboxCmd{op: cmdRxProgram, cycles: n.P.FwRxCmdCycles + n.P.FwDMAProgramCycles, pend: p})
 }
 
 // stage parks a receive command's arguments on the pending until its
-// mailbox/handler cycles have been charged; program applies them. With the
-// command callbacks bound once per pooled Pending, the receive command path
-// allocates nothing.
-func (p *Pending) stage(buf Buffer, bufOff, mlen int, done func(ok bool)) {
-	if p.progFn == nil {
-		p.progFn = p.program
-		p.discFn = p.discard
-		p.relFn = p.release
-	}
-	p.stgBuf = buf
-	p.stgOff = bufOff
-	p.stgMlen = mlen
-	p.stgDone = done
+// mailbox/handler cycles have been charged and program applies them:
+// nothing reads them before programmed is set.
+func (p *Pending) stage(buf Buffer, bufOff, mlen int, ctx any) {
+	p.buf = buf
+	p.bufOff = bufOff
+	p.mlen = mlen
+	p.ctx = ctx
 }
 
 func (p *Pending) program() {
-	p.buf = p.stgBuf
-	p.bufOff = p.stgOff
-	p.mlen = p.stgMlen
-	p.done = p.stgDone
-	p.stgBuf = nil
-	p.stgDone = nil
 	p.programmed = true
 	p.proc.nic.drainQueued(p)
 }
@@ -409,41 +368,27 @@ func (p *Pending) discard() {
 	p.proc.nic.drainQueued(p)
 }
 
-func (p *Pending) release() { p.proc.nic.freeRx(p) }
-
-// bindCmds ensures the command callbacks are bound (for paths that skip
-// stage).
-func (p *Pending) bindCmds() {
-	if p.progFn == nil {
-		p.progFn = p.program
-		p.discFn = p.discard
-		p.relFn = p.release
-	}
-}
-
 // ProgramRx is the NIC-local equivalent of SubmitRx, used by accelerated
 // mode: the firmware matched the header itself, so the receive DMA engine
 // can be programmed immediately — no mailbox, no HyperTransport round trip
 // ("arriving messages to be immediately processed, rather than waiting for
 // the host", §3.3).
-func (p *Pending) ProgramRx(buf Buffer, bufOff, mlen int, done func(ok bool)) {
+func (p *Pending) ProgramRx(buf Buffer, bufOff, mlen int, ctx any) {
 	n := p.proc.nic
-	p.stage(buf, bufOff, mlen, done)
-	n.exec("rx-program-local", n.P.FwDMAProgramCycles, p.progFn)
+	p.stage(buf, bufOff, mlen, ctx)
+	n.exec(opRxProgramLocal, n.P.FwDMAProgramCycles, handler{pend: p})
 }
 
 // DiscardLocal is the NIC-local equivalent of Discard.
 func (p *Pending) DiscardLocal() {
 	n := p.proc.nic
-	p.bindCmds()
-	n.exec("rx-discard-local", n.P.FwRxCmdCycles, p.discFn)
+	n.exec(opRxDiscardLocal, n.P.FwRxCmdCycles, handler{pend: p})
 }
 
 // ReleaseLocal is the NIC-local equivalent of Release.
 func (p *Pending) ReleaseLocal() {
 	n := p.proc.nic
-	p.bindCmds()
-	n.exec("release-local", n.P.FwReleaseCycles, p.relFn)
+	n.exec(opReleaseLocal, n.P.FwReleaseCycles, handler{pend: p})
 }
 
 // Discard is the host's "drop this message" command: every payload byte is
@@ -451,18 +396,14 @@ func (p *Pending) ReleaseLocal() {
 // host follows up with Release; the discard stream finishes draining on its
 // own.
 func (p *Pending) Discard() {
-	n := p.proc.nic
-	p.bindCmds()
-	p.proc.command(n.P.FwRxCmdCycles, p.discFn)
+	p.proc.command(mboxCmd{op: cmdRxDiscard, cycles: p.proc.nic.P.FwRxCmdCycles, pend: p})
 }
 
 // Release is the host's release-pending command (§4.3), returning the
 // pending to the firmware's free list once the host is done with the upper
 // pending contents.
 func (p *Pending) Release() {
-	n := p.proc.nic
-	p.bindCmds()
-	p.proc.command(n.P.FwReleaseCycles, p.relFn)
+	p.proc.command(mboxCmd{op: cmdRelease, cycles: p.proc.nic.P.FwReleaseCycles, pend: p})
 }
 
 // drainQueued consumes chunks that arrived before the host's command, then
@@ -515,6 +456,7 @@ func (n *NIC) freeRx(p *Pending) {
 	}
 	p.msg = nil
 	p.Inline = nil
+	p.ctx = nil
 	proc.rx.free = append(proc.rx.free, p)
 }
 
@@ -529,7 +471,7 @@ func (p *Pending) reset() {
 	p.buf = nil
 	p.bufOff = 0
 	p.mlen = 0
-	p.done = nil
+	p.ctx = nil
 	p.released = false
 }
 
@@ -541,8 +483,9 @@ func (p *Pending) Complete() bool { return p.msg.PayloadLen == 0 }
 // PayloadLen reports the chunked payload size of the pending's message.
 func (p *Pending) PayloadLen() int { return p.msg.PayloadLen }
 
-// Done returns the completion callback stored by SubmitRx.
-func (p *Pending) Done() func(ok bool) { return p.done }
+// Ctx returns the driver's handle stored by SubmitRx or ProgramRx (nil when
+// the message needed no receive command).
+func (p *Pending) Ctx() any { return p.ctx }
 
 // TakeRec detaches and returns the latency-attribution record of the
 // pending's message, or nil. The caller (the NAL driver, at app delivery)
@@ -557,63 +500,71 @@ func (p *Pending) TakeRec() *telemetry.MsgRec {
 	return r
 }
 
-// cmdJob carries one mailbox command through its stages — FIFO slot grant,
-// posted write across HyperTransport, firmware handler — with the stage
-// callbacks bound once and the carrier recycled, so a command allocates
-// nothing beyond its handler.
-type cmdJob struct {
-	p       *Process
-	cycles  int64
-	handler func()
-	takeFn  func()
-	postFn  func()
-	runFn   func()
-}
+// cmdOp names a mailbox command.
+type cmdOp uint8
 
-func (n *NIC) getCmdJob() *cmdJob {
-	if k := len(n.cmdFree); k > 0 {
-		j := n.cmdFree[k-1]
-		n.cmdFree = n.cmdFree[:k-1]
-		return j
-	}
-	j := &cmdJob{}
-	j.takeFn = j.take
-	j.postFn = j.post
-	j.runFn = j.run
-	return j
-}
+const (
+	cmdTx        cmdOp = iota // transmit req
+	cmdRxProgram              // program the receive staged on pend
+	cmdRxDiscard              // discard pend's payload
+	cmdRelease                // release pend
+	cmdQuery                  // run fn (QueryStats)
+)
 
-func (j *cmdJob) take() {
-	n := j.p.nic
-	n.S.After(n.P.HTWriteLatency, j.postFn)
-}
-
-func (j *cmdJob) post() {
-	j.p.nic.exec("mailbox-cmd", j.cycles, j.runFn)
-}
-
-func (j *cmdJob) run() {
-	p, h := j.p, j.handler
-	j.p, j.handler = nil, nil
-	n := p.nic
-	n.cmdFree = append(n.cmdFree, j)
-	if n.FR != nil {
-		n.FR.Record(flightrec.KCmdDequeue, n.S.Now(), 0, uint32(p.ID), 0)
-	}
-	p.cmdSlots.Put(1)
-	h()
+// mboxCmd is one command record in a process's mailbox: what to do, to
+// which request or pending, and what the firmware handler costs.
+type mboxCmd struct {
+	op     cmdOp
+	cycles int64
+	req    *TxReq
+	pend   *Pending
+	fn     func()
 }
 
 // command posts one mailbox command from the host: it takes a command FIFO
 // slot (backpressuring the host when full), models the posted-write latency
-// across HyperTransport, then runs handler as a firmware handler of the
-// given cycle cost. The slot frees when the firmware pops the command.
-func (p *Process) command(cycles int64, handler func()) {
-	j := p.nic.getCmdJob()
-	j.p = p
-	j.cycles = cycles
-	j.handler = handler
-	p.cmdSlots.Take(1, j.takeFn)
+// across HyperTransport, then runs as a firmware handler of the command's
+// cycle cost. The slot frees when the firmware pops the command. Slot
+// grants, posted writes and the PowerPC all serve in order, so the command
+// waits as an entry of p.cmds the whole way and the process's two bound
+// continuations (and the NIC's dispatch) move the head along.
+func (p *Process) command(c mboxCmd) {
+	p.cmds.push(c)
+	p.cmdSlots.Take(1, p.grantedFn)
+}
+
+func (p *Process) cmdGranted() {
+	n := p.nic
+	n.S.After(n.P.HTWriteLatency, p.postedFn)
+}
+
+func (p *Process) cmdPosted() {
+	c := p.cmds.at(p.posted)
+	p.posted++
+	p.nic.exec(opMailbox, c.cycles, handler{proc: p})
+}
+
+// runCmd is the mailbox-cmd firmware handler: pop the head command and do it.
+func (p *Process) runCmd() {
+	c := p.cmds.pop()
+	p.posted--
+	n := p.nic
+	if n.FR != nil {
+		n.FR.Record(flightrec.KCmdDequeue, n.S.Now(), 0, uint32(p.ID), 0)
+	}
+	p.cmdSlots.Put(1)
+	switch c.op {
+	case cmdTx:
+		n.txSubmit(c.req)
+	case cmdRxProgram:
+		c.pend.program()
+	case cmdRxDiscard:
+		c.pend.discard()
+	case cmdRelease:
+		n.freeRx(c.pend)
+	case cmdQuery:
+		c.fn()
+	}
 }
 
 // QueryStats is a synchronous mailbox command: the host posts it to the
@@ -626,7 +577,7 @@ func (p *Process) QueryStats(caller *sim.Proc) Stats {
 	var out Stats
 	got := false
 	sig := sim.NewSignal(n.S)
-	p.command(n.P.FwReleaseCycles, func() {
+	p.command(mboxCmd{op: cmdQuery, cycles: n.P.FwReleaseCycles, fn: func() {
 		out = n.Stats
 		out.HeadersRx = n.Stats.HeadersRx // snapshot under the handler
 		// The result crosses back to host memory as one posted write.
@@ -634,7 +585,7 @@ func (p *Process) QueryStats(caller *sim.Proc) Stats {
 			got = true
 			sig.Raise()
 		})
-	})
+	}})
 	for !got {
 		sig.Wait(caller)
 	}

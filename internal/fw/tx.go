@@ -25,6 +25,9 @@ var ErrAccelNonContiguous = errors.New("fw: accelerated mode requires physically
 // commands pre-computed by the host; the extra host cycles for that are
 // charged by the NAL driver, the extra per-segment HT transactions here.
 func (n *NIC) SubmitTx(req *TxReq) error {
+	if req.state != txHost {
+		panic("fw: transmit request submitted while the firmware or the pool holds it")
+	}
 	proc := n.procForPid(req.Pid)
 	if proc == nil {
 		return errors.New("fw: no firmware process for pid")
@@ -46,42 +49,15 @@ func (n *NIC) SubmitTx(req *TxReq) error {
 	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), req.Span, uint32(proc.tx.avail()), 1)
 	p.req = req
 	req.pending = p
-	j := n.getTxJob()
-	j.req = req
-	req.job = j
-	proc.command(n.P.FwTxCmdCycles, j.submitFn)
+	req.state = txQueued
+	proc.command(mboxCmd{op: cmdTx, cycles: n.P.FwTxCmdCycles, req: req})
 	return nil
 }
 
-// txJob carries one transmit request through the per-message stages of the
-// TX state machine — mailbox command, header fetch, optional inline payload
-// fetch — with the stage callbacks bound once and the carrier recycled in
-// txHeaderReady, so a message start allocates nothing.
-type txJob struct {
-	n        *NIC
-	req      *TxReq
-	submitFn func() // mailbox command handler: enqueue on the TX FIFO
-	startFn  func() // tx-program handler: fetch the header
-	hdrFn    func() // header fetched from host memory
-	inlFn    func() // inline payload fetched from host memory
-}
-
-func (n *NIC) getTxJob() *txJob {
-	if k := len(n.txjFree); k > 0 {
-		j := n.txjFree[k-1]
-		n.txjFree = n.txjFree[:k-1]
-		return j
-	}
-	j := &txJob{n: n}
-	j.submitFn = j.submit
-	j.startFn = j.start
-	j.hdrFn = j.hdrRead
-	j.inlFn = j.inlRead
-	return j
-}
-
-func (j *txJob) submit() {
-	n, req := j.n, j.req
+// txSubmit is the transmit command's firmware handler: find the
+// destination's source structure, stamp the flow sequence and enqueue the
+// request on the TX list.
+func (n *NIC) txSubmit(req *TxReq) {
 	req.Rec.Stamp(telemetry.StampFwTx, n.S.Now())
 	src := n.allocSource(topo.NodeID(req.Hdr.DstNid))
 	if src == nil {
@@ -93,52 +69,29 @@ func (j *txJob) submit() {
 		return
 	}
 	n.gbnAssignSeq(src, req)
-	n.txq = append(n.txq, req)
+	n.txq.push(req)
 	n.noteTxq()
 	n.FR.Record(flightrec.KTxSerialize, n.S.Now(), req.Span, req.seq, uint32(req.Len))
 	n.pumpTx()
-}
-
-func (j *txJob) start() {
-	n, req := j.n, j.req
-	if req.ctrl {
-		n.txHeaderReady(req, nil)
-		return
-	}
-	n.Chip.ReadHost(int64(wire.PacketBytes), 1, j.hdrFn)
-}
-
-func (j *txJob) hdrRead() {
-	n, req := j.n, j.req
-	if req.Len <= n.P.InlineDataMax && req.Len > 0 && req.Hdr.HasPayload() {
-		// Small-message optimization: the payload rides in the header
-		// packet. One more HT read fetches it from main memory.
-		n.Chip.ReadHost(int64(req.Len), n.segsInRange(req.Buf, req.Off, req.Len), j.inlFn)
-		return
-	}
-	n.txHeaderReady(req, nil)
-}
-
-func (j *txJob) inlRead() {
-	n, req := j.n, j.req
-	data := make([]byte, req.Len)
-	req.Buf.ReadAt(req.Off, data)
-	n.txHeaderReady(req, data)
 }
 
 // sendControl transmits a NIC-level flow control frame. Control frames are
 // built entirely in firmware — no pending, no host memory reads — but they
 // serialize through the same TX queue as everything else (§4.3: "All
 // transmits, regardless of destination or process type, are serialized
-// through a single TX FIFO").
+// through a single TX FIFO"). The frame is a request from the pool the
+// drivers' sends come from, and goes back to it in txDone.
 func (n *NIC) sendControl(dst topo.NodeID, typ wire.MsgType, seq uint32) {
-	hdr := wire.Header{
+	req := n.AllocTxReq()
+	req.Hdr = wire.Header{
 		Type:   typ,
 		SrcNid: uint32(n.Node),
 		DstNid: uint32(dst),
 		Offset: seq,
 	}
-	n.txq = append(n.txq, &TxReq{Hdr: hdr, ctrl: true})
+	req.ctrl = true
+	req.state = txQueued
+	n.txq.push(req)
 	n.noteTxq()
 	if n.FR != nil {
 		k := flightrec.KGbnAckTx
@@ -151,44 +104,62 @@ func (n *NIC) sendControl(dst topo.NodeID, typ wire.MsgType, seq uint32) {
 }
 
 // pumpTx starts the transmit state machine on the head of the TX pending
-// list if it is idle. One message transmits at a time. The header fetch
-// (one HT read — control frames skip it, their header is SRAM-resident)
-// and inline payload fetch run as txJob stages.
+// list if it is idle. One message transmits at a time, and stays the head
+// of the list until its tx-done handler has run.
 func (n *NIC) pumpTx() {
-	if n.txBusy || n.txqHead == len(n.txq) {
+	if n.txBusy || n.txq.len() == 0 {
 		return
 	}
 	n.txBusy = true
-	req := n.txq[n.txqHead]
-	if req.job == nil {
-		// Control frames and go-back-n retransmissions arrive without a
-		// carrier (theirs was recycled when the first attempt started).
-		req.job = n.getTxJob()
-		req.job.req = req
-	}
-	n.exec("tx-program", n.P.FwDMAProgramCycles, req.job.startFn)
+	n.exec(opTxProgram, n.P.FwDMAProgramCycles, handler{})
 }
 
+// txThen names the step the transmit state machine takes when the completion
+// it waits for — a host read, the header entering the wire — arrives, and
+// returns the NIC's one continuation for it.
+func (n *NIC) txThen(step func(*NIC)) func() {
+	n.txNext = step
+	return n.txStepFn
+}
+
+// txProgram is the tx-program handler: fetch the header (one HT read —
+// control frames skip it, their header is SRAM-resident).
+func (n *NIC) txProgram() {
+	if req := n.txq.first(); req.ctrl {
+		n.txHeaderReady(req, false)
+		return
+	}
+	n.Chip.ReadHost(int64(wire.PacketBytes), 1, n.txThen((*NIC).txHdrFetched))
+}
+
+func (n *NIC) txHdrFetched() {
+	req := n.txq.first()
+	if req.Len <= n.P.InlineDataMax && req.Len > 0 && req.Hdr.HasPayload() {
+		// Small-message optimization: the payload rides in the header
+		// packet. One more HT read fetches it from main memory.
+		n.Chip.ReadHost(int64(req.Len), n.segsInRange(req.Buf, req.Off, req.Len), n.txThen((*NIC).txInlFetched))
+		return
+	}
+	n.txHeaderReady(req, false)
+}
+
+func (n *NIC) txInlFetched() { n.txHeaderReady(n.txq.first(), true) }
+
+// txHdrOnWire: a chunkless message is complete once its header is on the wire.
+func (n *NIC) txHdrOnWire() { n.txComplete(n.txq.first()) }
+
 // txHeaderReady injects the header packet and, for chunked payloads,
-// starts the chunk pipeline. The message's txJob carrier is done once the
-// header is on its way, so it recycles here.
-func (n *NIC) txHeaderReady(req *TxReq, inline []byte) {
-	if req.job != nil {
-		req.job.req = nil
-		n.txjFree = append(n.txjFree, req.job)
-		req.job = nil
-	}
+// starts the chunk pipeline. An inline payload is read from host memory
+// straight into the message's own header-packet space.
+func (n *NIC) txHeaderReady(req *TxReq, inline bool) {
 	payloadLen := req.Len
-	if inline != nil {
-		payloadLen = 0
-	}
-	if !req.Hdr.HasPayload() {
+	if inline || !req.Hdr.HasPayload() {
 		payloadLen = 0
 	}
 	m := n.Fab.NewStream(req.Hdr, n.Node, topo.NodeID(req.Hdr.DstNid), payloadLen)
 	m.FwSeq = req.seq
-	if inline != nil {
-		m.SetInline(inline)
+	if inline {
+		req.Buf.ReadAt(req.Off, m.InlineSpace(req.Len))
 	}
 	// The attribution record follows the message from here on; moving it
 	// (rather than sharing) keeps ownership single even when go-back-n
@@ -205,9 +176,7 @@ func (n *NIC) txHeaderReady(req *TxReq, inline []byte) {
 	n.FR.Record(flightrec.KTxHeader, n.S.Now(), req.Span, req.seq, uint32(payloadLen))
 	if payloadLen == 0 {
 		m.SetCRC(req.crc)
-		d := n.getTxDone()
-		d.req = req
-		m.OnInjected = d.injFn
+		m.OnInjected = n.txThen((*NIC).txHdrOnWire)
 		n.Fab.SendHeader(m)
 		return
 	}
@@ -215,72 +184,45 @@ func (n *NIC) txHeaderReady(req *TxReq, inline []byte) {
 	n.txNextChunk(req, 0)
 }
 
-// txDone carries a message's completion through its two deferred steps —
-// the wire-entry callback and the tx-done firmware handler — without a
-// fresh closure per message.
-type txDone struct {
-	n      *NIC
-	req    *TxReq
-	injFn  func() // chunkless message entered the wire
-	doneFn func() // tx-done handler body
-}
-
-func (n *NIC) getTxDone() *txDone {
-	if k := len(n.tdFree); k > 0 {
-		d := n.tdFree[k-1]
-		n.tdFree = n.tdFree[:k-1]
-		return d
-	}
-	d := &txDone{n: n}
-	d.injFn = d.inj
-	d.doneFn = d.done
-	return d
-}
-
-func (d *txDone) inj() {
-	n, req := d.n, d.req
-	d.req = nil
-	n.tdFree = append(n.tdFree, d)
-	n.txComplete(req)
-}
-
-func (d *txDone) done() {
-	n, req := d.n, d.req
-	d.req = nil
-	n.tdFree = append(n.tdFree, d)
-	if n.txqHead == len(n.txq) || n.txq[n.txqHead] != req {
+// txComplete runs when the message's final packet enters the wire: the
+// tx-done handler unlinks it from the TX pending list, posts the
+// transmit-complete event (unless go-back-n holds it for the peer's ack),
+// and pumps the next message.
+func (n *NIC) txComplete(req *TxReq) {
+	if n.txq.first() != req {
 		panic("fw: tx completion out of order")
 	}
-	n.txq[n.txqHead] = nil
-	n.txqHead++
-	if n.txqHead == len(n.txq) {
-		// Queue drained: rewind so the buffer's capacity is reused.
-		n.txq = n.txq[:0]
-		n.txqHead = 0
-	}
+	n.exec(opTxDone, n.P.FwTxDoneCycles, handler{})
+}
+
+func (n *NIC) txDone() {
+	req := n.txq.pop()
 	n.txBusy = false
 	n.Stats.MsgsTx++
-	if !req.ctrl {
-		if n.Policy == ExhaustGoBackN {
-			n.gbnHoldCompletion(req)
-		} else {
-			n.finishTx(req, true)
-		}
+	switch {
+	case req.ctrl:
+		req.state = txHost // the firmware's own request: it is its host
+		n.RecycleTxReq(req)
+	case n.Policy == ExhaustGoBackN:
+		n.gbnHoldCompletion(req)
+	default:
+		n.finishTx(req, true)
 	}
 	n.pumpTx()
 }
 
-// txChunk is one in-flight payload chunk of the transmit pipeline. The
-// carrier and its stage callbacks are bound once and recycled through the
-// NIC's free list, so the per-chunk path allocates nothing.
+// txChunk is one in-flight payload chunk of the transmit pipeline: it waits
+// for TX FIFO space, then for its host DMA read, then for the wire, one
+// after the other, so the carrier binds one continuation and next says
+// which step it runs. It is recycled through the NIC's free list, so the
+// per-chunk path allocates nothing.
 type txChunk struct {
 	n       *NIC
 	req     *TxReq
 	off, sz int
 	last    bool
-	takeFn  func() // TX FIFO space granted
-	readFn  func() // host DMA read complete
-	injFn   func() // chunk entered the wire
+	next    func(*txChunk)
+	fn      func()
 }
 
 func (n *NIC) getTxChunk() *txChunk {
@@ -290,10 +232,13 @@ func (n *NIC) getTxChunk() *txChunk {
 		return t
 	}
 	t := &txChunk{n: n}
-	t.takeFn = t.take
-	t.readFn = t.read
-	t.injFn = t.injected
+	t.fn = func() { t.next(t) }
 	return t
+}
+
+func (t *txChunk) then(step func(*txChunk)) func() {
+	t.next = step
+	return t.fn
 }
 
 // txNextChunk runs the payload pipeline: reserve TX FIFO space, DMA-read
@@ -309,12 +254,12 @@ func (n *NIC) txNextChunk(req *TxReq, off int) {
 		t.sz = req.Len - off
 	}
 	t.last = off+t.sz == req.Len
-	n.Chip.TxFIFO.Take(int64(t.sz), t.takeFn)
+	n.Chip.TxFIFO.Take(int64(t.sz), t.then((*txChunk).granted))
 }
 
-func (t *txChunk) take() {
+func (t *txChunk) granted() {
 	n := t.n
-	n.Chip.ReadHostStream(int64(t.sz), n.segsInRange(t.req.Buf, t.req.Off+t.off, t.sz), t.readFn)
+	n.Chip.ReadHostStream(int64(t.sz), n.segsInRange(t.req.Buf, t.req.Off+t.off, t.sz), t.then((*txChunk).read))
 }
 
 func (t *txChunk) read() {
@@ -328,7 +273,7 @@ func (t *txChunk) read() {
 	c.Msg = req.msg
 	c.Off = t.off
 	c.Last = t.last
-	c.OnInjected = t.injFn
+	c.OnInjected = t.then((*txChunk).injected)
 	n.Fab.SendChunk(c)
 	if !t.last {
 		n.txNextChunk(req, t.off+t.sz)
@@ -351,15 +296,6 @@ func (t *txChunk) injected() {
 	}
 }
 
-// txComplete runs when the message's final packet enters the wire: unlink
-// from the TX pending list, post the transmit-complete event (unless
-// go-back-n holds it for the peer's ack), and pump the next message.
-func (n *NIC) txComplete(req *TxReq) {
-	d := n.getTxDone()
-	d.req = req
-	n.exec("tx-done", n.P.FwTxDoneCycles, d.doneFn)
-}
-
 // finishTx frees the pending back to the host-managed pool and posts the
 // TX_DONE event.
 func (n *NIC) finishTx(req *TxReq, ok bool) {
@@ -374,6 +310,7 @@ func (n *NIC) finishTx(req *TxReq, ok bool) {
 		}
 	}
 	n.Stats.Completions++
+	req.state = txHost
 	ev := Event{Kind: EvTxDone, Tx: req, OK: ok}
 	if proc.Accel {
 		proc.Handle(ev)

@@ -52,12 +52,8 @@ func (d *AccelDriver) Send(req *core.SendReq) {
 	if req.Region != nil {
 		tx.Buf = req.Region
 	}
-	creq := req
-	switch {
-	case req.RxOp != nil:
-		tx.Done = func(ok bool) { d.lib.ReplySent(creq.RxOp) }
-	case req.Hdr.Type == wire.TypePut:
-		tx.Done = func(ok bool) { d.lib.SendDone(creq, ok) }
+	if req.RxOp != nil || req.Hdr.Type == wire.TypePut {
+		tx.Ctx = req // finished at TX_DONE (sendDone)
 	}
 	if err := d.NIC.SubmitTx(tx); err != nil {
 		d.backlog = append(d.backlog, tx)
@@ -77,13 +73,17 @@ func (d *AccelDriver) fwEvent(ev fw.Event) {
 	case fw.EvNewHeader:
 		d.handleHeader(ev)
 	case fw.EvRxDone:
-		if done := ev.Pending.Done(); done != nil {
-			done(ev.OK)
+		if op, _ := ev.Pending.Ctx().(*core.RxOp); op != nil {
+			d.visible(func() {
+				if ack := d.lib.Delivered(op, ev.OK); ack != nil {
+					d.Send(ack)
+				}
+			})
 		}
 		ev.Pending.ReleaseLocal()
 	case fw.EvTxDone:
-		if done := ev.Tx.Done; done != nil {
-			d.visible(func() { done(ev.OK) })
+		if req, _ := ev.Tx.Ctx.(*core.SendReq); req != nil {
+			d.visible(func() { sendDone(d.lib, req, ev.OK) })
 		}
 		for len(d.backlog) > 0 {
 			tx := d.backlog[0]
@@ -139,13 +139,7 @@ func (d *AccelDriver) handleHeader(ev fw.Event) {
 			})
 			p.ReleaseLocal()
 		default:
-			p.ProgramRx(op.Region, op.Off, op.MLen, func(ok bool) {
-				d.visible(func() {
-					if ack := d.lib.Delivered(op, ok); ack != nil {
-						d.Send(ack)
-					}
-				})
-			})
+			p.ProgramRx(op.Region, op.Off, op.MLen, op)
 		}
 	})
 }

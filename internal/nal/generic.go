@@ -48,8 +48,6 @@ type GenericDriver struct {
 	drainFn func()
 	doneFn  func()
 	evjFree []*evJob
-	rcbFree []*rxCb
-	scbFree []*sendCb
 
 	// Stats for tests and reports.
 	EventsHandled uint64
@@ -119,48 +117,23 @@ func (d *GenericDriver) send(pid uint32, req *core.SendReq) {
 	if req.Region != nil {
 		tx.Buf = req.Region
 	}
-	switch {
-	case req.RxOp != nil, req.Hdr.Type == wire.TypePut:
+	if req.RxOp != nil || req.Hdr.Type == wire.TypePut {
 		// A get reply completes the target side of the get at TX done; a
-		// put posts SEND_END. Gets and acks carry no local completion
-		// semantics and leave Done nil.
-		c := d.getSendCb()
-		c.lib = lib
-		c.req = req
-		tx.Done = c.fn
+		// put posts SEND_END: the request rides on the transmit request
+		// until its TX_DONE event (sendDone).
+		tx.Ctx = req
 		d.submit(tx)
 		return
 	}
 	d.submit(tx)
-	// No completion callback: the transmit command carries everything the
-	// firmware needs, so the request is done.
+	// Gets and acks carry no local completion semantics: the transmit
+	// command carries everything the firmware needs, so the request is done.
 	lib.FreeSendReq(req)
 }
 
-// sendCb carries a send's TX-done completion (the lib and the originating
-// request) with the callback bound once, replacing a per-send closure.
-type sendCb struct {
-	d   *GenericDriver
-	lib *core.Lib
-	req *core.SendReq
-	fn  func(ok bool)
-}
-
-func (d *GenericDriver) getSendCb() *sendCb {
-	if k := len(d.scbFree); k > 0 {
-		c := d.scbFree[k-1]
-		d.scbFree = d.scbFree[:k-1]
-		return c
-	}
-	c := &sendCb{d: d}
-	c.fn = c.run
-	return c
-}
-
-func (c *sendCb) run(ok bool) {
-	d, lib, req := c.d, c.lib, c.req
-	c.lib, c.req = nil, nil
-	d.scbFree = append(d.scbFree, c)
+// sendDone finishes, at its TX_DONE event, a library send that has local
+// completion semantics.
+func sendDone(lib *core.Lib, req *core.SendReq, ok bool) {
 	if req.RxOp != nil {
 		// A get reply: completing the transmission completes the target
 		// side of the get.
@@ -234,14 +207,14 @@ func (d *GenericDriver) drain() {
 		j := d.getEvJob()
 		j.ev = ev
 		j.next = next
-		d.K.KernelWork(d.P.HostMatchBaseCycles, j.matchFn)
+		d.K.KernelWork(d.P.HostMatchBaseCycles, j.then((*evJob).match))
 		return
 	}
 	j := d.getEvJob()
 	j.ev = ev
 	j.next = next
 	cycles := d.process(j, ev)
-	d.K.KernelWork(cycles, j.applyFn)
+	d.K.KernelWork(cycles, j.then((*evJob).applyNext))
 }
 
 // evAction names the state change an evJob applies once its kernel cycles
@@ -262,17 +235,19 @@ const (
 )
 
 // evJob carries one firmware event through drain's staged kernel-work
-// charges; the stage callbacks are bound once and the carrier recycled, so
-// the per-event path allocates nothing.
+// charges — the fixed matching cost, then the walk-dependent one — one after
+// the other, so it binds one continuation, once, and stage says which charge
+// it follows; the carrier is recycled, so the per-event path allocates
+// nothing.
 type evJob struct {
-	d       *GenericDriver
-	ev      fw.Event
-	next    func()
-	action  evAction
-	lib     *core.Lib // locked library, for actions that must unlock it
-	op      *core.RxOp
-	matchFn func() // fixed matching cost charged; run the library walk
-	applyFn func() // walk-dependent cost charged; apply and continue
+	d      *GenericDriver
+	ev     fw.Event
+	next   func()
+	action evAction
+	lib    *core.Lib // locked library, for actions that must unlock it
+	op     *core.RxOp
+	stage  func(*evJob)
+	fn     func()
 }
 
 func (d *GenericDriver) getEvJob() *evJob {
@@ -282,16 +257,22 @@ func (d *GenericDriver) getEvJob() *evJob {
 		return j
 	}
 	j := &evJob{d: d}
-	j.matchFn = j.match
-	j.applyFn = j.applyNext
+	j.fn = func() { j.stage(j) }
 	return j
 }
 
-func (j *evJob) match() {
-	cycles := j.d.processHeader(j, j.ev)
-	j.d.K.KernelWork(cycles, j.applyFn)
+func (j *evJob) then(stage func(*evJob)) func() {
+	j.stage = stage
+	return j.fn
 }
 
+// match runs once the fixed matching cost is charged: the library walk.
+func (j *evJob) match() {
+	cycles := j.d.processHeader(j, j.ev)
+	j.d.K.KernelWork(cycles, j.then((*evJob).applyNext))
+}
+
+// applyNext runs once the walk-dependent cost is charged: apply and continue.
 func (j *evJob) applyNext() {
 	d, ev, next := j.d, j.ev, j.next
 	action, lib, op := j.action, j.lib, j.op
@@ -312,16 +293,20 @@ func (j *evJob) applyNext() {
 func (d *GenericDriver) apply(action evAction, ev fw.Event, lib *core.Lib, op *core.RxOp) {
 	switch action {
 	case evActRxDone:
-		if done := ev.Pending.Done(); done != nil {
-			done(ev.OK)
+		p := ev.Pending
+		if op, _ := p.Ctx().(*core.RxOp); op != nil {
+			pid := p.Hdr.DstPid
+			if ack := d.libs[pid].Delivered(op, ev.OK); ack != nil {
+				d.send(pid, ack)
+			}
 		}
 		d.finishRec(ev.Pending)
 		ev.Pending.Release()
 		return
 	case evActTxDone:
 		tx := ev.Tx
-		if tx.Done != nil {
-			tx.Done(ev.OK)
+		if req, _ := tx.Ctx.(*core.SendReq); req != nil {
+			sendDone(d.libs[tx.Pid], req, ev.OK)
 		}
 		// A pending returned to the pool: retry backlogged sends.
 		for len(d.backlog) > 0 {
@@ -375,12 +360,9 @@ func (d *GenericDriver) apply(action evAction, ev fw.Event, lib *core.Lib, op *c
 		d.finishRec(p)
 		p.Release()
 	case evActRxCmd:
-		// Payload follows: answer with the receive command.
-		c := d.getRxCb()
-		c.lib = lib
-		c.op = op
-		c.pid = p.Hdr.DstPid
-		p.SubmitRx(op.Region, op.Off, op.MLen, c.fn)
+		// Payload follows: answer with the receive command; the operation
+		// rides on the pending until RX_DONE delivers it (evActRxDone).
+		p.SubmitRx(op.Region, op.Off, op.MLen, op)
 	}
 	lib.EndDefer()
 	lib.Unlock()
@@ -396,36 +378,6 @@ func (d *GenericDriver) finishRec(p *fw.Pending) {
 	if rec := p.TakeRec(); rec != nil {
 		rec.Stamp(telemetry.StampDeliver, d.S.Now())
 		d.Tel.FinishMsg(rec)
-	}
-}
-
-// rxCb carries a long message's delivery completion (invoked at RX_DONE)
-// with the callback bound once, replacing a per-message closure.
-type rxCb struct {
-	d   *GenericDriver
-	lib *core.Lib
-	op  *core.RxOp
-	pid uint32
-	fn  func(ok bool)
-}
-
-func (d *GenericDriver) getRxCb() *rxCb {
-	if k := len(d.rcbFree); k > 0 {
-		c := d.rcbFree[k-1]
-		d.rcbFree = d.rcbFree[:k-1]
-		return c
-	}
-	c := &rxCb{d: d}
-	c.fn = c.run
-	return c
-}
-
-func (c *rxCb) run(ok bool) {
-	d, lib, op, pid := c.d, c.lib, c.op, c.pid
-	c.lib, c.op = nil, nil
-	d.rcbFree = append(d.rcbFree, c)
-	if ack := lib.Delivered(op, ok); ack != nil {
-		d.send(pid, ack)
 	}
 }
 

@@ -86,6 +86,9 @@ type Kernel struct {
 	nextPid uint32
 }
 
+// hostLabel is the diagnostic name of a node's host CPU, formatted when read.
+var hostLabel = sim.Indexed("host[%d]")
+
 // New builds a kernel for node n.
 func New(s *sim.Sim, p *model.Params, kind Kind, n topo.NodeID) *Kernel {
 	return &Kernel{
@@ -93,7 +96,7 @@ func New(s *sim.Sim, p *model.Params, kind Kind, n topo.NodeID) *Kernel {
 		P:       p,
 		Kind:    kind,
 		Node:    n,
-		CPU:     sim.NewServer(s, fmt.Sprintf("host[%d]", n)),
+		CPU:     sim.NewServerLabel(s, hostLabel.At(int(n))),
 		nextPid: 1,
 	}
 }

@@ -52,17 +52,26 @@ type Chip struct {
 	SRAM *SRAM
 }
 
+// The diagnostic names of a chip's resources, formatted when read.
+var (
+	ppcLabel    = sim.Indexed("ppc[%d]")
+	htrdLabel   = sim.Indexed("htrd[%d]")
+	htwrLabel   = sim.Indexed("htwr[%d]")
+	rxfifoLabel = sim.Indexed("rxfifo[%d]")
+	txfifoLabel = sim.Indexed("txfifo[%d]")
+)
+
 // New builds a chip for node n.
 func New(s *sim.Sim, p *model.Params, n topo.NodeID) *Chip {
 	c := &Chip{
 		S:       s,
 		P:       p,
 		Node:    n,
-		CPU:     sim.NewServer(s, fmt.Sprintf("ppc[%d]", n)),
-		HTRead:  sim.NewServer(s, fmt.Sprintf("htrd[%d]", n)),
-		HTWrite: sim.NewServer(s, fmt.Sprintf("htwr[%d]", n)),
-		RxFIFO:  sim.NewCredits(s, fmt.Sprintf("rxfifo[%d]", n), p.RxFIFOBytes),
-		TxFIFO:  sim.NewCredits(s, fmt.Sprintf("txfifo[%d]", n), p.TxFIFOBytes),
+		CPU:     sim.NewServerLabel(s, ppcLabel.At(int(n))),
+		HTRead:  sim.NewServerLabel(s, htrdLabel.At(int(n))),
+		HTWrite: sim.NewServerLabel(s, htwrLabel.At(int(n))),
+		RxFIFO:  sim.NewCreditsLabel(s, rxfifoLabel.At(int(n)), p.RxFIFOBytes),
+		TxFIFO:  sim.NewCreditsLabel(s, txfifoLabel.At(int(n)), p.TxFIFOBytes),
 		SRAM:    NewSRAM(p.SRAMBytes),
 	}
 	// The firmware image occupies SRAM before anything else (§4: 22 KB).

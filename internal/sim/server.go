@@ -1,5 +1,34 @@
 package sim
 
+import "fmt"
+
+// Label names a resource for diagnostics without building the name: a
+// formatter and its two small arguments (a node and, say, a port), run only
+// when somebody asks — a panic, a test. A machine has a dozen named
+// resources per node and a healthy run reads none of their names, so a name
+// costs its resource no string; a Label is the size of the string header it
+// replaces.
+type Label struct {
+	Format func(a, b int32) string
+	A, B   int32
+}
+
+// Named is the Label of a fixed name.
+func Named(name string) Label {
+	return Label{Format: func(int32, int32) string { return name }}
+}
+
+// Indexed returns the Label of format (one %d verb) over an index, to be
+// given with At: declare it once per kind of resource.
+func Indexed(format string) Label {
+	return Label{Format: func(a, _ int32) string { return fmt.Sprintf(format, a) }}
+}
+
+// At is l with index a.
+func (l Label) At(a int) Label { l.A = int32(a); return l }
+
+func (l Label) String() string { return l.Format(l.A, l.B) }
+
 // Server models a serial resource — something that does one piece of work
 // at a time, in submission order: a network link, one direction of the
 // HyperTransport bus, the single-threaded firmware CPU. Work submitted while
@@ -7,7 +36,7 @@ package sim
 // in the busyUntil horizon, which is exact for FIFO service).
 type Server struct {
 	s         *Sim
-	name      string
+	label     Label
 	busyUntil Time
 
 	// Busy accumulates total occupied time, for utilization reporting.
@@ -17,12 +46,13 @@ type Server struct {
 }
 
 // NewServer returns a serial resource named for diagnostics.
-func NewServer(s *Sim, name string) *Server {
-	return &Server{s: s, name: name}
-}
+func NewServer(s *Sim, name string) *Server { return NewServerLabel(s, Named(name)) }
+
+// NewServerLabel is NewServer with the name formatted on demand.
+func NewServerLabel(s *Sim, l Label) *Server { return &Server{s: s, label: l} }
 
 // Name returns the server's diagnostic name.
-func (sv *Server) Name() string { return sv.name }
+func (sv *Server) Name() string { return sv.label.String() }
 
 // Submit enqueues work lasting d and schedules fn (which may be nil) at its
 // completion time, which is returned. Service is FIFO.
@@ -117,7 +147,7 @@ func (sv *Server) Utilization() float64 {
 // (which are not coroutines) can block on space without a goroutine.
 type Credits struct {
 	s     *Sim
-	name  string
+	label Label
 	avail int64
 	cap   int64
 	queue []creditWaiter
@@ -133,7 +163,12 @@ type creditWaiter struct {
 
 // NewCredits returns a credit pool holding capacity credits.
 func NewCredits(s *Sim, name string, capacity int64) *Credits {
-	return &Credits{s: s, name: name, avail: capacity, cap: capacity}
+	return NewCreditsLabel(s, Named(name), capacity)
+}
+
+// NewCreditsLabel is NewCredits with the name formatted on demand.
+func NewCreditsLabel(s *Sim, l Label, capacity int64) *Credits {
+	return &Credits{s: s, label: l, avail: capacity, cap: capacity}
 }
 
 // Take requests n credits and calls fn once they are granted (immediately,
@@ -145,7 +180,7 @@ func (c *Credits) Take(n int64, fn func()) {
 		panic("sim: negative credit request")
 	}
 	if n > c.cap {
-		panic("sim: credit request exceeds capacity on " + c.name)
+		panic("sim: credit request exceeds capacity on " + c.label.String())
 	}
 	if len(c.queue) == 0 && c.avail >= n {
 		c.avail -= n
@@ -163,7 +198,7 @@ func (c *Credits) Put(n int64) {
 	}
 	c.avail += n
 	if c.avail > c.cap {
-		panic("sim: credit overflow on " + c.name)
+		panic("sim: credit overflow on " + c.label.String())
 	}
 	for len(c.queue) > 0 && c.avail >= c.queue[0].n {
 		w := c.queue[0]
