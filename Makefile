@@ -1,6 +1,6 @@
 # Stdlib-only Go; these targets just bundle the usual invocations.
 
-.PHONY: all build test race vet bench figures check check-fast contracts alloc-sites machine-scale soak soak-short
+.PHONY: all build test race vet bench figures check check-fast contracts alloc-sites machine-scale soak soak-short sloc
 
 all: build
 
@@ -66,3 +66,9 @@ soak:
 
 soak-short:
 	go run ./cmd/soak -short -hostprof -out soak_artifacts/SOAK_trend.json
+
+# Non-test Go lines outside bench/, per package (blank lines and whole-line
+# comments not counted), then the total: run it before and after a change to
+# report what the change deleted.
+sloc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs awk '!/^[ \t]*(\/\/|$$)/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; t++ } END { for (d in n) printf "%6d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'

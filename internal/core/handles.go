@@ -1,5 +1,7 @@
 package core
 
+import "portals3/internal/sim"
+
 // Handles are compact 32-bit names for library objects, exactly like the
 // ptl_handle_*_t types: they travel in wire headers (a reply carries the
 // initiator's MD handle) and across the API/library boundary. A handle packs
@@ -52,9 +54,8 @@ func (t *table[T]) alloc(v *T) (uint32, error) {
 		return InvalidHandle, ErrNoSpace
 	}
 	var idx int
-	if n := len(t.free); n > 0 {
-		idx = t.free[n-1]
-		t.free = t.free[:n-1]
+	if len(t.free) > 0 {
+		idx = sim.Pop(&t.free)
 		t.vals[idx] = v
 	} else {
 		idx = len(t.vals)

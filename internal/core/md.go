@@ -1,5 +1,7 @@
 package core
 
+import "portals3/internal/sim"
+
 // MDesc is the user-visible memory descriptor definition (ptl_md_t): the
 // memory it exposes, what operations it accepts, and how it is consumed.
 type MDesc struct {
@@ -57,11 +59,8 @@ func (l *Lib) newMD(d MDesc, unlink Unlink) (*md, error) {
 	if err := l.validateMDesc(&d); err != nil {
 		return nil, err
 	}
-	var m *md
-	if n := len(l.mdFree); n > 0 {
-		m = l.mdFree[n-1]
-		l.mdFree[n-1] = nil
-		l.mdFree = l.mdFree[:n-1]
+	m := sim.Pop(&l.mdFree)
+	if m != nil {
 		*m = md{desc: d, threshold: d.Threshold, unlink: unlink}
 	} else {
 		m = &md{desc: d, threshold: d.Threshold, unlink: unlink}

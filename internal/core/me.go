@@ -1,5 +1,7 @@
 package core
 
+import "portals3/internal/sim"
+
 // me is a match entry: one node of a portal index's match list. Incoming
 // message headers are compared against entries in list order; the first
 // entry whose match bits and source id accept the header receives the
@@ -26,10 +28,7 @@ type me struct {
 // generation-checked by the slot table, so a recycled entry's old handles
 // resolve to nothing.
 func (l *Lib) newME(ptl int, matchID ProcessID, matchBits, ignoreBits uint64, unlink Unlink) *me {
-	if n := len(l.meFree); n > 0 {
-		e := l.meFree[n-1]
-		l.meFree[n-1] = nil
-		l.meFree = l.meFree[:n-1]
+	if e := sim.Pop(&l.meFree); e != nil {
 		*e = me{ptl: ptl, matchID: matchID, matchBits: matchBits, ignoreBits: ignoreBits, unlink: unlink}
 		return e
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "portals3/internal/wire"
+import (
+	"portals3/internal/sim"
+	"portals3/internal/wire"
+)
 
 // RxOp is one incoming message in flight at this library: the result of
 // matching a header, handed to the NAL driver so it can move the payload,
@@ -40,10 +43,7 @@ func initiator(h *wire.Header) ProcessID {
 // newRxOp takes a receive operation from the free list, reset and primed
 // with the header, or allocates one.
 func (l *Lib) newRxOp(hdr *wire.Header) *RxOp {
-	if n := len(l.opFree); n > 0 {
-		op := l.opFree[n-1]
-		l.opFree[n-1] = nil
-		l.opFree = l.opFree[:n-1]
+	if op := sim.Pop(&l.opFree); op != nil {
 		*op = RxOp{Hdr: *hdr, RLen: int(hdr.Length)}
 		return op
 	}
@@ -59,10 +59,7 @@ func (l *Lib) freeRxOp(op *RxOp) {
 // newSendReq takes a zeroed send request from the free list or allocates
 // one.
 func (l *Lib) newSendReq() *SendReq {
-	if n := len(l.reqFree); n > 0 {
-		r := l.reqFree[n-1]
-		l.reqFree[n-1] = nil
-		l.reqFree = l.reqFree[:n-1]
+	if r := sim.Pop(&l.reqFree); r != nil {
 		return r
 	}
 	return &SendReq{}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"portals3/internal/model"
@@ -161,4 +163,59 @@ func TestTrafficBisectionBound(t *testing.T) {
 	if rate > capacity {
 		t.Errorf("cross-bisection rate %.3g B/s exceeds the analytic capacity %.3g B/s", rate, capacity)
 	}
+}
+
+// fabricMsgs reads the fabric message count out of a run's counter table.
+func fabricMsgs(t *testing.T, r TorusResult) int {
+	t.Helper()
+	for _, line := range strings.Split(r.StatsText, "\n") {
+		var msgs int
+		if _, err := fmt.Sscanf(line, "fabric: %d messages", &msgs); err == nil {
+			return msgs
+		}
+	}
+	t.Fatalf("no fabric line in the counter table:\n%s", r.StatsText)
+	return 0
+}
+
+// TestHotSpotGoBackNIncastFence pins go-back-n's incast collapse at today's
+// numbers: 64 nodes, 16 × 1 KB per sender, 30 % of them at node 5, one lane,
+// no faults (netpipe -torus -dim 4 -workload hotspot -hot 5 -hotfrac 0.3
+// -msgs 16 [-gbn]). Without go-back-n the hot node's receive pendings never
+// run out and the run is pinned exactly. With it, every NACK rewinds the
+// sender's whole unacked tail into the same exhausted receiver, and the job
+// takes 17.5× as long and 22× the fabric messages; the gbn arm may only get
+// better than that. The protocol fix (bounded in-flight window, hold-off
+// NACK, one NACK per gap, timer backoff) is to bring the gbn arm within 3×
+// the no-gbn arm's finish time and then tighten this fence to that target.
+func TestHotSpotGoBackNIncastFence(t *testing.T) {
+	run := func(gbn bool) (TorusResult, int) {
+		cfg := DefaultTrafficConfig()
+		cfg.Dim = 4
+		cfg.Msgs = 16
+		cfg.HotFrac = 0.3
+		cfg.HotNode = 5
+		cfg.GoBackN = gbn
+		r := TorusTraffic(cfg)
+		if len(r.Errors) > 0 {
+			t.Fatalf("gbn=%v: %s", gbn, r.Errors[0])
+		}
+		return r, fabricMsgs(t, r)
+	}
+	const (
+		plainFinish, plainMsgsWant = 730289456, 1024    // ps, messages: pinned
+		gbnFinish, gbnMsgsCeiling  = 12797531199, 22970 // ps, messages: ceilings
+	)
+	plain, plainMsgs := run(false)
+	if plain.FinishPs != plainFinish || plainMsgs != plainMsgsWant {
+		t.Errorf("no gbn: finished at %d ps with %d fabric messages, want %d ps and %d",
+			plain.FinishPs, plainMsgs, int64(plainFinish), plainMsgsWant)
+	}
+	gbn, gbnMsgs := run(true)
+	if gbn.FinishPs > gbnFinish || gbnMsgs > gbnMsgsCeiling {
+		t.Errorf("gbn: finished at %d ps with %d fabric messages, want at most %d ps and %d",
+			gbn.FinishPs, gbnMsgs, int64(gbnFinish), gbnMsgsCeiling)
+	}
+	t.Logf("gbn arm: %.1f× the no-gbn finish, %.1f× its fabric messages (target: ≤ 3× the finish)",
+		float64(gbn.FinishPs)/float64(plain.FinishPs), float64(gbnMsgs)/float64(plainMsgs))
 }

@@ -243,9 +243,7 @@ func linkName(node, port int32) string {
 // AllocChunk returns a chunk carrier with an n-byte data buffer, reusing a
 // recycled one when available.
 func (f *Fabric) AllocChunk(n int) *Chunk {
-	if k := len(f.chunkFree); k > 0 {
-		c := f.chunkFree[k-1]
-		f.chunkFree = f.chunkFree[:k-1]
+	if c := sim.Pop(&f.chunkFree); c != nil {
 		if cap(c.Data) >= n {
 			c.Data = c.Data[:n]
 		} else {
@@ -317,10 +315,7 @@ func (f *Fabric) NewStream(hdr wire.Header, src, dst topo.NodeID, payloadLen int
 
 // getMsg takes a zeroed message from the free list or allocates one.
 func (f *Fabric) getMsg() *Message {
-	if n := len(f.msgFree); n > 0 {
-		m := f.msgFree[n-1]
-		f.msgFree[n-1] = nil
-		f.msgFree = f.msgFree[:n-1]
+	if m := sim.Pop(&f.msgFree); m != nil {
 		return m
 	}
 	return &Message{}
@@ -454,11 +449,8 @@ type carrier struct {
 }
 
 func (f *Fabric) getCarrier(m *Message, c *Chunk) *carrier {
-	var k *carrier
-	if n := len(f.carrierFree); n > 0 {
-		k = f.carrierFree[n-1]
-		f.carrierFree = f.carrierFree[:n-1]
-	} else {
+	k := sim.Pop(&f.carrierFree)
+	if k == nil {
 		k = &carrier{}
 		k.fn = func() { k.next(k) }
 	}

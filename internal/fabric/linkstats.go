@@ -41,13 +41,11 @@ type LinkMeter struct {
 	// or in service) at any admission.
 	QueueHigh int
 
-	// done is a ring of outstanding completion times; entries at or before
+	// done queues the outstanding completion times; entries at or before
 	// an arriving reservation's start have drained and pop off. Steady
-	// state allocates nothing once the ring has grown to the link's peak
+	// state allocates nothing once the queue has grown to the link's peak
 	// backlog.
-	done  []sim.Time
-	head  int
-	count int
+	done sim.FIFO[sim.Time]
 
 	// Sampler state: the busy integral at the previous sample, the
 	// instruments bound on first sample, and whether Flush already closed
@@ -66,25 +64,12 @@ func (mt *LinkMeter) note(arrive, free, done sim.Time) {
 	if w := free - arrive; w > 0 {
 		mt.WaitPs += w
 	}
-	for mt.count > 0 && mt.done[mt.head] <= arrive {
-		mt.head++
-		if mt.head == len(mt.done) {
-			mt.head = 0
-		}
-		mt.count--
+	for mt.done.Len() > 0 && mt.done.First() <= arrive {
+		mt.done.Pop()
 	}
-	if mt.count == len(mt.done) {
-		grown := make([]sim.Time, 2*len(mt.done)+4)
-		for i := 0; i < mt.count; i++ {
-			grown[i] = mt.done[(mt.head+i)%len(mt.done)]
-		}
-		mt.done = grown
-		mt.head = 0
-	}
-	mt.done[(mt.head+mt.count)%len(mt.done)] = done
-	mt.count++
-	if mt.count > mt.QueueHigh {
-		mt.QueueHigh = mt.count
+	mt.done.Push(done)
+	if n := mt.done.Len(); n > mt.QueueHigh {
+		mt.QueueHigh = n
 	}
 }
 

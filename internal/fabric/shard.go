@@ -282,9 +282,7 @@ type ledgerNote struct {
 }
 
 func (f *Fabric) getNote() *ledgerNote {
-	if n := len(f.noteFree); n > 0 {
-		note := f.noteFree[n-1]
-		f.noteFree = f.noteFree[:n-1]
+	if note := sim.Pop(&f.noteFree); note != nil {
 		return note
 	}
 	note := &ledgerNote{}

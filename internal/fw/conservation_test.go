@@ -34,6 +34,12 @@ func (fp *fwPair) conserved(t *testing.T, again func()) {
 // than one pass needs, and the protocol's counters, its finish time and the
 // fault ledger are what they were (measured at PR 23) before carriers were
 // returned early and control frames pooled.
+//
+// 805 is also a ceiling, the pair-sized twin of TestHotSpotGoBackNIncastFence:
+// the go-back-n fix (bounded in-flight window, hold-off NACK, one NACK per
+// gap, timer backoff) may only lower it, re-recording the exact counters
+// below when it does, toward retransmissions within a small constant per
+// delivered message.
 func TestNackStormReusesCarriers(t *testing.T) {
 	const msgs = 64
 	fp := newFwPairAsym(t, model.Defaults(), [2]int{256, 2}, ExhaustGoBackN)
@@ -61,6 +67,9 @@ func TestNackStormReusesCarriers(t *testing.T) {
 		}
 	}
 	tx, rx := fp.nics[0].Stats, fp.nics[1].Stats
+	if tx.Retransmits > 805 {
+		t.Errorf("%d retransmissions for %d messages: the NACK storm grew past its 805 ceiling", tx.Retransmits, msgs)
+	}
 	if tx.Retransmits != 805 || tx.NacksRcvd != 805 || tx.GbnTimeouts != 1 || rx.Exhaustions != 372 ||
 		rx.DupAcks != 0 || fp.s.Now() != 3492676069*sim.Picosecond {
 		t.Errorf("at %v: sender %+v\nreceiver %+v\nwant 805 retransmissions for 805 NACKs (372 of them exhaustions), one timeout, no duplicate, at 3.492676069ms",

@@ -3,6 +3,8 @@ package fw
 import (
 	"fmt"
 	"testing"
+
+	"portals3/internal/sim"
 )
 
 // Test hooks for white-box assertions.
@@ -11,7 +13,7 @@ import (
 func (n *NIC) SegsInRange(buf Buffer, off, nbytes int) int { return n.segsInRange(buf, off, nbytes) }
 
 // TxQueueLen exposes the TX pending list depth.
-func (n *NIC) TxQueueLen() int { return n.txq.len() }
+func (n *NIC) TxQueueLen() int { return n.txq.Len() }
 
 // SourceCount exposes the active source table size.
 func (n *NIC) SourceCount() int { return len(n.sources) }
@@ -60,23 +62,34 @@ func (n *NIC) processes() []*Process {
 }
 
 // Quiescent checks what must hold of a NIC once its simulation has run dry:
-// nothing waits in any queue, no transmit request is reachable from the TX
-// list, a flow's unacked list or a pending, every pending ever built is back
+// nothing waits in any queue, every credit pool is full, no transmit request
+// is reachable from the TX list, a flow's unacked list or a pending, every
+// pending ever built is back
 // in its pool, and every free list holds each object once, the transmit
 // requests marked free.
 func (n *NIC) Quiescent() error {
-	if n.txBusy || n.txq.len() > 0 || n.handlers.len() > 0 || n.gbnTimers.len() > 0 {
+	if n.txBusy || n.txq.Len() > 0 || n.handlers.Len() > 0 || n.gbnTimers.Len() > 0 {
 		return fmt.Errorf("work left: tx busy %v, %d transmits, %d handlers, %d timers",
-			n.txBusy, n.txq.len(), n.handlers.len(), n.gbnTimers.len())
+			n.txBusy, n.txq.Len(), n.handlers.Len(), n.gbnTimers.Len())
 	}
 	if len(n.streams) > 0 || len(n.dead) > 0 {
 		return fmt.Errorf("%d receive streams open, %d draining", len(n.streams), len(n.dead))
 	}
-	for _, q := range [][]*TxReq{n.txq.buf[:cap(n.txq.buf)], n.gbnResend[:cap(n.gbnResend)]} {
-		for _, req := range q {
-			if req != nil {
-				return fmt.Errorf("transmit request %p left in a drained queue's array", req)
-			}
+	// The TX list is a sim.FIFO, which clears what it pops (FuzzFIFO); the
+	// rewind's scratch list is a plain slice.
+	for _, req := range n.gbnResend[:cap(n.gbnResend)] {
+		if req != nil {
+			return fmt.Errorf("transmit request %p left in the rewind's scratch array", req)
+		}
+	}
+	credits := map[string]*sim.Credits{"RX FIFO": n.Chip.RxFIFO, "TX FIFO": n.Chip.TxFIFO}
+	for _, p := range n.processes() {
+		credits[fmt.Sprintf("pid %d command FIFO", p.ID)] = p.cmdSlots
+	}
+	for name, c := range credits {
+		// Every grant returned means no request can still wait for one.
+		if c.Available() != c.Capacity() {
+			return fmt.Errorf("%s: %d of %d credits free", name, c.Available(), c.Capacity())
 		}
 	}
 	for nid, src := range n.sources {
@@ -90,8 +103,8 @@ func (n *NIC) Quiescent() error {
 		}
 	}
 	for _, p := range n.processes() {
-		if p.cmds.len() > 0 || p.posted != 0 {
-			return fmt.Errorf("pid %d: %d mailbox commands left", p.ID, p.cmds.len())
+		if p.cmds.Len() > 0 || p.posted != 0 {
+			return fmt.Errorf("pid %d: %d mailbox commands left", p.ID, p.cmds.Len())
 		}
 		for name, q := range map[string]*pendPool{"rx": &p.rx, "tx": &p.tx} {
 			if len(q.free) != q.total-q.fresh {
@@ -143,6 +156,9 @@ func Conserve(t testing.TB, nics ...*NIC) *Conservation {
 		c.before = append(c.before, lists)
 		if n.Stats.EventsPosted > 0 && len(lists["evPost"]) == 0 {
 			t.Errorf("node %d posted %d events and no event carrier came back", i, n.Stats.EventsPosted)
+		}
+		if n.Stats.MsgsTx > 0 && len(lists["TxReq"]) == 0 {
+			t.Errorf("node %d sent %d messages and no transmit request came back", i, n.Stats.MsgsTx)
 		}
 	}
 	return c

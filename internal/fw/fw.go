@@ -110,7 +110,7 @@ type Process struct {
 	// The mailbox (rx.go, command): commands wait in cmds from the host's
 	// post until the firmware pops them; the first posted of them have
 	// crossed HyperTransport and wait for the PowerPC.
-	cmds      fifo[mboxCmd]
+	cmds      sim.FIFO[mboxCmd]
 	posted    int
 	grantedFn func() // a command FIFO slot was granted
 	postedFn  func() // the command's posted write reached the NIC
@@ -136,10 +136,7 @@ func (q *pendPool) avail() int { return len(q.free) + q.fresh }
 // take removes one free pending (the caller has checked avail): a recycled
 // structure if there is one, else a fresh one built for proc.
 func (q *pendPool) take(proc *Process, tx bool) (p *Pending) {
-	if k := len(q.free); k > 0 {
-		p = q.free[k-1]
-		q.free = q.free[:k-1]
-	} else {
+	if p = sim.Pop(&q.free); p == nil {
 		q.fresh--
 		p = &Pending{proc: proc, tx: tx}
 		p.queued = p.queued1[:0]
@@ -243,9 +240,7 @@ func (s txState) String() string {
 // AllocTxReq returns a zeroed transmit request from the NIC's pool. Drivers
 // use it with RecycleTxReq to keep the per-send path allocation-free.
 func (n *NIC) AllocTxReq() *TxReq {
-	if k := len(n.txrFree); k > 0 {
-		req := n.txrFree[k-1]
-		n.txrFree = n.txrFree[:k-1]
+	if req := sim.Pop(&n.txrFree); req != nil {
 		req.state = txHost
 		return req
 	}
@@ -348,7 +343,7 @@ type NIC struct {
 	// state machine is moving while txBusy. One message moves at a time, so
 	// the machine's one continuation (txStepFn, which runs txNext: see
 	// txThen) is the NIC's, not a carrier's.
-	txq      fifo[*TxReq]
+	txq      sim.FIFO[*TxReq]
 	txqHigh  int // deepest TX queue backlog (occupancy high-water)
 	txBusy   bool
 	txNext   func(*NIC)
@@ -356,13 +351,13 @@ type NIC struct {
 
 	// handlers holds the firmware handlers waiting for the PowerPC, which
 	// serves them in order: dispatchFn runs the head (see exec).
-	handlers   fifo[handler]
+	handlers   sim.FIFO[handler]
 	dispatchFn func()
 
 	// Go-back-n (gobackn.go): the armed retransmission timers, which all wait
 	// GbnTimeout and so expire in arming order, and the scratch list a NACK
 	// collects its rewind in.
-	gbnTimers  fifo[gbnTimer]
+	gbnTimers  sim.FIFO[gbnTimer]
 	gbnTimerFn func()
 	gbnResend  []*TxReq
 
@@ -554,14 +549,14 @@ type handler struct {
 func (n *NIC) exec(op fwOp, cycles int64, h handler) {
 	n.Heartbeat++
 	h.op, h.cycles = op, cycles
-	n.handlers.push(h)
+	n.handlers.Push(h)
 	n.Chip.Exec(cycles, n.dispatchFn)
 }
 
 // dispatch runs the handler the PowerPC has just finished charging for. The
 // trace span is only built when a tracer is attached.
 func (n *NIC) dispatch() {
-	h := n.handlers.pop()
+	h := n.handlers.Pop()
 	if n.Trace.Enabled() {
 		dur := n.P.PPCCycles(n.P.FwDispatchCycles + h.cycles)
 		n.Trace.Span(int(n.Node), trace.TrackPPC, "fw", h.op.String(), n.S.Now()-dur, dur, nil)
@@ -637,9 +632,7 @@ type evPost struct {
 }
 
 func (n *NIC) getEvPost() *evPost {
-	if k := len(n.evpFree); k > 0 {
-		j := n.evpFree[k-1]
-		n.evpFree = n.evpFree[:k-1]
+	if j := sim.Pop(&n.evpFree); j != nil {
 		return j
 	}
 	j := &evPost{n: n}
@@ -691,7 +684,7 @@ func (n *NIC) exhaust(m *fabric.Message, what string, code uint32) bool {
 // noteTxq updates the TX queue's backlog high-water mark; call after any
 // append or insert.
 func (n *NIC) noteTxq() {
-	if d := n.txq.len(); d > n.txqHigh {
+	if d := n.txq.Len(); d > n.txqHigh {
 		n.txqHigh = d
 	}
 }
@@ -711,7 +704,7 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 		SourcesFree:   n.sourceFree,
 		SourcesTotal:  n.P.NumSources,
 		SourcesLow:    n.srcLow,
-		TxQueueDepth:  n.txq.len(),
+		TxQueueDepth:  n.txq.Len(),
 		TxQueueHigh:   n.txqHigh,
 		RxStreams:     len(n.streams),
 		RxStreamsHigh: n.streamsHigh,
@@ -731,7 +724,7 @@ func (n *NIC) Occupancy() flightrec.Occupancy {
 // receive streams and unacknowledged go-back-n sends. The stall detector
 // pairs it with Progress — open work with no progress is a stalled flow.
 func (n *NIC) OpenWork() int {
-	open := n.txq.len() + len(n.streams)
+	open := n.txq.Len() + len(n.streams)
 	for _, s := range n.sources {
 		open += len(s.unacked)
 	}

@@ -211,7 +211,7 @@ func (n *NIC) gbnRequeue(resend []*TxReq) {
 	if n.txBusy {
 		insert = 1
 	}
-	n.txq.insert(insert, resend...)
+	n.txq.Insert(insert, resend...)
 	n.noteTxq()
 	n.pumpTx()
 }
@@ -235,12 +235,12 @@ func (n *NIC) gbnArmTimer(src *source) {
 	if n.gbnTimerFn == nil {
 		n.gbnTimerFn = n.gbnTimerExpired
 	}
-	n.gbnTimers.push(gbnTimer{src: src, armedAt: n.S.Now()})
+	n.gbnTimers.Push(gbnTimer{src: src, armedAt: n.S.Now()})
 	n.S.After(n.P.GbnTimeout, n.gbnTimerFn)
 }
 
 func (n *NIC) gbnTimerExpired() {
-	t := n.gbnTimers.pop()
+	t := n.gbnTimers.Pop()
 	src := t.src
 	src.timerArmed = false
 	if len(src.unacked) == 0 {

@@ -2,26 +2,31 @@ package fw_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"portals3/internal/core"
 	"portals3/internal/fw"
 	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/netpipe"
 	"portals3/internal/sim"
 	"portals3/internal/topo"
 )
 
-// The conservation checks of conservation_test.go under the real driver,
-// which is who recycles transmit requests on a machine: package nal returns a
-// request at its TX_DONE event while the firmware pools its control frames
-// into the same list, on the two jobs that exercise recovery hardest.
+// The conservation checks of conservation_test.go under the real drivers,
+// which are who recycle transmit requests on a machine: both nal drivers
+// return a request at its TX_DONE event while the firmware pools its control
+// frames into the same list, on the two jobs that exercise recovery hardest
+// and on ablation A1's accelerated put series.
 
 // twoWaves runs a put job on m twice over, with the machine run dry in
-// between: in each wave every node puts one message of size bytes to each of
-// dests(node), in a burst, and waits for its SEND_ENDs and for everything
-// addressed to it; the two waves are fw.Conservation's.
-func twoWaves(t *testing.T, m *machine.Machine, size int, dests func(src topo.NodeID) []topo.NodeID) {
+// between: in each wave every node's process (in mode) puts one message to
+// each of dests(node), in a burst, the k-th of sizes[k%len(sizes)] bytes, and
+// waits for its SEND_ENDs and for everything addressed to it; the two waves
+// are fw.Conservation's. Each time the machine runs dry, no driver may hold
+// an event or a backlogged transmit.
+func twoWaves(t *testing.T, m *machine.Machine, mode machine.Mode, sizes []int, dests func(src topo.NodeID) []topo.NodeID) {
 	t.Helper()
 	const (
 		ptl, bits = 4, 0x7a
@@ -34,11 +39,12 @@ func twoWaves(t *testing.T, m *machine.Machine, size int, dests func(src topo.No
 			want[dst]++
 		}
 	}
+	size := slices.Max(sizes)
 	apps := make([]*machine.App, nodes)
 	got := make([]int, nodes)
 	for id := 0; id < nodes; id++ {
 		id := topo.NodeID(id)
-		app, err := m.Spawn(id, fmt.Sprintf("waves-%d", id), machine.Generic, func(app *machine.App) {
+		app, err := m.Spawn(id, fmt.Sprintf("waves-%d", id), mode, func(app *machine.App) {
 			must := func(err error) {
 				if err != nil {
 					panic(err)
@@ -74,7 +80,7 @@ func twoWaves(t *testing.T, m *machine.Machine, size int, dests func(src topo.No
 				start := 100*sim.Microsecond + sim.Time(wave)*secondAt
 				app.Proc.Sleep(start - app.Proc.Now())
 				for k, dst := range dests(id) {
-					must(app.API.PutRegion(md, 0, size, core.NoAck, apps[dst].ID(), ptl, bits, 0, uint64(k)))
+					must(app.API.PutRegion(md, 0, sizes[k%len(sizes)], core.NoAck, apps[dst].ID(), ptl, bits, 0, uint64(k)))
 				}
 				wait(sendEq, core.EventSendEnd, len(dests(id)))
 				wait(recvEq, core.EventPutEnd, want[id])
@@ -91,9 +97,23 @@ func twoWaves(t *testing.T, m *machine.Machine, size int, dests func(src topo.No
 	for id := range nics {
 		nics[id] = m.Node(topo.NodeID(id)).NIC
 	}
+	drained := func(wave string) {
+		t.Helper()
+		for id, app := range apps {
+			if d := app.Accel; d != nil && d.Backlogged() > 0 {
+				t.Errorf("node %d after the %s wave: accelerated driver holds %d transmits", id, wave, d.Backlogged())
+			}
+			if d := app.Node.Generic; d.EvQueueDepth() > 0 || d.Backlogged() > 0 {
+				t.Errorf("node %d after the %s wave: generic driver holds %d events, %d transmits",
+					id, wave, d.EvQueueDepth(), d.Backlogged())
+			}
+		}
+	}
 	m.RunUntil(secondAt)
+	drained("first")
 	c := fw.Conserve(t, nics...)
 	m.Run()
+	drained("second")
 	c.Check(t)
 	for id := 0; id < nodes; id++ {
 		if got[id] != 2*want[id] {
@@ -114,7 +134,7 @@ func TestIncastConservesCarriers(t *testing.T) {
 	}
 	m := machine.New(p, tp)
 	m.EnableGoBackN()
-	twoWaves(t, m, 2048, func(src topo.NodeID) []topo.NodeID {
+	twoWaves(t, m, machine.Generic, []int{2048}, func(src topo.NodeID) []topo.NodeID {
 		if src == 0 {
 			return nil
 		}
@@ -149,7 +169,7 @@ func TestLossyTrafficConservesCarriers(t *testing.T) {
 	m := machine.NewSharded(p, tp, 2)
 	m.EnableGoBackN()
 	nodes := tp.Nodes()
-	twoWaves(t, m, 1024, func(src topo.NodeID) []topo.NodeID {
+	twoWaves(t, m, machine.Generic, []int{1024}, func(src topo.NodeID) []topo.NodeID {
 		out := make([]topo.NodeID, 8)
 		for k := range out {
 			// Any spread will do: 8 distinct peers, never src itself.
@@ -164,4 +184,22 @@ func TestLossyTrafficConservesCarriers(t *testing.T) {
 	if fs.DropsData == 0 || fs.Dups == 0 || fs.DropsFcAck == 0 || fs.Open() != 0 {
 		t.Errorf("fault ledger %v: want every kind injected and every entry closed", fs)
 	}
+}
+
+// TestAcceleratedPutsConserveCarriers is ablation A1's accelerated put series
+// (1 B to 1 MB, perturbed around each power of two) on the two-node machine:
+// each node bursts the series at the other, five times over, so more sends
+// are outstanding than the accelerated process has transmit pendings and
+// the driver's backlog is used. The accelerated driver takes its requests
+// from the NIC's pool and returns them at TX_DONE, as the generic one does.
+func TestAcceleratedPutsConserveCarriers(t *testing.T) {
+	m := machine.NewPair(model.Defaults())
+	sizes := netpipe.Sizes(1<<20, 3)
+	twoWaves(t, m, machine.Accelerated, sizes, func(src topo.NodeID) []topo.NodeID {
+		out := make([]topo.NodeID, 5*len(sizes))
+		for k := range out {
+			out[k] = 1 - src
+		}
+		return out
+	})
 }

@@ -23,9 +23,7 @@ func (n *NIC) headerCRC(m *fabric.Message) uint32 {
 // getStub returns a stream stub for chunks racing ahead of the header
 // handler; stubs recycle once the real pending adopts their state.
 func (n *NIC) getStub(m *fabric.Message) *Pending {
-	if k := len(n.stubFree); k > 0 {
-		s := n.stubFree[k-1]
-		n.stubFree = n.stubFree[:k-1]
+	if s := sim.Pop(&n.stubFree); s != nil {
 		s.msg = m
 		return s
 	}
@@ -252,9 +250,7 @@ type rxDeposit struct {
 }
 
 func (n *NIC) getDeposit() *rxDeposit {
-	if k := len(n.depFree); k > 0 {
-		d := n.depFree[k-1]
-		n.depFree = n.depFree[:k-1]
+	if d := sim.Pop(&n.depFree); d != nil {
 		return d
 	}
 	d := &rxDeposit{n: n}
@@ -529,7 +525,7 @@ type mboxCmd struct {
 // waits as an entry of p.cmds the whole way and the process's two bound
 // continuations (and the NIC's dispatch) move the head along.
 func (p *Process) command(c mboxCmd) {
-	p.cmds.push(c)
+	p.cmds.Push(c)
 	p.cmdSlots.Take(1, p.grantedFn)
 }
 
@@ -539,14 +535,14 @@ func (p *Process) cmdGranted() {
 }
 
 func (p *Process) cmdPosted() {
-	c := p.cmds.at(p.posted)
+	c := p.cmds.At(p.posted)
 	p.posted++
 	p.nic.exec(opMailbox, c.cycles, handler{proc: p})
 }
 
 // runCmd is the mailbox-cmd firmware handler: pop the head command and do it.
 func (p *Process) runCmd() {
-	c := p.cmds.pop()
+	c := p.cmds.Pop()
 	p.posted--
 	n := p.nic
 	if n.FR != nil {

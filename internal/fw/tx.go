@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 
 	"portals3/internal/flightrec"
+	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
 	"portals3/internal/wire"
@@ -69,7 +70,7 @@ func (n *NIC) txSubmit(req *TxReq) {
 		return
 	}
 	n.gbnAssignSeq(src, req)
-	n.txq.push(req)
+	n.txq.Push(req)
 	n.noteTxq()
 	n.FR.Record(flightrec.KTxSerialize, n.S.Now(), req.Span, req.seq, uint32(req.Len))
 	n.pumpTx()
@@ -91,7 +92,7 @@ func (n *NIC) sendControl(dst topo.NodeID, typ wire.MsgType, seq uint32) {
 	}
 	req.ctrl = true
 	req.state = txQueued
-	n.txq.push(req)
+	n.txq.Push(req)
 	n.noteTxq()
 	if n.FR != nil {
 		k := flightrec.KGbnAckTx
@@ -107,7 +108,7 @@ func (n *NIC) sendControl(dst topo.NodeID, typ wire.MsgType, seq uint32) {
 // list if it is idle. One message transmits at a time, and stays the head
 // of the list until its tx-done handler has run.
 func (n *NIC) pumpTx() {
-	if n.txBusy || n.txq.len() == 0 {
+	if n.txBusy || n.txq.Len() == 0 {
 		return
 	}
 	n.txBusy = true
@@ -125,7 +126,7 @@ func (n *NIC) txThen(step func(*NIC)) func() {
 // txProgram is the tx-program handler: fetch the header (one HT read —
 // control frames skip it, their header is SRAM-resident).
 func (n *NIC) txProgram() {
-	if req := n.txq.first(); req.ctrl {
+	if req := n.txq.First(); req.ctrl {
 		n.txHeaderReady(req, false)
 		return
 	}
@@ -133,7 +134,7 @@ func (n *NIC) txProgram() {
 }
 
 func (n *NIC) txHdrFetched() {
-	req := n.txq.first()
+	req := n.txq.First()
 	if req.Len <= n.P.InlineDataMax && req.Len > 0 && req.Hdr.HasPayload() {
 		// Small-message optimization: the payload rides in the header
 		// packet. One more HT read fetches it from main memory.
@@ -143,10 +144,10 @@ func (n *NIC) txHdrFetched() {
 	n.txHeaderReady(req, false)
 }
 
-func (n *NIC) txInlFetched() { n.txHeaderReady(n.txq.first(), true) }
+func (n *NIC) txInlFetched() { n.txHeaderReady(n.txq.First(), true) }
 
 // txHdrOnWire: a chunkless message is complete once its header is on the wire.
-func (n *NIC) txHdrOnWire() { n.txComplete(n.txq.first()) }
+func (n *NIC) txHdrOnWire() { n.txComplete(n.txq.First()) }
 
 // txHeaderReady injects the header packet and, for chunked payloads,
 // starts the chunk pipeline. An inline payload is read from host memory
@@ -189,14 +190,14 @@ func (n *NIC) txHeaderReady(req *TxReq, inline bool) {
 // transmit-complete event (unless go-back-n holds it for the peer's ack),
 // and pumps the next message.
 func (n *NIC) txComplete(req *TxReq) {
-	if n.txq.first() != req {
+	if n.txq.First() != req {
 		panic("fw: tx completion out of order")
 	}
 	n.exec(opTxDone, n.P.FwTxDoneCycles, handler{})
 }
 
 func (n *NIC) txDone() {
-	req := n.txq.pop()
+	req := n.txq.Pop()
 	n.txBusy = false
 	n.Stats.MsgsTx++
 	switch {
@@ -226,9 +227,7 @@ type txChunk struct {
 }
 
 func (n *NIC) getTxChunk() *txChunk {
-	if k := len(n.txcFree); k > 0 {
-		t := n.txcFree[k-1]
-		n.txcFree = n.txcFree[:k-1]
+	if t := sim.Pop(&n.txcFree); t != nil {
 		return t
 	}
 	t := &txChunk{n: n}

@@ -299,6 +299,9 @@ type App struct {
 	API *nal.API
 	// Proc is the application coroutine.
 	Proc *sim.Proc
+	// Accel is the process's own driver in Accelerated mode (nil otherwise:
+	// the node's Generic driver serves every other process).
+	Accel *nal.AccelDriver
 }
 
 // Alloc obtains application memory from the node's OS: contiguous on
@@ -340,6 +343,7 @@ func (m *Machine) Spawn(node topo.NodeID, name string, mode Mode, main func(app 
 		if err != nil {
 			return nil, err
 		}
+		app.Accel = drv
 		lib = drv.Lib()
 		bridge = nal.AccelBridge{}
 	default:

@@ -1,6 +1,9 @@
 package mpi
 
-import "portals3/internal/core"
+import (
+	"portals3/internal/core"
+	"portals3/internal/sim"
+)
 
 // Request is a nonblocking operation handle.
 type Request struct {
@@ -33,10 +36,7 @@ type Request struct {
 
 // newRequest builds a request with its event tag pointing back at it.
 func (r *Rank) newRequest() *Request {
-	if n := len(r.reqFree); n > 0 {
-		req := r.reqFree[n-1]
-		r.reqFree[n-1] = nil
-		r.reqFree = r.reqFree[:n-1]
+	if req := sim.Pop(&r.reqFree); req != nil {
 		*req = Request{r: r}
 		req.tag.req = req
 		return req

@@ -26,8 +26,8 @@ type AccelDriver struct {
 	Topo *topo.Topology
 	Pid  uint32
 
-	lib     *core.Lib
-	backlog []*fw.TxReq
+	lib *core.Lib
+	txBacklog
 }
 
 // NewAccel registers an accelerated mailbox for pid (subject to the NIC's
@@ -48,16 +48,18 @@ func (d *AccelDriver) Lib() *core.Lib { return d.lib }
 // Send implements core.Backend: post the transmit command directly to the
 // dedicated firmware mailbox.
 func (d *AccelDriver) Send(req *core.SendReq) {
-	tx := &fw.TxReq{Pid: d.Pid, Hdr: req.Hdr, Off: req.Off, Len: req.Len}
+	tx := d.NIC.AllocTxReq()
+	tx.Pid = d.Pid
+	tx.Hdr = req.Hdr
+	tx.Off = req.Off
+	tx.Len = req.Len
 	if req.Region != nil {
 		tx.Buf = req.Region
 	}
 	if req.RxOp != nil || req.Hdr.Type == wire.TypePut {
 		tx.Ctx = req // finished at TX_DONE (sendDone)
 	}
-	if err := d.NIC.SubmitTx(tx); err != nil {
-		d.backlog = append(d.backlog, tx)
-	}
+	d.submit(d.NIC, tx)
 }
 
 // Distance implements core.Backend.
@@ -83,15 +85,11 @@ func (d *AccelDriver) fwEvent(ev fw.Event) {
 		ev.Pending.ReleaseLocal()
 	case fw.EvTxDone:
 		if req, _ := ev.Tx.Ctx.(*core.SendReq); req != nil {
-			d.visible(func() { sendDone(d.lib, req, ev.OK) })
+			ok := ev.OK
+			d.visible(func() { sendDone(d.lib, req, ok) })
 		}
-		for len(d.backlog) > 0 {
-			tx := d.backlog[0]
-			if err := d.NIC.SubmitTx(tx); err != nil {
-				break
-			}
-			d.backlog = d.backlog[1:]
-		}
+		d.retry(d.NIC)
+		d.NIC.RecycleTxReq(ev.Tx)
 	}
 }
 

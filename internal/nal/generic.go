@@ -38,10 +38,9 @@ type GenericDriver struct {
 
 	libs map[uint32]*core.Lib
 
-	evq     []fw.Event // pending firmware events; evqHead indexes the next one
-	evqHead int
-	evqHigh int         // deepest driver event-queue backlog (occupancy high-water)
-	backlog []*fw.TxReq // transmit requests awaiting a free TX pending
+	evq     sim.FIFO[fw.Event] // pending firmware events
+	evqHigh int                // deepest driver event-queue backlog (occupancy high-water)
+	txBacklog
 
 	// drainFn and doneFn are drain's continuations, bound once — the drain
 	// loop runs per event and a fresh method value per pass is measurable.
@@ -122,10 +121,10 @@ func (d *GenericDriver) send(pid uint32, req *core.SendReq) {
 		// put posts SEND_END: the request rides on the transmit request
 		// until its TX_DONE event (sendDone).
 		tx.Ctx = req
-		d.submit(tx)
+		d.submit(d.NIC, tx)
 		return
 	}
-	d.submit(tx)
+	d.submit(d.NIC, tx)
 	// Gets and acks carry no local completion semantics: the transmit
 	// command carries everything the firmware needs, so the request is done.
 	lib.FreeSendReq(req)
@@ -144,18 +143,37 @@ func sendDone(lib *core.Lib, req *core.SendReq, ok bool) {
 	lib.SendDone(req, ok)
 }
 
-func (d *GenericDriver) submit(tx *fw.TxReq) {
-	if err := d.NIC.SubmitTx(tx); err != nil {
-		d.backlog = append(d.backlog, tx)
+// txBacklog is how both drivers hand the firmware a transmit: a request goes
+// to the NIC at once if its process has a TX pending free, else it waits
+// here, in order, until a TX_DONE returns a pending and retry resubmits from
+// the head. The drivers take their requests from the NIC's pool and return
+// them at TX_DONE, so a send allocates nothing.
+type txBacklog struct {
+	backlog sim.FIFO[*fw.TxReq]
+}
+
+func (b *txBacklog) submit(nic *fw.NIC, tx *fw.TxReq) {
+	if err := nic.SubmitTx(tx); err != nil {
+		b.backlog.Push(tx)
 	}
 }
+
+// retry resubmits held requests, oldest first, until one is refused.
+func (b *txBacklog) retry(nic *fw.NIC) {
+	for b.backlog.Len() > 0 && nic.SubmitTx(b.backlog.First()) == nil {
+		b.backlog.Pop()
+	}
+}
+
+// Backlogged reports the transmit requests waiting for a TX pending.
+func (b *txBacklog) Backlogged() int { return b.backlog.Len() }
 
 // fwEvent receives firmware events host-side (after the event's HT write)
 // and requests the interrupt that will process them. Multiple events
 // coalesce into one interrupt (§4.1).
 func (d *GenericDriver) fwEvent(ev fw.Event) {
-	d.evq = append(d.evq, ev)
-	depth := len(d.evq) - d.evqHead
+	d.evq.Push(ev)
+	depth := d.evq.Len()
 	if depth > d.evqHigh {
 		d.evqHigh = depth
 	}
@@ -166,7 +184,7 @@ func (d *GenericDriver) fwEvent(ev fw.Event) {
 }
 
 // EvQueueDepth reports the driver event-queue backlog right now.
-func (d *GenericDriver) EvQueueDepth() int { return len(d.evq) - d.evqHead }
+func (d *GenericDriver) EvQueueDepth() int { return d.evq.Len() }
 
 // EvQueueHigh reports the deepest backlog the event queue ever reached.
 func (d *GenericDriver) EvQueueHigh() int { return d.evqHigh }
@@ -177,21 +195,11 @@ func (d *GenericDriver) EvQueueHigh() int { return d.evqHigh }
 // processes all of the new events in the generic EQ each time it is
 // invoked", §4.1).
 func (d *GenericDriver) drain() {
-	if d.evqHead == len(d.evq) {
-		d.evq = d.evq[:0] // drained: rewind so the buffer's capacity is reused
-		d.evqHead = 0
+	if d.evq.Len() == 0 {
 		d.K.InterruptDone()
 		return
 	}
-	ev := d.evq[d.evqHead]
-	d.evqHead++
-	if d.evqHead == len(d.evq) {
-		// Last pending event taken: rewind now so the buffer never grows
-		// without bound (under NoCoalesce the empty-queue entry path above
-		// may never run).
-		d.evq = d.evq[:0]
-		d.evqHead = 0
-	}
+	ev := d.evq.Pop()
 	d.EventsHandled++
 	next := d.drainFn
 	if d.K.NoCoalesce {
@@ -251,9 +259,7 @@ type evJob struct {
 }
 
 func (d *GenericDriver) getEvJob() *evJob {
-	if k := len(d.evjFree); k > 0 {
-		j := d.evjFree[k-1]
-		d.evjFree = d.evjFree[:k-1]
+	if j := sim.Pop(&d.evjFree); j != nil {
 		return j
 	}
 	j := &evJob{d: d}
@@ -309,13 +315,7 @@ func (d *GenericDriver) apply(action evAction, ev fw.Event, lib *core.Lib, op *c
 			sendDone(d.libs[tx.Pid], req, ev.OK)
 		}
 		// A pending returned to the pool: retry backlogged sends.
-		for len(d.backlog) > 0 {
-			btx := d.backlog[0]
-			if err := d.NIC.SubmitTx(btx); err != nil {
-				break
-			}
-			d.backlog = d.backlog[1:]
-		}
+		d.retry(d.NIC)
 		d.NIC.RecycleTxReq(tx)
 		return
 	case evActDropNoLib:

@@ -128,19 +128,17 @@ func (c *Chip) WriteHostStream(n int64, segs int, fn func()) {
 	c.HTWrite.Submit(d, fn)
 }
 
-// SRAM is a named-allocation accountant for the chip's scratch memory.
+// SRAM is the accountant of the chip's scratch memory: it keeps the total
+// reserved, and a reservation's name only for the error that refuses it.
 // There is no free: the firmware pre-allocates every structure at
 // initialization time and never allocates dynamically (§4.2).
 type SRAM struct {
 	capacity int64
 	used     int64
-	allocs   map[string]int64
 }
 
 // NewSRAM returns an accountant over capacity bytes.
-func NewSRAM(capacity int64) *SRAM {
-	return &SRAM{capacity: capacity, allocs: make(map[string]int64)}
-}
+func NewSRAM(capacity int64) *SRAM { return &SRAM{capacity: capacity} }
 
 // Alloc reserves n bytes under name; it fails when the budget is exceeded,
 // which is a firmware configuration error (the pools must fit in 384 KB).
@@ -153,7 +151,6 @@ func (m *SRAM) Alloc(name string, n int64) error {
 			name, n, m.used, m.capacity)
 	}
 	m.used += n
-	m.allocs[name] += n
 	return nil
 }
 
@@ -162,12 +159,3 @@ func (m *SRAM) Used() int64 { return m.used }
 
 // Free reports remaining bytes.
 func (m *SRAM) Free() int64 { return m.capacity - m.used }
-
-// Allocs returns a copy of the allocation map for reporting.
-func (m *SRAM) Allocs() map[string]int64 {
-	out := make(map[string]int64, len(m.allocs))
-	for k, v := range m.allocs {
-		out[k] = v
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package seastar
 
 import (
+	"strings"
 	"testing"
 
 	"portals3/internal/model"
@@ -28,6 +29,8 @@ func TestSRAMExhaustion(t *testing.T) {
 	}
 	if err := m.Alloc("b", 60); err == nil {
 		t.Error("over-allocation accepted")
+	} else if !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("exhaustion error %q does not name the refused reservation", err)
 	}
 	if err := m.Alloc("c", 40); err != nil {
 		t.Errorf("exact fit rejected: %v", err)
@@ -35,8 +38,8 @@ func TestSRAMExhaustion(t *testing.T) {
 	if m.Free() != 0 {
 		t.Errorf("free = %d", m.Free())
 	}
-	if m.Allocs()["a"] != 60 {
-		t.Error("allocation map wrong")
+	if m.Used() != 100 {
+		t.Errorf("used = %d, want the 60 + 40 accepted, not the refused 60", m.Used())
 	}
 	if err := m.Alloc("neg", -1); err == nil {
 		t.Error("negative allocation accepted")

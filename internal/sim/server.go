@@ -150,7 +150,7 @@ type Credits struct {
 	label Label
 	avail int64
 	cap   int64
-	queue []creditWaiter
+	queue FIFO[creditWaiter]
 
 	// Waits counts grants that had to queue (a backpressure indicator).
 	Waits uint64
@@ -182,13 +182,13 @@ func (c *Credits) Take(n int64, fn func()) {
 	if n > c.cap {
 		panic("sim: credit request exceeds capacity on " + c.label.String())
 	}
-	if len(c.queue) == 0 && c.avail >= n {
+	if c.queue.Len() == 0 && c.avail >= n {
 		c.avail -= n
 		c.s.After(0, fn)
 		return
 	}
 	c.Waits++
-	c.queue = append(c.queue, creditWaiter{n: n, fn: fn})
+	c.queue.Push(creditWaiter{n: n, fn: fn})
 }
 
 // Put returns n credits and grants queued requests that now fit.
@@ -200,9 +200,8 @@ func (c *Credits) Put(n int64) {
 	if c.avail > c.cap {
 		panic("sim: credit overflow on " + c.label.String())
 	}
-	for len(c.queue) > 0 && c.avail >= c.queue[0].n {
-		w := c.queue[0]
-		c.queue = c.queue[1:]
+	for c.queue.Len() > 0 && c.avail >= c.queue.First().n {
+		w := c.queue.Pop()
 		c.avail -= w.n
 		c.s.After(0, w.fn)
 	}

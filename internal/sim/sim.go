@@ -64,7 +64,7 @@ type Sim struct {
 	dispatching bool  // a sleeping process is running the event loop (Proc.Sleep)
 	procs       int32 // live coroutine processes, for deadlock diagnostics
 
-	rng *rand.Rand
+	rng *rand.Rand // built by the first Rand call
 
 	// Fired counts events executed, for diagnostics and runaway detection.
 	Fired uint64
@@ -84,16 +84,21 @@ type Sim struct {
 }
 
 // New returns a simulator with its clock at zero and a deterministic RNG.
-func New() *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(0x5ea57a7))}
-}
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
 // Rand returns the simulator's deterministic random source. Model code must
-// use this generator and no other so runs stay reproducible.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
+// use this generator and no other so runs stay reproducible. The source is
+// seeded at first use: a math/rand source is 4.9 KB, and only a run with
+// link bit errors ever draws from it.
+func (s *Sim) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(0x5ea57a7))
+	}
+	return s.rng
+}
 
 // ringPush appends an event at the tail of the zero-delay lane.
 func (s *Sim) ringPush(ev event) {

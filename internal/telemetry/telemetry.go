@@ -154,11 +154,8 @@ func (t *Telemetry) NewMsgRec(bytes int) *MsgRec {
 	if t == nil {
 		return nil
 	}
-	var r *MsgRec
-	if n := len(t.recFree); n > 0 {
-		r = t.recFree[n-1]
-		t.recFree = t.recFree[:n-1]
-	} else {
+	r := sim.Pop(&t.recFree)
+	if r == nil {
 		r = &MsgRec{}
 	}
 	r.reset(bytes)
