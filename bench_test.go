@@ -386,6 +386,22 @@ func BenchmarkPingPongFlightRecOn(b *testing.B) {
 	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
 }
 
+// BenchmarkPingPongTracingOn is the same workload with tracing armed: the
+// recorder keeps every event of the run for the Chrome timeline, which is
+// not rendered. A record is a struct store into a ring that doubles when
+// full, so allocs/op must not move either.
+func BenchmarkPingPongTracingOn(b *testing.B) {
+	b.ReportAllocs()
+	cfg := netpipe.DefaultConfig()
+	cfg.MaxBytes = 1
+	cfg.MinIters = b.N
+	cfg.MaxIters = b.N
+	cfg.Mode = machine.Generic
+	cfg.Observe = func(m *machine.Machine) { m.EnableTracing() }
+	b.ResetTimer()
+	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
+}
+
 // benchTorusHalo runs the full 512-node (8×8×8, radius-2) halo exchange —
 // the machine-scale workload of DESIGN.md §11 — once per iteration at the
 // given shard count. ns/op is the wall-clock cost of the whole simulated
@@ -418,10 +434,10 @@ func BenchmarkTorusHaloShard4(b *testing.B) { benchTorusHalo(b, 4) }
 // BenchmarkTorusHaloShard4SamplerOn is the observed sharded arm: four
 // lanes with every periodic observer armed — telemetry, the RAS sampler
 // (counter + link-contention series), the stall detector, the heartbeat
-// monitor and the flight recorder. Tracing stays off: it allocates per
-// wire record by design and is not a production-on instrument. The delta
-// against BenchmarkTorusHaloShard4 is the price of lane-local observation
-// on the hot path; TestContractHaloArms bounds it.
+// monitor and the flight recorder. Tracing stays off: rendering its
+// timeline allocates per record, and the JSON is not a production-on
+// artifact. The delta against BenchmarkTorusHaloShard4 is the price of
+// lane-local observation on the hot path; TestContractHaloArms bounds it.
 func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTorusConfig()

@@ -677,7 +677,7 @@ func runSeries(c cli, p model.Params, o opts) int {
 		}
 	}
 	if o.traceOut != "" {
-		if err := c.save(o.traceOut, fmt.Sprintf("trace (%d events)", mach.Trace().Len()), art.Trace); err != nil {
+		if err := c.save(o.traceOut, fmt.Sprintf("trace (%d bytes)", len(art.Trace)), art.Trace); err != nil {
 			return c.fail(1, "%v", err)
 		}
 	}

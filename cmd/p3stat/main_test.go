@@ -55,13 +55,24 @@ func writeArtifacts(t *testing.T) string {
 	for i := range d.Nodes {
 		var kept []flightrec.Event
 		for _, e := range d.Nodes[i].Events {
-			if e.Span == firstSpan || e.Span == firstSpan+1 {
+			if s := e.SpanID(); s == firstSpan || s == firstSpan+1 {
 				kept = append(kept, e)
 			}
 		}
 		d.Nodes[i].Events = kept
 	}
 	write(t, filepath.Join(dir, "small.p3dump"), d.Bytes())
+
+	// The committed hot-spot evidence (testdata/hotspot-gbn-node5.txt) and
+	// its Chrome rendering.
+	ev, err := os.ReadFile(filepath.Join("testdata", "hotspot-gbn-node5.p3dump"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(t, filepath.Join(dir, "hotspot.p3dump"), ev)
+	if code, _, stderr := runCLI("-chrome", filepath.Join(dir, "hotspot.trace.json"), filepath.Join(dir, "hotspot.p3dump")); code != 0 {
+		t.Fatalf("-chrome of the hot-spot dump: exit %d, stderr %q", code, stderr)
+	}
 
 	hp := *r.HostProfile
 	hp.RunWallNs, hp.WallNs, hp.ExecNs, hp.DrainNs = 21_000_000, 20_000_000, 15_000_000, 5_000_000
@@ -98,7 +109,8 @@ func write(t *testing.T, path string, data []byte) {
 }
 
 // TestGoldenRenderings: given only a path, p3stat renders each of the four
-// artifact kinds, and the three dump views, as recorded in testdata. The
+// artifact kinds, the three dump views, and the hot-spot evidence as a
+// dump and as its Chrome rendering, as recorded in testdata. The
 // simulated artifacts are deterministic, so the goldens move only when a
 // renderer or a simulated result does.
 func TestGoldenRenderings(t *testing.T) {
@@ -114,6 +126,8 @@ func TestGoldenRenderings(t *testing.T) {
 		{"dump", []string{"small.p3dump"}},
 		{"dump-spans", []string{"-spans", "small.p3dump"}},
 		{"dump-span", []string{"-span", strconv.Itoa(firstSpan), "small.p3dump"}},
+		{"hotspot-gbn-node5", []string{"hotspot.p3dump"}},
+		{"hotspot-gbn-node5-trace", []string{"hotspot.trace.json"}},
 	} {
 		args := append([]string(nil), tc.args...)
 		last := len(args) - 1

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
-
+	"portals3/internal/flightrec"
 	"portals3/internal/sim"
-	"portals3/internal/trace"
 )
 
 // EventType enumerates Portals event kinds (ptl_event_kind_t).
@@ -34,14 +32,7 @@ const (
 	EventUnlink
 )
 
-func (t EventType) String() string {
-	names := [...]string{"GET_START", "GET_END", "PUT_START", "PUT_END",
-		"REPLY_START", "REPLY_END", "SEND_START", "SEND_END", "ACK", "UNLINK"}
-	if int(t) < len(names) {
-		return names[t]
-	}
-	return fmt.Sprintf("EventType(%d)", int(t))
-}
+func (t EventType) String() string { return flightrec.EventName(int(t)) }
 
 // Event is one entry in an event queue (ptl_event_t).
 type Event struct {
@@ -138,9 +129,9 @@ func (q *EQ) insert(ev Event) {
 		q.ring[(q.head+q.count)%len(q.ring)] = ev
 		q.count++
 	}
-	if q.lib.Trace.Enabled() {
-		q.lib.Trace.Instant(int(q.lib.id.Nid), trace.TrackApp, "portals", ev.Type.String(), q.lib.sim.Now(),
-			map[string]interface{}{"pid": q.lib.id.Pid, "mlen": ev.MLength, "seq": ev.Sequence})
+	if q.lib.FR != nil {
+		q.lib.FR.Put(flightrec.Event{T: ev.At, Kind: flightrec.KEQPost, Sub: uint8(ev.Type),
+			Span: ev.Sequence, A: q.lib.id.Pid, B: uint32(ev.MLength)})
 	}
 	q.signal.Raise()
 }

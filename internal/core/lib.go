@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/sim"
-	"portals3/internal/trace"
 	"portals3/internal/wire"
 )
 
@@ -56,8 +56,9 @@ type ptlEntry struct {
 // instance can be driven from the host kernel (generic mode) or the NIC
 // firmware (accelerated mode), as on the real machine.
 type Lib struct {
-	// Trace, when non-nil, records application-visible event deliveries.
-	Trace *trace.Tracer
+	// FR, when non-nil, is the node's flight-recorder ring: event-queue
+	// posts are recorded on it.
+	FR *flightrec.Ring
 
 	sim     *sim.Sim
 	id      ProcessID

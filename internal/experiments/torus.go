@@ -51,7 +51,7 @@ type TorusConfig struct {
 
 	Telemetry bool
 	FlightRec bool
-	Trace     bool // record the wire/firmware timeline (lane-local, merged)
+	Trace     bool // record the wire/firmware timeline (the recorder keeps every event)
 
 	// Periodic observers, each off when zero: the RAS sampler (counter and
 	// link-contention series), the stall detector window, and the heartbeat

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -179,43 +180,66 @@ func fabricMsgs(t *testing.T, r TorusResult) int {
 }
 
 // TestHotSpotGoBackNIncastFence pins go-back-n's incast collapse at today's
-// numbers: 64 nodes, 16 × 1 KB per sender, 30 % of them at node 5, one lane,
-// no faults (netpipe -torus -dim 4 -workload hotspot -hot 5 -hotfrac 0.3
-// -msgs 16 [-gbn]). Without go-back-n the hot node's receive pendings never
-// run out and the run is pinned exactly. With it, every NACK rewinds the
-// sender's whole unacked tail into the same exhausted receiver, and the job
-// takes 17.5× as long and 22× the fabric messages; the gbn arm may only get
-// better than that. The protocol fix (bounded in-flight window, hold-off
-// NACK, one NACK per gap, timer backoff) is to bring the gbn arm within 3×
-// the no-gbn arm's finish time and then tighten this fence to that target.
+// numbers: 16 × 1 KB per sender, 30 % of them at node 5, one lane, no
+// faults, on 64 and on 125 nodes (netpipe -torus -dim 4|5 -workload hotspot
+// -hot 5 -hotfrac 0.3 -msgs 16 [-gbn]). Without go-back-n the hot node's
+// receive pendings never run out and the run is pinned exactly. With it,
+// every NACK rewinds the sender's whole unacked tail into the same
+// exhausted receiver: on 4³ the job takes 17.5× as long and 22× the fabric
+// messages, on 5³ 100× and 105×; the gbn arm may only get better than
+// that. The protocol fix (bounded in-flight window, hold-off NACK, one NACK
+// per gap, timer backoff) is to bring the gbn arm within 3× the no-gbn
+// arm's finish time and then tighten this fence to that target. The 5³ gbn
+// run holds 100 MB of heap at its high-water, so its heap is capped at
+// twice the 112.7 MB first measured, and the race runtime, which shadows
+// that heap, skips it.
 func TestHotSpotGoBackNIncastFence(t *testing.T) {
-	run := func(gbn bool) (TorusResult, int) {
-		cfg := DefaultTrafficConfig()
-		cfg.Dim = 4
-		cfg.Msgs = 16
-		cfg.HotFrac = 0.3
-		cfg.HotNode = 5
-		cfg.GoBackN = gbn
-		r := TorusTraffic(cfg)
-		if len(r.Errors) > 0 {
-			t.Fatalf("gbn=%v: %s", gbn, r.Errors[0])
-		}
-		return r, fabricMsgs(t, r)
+	for _, tc := range []struct {
+		dim                       int
+		plainFinish, plainMsgs    int64  // ps, messages: pinned
+		gbnFinish, gbnMsgsCeiling int64  // ps, messages: ceilings
+		heapCeiling               uint64 // bytes of heap in use at the run's high-water; 0 for none
+	}{
+		{4, 730289456, 1024, 12797531199, 22970, 0},
+		{5, 1186619545, 2000, 118573192999, 209280, 225 << 20},
+	} {
+		t.Run(fmt.Sprintf("dim=%d", tc.dim), func(t *testing.T) {
+			if tc.heapCeiling > 0 {
+				if raceEnabled {
+					t.Skip("the race runtime shadows the heap this arm caps")
+				}
+				defer debug.SetMemoryLimit(debug.SetMemoryLimit(int64(tc.heapCeiling)))
+			}
+			run := func(gbn bool) (TorusResult, int64) {
+				cfg := DefaultTrafficConfig()
+				cfg.Dim = tc.dim
+				cfg.Msgs = 16
+				cfg.HotFrac = 0.3
+				cfg.HotNode = 5
+				cfg.GoBackN = gbn
+				cfg.HostProf = tc.heapCeiling > 0
+				r := TorusTraffic(cfg)
+				if len(r.Errors) > 0 {
+					t.Fatalf("gbn=%v: %s", gbn, r.Errors[0])
+				}
+				return r, int64(fabricMsgs(t, r))
+			}
+			plain, plainMsgs := run(false)
+			if plain.FinishPs != tc.plainFinish || plainMsgs != tc.plainMsgs {
+				t.Errorf("no gbn: finished at %d ps with %d fabric messages, want %d ps and %d",
+					plain.FinishPs, plainMsgs, tc.plainFinish, tc.plainMsgs)
+			}
+			gbn, gbnMsgs := run(true)
+			if gbn.FinishPs > tc.gbnFinish || gbnMsgs > tc.gbnMsgsCeiling {
+				t.Errorf("gbn: finished at %d ps with %d fabric messages, want at most %d ps and %d",
+					gbn.FinishPs, gbnMsgs, tc.gbnFinish, tc.gbnMsgsCeiling)
+			}
+			if tc.heapCeiling > 0 && gbn.HostProfile.HeapInuseHigh > tc.heapCeiling {
+				t.Errorf("gbn: heap in use peaked at %.1f MB, want at most %.1f MB",
+					float64(gbn.HostProfile.HeapInuseHigh)/(1<<20), float64(tc.heapCeiling)/(1<<20))
+			}
+			t.Logf("gbn arm: %.1f× the no-gbn finish, %.1f× its fabric messages (target: ≤ 3× the finish)",
+				float64(gbn.FinishPs)/float64(plain.FinishPs), float64(gbnMsgs)/float64(plainMsgs))
+		})
 	}
-	const (
-		plainFinish, plainMsgsWant = 730289456, 1024    // ps, messages: pinned
-		gbnFinish, gbnMsgsCeiling  = 12797531199, 22970 // ps, messages: ceilings
-	)
-	plain, plainMsgs := run(false)
-	if plain.FinishPs != plainFinish || plainMsgs != plainMsgsWant {
-		t.Errorf("no gbn: finished at %d ps with %d fabric messages, want %d ps and %d",
-			plain.FinishPs, plainMsgs, int64(plainFinish), plainMsgsWant)
-	}
-	gbn, gbnMsgs := run(true)
-	if gbn.FinishPs > gbnFinish || gbnMsgs > gbnMsgsCeiling {
-		t.Errorf("gbn: finished at %d ps with %d fabric messages, want at most %d ps and %d",
-			gbn.FinishPs, gbnMsgs, int64(gbnFinish), gbnMsgsCeiling)
-	}
-	t.Logf("gbn arm: %.1f× the no-gbn finish, %.1f× its fabric messages (target: ≤ 3× the finish)",
-		float64(gbn.FinishPs)/float64(plain.FinishPs), float64(gbnMsgs)/float64(plainMsgs))
 }

@@ -14,11 +14,11 @@ package fabric
 import (
 	"fmt"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 	"portals3/internal/wire"
 )
 
@@ -115,8 +115,10 @@ type Fabric struct {
 	Topo *topo.Topology
 	P    *model.Params
 
-	// Trace, when non-nil, records wire-level message events.
-	Trace *trace.Tracer
+	// FR, when non-nil, is the machine's flight recorder: injections are
+	// recorded on the source node's ring, deliveries on the destination's,
+	// each on the lane that owns that node.
+	FR *flightrec.Recorder
 
 	// Tel, when non-nil, receives wire-boundary latency stamps and reclaims
 	// attribution records of messages that die before delivery.
@@ -490,11 +492,9 @@ func (k *carrier) injected() {
 	if m.OnInjected != nil {
 		m.OnInjected()
 	}
-	// Building the trace labels (the name strings and args maps)
-	// allocates; skip it all on the tracing-off hot path.
-	if f.Trace.Enabled() {
-		f.Trace.Instant(int(m.Src), trace.TrackWire, "net", "tx "+m.Hdr.Type.String(), f.S.Now(),
-			map[string]interface{}{"msg": m.ID, "dst": m.Dst, "len": m.PayloadLen + len(m.Inline)})
+	if f.FR != nil {
+		f.FR.Ring(int(m.Src)).Put(flightrec.Event{T: f.S.Now(), Kind: flightrec.KWireTx, Sub: uint8(m.Hdr.Type),
+			Span: m.ID, A: uint32(m.Dst), B: uint32(m.PayloadLen + len(m.Inline))})
 	}
 }
 
@@ -508,9 +508,9 @@ func (k *carrier) arrived() {
 		ep.ChunkArrived(c)
 		if c.Last {
 			f.Stats.Delivered++
-			if f.Trace.Enabled() {
-				f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx last chunk", f.S.Now(),
-					map[string]interface{}{"msg": m.ID, "src": m.Src})
+			if f.FR != nil {
+				f.FR.Ring(int(m.Dst)).Put(flightrec.Event{T: f.S.Now(), Kind: flightrec.KWireRxLast,
+					Span: m.ID, A: uint32(m.Src)})
 			}
 		}
 		return
@@ -519,9 +519,9 @@ func (k *carrier) arrived() {
 	// The header's arrival closes its delay/stall ledger entries, on the
 	// source node's plane, which opened them.
 	f.noteToSource(pt, m, (*FaultPlane).noteDelivered)
-	if f.Trace.Enabled() {
-		f.Trace.Instant(int(m.Dst), trace.TrackWire, "net", "rx hdr "+m.Hdr.Type.String(), f.S.Now(),
-			map[string]interface{}{"msg": m.ID, "src": m.Src})
+	if f.FR != nil {
+		f.FR.Ring(int(m.Dst)).Put(flightrec.Event{T: f.S.Now(), Kind: flightrec.KWireRxHdr, Sub: uint8(m.Hdr.Type),
+			Span: m.ID, A: uint32(m.Src)})
 	}
 	ep.HeaderArrived(m)
 	if m.PayloadLen == 0 {

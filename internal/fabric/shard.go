@@ -119,7 +119,7 @@ func (cl *Cluster) Port(id topo.NodeID) *NodePort { return cl.ports[id] }
 func (cl *Cluster) Lane(id topo.NodeID) int { return cl.laneOf[id] }
 
 // LaneFabric returns lane i's fabric instance: its stats and link meters,
-// and the Tel/Trace handles the machine attaches per lane (per-lane
+// and the Tel handle the machine attaches per lane (per-lane
 // instances keep the hot path lock-free; the machine merges them at
 // snapshot time).
 func (cl *Cluster) LaneFabric(i int) *Fabric { return cl.lanes[i] }

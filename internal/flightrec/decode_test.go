@@ -3,9 +3,13 @@ package flightrec
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -56,6 +60,77 @@ func TestDecodeTruncatedAtEveryOffset(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(full)); err != nil {
 		t.Fatalf("the whole dump: %v", err)
+	}
+}
+
+// corpusSeed reads one committed FuzzDecodeDump seed's bytes.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecodeDump", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head, tail = "go test fuzz v1\n[]byte(", ")\n"
+	s := string(b)
+	if !strings.HasPrefix(s, head) || !strings.HasSuffix(s, tail) {
+		t.Fatalf("%s is not a one-[]byte corpus file", name)
+	}
+	q, err := strconv.Unquote(s[len(head) : len(s)-len(tail)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(q)
+}
+
+// TestParentFormatDumpReadsUnchanged: a dump written before the sub-kind
+// existed decodes to the events it held — no sub-kind, no trace kind — and
+// re-encodes to the same bytes.
+func TestParentFormatDumpReadsUnchanged(t *testing.T) {
+	file := corpusSeed(t, "two-node-stall-dump")
+	d, err := Decode(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, nd := range d.Nodes {
+		for _, e := range nd.Events {
+			n++
+			if e.Sub != 0 || e.Kind.trace() || e.Kind >= kindCount {
+				t.Errorf("node %d: %+v is not an event the old format held", nd.Node, e)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("the stall dump holds no events")
+	}
+	if !bytes.Equal(d.Bytes(), file) {
+		t.Error("re-encoding the stall dump changed its bytes")
+	}
+}
+
+// TestTraceKindSeedKeepsItsSubKinds: the seed carrying every trace kind
+// decodes them with their sub-kinds.
+func TestTraceKindSeedKeepsItsSubKinds(t *testing.T) {
+	d, err := Decode(bytes.NewReader(corpusSeed(t, "every-trace-kind")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds, subs := map[Kind]bool{}, 0
+	for _, nd := range d.Nodes {
+		for _, e := range nd.Events {
+			kinds[e.Kind] = true
+			if e.Sub != 0 {
+				subs++
+			}
+		}
+	}
+	for k := KWireTx; k < kindCount; k++ {
+		if !kinds[k] {
+			t.Errorf("the seed holds no %v", k)
+		}
+	}
+	if subs == 0 {
+		t.Error("the seed holds no sub-kind")
 	}
 }
 

@@ -1,9 +1,11 @@
 package flightrec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"portals3/internal/sim"
@@ -61,50 +63,35 @@ type Dump struct {
 // dumpMagic leads every encoded dump.
 var dumpMagic = [8]byte{'P', '3', 'D', 'U', 'M', 'P', '0', '1'}
 
-type binReader struct {
-	r   io.Reader
-	b   [8]byte
+// fields reads a dump's fixed-width fields in order. Past the magic every
+// field is required, so running out of bytes anywhere is a truncation, and
+// after the first failure every read returns zero.
+type fields struct {
+	b   []byte
 	err error
 }
 
-func (br *binReader) u64() uint64 {
-	if br.err != nil {
-		return 0
+func (f *fields) take(n uint64) []byte {
+	if f.err == nil && n > uint64(len(f.b)) {
+		f.err = fmt.Errorf("flightrec: truncated dump: %w", io.ErrUnexpectedEOF)
 	}
-	if _, err := io.ReadFull(br.r, br.b[:]); err != nil {
-		br.fail(err)
-		return 0
+	if f.err != nil {
+		return nil
 	}
-	return binary.LittleEndian.Uint64(br.b[:])
+	v := f.b[:n]
+	f.b = f.b[n:]
+	return v
 }
 
-// fail records a read error. Past the magic every field is required, so a
-// clean EOF is as much a truncation as a short read.
-func (br *binReader) fail(err error) {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+func (f *fields) u64() uint64 {
+	if v := f.take(8); v != nil {
+		return binary.LittleEndian.Uint64(v)
 	}
-	br.err = fmt.Errorf("flightrec: truncated dump: %w", err)
+	return 0
 }
 
-func (br *binReader) i64() int64 { return int64(br.u64()) }
-
-func (br *binReader) str() string {
-	n := br.u64()
-	if br.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		br.err = fmt.Errorf("flightrec: implausible string length %d", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br.r, buf); err != nil {
-		br.fail(err)
-		return ""
-	}
-	return string(buf)
-}
+func (f *fields) i64() int64  { return int64(f.u64()) }
+func (f *fields) str() string { return string(f.take(f.u64())) }
 
 // occFields lists an occupancy's int fields in the canonical encoding order
 // (SRAMUsed, an int64, follows them) — one list, so Bytes and Decode cannot
@@ -123,7 +110,9 @@ func occFields(o *Occupancy) []*int {
 
 // Bytes encodes the dump in the deterministic binary format: fixed-width
 // little-endian fields, nodes in ascending id order (TakeDump builds them
-// that way), no host-time or pointer content anywhere.
+// that way), no host-time or pointer content anywhere. An event is four
+// words: time, span, A<<32|B and Sub<<8|Kind — a reader that takes the
+// last word's low byte as the kind reads every event but the sub-kind.
 func (d *Dump) Bytes() []byte {
 	size := 48 + len(d.Reason) + len(d.Trigger)
 	for i := range d.Nodes {
@@ -153,63 +142,64 @@ func (d *Dump) Bytes() []byte {
 			u64(uint64(e.T))
 			u64(e.Span)
 			u64(uint64(e.A)<<32 | uint64(e.B))
-			u64(uint64(e.Kind))
+			u64(uint64(e.Sub)<<8 | uint64(e.Kind))
 		}
 	}
 	return b
 }
 
 // Decode reads a dump written by Bytes. The counts in the file are not
-// trusted: nodes and events are appended as their bytes arrive and decoding
-// stops at the first read error, so a file costs what it contains, not what
-// its header claims (a 210-byte file announcing 2^26 events once allocated
-// 2 GB before reporting EOF).
+// trusted: nodes and events are appended as their bytes are read and
+// decoding stops at the first field missing, so a file costs what it
+// contains, not what its header claims (a 210-byte file announcing 2^26
+// events once allocated 2 GB before reporting EOF).
 func Decode(r io.Reader) (*Dump, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("flightrec: reading dump magic: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("flightrec: reading dump: %w", err)
 	}
-	if magic != dumpMagic {
-		return nil, fmt.Errorf("flightrec: not a p3dump file (magic %q)", magic[:])
+	if !bytes.HasPrefix(b, dumpMagic[:]) {
+		return nil, fmt.Errorf("flightrec: not a p3dump file (magic %q)", b[:min(len(b), len(dumpMagic))])
 	}
-	br := &binReader{r: r}
+	f := &fields{b: b[len(dumpMagic):]}
 	d := &Dump{}
-	d.Reason = br.str()
-	d.Trigger = br.str()
-	d.At = sim.Time(br.i64())
-	d.Node = int(br.i64())
-	nNodes := br.u64()
-	if br.err == nil && nNodes > 1<<20 {
-		br.err = fmt.Errorf("flightrec: implausible node count %d", nNodes)
+	d.Reason = f.str()
+	d.Trigger = f.str()
+	d.At = sim.Time(f.i64())
+	d.Node = int(f.i64())
+	nNodes := f.u64()
+	if f.err == nil && nNodes > 1<<20 {
+		f.err = fmt.Errorf("flightrec: implausible node count %d", nNodes)
 	}
-	for i := uint64(0); i < nNodes && br.err == nil; i++ {
+	for i := uint64(0); i < nNodes && f.err == nil; i++ {
 		var nd NodeDump
-		nd.Node = int(br.i64())
-		for _, f := range occFields(&nd.Occ) {
-			*f = int(br.i64())
+		nd.Node = int(f.i64())
+		for _, o := range occFields(&nd.Occ) {
+			*o = int(f.i64())
 		}
-		nd.Occ.SRAMUsed = br.i64()
-		nd.Dropped = br.u64()
-		nEv := br.u64()
-		if br.err == nil && nEv > 1<<28 {
-			br.err = fmt.Errorf("flightrec: implausible event count %d", nEv)
+		nd.Occ.SRAMUsed = f.i64()
+		nd.Dropped = f.u64()
+		nEv := f.u64()
+		if f.err == nil && nEv > 1<<28 {
+			f.err = fmt.Errorf("flightrec: implausible event count %d", nEv)
 		}
-		for j := uint64(0); j < nEv && br.err == nil; j++ {
+		for j := uint64(0); j < nEv && f.err == nil; j++ {
 			var e Event
-			e.T = sim.Time(br.i64())
-			e.Span = br.u64()
-			ab := br.u64()
+			e.T = sim.Time(f.i64())
+			e.Span = f.u64()
+			ab := f.u64()
 			e.A = uint32(ab >> 32)
 			e.B = uint32(ab)
-			e.Kind = Kind(br.u64())
-			if br.err == nil {
+			k := f.u64()
+			e.Kind, e.Sub = Kind(k), uint8(k>>8)
+			if f.err == nil {
 				nd.Events = append(nd.Events, e)
 			}
 		}
 		d.Nodes = append(d.Nodes, nd)
 	}
-	if br.err != nil {
-		return nil, br.err
+	if f.err != nil {
+		return nil, f.err
 	}
 	return d, nil
 }
@@ -231,12 +221,7 @@ func (d *Dump) Timeline() []TimelineEvent {
 			out = append(out, TimelineEvent{Node: nd.Node, Event: e})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
-		}
-		return false // stable: keep node-then-ring order for ties
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }
 
@@ -244,7 +229,7 @@ func (d *Dump) Timeline() []TimelineEvent {
 func (d *Dump) Span(span uint64) []TimelineEvent {
 	var out []TimelineEvent
 	for _, e := range d.Timeline() {
-		if e.Span == span {
+		if e.SpanID() == span {
 			out = append(out, e)
 		}
 	}
@@ -253,18 +238,14 @@ func (d *Dump) Span(span uint64) []TimelineEvent {
 
 // Spans returns every nonzero span id present in the dump, sorted.
 func (d *Dump) Spans() []uint64 {
-	seen := make(map[uint64]bool)
+	var out []uint64
 	for _, nd := range d.Nodes {
 		for _, e := range nd.Events {
-			if e.Span != 0 {
-				seen[e.Span] = true
+			if s := e.SpanID(); s != 0 {
+				out = append(out, s)
 			}
 		}
 	}
-	out := make([]uint64, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -1,13 +1,13 @@
-// Package flightrec is the machine's flight recorder: a per-node,
-// fixed-size ring of compact binary events written at every firmware state
-// transition, in the spirit of the in-NIC event capture RDMA-era stacks
-// lean on for post-mortem debugging. Recording follows the telemetry
-// registry's rules — the ring is preallocated, a record is a struct store
-// into it, and a nil *Ring is valid and disabled (one pointer test on the
-// hot path, zero allocations either way).
+// Package flightrec is the machine's flight recorder: a per-node ring of
+// compact binary events written at every firmware state transition, in the
+// spirit of the in-NIC event capture RDMA-era stacks lean on for
+// post-mortem debugging. Recording follows the telemetry registry's rules —
+// a record is a struct store into the ring, whose buffer doubles up to its
+// capacity as it fills, and a nil *Ring is valid and disabled (one pointer
+// test on the hot path, no allocation per event either way).
 //
-// Every event carries a causal span id. A span is minted when the host
-// submits a transmit request and propagates with the request onto the
+// Every firmware event carries a causal span id. A span is minted when the
+// host submits a transmit request and propagates with the request onto the
 // fabric message, its payload chunks, and the receiver's pending — so the
 // complete hop-by-hop path of one message (submit, serialize, header tx,
 // chunk tx, chunk rx, retransmissions, delivery, event post) can be
@@ -15,11 +15,19 @@
 // a retransmission reuses the original request and therefore the original
 // span. Span 0 means "node-scoped, no message attached" (control frames,
 // pool watermarks observed outside a message's context).
+//
+// The rings are the machine's only event record. Beside the firmware's
+// transitions they hold the trace kinds — wire injections and deliveries,
+// host interrupts and kernel work, PowerPC handlers, Portals event posts —
+// so one stream shows where each microsecond of a message went, and the
+// Chrome timeline is a rendering of it (Dump.WriteChrome). Tracing makes
+// the rings keep every event instead of the newest few thousand.
 package flightrec
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"strings"
 
 	"portals3/internal/sim"
 )
@@ -53,6 +61,21 @@ const (
 	KRxDone           // message fully received; A=1 CRC ok / 0 fail
 	KExhaust          // resource exhaustion; A=exhaust code (see ExhaustName)
 	KStall            // stall detector fired on this node; A=open work items
+
+	// The trace kinds: what the timeline's wire, host-cpu, seastar-ppc and
+	// app tracks show. None belongs to a causal span, so Span carries the
+	// kind's 64-bit argument instead (a message ID, a duration or an event
+	// sequence number), and Sub a wire message type, a firmware handler
+	// (HandlerName) or a Portals event type (EventName). A kind that lasts
+	// is recorded when it ends, with its duration, so a ring stays in time
+	// order.
+	KWireTx     // packet injected at the source; Span=message ID, A=dst, B=length, Sub=wire type
+	KWireRxHdr  // header packet delivered; Span=message ID, A=src, Sub=wire type
+	KWireRxLast // last payload chunk delivered; Span=message ID, A=src
+	KHostIrq    // host interrupt entry ended; Span=duration
+	KHostWork   // kernel-context Portals processing ended; Span=duration
+	KFwHandler  // firmware handler ended on the PowerPC; Span=duration, Sub=handler
+	KEQPost     // Portals event posted to an event queue; Span=sequence, A=pid, B=mlength, Sub=event type
 	kindCount
 )
 
@@ -62,13 +85,38 @@ var kindNames = [...]string{
 	"gbn-ack-tx", "gbn-ack-rx", "gbn-nack-tx", "gbn-nack-rx", "gbn-rewind",
 	"gbn-timeout", "ev-post", "irq-raise", "rx-header", "rx-done",
 	"exhaust", "stall",
+	"wire-tx", "wire-rx-hdr", "wire-rx-last", "host-irq", "host-work",
+	"fw-handler", "eq-post",
 }
 
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+func (k Kind) String() string { return named(kindNames[:], int(k), "kind") }
+
+// trace reports whether k is one of the trace kinds.
+func (k Kind) trace() bool { return k >= KWireTx && k < kindCount }
+
+// handlerNames and eventNames are the firmware's handler names and the
+// Portals event type names in the order of their codes. The recorder keeps
+// them so that a dump renders without the model; fw and core name their
+// values through HandlerName and EventName.
+var (
+	handlerNames = [...]string{"tx-program", "tx-done", "rx-header", "rx-done", "mailbox-cmd",
+		"rx-program-local", "rx-discard-local", "release-local"}
+	eventNames = [...]string{"GET_START", "GET_END", "PUT_START", "PUT_END",
+		"REPLY_START", "REPLY_END", "SEND_START", "SEND_END", "ACK", "UNLINK"}
+)
+
+// HandlerName names firmware handler code h.
+func HandlerName(h uint8) string { return named(handlerNames[:], int(h), "handler") }
+
+// EventName names Portals event type code t.
+func EventName(t int) string { return named(eventNames[:], t, "EventType") }
+
+// named is names[i], or what(i) for a code outside the table.
+func named(names []string, i int, what string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return fmt.Sprintf("%s(%d)", what, i)
 }
 
 // Exhaustion codes carried in A of a KExhaust event.
@@ -92,17 +140,39 @@ func ExhaustName(code uint32) string {
 }
 
 // Event is one recorded state transition: virtual time, causal span, two
-// kind-specific arguments. The struct is fixed-size and inline in the ring
-// buffer; recording one is a bounds-checked store.
+// kind-specific arguments and a sub-kind. The struct is fixed-size (32
+// bytes) and inline in the ring buffer; recording one is a bounds-checked
+// store.
 type Event struct {
 	T    sim.Time
-	Span uint64
+	Span uint64 // the causal span, or a trace kind's argument
 	A, B uint32
 	Kind Kind
+	Sub  uint8
 }
 
-// ArgString renders the kind-specific arguments for timelines.
+// SpanID is e's causal span: Span, or 0 for the trace kinds, whose Span
+// field holds their argument.
+func (e Event) SpanID() uint64 {
+	if e.Kind.trace() {
+		return 0
+	}
+	return e.Span
+}
+
+// Dur is a lasting trace kind's duration.
+func (e Event) Dur() sim.Time { return sim.Time(e.Span) }
+
+// ArgString renders the kind-specific arguments for timelines. A trace
+// kind reads as its Chrome record does: name, then duration or arguments.
 func (e Event) ArgString() string {
+	if e.Kind.trace() {
+		r := record(0, e)
+		if r.Ph == "X" {
+			return fmt.Sprintf("%s dur=%v", r.Name, r.Dur)
+		}
+		return r.Name + " " + strings.TrimPrefix(fmt.Sprint(r.Args), "map")
+	}
 	switch e.Kind {
 	case KCmdDequeue:
 		return fmt.Sprintf("pid=%d", e.A)
@@ -154,21 +224,29 @@ type Ring struct {
 	head    int    // next write index
 	n       uint64 // lifetime events recorded
 	spanSeq uint64 // spans minted by this ring
+	cap     int    // the buffer doubles up to cap events, then wraps
 }
 
-// Enabled reports whether records will be kept.
-func (r *Ring) Enabled() bool { return r != nil }
-
-// Record stores one event, overwriting the oldest when the ring is full.
+// Record stores one event without a sub-kind.
 func (r *Ring) Record(k Kind, t sim.Time, span uint64, a, b uint32) {
+	r.Put(Event{T: t, Span: span, A: a, B: b, Kind: k})
+}
+
+// Put stores one event. A full buffer doubles until it holds cap events;
+// from then on each event overwrites the oldest.
+func (r *Ring) Put(e Event) {
 	if r == nil {
 		return
 	}
-	r.buf[r.head] = Event{T: t, Span: span, A: a, B: b, Kind: k}
-	r.head++
 	if r.head == len(r.buf) {
-		r.head = 0
+		if len(r.buf) < r.cap {
+			r.buf = append(r.buf, make([]Event, min(max(len(r.buf), 64), r.cap-len(r.buf)))...)
+		} else {
+			r.head = 0
+		}
 	}
+	r.buf[r.head] = e
+	r.head++
 	r.n++
 }
 
@@ -190,65 +268,76 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.n < uint64(len(r.buf)) {
-		return int(r.n)
+	if r.n > uint64(r.head) && len(r.buf) == r.cap { // wrapped
+		return len(r.buf)
 	}
-	return len(r.buf)
+	return r.head
 }
 
 // Dropped reports how many events were overwritten by wrap-around.
 func (r *Ring) Dropped() uint64 {
-	if r == nil || r.n <= uint64(len(r.buf)) {
+	if r == nil {
 		return 0
 	}
-	return r.n - uint64(len(r.buf))
+	return r.n - uint64(r.Len())
 }
 
 // Events returns the ring contents oldest-first (a copy; snapshots must not
 // alias the live buffer).
-func (r *Ring) Events() []Event {
-	if r == nil || r.n == 0 {
+func (r *Ring) Events() []Event { return r.Newest(r.Len()) }
+
+// Newest returns the newest n events the ring holds (every one when it
+// holds fewer), oldest-first, as a copy.
+func (r *Ring) Newest(n int) []Event {
+	n = min(n, r.Len())
+	if n <= 0 {
 		return nil
 	}
-	if r.n <= uint64(len(r.buf)) {
-		return append([]Event(nil), r.buf[:r.head]...)
+	out := make([]Event, 0, n)
+	if start := r.head - n; start < 0 {
+		out = append(out, r.buf[len(r.buf)+start:]...)
+		return append(out, r.buf[:r.head]...)
 	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	return append(out, r.buf[:r.head]...)
+	return append(out, r.buf[r.head-n:r.head]...)
 }
 
-// Recorder owns the per-node rings.
+// Recorder owns the per-node rings, dense by node id.
 type Recorder struct {
 	cap   int
-	rings map[int]*Ring
+	rings []*Ring
 }
 
-// NewRecorder builds a recorder whose rings hold capPerNode events each
-// (DefaultRingEvents when capPerNode <= 0).
-func NewRecorder(capPerNode int) *Recorder {
+// NewRecorder builds a recorder for nodes 0..nodes-1 whose rings hold
+// capPerNode events each (DefaultRingEvents when capPerNode <= 0).
+func NewRecorder(nodes, capPerNode int) *Recorder {
 	if capPerNode <= 0 {
 		capPerNode = DefaultRingEvents
 	}
-	return &Recorder{cap: capPerNode, rings: make(map[int]*Ring)}
+	return &Recorder{cap: capPerNode, rings: make([]*Ring, nodes)}
 }
 
-// Ring returns (allocating on first use) the ring for one node.
+// Ring returns the ring for one node, building it on first use. The
+// machine builds a node's ring with the node, so every later call — the
+// fabric's, on the hot path — is a slice read that writes nothing.
 func (rec *Recorder) Ring(node int) *Ring {
-	if r, ok := rec.rings[node]; ok {
-		return r
+	if rec.rings[node] == nil {
+		rec.rings[node] = &Ring{node: node, cap: rec.cap}
 	}
-	r := &Ring{node: node, buf: make([]Event, rec.cap)}
-	rec.rings[node] = r
-	return r
+	return rec.rings[node]
 }
 
-// Nodes returns the ids of all nodes with a ring, sorted.
-func (rec *Recorder) Nodes() []int {
-	out := make([]int, 0, len(rec.rings))
-	for id := range rec.rings {
-		out = append(out, id)
+// KeepAll makes every ring, built or to be built, keep every event it
+// records instead of the newest capPerNode — what a trace renders. A ring
+// that has wrapped already keeps what it holds, unrolled into time order.
+func (rec *Recorder) KeepAll() {
+	rec.cap = math.MaxInt
+	for _, r := range rec.rings {
+		if r == nil {
+			continue
+		}
+		if r.n > uint64(r.head) {
+			r.buf, r.head = r.Events(), r.Len()
+		}
+		r.cap = rec.cap
 	}
-	sort.Ints(out)
-	return out
 }

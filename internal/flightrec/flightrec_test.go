@@ -2,16 +2,19 @@ package flightrec
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"portals3/internal/sim"
+	"portals3/internal/trace"
+	"portals3/internal/wire"
 )
 
 func TestNilRingIsDisabled(t *testing.T) {
 	var r *Ring
-	if r.Enabled() {
-		t.Fatal("nil ring reports enabled")
-	}
 	r.Record(KTxHeader, 1, 2, 3, 4) // must not panic
 	if r.NewSpan() != 0 {
 		t.Fatal("nil ring minted a span")
@@ -22,7 +25,7 @@ func TestNilRingIsDisabled(t *testing.T) {
 }
 
 func TestRingRecordAndSpans(t *testing.T) {
-	rec := NewRecorder(8)
+	rec := NewRecorder(6, 8)
 	r := rec.Ring(3)
 	// Spans are node-scoped: (node+1)<<32 | the ring's own sequence.
 	if s := r.NewSpan(); s != 4<<32|1 {
@@ -43,13 +46,13 @@ func TestRingRecordAndSpans(t *testing.T) {
 	if ev[0].Kind != KCmdDequeue || ev[1].Kind != KTxHeader {
 		t.Fatalf("events out of order: %v", ev)
 	}
-	if got := []int{len(rec.Nodes()), rec.Nodes()[0], rec.Nodes()[1]}; got[0] != 2 || got[1] != 3 || got[2] != 5 {
-		t.Fatalf("Nodes() = %v", rec.Nodes())
+	if rec.Ring(3) != r || len(rec.rings) != 6 || rec.rings[4] != nil {
+		t.Fatalf("rings by node = %v, want nodes 3 and 5 built, dense by id", rec.rings)
 	}
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	rec := NewRecorder(4)
+	rec := NewRecorder(2, 4)
 	r := rec.Ring(0)
 	for i := 0; i < 10; i++ {
 		r.Record(KEvPost, sim.Time(i), 0, uint32(i), 0)
@@ -173,6 +176,9 @@ func TestTimelineMergesAndOrders(t *testing.T) {
 	}
 }
 
+// TestKindNamesCoverAllKinds: every kind has a name, renders its
+// arguments, and maps onto a Chrome record — the trace kinds onto the
+// tracks their components named, every other kind onto the flightrec track.
 func TestKindNamesCoverAllKinds(t *testing.T) {
 	if len(kindNames) != int(kindCount) {
 		t.Fatalf("kindNames has %d entries, want %d", len(kindNames), int(kindCount))
@@ -181,6 +187,126 @@ func TestKindNamesCoverAllKinds(t *testing.T) {
 		if k.String() == "" {
 			t.Fatalf("kind %d has empty name", int(k))
 		}
+		e := Event{T: 5 * sim.Microsecond, Span: 1, A: 2, B: 3, Kind: k}
+		if k != KNone && e.ArgString() == "" {
+			t.Errorf("%v renders no arguments", k)
+		}
+		r := record(7, e)
+		if r.Name == "" || r.Cat == "" || r.PID != 7 || (r.TID == trace.TrackFlight) == k.trace() {
+			t.Errorf("%v maps onto %+v", k, r)
+		}
+	}
+}
+
+// TestEventIs32Bytes: the trace kinds' sub-kind rides in the padding after
+// Kind, so an event costs what it did.
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 32 {
+		t.Fatalf("Event is %d bytes, want 32", n)
+	}
+}
+
+// TestTraceKindsRenderAsTheirComponentsNamedThem: each trace kind's Chrome
+// record carries the name, category, track, phase, times and arguments the
+// component that records it gives it.
+func TestTraceKindsRenderAsTheirComponentsNamedThem(t *testing.T) {
+	us := sim.Microsecond
+	for _, tc := range []struct {
+		e    Event
+		want trace.Record
+	}{
+		{Event{T: 5 * us, Kind: KWireTx, Sub: uint8(wire.TypePut), Span: 1<<32 | 7, A: 9, B: 64},
+			trace.Record{Name: "tx PUT", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+				Args: map[string]interface{}{"msg": uint64(1<<32 | 7), "dst": uint32(9), "len": uint32(64)}}},
+		{Event{T: 5 * us, Kind: KWireRxHdr, Sub: uint8(wire.TypeGet), Span: 2<<32 | 1, A: 1},
+			trace.Record{Name: "rx hdr GET", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+				Args: map[string]interface{}{"msg": uint64(2<<32 | 1), "src": uint32(1)}}},
+		{Event{T: 5 * us, Kind: KWireRxLast, Span: 2<<32 | 1, A: 1},
+			trace.Record{Name: "rx last chunk", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+				Args: map[string]interface{}{"msg": uint64(2<<32 | 1), "src": uint32(1)}}},
+		{Event{T: 5 * us, Kind: KHostIrq, Span: uint64(2 * us)},
+			trace.Record{Name: "interrupt", Cat: "os", Ph: "X", TS: 3 * us, Dur: 2 * us, TID: trace.TrackHost}},
+		{Event{T: 5 * us, Kind: KHostWork, Span: uint64(us)},
+			trace.Record{Name: "portals-processing", Cat: "os", Ph: "X", TS: 4 * us, Dur: us, TID: trace.TrackHost}},
+		{Event{T: 5 * us, Kind: KFwHandler, Sub: 2, Span: uint64(us)},
+			trace.Record{Name: "rx-header", Cat: "fw", Ph: "X", TS: 4 * us, Dur: us, TID: trace.TrackPPC}},
+		{Event{T: 5 * us, Kind: KEQPost, Sub: 3, Span: 12, A: 1, B: 1024},
+			trace.Record{Name: "PUT_END", Cat: "portals", Ph: "i", TS: 5 * us, TID: trace.TrackApp,
+				Args: map[string]interface{}{"pid": uint32(1), "mlen": uint32(1024), "seq": uint64(12)}}},
+	} {
+		if got := record(0, tc.e); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v:\n got %+v\nwant %+v", tc.e.Kind, got, tc.want)
+		}
+		if tc.e.SpanID() != 0 {
+			t.Errorf("%v: its argument reads as causal span %d", tc.e.Kind, tc.e.SpanID())
+		}
+	}
+}
+
+// TestRecordsOrderByStartThenNode: the timeline is in (start, node) order
+// with each node's ring order kept for ties, a lasting kind counting from
+// its start, and the covering spans follow in (span, node) order.
+func TestRecordsOrderByStartThenNode(t *testing.T) {
+	d := &Dump{Nodes: []NodeDump{
+		{Node: 0, Events: []Event{
+			{T: 10, Kind: KTxHeader, Span: 1},
+			{T: 30, Kind: KFwHandler, Span: 25}, // runs from 5
+			{T: 30, Kind: KRxDone, Span: 1, A: 1},
+		}},
+		{Node: 1, Events: []Event{
+			{T: 5, Kind: KRxHeader, Span: 1},
+			{T: 10, Kind: KWireRxHdr, Sub: uint8(wire.TypePut), Span: 1 << 32},
+		}},
+	}}
+	var got []string
+	for _, r := range d.Records() {
+		got = append(got, fmt.Sprintf("%d@%d:%s", r.PID, int64(r.TS), r.Name))
+	}
+	want := []string{"0@5:tx-program", "1@5:rx-header", "0@10:tx-header", "1@10:rx hdr PUT",
+		"0@30:rx-done", "0@10:span 1", "1@5:span 1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("records\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestKeepAllGrowsAndDumpsTakeTheNewest: a ring that keeps every event
+// grows instead of wrapping — unrolling what it held before — and Newest
+// still hands a dump the latest n.
+func TestKeepAllGrowsAndDumpsTakeTheNewest(t *testing.T) {
+	rec := NewRecorder(2, 4)
+	r := rec.Ring(0)
+	for i := 0; i < 6; i++ { // wraps: 2..5 held
+		r.Record(KEvPost, sim.Time(i), 0, uint32(i), 0)
+	}
+	rec.KeepAll()
+	for i := 6; i < 20; i++ {
+		r.Record(KEvPost, sim.Time(i), 0, uint32(i), 0)
+	}
+	if r.Len() != 18 || r.Dropped() != 2 {
+		t.Fatalf("Len=%d Dropped=%d, want 18, 2", r.Len(), r.Dropped())
+	}
+	for i, e := range r.Events() {
+		if e.A != uint32(2+i) {
+			t.Fatalf("event %d: A = %d, want %d", i, e.A, 2+i)
+		}
+	}
+	if got := rec.Ring(1); got.cap != math.MaxInt {
+		t.Error("a ring built after KeepAll wraps")
+	}
+	newest := r.Newest(4)
+	if len(newest) != 4 || newest[0].A != 16 || newest[3].A != 19 {
+		t.Errorf("Newest(4) = %v, want events 16..19", newest)
+	}
+}
+
+// TestEventsReturnCopies: what a ring hands out does not alias its buffer.
+func TestEventsReturnCopies(t *testing.T) {
+	r := NewRecorder(1, 4).Ring(0)
+	r.Record(KEvPost, 1, 0, 7, 0)
+	ev := r.Events()
+	ev[0].A = 99
+	if r.Events()[0].A != 7 || r.Newest(1)[0].A != 7 {
+		t.Error("Events exposed the ring's buffer")
 	}
 }
 
@@ -208,7 +334,7 @@ func TestWriteChromeEmitsSpans(t *testing.T) {
 }
 
 func TestRecordIsAllocationFree(t *testing.T) {
-	rec := NewRecorder(64)
+	rec := NewRecorder(1, 64)
 	r := rec.Ring(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Record(KChunkTx, 5, 9, 4096, 512)

@@ -26,7 +26,6 @@ import (
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 	"portals3/internal/wire"
 )
 
@@ -323,10 +322,9 @@ type NIC struct {
 
 	// Policy selects exhaustion handling.
 	Policy ExhaustPolicy
-	// Trace, when non-nil, records firmware handler spans.
-	Trace *trace.Tracer
-	// FR, when non-nil, is this node's flight-recorder ring; nil-safe like
-	// Trace, so record sites pay one pointer test when disabled.
+	// FR, when non-nil, is this node's flight-recorder ring: state
+	// transitions and handler spans. Nil-safe, so record sites pay one
+	// pointer test when disabled.
 	FR *flightrec.Ring
 	// OnPanic is invoked for ExhaustPanic; the default panics the Go
 	// process, the machine layer substitutes a node-failure handler.
@@ -524,10 +522,7 @@ const (
 	opReleaseLocal
 )
 
-func (op fwOp) String() string {
-	return [...]string{"tx-program", "tx-done", "rx-header", "rx-done", "mailbox-cmd",
-		"rx-program-local", "rx-discard-local", "release-local"}[op]
-}
+func (op fwOp) String() string { return flightrec.HandlerName(uint8(op)) }
 
 // handler is one firmware handler waiting for the PowerPC: which one, its
 // cost, and the one thing it works on (the TX handlers work on the head of
@@ -553,13 +548,13 @@ func (n *NIC) exec(op fwOp, cycles int64, h handler) {
 	n.Chip.Exec(cycles, n.dispatchFn)
 }
 
-// dispatch runs the handler the PowerPC has just finished charging for. The
-// trace span is only built when a tracer is attached.
+// dispatch runs the handler the PowerPC has just finished charging for,
+// recording it first when the flight recorder is on.
 func (n *NIC) dispatch() {
 	h := n.handlers.Pop()
-	if n.Trace.Enabled() {
+	if n.FR != nil {
 		dur := n.P.PPCCycles(n.P.FwDispatchCycles + h.cycles)
-		n.Trace.Span(int(n.Node), trace.TrackPPC, "fw", h.op.String(), n.S.Now()-dur, dur, nil)
+		n.FR.Put(flightrec.Event{T: n.S.Now(), Kind: flightrec.KFwHandler, Sub: uint8(h.op), Span: uint64(dur)})
 	}
 	switch h.op {
 	case opTxProgram:

@@ -49,7 +49,7 @@ func (m *Machine) Artifacts(reason string) Artifacts {
 		must("trace", tr.WriteChrome(&b))
 		a.Trace = b.Bytes()
 	}
-	if m.rec != nil {
+	if m.dumpEvents > 0 {
 		a.Dump = m.TakeDump(reason).Bytes()
 		for i, r := range m.reports {
 			if r.Dump != nil {

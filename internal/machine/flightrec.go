@@ -75,8 +75,8 @@ func (m *Machine) Reports() []FailureReport {
 // full machine dump stamped at the detection time.
 func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, at sim.Time, dump bool) {
 	r := FailureReport{Kind: kind, Node: node, Reason: reason, At: at}
-	if m.rec != nil && dump {
-		r.Dump = m.takeDumpAt(reason, kind.String(), int(node), at)
+	if m.dumpEvents > 0 && dump {
+		r.Dump = m.takeDumpAt(reason, kind.String(), int(node), at, int(m.dumpEvents))
 	}
 	m.mu.Lock()
 	m.reports = append(m.reports, r)
@@ -84,43 +84,60 @@ func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, 
 }
 
 // EnableFlightRecorder starts per-node flight recording, with ringEvents
-// events retained per node (flightrec.DefaultRingEvents when <= 0), and
+// events per node (flightrec.DefaultRingEvents when <= 0) in every dump —
+// the end-of-run one Artifacts writes and each failure report's — and
 // returns the recorder. Existing and subsequently built nodes are wired.
 // Like tracing and telemetry, enable it before spawning processes; a
 // machine without it pays one pointer test per record site.
 func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
-	if m.rec == nil {
-		m.rec = flightrec.NewRecorder(ringEvents)
-		for _, n := range m.nodes {
-			if n != nil {
-				m.wireFlightRec(n)
-			}
+	if m.dumpEvents == 0 {
+		if ringEvents <= 0 {
+			ringEvents = flightrec.DefaultRingEvents
+		}
+		m.dumpEvents = int32(ringEvents)
+		if m.rec == nil {
+			m.arm(flightrec.NewRecorder(len(m.nodes), ringEvents))
 		}
 	}
 	return m.rec
 }
 
-// wireFlightRec points one node's components at its ring.
+// arm makes rec the machine's one recorder: every lane's fabric and every
+// node, built or to be built, records into it.
+func (m *Machine) arm(rec *flightrec.Recorder) {
+	m.rec = rec
+	for i := range m.lanes {
+		m.lanes[i].fab.FR = rec
+	}
+	for _, n := range m.nodes {
+		if n != nil {
+			m.wireFlightRec(n)
+		}
+	}
+}
+
+// wireFlightRec builds one node's ring and points its components at it.
 func (m *Machine) wireFlightRec(n *Node) {
 	r := m.rec.Ring(int(n.ID))
 	n.NIC.FR = r
-	n.Generic.FR = r
+	n.Kernel.FR = r
 }
 
 // TakeDump snapshots every instantiated node's flight-recorder ring and
 // occupancy watermarks into a dump with the "snapshot" trigger — the
 // end-of-run artifact. Returns nil when the recorder is off.
 func (m *Machine) TakeDump(reason string) *flightrec.Dump {
-	return m.takeDumpAt(reason, "snapshot", -1, m.S.Now())
-}
-
-// takeDumpAt snapshots with an explicit timestamp — the canonical tick
-// time when called from a kernel barrier, where lane clocks sit at the
-// previous horizon rather than the tick time itself.
-func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time) *flightrec.Dump {
-	if m.rec == nil {
+	if m.dumpEvents == 0 {
 		return nil
 	}
+	return m.takeDumpAt(reason, "snapshot", -1, m.S.Now(), int(m.dumpEvents))
+}
+
+// takeDumpAt snapshots every instantiated node's occupancy and the newest
+// keep events of its ring, with an explicit timestamp — the canonical tick
+// time when called from a kernel barrier, where lane clocks sit at the
+// previous horizon rather than the tick time itself.
+func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time, keep int) *flightrec.Dump {
 	d := &flightrec.Dump{Reason: reason, Trigger: trigger, At: at, Node: node}
 	for _, n := range m.nodes {
 		if n == nil {
@@ -130,11 +147,12 @@ func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time) *fli
 		occ.EvQueueDepth = n.Generic.EvQueueDepth()
 		occ.EvQueueHigh = n.Generic.EvQueueHigh()
 		ring := m.rec.Ring(int(n.ID))
+		events := ring.Newest(keep)
 		d.Nodes = append(d.Nodes, flightrec.NodeDump{
 			Node:    int(n.ID),
 			Occ:     occ,
-			Dropped: ring.Dropped(),
-			Events:  ring.Events(),
+			Dropped: ring.Dropped() + uint64(ring.Len()-len(events)),
+			Events:  events,
 		})
 	}
 	return d
@@ -233,9 +251,7 @@ func (sd *StallDetector) checkAt(now sim.Time) {
 		}
 		sd.tripped[id] = true
 		sd.Stalls++
-		if m.rec != nil {
-			m.rec.Ring(int(id)).Record(flightrec.KStall, now, 0, uint32(open), 0)
-		}
+		n.NIC.FR.Record(flightrec.KStall, now, 0, uint32(open), 0)
 		// Stall checks run at safe points on every machine kind (classic
 		// event, sharded barrier tick), so dumps are always allowed.
 		m.fileReport(FailureStall, id, fmt.Sprintf(

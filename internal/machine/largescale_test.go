@@ -200,7 +200,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 	m := NewPair(model.Defaults())
-	tr := m.EnableTracing()
+	m.EnableTracing()
 	var b *App
 	b, _ = m.Spawn(1, "rx", Generic, func(app *App) {
 		_, eq := recvSetup(t, app, 8192, core.MDOpPut)
@@ -216,8 +216,9 @@ func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 	})
 	m.Run()
 	// Every layer must appear: wire, firmware, interrupts, Portals events.
+	recs := m.Trace().Records()
 	seen := map[string]bool{}
-	for _, r := range tr.Records() {
+	for _, r := range recs {
 		seen[r.Cat+"/"+r.Name] = true
 	}
 	for _, want := range []string{
@@ -231,7 +232,7 @@ func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 		}
 	}
 	// Timestamps must be monotone nonnegative and spans well-formed.
-	for _, r := range tr.Records() {
+	for _, r := range recs {
 		if r.TS < 0 || r.Dur < 0 {
 			t.Fatalf("negative time in record %+v", r)
 		}

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -23,7 +24,6 @@ import (
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 )
 
 // Mode selects how a process reaches Portals (paper §3.1's four system
@@ -90,22 +90,28 @@ type Machine struct {
 	hostprofOn bool
 	runWall    time.Duration
 
+	// rec is the one event recorder, armed by EnableFlightRecorder or
+	// EnableTracing. tracing says Trace and Artifacts render its timeline;
+	// dumpEvents is the events per node a dump holds, 0 until
+	// EnableFlightRecorder arms dumps. Both share ledgerReported's word,
+	// so Machine keeps its size class.
 	rec            *flightrec.Recorder
 	stall          *StallDetector
 	reports        []FailureReport
 	ledgerReported bool
+	tracing        bool
+	dumpEvents     int32
 }
 
 // lane is one event lane's share of the machine: the simulator its nodes
 // run on, the fabric instance owning their links, pools and counters, and
-// the observers they record into (nil until enabled). Lane-local observers
-// keep the hot path lock-free; Telemetry and Trace merge them at snapshot
-// time, and the merge is byte-identical at every shard count.
+// the telemetry they record into (nil until enabled). Lane-local telemetry
+// keeps the hot path lock-free; Telemetry merges it at snapshot time, and
+// the merge is byte-identical at every shard count.
 type lane struct {
 	sim *sim.Sim
 	fab *fabric.Fabric
 	tel *telemetry.Telemetry
-	tr  *trace.Tracer
 }
 
 // Node is one XT3 node.
@@ -164,8 +170,6 @@ func (m *Machine) Node(id topo.NodeID) *Node {
 	if m.gbn {
 		nic.Policy = fw.ExhaustGoBackN
 	}
-	nic.Trace = ln.tr
-	kern.Trace = ln.tr
 	drv, err := nal.NewGeneric(kern, nic, m.Topo, &m.P)
 	if err != nil {
 		panic(err)
@@ -191,46 +195,31 @@ func (m *Machine) home(id topo.NodeID) (*lane, fabric.Port) {
 	return &m.lanes[0], m.Fab
 }
 
-// EnableTracing starts recording a machine-wide timeline (wire, firmware,
-// interrupt and Portals-event activity) and returns the tracer. Call it
-// before spawning processes; write the result with Tracer.WriteChrome.
-//
-// Each lane records into its own tracer (every node lives on exactly one
-// lane, so a node's records stay in one instance and in lane-local time
-// order). On a classic machine the returned tracer is the whole timeline;
-// on a sharded one it is lane 0's, and the merged timeline is read through
-// Machine.Trace after the run. The merge sorts by (timestamp, node), which
-// preserves each lane's relative order, so the written trace is
-// byte-identical at every shard count.
-func (m *Machine) EnableTracing() *trace.Tracer {
-	if m.lanes[0].tr == nil {
-		for i := range m.lanes {
-			ln := &m.lanes[i]
-			ln.tr = trace.New()
-			ln.fab.Trace = ln.tr
+// EnableTracing arms the flight recorder to keep every event — wire,
+// firmware, interrupt and Portals-event activity beside the firmware's
+// transitions — for the machine-wide timeline Trace returns and Artifacts
+// writes, and returns the recorder. Call it before spawning processes.
+func (m *Machine) EnableTracing() *flightrec.Recorder {
+	if !m.tracing {
+		m.tracing = true
+		if m.rec == nil {
+			m.arm(flightrec.NewRecorder(len(m.nodes), 0))
 		}
-		for _, n := range m.nodes {
-			if n != nil {
-				n.NIC.Trace = n.lane.tr
-				n.Kernel.Trace = n.lane.tr
-			}
-		}
+		m.rec.KeepAll()
 	}
-	return m.lanes[0].tr
+	return m.rec
 }
 
-// Trace returns the machine's tracer (nil unless tracing is enabled): the
-// live instance on a classic machine, a fresh merge of the per-lane
-// tracers on a sharded one — call it after Run, from the driver goroutine.
-func (m *Machine) Trace() *trace.Tracer {
-	if !m.Sharded() || m.lanes[0].tr == nil {
-		return m.lanes[0].tr
+// Trace returns everything the recorder kept since EnableTracing as one
+// dump (nil unless tracing is enabled); its WriteChrome is the Chrome
+// timeline. Every node records on its own lane in lane order, so the
+// timeline is the same at every shard count. Call it after Run, from the
+// driver goroutine.
+func (m *Machine) Trace() *flightrec.Dump {
+	if !m.tracing {
+		return nil
 	}
-	trs := make([]*trace.Tracer, len(m.lanes))
-	for i := range m.lanes {
-		trs[i] = m.lanes[i].tr
-	}
-	return trace.Merged(trs...)
+	return m.takeDumpAt("trace", "snapshot", -1, m.S.Now(), math.MaxInt)
 }
 
 // EnableTelemetry attaches a telemetry handle to every lane — existing and
@@ -350,7 +339,7 @@ func (m *Machine) Spawn(node topo.NodeID, name string, mode Mode, main func(app 
 		return nil, fmt.Errorf("machine: unknown mode %d", mode)
 	}
 
-	lib.Trace = n.lane.tr
+	lib.FR = n.NIC.FR
 	n.NIC.S.Go(name, func(p *sim.Proc) {
 		app.Proc = p
 		app.API = nal.NewAPI(p, lib, bridge, &m.P)

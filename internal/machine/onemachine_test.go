@@ -3,7 +3,6 @@ package machine
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"portals3/internal/flightrec"
@@ -57,24 +56,16 @@ func TestIDsCarryTheirNode(t *testing.T) {
 		m.EnableFlightRecorder(0)
 		pingPong(t, m, Generic, 4096)
 
-		sent := map[int]uint64{} // node -> messages it injected
-		for _, r := range m.Trace().Records() {
-			if !strings.HasPrefix(r.Name, "tx ") {
-				continue
-			}
-			id := r.Args["msg"].(uint64)
-			sent[r.PID]++
-			if want := uint64(r.PID+1)<<32 | sent[r.PID]; id != want {
-				t.Errorf("node %d's message %d has ID %#x, want %#x", r.PID, sent[r.PID], id, want)
-			}
-		}
-		if sent[0] == 0 || sent[1] == 0 {
-			t.Fatalf("traced injections per node = %v, want both nodes sending", sent)
-		}
-
-		minted := map[int]uint64{}
-		for _, nd := range m.TakeDump("ids").Nodes {
+		sent := map[int]uint64{}   // node -> messages it injected
+		minted := map[int]uint64{} // node -> spans it minted
+		for _, nd := range m.Trace().Nodes {
 			for _, e := range nd.Events {
+				if e.Kind == flightrec.KWireTx {
+					sent[nd.Node]++
+					if want := uint64(nd.Node+1)<<32 | sent[nd.Node]; e.Span != want {
+						t.Errorf("node %d's message %d has ID %#x, want %#x", nd.Node, sent[nd.Node], e.Span, want)
+					}
+				}
 				if e.Kind != flightrec.KTxSerialize {
 					continue
 				}
@@ -84,8 +75,8 @@ func TestIDsCarryTheirNode(t *testing.T) {
 				}
 			}
 		}
-		if minted[0] == 0 || minted[1] == 0 {
-			t.Fatalf("spans minted per node = %v, want both nodes minting", minted)
+		if sent[0] == 0 || sent[1] == 0 || minted[0] == 0 || minted[1] == 0 {
+			t.Fatalf("injections per node = %v, spans minted per node = %v, want both nodes sending", sent, minted)
 		}
 	})
 }

@@ -33,9 +33,6 @@ type GenericDriver struct {
 	// send and finishes it at app delivery (machine.EnableTelemetry).
 	Tel *telemetry.Telemetry
 
-	// FR is this node's flight-recorder ring; nil (disabled) is valid.
-	FR *flightrec.Ring
-
 	libs map[uint32]*core.Lib
 
 	evq     sim.FIFO[fw.Event] // pending firmware events
@@ -177,8 +174,8 @@ func (d *GenericDriver) fwEvent(ev fw.Event) {
 	if depth > d.evqHigh {
 		d.evqHigh = depth
 	}
-	if d.FR != nil {
-		d.FR.Record(flightrec.KIrqRaise, d.S.Now(), ev.Span(), uint32(depth), 0)
+	if d.K.FR != nil {
+		d.K.FR.Record(flightrec.KIrqRaise, d.S.Now(), ev.Span(), uint32(depth), 0)
 	}
 	d.K.RaiseInterrupt()
 }

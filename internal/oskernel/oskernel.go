@@ -16,11 +16,11 @@ package oskernel
 import (
 	"fmt"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
 	"portals3/internal/topo"
-	"portals3/internal/trace"
 )
 
 // Kind selects the operating system.
@@ -61,19 +61,20 @@ type Kernel struct {
 	Interrupts uint64
 	Coalesced  uint64
 
-	// Trace, when non-nil, records interrupt and kernel-work spans.
-	Trace *trace.Tracer
+	// FR, when non-nil, is the node's flight-recorder ring: interrupt
+	// entries and kernel-context work are recorded on it as they end, and
+	// the generic driver records its interrupt requests on it.
+	FR *flightrec.Ring
 
 	// IrqHist, when non-nil, records interrupt dispatch latency — raise to
 	// handler entry, i.e. CPU queueing plus the ≥2 µs interrupt overhead
 	// (machine.EnableTelemetry installs a per-node histogram).
 	IrqHist *telemetry.Histogram
 
-	// irqRaised and irqFn serve the instrumented dispatch path; a single
-	// carrier suffices because at most one interrupt is in flight
-	// (irqActive gates further raises until InterruptDone).
-	irqRaised sim.Time
-	irqFn     func()
+	// obs holds the kernel-context work waiting for the CPU while it is
+	// observed (built with the first such work, so a kernel nobody
+	// observes carries one nil pointer).
+	obs *observedWork
 
 	// NoCoalesce disables interrupt coalescing for ablation studies: every
 	// raise takes its own ≥2 µs interrupt and the driver processes one
@@ -139,26 +140,11 @@ func (k *Kernel) RaiseInterrupt() {
 	}
 	k.irqActive = true
 	k.Interrupts++
-	if k.Trace.Enabled() || k.IrqHist != nil {
-		if k.irqFn == nil {
-			k.irqFn = k.irqDispatched
-		}
-		k.irqRaised = k.S.Now()
-		k.CPU.Submit(k.P.InterruptOverhead, k.irqFn)
+	if k.FR != nil || k.IrqHist != nil {
+		k.observed(flightrec.KHostIrq, k.P.InterruptOverhead, k.irqHandler)
 		return
 	}
 	k.CPU.Submit(k.P.InterruptOverhead, k.irqHandler)
-}
-
-// irqDispatched is the instrumented interrupt entry: record the span and
-// the dispatch latency, then run the real handler.
-func (k *Kernel) irqDispatched() {
-	if k.Trace.Enabled() {
-		k.Trace.Span(int(k.Node), trace.TrackHost, "os", "interrupt",
-			k.S.Now()-k.P.InterruptOverhead, k.P.InterruptOverhead, nil)
-	}
-	k.IrqHist.Observe(int64(k.S.Now() - k.irqRaised))
-	k.irqHandler()
 }
 
 // InterruptDone re-arms interrupt delivery; the handler calls it after
@@ -176,15 +162,49 @@ func (k *Kernel) InterruptDone() {
 // when they complete.
 func (k *Kernel) KernelWork(cycles int64, fn func()) {
 	dur := k.P.HostCycles(cycles)
-	if dur > 0 && k.Trace.Enabled() {
-		k.CPU.Submit(dur, func() {
-			k.Trace.Span(int(k.Node), trace.TrackHost, "os", "portals-processing",
-				k.S.Now()-dur, dur, nil)
-			fn()
-		})
+	if dur > 0 && k.FR != nil {
+		k.observed(flightrec.KHostWork, dur, fn)
 		return
 	}
 	k.CPU.Submit(dur, fn)
+}
+
+// observedWork is the kernel-context work waiting for the CPU while it is
+// observed — recorded on FR, or an interrupt timed for IrqHist. The CPU
+// serves in order, so done, bound once, ends the head.
+type observedWork struct {
+	q    sim.FIFO[kwork]
+	done func()
+}
+
+// kwork is one piece of observed work: what it is, when it was asked for,
+// its cost, and what runs when it completes.
+type kwork struct {
+	kind   flightrec.Kind // KHostIrq or KHostWork
+	raised sim.Time
+	dur    sim.Time
+	fn     func()
+}
+
+// observed charges dur of kernel-context work on the CPU like Submit, and
+// when it completes records it (an interrupt also feeds IrqHist its
+// dispatch latency) before running fn.
+func (k *Kernel) observed(kind flightrec.Kind, dur sim.Time, fn func()) {
+	if k.obs == nil {
+		k.obs = &observedWork{done: k.workDone}
+	}
+	k.obs.q.Push(kwork{kind, k.S.Now(), dur, fn})
+	k.CPU.Submit(dur, k.obs.done)
+}
+
+// workDone ends the oldest observed work.
+func (k *Kernel) workDone() {
+	w := k.obs.q.Pop()
+	k.FR.Put(flightrec.Event{T: k.S.Now(), Kind: w.kind, Span: uint64(w.dur)})
+	if w.kind == flightrec.KHostIrq {
+		k.IrqHist.Observe(int64(k.S.Now() - w.raised))
+	}
+	w.fn()
 }
 
 // NewRegion allocates application memory the way this OS does: one

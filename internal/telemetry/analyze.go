@@ -1,18 +1,22 @@
-// Trace analyzer: replays trace.Tracer records into per-handler and
+// Trace analyzer: replays Chrome trace records into per-handler and
 // per-track summaries — which firmware handlers and host activities carry
-// the critical path, per node, over the traced horizon.
+// the critical path, per node, over the traced horizon — and counts every
+// instant by name, so a node's PowerPC occupancy reads beside how often
+// each event happened on it.
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"portals3/internal/sim"
 	"portals3/internal/trace"
 )
 
-// SpanStat aggregates every span with the same (node, track, cat, name).
+// SpanStat aggregates every span, or every instant, with the same (node,
+// track, cat, name); an instant's row has a count and no time.
 type SpanStat struct {
 	Node  int
 	Track int
@@ -37,15 +41,14 @@ type TraceSummary struct {
 	Horizon  sim.Time // end of the last span
 	Spans    []SpanStat
 	Tracks   []TrackStat
-	Instants uint64 // point events, counted but not attributed time
+	Instants uint64 // point events, counted (in Spans, by name) but not attributed time
 }
 
-// trackName names the well-known trace tracks for rendering.
-func trackName(tid int) string { return trace.TrackName(tid) }
-
 // Summarize folds trace records into span and track statistics. Spans are
-// sorted by total time descending (the critical-path view); tracks by
-// (node, track).
+// sorted by total time descending (the critical-path view), so the
+// instants' rows come last; tracks by (node, track). The flight recorder's
+// covering spans are message lifetimes, not the occupancy of a resource,
+// so they are left out.
 func Summarize(recs []trace.Record) *TraceSummary {
 	s := &TraceSummary{}
 	type key struct {
@@ -56,12 +59,11 @@ func Summarize(recs []trace.Record) *TraceSummary {
 	spans := map[key]*SpanStat{}
 	tracks := map[tkey]*TrackStat{}
 	for _, r := range recs {
+		if r.Ph == "X" && r.TID == trace.TrackFlight {
+			continue
+		}
 		if end := r.TS + r.Dur; end > s.Horizon {
 			s.Horizon = end
-		}
-		if r.Ph != "X" {
-			s.Instants++
-			continue
 		}
 		k := key{r.PID, r.TID, r.Cat, r.Name}
 		st := spans[k]
@@ -70,6 +72,10 @@ func Summarize(recs []trace.Record) *TraceSummary {
 			spans[k] = st
 		}
 		st.Count++
+		if r.Ph != "X" {
+			s.Instants++
+			continue
+		}
 		st.Total += r.Dur
 		if r.Dur > st.Max {
 			st.Max = r.Dur
@@ -86,28 +92,15 @@ func Summarize(recs []trace.Record) *TraceSummary {
 	for _, st := range spans {
 		s.Spans = append(s.Spans, *st)
 	}
-	sort.Slice(s.Spans, func(i, j int) bool {
-		a, b := s.Spans[i], s.Spans[j]
-		if a.Total != b.Total {
-			return a.Total > b.Total
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
-		}
-		return a.Name < b.Name
+	slices.SortFunc(s.Spans, func(a, b SpanStat) int {
+		return cmp.Or(cmp.Compare(b.Total, a.Total), cmp.Compare(a.Node, b.Node),
+			cmp.Compare(a.Track, b.Track), cmp.Compare(a.Name, b.Name), cmp.Compare(a.Cat, b.Cat))
 	})
 	for _, ts := range tracks {
 		s.Tracks = append(s.Tracks, *ts)
 	}
-	sort.Slice(s.Tracks, func(i, j int) bool {
-		a, b := s.Tracks[i], s.Tracks[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Track < b.Track
+	slices.SortFunc(s.Tracks, func(a, b TrackStat) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Track, b.Track))
 	})
 	return s
 }
@@ -123,12 +116,12 @@ func (s *TraceSummary) Render(w io.Writer) {
 			occ = 100 * float64(t.Busy) / float64(s.Horizon)
 		}
 		fmt.Fprintf(w, "%-5d %-12s %10d %12v %12s %7.2f\n",
-			t.Node, trackName(t.Track), t.Spans, t.Busy, "", occ)
+			t.Node, trace.TrackName(t.Track), t.Spans, t.Busy, "", occ)
 	}
 	fmt.Fprintf(w, "\n%-5s %-12s %-24s %8s %12s %12s\n",
 		"node", "track", "handler", "count", "total", "max")
 	for _, sp := range s.Spans {
 		fmt.Fprintf(w, "%-5d %-12s %-24s %8d %12v %12v\n",
-			sp.Node, trackName(sp.Track), sp.Cat+"/"+sp.Name, sp.Count, sp.Total, sp.Max)
+			sp.Node, trace.TrackName(sp.Track), sp.Cat+"/"+sp.Name, sp.Count, sp.Total, sp.Max)
 	}
 }

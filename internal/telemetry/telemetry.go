@@ -12,7 +12,7 @@
 // histograms always sum to the end-to-end histogram.
 //
 // Telemetry follows the repository's observability discipline (see
-// trace.Tracer): a nil *Telemetry is valid and disabled, every method is
+// flightrec.Ring): a nil *Telemetry is valid and disabled, every method is
 // nil-safe, and a disabled machine pays one pointer test per site with
 // zero allocations.
 package telemetry

@@ -264,21 +264,27 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestSummarizeTrace(t *testing.T) {
-	tr := trace.New()
-	tr.Span(0, trace.TrackPPC, "fw", "tx-start", 0, 400, nil)
-	tr.Span(0, trace.TrackPPC, "fw", "tx-start", 1000, 600, nil)
-	tr.Span(0, trace.TrackHost, "os", "irq", 500, 2000, nil)
-	tr.Span(1, trace.TrackPPC, "fw", "rx-header", 800, 440, nil)
-	tr.Instant(1, trace.TrackWire, "fabric", "hdr-arrive", 700, nil)
-	s := Summarize(tr.Records())
+	span := func(node, track int, cat, name string, ts, dur sim.Time) trace.Record {
+		return trace.Record{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, PID: node, TID: track}
+	}
+	s := Summarize([]trace.Record{
+		span(0, trace.TrackPPC, "fw", "tx-start", 0, 400),
+		span(0, trace.TrackPPC, "fw", "tx-start", 1000, 600),
+		span(0, trace.TrackHost, "os", "irq", 500, 2000),
+		span(1, trace.TrackPPC, "fw", "rx-header", 800, 440),
+		{Name: "hdr-arrive", Cat: "fabric", Ph: "i", TS: 700, PID: 1, TID: trace.TrackWire},
+	})
 	if s.Horizon != 2500 {
 		t.Errorf("horizon %v", s.Horizon)
 	}
 	if s.Instants != 1 {
 		t.Errorf("instants %d", s.Instants)
 	}
-	if len(s.Spans) != 3 || s.Spans[0].Name != "irq" || s.Spans[0].Total != 2000 {
+	if len(s.Spans) != 4 || s.Spans[0].Name != "irq" || s.Spans[0].Total != 2000 {
 		t.Fatalf("span order wrong: %+v", s.Spans)
+	}
+	if in := s.Spans[3]; in.Name != "hdr-arrive" || in.Count != 1 || in.Total != 0 {
+		t.Fatalf("the instant's row is %+v, want its count last", in)
 	}
 	if s.Spans[1].Name != "tx-start" || s.Spans[1].Count != 2 || s.Spans[1].Max != 600 {
 		t.Fatalf("aggregation wrong: %+v", s.Spans[1])

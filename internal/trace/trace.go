@@ -1,19 +1,19 @@
-// Package trace records simulation activity as a Chrome trace-event file
-// (the chrome://tracing / Perfetto JSON format), giving the simulated
-// machine the kind of timeline observability the real Red Storm team got
-// from their RAS and firmware counters — per-node tracks for interrupts,
-// firmware handlers and message lifecycles, on a virtual-time axis.
+// Package trace is the Chrome trace-event format (the chrome://tracing /
+// Perfetto JSON) the simulated machine's timeline is written in: per-node
+// tracks for interrupts, firmware handlers, message lifecycles and
+// flight-recorder events, on a virtual-time axis — the kind of timeline
+// observability the real Red Storm team got from their RAS and firmware
+// counters.
 //
-// Tracing is off by default and enabled per machine
-// (machine.EnableTracing); components carry an optional *Tracer and emit
-// through nil-safe methods, so the disabled path costs one pointer test.
+// Nothing here records: the machine's flight recorder does, and its dumps
+// render into Records (flightrec.Dump.Records), which WriteChrome writes
+// and ReadChrome reads back for offline analysis.
 package trace
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"portals3/internal/sim"
 )
@@ -52,77 +52,6 @@ func TrackName(tid int) string {
 	return fmt.Sprintf("track %d", tid)
 }
 
-// Tracer accumulates records. The zero value is valid and enabled; a nil
-// *Tracer is valid and disabled — every method is nil-safe.
-type Tracer struct {
-	records []Record
-}
-
-// New returns an empty tracer.
-func New() *Tracer { return &Tracer{} }
-
-// Enabled reports whether events will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Instant records a point event.
-func (t *Tracer) Instant(node int, track int, cat, name string, ts sim.Time, args map[string]interface{}) {
-	if t == nil {
-		return
-	}
-	t.records = append(t.records, Record{
-		Name: name, Cat: cat, Ph: "i", TS: ts, PID: node, TID: track, Args: args,
-	})
-}
-
-// Span records a duration event.
-func (t *Tracer) Span(node int, track int, cat, name string, ts, dur sim.Time, args map[string]interface{}) {
-	if t == nil {
-		return
-	}
-	t.records = append(t.records, Record{
-		Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, PID: node, TID: track, Args: args,
-	})
-}
-
-// Len reports how many records were captured.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.records)
-}
-
-// Records returns a copy of the captured records (tests and analyzers).
-func (t *Tracer) Records() []Record {
-	if t == nil {
-		return nil
-	}
-	return append([]Record(nil), t.records...)
-}
-
-// Merged folds per-lane tracers into one canonical timeline: records are
-// concatenated in lane order and stable-sorted by (timestamp, node). On a
-// sharded machine every node's events execute on exactly one lane, so all
-// records sharing a (timestamp, node) pair come from the same input tracer
-// and the stable sort preserves their in-lane relative order — which is
-// itself shard-invariant (DESIGN.md §11). The merged record sequence, and
-// therefore WriteChrome's output, is byte-identical at every shard count.
-func Merged(parts ...*Tracer) *Tracer {
-	out := &Tracer{}
-	for _, p := range parts {
-		if p != nil {
-			out.records = append(out.records, p.records...)
-		}
-	}
-	sort.SliceStable(out.records, func(i, j int) bool {
-		if out.records[i].TS != out.records[j].TS {
-			return out.records[i].TS < out.records[j].TS
-		}
-		return out.records[i].PID < out.records[j].PID
-	})
-	return out
-}
-
 // chromeEvent is the on-disk JSON shape.
 type chromeEvent struct {
 	Name string                 `json:"name"`
@@ -136,16 +65,12 @@ type chromeEvent struct {
 	Args map[string]interface{} `json:"args,omitempty"`
 }
 
-// WriteChrome emits the trace as a Chrome trace-event JSON array, with
+// WriteChrome emits records as a Chrome trace-event JSON array, with
 // metadata naming each node's process and tracks.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, "[]")
-		return err
-	}
-	var out []interface{}
+func WriteChrome(w io.Writer, recs []Record) error {
+	out := []interface{}{}
 	seen := map[int]bool{}
-	for _, r := range t.records {
+	for _, r := range recs {
 		if !seen[r.PID] {
 			seen[r.PID] = true
 			out = append(out, map[string]interface{}{

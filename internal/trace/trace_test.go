@@ -8,34 +8,23 @@ import (
 	"portals3/internal/sim"
 )
 
-func TestNilTracerIsSafeAndDisabled(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer claims enabled")
-	}
-	tr.Instant(0, TrackHost, "x", "y", 0, nil) // must not panic
-	tr.Span(0, TrackPPC, "x", "y", 0, sim.Microsecond, nil)
-	if tr.Len() != 0 || tr.Records() != nil {
-		t.Error("nil tracer recorded something")
-	}
+func TestNoRecordsWriteAnEmptyArray(t *testing.T) {
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if buf.String() != "[]" {
-		t.Errorf("nil trace file = %q", buf.String())
+	if buf.String() != "[]\n" {
+		t.Errorf("empty trace file = %q", buf.String())
 	}
 }
 
 func TestRecordsAndChromeFormat(t *testing.T) {
-	tr := New()
-	tr.Instant(3, TrackWire, "net", "rx hdr", 5390*sim.Nanosecond, map[string]interface{}{"msg": 1})
-	tr.Span(3, TrackPPC, "fw", "rx-header", 6*sim.Microsecond, 600*sim.Nanosecond, nil)
-	if tr.Len() != 2 {
-		t.Fatalf("len = %d", tr.Len())
+	recs := []Record{
+		{Name: "rx hdr", Cat: "net", Ph: "i", TS: 5390 * sim.Nanosecond, PID: 3, TID: TrackWire, Args: map[string]interface{}{"msg": 1}},
+		{Name: "rx-header", Cat: "fw", Ph: "X", TS: 6 * sim.Microsecond, Dur: 600 * sim.Nanosecond, PID: 3, TID: TrackPPC},
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	var out []map[string]interface{}
@@ -68,18 +57,18 @@ func TestRecordsAndChromeFormat(t *testing.T) {
 // metadata must come out in track order (a map range here once made the
 // file differ between runs), and repeated writes must be byte-identical.
 func TestWriteChromeDeterministic(t *testing.T) {
-	build := func() *Tracer {
-		tr := New()
-		tr.Span(1, TrackHost, "os", "interrupt", 2*sim.Microsecond, 2*sim.Microsecond, nil)
-		tr.Span(0, TrackPPC, "fw", "tx-start", 0, 900*sim.Nanosecond, nil)
-		tr.Instant(0, TrackWire, "net", "inject", sim.Microsecond, nil)
-		return tr
+	build := func() []Record {
+		return []Record{
+			{Name: "interrupt", Cat: "os", Ph: "X", TS: 2 * sim.Microsecond, Dur: 2 * sim.Microsecond, PID: 1, TID: TrackHost},
+			{Name: "tx-start", Cat: "fw", Ph: "X", TS: 0, Dur: 900 * sim.Nanosecond, PID: 0, TID: TrackPPC},
+			{Name: "inject", Cat: "net", Ph: "i", TS: sim.Microsecond, PID: 0, TID: TrackWire},
+		}
 	}
 	var a, b bytes.Buffer
-	if err := build().WriteChrome(&a); err != nil {
+	if err := WriteChrome(&a, build()); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteChrome(&b); err != nil {
+	if err := WriteChrome(&b, build()); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -106,11 +95,12 @@ func TestWriteChromeDeterministic(t *testing.T) {
 }
 
 func TestReadChromeRoundTrip(t *testing.T) {
-	tr := New()
-	tr.Span(2, TrackPPC, "fw", "rx-header", 6*sim.Microsecond, 600*sim.Nanosecond, nil)
-	tr.Instant(2, TrackApp, "ev", "put-end", 9*sim.Microsecond, nil)
+	want := []Record{
+		{Name: "rx-header", Cat: "fw", Ph: "X", TS: 6 * sim.Microsecond, Dur: 600 * sim.Nanosecond, PID: 2, TID: TrackPPC},
+		{Name: "put-end", Cat: "ev", Ph: "i", TS: 9 * sim.Microsecond, PID: 2, TID: TrackApp},
+	}
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := ReadChrome(&buf)
@@ -120,7 +110,6 @@ func TestReadChromeRoundTrip(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2 (metadata must be dropped)", len(recs))
 	}
-	want := tr.Records()
 	for i, r := range recs {
 		w := want[i]
 		if r.Name != w.Name || r.Cat != w.Cat || r.Ph != w.Ph ||
@@ -139,15 +128,5 @@ func TestTrackName(t *testing.T) {
 		if got := TrackName(tid); got != want {
 			t.Errorf("TrackName(%d) = %q, want %q", tid, got, want)
 		}
-	}
-}
-
-func TestRecordsReturnsCopy(t *testing.T) {
-	tr := New()
-	tr.Instant(0, TrackApp, "a", "b", 0, nil)
-	recs := tr.Records()
-	recs[0].Name = "mutated"
-	if tr.Records()[0].Name != "b" {
-		t.Error("Records exposed internal storage")
 	}
 }

@@ -44,12 +44,17 @@ echo "check.sh: 8 programs ran"
 
 echo "== smoke: one artifact set, written by netpipe, read back by p3stat =="
 # Both run modes write what the machine recorded (machine.Artifacts); p3stat
-# must render every file given only its path.
+# must render every file given only its path. The flight recorder's rings are
+# the one event record and the Chrome timeline renders them two ways — a
+# traced run's trace.json and p3stat -chrome of a dump — so both the
+# tracing-only run and the dump's rendering are read back too.
 art=$(mktemp -d)
 trap 'rm -rf "$art"' EXIT
 go run ./cmd/netpipe -torus -dim 3 -telemetry "$art/torus.json" -hostprof "$art/hostprof.json" >/dev/null
 go run ./cmd/netpipe -series put -max 4096 -flightrec -dumpout "$art/run.p3dump" -trace "$art/trace.json" >/dev/null
-for f in torus.json hostprof.json run.p3dump trace.json; do
+go run ./cmd/netpipe -series put -max 4096 -trace "$art/traceonly.json" >/dev/null
+go run ./cmd/p3stat -chrome "$art/dump.json" "$art/run.p3dump" >/dev/null
+for f in torus.json hostprof.json run.p3dump trace.json traceonly.json dump.json; do
     if ! smoke_out=$(go run ./cmd/p3stat "$art/$f" 2>&1); then
         echo "FAIL: p3stat $f exited non-zero:"
         echo "$smoke_out"
@@ -60,7 +65,7 @@ for f in torus.json hostprof.json run.p3dump trace.json; do
         exit 1
     fi
 done
-echo "check.sh: p3stat rendered 4 artifacts"
+echo "check.sh: p3stat rendered 6 artifacts"
 
 echo "== benchmark module: build, self-test, tests =="
 # bench/ is a module of its own, so nothing above compiles or runs it, and
