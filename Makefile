@@ -16,15 +16,16 @@ race:
 vet:
 	go vet ./...
 
-# Substrate microbenchmarks (event kernel, process switch, one full put).
+# Substrate microbenchmarks (event kernel, process switch, one full put, one
+# MPI round).
 bench:
-	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut' -benchmem .
+	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut|SimulatedMPI' -benchmem .
 
 # Every paper figure, one iteration each.
 figures:
 	go test -run xxx -bench 'Figure' -benchtime 1x -benchmem .
 
-# The pre-commit gate: gofmt + vet + build + race tests + a smoke run of the
+# The pre-commit gate: gofmt + doc names + vet + build + race tests + a smoke run of the
 # examples and tools, then the host-cost contracts.
 check: check-fast contracts
 

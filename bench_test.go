@@ -17,6 +17,7 @@ import (
 	"portals3/internal/experiments"
 	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/mpi"
 	"portals3/internal/netpipe"
 	"portals3/internal/sim"
 )
@@ -345,6 +346,20 @@ func BenchmarkSimulatedPut(b *testing.B) {
 	cfg.Mode = machine.Generic
 	b.ResetTimer()
 	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
+}
+
+// BenchmarkSimulatedMPI is BenchmarkSimulatedPut through the MPI module: a
+// 1-byte MPICH2 ping-pong, so an op is one round of Send and Recv on each
+// rank, every message posting and auto-unlinking its receive descriptor.
+func BenchmarkSimulatedMPI(b *testing.B) {
+	b.ReportAllocs()
+	cfg := netpipe.DefaultConfig()
+	cfg.MaxBytes = 1
+	cfg.MinIters = b.N
+	cfg.MaxIters = b.N
+	cfg.Mode = machine.Generic
+	b.ResetTimer()
+	netpipe.RunMPI(model.Defaults(), mpi.MPICH2, netpipe.PingPong, cfg)
 }
 
 // BenchmarkPingPongTelemetryOn is BenchmarkSimulatedPut with full telemetry:

@@ -353,6 +353,32 @@ func TestMDUserRoundTrip(t *testing.T) {
 	}
 }
 
+func TestMDRegionFollowsTheDescriptor(t *testing.T) {
+	_, _, b := pair(t)
+	r1, r2 := SliceRegion(make([]byte, 4)), SliceRegion(make([]byte, 8))
+	mdh, _ := b.MDBind(MDesc{Region: r1, Threshold: ThresholdInfinite})
+	if got, ok := b.MDRegion(mdh); !ok || got.Len() != 4 {
+		t.Fatalf("bound region: %v, %v", got, ok)
+	}
+	if err := b.MDUpdate(mdh, nil, &MDesc{Region: r2, Threshold: ThresholdInfinite}, NoEQ); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.MDRegion(mdh); !ok || got.Len() != 8 {
+		t.Errorf("updated region: %v, %v", got, ok)
+	}
+	b.MDUnlink(mdh)
+	if _, ok := b.MDRegion(mdh); ok {
+		t.Error("dead descriptor resolved")
+	}
+	// The slot is reused under a new generation; the old handle stays dead.
+	if _, err := b.MDBind(MDesc{Region: r1, Threshold: ThresholdInfinite}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.MDRegion(mdh); ok {
+		t.Error("stale handle resolved to the slot's new descriptor")
+	}
+}
+
 func TestLimitsAndEQPending(t *testing.T) {
 	_, a, b := pair(t)
 	if b.Limits().MaxPtIndices != DefaultLimits().MaxPtIndices {

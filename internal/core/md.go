@@ -185,6 +185,16 @@ func (l *Lib) MDUser(h MDHandle) (interface{}, bool) {
 	return m.desc.User, true
 }
 
+// MDRegion returns the memory the descriptor exposes, the one record of it
+// the library keeps; the API reads it to charge the transmit set-up.
+func (l *Lib) MDRegion(h MDHandle) (Region, bool) {
+	m, ok := l.mds.get(uint32(h))
+	if !ok || m.dead {
+		return nil, false
+	}
+	return m.desc.Region, true
+}
+
 // consume decrements the threshold for one accepted operation and reports
 // whether the descriptor is now exhausted.
 func (m *md) consume() {

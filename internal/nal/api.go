@@ -16,16 +16,15 @@ type API struct {
 	// from it.
 	Proc *sim.Proc
 
-	lib     *core.Lib
-	br      Bridge
-	p       *model.Params
-	regions map[core.MDHandle]core.Region
+	lib *core.Lib
+	br  Bridge
+	p   *model.Params
 }
 
 // NewAPI binds an API front end to a library instance through a bridge.
 // The machine layer calls this; tests may too.
 func NewAPI(proc *sim.Proc, lib *core.Lib, br Bridge, p *model.Params) *API {
-	return &API{Proc: proc, lib: lib, br: br, p: p, regions: make(map[core.MDHandle]core.Region)}
+	return &API{Proc: proc, lib: lib, br: br, p: p}
 }
 
 // call charges one API crossing and serializes against in-progress driver
@@ -76,32 +75,14 @@ func (a *API) MEUnlink(h core.MEHandle) error { a.call(); return a.lib.MEUnlink(
 // MDAttach attaches a memory descriptor to a match entry (PtlMDAttach).
 func (a *API) MDAttach(me core.MEHandle, d core.MDesc, unlink core.Unlink) (core.MDHandle, error) {
 	a.call()
-	h, err := a.lib.MDAttach(me, d, unlink)
-	if err == nil {
-		a.regions[h] = d.Region
-	}
-	return h, err
+	return a.lib.MDAttach(me, d, unlink)
 }
 
 // MDBind creates a free-floating memory descriptor (PtlMDBind).
-func (a *API) MDBind(d core.MDesc) (core.MDHandle, error) {
-	a.call()
-	h, err := a.lib.MDBind(d)
-	if err == nil {
-		a.regions[h] = d.Region
-	}
-	return h, err
-}
+func (a *API) MDBind(d core.MDesc) (core.MDHandle, error) { a.call(); return a.lib.MDBind(d) }
 
 // MDUnlink destroys a memory descriptor (PtlMDUnlink).
-func (a *API) MDUnlink(h core.MDHandle) error {
-	a.call()
-	err := a.lib.MDUnlink(h)
-	if err == nil {
-		delete(a.regions, h)
-	}
-	return err
-}
+func (a *API) MDUnlink(h core.MDHandle) error { a.call(); return a.lib.MDUnlink(h) }
 
 // MDUpdate conditionally replaces a descriptor (PtlMDUpdate). The
 // re-acquire immediately before the operation makes the test-and-update
@@ -110,11 +91,7 @@ func (a *API) MDUnlink(h core.MDHandle) error {
 func (a *API) MDUpdate(h core.MDHandle, old, newDesc *core.MDesc, testEQ core.EQHandle) error {
 	a.call()
 	a.lib.AwaitUnlocked(a.Proc)
-	err := a.lib.MDUpdate(h, old, newDesc, testEQ)
-	if err == nil && newDesc != nil {
-		a.regions[h] = newDesc.Region
-	}
-	return err
+	return a.lib.MDUpdate(h, old, newDesc, testEQ)
 }
 
 // EQAlloc creates an event queue (PtlEQAlloc).
@@ -204,7 +181,7 @@ func (a *API) ACEntry(index int, uid uint32, matchID core.ProcessID, ptl int) er
 // per-page DMA command pre-computation of §3.3.
 func (a *API) sendSetup(h core.MDHandle, off, length int) {
 	cycles := a.p.HostTxSetupCycles
-	if r, ok := a.regions[h]; ok && r != nil && r.Segments() > 1 && length > 0 {
+	if r, ok := a.lib.MDRegion(h); ok && r.Segments() > 1 && length > 0 {
 		page := int(a.p.PageBytes)
 		segs := (off+length-1)/page - off/page + 1
 		cycles += int64(segs) * a.p.HostPerPageCycles
@@ -217,7 +194,7 @@ func (a *API) Put(md core.MDHandle, ack core.AckReq, target core.ProcessID, ptl 
 	matchBits uint64, remoteOffset int, hdrData uint64) error {
 	a.call()
 	length := 0
-	if r, ok := a.regions[md]; ok && r != nil {
+	if r, ok := a.lib.MDRegion(md); ok {
 		length = r.Len()
 	}
 	a.sendSetup(md, 0, length)

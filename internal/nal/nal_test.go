@@ -131,6 +131,58 @@ func TestPagedBufferPutChargesPerPage(t *testing.T) {
 	}
 }
 
+// TestPutRegionChargesTheDescriptorsCurrentRegion: the per-page charge
+// follows the region the library holds for the descriptor — after MDUpdate
+// swaps a paged region in, PutRegion charges its pages — and a descriptor
+// that is gone charges none and fails as the library says.
+func TestPutRegionChargesTheDescriptorsCurrentRegion(t *testing.T) {
+	p := model.Defaults()
+	tp, _ := topo.New(2, 1, 1, false, false, false)
+	m := machine.New(p, tp)
+	m.OSKind = func(topo.NodeID) oskernel.Kind { return oskernel.Linux }
+	const pages = 8
+	var dst *machine.App
+	dst, _ = m.Spawn(1, "rx", machine.Generic, func(app *machine.App) {
+		eq, _ := app.API.EQAlloc(16)
+		me, _ := app.API.MEAttach(4, core.ProcessID{Nid: core.NidAny, Pid: core.PidAny}, 1, 0, core.Retain, core.After)
+		app.API.MDAttach(me, core.MDesc{Region: app.Alloc(pages * 4096), Threshold: core.ThresholdInfinite,
+			Options: core.MDOpPut, EQ: eq}, core.Retain)
+		app.API.EQWait(eq)
+		app.API.EQWait(eq)
+	})
+	var flat, paged, gone sim.Time
+	var goneErr error
+	m.Spawn(0, "tx", machine.Generic, func(app *machine.App) {
+		// Each put is timed on a quiet node and left to complete before
+		// the descriptor is touched again.
+		put := func(md core.MDHandle) (sim.Time, error) {
+			app.Proc.Sleep(50 * sim.Microsecond)
+			t0 := app.Proc.Now()
+			err := app.API.PutRegion(md, 0, pages*4096, core.NoAck, dst.ID(), 4, 1, 0, 0)
+			took := app.Proc.Now() - t0
+			app.Proc.Sleep(50 * sim.Microsecond)
+			return took, err
+		}
+		md, _ := app.API.MDBind(core.MDesc{Region: core.SliceRegion(make([]byte, pages*4096)), Threshold: core.ThresholdInfinite})
+		flat, _ = put(md)
+		if err := app.API.MDUpdate(md, nil, &core.MDesc{Region: app.Alloc(pages * 4096), Threshold: core.ThresholdInfinite}, core.NoEQ); err != nil {
+			t.Error(err)
+		}
+		paged, _ = put(md)
+		if err := app.API.MDUnlink(md); err != nil {
+			t.Error(err)
+		}
+		gone, goneErr = put(md)
+	})
+	m.RunUntil(10 * sim.Millisecond)
+	if want := p.HostCycles(pages * p.HostPerPageCycles); paged-flat != want {
+		t.Errorf("put from the swapped-in %d-page region costs %v more than from one segment, want %v", pages, paged-flat, want)
+	}
+	if gone != flat || goneErr != core.ErrInvalidHandle {
+		t.Errorf("put from an unlinked descriptor: %v and %v, want %v (no per-page charge) and %v", gone, goneErr, flat, core.ErrInvalidHandle)
+	}
+}
+
 func TestEQPollTimesOut(t *testing.T) {
 	p := model.Defaults()
 	tp, _ := topo.New(1, 1, 1, false, false, false)

@@ -1,12 +1,15 @@
 package netpipe
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/oskernel"
+	"portals3/internal/sim"
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
@@ -114,5 +117,36 @@ func TestPayloadPatternMatchesNetPIPEFill(t *testing.T) {
 		if big[i] != got[i] {
 			t.Fatalf("grow rewrote byte %d", i)
 		}
+	}
+}
+
+// TestTransmitBufferIsThePattern: the Portals module's transmit buffer has
+// the shape of the region it was allocated as and the pattern's bytes, and
+// refuses what nothing may do to it.
+func TestTransmitBufferIsThePattern(t *testing.T) {
+	p := model.Defaults()
+	shape := oskernel.New(sim.New(), &p, oskernel.Linux, 0).NewRegion(10000)
+	b := &patternBuf{shape, payloadPattern(10000)}
+	if b.Len() != 10000 || b.Segments() != shape.Segments() || b.Segments() != 3 {
+		t.Fatalf("Len %d Segments %d, want 10000 and the allocated region's 3", b.Len(), b.Segments())
+	}
+	got := make([]byte, 100)
+	b.ReadAt(9900, got)
+	if !bytes.Equal(got, payloadPattern(10000)[9900:]) {
+		t.Error("ReadAt does not return the pattern")
+	}
+	for name, access := range map[string]func(){
+		"read past the end":     func() { b.ReadAt(9950, got) },
+		"read before the start": func() { b.ReadAt(-1, got[:1]) },
+		"write":                 func() { b.WriteAt(0, got[:1]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			access()
+		}()
 	}
 }

@@ -32,6 +32,21 @@ func payloadPattern(n int) []byte {
 	return fillPat[:n:n]
 }
 
+// patternBuf is the module's transmit buffer: the shape of the region
+// app.Alloc built — its length and segments, so Linux still pays per page —
+// over the shared payload pattern, which is its content. Nothing writes it,
+// and the pattern's bytes are never rewritten, so reading them as a message
+// leaves sees what a copy made at set-up would have held.
+type patternBuf struct {
+	shape core.Region
+	pat   []byte
+}
+
+func (b *patternBuf) Len() int                  { return b.shape.Len() }
+func (b *patternBuf) Segments() int             { return b.shape.Segments() }
+func (b *patternBuf) ReadAt(off int, p []byte)  { copy(p, b.pat[off:off+len(p)]) }
+func (b *patternBuf) WriteAt(off int, p []byte) { panic("netpipe: the transmit buffer is read-only") }
+
 // This file is the NetPIPE Portals module of paper §5.2: it "creates a
 // memory descriptor for receiving messages on a Portal with a single match
 // entry attached" and measures put and get operations in ping-pong,
@@ -47,7 +62,6 @@ type npSide struct {
 	app    *machine.App
 	eq     core.EQHandle
 	rxBuf  core.Region
-	txBuf  core.Region
 	sendMD core.MDHandle
 	getMD  core.MDHandle
 	peer   core.ProcessID
@@ -88,10 +102,8 @@ func npSetup(app *machine.App, maxBytes int, peer core.ProcessID, op Op) *npSide
 	}, core.Retain); err != nil {
 		panic(err)
 	}
-	s.txBuf = app.Alloc(maxBytes)
-	s.txBuf.WriteAt(0, payloadPattern(maxBytes))
 	s.sendMD, err = app.API.MDBind(core.MDesc{
-		Region:    s.txBuf,
+		Region:    &patternBuf{app.Alloc(maxBytes), payloadPattern(maxBytes)},
 		Threshold: core.ThresholdInfinite,
 		Options:   core.MDEventStartDisable,
 		EQ:        eq,

@@ -14,6 +14,7 @@
 package oskernel
 
 import (
+	"bytes"
 	"fmt"
 
 	"portals3/internal/flightrec"
@@ -213,8 +214,10 @@ func (k *Kernel) workDone() {
 //
 // What is modelled is fixed here — length, segment count, and through them
 // every pin, DMA-command and SRAM charge. What the host running the
-// simulation pays is not: backing bytes appear with the first WriteAt that
-// needs them, and memory nobody has written reads as zeros.
+// simulation pays is not: memory nobody has written a non-zero byte into is
+// unbacked and reads as zeros. Backing appears with the first WriteAt that
+// carries one — the whole block on Catamount, the pages it touches on Linux —
+// and from then on every write, zeros included, lands in it.
 func (k *Kernel) NewRegion(n int) Region {
 	if k.Kind == Catamount {
 		return &contigRegion{length: n}
@@ -241,11 +244,29 @@ func checkRange(off, n, length int) {
 	}
 }
 
+// zeroPage is what unbacked memory reads as. A write of nothing but zeros
+// into unbacked memory changes nothing, so WriteAt compares against it and
+// leaves such memory unbacked.
+var zeroPage [4096]byte
+
+// allZero reports whether p holds only zero bytes, comparing a page at a
+// time and stopping at the first page that differs.
+func allZero(p []byte) bool {
+	for len(p) > 0 {
+		n := min(len(p), len(zeroPage))
+		if !bytes.Equal(p[:n], zeroPage[:n]) {
+			return false
+		}
+		p = p[n:]
+	}
+	return true
+}
+
 // contigRegion is Catamount memory: virtually contiguous pages map to
 // physically contiguous pages (§3.3), so the whole buffer is one segment.
 type contigRegion struct {
 	length int
-	mem    []byte // nil until the first non-empty write
+	mem    []byte // nil until the first write of a non-zero byte
 }
 
 func (r *contigRegion) Len() int      { return r.length }
@@ -262,10 +283,10 @@ func (r *contigRegion) ReadAt(off int, p []byte) {
 
 func (r *contigRegion) WriteAt(off int, p []byte) {
 	checkRange(off, len(p), r.length)
-	if len(p) == 0 {
-		return
-	}
 	if r.mem == nil {
+		if allZero(p) {
+			return
+		}
 		r.mem = make([]byte, r.length)
 	}
 	copy(r.mem[off:], p)
@@ -275,7 +296,7 @@ func (r *contigRegion) WriteAt(off int, p []byte) {
 // and writes genuinely walk the page list, and Segments reports the page
 // count the host must describe to the NIC.
 type pagedRegion struct {
-	pages  [][]byte // nil until the first non-empty write; a page until touched
+	pages  [][]byte // nil until the first write of a non-zero byte; so is each page
 	page   int
 	length int
 	pinned bool
@@ -306,23 +327,27 @@ func (r *pagedRegion) ReadAt(off int, p []byte) {
 
 func (r *pagedRegion) WriteAt(off int, p []byte) {
 	checkRange(off, len(p), r.length)
-	if len(p) == 0 {
-		return
-	}
-	if r.pages == nil {
-		r.pages = make([][]byte, r.Segments())
-	}
 	for len(p) > 0 {
 		pi, po := off/r.page, off%r.page
 		take := min(r.page-po, len(p))
-		if r.pages[pi] == nil {
-			// The last page is as short as the region's tail.
-			r.pages[pi] = make([]byte, min(r.page, r.length-pi*r.page))
+		if (r.pages != nil && r.pages[pi] != nil) || !allZero(p[:take]) {
+			copy(r.backPage(pi)[po:], p[:take])
 		}
-		copy(r.pages[pi][po:], p[:take])
 		off += take
 		p = p[take:]
 	}
+}
+
+// backPage returns page pi, allocating it (and the page list) on first use.
+func (r *pagedRegion) backPage(pi int) []byte {
+	if r.pages == nil {
+		r.pages = make([][]byte, r.Segments())
+	}
+	if r.pages[pi] == nil {
+		// The last page is as short as the region's tail.
+		r.pages[pi] = make([]byte, min(r.page, r.length-pi*r.page))
+	}
+	return r.pages[pi]
 }
 
 // Pin marks the region's pages wired for DMA; the Linux bridges call it

@@ -11,7 +11,7 @@ import (
 	"portals3/internal/sim"
 )
 
-func kernels(t *testing.T) (*sim.Sim, *Kernel, *Kernel) {
+func kernels(t testing.TB) (*sim.Sim, *Kernel, *Kernel) {
 	t.Helper()
 	s := sim.New()
 	p := model.Defaults()
@@ -176,7 +176,7 @@ func TestRangeCheckIgnoresBacking(t *testing.T) {
 	_, cat, lin := kernels(t)
 	for _, k := range []*Kernel{cat, lin} {
 		fresh, written := k.NewRegion(5000), k.NewRegion(5000)
-		written.WriteAt(0, make([]byte, 5000))
+		written.WriteAt(0, bytes.Repeat([]byte{1}, 5000))
 		for _, c := range []struct{ off, n int }{{-1, 1}, {-1, 0}, {4990, 20}, {5000, 1}, {5001, 0}, {9000, 8}, {0, 5001}} {
 			buf := make([]byte, c.n)
 			for name, access := range map[string]func(Region){
@@ -196,10 +196,11 @@ func TestRangeCheckIgnoresBacking(t *testing.T) {
 	}
 }
 
-// TestUntouchedMemoryCostsNothing: the host backs what has been written and
-// no more — nothing for reads and empty writes (mpi.Barrier sends from a
-// zero-byte region), the whole block on Catamount and only the touched pages
-// on Linux for a real write.
+// TestUntouchedMemoryCostsNothing: the host backs what has been written
+// non-zero and no more — nothing for reads, empty writes (mpi.Barrier sends
+// from a zero-byte region) or writes of zeros (a deposit of a buffer nobody
+// wrote), the whole block on Catamount and only the touched pages on Linux
+// for a real write. Once backed, a write of zeros overwrites like any other.
 func TestUntouchedMemoryCostsNothing(t *testing.T) {
 	_, cat, lin := kernels(t)
 	for _, k := range []*Kernel{cat, lin} {
@@ -208,22 +209,40 @@ func TestUntouchedMemoryCostsNothing(t *testing.T) {
 			r.WriteAt(0, nil)
 			r.WriteAt(n, []byte{})
 			r.ReadAt(0, make([]byte, n))
-			if backed(r) {
-				t.Errorf("%v region of %d: reads and empty writes allocated its backing", k.Kind, n)
+			r.WriteAt(0, make([]byte, n))
+			if n > 0 {
+				r.WriteAt(4090, make([]byte, 10))
 			}
+			if backed(r) {
+				t.Errorf("%v region of %d: reads, empty writes and zero writes allocated its backing", k.Kind, n)
+			}
+		}
+		r := k.NewRegion(8192)
+		r.WriteAt(4090, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+		r.WriteAt(4094, make([]byte, 4))
+		got := make([]byte, 10)
+		r.ReadAt(4090, got)
+		if want := []byte{1, 2, 3, 4, 0, 0, 0, 0, 9, 10}; !bytes.Equal(got, want) {
+			t.Errorf("%v: zeros written into backed memory read back as %v, want %v", k.Kind, got, want)
 		}
 	}
 	r := lin.NewRegion(1 << 20).(*pagedRegion)
-	r.WriteAt(4090, make([]byte, 10)) // straddles pages 0 and 1
-	touched := 0
-	for _, pg := range r.pages {
-		if pg != nil {
-			touched++
-		}
-	}
-	if touched != 2 || r.Segments() != 256 {
+	r.WriteAt(4090, bytes.Repeat([]byte{7}, 10)) // straddles pages 0 and 1
+	r.WriteAt(3*4096, make([]byte, 4096))        // zeros: page 3 stays unbacked
+	if touched := backedPages(r); touched != 2 || r.Segments() != 256 {
 		t.Errorf("10 bytes across a page boundary backed %d pages of %d segments, want 2 of 256", touched, r.Segments())
 	}
+}
+
+// backedPages counts the pages of r the host has allocated.
+func backedPages(r *pagedRegion) int {
+	n := 0
+	for _, pg := range r.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestPinBookkeeping(t *testing.T) {

@@ -1,9 +1,9 @@
 #!/bin/sh
-# `make check-fast`: gofmt, vet, build, race-enabled tests, a smoke run of
-# the examples and small tools, one artifact set written and read back, and
-# the benchmark module's self-test and tests. `make check` adds the host-cost
-# contract tests (`make contracts`, DESIGN.md §7), which skip under the race
-# runtime.
+# `make check-fast`: gofmt, test names cited in the docs, vet, build,
+# race-enabled tests, a smoke run of the examples and small tools, one
+# artifact set written and read back, and the benchmark module's self-test
+# and tests. `make check` adds the host-cost contract tests (`make
+# contracts`, DESIGN.md §7), which skip under the race runtime.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,46 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "FAIL: gofmt needed on:"
     echo "$unformatted"
+    exit 1
+fi
+
+echo "== doc names =="
+# Every backticked Test…, Benchmark… or Fuzz… name in a tracked .md file must
+# name a function in the tree; one followed by * or … is a prefix of some. Only
+# the documents that describe the tree are read: README.md, DESIGN.md,
+# EXPERIMENTS.md and every .md below the root. The other files at the root are
+# history, plans and reference material, which name what is gone, not yet
+# written or in other code.
+defs=$(mktemp)
+git ls-files '*.go' | xargs grep -ohE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' |
+    sed 's/^func //' | sort -u >"$defs"
+dangling=$(git ls-files '*.md' | grep -E '^(README|DESIGN|EXPERIMENTS)\.md$|/' | xargs awk '
+{
+    line = $0
+    while (match(line, /`[^`]+`/)) {
+        s = substr(line, RSTART + 1, RLENGTH - 2)
+        line = substr(line, RSTART + RLENGTH)
+        while (match(s, /(Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*(\*|…)?/)) {
+            name = substr(s, RSTART, RLENGTH)
+            before = RSTART > 1 ? substr(s, RSTART - 1, 1) : ""
+            s = substr(s, RSTART + RLENGTH)
+            if (before !~ /[A-Za-z0-9_]/) print FILENAME ":" FNR ": " name
+        }
+    }
+}' | while IFS= read -r ref; do
+    name=${ref##*: }
+    base=${name%\*}
+    base=${base%…}
+    if [ "$base" = "$name" ]; then
+        grep -qx "$name" "$defs" || echo "$ref"
+    else
+        grep -q "^$base" "$defs" || echo "$ref"
+    fi
+done)
+rm -f "$defs"
+if [ -n "$dangling" ]; then
+    echo "FAIL: these test, benchmark or fuzz names name no function:"
+    echo "$dangling"
     exit 1
 fi
 
