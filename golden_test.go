@@ -36,18 +36,24 @@ func goldenDocument() string {
 	f4.Render(&doc)
 	f4.RenderPercentiles(&doc)
 
-	// One series per NetPIPE pattern, capped at 64 KB (eager, rendezvous and
-	// the chunk pipeline all engage below that), in exact picoseconds.
+	// Every NetPIPE module and pattern, capped at 64 KB (eager, rendezvous
+	// and the chunk pipeline all engage below that), in exact picoseconds:
+	// put and mpich2 first, as first recorded, then get and mpich1.
 	cfg := netpipe.DefaultConfig()
 	cfg.MaxBytes = 64 << 10
-	for _, pat := range []netpipe.Pattern{netpipe.PingPong, netpipe.Stream, netpipe.Bidir} {
-		for _, r := range []netpipe.Result{
-			netpipe.RunPortals(p, netpipe.OpPut, pat, cfg),
-			netpipe.RunMPI(p, mpi.MPICH2, pat, cfg),
-		} {
-			fmt.Fprintf(&doc, "== %s %v: bytes iters elapsed latency p50 p99 (ps)\n", r.Series, pat)
-			for _, pt := range r.Points {
-				fmt.Fprintf(&doc, "%d %d %d %d %d %d\n", pt.Bytes, pt.Iters, pt.Elapsed, pt.Latency, pt.P50, pt.P99)
+	for _, mod := range []struct {
+		op   netpipe.Op
+		impl mpi.Impl
+	}{{netpipe.OpPut, mpi.MPICH2}, {netpipe.OpGet, mpi.MPICH1}} {
+		for _, pat := range []netpipe.Pattern{netpipe.PingPong, netpipe.Stream, netpipe.Bidir} {
+			for _, r := range []netpipe.Result{
+				netpipe.RunPortals(p, mod.op, pat, cfg),
+				netpipe.RunMPI(p, mod.impl, pat, cfg),
+			} {
+				fmt.Fprintf(&doc, "== %s %v: bytes iters elapsed latency p50 p99 (ps)\n", r.Series, pat)
+				for _, pt := range r.Points {
+					fmt.Fprintf(&doc, "%d %d %d %d %d %d\n", pt.Bytes, pt.Iters, pt.Elapsed, pt.Latency, pt.P50, pt.P99)
+				}
 			}
 		}
 	}
