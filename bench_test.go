@@ -29,34 +29,10 @@ func logFigure(b *testing.B, f experiments.Figure) {
 	b.Log("\n" + sb.String())
 }
 
-// latencyAt extracts a series' latency at one size, in microseconds.
-func latencyAt(f experiments.Figure, series string, bytes int) float64 {
-	for _, s := range f.Series {
-		if s.Series != series {
-			continue
-		}
-		for _, pt := range s.Points {
-			if pt.Bytes == bytes {
-				return pt.Latency.Micros()
-			}
-		}
-	}
-	return 0
-}
-
-// mbpsAt extracts a series' bandwidth at one size.
-func mbpsAt(f experiments.Figure, series string, bytes int) float64 {
-	for _, s := range f.Series {
-		if s.Series != series {
-			continue
-		}
-		for _, pt := range s.Points {
-			if pt.Bytes == bytes {
-				return pt.MBps
-			}
-		}
-	}
-	return 0
+// at is a curve's point at one size; a missing point reads as zero.
+func at(r netpipe.Result, bytes int) netpipe.Point {
+	pt, _ := r.At(bytes)
+	return pt
 }
 
 // BenchmarkFigure4Latency regenerates paper Figure 4: ping-pong latency,
@@ -65,10 +41,10 @@ func mbpsAt(f experiments.Figure, series string, bytes int) float64 {
 func BenchmarkFigure4Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := experiments.Figure4(model.Defaults())
-		b.ReportMetric(latencyAt(f, "put", 1), "put_us")
-		b.ReportMetric(latencyAt(f, "get", 1), "get_us")
-		b.ReportMetric(latencyAt(f, "mpich-1.2.6", 1), "mpich1_us")
-		b.ReportMetric(latencyAt(f, "mpich2", 1), "mpich2_us")
+		b.ReportMetric(at(f.Curve("put"), 1).Latency.Micros(), "put_us")
+		b.ReportMetric(at(f.Curve("get"), 1).Latency.Micros(), "get_us")
+		b.ReportMetric(at(f.Curve("mpich-1.2.6"), 1).Latency.Micros(), "mpich1_us")
+		b.ReportMetric(at(f.Curve("mpich2"), 1).Latency.Micros(), "mpich2_us")
 		if i == 0 {
 			logFigure(b, f)
 		}
@@ -81,9 +57,9 @@ func BenchmarkFigure4Latency(b *testing.B) {
 func BenchmarkFigure5UniBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := experiments.Figure5(model.Defaults())
-		b.ReportMetric(mbpsAt(f, "put", 8<<20), "put_MB/s")
-		b.ReportMetric(mbpsAt(f, "get", 8<<20), "get_MB/s")
-		b.ReportMetric(mbpsAt(f, "mpich2", 8<<20), "mpich2_MB/s")
+		b.ReportMetric(at(f.Curve("put"), 8<<20).MBps, "put_MB/s")
+		b.ReportMetric(at(f.Curve("get"), 8<<20).MBps, "get_MB/s")
+		b.ReportMetric(at(f.Curve("mpich2"), 8<<20).MBps, "mpich2_MB/s")
 		if i == 0 {
 			logFigure(b, f)
 		}
@@ -96,9 +72,9 @@ func BenchmarkFigure5UniBandwidth(b *testing.B) {
 func BenchmarkFigure6StreamBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := experiments.Figure6(model.Defaults())
-		b.ReportMetric(mbpsAt(f, "put", 8192), "put8K_MB/s")
-		b.ReportMetric(mbpsAt(f, "get", 8192), "get8K_MB/s")
-		b.ReportMetric(mbpsAt(f, "put", 8<<20), "put_MB/s")
+		b.ReportMetric(at(f.Curve("put"), 8192).MBps, "put8K_MB/s")
+		b.ReportMetric(at(f.Curve("get"), 8192).MBps, "get8K_MB/s")
+		b.ReportMetric(at(f.Curve("put"), 8<<20).MBps, "put_MB/s")
 		if i == 0 {
 			logFigure(b, f)
 		}
@@ -110,8 +86,8 @@ func BenchmarkFigure6StreamBandwidth(b *testing.B) {
 func BenchmarkFigure7BidirBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := experiments.Figure7(model.Defaults())
-		b.ReportMetric(mbpsAt(f, "put", 8<<20), "put_MB/s")
-		b.ReportMetric(mbpsAt(f, "mpich2", 8<<20), "mpich2_MB/s")
+		b.ReportMetric(at(f.Curve("put"), 8<<20).MBps, "put_MB/s")
+		b.ReportMetric(at(f.Curve("mpich2"), 8<<20).MBps, "mpich2_MB/s")
 		if i == 0 {
 			logFigure(b, f)
 		}
@@ -131,16 +107,7 @@ func BenchmarkTrapAndInterruptCosts(b *testing.B) {
 		cfg := netpipe.DefaultConfig()
 		cfg.MaxBytes = 16
 		r := netpipe.RunPortals(p, netpipe.OpPut, netpipe.PingPong, cfg)
-		var at11, at16 sim.Time
-		for _, pt := range r.Points {
-			if pt.Bytes == 11 {
-				at11 = pt.Latency
-			}
-			if pt.Bytes == 16 {
-				at16 = pt.Latency
-			}
-		}
-		b.ReportMetric((at16 - at11).Micros(), "inline_step_us")
+		b.ReportMetric((at(r, 16).Latency - at(r, 11).Latency).Micros(), "inline_step_us")
 	}
 }
 
@@ -149,18 +116,10 @@ func BenchmarkTrapAndInterruptCosts(b *testing.B) {
 func BenchmarkAblationAcceleratedMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := experiments.AblationAccelerated(model.Defaults())
-		find := func(r netpipe.Result, bytes int) float64 {
-			for _, pt := range r.Points {
-				if pt.Bytes == bytes {
-					return pt.Latency.Micros()
-				}
-			}
-			return 0
-		}
-		b.ReportMetric(find(a.Generic, 1), "generic_us")
-		b.ReportMetric(find(a.Accel, 1), "accel_us")
-		b.ReportMetric(find(a.Generic, 1024), "generic1K_us")
-		b.ReportMetric(find(a.Accel, 1024), "accel1K_us")
+		b.ReportMetric(at(a.Generic, 1).Latency.Micros(), "generic_us")
+		b.ReportMetric(at(a.Accel, 1).Latency.Micros(), "accel_us")
+		b.ReportMetric(at(a.Generic, 1024).Latency.Micros(), "generic1K_us")
+		b.ReportMetric(at(a.Accel, 1024).Latency.Micros(), "accel1K_us")
 	}
 }
 
@@ -331,7 +290,7 @@ func BenchmarkFigure4LatencySequential(b *testing.B) {
 	experiments.Parallelism = 1
 	for i := 0; i < b.N; i++ {
 		f := experiments.Figure4(model.Defaults())
-		b.ReportMetric(latencyAt(f, "put", 1), "put_us")
+		b.ReportMetric(at(f.Curve("put"), 1).Latency.Micros(), "put_us")
 	}
 }
 
@@ -582,16 +541,8 @@ func BenchmarkUniformLossy(b *testing.B) { benchUniformLossy(b, 32) }
 func BenchmarkAblationInlineOptimization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := experiments.AblationInline(model.Defaults())
-		find := func(r netpipe.Result, bytes int) float64 {
-			for _, pt := range r.Points {
-				if pt.Bytes == bytes {
-					return pt.Latency.Micros()
-				}
-			}
-			return 0
-		}
-		b.ReportMetric(find(a.With, 8), "with_us")
-		b.ReportMetric(find(a.Without, 8), "without_us")
+		b.ReportMetric(at(a.With, 8).Latency.Micros(), "with_us")
+		b.ReportMetric(at(a.Without, 8).Latency.Micros(), "without_us")
 	}
 }
 
@@ -610,15 +561,7 @@ func BenchmarkAblationInterruptCoalescing(b *testing.B) {
 func BenchmarkAblationRxFIFOSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := experiments.AblationRxFIFO(model.Defaults())
-		find := func(r netpipe.Result, bytes int) float64 {
-			for _, pt := range r.Points {
-				if pt.Bytes == bytes {
-					return pt.Latency.Micros()
-				}
-			}
-			return 0
-		}
-		b.ReportMetric(find(a.Big, 8192), "fifo16K_us")
-		b.ReportMetric(find(a.Small, 8192), "fifo2K_us")
+		b.ReportMetric(at(a.Big, 8192).Latency.Micros(), "fifo16K_us")
+		b.ReportMetric(at(a.Small, 8192).Latency.Micros(), "fifo2K_us")
 	}
 }

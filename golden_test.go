@@ -7,8 +7,12 @@
 // exact picoseconds, large ones (a trace, the torus digests) as a sha256. The
 // sha256 lines whose input holds trace or dump bytes were re-recorded once
 // since, when the trace became a rendering of the flight recorder's rings
-// (which then also recorded wire, host, PowerPC and event-queue activity);
-// every other line is as recorded.
+// (which then also recorded wire, host, PowerPC and event-queue activity).
+// The get and mpich1 curves were added later, recorded before the Portals
+// and MPI modules came to share one NetPIPE driver; that driver then zeroed
+// the latency cells of both MPI bidir blocks, which had carried an RTT/2
+// that Point.Latency reserves for ping-pong. Every other line is as
+// recorded.
 package portals3
 
 import (

@@ -14,25 +14,6 @@ import (
 // mechanism the paper's text credits for performance and measures the
 // system with it removed.
 
-// latAt extracts the latency at an exact size.
-func latAt(r netpipe.Result, bytes int) sim.Time {
-	for _, pt := range r.Points {
-		if pt.Bytes == bytes {
-			return pt.Latency
-		}
-	}
-	return 0
-}
-
-func bwAt(r netpipe.Result, bytes int) float64 {
-	for _, pt := range r.Points {
-		if pt.Bytes == bytes {
-			return pt.MBps
-		}
-	}
-	return 0
-}
-
 // InlineAblation measures the ≤12-byte payload-in-header optimization (§6)
 // by disabling it: every message, however small, then needs the full
 // two-interrupt receive sequence.
@@ -59,14 +40,17 @@ func AblationInline(p model.Params) InlineAblation {
 // rises by roughly the interrupt + receive-command cost, and the 12-byte
 // step disappears.
 func (a InlineAblation) Checks() []Check {
-	w8, wo8 := latAt(a.With, 8), latAt(a.Without, 8)
-	step := latAt(a.Without, 16) - latAt(a.Without, 11)
+	w8, _ := a.With.At(8)
+	wo8, _ := a.Without.At(8)
+	wo11, _ := a.Without.At(11)
+	wo16, _ := a.Without.At(16)
+	step := wo16.Latency - wo11.Latency
 	return []Check{
 		{
 			Name:     "disabling the inline path costs small messages the second interrupt",
 			Paper:    "12 bytes ride the header packet, saving an interrupt (§6)",
-			Measured: fmt.Sprintf("8B latency %.2f -> %.2f us", w8.Micros(), wo8.Micros()),
-			Pass:     wo8-w8 > 2*sim.Microsecond,
+			Measured: fmt.Sprintf("8B latency %.2f -> %.2f us", w8.Latency.Micros(), wo8.Latency.Micros()),
+			Pass:     wo8.Latency-w8.Latency > 2*sim.Microsecond,
 		},
 		{
 			Name:     "the 12-byte step vanishes without the optimization",
@@ -124,7 +108,9 @@ func AblationCoalescing(p model.Params) CoalesceAblation {
 // Checks validates that coalescing absorbs interrupts under streaming load
 // without hurting throughput.
 func (a CoalesceAblation) Checks() []Check {
-	bwW, bwWo := bwAt(a.With, 1024), bwAt(a.Without, 1024)
+	w, _ := a.With.At(1024)
+	wo, _ := a.Without.At(1024)
+	bwW, bwWo := w.MBps, wo.MBps
 	return []Check{
 		{
 			Name:     "coalescing absorbs interrupts under streaming load",
@@ -164,20 +150,22 @@ func AblationRxFIFO(p model.Params) RxFIFOAblation {
 
 // Checks validates the backpressure effect.
 func (a RxFIFOAblation) Checks() []Check {
-	b8, s8 := latAt(a.Big, 8192), latAt(a.Small, 8192)
-	b64, s64 := bwAt(a.Big, 64<<10), bwAt(a.Small, 64<<10)
+	b8, _ := a.Big.At(8192)
+	s8, _ := a.Small.At(8192)
+	b64, _ := a.Big.At(64 << 10)
+	s64, _ := a.Small.At(64 << 10)
 	return []Check{
 		{
 			Name:     "a tiny RX FIFO stalls mid-size messages behind the host round trip",
 			Paper:    "payload buffers ahead of the RX DMA engine being programmed",
-			Measured: fmt.Sprintf("8KB latency %.2f us (16KB FIFO) vs %.2f us (2KB FIFO)", b8.Micros(), s8.Micros()),
-			Pass:     s8 > b8,
+			Measured: fmt.Sprintf("8KB latency %.2f us (16KB FIFO) vs %.2f us (2KB FIFO)", b8.Latency.Micros(), s8.Latency.Micros()),
+			Pass:     s8.Latency > b8.Latency,
 		},
 		{
 			Name:     "large transfers recover once the DMA engine is programmed",
 			Paper:    "steady state is bandwidth-bound either way",
-			Measured: fmt.Sprintf("64KB: %.0f vs %.0f MB/s", b64, s64),
-			Pass:     s64 > 0.9*b64,
+			Measured: fmt.Sprintf("64KB: %.0f vs %.0f MB/s", b64.MBps, s64.MBps),
+			Pass:     s64.MBps > 0.9*b64.MBps,
 		},
 	}
 }
@@ -193,7 +181,8 @@ func ChunkRobustness(p model.Params) []Check {
 		pc := p
 		pc.ChunkBytes = sizes[i]
 		r := netpipe.RunPortals(pc, netpipe.OpPut, netpipe.PingPong, cfg)
-		bws[i] = bwAt(r, 1<<20)
+		pt, _ := r.At(1 << 20)
+		bws[i] = pt.MBps
 	})
 	lo, hi := bws[0], bws[0]
 	for _, b := range bws {

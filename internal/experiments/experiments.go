@@ -124,46 +124,15 @@ func (f Figure) Render(w io.Writer) {
 	}
 }
 
-// seriesPoint finds a series' measurement at an exact size.
-func seriesPoint(f Figure, series string, bytes int) (netpipe.Point, bool) {
+// Curve returns the figure's curve of one series; an absent series reads
+// as an empty curve, with no points.
+func (f Figure) Curve(series string) netpipe.Result {
 	for _, s := range f.Series {
-		if s.Series != series {
-			continue
-		}
-		for _, pt := range s.Points {
-			if pt.Bytes == bytes {
-				return pt, true
-			}
+		if s.Series == series {
+			return s
 		}
 	}
-	return netpipe.Point{}, false
-}
-
-// halfBandwidthBytes interpolates the message size at which a series
-// reaches half its peak bandwidth.
-func halfBandwidthBytes(f Figure, series string) float64 {
-	for _, s := range f.Series {
-		if s.Series != series {
-			continue
-		}
-		peak := 0.0
-		for _, pt := range s.Points {
-			if pt.MBps > peak {
-				peak = pt.MBps
-			}
-		}
-		half := peak / 2
-		for i := 1; i < len(s.Points); i++ {
-			a, b := s.Points[i-1], s.Points[i]
-			if a.MBps < half && b.MBps >= half {
-				// Log-linear interpolation between the straddling sizes.
-				fa, fb := math.Log(float64(a.Bytes)), math.Log(float64(b.Bytes))
-				t := (half - a.MBps) / (b.MBps - a.MBps)
-				return math.Exp(fa + t*(fb-fa))
-			}
-		}
-	}
-	return math.NaN()
+	return netpipe.Result{}
 }
 
 // Check is one paper-vs-measured comparison.
@@ -192,7 +161,7 @@ func LatencyChecks(f4 Figure) []Check {
 	}
 	var out []Check
 	for _, tg := range targets {
-		pt, ok := seriesPoint(f4, tg.series, 1)
+		pt, ok := f4.Curve(tg.series).At(1)
 		us := pt.Latency.Micros()
 		out = append(out, Check{
 			Name:     fmt.Sprintf("1-byte latency, %s", tg.series),
@@ -202,8 +171,8 @@ func LatencyChecks(f4 Figure) []Check {
 		})
 	}
 	// The 12-byte small message optimization step (§6).
-	at11, ok1 := seriesPoint(f4, "put", 11)
-	at16, ok2 := seriesPoint(f4, "put", 16)
+	at11, ok1 := f4.Curve("put").At(11)
+	at16, ok2 := f4.Curve("put").At(16)
 	step := at16.Latency.Micros() - at11.Latency.Micros()
 	out = append(out, Check{
 		Name:     "latency step past 12-byte inline payload, put",
@@ -215,7 +184,7 @@ func LatencyChecks(f4 Figure) []Check {
 	var vals [4]float64
 	okAll := true
 	for i, s := range []string{"put", "get", "mpich-1.2.6", "mpich2"} {
-		pt, ok := seriesPoint(f4, s, 1)
+		pt, ok := f4.Curve(s).At(1)
 		okAll = okAll && ok
 		vals[i] = pt.Latency.Micros()
 	}
@@ -231,21 +200,21 @@ func LatencyChecks(f4 Figure) []Check {
 // BandwidthChecks compares Figures 5–7 with the paper's §6 numbers.
 func BandwidthChecks(f5, f6, f7 Figure) []Check {
 	var out []Check
-	peak5, ok5 := seriesPoint(f5, "put", 8<<20)
+	peak5, ok5 := f5.Curve("put").At(8 << 20)
 	out = append(out, Check{
 		Name:     "uni-directional put peak at 8 MB",
 		Paper:    "1108.76 MB/s",
 		Measured: fmt.Sprintf("%.2f MB/s", peak5.MBps),
 		Pass:     ok5 && within(peak5.MBps, 1108.76, 0.02),
 	})
-	hb5 := halfBandwidthBytes(f5, "put")
+	hb5 := f5.Curve("put").HalfBandwidthBytes()
 	out = append(out, Check{
 		Name:     "uni-directional half-bandwidth point, put",
 		Paper:    "around 7 KB",
 		Measured: fmt.Sprintf("%.0f B", hb5),
 		Pass:     hb5 > 4<<10 && hb5 < 10<<10,
 	})
-	hb6 := halfBandwidthBytes(f6, "put")
+	hb6 := f6.Curve("put").HalfBandwidthBytes()
 	out = append(out, Check{
 		Name:     "streaming half-bandwidth point, put",
 		Paper:    "around 5 KB",
@@ -253,15 +222,15 @@ func BandwidthChecks(f5, f6, f7 Figure) []Check {
 		Pass:     hb6 > 3<<10 && hb6 < 7<<10 && hb6 < hb5,
 	})
 	// Streaming hurts gets far more than puts (blocking, no pipelining).
-	sp, okA := seriesPoint(f6, "put", 4096)
-	sg, okB := seriesPoint(f6, "get", 4096)
+	sp, okA := f6.Curve("put").At(4096)
+	sg, okB := f6.Curve("get").At(4096)
 	out = append(out, Check{
 		Name:     "streaming get penalty at 4 KB",
 		Paper:    "get well below put (blocking operation)",
 		Measured: fmt.Sprintf("put %.0f vs get %.0f MB/s", sp.MBps, sg.MBps),
 		Pass:     okA && okB && sg.MBps < 0.7*sp.MBps,
 	})
-	peak7, ok7 := seriesPoint(f7, "put", 8<<20)
+	peak7, ok7 := f7.Curve("put").At(8 << 20)
 	out = append(out, Check{
 		Name:     "bi-directional put peak at 8 MB",
 		Paper:    "2203.19 MB/s",
@@ -270,8 +239,8 @@ func BandwidthChecks(f5, f6, f7 Figure) []Check {
 	})
 	// MPI tracks slightly below put at the top end in every figure.
 	for _, fig := range []Figure{f5, f6, f7} {
-		put, okP := seriesPoint(fig, "put", 8<<20)
-		m2, okM := seriesPoint(fig, "mpich2", 8<<20)
+		put, okP := fig.Curve("put").At(8 << 20)
+		m2, okM := fig.Curve("mpich2").At(8 << 20)
 		out = append(out, Check{
 			Name:     fmt.Sprintf("%s: MPI slightly below put at 8 MB", fig.ID),
 			Paper:    "MPI achieves slightly less",
@@ -317,16 +286,10 @@ func AblationAccelerated(p model.Params) AccelComparison {
 
 // AccelChecks validates the ablation's expected shape.
 func (a AccelComparison) Checks() []Check {
-	find := func(r netpipe.Result, bytes int) netpipe.Point {
-		for _, pt := range r.Points {
-			if pt.Bytes == bytes {
-				return pt
-			}
-		}
-		return netpipe.Point{}
-	}
-	g1, a1 := find(a.Generic, 1), find(a.Accel, 1)
-	gk, ak := find(a.Generic, 1024), find(a.Accel, 1024)
+	g1, _ := a.Generic.At(1)
+	a1, _ := a.Accel.At(1)
+	gk, _ := a.Generic.At(1024)
+	ak, _ := a.Accel.At(1024)
 	var out []Check
 	out = append(out, Check{
 		Name:     "accelerated mode beats generic at 1 byte",
@@ -343,8 +306,8 @@ func (a AccelComparison) Checks() []Check {
 	// The paper's direct prediction: "we expect a dramatic decrease in the
 	// point at which half bandwidth is achieved as processing is offloaded
 	// from the host and the costly interrupt latency is eliminated" (§6).
-	ghb := halfBandwidthOfResult(a.Generic)
-	ahb := halfBandwidthOfResult(a.Accel)
+	ghb := a.Generic.HalfBandwidthBytes()
+	ahb := a.Accel.HalfBandwidthBytes()
 	out = append(out, Check{
 		Name:     "half-bandwidth point drops dramatically when offloaded",
 		Paper:    "a dramatic decrease ... as processing is offloaded (§6)",
@@ -352,24 +315,4 @@ func (a AccelComparison) Checks() []Check {
 		Pass:     ahb < 0.65*ghb,
 	})
 	return out
-}
-
-// halfBandwidthOfResult interpolates one curve's half-bandwidth size.
-func halfBandwidthOfResult(r netpipe.Result) float64 {
-	peak := 0.0
-	for _, pt := range r.Points {
-		if pt.MBps > peak {
-			peak = pt.MBps
-		}
-	}
-	half := peak / 2
-	for i := 1; i < len(r.Points); i++ {
-		a, b := r.Points[i-1], r.Points[i]
-		if a.MBps < half && b.MBps >= half {
-			fa, fb := math.Log(float64(a.Bytes)), math.Log(float64(b.Bytes))
-			t := (half - a.MBps) / (b.MBps - a.MBps)
-			return math.Exp(fa + t*(fb-fa))
-		}
-	}
-	return math.NaN()
 }

@@ -2,8 +2,10 @@
 // for every figure (§5.2): a message-size schedule with ±perturbation
 // around powers of two, size-dependent iteration counts, and three traffic
 // patterns — ping-pong, uni-directional streaming, and bi-directional — run
-// by a Portals module (put and get variants, the module the authors wrote
-// for the paper) and an MPI module.
+// by one driver over two modules: a Portals module (put and get variants,
+// the module the authors wrote for the paper) and an MPI module. The driver
+// owns the schedule, the warm-up, the timed block and the points; a module
+// supplies only its transfers.
 //
 // Latency is reported NetPIPE-style as round-trip-time divided by two;
 // bandwidth in MB/s (10^6 bytes per second), matching the paper's axes.
@@ -11,14 +13,13 @@ package netpipe
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"portals3/internal/machine"
 	"portals3/internal/model"
-	"portals3/internal/mpi"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
-	"portals3/internal/topo"
 )
 
 // Pattern is the traffic pattern of a run.
@@ -84,6 +85,38 @@ type Result struct {
 	Series string // legend label, e.g. "put", "get", "mpich2"
 	Pat    Pattern
 	Points []Point
+}
+
+// At returns the curve's point at exactly bytes, and false if it has none.
+func (r Result) At(bytes int) (Point, bool) {
+	for _, pt := range r.Points {
+		if pt.Bytes == bytes {
+			return pt, true
+		}
+	}
+	return Point{}, false
+}
+
+// HalfBandwidthBytes interpolates the message size at which the curve
+// reaches half its peak bandwidth, log-linearly between the two sizes that
+// straddle it; NaN if no pair does.
+func (r Result) HalfBandwidthBytes() float64 {
+	peak := 0.0
+	for _, pt := range r.Points {
+		if pt.MBps > peak {
+			peak = pt.MBps
+		}
+	}
+	half := peak / 2
+	for i := 1; i < len(r.Points); i++ {
+		a, b := r.Points[i-1], r.Points[i]
+		if a.MBps < half && b.MBps >= half {
+			fa, fb := math.Log(float64(a.Bytes)), math.Log(float64(b.Bytes))
+			t := (half - a.MBps) / (b.MBps - a.MBps)
+			return math.Exp(fa + t*(fb-fa))
+		}
+	}
+	return math.NaN()
 }
 
 // Config shapes a run.
@@ -155,102 +188,131 @@ func (c Config) iters(size int) int {
 	return n
 }
 
-// fillPercentiles copies a round-latency histogram's p50/p99 into a point.
-func fillPercentiles(pt *Point, h *telemetry.Histogram) {
-	if h.Count() == 0 {
-		return
-	}
-	pt.P50 = sim.Time(h.Quantile(0.5))
-	pt.P99 = sim.Time(h.Quantile(0.99))
+// transfers is what a module supplies to the driver: the transfer
+// primitives the three patterns are built from. Rank 0 times, rank 1
+// echoes; each method is one rank's half of its step.
+type transfers interface {
+	// now is the rank's simulated clock.
+	now() sim.Time
+	// round is rank 0's ping-pong round: send n bytes, wait for the echo.
+	round(n int)
+	// echo is rank 1's half of a round: wait for n bytes, send them back.
+	echo(n int)
+	// send streams n bytes from rank 0, pacing on local completion only.
+	send(n int)
+	// recv is rank 1's wait for one streamed message.
+	recv(n int)
+	// signal is rank 1's stream handshake to rank 0: the receiver is ready
+	// or, when last, has the whole block. await is rank 0's wait for it.
+	signal(last bool)
+	await()
+	// exchange is one bidir step on either rank: n bytes each way at once.
+	exchange(n int)
 }
 
-// finish converts a measured block into a point.
-func point(size, iters int, elapsed sim.Time, transfersPerIter int, latHalf bool) Point {
+// curve is one run of the driver: the size schedule both ranks walk and
+// what rank 0 records.
+type curve struct {
+	pat   Pattern
+	cfg   Config
+	sizes []int
+	// lat accumulates per-round latencies (RTT/2, in picoseconds) of one
+	// ping-pong block; reset per size, so a point's percentiles cover
+	// exactly its timed iterations.
+	lat    telemetry.Histogram
+	points []Point
+}
+
+// drive is the NetPIPE driver every module runs under: it builds the
+// two-node machine, has start launch the module's two ranks on it (each
+// rank ending in c.run once set up), and runs the machine to the end.
+func drive(p model.Params, series string, pat Pattern, cfg Config, start func(m *machine.Machine, c *curve)) Result {
+	m := machine.NewPair(p)
+	if cfg.Observe != nil {
+		cfg.Observe(m)
+	}
+	c := &curve{pat: pat, cfg: cfg, sizes: Sizes(cfg.MaxBytes, cfg.Perturbation)}
+	start(m, c)
+	m.Run()
+	return Result{Series: series, Pat: pat, Points: c.points}
+}
+
+// run is one rank's side of the whole curve: at every size, a warm-up
+// step and then the block of cfg.iters steps, which rank 0 times.
+func (c *curve) run(rank int, t transfers) {
+	for _, n := range c.sizes {
+		k := c.cfg.iters(n)
+		if rank == 0 {
+			c.points = append(c.points, c.timed(t, n, k))
+			continue
+		}
+		switch c.pat {
+		case PingPong:
+			for i := 0; i < k+1; i++ {
+				t.echo(n)
+			}
+		case Stream:
+			t.recv(n) // warm-up
+			t.signal(false)
+			for i := 0; i < k; i++ {
+				t.recv(n)
+			}
+			t.signal(true)
+		case Bidir:
+			for i := 0; i < k+1; i++ {
+				t.exchange(n)
+			}
+		}
+	}
+}
+
+// timed is rank 0's side of one size: a warm-up step, then k timed steps.
+func (c *curve) timed(t transfers, n, k int) Point {
+	var t0 sim.Time
+	switch c.pat {
+	case PingPong:
+		t.round(n) // warm-up
+		c.lat.Reset()
+		t0 = t.now()
+		for i := 0; i < k; i++ {
+			t1 := t.now()
+			t.round(n)
+			c.lat.Observe(int64((t.now() - t1) / 2))
+		}
+	case Stream:
+		t.send(n) // warm-up
+		t.await() // the receiver is ready
+		t0 = t.now()
+		for i := 0; i < k; i++ {
+			t.send(n)
+		}
+		t.await() // the receiver has them all
+	case Bidir:
+		t.exchange(n) // warm-up
+		t0 = t.now()
+		for i := 0; i < k; i++ {
+			t.exchange(n)
+		}
+	}
+	return c.point(n, k, t.now()-t0)
+}
+
+// point converts a timed block into a measurement. Only ping-pong blocks
+// are made of rounds, so only they report a latency and its percentiles.
+func (c *curve) point(size, iters int, elapsed sim.Time) Point {
 	pt := Point{Bytes: size, Iters: iters, Elapsed: elapsed}
-	per := elapsed / sim.Time(iters)
-	if latHalf {
-		pt.Latency = per / 2
+	transfersPerIter := 2 // ping-pong rounds and bidir exchanges move two messages
+	if c.pat == Stream {
+		transfersPerIter = 1
+	}
+	if c.pat == PingPong {
+		pt.Latency = elapsed / sim.Time(iters) / 2
+		pt.P50 = sim.Time(c.lat.Quantile(0.5))
+		pt.P99 = sim.Time(c.lat.Quantile(0.99))
 	}
 	totalBytes := float64(size) * float64(iters) * float64(transfersPerIter)
 	if elapsed > 0 {
 		pt.MBps = totalBytes / elapsed.Seconds() / 1e6
 	}
 	return pt
-}
-
-// RunMPI measures one MPI curve over a fresh two-node machine.
-func RunMPI(p model.Params, impl mpi.Impl, pat Pattern, cfg Config) Result {
-	m := machine.NewPair(p)
-	if cfg.Observe != nil {
-		cfg.Observe(m)
-	}
-	sizes := Sizes(cfg.MaxBytes, cfg.Perturbation)
-	var points []Point
-
-	err := mpi.Launch(m, []topo.NodeID{0, 1}, impl, cfg.Mode, func(r *mpi.Rank) {
-		buf := r.Alloc(cfg.MaxBytes)
-		rbuf := r.Alloc(cfg.MaxBytes)
-		me, other := r.Rank(), 1-r.Rank()
-		lat := telemetry.NewHistogram()
-		r.Barrier()
-		for _, s := range sizes {
-			k := cfg.iters(s)
-			switch pat {
-			case PingPong:
-				if me == 0 {
-					// Warmup round.
-					r.Send(other, 1, buf, 0, s)
-					r.Recv(other, 2, rbuf, 0, s)
-					lat.Reset()
-					t0 := r.Proc().Now()
-					for i := 0; i < k; i++ {
-						t1 := r.Proc().Now()
-						r.Send(other, 1, buf, 0, s)
-						r.Recv(other, 2, rbuf, 0, s)
-						lat.Observe(int64((r.Proc().Now() - t1) / 2))
-					}
-					pt := point(s, k, r.Proc().Now()-t0, 2, true)
-					fillPercentiles(&pt, lat)
-					points = append(points, pt)
-				} else {
-					for i := 0; i < k+1; i++ {
-						r.Recv(other, 1, rbuf, 0, s)
-						r.Send(other, 2, buf, 0, s)
-					}
-				}
-			case Stream:
-				if me == 0 {
-					r.Send(other, 1, buf, 0, s) // warmup
-					r.Recv(other, 3, rbuf, 0, 0)
-					t0 := r.Proc().Now()
-					for i := 0; i < k; i++ {
-						r.Send(other, 1, buf, 0, s)
-					}
-					r.Recv(other, 3, rbuf, 0, 0) // receiver's "got them all"
-					points = append(points, point(s, k, r.Proc().Now()-t0, 1, false))
-				} else {
-					r.Recv(other, 1, rbuf, 0, s)
-					r.Send(other, 3, buf, 0, 0)
-					for i := 0; i < k; i++ {
-						r.Recv(other, 1, rbuf, 0, s)
-					}
-					r.Send(other, 3, buf, 0, 0)
-				}
-			case Bidir:
-				r.Sendrecv(other, 1, buf, 0, s, other, 1, rbuf, 0, s) // warmup
-				t0 := r.Proc().Now()
-				for i := 0; i < k; i++ {
-					r.Sendrecv(other, 1, buf, 0, s, other, 1, rbuf, 0, s)
-				}
-				if me == 0 {
-					points = append(points, point(s, k, r.Proc().Now()-t0, 2, true))
-				}
-			}
-		}
-	})
-	if err != nil {
-		panic(err)
-	}
-	m.Run()
-	return Result{Series: impl.String(), Pat: pat, Points: points}
 }

@@ -1,6 +1,7 @@
 package netpipe
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -109,18 +110,12 @@ func TestStreamBeatsPingPongBandwidth(t *testing.T) {
 	cfg := smallCfg()
 	pp := RunPortals(p, OpPut, PingPong, cfg)
 	st := RunPortals(p, OpPut, Stream, cfg)
-	at := func(r Result, bytes int) float64 {
-		for _, pt := range r.Points {
-			if pt.Bytes == bytes {
-				return pt.MBps
-			}
-		}
-		return -1
-	}
+	stPt, ok1 := st.At(8192)
+	ppPt, ok2 := pp.At(8192)
 	// "the graph is steeper for this curve than the ping-pong bandwidth
 	// results" (§6): streaming wins at mid sizes.
-	if stBW := at(st, 8192); stBW <= at(pp, 8192) {
-		t.Errorf("streaming (%0.f) should beat ping-pong (%0.f) at 8KB", stBW, at(pp, 8192))
+	if !ok1 || !ok2 || stPt.MBps <= ppPt.MBps {
+		t.Errorf("streaming (%0.f) should beat ping-pong (%0.f) at 8KB", stPt.MBps, ppPt.MBps)
 	}
 }
 
@@ -239,15 +234,25 @@ func TestPingPongPercentiles(t *testing.T) {
 	}
 }
 
-// TestStreamHasNoPercentiles: streaming measures a pipelined block, not
-// rounds, so percentile fields stay zero.
+// TestStreamHasNoPercentiles: streaming and bidir measure a block, not
+// rounds, so every module's points carry neither a latency nor its
+// percentiles.
 func TestStreamHasNoPercentiles(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MaxBytes = 1024
-	r := RunPortals(model.Defaults(), OpPut, Stream, cfg)
-	for _, pt := range r.Points {
-		if pt.P50 != 0 || pt.P99 != 0 {
-			t.Errorf("%d B stream point has percentiles: %+v", pt.Bytes, pt)
+	p := model.Defaults()
+	for _, pat := range []Pattern{Stream, Bidir} {
+		for _, r := range []Result{
+			RunPortals(p, OpPut, pat, cfg),
+			RunPortals(p, OpGet, pat, cfg),
+			RunMPI(p, mpi.MPICH1, pat, cfg),
+			RunMPI(p, mpi.MPICH2, pat, cfg),
+		} {
+			for _, pt := range r.Points {
+				if pt.Latency != 0 || pt.P50 != 0 || pt.P99 != 0 {
+					t.Errorf("%s %v: %d B point has a latency or percentiles: %+v", r.Series, pat, pt.Bytes, pt)
+				}
+			}
 		}
 	}
 }
@@ -261,5 +266,25 @@ func TestMPIPercentiles(t *testing.T) {
 		if pt.P50 <= 0 || pt.P99 < pt.P50 {
 			t.Errorf("%d B: bad MPI percentiles %+v", pt.Bytes, pt)
 		}
+	}
+}
+
+// TestResultLookups: At finds a point by its exact size, and the
+// half-bandwidth size is interpolated log-linearly between the two points
+// that straddle half the peak.
+func TestResultLookups(t *testing.T) {
+	r := Result{Points: []Point{{Bytes: 1, MBps: 10}, {Bytes: 4, MBps: 30}, {Bytes: 16, MBps: 100}}}
+	if pt, ok := r.At(4); !ok || pt.MBps != 30 {
+		t.Errorf("At(4) = %+v, %v", pt, ok)
+	}
+	if _, ok := r.At(5); ok {
+		t.Error("At(5) found a point the curve does not have")
+	}
+	// Half of 100 lies 20/70 of the way from 30 to 100: 4·4^(2/7) B.
+	if got, want := r.HalfBandwidthBytes(), 4*math.Pow(4, 2.0/7); math.Abs(got-want) > 1e-9 {
+		t.Errorf("HalfBandwidthBytes = %v, want %v", got, want)
+	}
+	if got := (Result{}).HalfBandwidthBytes(); !math.IsNaN(got) {
+		t.Errorf("empty curve's half-bandwidth size = %v, want NaN", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/sim"
-	"portals3/internal/telemetry"
 )
 
 // The transmit payload pattern is shared by every sweep: one append-only
@@ -65,10 +64,6 @@ type npSide struct {
 	sendMD core.MDHandle
 	getMD  core.MDHandle
 	peer   core.ProcessID
-	// lat accumulates per-round latencies (RTT/2, in picoseconds) within
-	// one ping-pong block; reset per size, so a point's percentiles cover
-	// exactly its timed iterations.
-	lat *telemetry.Histogram
 }
 
 // setup creates the module's Portals objects. The receive descriptor uses
@@ -76,7 +71,7 @@ type npSide struct {
 // round overwrites the previous one, like NetPIPE's fixed receive buffer —
 // and allows both put and get so one descriptor serves every test.
 func npSetup(app *machine.App, maxBytes int, peer core.ProcessID, op Op) *npSide {
-	s := &npSide{app: app, peer: peer, lat: telemetry.NewHistogram()}
+	s := &npSide{app: app, peer: peer}
 	eq, err := app.API.EQAlloc(4096)
 	if err != nil {
 		panic(err)
@@ -123,6 +118,8 @@ func npSetup(app *machine.App, maxBytes int, peer core.ProcessID, op Op) *npSide
 	return s
 }
 
+func (s *npSide) now() sim.Time { return s.app.Proc.Now() }
+
 // wait blocks until the next event of type want, discarding others (the
 // module's event loop filters SEND_ENDs while waiting for data, exactly as
 // the C module's PtlEQWait loop does).
@@ -155,178 +152,70 @@ func (s *npSide) get(n int) {
 // RunPortals measures one Portals-module curve over a fresh two-node
 // machine.
 func RunPortals(p model.Params, op Op, pat Pattern, cfg Config) Result {
-	m := machine.NewPair(p)
-	if cfg.Observe != nil {
-		cfg.Observe(m)
-	}
-	sizes := Sizes(cfg.MaxBytes, cfg.Perturbation)
-	var points []Point
-	gate := sim.NewBarrier(m.S, 2) // both sides set up before timing begins
-
-	// Peer ids are filled in after both Spawn calls return (pids are
-	// assigned synchronously); the closures read them at run time.
-	var ids [2]core.ProcessID
-	run := func(rank int) func(app *machine.App) {
-		return func(app *machine.App) {
-			side := npSetup(app, cfg.MaxBytes, ids[1-rank], op)
-			gate.Wait(app.Proc)
-			for _, sz := range sizes {
-				k := cfg.iters(sz)
-				var elapsed sim.Time
-				switch {
-				case op == OpPut && pat == PingPong:
-					elapsed = side.putPingPong(rank, sz, k)
-				case op == OpPut && pat == Stream:
-					elapsed = side.putStream(rank, sz, k)
-				case op == OpPut && pat == Bidir:
-					elapsed = side.putBidir(sz, k)
-				case op == OpGet && pat == PingPong:
-					elapsed = side.getPingPong(rank, sz, k)
-				case op == OpGet && pat == Stream:
-					elapsed = side.getStream(rank, sz, k)
-				case op == OpGet && pat == Bidir:
-					elapsed = side.getBidir(sz, k)
-				}
-				if rank == 0 {
-					per := 1
-					if pat != Stream {
-						per = 2 // ping-pong rounds and bidir exchanges move two messages
-					}
-					pt := point(sz, k, elapsed, per, pat == PingPong)
-					fillPercentiles(&pt, side.lat)
-					points = append(points, pt)
+	return drive(p, op.String(), pat, cfg, func(m *machine.Machine, c *curve) {
+		gate := sim.NewBarrier(m.S, 2) // both sides set up before timing begins
+		// Peer ids are filled in after both Spawn calls return (pids are
+		// assigned synchronously); the closures read them at run time.
+		var ids [2]core.ProcessID
+		run := func(rank int) func(app *machine.App) {
+			return func(app *machine.App) {
+				side := npSetup(app, cfg.MaxBytes, ids[1-rank], op)
+				gate.Wait(app.Proc)
+				if op == OpPut {
+					c.run(rank, putModule{side})
+				} else {
+					c.run(rank, getModule{side})
 				}
 			}
 		}
-	}
-	app0, err := m.Spawn(0, "np0", cfg.Mode, run(0))
-	if err != nil {
-		panic(err)
-	}
-	app1, err := m.Spawn(1, "np1", cfg.Mode, run(1))
-	if err != nil {
-		panic(err)
-	}
-	ids[0], ids[1] = app0.ID(), app1.ID()
-	m.Run()
-	return Result{Series: op.String(), Pat: pat, Points: points}
+		app0, err := m.Spawn(0, "np0", cfg.Mode, run(0))
+		if err != nil {
+			panic(err)
+		}
+		app1, err := m.Spawn(1, "np1", cfg.Mode, run(1))
+		if err != nil {
+			panic(err)
+		}
+		ids[0], ids[1] = app0.ID(), app1.ID()
+	})
 }
 
-// putPingPong: the classic alternating exchange; one warmup round, then k
-// timed rounds. Latency = elapsed / (2k).
-func (s *npSide) putPingPong(rank, sz, k int) sim.Time {
-	if rank == 0 {
-		s.put(sz)
-		s.wait(core.EventPutEnd)
-		s.lat.Reset()
-		t0 := s.app.Proc.Now()
-		for i := 0; i < k; i++ {
-			t1 := s.app.Proc.Now()
-			s.put(sz)
-			s.wait(core.EventPutEnd)
-			s.lat.Observe(int64((s.app.Proc.Now() - t1) / 2))
-		}
-		return s.app.Proc.Now() - t0
-	}
-	for i := 0; i < k+1; i++ {
-		s.wait(core.EventPutEnd)
-		s.put(sz)
-	}
-	return 0
-}
+// putModule is the put variant of the module. A ping-pong round and a
+// bidir exchange both end when the peer's put lands (PUT_END); a streamed
+// put paces on its local SEND_END only, and the receiver answers the
+// warm-up and the whole block with a zero-length put each.
+type putModule struct{ *npSide }
 
-// putStream: rank 0 fires k puts back to back, pacing only on local
-// SEND_END (buffer reuse); rank 1 acknowledges the full batch with one
-// zero-length put.
-func (s *npSide) putStream(rank, sz, k int) sim.Time {
-	if rank == 0 {
-		s.put(sz) // warmup
-		s.wait(core.EventSendEnd)
-		s.wait(core.EventPutEnd) // peer's ready signal
-		t0 := s.app.Proc.Now()
-		for i := 0; i < k; i++ {
-			s.put(sz)
-			s.wait(core.EventSendEnd)
-		}
-		s.wait(core.EventPutEnd) // batch acknowledgment
-		return s.app.Proc.Now() - t0
-	}
-	s.wait(core.EventPutEnd) // warmup
-	s.put(0)                 // ready
-	for i := 0; i < k; i++ {
-		s.wait(core.EventPutEnd)
-	}
+func (s putModule) round(n int)    { s.put(n); s.wait(core.EventPutEnd) }
+func (s putModule) echo(n int)     { s.wait(core.EventPutEnd); s.put(n) }
+func (s putModule) send(n int)     { s.put(n); s.wait(core.EventSendEnd) }
+func (s putModule) recv(int)       { s.wait(core.EventPutEnd) }
+func (s putModule) await()         { s.wait(core.EventPutEnd) }
+func (s putModule) exchange(n int) { s.put(n); s.wait(core.EventPutEnd) }
+
+// signal is a zero-length put; the block's last one also waits for its
+// SEND_END.
+func (s putModule) signal(last bool) {
 	s.put(0)
-	s.wait(core.EventSendEnd)
-	return 0
+	if last {
+		s.wait(core.EventSendEnd)
+	}
 }
 
-// putBidir: both sides put and wait for the incoming put each round.
-func (s *npSide) putBidir(sz, k int) sim.Time {
-	s.put(sz)
-	s.wait(core.EventPutEnd)
-	t0 := s.app.Proc.Now()
-	for i := 0; i < k; i++ {
-		s.put(sz)
-		s.wait(core.EventPutEnd)
-	}
-	return s.app.Proc.Now() - t0
-}
+// getModule is the get variant. Ping-pong alternates pulls: rank 0 gets
+// from rank 1, which, seeing its data taken (GET_START: the header has
+// been matched), gets back; the handshakes pipeline, which is why the
+// paper's get latency is below a full get round trip. Otherwise a get is
+// "a blocking operation (for this benchmark) that cannot be pipelined"
+// (§6): it waits for its reply. A streaming rank 1 is a passive data
+// source whose descriptor answers gets by itself; it only drains the
+// block's GET_ENDs so the next block starts clean, and signals nothing.
+type getModule struct{ *npSide }
 
-// getPingPong: alternating pulls. Rank 0 gets from rank 1; rank 1, seeing
-// its data taken (GET_END), gets back. The handshakes pipeline, which is
-// why the paper's get latency is below a full get round trip.
-func (s *npSide) getPingPong(rank, sz, k int) sim.Time {
-	if rank == 0 {
-		s.get(sz)
-		s.wait(core.EventGetStart)
-		s.lat.Reset()
-		t0 := s.app.Proc.Now()
-		for i := 0; i < k; i++ {
-			t1 := s.app.Proc.Now()
-			s.get(sz)
-			s.wait(core.EventGetStart)
-			s.lat.Observe(int64((s.app.Proc.Now() - t1) / 2))
-		}
-		return s.app.Proc.Now() - t0
-	}
-	for i := 0; i < k+1; i++ {
-		s.wait(core.EventGetStart)
-		s.get(sz)
-	}
-	return 0
-}
-
-// getStream: rank 0 pulls repeatedly. A get is "a blocking operation (for
-// this benchmark) that cannot be pipelined" (§6): every iteration waits for
-// its reply.
-func (s *npSide) getStream(rank, sz, k int) sim.Time {
-	if rank != 0 {
-		// Passive data source; its descriptor answers gets by itself.
-		// Drain the block's events so the next block starts clean.
-		for i := 0; i < k+1; i++ {
-			s.wait(core.EventGetEnd)
-		}
-		return 0
-	}
-	s.get(sz)
-	s.wait(core.EventReplyEnd)
-	t0 := s.app.Proc.Now()
-	for i := 0; i < k; i++ {
-		s.get(sz)
-		s.wait(core.EventReplyEnd)
-	}
-	return s.app.Proc.Now() - t0
-}
-
-// getBidir: both sides pull simultaneously.
-func (s *npSide) getBidir(sz, k int) sim.Time {
-	s.get(sz)
-	s.wait(core.EventReplyEnd)
-	t0 := s.app.Proc.Now()
-	for i := 0; i < k; i++ {
-		s.get(sz)
-		s.wait(core.EventReplyEnd)
-	}
-	return s.app.Proc.Now() - t0
-}
+func (s getModule) round(n int)    { s.get(n); s.wait(core.EventGetStart) }
+func (s getModule) echo(n int)     { s.wait(core.EventGetStart); s.get(n) }
+func (s getModule) send(n int)     { s.get(n); s.wait(core.EventReplyEnd) }
+func (s getModule) recv(int)       { s.wait(core.EventGetEnd) }
+func (s getModule) signal(bool)    {}
+func (s getModule) await()         {}
+func (s getModule) exchange(n int) { s.get(n); s.wait(core.EventReplyEnd) }

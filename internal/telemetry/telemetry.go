@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer of the simulated machine:
 // a metrics registry (counters, gauges, log-bucketed histograms), per-
 // message latency attribution records, virtual-time series filled by the
-// machine's RAS sampler, and Prometheus/JSON exporters.
+// machine's RAS sampler, and a JSON exporter whose documents ReadJSON
+// reads back.
 //
 // The paper's contribution is explaining where each microsecond of a
 // Portals message goes — trap cost, HyperTransport crossings, firmware

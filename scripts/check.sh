@@ -1,9 +1,10 @@
 #!/bin/sh
 # `make check-fast`: gofmt, test names cited in the docs, vet, build,
 # race-enabled tests, a smoke run of the examples and small tools, one
-# artifact set written and read back, and the benchmark module's self-test
-# and tests. `make check` adds the host-cost contract tests (`make
-# contracts`, DESIGN.md §7), which skip under the race runtime.
+# artifact set written and read back, every NetPIPE series and pattern
+# through the CLI, and the benchmark module's self-test and tests. `make
+# check` adds the host-cost contract tests (`make contracts`, DESIGN.md §7),
+# which skip under the race runtime.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -106,6 +107,34 @@ for f in torus.json hostprof.json run.p3dump trace.json traceonly.json dump.json
     fi
 done
 echo "check.sh: p3stat rendered 6 artifacts"
+
+echo "== smoke: every NetPIPE module and pattern through the CLI =="
+# One driver runs every series (put and get over the Portals module, mpich1
+# and mpich2 over the MPI module) in every pattern; run each pair once, and
+# the accelerated put, through cmd/netpipe. Each must exit zero and print a
+# table: its header and a row per message size.
+go build -o "$art/netpipe" ./cmd/netpipe
+np_runs=0
+np_smoke() {
+    if ! smoke_out=$("$art/netpipe" "$@" 2>&1); then
+        echo "FAIL: netpipe $* exited non-zero:"
+        echo "$smoke_out"
+        exit 1
+    fi
+    if ! echo "$smoke_out" | grep -q '^# ' || ! echo "$smoke_out" | grep -Eq '^ *[0-9]+ B '; then
+        echo "FAIL: netpipe $* printed no table:"
+        echo "$smoke_out"
+        exit 1
+    fi
+    np_runs=$((np_runs + 1))
+}
+for series in put get mpich1 mpich2; do
+    for pattern in pingpong stream bidir; do
+        np_smoke -series "$series" -pattern "$pattern" -max 4096
+    done
+done
+np_smoke -accel -series put
+echo "check.sh: netpipe printed $np_runs tables"
 
 echo "== benchmark module: build, self-test, tests =="
 # bench/ is a module of its own, so nothing above compiles or runs it, and
