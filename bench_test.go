@@ -20,6 +20,7 @@ import (
 	"portals3/internal/mpi"
 	"portals3/internal/netpipe"
 	"portals3/internal/sim"
+	"portals3/internal/topo"
 )
 
 // logFigure attaches the rendered data table to the benchmark output.
@@ -296,7 +297,17 @@ func BenchmarkFigure4LatencySequential(b *testing.B) {
 
 // BenchmarkSimulatedPut measures host wall time per fully simulated
 // 1-byte put (the cost of one end-to-end message through every layer).
-func BenchmarkSimulatedPut(b *testing.B) {
+func BenchmarkSimulatedPut(b *testing.B) { benchSimulatedPut(b, model.Defaults()) }
+
+// BenchmarkSimulatedPutDrawing is BenchmarkSimulatedPut through a fault
+// plane whose one rule draws on every frame and, at this seed, never fires.
+func BenchmarkSimulatedPutDrawing(b *testing.B) {
+	p := model.Defaults()
+	p.Faults = []model.FaultRule{model.NewFault(model.FaultDrop, model.FrameAny, 1e-12)}
+	benchSimulatedPut(b, p)
+}
+
+func benchSimulatedPut(b *testing.B, p model.Params) {
 	b.ReportAllocs()
 	cfg := netpipe.DefaultConfig()
 	cfg.MaxBytes = 1
@@ -304,7 +315,7 @@ func BenchmarkSimulatedPut(b *testing.B) {
 	cfg.MaxIters = b.N
 	cfg.Mode = machine.Generic
 	b.ResetTimer()
-	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
+	netpipe.RunPortals(p, netpipe.OpPut, netpipe.PingPong, cfg)
 }
 
 // BenchmarkSimulatedMPI is BenchmarkSimulatedPut through the MPI module: a
@@ -508,20 +519,23 @@ func benchHotSpot(b *testing.B, msgs int) {
 
 func BenchmarkHotSpot(b *testing.B) { benchHotSpot(b, 8) }
 
+// lossyFaults is bench/'s uniform_lossy_512 fault plan: 1 % of data frames
+// dropped, 1 % of acknowledgments dropped and 1 % of data frames duplicated.
+var lossyFaults = []model.FaultRule{
+	model.NewFault(model.FaultDrop, model.FrameData, 0.01),
+	model.NewFault(model.FaultDrop, model.FrameFcAck, 0.01),
+	model.NewFault(model.FaultDup, model.FrameData, 0.01),
+}
+
 // benchUniformLossy is bench/'s uniform_lossy_512 shape, the one job that
 // runs the recovery path: 512 nodes, 1 KB uniform traffic on one lane under
-// go-back-n, with 1 % of data frames dropped, 1 % duplicated and 1 % of
-// acknowledgments dropped (seed 1).
+// go-back-n with lossyFaults (seed 1).
 func benchUniformLossy(b *testing.B, msgs int) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTrafficConfig()
 	cfg.Msgs = msgs
 	cfg.GoBackN = true
-	cfg.Faults = []model.FaultRule{
-		model.NewFault(model.FaultDrop, model.FrameData, 0.01),
-		model.NewFault(model.FaultDrop, model.FrameFcAck, 0.01),
-		model.NewFault(model.FaultDup, model.FrameData, 0.01),
-	}
+	cfg.Faults = lossyFaults
 	cfg.FaultSeed = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -535,6 +549,42 @@ func benchUniformLossy(b *testing.B, msgs int) {
 }
 
 func BenchmarkUniformLossy(b *testing.B) { benchUniformLossy(b, 32) }
+
+// lossySetup is bench/'s uniform_lossy_512 set-up probe: the 8³ torus on one
+// lane under go-back-n with the given fault plan (seed 1; none when faults is
+// empty), one no-op process on every node, run to quiescence.
+func lossySetup(faults []model.FaultRule) *machine.Machine {
+	p := model.Defaults()
+	if len(faults) > 0 {
+		p.Faults, p.FaultSeed = faults, 1
+	}
+	tp, err := topo.XT3Torus(8, 8, 8)
+	if err != nil {
+		panic(err)
+	}
+	m := machine.NewSharded(p, tp, 1)
+	m.EnableGoBackN()
+	for id := 0; id < tp.Nodes(); id++ {
+		if _, err := m.Spawn(topo.NodeID(id), "noop", machine.Generic, func(*machine.App) {}); err != nil {
+			panic(err)
+		}
+	}
+	m.Run()
+	return m
+}
+
+func benchLossySetup(b *testing.B, faults []model.FaultRule) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		lossySetup(faults)
+	}
+}
+
+// BenchmarkLossySetup builds bench/'s lossy machine with its fault plan and
+// BenchmarkLossySetupBare the same machine without one: the difference is
+// what the fault planes cost the set-up.
+func BenchmarkLossySetup(b *testing.B)     { benchLossySetup(b, lossyFaults) }
+func BenchmarkLossySetupBare(b *testing.B) { benchLossySetup(b, nil) }
 
 // BenchmarkAblationInlineOptimization removes the ≤12-byte
 // payload-in-header path (§6) and reports the small-message cost.

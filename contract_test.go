@@ -7,7 +7,10 @@ package portals3
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"testing"
+
+	"portals3/internal/model"
 )
 
 // Iteration counts. An allocation count is exact long before a timing is, so
@@ -144,4 +147,39 @@ func TestContractBytesPerRank(t *testing.T) {
 		t.Errorf("%d-rank collective: heap high-water %d bytes per rank (%.1f MB), want at most %d",
 			ranks, got, float64(heap)/(1<<20), 32<<10)
 	}
+}
+
+// TestContractFaultPlaneSetup: a fault plane costs its node what its faults
+// cost. bench/'s lossy plan on the 8³, 1-lane, go-back-n machine adds at
+// most 4 allocations and 1 KB of live heap per node (17.0 and 6.3 KB while
+// each plane seeded a 4.9 KB math/rand source and made seven maps and its
+// own rule list), and a put through a plane that draws on every frame
+// allocates 0.
+func TestContractFaultPlaneSetup(t *testing.T) {
+	const nodes = 512
+	bare := allocsPerOp(t, perJob, BenchmarkLossySetupBare)
+	lossy := allocsPerOp(t, perJob, BenchmarkLossySetup)
+	if per := float64(lossy-bare) / nodes; per > 4 {
+		t.Errorf("fault plan: %.1f allocs per node (%d against %d without), want at most 4", per, lossy, bare)
+	}
+	if per := float64(setupLiveBytes(lossyFaults)-setupLiveBytes(nil)) / nodes; per > 1024 {
+		t.Errorf("fault plan: %.0f B of live heap per node, want at most 1024", per)
+	}
+	if got := allocsPerOp(t, perMessage, BenchmarkSimulatedPutDrawing); got != 0 {
+		t.Errorf("put through a drawing fault plane: %d allocs/msg, want 0", got)
+	}
+}
+
+// setupLiveBytes is what one finished lossySetup machine keeps reachable,
+// read as bench/ reads setup_live_bytes: between two collections, the
+// machine still held.
+func setupLiveBytes(faults []model.FaultRule) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := lossySetup(faults)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }

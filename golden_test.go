@@ -11,8 +11,10 @@
 // The get and mpich1 curves were added later, recorded before the Portals
 // and MPI modules came to share one NetPIPE driver; that driver then zeroed
 // the latency cells of both MPI bidir blocks, which had carried an RTT/2
-// that Point.Latency reserves for ping-pong. Every other line is as
-// recorded.
+// that Point.Latency reserves for ping-pong. The A6 block and the lossy
+// traffic's digest and fault-plane lines were re-recorded when each node's
+// fault stream moved from a math/rand source to a math/rand/v2 PCG: the same
+// rules at the same rates roll other dice. Every other line is as recorded.
 package portals3
 
 import (

@@ -164,10 +164,10 @@ type Fabric struct {
 func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 	f := newLane(s, t, p)
 	f.eps = make(map[topo.NodeID]Endpoint)
-	if faultsConfigured(p) {
-		f.planes = make([]*FaultPlane, t.Nodes())
-		for id := range f.planes {
-			f.planes[id] = newNodePlane(f, topo.NodeID(id), f.send)
+	if f.planes = newPlanes(p, t.Nodes()); f.planes != nil {
+		send := f.send
+		for _, pl := range f.planes {
+			pl.f, pl.send = f, send
 		}
 	}
 	return f

@@ -12,12 +12,20 @@
 // Count consequently limits it per source node, and a link-down or stall is
 // a state every plane must hold (the machine plants the schedule on each).
 //
-// Determinism contract. A plane's PRNG is seeded from Params.FaultSeed and
-// its node id and consumes randomness only when a rule's probability is
-// evaluated, in the node's injection order — which the simulator already
-// makes deterministic. It never draws from the simulator's RNG, so enabling
+// Cost. A plane costs what its node's faults cost: the machine checks its
+// rule list once and every plane reads it, the planes and their fire counts
+// are one block each, the generator is a 16-byte math/rand/v2 PCG held by
+// value and seeded in O(1), and the scenario and ledger maps are made at
+// their first write (a nil map reads as empty).
+//
+// Determinism contract. A plane's PCG is seeded from (Params.FaultSeed,
+// (id+1)·streamStride), a function of the node alone, and consumes randomness
+// only when a rule's probability is evaluated or a reorder delay drawn, in
+// the node's injection order — which the simulator already makes
+// deterministic. It never draws from the simulator's RNG, so enabling
 // faults cannot perturb the base timing model, and a given
-// (topology, workload, Faults, FaultSeed) tuple replays bit-identically.
+// (topology, workload, Faults, FaultSeed) tuple replays bit-identically at
+// every shard count.
 //
 // Fault granularity is the message: a fate decided at header injection
 // (drop, duplicate, delay) applies to the header and every payload chunk,
@@ -35,7 +43,8 @@ package fabric
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -46,6 +55,10 @@ import (
 
 // defaultFaultSeed seeds the planes when Params.FaultSeed is zero.
 const defaultFaultSeed = 0xfa017
+
+// streamStride (the golden ratio's bits) spaces the nodes' streams: node
+// id's PCG is seeded from (FaultSeed, (id+1)·streamStride).
+const streamStride = 0x9e3779b97f4a7c1
 
 // FaultStats counts the plane's activity. Injected() and Open() derive the
 // ledger totals.
@@ -111,11 +124,16 @@ type dropKey struct {
 // methods must run at simulation time on the node's own lane, like the rest
 // of the fabric.
 type FaultPlane struct {
-	f   *Fabric // the node's lane
-	rng *rand.Rand
+	f   *Fabric  // the node's lane
+	rng rand.PCG // the node's stream (see the determinism contract)
 
+	// rules is the machine's list, shared read-only by every plane and
+	// evaluated in order (the first match wins); fired is this plane's
+	// per-rule application count, enforcing FaultRule.Count.
 	rules []model.FaultRule
-	fired []int // per-rule application count, enforcing FaultRule.Count
+	fired []int
+
+	// The scenario and ledger maps below are made at their first write.
 
 	// fates carries a chunked message's header fate to its chunks.
 	fates map[uint64]*msgFate
@@ -155,32 +173,36 @@ type FaultPlane struct {
 // flowPair keys per-flow state (a dropKey without the sequence).
 type flowPair struct{ src, dst topo.NodeID }
 
-// newNodePlane builds node id's plane on lane f with the rules the
-// parameters declare and the stream seed ^ (id+1)·golden.
-func newNodePlane(f *Fabric, id topo.NodeID, send func(*Message, *Chunk)) *FaultPlane {
-	seed := f.P.FaultSeed
+// newPlanes builds the fault planes of an n-node machine, or returns nil
+// when its parameters configure no faults. The rule list is built and
+// checked once and shared; the planes and their fire counts are one block
+// each, like a firmware's pools sized at init. The caller binds each
+// plane's lane and send path.
+func newPlanes(p *model.Params, n int) []*FaultPlane {
+	if !faultsConfigured(p) {
+		return nil
+	}
+	rules := append(append([]model.FaultRule(nil), p.Faults...), p.Schedule.Rules()...)
+	for _, r := range rules {
+		if (r.Kind == model.FaultDelay || r.Kind == model.FaultReorder) && r.Delay <= 0 {
+			panic("fabric: delay/reorder fault rule needs a positive Delay")
+		}
+	}
+	seed := uint64(p.FaultSeed)
 	if seed == 0 {
 		seed = defaultFaultSeed
 	}
-	p := &FaultPlane{
-		f:        f,
-		rng:      rand.New(rand.NewSource(seed ^ (int64(id+1) * 0x9e3779b97f4a7c1))),
-		fates:    make(map[uint64]*msgFate),
-		stalled:  make(map[topo.NodeID][]func()),
-		down:     make(map[linkKey]bool),
-		dropOpen: make(map[dropKey]int),
-		dupOpen:  make(map[uint64]bool),
-		msgOpen:  make(map[uint64]int),
-		accepted: make(map[flowPair]uint32),
-		send:     send,
+	block := make([]FaultPlane, n)
+	fired := make([]int, n*len(rules))
+	planes := make([]*FaultPlane, n)
+	for id := range block {
+		pl := &block[id]
+		pl.rules = rules
+		pl.fired = fired[id*len(rules) : (id+1)*len(rules) : (id+1)*len(rules)]
+		pl.rng.Seed(seed, uint64(id+1)*streamStride)
+		planes[id] = pl
 	}
-	for _, r := range f.P.Faults {
-		p.addRule(r)
-	}
-	for _, r := range f.P.Schedule.Rules() {
-		p.addRule(r)
-	}
-	return p
+	return planes
 }
 
 // Plane returns node id's fault plane (nil on a fault-free machine). The
@@ -228,23 +250,13 @@ func (f *Fabric) FaultAccepted(m *Message) { f.noteToSource(nil, m, (*FaultPlane
 // a message (duplicate, gap, exhaustion or dead-pid discard).
 func (f *Fabric) FaultCondemned(m *Message) { f.noteToSource(nil, m, (*FaultPlane).noteCondemned) }
 
-// addRule appends one rule. Rules are evaluated in insertion order; the
-// first match wins.
-func (p *FaultPlane) addRule(r model.FaultRule) {
-	if (r.Kind == model.FaultDelay || r.Kind == model.FaultReorder) && r.Delay <= 0 {
-		panic("fabric: delay/reorder fault rule needs a positive Delay")
-	}
-	p.rules = append(p.rules, r)
-	p.fired = append(p.fired, 0)
-}
-
 // ---- Scenario hooks (driven by machine schedule events) ----
 
 // LinkDown takes the directed link leaving node in direction d out of
 // service: messages whose fixed path crosses it are dropped at injection.
 // Messages already launched keep streaming (the wire abstraction commits a
 // message at header injection).
-func (p *FaultPlane) LinkDown(node topo.NodeID, d topo.Dir) { p.down[linkKey{node, d}] = true }
+func (p *FaultPlane) LinkDown(node topo.NodeID, d topo.Dir) { put(&p.down, linkKey{node, d}, true) }
 
 // LinkUp restores a downed link.
 func (p *FaultPlane) LinkUp(node topo.NodeID, d topo.Dir) { delete(p.down, linkKey{node, d}) }
@@ -253,7 +265,7 @@ func (p *FaultPlane) LinkUp(node topo.NodeID, d topo.Dir) { delete(p.down, linkK
 // ResumeNode — a hung NIC whose wire-side buffering absorbs traffic.
 func (p *FaultPlane) StallNode(node topo.NodeID) {
 	if _, ok := p.stalled[node]; !ok {
-		p.stalled[node] = []func(){}
+		put(&p.stalled, node, []func(){})
 	}
 }
 
@@ -310,13 +322,47 @@ func (p *FaultPlane) decide(class model.FrameClass, src, dst topo.NodeID) *model
 		if r.Dst != model.AnyNode && topo.NodeID(r.Dst) != dst {
 			continue
 		}
-		if r.Prob < 1 && p.rng.Float64() >= r.Prob {
+		if r.Prob < 1 && p.float64() >= r.Prob {
 			continue
 		}
 		p.fired[i]++
 		return r
 	}
 	return nil
+}
+
+// delayOf is how late a delay or reorder rule reinjects a frame: its Delay,
+// or for reorder a draw in [1, Delay].
+func (p *FaultPlane) delayOf(r *model.FaultRule) sim.Time {
+	if r.Kind == model.FaultReorder {
+		return sim.Time(1 + p.below(uint64(r.Delay)))
+	}
+	return r.Delay
+}
+
+// float64 draws a uniform value in [0, 1) from the node's stream.
+func (p *FaultPlane) float64() float64 {
+	return float64(p.rng.Uint64()>>11) / (1 << 53)
+}
+
+// below draws a uniform value in [0, n), n > 0, from the node's stream:
+// Lemire's multiply-shift, rejecting the few draws that would bias it.
+func (p *FaultPlane) below(n uint64) uint64 {
+	hi, lo := bits.Mul64(p.rng.Uint64(), n)
+	if lo < n {
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(p.rng.Uint64(), n)
+		}
+	}
+	return hi
+}
+
+// put stores v under k, making the map at its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // pathDown reports whether the fixed route src→dst crosses a downed link.
@@ -363,22 +409,19 @@ func (p *FaultPlane) filterHeader(m *Message) bool {
 		p.Stats.Dups++
 		p.count("dup", class)
 		m2 := p.cloneMsg(m)
-		p.dupOpen[m2.ID] = true
+		put(&p.dupOpen, m2.ID, true)
 		if m.PayloadLen > 0 {
-			p.fates[m.ID] = &msgFate{dup: m2}
+			put(&p.fates, m.ID, &msgFate{dup: m2})
 		}
 		p.injectHeader(m)
 		p.injectHeader(m2)
 	case model.FaultDelay, model.FaultReorder:
-		d := r.Delay
-		if r.Kind == model.FaultReorder {
-			d = sim.Time(1 + p.rng.Int63n(int64(r.Delay)))
-		}
+		d := p.delayOf(r)
 		p.Stats.Delays++
 		p.count("delay", class)
-		p.msgOpen[m.ID]++
+		put(&p.msgOpen, m.ID, p.msgOpen[m.ID]+1)
 		if m.PayloadLen > 0 {
-			p.fates[m.ID] = &msgFate{delay: d}
+			put(&p.fates, m.ID, &msgFate{delay: d})
 		}
 		p.f.S.After(d, func() { p.injectHeader(m) })
 	}
@@ -420,7 +463,7 @@ func (p *FaultPlane) injectHeader(m *Message) {
 	if q, ok := p.stalled[m.Dst]; ok {
 		p.Stats.Stalls++
 		p.count("stall", frameClassOf(m))
-		p.msgOpen[m.ID]++
+		put(&p.msgOpen, m.ID, p.msgOpen[m.ID]+1)
 		p.stalled[m.Dst] = append(q, func() { p.send(m, nil) })
 		return
 	}
@@ -469,7 +512,8 @@ func (p *FaultPlane) dropMsg(m *Message, class model.FrameClass, viaLink bool) {
 			// committed; no future copy will arrive to close the entry.
 			p.closeCondemned(1)
 		default:
-			p.dropOpen[dropKey{m.Src, m.Dst, m.FwSeq}]++
+			k := dropKey{m.Src, m.Dst, m.FwSeq}
+			put(&p.dropOpen, k, p.dropOpen[k]+1)
 		}
 	}
 	if m.OnInjected != nil {
@@ -480,7 +524,7 @@ func (p *FaultPlane) dropMsg(m *Message, class model.FrameClass, viaLink bool) {
 		m.Rec = nil
 	}
 	if m.PayloadLen > 0 {
-		p.fates[m.ID] = &msgFate{doomed: true}
+		put(&p.fates, m.ID, &msgFate{doomed: true})
 	}
 	// The message carrier itself is left to the GC, like other messages
 	// that die before delivery; the sender may still hold a reference.
@@ -540,7 +584,7 @@ func (p *FaultPlane) cloneChunk(c *Chunk, m2 *Message) *Chunk {
 func (p *FaultPlane) noteAccepted(m *Message) {
 	if m.FwSeq != 0 {
 		if fk := (flowPair{m.Src, m.Dst}); m.FwSeq > p.accepted[fk] {
-			p.accepted[fk] = m.FwSeq
+			put(&p.accepted, fk, m.FwSeq)
 		}
 		k := dropKey{m.Src, m.Dst, m.FwSeq}
 		if n := p.dropOpen[k]; n > 0 {

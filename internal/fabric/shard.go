@@ -89,10 +89,7 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 	// One table of message sequences and one of fault planes, shared by
 	// every lane; each lane touches only its own nodes' entries.
 	seqs := make([]uint64, n)
-	var planes []*FaultPlane
-	if faultsConfigured(p) {
-		planes = make([]*FaultPlane, n)
-	}
+	planes := newPlanes(p, n)
 	for i := range cl.lanes {
 		cl.lanes[i] = newLane(kern.Lane(i), t, p)
 		cl.lanes[i].seqs, cl.lanes[i].planes = seqs, planes
@@ -105,7 +102,7 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		cl.laneOf[id] = lane
 		pt := &NodePort{cl: cl, node: topo.NodeID(id), lane: lane, f: cl.lanes[lane]}
 		if planes != nil {
-			planes[id] = newNodePlane(pt.f, pt.node, pt.launch)
+			planes[id].f, planes[id].send = pt.f, pt.launch
 		}
 		cl.ports[id] = pt
 	}

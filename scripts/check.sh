@@ -136,6 +136,35 @@ done
 np_smoke -accel -series put
 echo "check.sh: netpipe printed $np_runs tables"
 
+echo "== smoke: a seeded lossy torus job, replayed and resharded =="
+# A node's fault stream is a function of the fault seed and the node alone:
+# the same lossy go-back-n job, run twice on one lane and once on two, must
+# inject faults, close its ledger and print the same output but for the
+# header's shards= field.
+lossy="-torus -dim 4 -workload random -msgs 8 -gbn -faults drop:data:0.02,drop:fcack:0.02,dup:data:0.02 -faultseed 7 -stats"
+for run in 1a 1b 2; do
+    # shellcheck disable=SC2086 # $lossy is a list of flags
+    if ! "$art/netpipe" $lossy -shards "${run%[ab]}" >"$art/lossy-$run.txt" 2>&1; then
+        echo "FAIL: netpipe $lossy -shards ${run%[ab]} exited non-zero:"
+        cat "$art/lossy-$run.txt"
+        exit 1
+    fi
+    if ! grep -Eq '^fault plane: injected=[1-9][0-9]* .* open=0$' "$art/lossy-$run.txt"; then
+        echo "FAIL: netpipe $lossy -shards ${run%[ab]} injected no fault or left its ledger open:"
+        grep '^fault plane:' "$art/lossy-$run.txt" || echo "(no fault plane: line)"
+        exit 1
+    fi
+    sed '/^# /s/shards=[0-9]*//' "$art/lossy-$run.txt" >"$art/lossy-$run.cmp"
+done
+for run in 1b 2; do
+    if ! cmp -s "$art/lossy-1a.cmp" "$art/lossy-$run.cmp"; then
+        echo "FAIL: the lossy job's output differs between runs 1a and $run:"
+        diff "$art/lossy-1a.cmp" "$art/lossy-$run.cmp" | head -20
+        exit 1
+    fi
+done
+echo "check.sh: the lossy job replayed identically at shards 1, 1 and 2"
+
 echo "== benchmark module: build, self-test, tests =="
 # bench/ is a module of its own, so nothing above compiles or runs it, and
 # its fabric and firmware rungs (bench/layers.go) drive internal/ through
