@@ -32,11 +32,11 @@
 //	netpipe -torus -shards 4 -gbn -schedule 'stall:5:400us:80us,burst:drop:data:0.2:200us:60us'
 //
 // The machine-scale torus halo exchange runs on the sharded parallel
-// kernel; -shards picks the lane count and -seq forces the sequential
-// reference (simulated results are bit-identical either way):
+// kernel; -shards picks the lane count (simulated results are
+// bit-identical at every count):
 //
 //	netpipe -torus -shards 4
-//	netpipe -torus -seq -stats
+//	netpipe -torus -shards 1 -stats
 //
 // Host-side profiling (go tool pprof) works with every mode:
 //
@@ -122,7 +122,6 @@ type opts struct {
 	// -torus.
 	workload      string
 	dim, shards   int
-	seq           bool
 	steps, msgs   int
 	load          float64
 	loads         []float64 // sweep ladder, parsed from -loads
@@ -161,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	torus := fs.Bool("torus", false, "run a machine-scale torus workload instead of a netpipe curve")
 	fs.IntVar(&o.dim, "dim", 8, "torus dimension: dim^3 nodes (with -torus)")
 	fs.IntVar(&o.shards, "shards", 1, "event lanes for the sharded parallel kernel (with -torus)")
-	fs.BoolVar(&o.seq, "seq", false, "force the sequential reference kernel, shards=1 (with -torus)")
 	fs.StringVar(&o.workload, "workload", "halo", "torus workload: halo, collective, random, hotspot or sweep (with -torus)")
 	fs.IntVar(&o.steps, "steps", 0, "iterations: halo exchange steps or collective rounds, 0 for the workload default (with -torus)")
 	fs.IntVar(&o.msgs, "msgs", 8, "messages per sender (with -workload random/hotspot/sweep)")
@@ -196,9 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	p.FaultSeed = *faultSeed
 	o.flightrec = o.flightrec || o.stallUs > 0 // a stall dump needs the recorder
-	if o.seq && o.shards > 1 {
-		return c.fail(2, "conflicting flags: -seq forces the sequential reference kernel; drop -seq or -shards %d", o.shards)
-	}
 	if (o.progress || o.hostprofOut != "") && !*torus {
 		return c.fail(2, "-progress/-hostprof profile the sharded kernel's lanes; they need -torus (classic runs profile with -cpuprofile)")
 	}
@@ -252,9 +247,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				o.loads = append(o.loads, v)
 			}
-		}
-		if o.seq {
-			o.shards = 1
 		}
 	}
 	switch *fig {

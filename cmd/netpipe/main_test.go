@@ -32,7 +32,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-series put -pattern zigzag", `unknown pattern "zigzag"`},
 		{"-series put -faults drop:data", "-faults"},
 		{"-series put -faults drop:data:NaN", "-faults"},
-		{"-torus -seq -shards 2", "-seq"},
 		{"-series put -progress", "-torus"},
 		{"-series put -hostprof h.json", "-torus"},
 		{"-torus -progress -progress-every 0s", "-progress-every"},

@@ -124,10 +124,9 @@ type Fabric struct {
 	// attribution records of messages that die before delivery.
 	Tel *telemetry.Telemetry
 
-	links  []*sim.Server // dense, by linkIndex; built with the first link
-	eps    map[topo.NodeID]Endpoint
-	routes map[[2]topo.NodeID][]topo.Dir // routing is fixed-path, so cache per pair
-	seqs   []uint64                      // per-node message sequences (mintID)
+	links []*sim.Server // dense, by linkIndex; built with the first link
+	eps   []Endpoint    // the endpoint directory, dense by node
+	seqs  []uint64      // per-node message sequences (mintID)
 
 	// Link-contention meters (linkstats.go), live only while Tel is set.
 	meters    map[linkKey]*LinkMeter
@@ -151,10 +150,11 @@ type Fabric struct {
 	// end-to-end (test fault injection).
 	corruptNext int
 
-	// planes, when non-nil, holds one fault plane per source node (dense by
-	// id) and filters every injection through its node's seeded rules (see
-	// faults.go); the lanes of a Cluster share one table. Fault-free fabrics
-	// keep it nil and pay one test per injection.
+	// planes, when non-nil, holds one fault plane per node (dense by id):
+	// it filters every injection through its node's seeded rules and draws
+	// the link-CRC retries of the links its node owns (see faults.go). The
+	// lanes of a Cluster share one table, as they share eps and seqs.
+	// Fault-free fabrics keep it nil and pay one test per injection.
 	planes []*FaultPlane
 
 	Stats Stats
@@ -163,7 +163,7 @@ type Fabric struct {
 // New returns a fabric over the given topology.
 func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 	f := newLane(s, t, p)
-	f.eps = make(map[topo.NodeID]Endpoint)
+	f.eps = make([]Endpoint, t.Nodes())
 	if f.planes = newPlanes(p, t.Nodes()); f.planes != nil {
 		send := f.send
 		for _, pl := range f.planes {
@@ -173,22 +173,18 @@ func New(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
 	return f
 }
 
-// newLane builds the per-lane part of a fabric — links, route cache, pools,
-// counters — with neither an endpoint directory nor fault planes: the
-// classic fabric adds its own, a Cluster shares both among its lanes.
+// newLane builds the per-lane part of a fabric — links, pools, counters —
+// with neither an endpoint directory nor fault planes: the classic fabric
+// adds its own, a Cluster shares both among its lanes.
 func newLane(s *sim.Sim, t *topo.Topology, p *model.Params) *Fabric {
-	return &Fabric{
-		S:      s,
-		Topo:   t,
-		P:      p,
-		routes: make(map[[2]topo.NodeID][]topo.Dir),
-	}
+	return &Fabric{S: s, Topo: t, P: p}
 }
 
 // faultsConfigured reports whether the parameters declare any fault rule,
-// seed or schedule, i.e. whether the machine has fault planes at all.
+// seed, schedule or link bit-error rate, i.e. whether the machine has fault
+// planes at all.
 func faultsConfigured(p *model.Params) bool {
-	return len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0
+	return len(p.Faults) > 0 || p.FaultSeed != 0 || len(p.Schedule) > 0 || p.LinkBitErrorRate > 0
 }
 
 // Attach registers the endpoint for node. Attaching twice panics: it is a
@@ -197,14 +193,11 @@ func (f *Fabric) Attach(node topo.NodeID, ep Endpoint) {
 	if !f.Topo.Valid(node) {
 		panic(fmt.Sprintf("fabric: attach to invalid node %d", node))
 	}
-	if _, dup := f.eps[node]; dup {
+	if f.eps[node] != nil {
 		panic(fmt.Sprintf("fabric: node %d attached twice", node))
 	}
 	f.eps[node] = ep
 }
-
-// Endpoint returns the endpoint attached to node, or nil.
-func (f *Fabric) Endpoint(node topo.NodeID) Endpoint { return f.eps[node] }
 
 // linksPerNode is a router's network ports: X+ X- Y+ Y- Z+ Z-.
 const linksPerNode = 6
@@ -364,75 +357,58 @@ func (m *Message) InlineSpace(n int) []byte {
 // injected so the receiver's check reads the final value.
 func (m *Message) SetCRC(crc uint32) { m.CRC = crc }
 
-// transmissions samples how many times a packet group of nbytes must cross
-// one link before the 16-bit CRC passes. With a zero bit-error rate this is
-// always 1 and consumes no randomness (keeping fault-free runs identical
-// regardless of RNG state).
-func (f *Fabric) transmissions(nbytes int) int {
-	ber := f.P.LinkBitErrorRate
-	if ber <= 0 {
-		return 1
+// hop moves a packet of nbytes that reaches router at at time t one link
+// toward dst and returns the next router and the arrival time there: the
+// one per-hop step of both walks. It reserves the dimension-ordered
+// outgoing link, retries the crossing until the link CRC-16 passes (the
+// draws come from the fault plane of the node that owns the link, so they
+// are lane-local and the same at every shard count), and pays HopLatency.
+// Links are owned by the lane of the node they leave, so contention is
+// resolved in that lane's event order.
+func (f *Fabric) hop(at, src, dst topo.NodeID, t sim.Time, nbytes int) (topo.NodeID, sim.Time) {
+	d, ok := f.Topo.NextHop(at, dst)
+	if !ok {
+		panic("fabric: hop walk already at destination")
 	}
-	packets := (nbytes + f.P.PacketBytes - 1) / f.P.PacketBytes
-	pOK := 1.0
-	for i := 0; i < packets; i++ {
-		pOK *= 1 - ber
+	hops := 0
+	if f.Tel != nil { // the route's length labels the head-of-line histogram, nothing else
+		hops = f.Topo.Hops(src, dst)
 	}
-	n := 1
-	for f.S.Rand().Float64() > pOK {
-		n++
-		f.Stats.LinkRetries++
-		if n > 64 {
-			break // a link this sick would be routed around by RAS; cap it
-		}
+	occupancy := sim.BytesAt(int64(nbytes), f.P.LinkBps)
+	if f.P.LinkBitErrorRate > 0 {
+		k := f.planes[at].crossings(nbytes)
+		f.Stats.LinkRetries += uint64(k - 1)
+		occupancy = sim.Time(k)*occupancy + sim.Time(k-1)*f.P.LinkRetryDelay
 	}
-	return n
+	t = f.linkReserve(at, d, t, occupancy, hops) + f.P.HopLatency
+	next, ok := f.Topo.Neighbor(at, d)
+	if !ok {
+		panic("fabric: route fell off the mesh")
+	}
+	return next, t
 }
 
-// traverse reserves the fixed path from src to dst for nbytes and schedules
-// deliver at the arrival time. Reservation happens at injection time; since
-// every server is FIFO and every message between a pair takes the same
-// path, per-flow ordering is exact (cross-flow interleaving is approximated
-// at chunk granularity).
+// traverse reserves the fixed path from src to dst for nbytes, hop by hop
+// at injection time, and schedules deliver at the arrival time. Since every
+// server is FIFO and every message between a pair takes the same path,
+// per-flow ordering is exact (cross-flow interleaving is approximated at
+// chunk granularity). Loopback (src == dst) still pays injection+ejection
+// through the NIC.
 func (f *Fabric) traverse(src, dst topo.NodeID, nbytes int, deliver func()) {
 	t := f.S.Now() + f.P.InjectLatency
-	cur := src
-	route := f.route(src, dst)
-	for _, d := range route {
-		k := f.transmissions(nbytes)
-		dur := sim.BytesAt(int64(nbytes), f.P.LinkBps)
-		occupancy := sim.Time(k)*dur + sim.Time(k-1)*f.P.LinkRetryDelay
-		t = f.linkReserve(cur, d, t, occupancy, len(route)) + f.P.HopLatency
-		next, ok := f.Topo.Neighbor(cur, d)
-		if !ok {
-			panic("fabric: route fell off the mesh")
-		}
-		cur = next
+	for at := src; at != dst; {
+		at, t = f.hop(at, src, dst, t, nbytes)
 	}
-	if cur != dst {
-		panic("fabric: route did not reach destination")
-	}
-	// Loopback (src == dst) still pays injection+ejection through the NIC.
 	f.S.At(t+f.P.InjectLatency, deliver)
-}
-
-// route returns (caching) the fixed dimension-ordered path src→dst.
-func (f *Fabric) route(src, dst topo.NodeID) []topo.Dir {
-	route, ok := f.routes[[2]topo.NodeID{src, dst}]
-	if !ok {
-		route = f.Topo.Route(src, dst)
-		f.routes[[2]topo.NodeID{src, dst}] = route
-	}
-	return route
 }
 
 // carrier walks one header packet or payload chunk from injection to
 // delivery, on either transport. Both run the same two model steps —
 // injected when the packet enters the wire, arrived when the endpoint
-// receives it — and differ only in the walk between them. The classic
-// transport takes the receiver's window credits at the source, then
-// reserves the whole fixed path at once (traverse). The hopwise transport
-// (shard.go) reserves one link per router (hop), hands the carrier to the
+// receives it — and between them take the same per-router step (hop). The
+// classic transport takes the receiver's window credits at the source, then
+// runs every hop of the fixed path at once (traverse). The hopwise
+// transport (shard.go) runs one hop per event, hands the carrier to the
 // next router's lane through the kernel mailbox, and takes the credits at
 // the destination. A packet waits for one thing at a time, so the carrier
 // binds one continuation, once, and next says which step it runs; the
@@ -547,26 +523,21 @@ func (k *carrier) creditsTaken() {
 	k.f.traverse(k.m.Src, k.m.Dst, k.nbytes(), k.then((*carrier).arrived))
 }
 
-// SendHeader injects the message's header packet. It consumes header-packet
-// credits from the receiver window (returned by the receiving NIC once the
-// header has been pushed to the host) and delivers via HeaderArrived.
-func (f *Fabric) SendHeader(m *Message) {
+// inject is the one injection step of both Port implementations: c is nil
+// for m's header packet. It checks the destination, counts the packet,
+// applies CorruptNext to a last chunk and the source plane's filter, then
+// hands whatever the plane did not consume to the transport's launch.
+func (f *Fabric) inject(m *Message, c *Chunk, launch func(*Message, *Chunk)) {
 	if f.eps[m.Dst] == nil {
 		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
 	}
-	f.Stats.Messages++
-	if f.planes != nil && f.planes[m.Src].filterHeader(m) {
+	if c == nil {
+		f.Stats.Messages++
+		if f.planes != nil && f.planes[m.Src].filterHeader(m) {
+			return
+		}
+		launch(m, nil)
 		return
-	}
-	f.send(m, nil)
-}
-
-// SendChunk injects payload bytes. The caller (the TX DMA model) must send
-// chunks of a message in order, after its header.
-func (f *Fabric) SendChunk(c *Chunk) {
-	m := c.Msg
-	if f.eps[m.Dst] == nil {
-		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
 	}
 	if f.corruptNext > 0 && c.Last {
 		// Flip a bit in the last chunk; recompute nothing — the end-to-end
@@ -581,8 +552,17 @@ func (f *Fabric) SendChunk(c *Chunk) {
 	if f.planes != nil && f.planes[m.Src].filterChunk(c) {
 		return
 	}
-	f.send(m, c)
+	launch(m, c)
 }
+
+// SendHeader injects the message's header packet. It consumes header-packet
+// credits from the receiver window (returned by the receiving NIC once the
+// header has been pushed to the host) and delivers via HeaderArrived.
+func (f *Fabric) SendHeader(m *Message) { f.inject(m, nil, f.send) }
+
+// SendChunk injects payload bytes. The caller (the TX DMA model) must send
+// chunks of a message in order, after its header.
+func (f *Fabric) SendChunk(c *Chunk) { f.inject(c.Msg, c, f.send) }
 
 // LinkUtilization reports the utilization of the directed link leaving node
 // in direction d (zero if the link was never used).

@@ -18,14 +18,19 @@
 // value and seeded in O(1), and the scenario and ledger maps are made at
 // their first write (a nil map reads as empty).
 //
+// Link errors. The plane also draws the link-level CRC-16 retries
+// (Params.LinkBitErrorRate) of the links its node owns, at each hop a
+// packet takes out of the node (Fabric.hop), so a machine with a nonzero
+// bit-error rate has planes even without a rule.
+//
 // Determinism contract. A plane's PCG is seeded from (Params.FaultSeed,
 // (id+1)·streamStride), a function of the node alone, and consumes randomness
-// only when a rule's probability is evaluated or a reorder delay drawn, in
-// the node's injection order — which the simulator already makes
-// deterministic. It never draws from the simulator's RNG, so enabling
-// faults cannot perturb the base timing model, and a given
-// (topology, workload, Faults, FaultSeed) tuple replays bit-identically at
-// every shard count.
+// only when a rule's probability is evaluated, a reorder delay drawn or a
+// link crossing retried, in the order the node's own lane runs them — which
+// the simulator already makes deterministic and the same at every shard
+// count. Nothing else in the model draws randomness, so a given (topology,
+// workload, Faults, LinkBitErrorRate, FaultSeed) tuple replays
+// bit-identically at every shard count.
 //
 // Fault granularity is the message: a fate decided at header injection
 // (drop, duplicate, delay) applies to the header and every payload chunk,
@@ -120,9 +125,9 @@ type dropKey struct {
 	seq      uint32
 }
 
-// FaultPlane applies fault rules to one source node's injections. All
-// methods must run at simulation time on the node's own lane, like the rest
-// of the fabric.
+// FaultPlane applies fault rules to one source node's injections and draws
+// the link-CRC retries of the node's outgoing links. All methods must run at
+// simulation time on the node's own lane, like the rest of the fabric.
 type FaultPlane struct {
 	f   *Fabric  // the node's lane
 	rng rand.PCG // the node's stream (see the determinism contract)
@@ -370,8 +375,8 @@ func (p *FaultPlane) pathDown(src, dst topo.NodeID) bool {
 	if len(p.down) == 0 {
 		return false
 	}
-	cur := src
-	for _, d := range p.f.route(src, dst) {
+	for cur := src; cur != dst; {
+		d, _ := p.f.Topo.NextHop(cur, dst)
 		if p.down[linkKey{cur, d}] {
 			return true
 		}
@@ -382,6 +387,22 @@ func (p *FaultPlane) pathDown(src, dst topo.NodeID) bool {
 		cur = next
 	}
 	return false
+}
+
+// crossings draws how many times a packet group of nbytes must cross one of
+// the node's outgoing links before its CRC-16 passes, at the machine's
+// LinkBitErrorRate (> 0) per packet.
+func (p *FaultPlane) crossings(nbytes int) int {
+	ber, pb := p.f.P.LinkBitErrorRate, p.f.P.PacketBytes
+	pOK := 1.0
+	for i := (nbytes + pb - 1) / pb; i > 0; i-- {
+		pOK *= 1 - ber
+	}
+	n := 1
+	for n <= 64 && p.float64() > pOK { // a link this sick would be routed around by RAS; cap it
+		n++
+	}
+	return n
 }
 
 // ---- Injection filters (called from SendHeader/SendChunk) ----

@@ -6,9 +6,10 @@
 // every node's state at zero latency. Here each hop is its own event,
 // executed on the lane that owns the current router, and every inter-node
 // handoff travels through the kernel's cross-shard mailboxes. Both
-// transports move packets with the same pooled carrier (fabric.go) and
-// share its injected and arrived steps; this file holds only the walk in
-// between — launch, the per-router hop, destination-side admission. The
+// transports inject through the same step (Fabric.inject), move packets
+// with the same pooled carrier (fabric.go), share its injected and arrived
+// steps and take the same per-router step (Fabric.hop); this file holds
+// only the walk — launch, one hop per event, destination-side admission. The
 // minimum handoff distance — one link occupancy plus the per-hop wire
 // latency — is the conservative lookahead bound the kernel synchronizes on
 // (MinHandoffLatency).
@@ -56,9 +57,9 @@ var (
 // HopLatency is a safe conservative lookahead for the sharded kernel.
 func MinHandoffLatency(p *model.Params) sim.Time { return p.HopLatency }
 
-// Cluster is the sharded fabric: one Fabric per lane, one NodePort per
-// node, and the endpoint directory shared by all lanes (written only
-// during machine assembly, read-only while the kernel runs).
+// Cluster is the sharded fabric: one Fabric per lane and one NodePort per
+// node. The lanes share one endpoint directory (written only during machine
+// assembly, read-only while the kernel runs).
 type Cluster struct {
 	Kern *sim.Kernel
 	Topo *topo.Topology
@@ -67,15 +68,11 @@ type Cluster struct {
 	laneOf []int
 	lanes  []*Fabric
 	ports  []*NodePort
-	eps    []Endpoint
 }
 
 // NewCluster partitions the topology's nodes over the kernel's lanes.
 // laneOf must be a pure function mapping every node to a lane in range.
 func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func(topo.NodeID) int) *Cluster {
-	if p.LinkBitErrorRate > 0 {
-		panic("fabric: sharded cluster requires LinkBitErrorRate=0 (link-retry sampling draws lane-local randomness)")
-	}
 	n := t.Nodes()
 	cl := &Cluster{
 		Kern:   kern,
@@ -84,15 +81,16 @@ func NewCluster(kern *sim.Kernel, t *topo.Topology, p *model.Params, laneOf func
 		laneOf: make([]int, n),
 		lanes:  make([]*Fabric, kern.Shards()),
 		ports:  make([]*NodePort, n),
-		eps:    make([]Endpoint, n),
 	}
-	// One table of message sequences and one of fault planes, shared by
-	// every lane; each lane touches only its own nodes' entries.
+	// One endpoint directory, one table of message sequences and one of
+	// fault planes, shared by every lane; each lane writes only its own
+	// nodes' entries.
+	eps := make([]Endpoint, n)
 	seqs := make([]uint64, n)
 	planes := newPlanes(p, n)
 	for i := range cl.lanes {
 		cl.lanes[i] = newLane(kern.Lane(i), t, p)
-		cl.lanes[i].seqs, cl.lanes[i].planes = seqs, planes
+		cl.lanes[i].eps, cl.lanes[i].seqs, cl.lanes[i].planes = eps, seqs, planes
 	}
 	for id := 0; id < n; id++ {
 		lane := laneOf(topo.NodeID(id))
@@ -144,10 +142,10 @@ func (pt *NodePort) Attach(node topo.NodeID, ep Endpoint) {
 	if node != pt.node {
 		panic(fmt.Sprintf("fabric: port of node %d attached as node %d", pt.node, node))
 	}
-	if pt.cl.eps[node] != nil {
+	if pt.f.eps[node] != nil {
 		panic(fmt.Sprintf("fabric: node %d attached twice", node))
 	}
-	pt.cl.eps[node] = ep
+	pt.f.eps[node] = ep
 }
 
 // NewStream is Fabric.NewStream against the lane pool.
@@ -167,28 +165,10 @@ func (pt *NodePort) RecycleChunk(c *Chunk) { pt.f.RecycleChunk(c) }
 func (pt *NodePort) RecycleMsg(m *Message) { pt.f.RecycleMsg(m) }
 
 // SendHeader injects a header packet into the hopwise transport.
-func (pt *NodePort) SendHeader(m *Message) {
-	if pt.cl.eps[m.Dst] == nil {
-		panic(fmt.Sprintf("fabric: no endpoint at node %d", m.Dst))
-	}
-	pt.f.Stats.Messages++
-	if pl := pt.f.planes; pl != nil && pl[pt.node].filterHeader(m) {
-		return
-	}
-	pt.launch(m, nil)
-}
+func (pt *NodePort) SendHeader(m *Message) { pt.f.inject(m, nil, pt.launch) }
 
 // SendChunk injects payload bytes into the hopwise transport.
-func (pt *NodePort) SendChunk(c *Chunk) {
-	if pt.cl.eps[c.Msg.Dst] == nil {
-		panic(fmt.Sprintf("fabric: no endpoint at node %d", c.Msg.Dst))
-	}
-	pt.f.Stats.Chunks++
-	if pl := pt.f.planes; pl != nil && pl[pt.node].filterChunk(c) {
-		return
-	}
-	pt.launch(c.Msg, c)
-}
+func (pt *NodePort) SendChunk(c *Chunk) { pt.f.inject(c.Msg, c, pt.launch) }
 
 // launch starts a packet's hop walk from the source node (c is nil for m's
 // header packet). The TX machine considers the packet sent at injection;
@@ -209,12 +189,11 @@ func (pt *NodePort) launch(m *Message, c *Chunk) {
 	k.walk()
 }
 
-// walk executes the carrier's walk at its current router: reserve the
-// outgoing link, then hand the carrier — now owned by the next router's
-// lane — over through the mailbox.
+// walk runs the carrier's hop at its current router, then hands the
+// carrier — now owned by the next router's lane — over through the mailbox.
 func (k *carrier) walk() {
 	pt, m := k.at, k.m
-	next, t := pt.hop(m.Src, m.Dst, k.t, int64(k.nbytes()))
+	next, t := pt.f.hop(pt.node, m.Src, m.Dst, k.t, k.nbytes())
 	np := pt.cl.ports[next]
 	k.at, k.f = np, np.f
 	if next == m.Dst {
@@ -225,34 +204,11 @@ func (k *carrier) walk() {
 	pt.post(np, t, k.then((*carrier).walk))
 }
 
-// hop reserves this node's outgoing link toward dst for nbytes arriving at
-// time t and returns the neighbor plus the arrival time there. Links are
-// owned by the lane of the node they leave, so contention is resolved in
-// local event order — per-hop, as on the real router.
-func (pt *NodePort) hop(src, dst topo.NodeID, t sim.Time, nbytes int64) (topo.NodeID, sim.Time) {
-	f := pt.f
-	d, ok := f.Topo.NextHop(pt.node, dst)
-	if !ok {
-		panic("fabric: hop walk already at destination")
-	}
-	hops := 0
-	if f.Tel != nil { // the route's length labels the head-of-line histogram, nothing else
-		hops = f.Topo.Hops(src, dst)
-	}
-	occupancy := sim.BytesAt(nbytes, f.P.LinkBps)
-	t2 := f.linkReserve(pt.node, d, t, occupancy, hops) + f.P.HopLatency
-	next, ok := f.Topo.Neighbor(pt.node, d)
-	if !ok {
-		panic("fabric: route fell off the mesh")
-	}
-	return next, t2
-}
-
 // reachedNIC runs on the destination lane when the packet reaches the NIC:
 // charge the receive window, then deliver — destination-side admission
 // replaces the classic source-side credit take.
 func (k *carrier) reachedNIC() {
-	k.ep = k.at.cl.eps[k.m.Dst]
+	k.ep = k.f.eps[k.m.Dst]
 	k.ep.RxWindow().Take(int64(k.nbytes()), k.then((*carrier).arrived))
 }
 

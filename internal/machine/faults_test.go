@@ -357,9 +357,9 @@ func TestRASDetectsPanickedNode(t *testing.T) {
 	m.RunUntil(5 * sim.Millisecond)
 	ras.Stop()
 
-	fails := m.Failures()
-	if len(fails) != 1 || fails[0].Node != 1 {
-		t.Fatalf("failures = %v, want node 1", fails)
+	fails := m.Reports()
+	if len(fails) != 1 || fails[0].Kind != FailurePanic || fails[0].Node != 1 {
+		t.Fatalf("reports = %v, want node 1's panic", fails)
 	}
 	dead := ras.Dead()
 	if len(dead) != 1 || dead[0].Node != 1 {

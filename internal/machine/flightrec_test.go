@@ -231,9 +231,6 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 	if panicReport.Node != 0 {
 		t.Errorf("panic on node %d, want 0", panicReport.Node)
 	}
-	if len(m.Failures()) == 0 {
-		t.Error("Failures() lost the panic (must stay populated alongside Reports)")
-	}
 	if panicReport.Dump == nil {
 		t.Fatal("panic report carries no dump")
 	}

@@ -65,7 +65,6 @@ type Machine struct {
 	idleTicks int32 // pending self-terminating observer ticks (every); shares gbn's word, so Machine keeps its size class
 	sampler   *Sampler
 	ras       *RAS
-	failures  []NodeFailure
 
 	// lanes is the event-lane table: one entry on a classic machine (New),
 	// one per kernel shard on a sharded one (NewSharded). Every node lives

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"portals3/internal/fabric"
 	"portals3/internal/flightrec"
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -41,6 +42,57 @@ func TestOneLaneMatchesClassicUnderFaults(t *testing.T) {
 		for i := range gotC {
 			if !bytes.Equal(gotC[i], gotS[i]) {
 				t.Fatalf("seed %#x: slot %d delivered differently", seed, i)
+			}
+		}
+	}
+}
+
+// TestOneLaneMatchesClassicUnderLinkErrors: link-CRC retries draw from the
+// plane of the node that owns the link, in that node's own order, so a lossy
+// link retries the same crossings on the classic machine and on one or two
+// lanes — with the fault rules drawing from the same streams in between.
+func TestOneLaneMatchesClassicUnderLinkErrors(t *testing.T) {
+	msgs := 40
+	if testing.Short() {
+		msgs = 20
+	}
+	for _, seed := range []int64{1, 0xfa017} {
+		type run struct {
+			got     [][]byte
+			done    sim.Time
+			fs      fabric.FaultStats
+			retries uint64
+		}
+		var runs []run
+		for _, build := range []func(model.Params) *Machine{NewPair, shardedPair(1), shardedPair(2)} {
+			var m *Machine
+			lossy := func(p model.Params) *Machine {
+				p.LinkBitErrorRate = 0.005
+				m = build(p)
+				return m
+			}
+			got, done, fs := runFaultSoakOn(t, lossy, seed, msgs)
+			runs = append(runs, run{got, done, fs, m.Stats().Fabric.LinkRetries})
+		}
+		c := runs[0]
+		if c.retries == 0 || c.fs.Injected() == 0 {
+			t.Errorf("seed %#x: %d link retries, %d faults; the comparison is vacuous", seed, c.retries, c.fs.Injected())
+		}
+		for i, r := range runs[1:] {
+			lanes := i + 1
+			if r.retries != c.retries {
+				t.Errorf("seed %#x: %d link retries on the classic machine, %d on %d lanes", seed, c.retries, r.retries, lanes)
+			}
+			if r.fs != c.fs {
+				t.Errorf("seed %#x: fault ledgers differ:\n  classic  %v\n  %d lanes  %v", seed, c.fs, lanes, r.fs)
+			}
+			if c.done == 0 || r.done != c.done {
+				t.Errorf("seed %#x: completion %v on the classic machine, %v on %d lanes", seed, c.done, r.done, lanes)
+			}
+			for j := range c.got {
+				if !bytes.Equal(c.got[j], r.got[j]) {
+					t.Fatalf("seed %#x: slot %d delivered differently on %d lanes", seed, j, lanes)
+				}
 			}
 		}
 	}

@@ -15,40 +15,28 @@ import (
 // block (§4.2, Figure 3). Node panics (§4.3's exhaustion behavior) stop the
 // heartbeat; the RAS monitor notices.
 
-// NodeFailure records one panicked node.
+// NodeFailure records one node the RAS monitor declared dead.
 type NodeFailure struct {
 	Node   topo.NodeID
 	Reason string
 	At     sim.Time
 }
 
-// Failures returns the nodes that have panicked, in node order. The
-// machine installs a panic handler on every node that records the failure
-// and kills the firmware (blackholing its traffic) instead of crashing the
-// process; set Node(n).NIC.OnPanic yourself to restore the crash-hard
-// behavior.
-func (m *Machine) Failures() []NodeFailure {
-	out := append([]NodeFailure(nil), m.failures...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-// installFailureHandler is called at node construction. Panics route
-// through the machine's failure funnel (flightrec.go), so a panic with the
-// flight recorder on also snapshots a dump — on a classic machine only: a
-// sharded node panics on a lane worker mid-window, where snapshotting the
-// other lanes would race.
+// installFailureHandler is called at node construction. The handler files
+// the panic as a FailurePanic report (Reports) and kills the firmware
+// (blackholing its traffic) instead of crashing the process; set
+// Node(n).NIC.OnPanic yourself to restore the crash-hard behavior. The
+// report goes through the machine's failure funnel (flightrec.go), so a
+// panic with the flight recorder on also snapshots a dump — on a classic
+// machine only: a sharded node panics on a lane worker mid-window, where
+// snapshotting the other lanes would race.
 func (m *Machine) installFailureHandler(n *Node) {
 	nic := n.NIC
 	id := n.ID
 	nic.OnPanic = func(reason string) {
 		// nic.S is the node's own lane, so the timestamp is race-free on a
 		// sharded machine too; the funnel itself serializes internally.
-		at := nic.S.Now()
-		m.mu.Lock()
-		m.failures = append(m.failures, NodeFailure{Node: id, Reason: reason, At: at})
-		m.mu.Unlock()
-		m.fileReport(FailurePanic, id, reason, at, !m.Sharded())
+		m.fileReport(FailurePanic, id, reason, nic.S.Now(), !m.Sharded())
 		nic.Kill()
 	}
 }

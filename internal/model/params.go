@@ -35,7 +35,9 @@ type Params struct {
 
 	// LinkBitErrorRate is the probability that a packet is corrupted on one
 	// link traversal (detected by the 16-bit link CRC and retried). Zero by
-	// default; fault-injection tests raise it.
+	// default; fault-injection tests raise it. The retries draw from the
+	// fault plane of the node that owns the link (seeded by FaultSeed), so
+	// they replay bit-identically on every machine and at every shard count.
 	LinkBitErrorRate float64
 
 	// LinkRetryDelay is the extra delay for one link-level CRC retry.
@@ -148,10 +150,11 @@ type Params struct {
 	// leaves the fabric fault-free and the injection hot path untouched.
 	Faults []FaultRule
 
-	// FaultSeed seeds the fault plane's private PRNG. The plane never
-	// draws from the simulator's RNG, so fault decisions cannot perturb
-	// fault-free event ordering; a given (Faults, FaultSeed) pair replays
-	// bit-identically. Zero selects the plane's fixed default seed.
+	// FaultSeed seeds the fault planes' per-node PRNG streams, the only
+	// randomness in the model: fault rules and link-CRC retries draw from
+	// them, so a fault-free run draws nothing, and a given (Faults,
+	// LinkBitErrorRate, FaultSeed) tuple replays bit-identically. Zero
+	// selects the planes' fixed default seed.
 	FaultSeed int64
 
 	// Schedule is the declarative timed-fault plan (see schedule.go): link

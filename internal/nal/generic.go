@@ -72,9 +72,6 @@ func (d *GenericDriver) AttachProcess(pid, uid uint32, limits core.Limits) *core
 	return lib
 }
 
-// DetachProcess removes a process's library (process exit).
-func (d *GenericDriver) DetachProcess(pid uint32) { delete(d.libs, pid) }
-
 // Lib returns the kernel-resident library of one generic process, for
 // diagnostics and tests.
 func (d *GenericDriver) Lib(pid uint32) *core.Lib { return d.libs[pid] }

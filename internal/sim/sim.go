@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"slices"
 )
 
@@ -56,15 +55,13 @@ type Sim struct {
 	seq     uint64
 
 	// These three share a word and the ring's two indices another, which keeps
-	// the struct at 128 bytes: that size class gives each Sim two cache lines
-	// of its own. The next one packs a Kernel's lanes 144 bytes apart, across
-	// lines their workers both write, and the 2-lane workloads measured 9-11 %
-	// slower.
+	// the struct at no more than 128 bytes, inside the size class that gives
+	// each Sim two cache lines of its own. The next one packs a Kernel's lanes
+	// 144 bytes apart, across lines their workers both write, and the 2-lane
+	// workloads measured 9-11 % slower.
 	stopped     bool
 	dispatching bool  // a sleeping process is running the event loop (Proc.Sleep)
 	procs       int32 // live coroutine processes, for deadlock diagnostics
-
-	rng *rand.Rand // built by the first Rand call
 
 	// Fired counts events executed, for diagnostics and runaway detection.
 	Fired uint64
@@ -83,22 +80,11 @@ type Sim struct {
 	far *wheel
 }
 
-// New returns a simulator with its clock at zero and a deterministic RNG.
+// New returns a simulator with its clock at zero.
 func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
-
-// Rand returns the simulator's deterministic random source. Model code must
-// use this generator and no other so runs stay reproducible. The source is
-// seeded at first use: a math/rand source is 4.9 KB, and only a run with
-// link bit errors ever draws from it.
-func (s *Sim) Rand() *rand.Rand {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(0x5ea57a7))
-	}
-	return s.rng
-}
 
 // ringPush appends an event at the tail of the zero-delay lane.
 func (s *Sim) ringPush(ev event) {

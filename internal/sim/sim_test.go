@@ -457,15 +457,6 @@ func TestCreditsConservation(t *testing.T) {
 	}
 }
 
-func TestRandDeterminism(t *testing.T) {
-	a, b := New(), New()
-	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("two fresh simulators disagree on random streams")
-		}
-	}
-}
-
 func TestMaxEventsGuard(t *testing.T) {
 	s := New()
 	s.MaxEvents = 10
