@@ -10,6 +10,7 @@
 package portals3
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -371,10 +372,10 @@ func BenchmarkPingPongFlightRecOn(b *testing.B) {
 	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
 }
 
-// BenchmarkPingPongTracingOn is the same workload with tracing armed: the
-// recorder keeps every event of the run for the Chrome timeline, which is
-// not rendered. A record is a struct store into a ring that doubles when
-// full, so allocs/op must not move either.
+// BenchmarkPingPongTracingOn is the same workload with the recorder armed at
+// a keep-everything bound: it keeps every event of the run, the whole
+// timeline, in rings no dump is taken of. A record is a struct store into a
+// ring that doubles when full, so allocs/op must not move either.
 func BenchmarkPingPongTracingOn(b *testing.B) {
 	b.ReportAllocs()
 	cfg := netpipe.DefaultConfig()
@@ -382,7 +383,7 @@ func BenchmarkPingPongTracingOn(b *testing.B) {
 	cfg.MinIters = b.N
 	cfg.MaxIters = b.N
 	cfg.Mode = machine.Generic
-	cfg.Observe = func(m *machine.Machine) { m.EnableTracing() }
+	cfg.Observe = func(m *machine.Machine) { m.EnableFlightRecorder(math.MaxInt) }
 	b.ResetTimer()
 	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
 }
@@ -419,10 +420,9 @@ func BenchmarkTorusHaloShard4(b *testing.B) { benchTorusHalo(b, 4) }
 // BenchmarkTorusHaloShard4SamplerOn is the observed sharded arm: four
 // lanes with every periodic observer armed — telemetry, the RAS sampler
 // (counter + link-contention series), the stall detector, the heartbeat
-// monitor and the flight recorder. Tracing stays off: rendering its
-// timeline allocates per record, and the JSON is not a production-on
-// artifact. The delta against BenchmarkTorusHaloShard4 is the price of
-// lane-local observation on the hot path; TestContractHaloArms bounds it.
+// monitor and the flight recorder at its default bound. The delta against
+// BenchmarkTorusHaloShard4 is the price of lane-local observation on the
+// hot path; TestContractHaloArms bounds it.
 func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTorusConfig()

@@ -42,7 +42,7 @@
 //
 //	netpipe -torus -shards 4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Every observer flag (-telemetry, -trace, -flightrec, -hostprof) writes
+// Every observer flag (-telemetry, -flightrec, -hostprof) writes
 // what the machine recorded (machine.Artifacts); cmd/p3stat renders each
 // file given only its path.
 package main
@@ -113,7 +113,6 @@ type opts struct {
 	series, pattern string
 	maxBytes        int
 	accel           bool
-	traceOut        string
 	flightrec       bool
 	ringEvents      int // ring capacity per node, 0 for the default
 	stallUs         int // stall detection window in simulated microseconds, 0 off
@@ -144,7 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.maxBytes, "max", 8<<20, "largest message size in bytes")
 	fs.BoolVar(&o.accel, "accel", false, "use accelerated-mode Portals processing")
 	checks := fs.Bool("checks", false, "print paper-vs-measured checks (with -fig)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace-event timeline of the run, for chrome://tracing, Perfetto or p3stat (with -series)")
 	fs.BoolVar(&o.stats, "stats", false, "print machine counters after the run (with -series or -torus)")
 	fs.StringVar(&o.telemetryOut, "telemetry", "", "write the telemetry JSON export after the run (with -series or -torus)")
 	fs.IntVar(&o.sampleUs, "sample", 1000, "RAS sampler period in simulated microseconds, 0 to disable (with -telemetry)")
@@ -609,9 +607,6 @@ func runSeries(c cli, p model.Params, o opts) int {
 				m.StartStallDetector(sim.Time(o.stallUs) * sim.Microsecond)
 			}
 		}
-		if o.traceOut != "" {
-			m.EnableTracing()
-		}
 		if o.telemetryOut != "" {
 			m.EnableTelemetry()
 			if o.sampleUs > 0 {
@@ -665,11 +660,6 @@ func runSeries(c cli, p model.Params, o opts) int {
 			bd.Render(c.out)
 		}
 		if err := c.save(o.telemetryOut, "telemetry", art.Telemetry); err != nil {
-			return c.fail(1, "%v", err)
-		}
-	}
-	if o.traceOut != "" {
-		if err := c.save(o.traceOut, fmt.Sprintf("trace (%d bytes)", len(art.Trace)), art.Trace); err != nil {
 			return c.fail(1, "%v", err)
 		}
 	}

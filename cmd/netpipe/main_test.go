@@ -71,6 +71,32 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("netpipe %s: stderr %q does not mention %q", tc.args, stderr, tc.want)
 		}
 	}
+	// A flag the tool does not define is the flag package's usage error.
+	// -trace is one: the timeline is p3stat -chrome of a -flightrec dump.
+	if code, stdout, stderr := runCLI("-series", "put", "-trace", "t.json"); code != 2 || stdout != "" ||
+		!strings.Contains(stderr, "flag provided but not defined: -trace") {
+		t.Errorf("netpipe -trace: exit %d, stdout %q, stderr %.80q; want 2 and the usage error", code, stdout, stderr)
+	}
+}
+
+// TestPanicPolicyDeadlockIsTheApplicationsFailure: a 9³ all-to-one hot spot
+// without go-back-n exhausts node 5's receive pendings; the panic policy
+// kills the node, and its receiver, waiting for the messages the dead node
+// dropped, leaves the job blocked. That ends the run like any failed job — the one report the
+// node filed, the verification errors, exit 1 — on either engine, not in a
+// deadlock panic (exit 2, which means a bad command line).
+func TestPanicPolicyDeadlockIsTheApplicationsFailure(t *testing.T) {
+	for _, shards := range []string{"1", "3"} {
+		code, stdout, stderr := runCLI("-torus", "-dim", "9", "-workload", "hotspot", "-hot", "5",
+			"-hotfrac", "1.0", "-msgs", "1", "-shards", shards)
+		if code != 1 || !strings.Contains(stdout, "finished at") {
+			t.Errorf("shards %s: exit %d, want 1 after a finished run\nstdout: %s\nstderr: %s", shards, code, stdout, stderr)
+		}
+		const report = "ERROR: failure report: panic on node 5 at "
+		if n := strings.Count(stderr, report); n != 1 || !strings.Contains(stderr, "resource exhaustion: rx pending pool empty") {
+			t.Errorf("shards %s: %d panic reports for node 5, want 1 naming the exhausted pool:\n%s", shards, n, stderr)
+		}
+	}
 }
 
 // TestFigure4Golden pins the tool's stdout for the paper's latency figure;
@@ -107,7 +133,7 @@ func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
 
 	code, stdout, stderr := runCLI("-series", "put", "-max", "4096", "-gbn", "-stats",
 		"-flightrec", "-flightrec-events", "64", "-dump-on-stall", "40", "-dumpout", in("dumps/x.p3dump"),
-		"-trace", in("t.json"), "-telemetry", in("r.json"), "-sample", "100",
+		"-telemetry", in("r.json"), "-sample", "100",
 		"-schedule", "stall:1:150us:100us")
 	if code != 1 || !strings.Contains(stdout, "failure: stall on node") {
 		t.Errorf("series run: exit %d, want 1 for the reported stall\nstdout: %s\nstderr: %s", code, stdout, stderr)
@@ -121,7 +147,6 @@ func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
 	for name, magic := range map[string]string{
 		"dumps/x.p3dump":         "P3DUMP01",
 		"dumps/x.0.stall.p3dump": "P3DUMP01",
-		"t.json":                 "[",
 		"r.json":                 "{\n  \"sim_time_ps\"",
 		"torus.json":             "{\n  \"sim_time_ps\"",
 		"h.json":                 "{\n  \"kind\": \"host_profile\"",

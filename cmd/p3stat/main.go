@@ -4,15 +4,15 @@
 //
 //	p3stat run.json                 # telemetry: breakdown, histograms, occupancy, links, series
 //	p3stat h.json                   # host-execution profile: lane busy/wait table
-//	p3stat t.json                   # Chrome trace: per-track / per-handler summary
-//	p3stat netpipe.p3dump           # flight-recorder dump: occupancy + merged timeline
+//	p3stat netpipe.p3dump           # flight-recorder dump: occupancy, per-track / per-handler busy time, merged timeline
 //	p3stat -spans netpipe.p3dump    # list the causal span ids in a dump
 //	p3stat -span 17 netpipe.p3dump  # one message's hop-by-hop path
 //	p3stat -chrome out.json netpipe.p3dump  # the dump as a Chrome trace (Perfetto)
 //
-// Routing: a file that starts with the P3DUMP01 magic is a dump, a leading
-// '[' is a Chrome trace, a JSON object whose "kind" is "host_profile" is a
-// host profile, any other JSON object is a telemetry export.
+// Routing: a file that starts with the P3DUMP01 magic is a dump, a JSON
+// object whose "kind" is "host_profile" is a host profile, any other JSON
+// object is a telemetry export. The Chrome trace is a view p3stat writes,
+// not an artifact it reads.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"portals3/internal/machine"
 	"portals3/internal/sim"
 	"portals3/internal/telemetry"
-	"portals3/internal/trace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -53,6 +52,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&dv.spans, "spans", false, "list the causal span ids present (dumps)")
 	fs.StringVar(&dv.chrome, "chrome", "", "write the dump as a chrome-trace timeline to this file instead of text")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *top < 0 {
+		fmt.Fprintf(stderr, "p3stat: -top %d must be at least 0 (0 shows everything)\n", *top)
 		return 2
 	}
 	if fs.NArg() == 0 {
@@ -83,15 +86,9 @@ func render(w io.Writer, b []byte, path string, top int, dv dumpView) error {
 		if err != nil {
 			return err
 		}
-		return renderDump(w, d, path, dv)
+		return renderDump(w, d, path, top, dv)
 	case dv != dumpView{}:
 		return fmt.Errorf("-span, -spans and -chrome read flight-recorder dumps; this is not one")
-	case bytes.HasPrefix(body, []byte("[")):
-		recs, err := trace.ReadChrome(bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		telemetry.Summarize(recs).Render(w)
 	case bytes.HasPrefix(body, []byte("{")):
 		var kind struct {
 			Kind string `json:"kind"`
@@ -113,12 +110,12 @@ func render(w io.Writer, b []byte, path string, top int, dv dumpView) error {
 		}
 		renderTelemetry(w, e, path, top)
 	default:
-		return fmt.Errorf("not an artifact: want a P3DUMP01 dump, a Chrome trace array, a host profile or a telemetry export")
+		return fmt.Errorf("not an artifact: want a P3DUMP01 dump, a host profile or a telemetry export")
 	}
 	return nil
 }
 
-func renderDump(w io.Writer, d *flightrec.Dump, path string, dv dumpView) error {
+func renderDump(w io.Writer, d *flightrec.Dump, path string, top int, dv dumpView) error {
 	switch {
 	case dv.chrome != "":
 		var buf bytes.Buffer
@@ -137,7 +134,7 @@ func renderDump(w io.Writer, d *flightrec.Dump, path string, dv dumpView) error 
 	case dv.span != 0:
 		d.RenderSpan(w, dv.span)
 	default:
-		d.RenderText(w)
+		d.RenderText(w, top)
 	}
 	return nil
 }

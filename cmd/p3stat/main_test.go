@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func writeArtifacts(t *testing.T) string {
 	dir := t.TempDir()
 	r := experiments.TorusHalo(experiments.TorusConfig{
 		Dim: 3, Bytes: 64, Steps: 1, Radius: 1, Shards: 2,
-		Telemetry: true, FlightRec: true, Trace: true, HostProf: true,
+		Telemetry: true, FlightRec: true, HostProf: true,
 		SamplePeriod: 50 * sim.Microsecond,
 	})
 	if len(r.Errors) > 0 {
@@ -63,16 +64,12 @@ func writeArtifacts(t *testing.T) string {
 	}
 	write(t, filepath.Join(dir, "small.p3dump"), d.Bytes())
 
-	// The committed hot-spot evidence (testdata/hotspot-gbn-node5.txt) and
-	// its Chrome rendering.
+	// The committed hot-spot evidence (testdata/hotspot-gbn-node5.txt).
 	ev, err := os.ReadFile(filepath.Join("testdata", "hotspot-gbn-node5.p3dump"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	write(t, filepath.Join(dir, "hotspot.p3dump"), ev)
-	if code, _, stderr := runCLI("-chrome", filepath.Join(dir, "hotspot.trace.json"), filepath.Join(dir, "hotspot.p3dump")); code != 0 {
-		t.Fatalf("-chrome of the hot-spot dump: exit %d, stderr %q", code, stderr)
-	}
 
 	hp := *r.HostProfile
 	hp.RunWallNs, hp.WallNs, hp.ExecNs, hp.DrainNs = 21_000_000, 20_000_000, 15_000_000, 5_000_000
@@ -108,26 +105,29 @@ func write(t *testing.T, path string, data []byte) {
 	}
 }
 
-// TestGoldenRenderings: given only a path, p3stat renders each of the four
-// artifact kinds, the three dump views, and the hot-spot evidence as a
-// dump and as its Chrome rendering, as recorded in testdata. The
+// TestGoldenRenderings: given only a path, p3stat renders each of the three
+// artifact kinds, the three dump views, and the hot-spot evidence, as
+// recorded in testdata. The *-trace goldens hold only the report's activity
+// section of an uncapped dump (-top 0): the busy time per track and handler
+// over the whole run, which the dump report's timeline would bury. The
 // simulated artifacts are deterministic, so the goldens move only when a
 // renderer or a simulated result does.
 func TestGoldenRenderings(t *testing.T) {
 	dir := writeArtifacts(t)
 	for _, tc := range []struct {
-		golden string
-		args   []string
+		golden   string
+		args     []string
+		activity bool // compare only the dump report's activity section
 	}{
-		{"telemetry", []string{"run.telemetry.json"}},
-		{"trace", []string{"run.trace.json"}},
-		{"hostprof", []string{"kind-first/h.json"}},
-		{"hostprof", []string{"kind-last/h.json"}},
-		{"dump", []string{"small.p3dump"}},
-		{"dump-spans", []string{"-spans", "small.p3dump"}},
-		{"dump-span", []string{"-span", strconv.Itoa(firstSpan), "small.p3dump"}},
-		{"hotspot-gbn-node5", []string{"hotspot.p3dump"}},
-		{"hotspot-gbn-node5-trace", []string{"hotspot.trace.json"}},
+		{"telemetry", []string{"run.telemetry.json"}, false},
+		{"trace", []string{"-top", "0", "run.p3dump"}, true},
+		{"hostprof", []string{"kind-first/h.json"}, false},
+		{"hostprof", []string{"kind-last/h.json"}, false},
+		{"dump", []string{"small.p3dump"}, false},
+		{"dump-spans", []string{"-spans", "small.p3dump"}, false},
+		{"dump-span", []string{"-span", strconv.Itoa(firstSpan), "small.p3dump"}, false},
+		{"hotspot-gbn-node5", []string{"hotspot.p3dump"}, false},
+		{"hotspot-gbn-node5-trace", []string{"-top", "0", "hotspot.p3dump"}, true},
 	} {
 		args := append([]string(nil), tc.args...)
 		last := len(args) - 1
@@ -139,6 +139,14 @@ func TestGoldenRenderings(t *testing.T) {
 			continue
 		}
 		got := strings.ReplaceAll(stdout, prefix, "")
+		if tc.activity {
+			from, to := strings.Index(got, "activity horizon"), strings.Index(got, "\ntimeline (")
+			if from < 0 || to < from {
+				t.Errorf("p3stat %v: no activity section before the timeline:\n%.2000s", tc.args, got)
+				continue
+			}
+			got = got[from:to]
+		}
 		path := filepath.Join("testdata", tc.golden+".golden")
 		if *update {
 			write(t, path, []byte(got))
@@ -156,15 +164,23 @@ func TestGoldenRenderings(t *testing.T) {
 }
 
 // TestEveryWrittenFileRenders: whatever WriteFiles wrote, p3stat reads —
-// the full-size dump included — and the -chrome view of a dump is itself a
-// trace p3stat summarizes.
+// the full-size dump included — and the -chrome view of a dump is a
+// non-empty Chrome trace-event array.
 func TestEveryWrittenFileRenders(t *testing.T) {
 	dir := writeArtifacts(t)
 	chrome := filepath.Join(dir, "dump-as-trace.json")
 	if code, _, stderr := runCLI("-chrome", chrome, filepath.Join(dir, "run.p3dump")); code != 0 {
 		t.Fatalf("-chrome: exit %d, stderr %q", code, stderr)
 	}
-	for _, name := range []string{"run.telemetry.json", "run.trace.json", "run.p3dump", "run.hostprof.json", "dump-as-trace.json"} {
+	b, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(b, &events); err != nil || len(events) == 0 {
+		t.Errorf("-chrome wrote %d bytes that are not a non-empty JSON array (%d events): %v", len(b), len(events), err)
+	}
+	for _, name := range []string{"run.telemetry.json", "run.p3dump", "run.hostprof.json"} {
 		code, stdout, stderr := runCLI("-top", "0", filepath.Join(dir, name))
 		if code != 0 || stderr != "" || len(stdout) < 100 {
 			t.Errorf("%s: exit %d, %d bytes of output, stderr %q", name, code, len(stdout), stderr)
@@ -185,7 +201,7 @@ func TestBadInput(t *testing.T) {
 		"empty":           "",
 		"text":            "hello, world\n",
 		"half-object":     `{"kind": `,
-		"half-trace":      `[{"ph": "X"`,
+		"trace-array":     `[{"name": "rx-header", "ph": "X", "ts": 1, "dur": 2}]`,
 		"scalar":          "42\n",
 		"truncated.p3d":   string(dump[:len(dump)/2]),
 		"lying.p3d":       string(dump[:48+len("end of run")+len("snapshot")-8]) + strings.Repeat("\xff", 8),
@@ -206,7 +222,8 @@ func TestBadInput(t *testing.T) {
 		{[]string{bad("text")}, 1, "not an artifact"},
 		{[]string{bad("scalar")}, 1, "not an artifact"},
 		{[]string{bad("half-object")}, 1, "unexpected end of JSON"},
-		{[]string{bad("half-trace")}, 1, bad("half-trace")},
+		{[]string{bad("trace-array")}, 1, "not an artifact"},
+		{[]string{"-top", "-1", filepath.Join(dir, "small.p3dump")}, 2, "-top -1"},
 		{[]string{bad("profile-as-list")}, 1, "lanes"},
 		{[]string{bad("truncated.p3d")}, 1, "truncated dump"},
 		{[]string{bad("lying.p3d")}, 1, "implausible node count"},

@@ -147,6 +147,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *short {
 		*seeds = 1
 	}
+	if *seeds < 1 {
+		return c.fail(2, "-seeds %d must be at least 1: no campaign would run", *seeds)
+	}
+	if *entries < 0 {
+		return c.fail(2, "-entries %d must be at least 0", *entries)
+	}
 	if *workload != "" {
 		if _, err := soak.Topology(*workload); err != nil {
 			fmt.Fprintln(stderr, err) // already attributed: "soak: unknown workload ..."

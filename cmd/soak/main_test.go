@@ -30,6 +30,9 @@ func TestFlagValidation(t *testing.T) {
 		{"-workload no-such-workload", "unknown workload"},
 		{"-shards 1,zero", "-shards"},
 		{"-shards 0", "-shards"},
+		{"-seeds 0", "-seeds 0"},
+		{"-seeds -3", "-seeds -3"},
+		{"-entries -2", "-entries -2"},
 	} {
 		code, stdout, stderr := runCLI(strings.Fields(tc.args)...)
 		if code != 2 || stdout != "" {

@@ -98,10 +98,8 @@ func TestContractHaloArms(t *testing.T) {
 	if d := par - seq; d > seq/20 || -d > seq/20 {
 		t.Errorf("4-lane halo: %d allocs/job, more than 5%% from 1 lane's %d", par, seq)
 	}
-	// Every observer but tracing adds registration (3072 link meters) plus the
-	// end-of-run merge and export: fixed, 589k measured. One per event is
-	// millions. Tracing records as the flight recorder does, but rendering
-	// its timeline allocates per record, so the arm leaves it out.
+	// The observers add registration (3072 link meters) plus the end-of-run
+	// merge and export: fixed, 589k measured. One per event is millions.
 	if added := allocsPerOp(t, perJob, BenchmarkTorusHaloShard4SamplerOn) - par; added > 650_000 {
 		t.Errorf("observed halo: %d allocs/job above the bare arm's %d, want at most 650000", added, par)
 	}

@@ -14,18 +14,23 @@
 // that Point.Latency reserves for ping-pong. The A6 block and the lossy
 // traffic's digest and fault-plane lines were re-recorded when each node's
 // fault stream moved from a math/rand source to a math/rand/v2 PCG: the same
-// rules at the same rates roll other dice. Every other line is as recorded.
+// rules at the same rates roll other dice. The six torus digest lines were
+// re-recorded when the digest dropped its Chrome trace section, a second
+// rendering of the dump's events: each is the former digest with that
+// section cut. Every other line is as recorded.
 package portals3
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
 	"portals3/internal/experiments"
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/mpi"
@@ -76,17 +81,20 @@ func goldenDocument() string {
 	doc.WriteString("== sha256 of large artifacts\n")
 	sum := func(name string, b []byte) { fmt.Fprintf(&doc, "%s %x (%d bytes)\n", name, sha256.Sum256(b), len(b)) }
 
+	// A keep-everything bound: the dump holds every event of the run.
 	var traced *machine.Machine
 	cfg.MaxBytes = 1 << 10
-	cfg.Observe = func(m *machine.Machine) { traced = m; m.EnableTracing() }
+	cfg.Observe = func(m *machine.Machine) { traced = m; m.EnableFlightRecorder(math.MaxInt) }
 	netpipe.RunPortals(p, netpipe.OpPut, netpipe.PingPong, cfg)
+	d := traced.TakeDump("end of run")
+	whole(d)
 	var chrome bytes.Buffer
-	if err := traced.Trace().WriteChrome(&chrome); err != nil {
+	if err := d.WriteChrome(&chrome); err != nil {
 		panic(err)
 	}
 	sum("chrome trace, put pingpong to 1 KB", chrome.Bytes())
 
-	torus := experiments.TorusConfig{Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Telemetry: true, FlightRec: true, Trace: true}
+	torus := experiments.TorusConfig{Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Telemetry: true, FlightRec: true}
 	lossyTraffic := experiments.TrafficConfig{TorusConfig: torus, Msgs: 4, Load: 1, Seed: 7}
 	lossyTraffic.GoBackN = true
 	lossyTraffic.FaultSeed = 7
@@ -95,15 +103,33 @@ func goldenDocument() string {
 		model.NewFault(model.FaultDrop, model.FrameFcAck, 0.01),
 		model.NewFault(model.FaultDup, model.FrameData, 0.01),
 	}
+	// Each digest's dump holds every event its run recorded: no node's ring
+	// wrapped.
+	digest := func(res experiments.TorusResult) []byte {
+		d, err := flightrec.Decode(bytes.NewReader(res.Artifacts.Dump))
+		if err != nil {
+			panic(err)
+		}
+		whole(d)
+		return res.Digest()
+	}
 	for _, shards := range []int{1, 2} {
 		torus.Shards, lossyTraffic.Shards = shards, shards
-		sum(fmt.Sprint("halo dim 4 digest, shards ", shards), experiments.TorusHalo(torus).Digest())
-		sum(fmt.Sprint("collective dim 4 digest, shards ", shards), experiments.TorusCollective(torus).Digest())
+		sum(fmt.Sprint("halo dim 4 digest, shards ", shards), digest(experiments.TorusHalo(torus)))
+		sum(fmt.Sprint("collective dim 4 digest, shards ", shards), digest(experiments.TorusCollective(torus)))
 		res := experiments.TorusTraffic(lossyTraffic)
-		sum(fmt.Sprint("lossy go-back-n traffic dim 4 digest, shards ", shards), res.Digest())
+		sum(fmt.Sprint("lossy go-back-n traffic dim 4 digest, shards ", shards), digest(res))
 		fmt.Fprintf(&doc, "  its fault plane: %s\n", res.FaultsLine)
 	}
 	return doc.String()
+}
+
+// whole panics if a node's ring lost events to wrap: a pinned artifact must
+// cover its whole run.
+func whole(d *flightrec.Dump) {
+	if n := d.Dropped(); n > 0 {
+		panic(fmt.Sprintf("the dump dropped %d events", n))
+	}
 }
 
 // TestGoldenSimulatedResults fails when any simulated number, table, trace or

@@ -14,7 +14,7 @@ func diffCollConfig(shards int, seed int64) TorusConfig {
 	return TorusConfig{
 		Dim: 4, Bytes: 128, Steps: 2, Shards: shards,
 		FaultSeed: seed,
-		Telemetry: true, FlightRec: true, Trace: true,
+		Telemetry: true, FlightRec: true,
 		SamplePeriod: 20 * sim.Microsecond,
 		StallWindow:  600 * sim.Microsecond,
 		RASPeriod:    50 * sim.Microsecond,
@@ -51,7 +51,7 @@ func TestCollectiveDifferential(t *testing.T) {
 		if len(ref.Errors) > 0 {
 			t.Fatalf("seed %d: reference run failed: %v", seed, ref.Errors[:min(len(ref.Errors), 5)])
 		}
-		refDigest := ref.Digest()
+		refDigest := wholeDigest(t, ref)
 		for _, shards := range []int{2, 4} {
 			got := TorusCollective(diffCollConfig(shards, seed)).Digest()
 			if !bytes.Equal(got, refDigest) {
@@ -83,7 +83,7 @@ func TestCollectiveDifferentialFaults(t *testing.T) {
 		if ref.FaultsLine == "" {
 			t.Fatalf("seed %d: fault plane never activated", seed)
 		}
-		refDigest := ref.Digest()
+		refDigest := wholeDigest(t, ref)
 		for _, shards := range []int{2, 4} {
 			c := cfg
 			c.Shards = shards

@@ -43,9 +43,6 @@ func buildTorusMachine(cfg *TorusConfig) (*machine.Machine, *topo.Topology) {
 	if cfg.FlightRec {
 		m.EnableFlightRecorder(0)
 	}
-	if cfg.Trace {
-		m.EnableTracing()
-	}
 	if cfg.HostProf || cfg.Progress != nil {
 		m.EnableHostProfile()
 		if cfg.Progress != nil {

@@ -51,7 +51,6 @@ type TorusConfig struct {
 
 	Telemetry bool
 	FlightRec bool
-	Trace     bool // record the wire/firmware timeline (the recorder keeps every event)
 
 	// Periodic observers, each off when zero: the RAS sampler (counter and
 	// link-contention series), the stall detector window, and the heartbeat
@@ -90,7 +89,7 @@ type TorusResult struct {
 
 	// Artifacts is what the armed planes recorded, as the machine encodes
 	// it — the value drivers write to disk; the Digest compares its
-	// Telemetry, Dump and Trace. TelemetryJSON is Artifacts.Telemetry under
+	// Telemetry and Dump. TelemetryJSON is Artifacts.Telemetry under
 	// the name the benchmark reads it by.
 	Artifacts     machine.Artifacts
 	TelemetryJSON []byte
@@ -123,8 +122,6 @@ func (r TorusResult) Digest() []byte {
 	b.Write(r.Artifacts.Telemetry)
 	b.WriteString("--- dump\n")
 	b.Write(r.Artifacts.Dump)
-	b.WriteString("--- trace\n")
-	b.Write(r.Artifacts.Trace)
 	return b.Bytes()
 }
 

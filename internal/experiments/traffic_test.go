@@ -19,7 +19,7 @@ func diffTrafConfig(shards int, seed int64) TrafficConfig {
 		TorusConfig: TorusConfig{
 			Dim: 4, Bytes: 256, Shards: shards,
 			FaultSeed: seed,
-			Telemetry: true, FlightRec: true, Trace: true,
+			Telemetry: true, FlightRec: true,
 			SamplePeriod: 20 * sim.Microsecond,
 			StallWindow:  600 * sim.Microsecond,
 			RASPeriod:    50 * sim.Microsecond,
@@ -71,7 +71,7 @@ func TestTrafficDifferential(t *testing.T) {
 		if len(ref.Errors) > 0 {
 			t.Fatalf("seed %d: reference run failed: %v", seed, ref.Errors[:min(len(ref.Errors), 5)])
 		}
-		refDigest := ref.Digest()
+		refDigest := wholeDigest(t, ref)
 		for _, shards := range []int{2, 4} {
 			got := TorusTraffic(hotConfig(shards, seed)).Digest()
 			if !bytes.Equal(got, refDigest) {
@@ -102,7 +102,7 @@ func TestTrafficDifferentialFaults(t *testing.T) {
 		if ref.FaultsLine == "" {
 			t.Fatalf("seed %d: fault plane never activated", seed)
 		}
-		refDigest := ref.Digest()
+		refDigest := wholeDigest(t, ref)
 		for _, shards := range []int{2, 4} {
 			c := cfg
 			c.Shards = shards
@@ -125,7 +125,7 @@ func TestTrafficDifferentialFaults(t *testing.T) {
 // would mean the uniform generator is not actually uniform.
 func TestTrafficBisectionBound(t *testing.T) {
 	cfg := diffTrafConfig(1, 1)
-	cfg.Telemetry, cfg.FlightRec, cfg.Trace = false, false, false
+	cfg.Telemetry, cfg.FlightRec = false, false
 	cfg.SamplePeriod, cfg.StallWindow, cfg.RASPeriod = 0, 0, 0
 	cfg.Msgs = 8
 	res := TorusTraffic(cfg)

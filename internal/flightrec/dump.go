@@ -204,6 +204,16 @@ func Decode(r io.Reader) (*Dump, error) {
 	return d, nil
 }
 
+// Dropped is how many events the dump's nodes lost to ring wrap: 0 when it
+// holds every event the run recorded.
+func (d *Dump) Dropped() uint64 {
+	var n uint64
+	for i := range d.Nodes {
+		n += d.Nodes[i].Dropped
+	}
+	return n
+}
+
 // TimelineEvent is one dump event tagged with its node.
 type TimelineEvent struct {
 	Node int

@@ -19,14 +19,14 @@
 // The rings are the machine's only event record. Beside the firmware's
 // transitions they hold the trace kinds — wire injections and deliveries,
 // host interrupts and kernel work, PowerPC handlers, Portals event posts —
-// so one stream shows where each microsecond of a message went, and the
-// Chrome timeline is a rendering of it (Dump.WriteChrome). Tracing makes
-// the rings keep every event instead of the newest few thousand.
+// so one stream shows where each microsecond of a message went. A dump is
+// the one artifact the rings leave; the Chrome timeline (Dump.WriteChrome)
+// and the busy time per track and handler (Dump.RenderText) are renderings
+// of it. A ring bound larger than the run's event count keeps every event.
 package flightrec
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"portals3/internal/sim"
@@ -324,20 +324,4 @@ func (rec *Recorder) Ring(node int) *Ring {
 		rec.rings[node] = &Ring{node: node, cap: rec.cap}
 	}
 	return rec.rings[node]
-}
-
-// KeepAll makes every ring, built or to be built, keep every event it
-// records instead of the newest capPerNode — what a trace renders. A ring
-// that has wrapped already keeps what it holds, unrolled into time order.
-func (rec *Recorder) KeepAll() {
-	rec.cap = math.MaxInt
-	for _, r := range rec.rings {
-		if r == nil {
-			continue
-		}
-		if r.n > uint64(r.head) {
-			r.buf, r.head = r.Events(), r.Len()
-		}
-		r.cap = rec.cap
-	}
 }

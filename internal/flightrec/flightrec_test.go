@@ -9,7 +9,6 @@ import (
 	"unsafe"
 
 	"portals3/internal/sim"
-	"portals3/internal/trace"
 	"portals3/internal/wire"
 )
 
@@ -192,7 +191,7 @@ func TestKindNamesCoverAllKinds(t *testing.T) {
 			t.Errorf("%v renders no arguments", k)
 		}
 		r := record(7, e)
-		if r.Name == "" || r.Cat == "" || r.PID != 7 || (r.TID == trace.TrackFlight) == k.trace() {
+		if r.Name == "" || r.Cat == "" || r.PID != 7 || (r.TID == trackFlight) == k.trace() {
 			t.Errorf("%v maps onto %+v", k, r)
 		}
 	}
@@ -213,25 +212,25 @@ func TestTraceKindsRenderAsTheirComponentsNamedThem(t *testing.T) {
 	us := sim.Microsecond
 	for _, tc := range []struct {
 		e    Event
-		want trace.Record
+		want Record
 	}{
 		{Event{T: 5 * us, Kind: KWireTx, Sub: uint8(wire.TypePut), Span: 1<<32 | 7, A: 9, B: 64},
-			trace.Record{Name: "tx PUT", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+			Record{Name: "tx PUT", Cat: "net", Ph: "i", TS: 5 * us, TID: trackWire,
 				Args: map[string]interface{}{"msg": uint64(1<<32 | 7), "dst": uint32(9), "len": uint32(64)}}},
 		{Event{T: 5 * us, Kind: KWireRxHdr, Sub: uint8(wire.TypeGet), Span: 2<<32 | 1, A: 1},
-			trace.Record{Name: "rx hdr GET", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+			Record{Name: "rx hdr GET", Cat: "net", Ph: "i", TS: 5 * us, TID: trackWire,
 				Args: map[string]interface{}{"msg": uint64(2<<32 | 1), "src": uint32(1)}}},
 		{Event{T: 5 * us, Kind: KWireRxLast, Span: 2<<32 | 1, A: 1},
-			trace.Record{Name: "rx last chunk", Cat: "net", Ph: "i", TS: 5 * us, TID: trace.TrackWire,
+			Record{Name: "rx last chunk", Cat: "net", Ph: "i", TS: 5 * us, TID: trackWire,
 				Args: map[string]interface{}{"msg": uint64(2<<32 | 1), "src": uint32(1)}}},
 		{Event{T: 5 * us, Kind: KHostIrq, Span: uint64(2 * us)},
-			trace.Record{Name: "interrupt", Cat: "os", Ph: "X", TS: 3 * us, Dur: 2 * us, TID: trace.TrackHost}},
+			Record{Name: "interrupt", Cat: "os", Ph: "X", TS: 3 * us, Dur: 2 * us, TID: trackHost}},
 		{Event{T: 5 * us, Kind: KHostWork, Span: uint64(us)},
-			trace.Record{Name: "portals-processing", Cat: "os", Ph: "X", TS: 4 * us, Dur: us, TID: trace.TrackHost}},
+			Record{Name: "portals-processing", Cat: "os", Ph: "X", TS: 4 * us, Dur: us, TID: trackHost}},
 		{Event{T: 5 * us, Kind: KFwHandler, Sub: 2, Span: uint64(us)},
-			trace.Record{Name: "rx-header", Cat: "fw", Ph: "X", TS: 4 * us, Dur: us, TID: trace.TrackPPC}},
+			Record{Name: "rx-header", Cat: "fw", Ph: "X", TS: 4 * us, Dur: us, TID: trackPPC}},
 		{Event{T: 5 * us, Kind: KEQPost, Sub: 3, Span: 12, A: 1, B: 1024},
-			trace.Record{Name: "PUT_END", Cat: "portals", Ph: "i", TS: 5 * us, TID: trace.TrackApp,
+			Record{Name: "PUT_END", Cat: "portals", Ph: "i", TS: 5 * us, TID: trackApp,
 				Args: map[string]interface{}{"pid": uint32(1), "mlen": uint32(1024), "seq": uint64(12)}}},
 	} {
 		if got := record(0, tc.e); !reflect.DeepEqual(got, tc.want) {
@@ -269,33 +268,25 @@ func TestRecordsOrderByStartThenNode(t *testing.T) {
 	}
 }
 
-// TestKeepAllGrowsAndDumpsTakeTheNewest: a ring that keeps every event
-// grows instead of wrapping — unrolling what it held before — and Newest
-// still hands a dump the latest n.
+// TestKeepAllGrowsAndDumpsTakeTheNewest: a ring whose bound exceeds what
+// it records keeps all of it, growing instead of wrapping, and Newest still
+// hands a dump the latest n.
 func TestKeepAllGrowsAndDumpsTakeTheNewest(t *testing.T) {
-	rec := NewRecorder(2, 4)
-	r := rec.Ring(0)
-	for i := 0; i < 6; i++ { // wraps: 2..5 held
+	r := NewRecorder(1, math.MaxInt).Ring(0)
+	for i := 0; i < 200; i++ {
 		r.Record(KEvPost, sim.Time(i), 0, uint32(i), 0)
 	}
-	rec.KeepAll()
-	for i := 6; i < 20; i++ {
-		r.Record(KEvPost, sim.Time(i), 0, uint32(i), 0)
-	}
-	if r.Len() != 18 || r.Dropped() != 2 {
-		t.Fatalf("Len=%d Dropped=%d, want 18, 2", r.Len(), r.Dropped())
+	if r.Len() != 200 || r.Dropped() != 0 {
+		t.Fatalf("Len=%d Dropped=%d, want 200, 0", r.Len(), r.Dropped())
 	}
 	for i, e := range r.Events() {
-		if e.A != uint32(2+i) {
-			t.Fatalf("event %d: A = %d, want %d", i, e.A, 2+i)
+		if e.A != uint32(i) {
+			t.Fatalf("event %d: A = %d, want %d", i, e.A, i)
 		}
 	}
-	if got := rec.Ring(1); got.cap != math.MaxInt {
-		t.Error("a ring built after KeepAll wraps")
-	}
 	newest := r.Newest(4)
-	if len(newest) != 4 || newest[0].A != 16 || newest[3].A != 19 {
-		t.Errorf("Newest(4) = %v, want events 16..19", newest)
+	if len(newest) != 4 || newest[0].A != 196 || newest[3].A != 199 {
+		t.Errorf("Newest(4) = %v, want events 196..199", newest)
 	}
 }
 
@@ -312,7 +303,7 @@ func TestEventsReturnCopies(t *testing.T) {
 
 func TestRenderTextMentionsTrigger(t *testing.T) {
 	var buf bytes.Buffer
-	testDump().RenderText(&buf)
+	testDump().RenderText(&buf, 0)
 	out := buf.String()
 	for _, want := range []string{"trigger stall", "node 1", "tx-serialize", "rx-done", "7 older events lost"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {

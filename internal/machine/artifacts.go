@@ -16,7 +16,6 @@ import (
 // a same-seed rerun yields identical bytes at every shard count.
 type Artifacts struct {
 	Telemetry   []byte // telemetry JSON export
-	Trace       []byte // Chrome trace-event timeline
 	Dump        []byte // end-of-run flight-recorder dump
 	ReportDumps []File // each failure report's detection dump, "<report index>.<kind>.p3dump", in report order
 	HostProfile []byte // host-execution profile JSON (host-side values)
@@ -44,11 +43,6 @@ func (m *Machine) Artifacts(reason string) Artifacts {
 		must("telemetry", tel.WriteJSON(&b, m.S.Now()))
 		a.Telemetry = b.Bytes()
 	}
-	if tr := m.Trace(); tr != nil {
-		var b bytes.Buffer
-		must("trace", tr.WriteChrome(&b))
-		a.Trace = b.Bytes()
-	}
 	if m.dumpEvents > 0 {
 		a.Dump = m.TakeDump(reason).Bytes()
 		for i, r := range m.reports {
@@ -67,11 +61,11 @@ func (m *Machine) Artifacts(reason string) Artifacts {
 }
 
 // WriteFiles writes every recorded artifact under dir (created if missing)
-// as base.telemetry.json, base.trace.json, base.<i>.<kind>.p3dump per
+// as base.telemetry.json, base.<i>.<kind>.p3dump per
 // failure report, base.p3dump and base.hostprof.json, in that order, and
 // returns the paths written. It stops at the first error.
 func (a Artifacts) WriteFiles(dir, base string) ([]string, error) {
-	files := append([]File{{"telemetry.json", a.Telemetry}, {"trace.json", a.Trace}}, a.ReportDumps...)
+	files := append([]File{{"telemetry.json", a.Telemetry}}, a.ReportDumps...)
 	files = append(files, File{"p3dump", a.Dump}, File{"hostprof.json", a.HostProfile})
 
 	var paths []string

@@ -43,7 +43,6 @@ func TestArtifactsEveryPlane(t *testing.T) { forEachPair(t, testArtifactsEveryPl
 func testArtifactsEveryPlane(t *testing.T, build func(model.Params) *Machine) {
 	armed := func(p model.Params) *Machine {
 		m := build(p)
-		m.EnableTracing()
 		m.StartSampler(100 * sim.Microsecond)
 		if m.Sharded() {
 			m.EnableHostProfile()
@@ -53,18 +52,12 @@ func testArtifactsEveryPlane(t *testing.T, build func(model.Params) *Machine) {
 	m, _, _, end := runStallScenario(t, armed)
 	a := m.Artifacts("end of run")
 
-	var tel, tr bytes.Buffer
+	var tel bytes.Buffer
 	if err := m.Telemetry().WriteJSON(&tel, m.S.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Trace().WriteChrome(&tr); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Telemetry, tel.Bytes()) {
 		t.Error("Telemetry is not the machine's JSON export")
-	}
-	if !bytes.Equal(a.Trace, tr.Bytes()) {
-		t.Error("Trace is not the machine's Chrome trace")
 	}
 	if !bytes.Equal(a.Dump, end.Bytes()) {
 		t.Error("Dump is not TakeDump(reason)")
@@ -76,7 +69,7 @@ func testArtifactsEveryPlane(t *testing.T, build func(model.Params) *Machine) {
 	if rd := a.ReportDumps[0]; rd.Name != "0.stall.p3dump" || !bytes.Equal(rd.Data, reports[0].Dump.Bytes()) {
 		t.Errorf("report dump %q is not report 0's detection dump", rd.Name)
 	}
-	want := []string{"run.telemetry.json", "run.trace.json", "run.0.stall.p3dump", "run.p3dump"}
+	want := []string{"run.telemetry.json", "run.0.stall.p3dump", "run.p3dump"}
 	if m.Sharded() {
 		want = append(want, "run.hostprof.json")
 		var hp HostProfile

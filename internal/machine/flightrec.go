@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"portals3/internal/flightrec"
 	"portals3/internal/sim"
@@ -86,15 +87,18 @@ func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, 
 // EnableFlightRecorder starts per-node flight recording, with ringEvents
 // events per node (flightrec.DefaultRingEvents when <= 0) in every dump —
 // the end-of-run one Artifacts writes and each failure report's — and
-// returns the recorder. Existing and subsequently built nodes are wired.
-// Like tracing and telemetry, enable it before spawning processes; a
-// machine without it pays one pointer test per record site.
+// returns the recorder. A ring grows as it fills, so a bound larger than
+// the run's event count (math.MaxInt, say) keeps every event: the whole
+// timeline. Existing and subsequently built nodes are wired. Like
+// telemetry, enable it before spawning processes; a machine without it
+// pays one pointer test per record site.
 func (m *Machine) EnableFlightRecorder(ringEvents int) *flightrec.Recorder {
 	if m.dumpEvents == 0 {
 		if ringEvents <= 0 {
 			ringEvents = flightrec.DefaultRingEvents
 		}
-		m.dumpEvents = int32(ringEvents)
+		// No ring holds 2^31 events in memory, so the bound saturates there.
+		m.dumpEvents = int32(min(ringEvents, math.MaxInt32))
 		if m.rec == nil {
 			m.arm(flightrec.NewRecorder(len(m.nodes), ringEvents))
 		}

@@ -216,18 +216,22 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.RunUntil(200 * sim.Millisecond)
+	// The receiver is left waiting on its dead node's event queue: that
+	// deadlock is the panic's consequence, so Run returns.
+	m.Run()
 
-	var panicReport *FailureReport
-	for i, r := range m.Reports() {
+	// A node dies once: the headers queued on its PowerPC when it panicked
+	// exhaust the pool again, but file no report of their own.
+	var panics []FailureReport
+	for _, r := range m.Reports() {
 		if r.Kind == FailurePanic {
-			panicReport = &m.Reports()[i]
-			break
+			panics = append(panics, r)
 		}
 	}
-	if panicReport == nil {
-		t.Fatalf("incast did not file a panic report; reports: %v", m.Reports())
+	if len(panics) != 1 {
+		t.Fatalf("incast filed %d panic reports, want 1; reports: %v", len(panics), m.Reports())
 	}
+	panicReport := &panics[0]
 	if panicReport.Node != 0 {
 		t.Errorf("panic on node %d, want 0", panicReport.Node)
 	}
@@ -248,6 +252,26 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 	if !found {
 		t.Error("panic dump has no KExhaust event on the panicked node")
 	}
+}
+
+// TestDeadlockWithoutAPanicReportStillPanics: a process left blocked on a
+// healthy machine is a bug in the program, and Run says so.
+func TestDeadlockWithoutAPanicReportStillPanics(t *testing.T) {
+	m := NewPair(model.Defaults())
+	if _, err := m.Spawn(0, "waits-forever", Generic, func(app *App) {
+		eq, _ := app.API.EQAlloc(1)
+		app.API.EQWait(eq)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if _, ok := r.(sim.Deadlock); !ok {
+			t.Errorf("Run recovered %v, want a sim.Deadlock", r)
+		}
+	}()
+	m.Run()
+	t.Error("Run returned with a process blocked and no panic report")
 }
 
 // TestLedgerImbalanceFilesReport: a run where an injected drop is never

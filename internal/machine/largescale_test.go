@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -200,7 +201,7 @@ func TestStatsSnapshot(t *testing.T) {
 
 func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 	m := NewPair(model.Defaults())
-	m.EnableTracing()
+	m.EnableFlightRecorder(math.MaxInt)
 	var b *App
 	b, _ = m.Spawn(1, "rx", Generic, func(app *App) {
 		_, eq := recvSetup(t, app, 8192, core.MDOpPut)
@@ -216,7 +217,7 @@ func TestTracingCapturesFullMessageLifecycle(t *testing.T) {
 	})
 	m.Run()
 	// Every layer must appear: wire, firmware, interrupts, Portals events.
-	recs := m.Trace().Records()
+	recs := m.TakeDump("end of run").Records()
 	seen := map[string]bool{}
 	for _, r := range recs {
 		seen[r.Cat+"/"+r.Name] = true

@@ -9,7 +9,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -89,16 +88,13 @@ type Machine struct {
 	hostprofOn bool
 	runWall    time.Duration
 
-	// rec is the one event recorder, armed by EnableFlightRecorder or
-	// EnableTracing. tracing says Trace and Artifacts render its timeline;
-	// dumpEvents is the events per node a dump holds, 0 until
-	// EnableFlightRecorder arms dumps. Both share ledgerReported's word,
-	// so Machine keeps its size class.
+	// rec is the one event recorder, armed by EnableFlightRecorder;
+	// dumpEvents is the events per node a dump holds, 0 until then. It
+	// shares ledgerReported's word, so Machine keeps its size class.
 	rec            *flightrec.Recorder
 	stall          *StallDetector
 	reports        []FailureReport
 	ledgerReported bool
-	tracing        bool
 	dumpEvents     int32
 }
 
@@ -194,38 +190,11 @@ func (m *Machine) home(id topo.NodeID) (*lane, fabric.Port) {
 	return &m.lanes[0], m.Fab
 }
 
-// EnableTracing arms the flight recorder to keep every event — wire,
-// firmware, interrupt and Portals-event activity beside the firmware's
-// transitions — for the machine-wide timeline Trace returns and Artifacts
-// writes, and returns the recorder. Call it before spawning processes.
-func (m *Machine) EnableTracing() *flightrec.Recorder {
-	if !m.tracing {
-		m.tracing = true
-		if m.rec == nil {
-			m.arm(flightrec.NewRecorder(len(m.nodes), 0))
-		}
-		m.rec.KeepAll()
-	}
-	return m.rec
-}
-
-// Trace returns everything the recorder kept since EnableTracing as one
-// dump (nil unless tracing is enabled); its WriteChrome is the Chrome
-// timeline. Every node records on its own lane in lane order, so the
-// timeline is the same at every shard count. Call it after Run, from the
-// driver goroutine.
-func (m *Machine) Trace() *flightrec.Dump {
-	if !m.tracing {
-		return nil
-	}
-	return m.takeDumpAt("trace", "snapshot", -1, m.S.Now(), math.MaxInt)
-}
-
 // EnableTelemetry attaches a telemetry handle to every lane — existing and
 // subsequently built nodes — and returns lane 0's: per-message latency
 // attribution through the generic driver, per-node interrupt dispatch
 // histograms, and the registry the RAS sampler and exporters use. Like
-// tracing, enable it before spawning processes; a machine without it pays
+// the flight recorder, enable it before spawning processes; a machine without it pays
 // one pointer test per site and allocates nothing. On a sharded machine
 // read the merged view through Machine.Telemetry after the run.
 func (m *Machine) EnableTelemetry() *telemetry.Telemetry {
@@ -357,10 +326,12 @@ const accelPendings = 256
 // own), then audits the fault plane's ledger: at quiescence every injected
 // fault must be recovered or condemned, and an imbalance files a
 // FailureLedger report (with a dump when the flight recorder is on)
-// instead of panicking.
+// instead of panicking. Processes left blocked after a node panicked are
+// that panic's casualties, not a second failure: the run ends as at
+// quiescence and Reports says what went wrong. Any other deadlock panics.
 func (m *Machine) Run() {
 	t0 := time.Now()
-	m.engine.Run()
+	m.runEngine()
 	m.runWall += time.Since(t0)
 	if m.sampler != nil && !m.sampler.halted {
 		// On a sharded machine every lane's clock reads the final horizon
@@ -374,6 +345,30 @@ func (m *Machine) Run() {
 	}
 	m.flushMeters()
 	m.checkLedger()
+}
+
+// runEngine runs the engine to quiescence, absorbing a deadlock that
+// follows a FailurePanic report.
+func (m *Machine) runEngine() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(sim.Deadlock); !ok || !m.panicked() {
+				panic(r)
+			}
+		}
+	}()
+	m.engine.Run()
+}
+
+// panicked reports whether a node has filed a FailurePanic report. Call
+// it from the driver goroutine, outside Run's windows.
+func (m *Machine) panicked() bool {
+	for _, r := range m.reports {
+		if r.Kind == FailurePanic {
+			return true
+		}
+	}
+	return false
 }
 
 // flushMeters closes every link meter's final utilization window at

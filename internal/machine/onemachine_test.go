@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"portals3/internal/fabric"
@@ -104,13 +105,12 @@ func TestOneLaneMatchesClassicUnderLinkErrors(t *testing.T) {
 func TestIDsCarryTheirNode(t *testing.T) {
 	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
 		m := build(model.Defaults())
-		m.EnableTracing()
-		m.EnableFlightRecorder(0)
+		m.EnableFlightRecorder(math.MaxInt)
 		pingPong(t, m, Generic, 4096)
 
 		sent := map[int]uint64{}   // node -> messages it injected
 		minted := map[int]uint64{} // node -> spans it minted
-		for _, nd := range m.Trace().Nodes {
+		for _, nd := range m.TakeDump("ids").Nodes {
 			for _, e := range nd.Events {
 				if e.Kind == flightrec.KWireTx {
 					sent[nd.Node]++

@@ -24,7 +24,9 @@ type NodeFailure struct {
 
 // installFailureHandler is called at node construction. The handler files
 // the panic as a FailurePanic report (Reports) and kills the firmware
-// (blackholing its traffic) instead of crashing the process; set
+// (blackholing its traffic) instead of crashing the process; a dead node's
+// later exhaustions — headers already queued on its PowerPC — file
+// nothing more, so a node files one report however it died. Set
 // Node(n).NIC.OnPanic yourself to restore the crash-hard behavior. The
 // report goes through the machine's failure funnel (flightrec.go), so a
 // panic with the flight recorder on also snapshots a dump — on a classic
@@ -34,6 +36,9 @@ func (m *Machine) installFailureHandler(n *Node) {
 	nic := n.NIC
 	id := n.ID
 	nic.OnPanic = func(reason string) {
+		if nic.Dead() {
+			return
+		}
 		// nic.S is the node's own lane, so the timestamp is race-free on a
 		// sharded machine too; the funnel itself serializes internally.
 		m.fileReport(FailurePanic, id, reason, nic.S.Now(), !m.Sharded())

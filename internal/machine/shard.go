@@ -16,9 +16,10 @@ import (
 // shard count (DESIGN.md §11); the classic machine remains the reference
 // for the whole-path wire model.
 //
-// Observers — tracing, the RAS sampler, the heartbeat monitor, the stall
-// detector — are lane-local on every machine: each lane records into its
-// own tracer/telemetry instance, periodic checks fire through
+// Observers — the flight recorder, the RAS sampler, the heartbeat monitor,
+// the stall detector — are lane-local on every machine: each node records
+// into its own ring and each lane into its own telemetry instance, periodic
+// checks fire through
 // Machine.every (classic self-rescheduling events, or the kernel's
 // canonical barrier ticks), and the per-lane artifacts merge
 // deterministically at snapshot time (DESIGN.md §12). Faults are declared

@@ -310,11 +310,11 @@ func TestCounterConsistencyMultiNode(t *testing.T) {
 // nodes.
 func TestClassicObserverHandlesAreLive(t *testing.T) {
 	m := NewPair(model.Defaults())
-	if m.Telemetry() != nil || m.Trace() != nil {
+	if m.Telemetry() != nil || m.TakeDump("before") != nil {
 		t.Fatal("observers exist before Enable*")
 	}
-	tel, rec := m.EnableTelemetry(), m.EnableTracing()
-	if m.EnableTelemetry() != tel || m.EnableTracing() != rec {
+	tel, rec := m.EnableTelemetry(), m.EnableFlightRecorder(0)
+	if m.EnableTelemetry() != tel || m.EnableFlightRecorder(0) != rec {
 		t.Error("a second Enable* built new observers")
 	}
 	payload := bytes.Repeat([]byte{0x42}, 2048)

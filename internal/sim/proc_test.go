@@ -145,7 +145,7 @@ func TestDeadlockDiagnostics(t *testing.T) {
 	s.Go("stuck1", func(p *Proc) { sig.Wait(p) })
 	s.Go("stuck2", func(p *Proc) { p.Sleep(Microsecond); sig.Wait(p) })
 	want := "sim: deadlock: 2 process(es) still blocked with no pending events at 2.00us"
-	if r := recovered(s.Run); r != want {
+	if r := recovered(s.Run); r != Deadlock(want) {
 		t.Errorf("Sim.Run: %v\nwant %v", r, want)
 	}
 
@@ -158,7 +158,7 @@ func TestDeadlockDiagnostics(t *testing.T) {
 		}
 	}
 	want = "sim: deadlock: 3 process(es) still blocked across 2 lanes with no pending events or mail"
-	if r := recovered(k.Run); r != want {
+	if r := recovered(k.Run); r != Deadlock(want) {
 		t.Errorf("Kernel.Run: %v\nwant %v", r, want)
 	}
 }

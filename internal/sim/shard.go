@@ -301,7 +301,7 @@ func comparePosts(a, b post) int {
 // Run executes the sharded simulation to completion: windows advance until
 // every lane is drained and no mail is pending. Like Sim.Run, coroutine
 // processes still blocked at global quiescence are deadlocked and Run
-// panics with a diagnostic.
+// panics with a Deadlock.
 func (k *Kernel) Run() {
 	hp := k.prof
 	if hp != nil {
@@ -310,11 +310,12 @@ func (k *Kernel) Run() {
 	}
 	k.runWindows(Never)
 	k.horizon = -1
-	if p := k.blockedProcs(); p > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked across %d lanes with no pending events or mail", p, len(k.lanes)))
-	}
+	p := k.blockedProcs()
 	if hp != nil {
 		hp.tail()
+	}
+	if p > 0 {
+		panic(Deadlock(fmt.Sprintf("sim: deadlock: %d process(es) still blocked across %d lanes with no pending events or mail", p, len(k.lanes))))
 	}
 }
 

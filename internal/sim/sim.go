@@ -412,10 +412,17 @@ func (s *Sim) pop() event {
 	return ev
 }
 
+// Deadlock is what Run panics with when coroutine processes are still
+// blocked at quiescence: its text is the diagnostic, and its type lets a
+// caller that knows why they are blocked tell it from any other panic.
+type Deadlock string
+
+func (d Deadlock) Error() string { return string(d) }
+
 // Run executes events until the queue is empty or Stop is called.
 // If coroutine processes are still alive when the queue drains, they are
 // deadlocked (waiting on a signal nobody will raise); Run panics with a
-// diagnostic rather than silently returning.
+// Deadlock rather than silently returning.
 func (s *Sim) Run() {
 	s.stopped = false
 	s.limit = Never
@@ -423,7 +430,7 @@ func (s *Sim) Run() {
 		s.pop().fn()
 	}
 	if !s.stopped && s.procs > 0 {
-		panic(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events at %v", s.procs, s.now))
+		panic(Deadlock(fmt.Sprintf("sim: deadlock: %d process(es) still blocked with no pending events at %v", s.procs, s.now)))
 	}
 }
 

@@ -163,7 +163,7 @@ func ReproCommand(c Campaign, sched model.FaultSchedule) string {
 
 // NetpipeRepro renders a netpipe replay command when the schedule fits the
 // two-node netpipe machine (nodes 0-1, X links only) — the quickest rig
-// for staring at a minimal schedule under -trace or -flightrec.
+// for staring at a minimal schedule under -flightrec.
 func NetpipeRepro(sched model.FaultSchedule) (string, bool) {
 	tp, err := topo.New(2, 1, 1, false, false, false)
 	if err != nil || len(sched) == 0 || sched.Validate(tp) != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"portals3/internal/sim"
-	"portals3/internal/trace"
 )
 
 // TestBucketInvariants sweeps values across the range and checks that every
@@ -260,43 +259,5 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if len(e.Series) != 1 || len(e.Series[0].Times) != 2 || e.Series[0].Values[1] != 2.5 {
 		t.Fatalf("series lost in round trip: %+v", e.Series)
-	}
-}
-
-func TestSummarizeTrace(t *testing.T) {
-	span := func(node, track int, cat, name string, ts, dur sim.Time) trace.Record {
-		return trace.Record{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur, PID: node, TID: track}
-	}
-	s := Summarize([]trace.Record{
-		span(0, trace.TrackPPC, "fw", "tx-start", 0, 400),
-		span(0, trace.TrackPPC, "fw", "tx-start", 1000, 600),
-		span(0, trace.TrackHost, "os", "irq", 500, 2000),
-		span(1, trace.TrackPPC, "fw", "rx-header", 800, 440),
-		{Name: "hdr-arrive", Cat: "fabric", Ph: "i", TS: 700, PID: 1, TID: trace.TrackWire},
-	})
-	if s.Horizon != 2500 {
-		t.Errorf("horizon %v", s.Horizon)
-	}
-	if s.Instants != 1 {
-		t.Errorf("instants %d", s.Instants)
-	}
-	if len(s.Spans) != 4 || s.Spans[0].Name != "irq" || s.Spans[0].Total != 2000 {
-		t.Fatalf("span order wrong: %+v", s.Spans)
-	}
-	if in := s.Spans[3]; in.Name != "hdr-arrive" || in.Count != 1 || in.Total != 0 {
-		t.Fatalf("the instant's row is %+v, want its count last", in)
-	}
-	if s.Spans[1].Name != "tx-start" || s.Spans[1].Count != 2 || s.Spans[1].Max != 600 {
-		t.Fatalf("aggregation wrong: %+v", s.Spans[1])
-	}
-	if len(s.Tracks) != 3 || s.Tracks[0].Node != 0 || s.Tracks[0].Track != trace.TrackHost {
-		t.Fatalf("track order wrong: %+v", s.Tracks)
-	}
-	var sb strings.Builder
-	s.Render(&sb)
-	for _, want := range []string{"seastar-ppc", "host-cpu", "fw/tx-start", "occ%"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("render missing %q", want)
-		}
 	}
 }
