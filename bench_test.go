@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"portals3/internal/experiments"
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/mpi"
@@ -428,7 +429,7 @@ func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	cfg := experiments.DefaultTorusConfig()
 	cfg.Shards = 4
 	cfg.Telemetry = true
-	cfg.FlightRec = true
+	cfg.FlightRec = flightrec.DefaultRingEvents
 	cfg.SamplePeriod = 20 * sim.Microsecond
 	cfg.StallWindow = 400 * sim.Microsecond
 	cfg.RASPeriod = 50 * sim.Microsecond

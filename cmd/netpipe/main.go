@@ -42,9 +42,14 @@
 //
 //	netpipe -torus -shards 4 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Every observer flag (-telemetry, -flightrec, -hostprof) writes
-// what the machine recorded (machine.Artifacts); cmd/p3stat renders each
-// file given only its path.
+// Every single run (-series, -torus and its sweep) ends the same way: the
+// counters with -stats, the fault-plane line, every failure report, and the
+// planes the observer switches armed (-telemetry, -flightrec, -hostprof)
+// written through machine.Artifacts under -out BASE, as BASE.p3dump and so
+// on; a failure exits 1. cmd/p3stat renders each file given only its path:
+//
+//	netpipe -torus -dim 3 -workload halo -flightrec -dump-on-stall 400 -out runs/halo
+//	p3stat runs/halo.p3dump
 package main
 
 import (
@@ -61,6 +66,7 @@ import (
 	"time"
 
 	"portals3/internal/experiments"
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/mpi"
@@ -84,15 +90,6 @@ func (c cli) fail(code int, format string, a ...interface{}) int {
 	return code
 }
 
-// save writes one recorded artifact to the file its flag named.
-func (c cli) save(path, what string, data []byte) error {
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	c.printf("%s written to %s (render with p3stat)\n", what, path)
-	return nil
-}
-
 // scheduleTopology is the topology the selected run mode will build, used
 // to validate -schedule before any machine exists.
 func scheduleTopology(torusMode bool, dim int) (*topo.Topology, error) {
@@ -104,19 +101,19 @@ func scheduleTopology(torusMode bool, dim int) (*topo.Topology, error) {
 
 // opts is the parsed command line: one field per flag a run mode reads.
 type opts struct {
-	// Both single-run modes.
-	gbn, stats   bool
-	telemetryOut string
-	sampleUs     int
+	// Every single run: the protocol, the observer switches and where
+	// the epilogue writes what they armed.
+	gbn, stats                     bool
+	telemetry, flightrec, hostprof bool
+	sampleUs                       int
+	ringEvents                     int // flight recorder ring bound per node
+	stallUs                        int // stall detection window in simulated microseconds, 0 off
+	out                            string
 
 	// -series.
 	series, pattern string
 	maxBytes        int
 	accel           bool
-	flightrec       bool
-	ringEvents      int // ring capacity per node, 0 for the default
-	stallUs         int // stall detection window in simulated microseconds, 0 off
-	dumpOut         string
 
 	// -torus.
 	workload      string
@@ -129,7 +126,6 @@ type opts struct {
 	wseed         uint64
 	progress      bool
 	progressEvery time.Duration
-	hostprofOut   string
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -144,17 +140,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.accel, "accel", false, "use accelerated-mode Portals processing")
 	checks := fs.Bool("checks", false, "print paper-vs-measured checks (with -fig)")
 	fs.BoolVar(&o.stats, "stats", false, "print machine counters after the run (with -series or -torus)")
-	fs.StringVar(&o.telemetryOut, "telemetry", "", "write the telemetry JSON export after the run (with -series or -torus)")
+	fs.BoolVar(&o.telemetry, "telemetry", false, "record telemetry and write BASE.telemetry.json (with -series or -torus)")
 	fs.IntVar(&o.sampleUs, "sample", 1000, "RAS sampler period in simulated microseconds, 0 to disable (with -telemetry)")
 	ablations := fs.Bool("ablations", false, "run the design-choice ablations (A1-A6) and print checks")
 	faults := fs.String("faults", "", "seeded fault injection: kind:frame:prob[:delay] rules, comma-separated (kinds drop,dup,delay,reorder; frames any,data,fcack,fcnack)")
 	faultSeed := fs.Int64("faultseed", 0, "fault plane PRNG seed; 0 uses the built-in default (with -faults)")
 	schedule := fs.String("schedule", "", "declarative timed-fault schedule: linkdown:NODE:DIR:AT:DUR, stall:NODE:AT:DUR, restart:NODE:AT:DUR, burst:KIND:FRAME:PROB:AT:DUR[:DELAY], corrupt:NODE:AT, comma-separated; works at any -shards count (combine with -gbn to recover losses)")
 	fs.BoolVar(&o.gbn, "gbn", false, "enable the go-back-n loss/exhaustion recovery protocol (with -series or -torus)")
-	fs.BoolVar(&o.flightrec, "flightrec", false, "enable the per-node flight recorder and write an end-of-run dump (with -series)")
-	fs.IntVar(&o.ringEvents, "flightrec-events", 0, "flight recorder ring capacity per node, 0 for the default")
-	fs.IntVar(&o.stallUs, "dump-on-stall", 0, "stall detection window in simulated microseconds; a stalled flow dumps the recorder (implies -flightrec)")
-	fs.StringVar(&o.dumpOut, "dumpout", "netpipe.p3dump", "flight recorder dump file NAME.p3dump; each failure report's dump lands beside it as NAME.<i>.<kind>.p3dump (with -flightrec)")
+	fs.BoolVar(&o.flightrec, "flightrec", false, "enable the per-node flight recorder and write BASE.p3dump, each failure report's dump beside it as BASE.<i>.<kind>.p3dump (with -series or -torus)")
+	fs.IntVar(&o.ringEvents, "flightrec-events", flightrec.DefaultRingEvents, "flight recorder ring bound per node; a bound above the run's event count keeps every event")
+	fs.IntVar(&o.stallUs, "dump-on-stall", 0, "stall detection window in simulated microseconds; a stalled flow files a report with a dump (implies -flightrec)")
+	fs.StringVar(&o.out, "out", "netpipe", "base path of the written artifacts: BASE.telemetry.json, BASE.p3dump, BASE.hostprof.json; a sweep arm writes under BASE.load<L>")
 	torus := fs.Bool("torus", false, "run a machine-scale torus workload instead of a netpipe curve")
 	fs.IntVar(&o.dim, "dim", 8, "torus dimension: dim^3 nodes (with -torus)")
 	fs.IntVar(&o.shards, "shards", 1, "event lanes for the sharded parallel kernel (with -torus)")
@@ -168,11 +164,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&o.wseed, "wseed", 1, "destination-stream seed (with -workload random/hotspot/sweep)")
 	fs.BoolVar(&o.progress, "progress", false, "print a live progress line (virtual-time rate, events/sec, lane imbalance, heap, ETA) to stderr (with -torus)")
 	fs.DurationVar(&o.progressEvery, "progress-every", time.Second, "progress line period in wall-clock (with -progress)")
-	fs.StringVar(&o.hostprofOut, "hostprof", "", "write the host-execution profile (per-lane busy/wait/drain, stragglers, memory watermarks) as JSON (with -torus)")
+	fs.BoolVar(&o.hostprof, "hostprof", false, "write the host-execution profile (per-lane busy/wait/drain, stragglers, memory watermarks) as BASE.hostprof.json (with -torus)")
 	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a host heap profile at exit to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if fs.NArg() > 0 {
+		return c.fail(2, "unexpected argument %q: -telemetry, -flightrec and -hostprof are switches, and -out names the files", fs.Arg(0))
 	}
 	// Every -workload names a torus workload, so setting it explicitly
 	// implies -torus: `netpipe -workload sweep -shards 4` runs the sweep.
@@ -192,7 +191,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	p.FaultSeed = *faultSeed
 	o.flightrec = o.flightrec || o.stallUs > 0 // a stall dump needs the recorder
-	if (o.progress || o.hostprofOut != "") && !*torus {
+	if (o.progress || o.hostprof) && !*torus {
 		return c.fail(2, "-progress/-hostprof profile the sharded kernel's lanes; they need -torus (classic runs profile with -cpuprofile)")
 	}
 	if o.progressEvery <= 0 {
@@ -204,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}{
 		{"max", o.maxBytes, 1}, {"msgs", o.msgs, 1},
 		{"steps", o.steps, 0}, {"sample", o.sampleUs, 0},
-		{"flightrec-events", o.ringEvents, 0}, {"dump-on-stall", o.stallUs, 0},
+		{"flightrec-events", o.ringEvents, 1}, {"dump-on-stall", o.stallUs, 0},
 	} {
 		if f.val < f.min {
 			return c.fail(2, "-%s %d must be at least %d", f.name, f.val, f.min)
@@ -264,13 +263,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return c.fail(2, "unknown pattern %q (want pingpong, stream or bidir)", o.pattern)
 		}
 	}
+	if *ablations || (*fig != "" && !*torus) {
+		// Figures and ablations build many machines, observe none of them
+		// and end in no epilogue: a flag for one run would be ignored.
+		single := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "telemetry", "flightrec", "flightrec-events", "dump-on-stall", "out", "stats", "schedule":
+				if single == "" {
+					single = f.Name
+				}
+			}
+		})
+		if single != "" {
+			return c.fail(2, "-%s applies to a single run; use it with -series or -torus, not -fig/-ablations", single)
+		}
+	}
 	if p.Schedule, err = model.ParseSchedule(*schedule); err != nil {
 		return c.fail(2, "-schedule: %v", err)
 	}
 	if len(p.Schedule) > 0 {
-		if *fig != "" || *ablations {
-			return c.fail(2, "-schedule applies to a single run; use it with -series or -torus, not -fig/-ablations")
-		}
 		// Validate against the topology the run will actually build: the
 		// dim^3 torus, or the two-node netpipe pair.
 		tp, err := scheduleTopology(*torus, o.dim)
@@ -333,14 +345,18 @@ func (o opts) baseConfig(c cli, p model.Params) experiments.TorusConfig {
 	cfg.Faults = p.Faults
 	cfg.FaultSeed = p.FaultSeed
 	cfg.Schedule = p.Schedule
-	cfg.Telemetry = o.telemetryOut != ""
-	if cfg.Telemetry && o.sampleUs > 0 {
+	cfg.Telemetry = o.telemetry
+	if cfg.Telemetry {
 		cfg.SamplePeriod = sim.Time(o.sampleUs) * sim.Microsecond
 	}
+	if o.flightrec {
+		cfg.FlightRec = o.ringEvents
+	}
+	cfg.StallWindow = sim.Time(o.stallUs) * sim.Microsecond
 	if o.steps > 0 {
 		cfg.Steps = o.steps
 	}
-	cfg.HostProf = o.hostprofOut != ""
+	cfg.HostProf = o.hostprof
 	if o.progress { // implies HostProf
 		// Stderr: stdout stays reserved for the workload's tables.
 		cfg.Progress = func(hp sim.HostProgress) { fmt.Fprintln(c.err, "progress:", hp) }
@@ -360,6 +376,55 @@ func (o opts) trafficConfig(c cli, p model.Params, load float64) experiments.Tra
 		HotNode:     topo.NodeID(o.hot),
 		Seed:        o.wseed,
 	}
+}
+
+// ending is what one run leaves for the epilogue.
+type ending struct {
+	stats    string            // the machine's counter table
+	faults   string            // the fault ledger's line, "" when no fault was planned
+	failures []string          // failure reports and workload errors, in order
+	art      machine.Artifacts // what the armed planes recorded
+}
+
+// torusEnding is a torus run's ending.
+func torusEnding(r experiments.TorusResult) ending {
+	return ending{r.StatsText, r.FaultsLine, r.Errors, r.Artifacts}
+}
+
+// epilogue ends every single run the same way: the counter table with
+// -stats, the fault-plane line, every failure on stderr, then the planes
+// the flags armed, written through Artifacts.WriteFiles under base. It
+// returns the exit code: 1 on any failure or write error.
+func (c cli) epilogue(o opts, base string, e ending) int {
+	if o.stats {
+		c.printf("\n%s", e.stats)
+	}
+	if e.faults != "" {
+		c.printf("fault plane: %s\n", e.faults)
+	}
+	for _, f := range e.failures {
+		fmt.Fprintln(c.err, "ERROR: "+f)
+	}
+	a := e.art
+	if !o.telemetry {
+		a.Telemetry = nil // a sweep records it for its curves
+	}
+	if !o.hostprof {
+		a.HostProfile = nil // -progress arms the profiler
+	}
+	// Every simulated artifact is deterministic: a same-seed rerun writes
+	// identical bytes under identical names.
+	paths, err := a.WriteFiles(filepath.Dir(base), filepath.Base(base))
+	for _, path := range paths {
+		c.printf("artifact written to %s (render with p3stat)\n", path)
+	}
+	if err != nil {
+		return c.fail(1, "%v", err)
+	}
+	if len(e.failures) > 0 {
+		return 1
+	}
+	return 0
 }
 
 // hopRows reads the per-hop-count latency curve out of a telemetry export.
@@ -411,41 +476,20 @@ func runTorus(c cli, p model.Params, o opts) int {
 	}
 	c.printf("finished at %.1f us simulated, %d kernel windows\n",
 		float64(r.FinishPs)/1e6, r.Windows)
-	if o.stats {
-		c.printf("\n%s", r.StatsText)
-	}
-	if r.FaultsLine != "" {
-		c.printf("fault plane: %s\n", r.FaultsLine)
-	}
-	if o.telemetryOut != "" {
+	if o.telemetry {
 		if rows, err := hopRows(r.Artifacts.Telemetry); err == nil && len(rows) > 0 {
 			c.printf("\n")
 			experiments.RenderHopCurve(c.out, rows)
 		}
-		if err := c.save(o.telemetryOut, "telemetry", r.Artifacts.Telemetry); err != nil {
-			return c.fail(1, "%v", err)
-		}
 	}
-	if o.hostprofOut != "" {
-		if err := c.save(o.hostprofOut, "host profile", r.Artifacts.HostProfile); err != nil {
-			return c.fail(1, "%v", err)
-		}
-	}
-	for _, e := range r.Errors {
-		fmt.Fprintln(c.err, "ERROR: "+e)
-	}
-	if len(r.Errors) > 0 {
-		return 1
-	}
-	return 0
+	return c.epilogue(o, o.out, torusEnding(r))
 }
 
 // runSweep runs the uniform traffic generator once per offered load and
 // prints each arm's per-hop-count latency curve plus a closing summary —
 // the latency-under-load methodology of EXPERIMENTS.md. Telemetry is
-// forced on (the curves come from it); with -telemetry set, each arm's
-// export lands in LOAD-prefixed files, and -hostprof gets one profile
-// merged across the arms.
+// recorded in every arm (the curves come from it); each arm ends in the
+// epilogue and writes what the flags armed under BASE.load<L>.
 func runSweep(c cli, p model.Params, o opts) int {
 	c.printf("# latency-under-load sweep: %d nodes (%dx%dx%d), %d x %d B per sender, loads %v, shards=%d\n",
 		o.dim*o.dim*o.dim, o.dim, o.dim, o.dim, o.msgs, experiments.DefaultTorusConfig().Bytes, o.loads, o.shards)
@@ -456,54 +500,35 @@ func runSweep(c cli, p model.Params, o opts) int {
 		e2eMean, e2eP99 float64
 	}
 	arms := make([]arm, 0, len(o.loads))
-	failed := false
-	var hostprof *machine.HostProfile
+	code := 0
 	for _, load := range o.loads {
 		cfg := o.trafficConfig(c, p, load)
 		cfg.HotFrac = 0
 		cfg.Telemetry = true
-		if cfg.SamplePeriod == 0 {
-			cfg.SamplePeriod = sim.Time(o.sampleUs) * sim.Microsecond
-		}
+		cfg.SamplePeriod = sim.Time(o.sampleUs) * sim.Microsecond
 		r := experiments.TorusTraffic(cfg)
-		if hostprof == nil {
-			hostprof = r.HostProfile
-		} else {
-			hostprof.Merge(r.HostProfile)
-		}
-		for _, e := range r.Errors {
-			fmt.Fprintln(c.err, "ERROR: "+e)
-			failed = true
-		}
-		rows, err := hopRows(r.Artifacts.Telemetry)
-		if err != nil {
-			failed = true
-			c.fail(1, "load %.2f: %v", load, err)
-			continue
-		}
-		a := arm{load: load, finishPs: r.FinishPs, rows: rows}
-		var msgs uint64
-		for _, row := range rows {
-			a.e2eMean += row.E2EMeanPs * float64(row.Msgs)
-			msgs += row.Msgs
-			if row.E2EP99Ps > a.e2eP99 {
-				a.e2eP99 = row.E2EP99Ps
-			}
-		}
-		if msgs > 0 {
-			a.e2eMean /= float64(msgs)
-		}
-		arms = append(arms, a)
 		c.printf("\n== load %.2f (finished at %.1f us, %d kernel windows)\n",
 			load, float64(r.FinishPs)/1e6, r.Windows)
-		experiments.RenderHopCurve(c.out, rows)
-		if o.telemetryOut != "" {
-			dir, base := filepath.Split(o.telemetryOut)
-			path := fmt.Sprintf("%sload%.2f-%s", dir, load, base)
-			if err := c.save(path, "telemetry", r.Artifacts.Telemetry); err != nil {
-				return c.fail(1, "%v", err)
+		rows, err := hopRows(r.Artifacts.Telemetry)
+		if err != nil {
+			code = c.fail(1, "load %.2f: %v", load, err)
+		} else {
+			a := arm{load: load, finishPs: r.FinishPs, rows: rows}
+			var msgs uint64
+			for _, row := range rows {
+				a.e2eMean += row.E2EMeanPs * float64(row.Msgs)
+				msgs += row.Msgs
+				if row.E2EP99Ps > a.e2eP99 {
+					a.e2eP99 = row.E2EP99Ps
+				}
 			}
+			if msgs > 0 {
+				a.e2eMean /= float64(msgs)
+			}
+			arms = append(arms, a)
+			experiments.RenderHopCurve(c.out, rows)
 		}
+		code = max(code, c.epilogue(o, fmt.Sprintf("%s.load%.2f", o.out, load), torusEnding(r)))
 	}
 	c.printf("\nlatency vs offered load:\n")
 	c.printf("  %6s %12s %12s %12s\n", "load", "finish", "e2e-mean", "e2e-p99")
@@ -511,19 +536,7 @@ func runSweep(c cli, p model.Params, o opts) int {
 		c.printf("  %6.2f %10.1fus %10.3fus %10.3fus\n",
 			a.load, float64(a.finishPs)/1e6, a.e2eMean/1e6, a.e2eP99/1e6)
 	}
-	if o.hostprofOut != "" {
-		merged, err := hostprof.JSON()
-		if err == nil {
-			err = c.save(o.hostprofOut, "host profile", merged)
-		}
-		if err != nil {
-			return c.fail(1, "%v", err)
-		}
-	}
-	if failed {
-		return 1
-	}
-	return 0
+	return code
 }
 
 // runAblations reproduces the A1-A5 ablation studies of DESIGN.md.
@@ -603,11 +616,11 @@ func runSeries(c cli, p model.Params, o opts) int {
 		}
 		if o.flightrec {
 			m.EnableFlightRecorder(o.ringEvents)
-			if o.stallUs > 0 {
-				m.StartStallDetector(sim.Time(o.stallUs) * sim.Microsecond)
-			}
 		}
-		if o.telemetryOut != "" {
+		if o.stallUs > 0 {
+			m.StartStallDetector(sim.Time(o.stallUs) * sim.Microsecond)
+		}
+		if o.telemetry {
 			m.EnableTelemetry()
 			if o.sampleUs > 0 {
 				m.StartSampler(sim.Time(o.sampleUs) * sim.Microsecond)
@@ -630,49 +643,18 @@ func runSeries(c cli, p model.Params, o opts) int {
 	for _, pt := range r.Points {
 		c.printf("%v\n", pt)
 	}
-	if o.stats {
-		c.printf("\n%v", mach.Stats())
-	}
-	if len(p.Faults) > 0 || len(p.Schedule) > 0 {
-		fs, _ := mach.FaultSnapshot()
-		c.printf("\nfault plane: %v\n", fs)
-	}
-	reports := mach.Reports()
-	art := mach.Artifacts("end of run")
-	if o.flightrec {
-		for _, r := range reports {
-			c.printf("\nfailure: %v\n", r)
-		}
-		// Every dump is deterministic: a same-seed rerun writes identical
-		// bytes under identical names.
-		dumps := machine.Artifacts{Dump: art.Dump, ReportDumps: art.ReportDumps}
-		paths, err := dumps.WriteFiles(filepath.Dir(o.dumpOut), strings.TrimSuffix(filepath.Base(o.dumpOut), ".p3dump"))
-		for _, path := range paths {
-			c.printf("flight recorder dump written to %s (render with p3stat)\n", path)
-		}
-		if err != nil {
-			return c.fail(1, "%v", err)
-		}
-	}
-	if o.telemetryOut != "" {
+	if o.telemetry {
 		if bd, ok := mach.Telemetry().Snapshot(mach.S.Now()).Breakdown(); ok {
 			c.printf("\n")
 			bd.Render(c.out)
 		}
-		if err := c.save(o.telemetryOut, "telemetry", art.Telemetry); err != nil {
-			return c.fail(1, "%v", err)
-		}
 	}
-	// A scheduled-fault run that ends with open failure reports (ledger
-	// imbalance, stall, panic) exits nonzero so scripted repros can gate on
-	// it; with the recorder on the reports were printed above.
-	if len(p.Schedule) > 0 && len(reports) > 0 {
-		if !o.flightrec {
-			for _, r := range reports {
-				fmt.Fprintf(c.err, "failure: %v\n", r)
-			}
-		}
-		return 1
+	e := ending{stats: mach.Stats().String(), art: mach.Artifacts("end of run")}
+	if st, ok := mach.FaultSnapshot(); ok {
+		e.faults = st.String()
 	}
-	return 0
+	for _, r := range mach.Reports() {
+		e.failures = append(e.failures, "failure report: "+r.String())
+	}
+	return c.epilogue(o, o.out, e)
 }

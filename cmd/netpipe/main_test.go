@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"portals3/internal/flightrec"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
@@ -33,15 +37,17 @@ func TestFlagValidation(t *testing.T) {
 		{"-series put -faults drop:data", "-faults"},
 		{"-series put -faults drop:data:NaN", "-faults"},
 		{"-series put -progress", "-torus"},
-		{"-series put -hostprof h.json", "-torus"},
+		{"-series put -hostprof", "-torus"},
+		{"-series put -telemetry r.json", `unexpected argument "r.json"`},
 		{"-torus -progress -progress-every 0s", "-progress-every"},
 		{"-series put -max -5", "-max -5"},
 		{"-series put -max 0", "-max 0"},
 		{"-workload random -dim 3 -msgs -3", "-msgs -3"},
 		{"-workload sweep -dim 3 -msgs 0", "-msgs 0"},
 		{"-torus -dim 3 -steps -1", "-steps -1"},
-		{"-series put -telemetry r.json -sample -1", "-sample -1"},
+		{"-series put -telemetry -sample -1", "-sample -1"},
 		{"-series put -flightrec -flightrec-events -8", "-flightrec-events -8"},
+		{"-series put -flightrec -flightrec-events 0", "-flightrec-events 0"},
 		{"-series put -dump-on-stall -400", "-dump-on-stall -400"},
 		{"-torus -dim 2", "-dim 2"},
 		{"-torus -dim 3 -shards 0", "-shards 0"},
@@ -57,6 +63,12 @@ func TestFlagValidation(t *testing.T) {
 		{"-series put -schedule stall:1:2562047h:1us", "-schedule"},
 		{"-fig 4 -schedule stall:1:1us:1us", "single run"},
 		{"-ablations -schedule stall:1:1us:1us", "single run"},
+		{"-fig 4 -telemetry", "-telemetry applies to a single run"},
+		{"-fig all -flightrec", "-flightrec applies to a single run"},
+		{"-fig 5 -flightrec-events 64", "-flightrec-events applies to a single run"},
+		{"-ablations -dump-on-stall 400", "-dump-on-stall applies to a single run"},
+		{"-ablations -out x", "-out applies to a single run"},
+		{"-fig 4 -stats", "-stats applies to a single run"},
 		{"-series put -schedule stall:2:1us:1us", "node 2 outside"},
 		{"-torus -dim 3 -schedule linkdown:27:X+:1us:1us", "node 27 outside"},
 	} {
@@ -72,10 +84,13 @@ func TestFlagValidation(t *testing.T) {
 		}
 	}
 	// A flag the tool does not define is the flag package's usage error.
-	// -trace is one: the timeline is p3stat -chrome of a -flightrec dump.
-	if code, stdout, stderr := runCLI("-series", "put", "-trace", "t.json"); code != 2 || stdout != "" ||
-		!strings.Contains(stderr, "flag provided but not defined: -trace") {
-		t.Errorf("netpipe -trace: exit %d, stdout %q, stderr %.80q; want 2 and the usage error", code, stdout, stderr)
+	// -trace is one: the timeline is p3stat -chrome of a -flightrec dump;
+	// -dumpout is another: -out names every file a run writes.
+	for _, name := range []string{"-trace", "-dumpout"} {
+		if code, stdout, stderr := runCLI("-series", "put", name, "t.json"); code != 2 || stdout != "" ||
+			!strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("netpipe %s: exit %d, stdout %q, stderr %.80q; want 2 and the usage error", name, code, stdout, stderr)
+		}
 	}
 }
 
@@ -123,60 +138,133 @@ func TestFigure4Golden(t *testing.T) {
 	}
 }
 
-// TestRunModesWriteWhatTheFlagsNamed: both run modes take the bytes from
-// machine.Artifacts and put them where each flag said — a series run with
-// every plane armed and a scheduled stall the detector reports, and a
-// two-lane torus run.
-func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
-	dir := t.TempDir()
-	in := func(name string) string { return filepath.Join(dir, name) }
-
-	code, stdout, stderr := runCLI("-series", "put", "-max", "4096", "-gbn", "-stats",
-		"-flightrec", "-flightrec-events", "64", "-dump-on-stall", "40", "-dumpout", in("dumps/x.p3dump"),
-		"-telemetry", in("r.json"), "-sample", "100",
-		"-schedule", "stall:1:150us:100us")
-	if code != 1 || !strings.Contains(stdout, "failure: stall on node") {
-		t.Errorf("series run: exit %d, want 1 for the reported stall\nstdout: %s\nstderr: %s", code, stdout, stderr)
+// written lists the files under dir, relative to it.
+func written(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			names = append(names, filepath.ToSlash(rel))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	code, stdout, stderr = runCLI("-torus", "-dim", "3", "-shards", "2", "-steps", "1",
-		"-telemetry", in("torus.json"), "-hostprof", in("h.json"))
-	if code != 0 || stderr != "" {
-		t.Errorf("torus run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
-	}
+	sort.Strings(names)
+	return names
+}
 
-	for name, magic := range map[string]string{
-		"dumps/x.p3dump":         "P3DUMP01",
-		"dumps/x.0.stall.p3dump": "P3DUMP01",
-		"r.json":                 "{\n  \"sim_time_ps\"",
-		"torus.json":             "{\n  \"sim_time_ps\"",
-		"h.json":                 "{\n  \"kind\": \"host_profile\"",
-	} {
-		b, err := os.ReadFile(in(name))
+// checkMagic requires each named file under dir to start with its format's
+// first bytes.
+func checkMagic(t *testing.T, dir string, magic map[string]string) {
+	t.Helper()
+	for name, m := range magic {
+		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Error(err)
-		} else if !bytes.HasPrefix(b, []byte(magic)) {
-			t.Errorf("%s starts %q, want %q", name, b[:min(len(b), 24)], magic)
+		} else if !bytes.HasPrefix(b, []byte(m)) {
+			t.Errorf("%s starts %q, want %q", name, b[:min(len(b), 24)], m)
 		}
 	}
 }
 
-// TestSweepTelemetryPrefixesTheBaseName: a sweep writes one export per load
-// with the load prefixed to the file's name, not glued onto the whole path
-// (which, for any path with a directory in it, named a directory that does
-// not exist and failed the run after all its arms had finished).
-func TestSweepTelemetryPrefixesTheBaseName(t *testing.T) {
+const (
+	dumpMagic      = "P3DUMP01"
+	telemetryMagic = "{\n  \"sim_time_ps\""
+	hostprofMagic  = "{\n  \"kind\": \"host_profile\""
+)
+
+// TestRunModesWriteWhatTheFlagsNamed: both run modes end in one epilogue
+// that writes the armed planes under -out and nothing else — a series run
+// with every plane armed and a scheduled stall the detector reports (exit
+// 1, the report on stderr), and a two-lane torus run.
+func TestRunModesWriteWhatTheFlagsNamed(t *testing.T) {
+	dir := t.TempDir()
+
+	code, stdout, stderr := runCLI("-series", "put", "-max", "4096", "-gbn", "-stats",
+		"-flightrec", "-flightrec-events", "64", "-dump-on-stall", "40", "-out", filepath.Join(dir, "dumps/x"),
+		"-telemetry", "-sample", "100",
+		"-schedule", "stall:1:150us:100us")
+	if code != 1 || !strings.Contains(stderr, "ERROR: failure report: stall on node") {
+		t.Errorf("series run: exit %d, want 1 for the reported stall\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	code, stdout, stderr = runCLI("-torus", "-dim", "3", "-shards", "2", "-steps", "1",
+		"-telemetry", "-hostprof", "-out", filepath.Join(dir, "torus"))
+	if code != 0 || stderr != "" {
+		t.Errorf("torus run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
+	}
+
+	want := map[string]string{
+		"dumps/x.p3dump":         dumpMagic,
+		"dumps/x.0.stall.p3dump": dumpMagic,
+		"dumps/x.telemetry.json": telemetryMagic,
+		"torus.telemetry.json":   telemetryMagic,
+		"torus.hostprof.json":    hostprofMagic,
+	}
+	if got := written(t, dir); len(got) != len(want) {
+		t.Errorf("wrote %q, want the %d files of the armed planes", got, len(want))
+	}
+	checkMagic(t, dir, want)
+}
+
+// TestTorusRunRecordsAndDetectsStalls: a torus run honours -flightrec,
+// -flightrec-events and -dump-on-stall like a series run — a bound above
+// the run's event count keeps every event, and the dump renders.
+func TestTorusRunRecordsAndDetectsStalls(t *testing.T) {
+	dir := t.TempDir()
+	code, stdout, stderr := runCLI("-torus", "-dim", "3", "-workload", "halo", "-steps", "1",
+		"-flightrec", "-flightrec-events", "100000000", "-dump-on-stall", "400", "-out", filepath.Join(dir, "t"))
+	if code != 0 || stderr != "" {
+		t.Fatalf("torus run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "t.p3dump"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := flightrec.Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Nodes) != 27 || d.Dropped() != 0 {
+		t.Errorf("dump holds %d nodes and lost %d events, want 27 and none", len(d.Nodes), d.Dropped())
+	}
+	var text bytes.Buffer
+	d.RenderText(&text, 0)
+	if !strings.Contains(text.String(), "timeline (") {
+		t.Errorf("the dump renders no timeline:\n%.400s", text.String())
+	}
+}
+
+// TestSweepArmsWriteUnderTheirLoad: each sweep arm ends in the epilogue and
+// writes what the flags armed under BASE.load<L> — its own telemetry,
+// host profile and dump, none merged — and only that: the telemetry every
+// arm records for its curves is written only with -telemetry.
+func TestSweepArmsWriteUnderTheirLoad(t *testing.T) {
 	dir := t.TempDir()
 	code, stdout, stderr := runCLI("-workload", "sweep", "-dim", "3", "-msgs", "2", "-loads", "0.5,1",
-		"-telemetry", filepath.Join(dir, "x.json"))
+		"-telemetry", "-hostprof", "-flightrec", "-out", filepath.Join(dir, "x"))
 	if code != 0 || stderr != "" {
 		t.Fatalf("sweep run: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
 	}
-	for _, name := range []string{"load0.50-x.json", "load1.00-x.json"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Error(err)
-		} else if !bytes.HasPrefix(b, []byte("{\n  \"sim_time_ps\"")) {
-			t.Errorf("%s is not a telemetry export: starts %q", name, b[:min(len(b), 24)])
-		}
+	want := map[string]string{}
+	for _, load := range []string{"0.50", "1.00"} {
+		want["x.load"+load+".telemetry.json"] = telemetryMagic
+		want["x.load"+load+".hostprof.json"] = hostprofMagic
+		want["x.load"+load+".p3dump"] = dumpMagic
+	}
+	if got := written(t, dir); len(got) != len(want) {
+		t.Errorf("wrote %q, want the %d files of the armed planes", got, len(want))
+	}
+	checkMagic(t, dir, want)
+
+	quiet := t.TempDir()
+	if code, stdout, stderr := runCLI("-workload", "sweep", "-dim", "3", "-msgs", "2", "-loads", "1",
+		"-out", filepath.Join(quiet, "x")); code != 0 || stderr != "" {
+		t.Fatalf("unobserved sweep: exit %d, stderr %q\nstdout: %s", code, stderr, stdout)
+	}
+	if got := written(t, quiet); len(got) != 0 {
+		t.Errorf("a sweep with no plane armed wrote %q", got)
 	}
 }

@@ -128,8 +128,9 @@ func renderDump(w io.Writer, d *flightrec.Dump, path string, top int, dv dumpVie
 		fmt.Fprintf(w, "%s: %d nodes, %d spans -> %s\n", path, len(d.Nodes), len(d.Spans()), dv.chrome)
 	case dv.spans:
 		fmt.Fprintf(w, "%s: %s at %v (trigger %s)\n", path, d.Reason, d.At, d.Trigger)
+		n := d.SpanEvents()
 		for _, s := range d.Spans() {
-			fmt.Fprintf(w, "  span %-8d %d events\n", s, len(d.Span(s)))
+			fmt.Fprintf(w, "  span %-8d %d events\n", s, n[s])
 		}
 	case dv.span != 0:
 		d.RenderSpan(w, dv.span)
@@ -156,11 +157,7 @@ func pctOf(part, total int64) string {
 // per-lane busy/wait breakdown ranked by straggler windows — the lanes
 // the rest of the machine most often waited for, first.
 func renderHostProfile(w io.Writer, hp *machine.HostProfile, path string, top int) {
-	merged := ""
-	if hp.Runs > 1 {
-		merged = fmt.Sprintf(", %d runs merged", hp.Runs)
-	}
-	fmt.Fprintf(w, "# %s  host-execution profile (shards %d%s)\n", path, hp.Shards, merged)
+	fmt.Fprintf(w, "# %s  host-execution profile (shards %d)\n", path, hp.Shards)
 	fmt.Fprintf(w, "  windows %d, events %d", hp.Windows, hp.Events)
 	if hp.Windows > 0 {
 		fmt.Fprintf(w, " (%.1f events/window)", float64(hp.Events)/float64(hp.Windows))

@@ -39,7 +39,7 @@ func writeArtifacts(t *testing.T) string {
 	dir := t.TempDir()
 	r := experiments.TorusHalo(experiments.TorusConfig{
 		Dim: 3, Bytes: 64, Steps: 1, Radius: 1, Shards: 2,
-		Telemetry: true, FlightRec: true, HostProf: true,
+		Telemetry: true, FlightRec: flightrec.DefaultRingEvents, HostProf: true,
 		SamplePeriod: 50 * sim.Microsecond,
 	})
 	if len(r.Errors) > 0 {

@@ -94,7 +94,7 @@ func goldenDocument() string {
 	}
 	sum("chrome trace, put pingpong to 1 KB", chrome.Bytes())
 
-	torus := experiments.TorusConfig{Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Telemetry: true, FlightRec: true}
+	torus := experiments.TorusConfig{Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Telemetry: true, FlightRec: flightrec.DefaultRingEvents}
 	lossyTraffic := experiments.TrafficConfig{TorusConfig: torus, Msgs: 4, Load: 1, Seed: 7}
 	lossyTraffic.GoBackN = true
 	lossyTraffic.FaultSeed = 7

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 )
@@ -14,7 +15,7 @@ func diffCollConfig(shards int, seed int64) TorusConfig {
 	return TorusConfig{
 		Dim: 4, Bytes: 128, Steps: 2, Shards: shards,
 		FaultSeed: seed,
-		Telemetry: true, FlightRec: true,
+		Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 		SamplePeriod: 20 * sim.Microsecond,
 		StallWindow:  600 * sim.Microsecond,
 		RASPeriod:    50 * sim.Microsecond,

@@ -40,8 +40,8 @@ func buildTorusMachine(cfg *TorusConfig) (*machine.Machine, *topo.Topology) {
 	if cfg.Telemetry {
 		m.EnableTelemetry()
 	}
-	if cfg.FlightRec {
-		m.EnableFlightRecorder(0)
+	if cfg.FlightRec > 0 {
+		m.EnableFlightRecorder(cfg.FlightRec)
 	}
 	if cfg.HostProf || cfg.Progress != nil {
 		m.EnableHostProfile()

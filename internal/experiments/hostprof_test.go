@@ -45,6 +45,10 @@ func TestTorusDifferentialHostProfiler(t *testing.T) {
 			t.Errorf("shards %d: profile inconsistent: shards=%d windows=%d (run %d) wall=%d",
 				shards, hp.Shards, hp.Windows, res.Windows, hp.WallNs)
 		}
+		js, err := hp.JSON()
+		if err != nil || !bytes.Contains(js, []byte(`"parks": `)) || !bytes.Contains(js, []byte(`"inline_windows": `)) {
+			t.Fatalf("shards %d: exported profile lacks the barrier counts (err %v):\n%s", shards, err, js)
+		}
 		// The acceptance identity, at the exported-artifact level: every
 		// lane's busy+wait+drain within 5% of the measured kernel wall.
 		for _, l := range hp.Lanes {
@@ -74,41 +78,5 @@ func TestTorusDifferentialInline(t *testing.T) {
 	if !bytes.Equal(inline, ref) {
 		t.Errorf("GOMAXPROCS=1 inline run diverges from parallel workers\n%s",
 			digestDiff(ref, inline))
-	}
-}
-
-// TestHostProfileMerge checks the sweep-arm merge arithmetic the netpipe
-// -workload sweep path relies on.
-func TestHostProfileMerge(t *testing.T) {
-	a := TorusHalo(hostprofConfig(2, 1)).HostProfile
-	b := TorusHalo(hostprofConfig(2, 2)).HostProfile
-	if a == nil || b == nil {
-		t.Fatal("missing host profiles")
-	}
-	wantWall := a.WallNs + b.WallNs
-	wantEvents := a.Events + b.Events
-	wantWindows := a.Windows + b.Windows
-	wantBarrier := [2]uint64{a.Parks + b.Parks, a.InlineWindows + b.InlineWindows}
-	wantLane0 := a.Lanes[0].BusyNs + b.Lanes[0].BusyNs
-	maxHeap := a.HeapInuseHigh
-	if b.HeapInuseHigh > maxHeap {
-		maxHeap = b.HeapInuseHigh
-	}
-	a.Merge(b)
-	if a.Runs != 2 || a.WallNs != wantWall || a.Events != wantEvents || a.Windows != wantWindows {
-		t.Fatalf("merge totals wrong: %+v", a)
-	}
-	if a.Lanes[0].BusyNs != wantLane0 {
-		t.Fatalf("lane 0 busy %d, want %d", a.Lanes[0].BusyNs, wantLane0)
-	}
-	if a.HeapInuseHigh != maxHeap {
-		t.Fatalf("heap watermark %d, want max %d", a.HeapInuseHigh, maxHeap)
-	}
-	if got := [2]uint64{a.Parks, a.InlineWindows}; got != wantBarrier || a.InlineWindows > a.Windows {
-		t.Fatalf("barrier counts (parks, inline windows) %v, want %v of %d windows", got, wantBarrier, a.Windows)
-	}
-	js, err := a.JSON()
-	if err != nil || !bytes.Contains(js, []byte(`"parks": `)) || !bytes.Contains(js, []byte(`"inline_windows": `)) {
-		t.Fatalf("exported profile lacks the barrier counts (err %v):\n%s", err, js)
 	}
 }

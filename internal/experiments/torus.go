@@ -50,7 +50,9 @@ type TorusConfig struct {
 	Schedule model.FaultSchedule
 
 	Telemetry bool
-	FlightRec bool
+	// FlightRec is the flight recorder's ring bound per node, 0 off; a
+	// bound above the run's event count keeps every event.
+	FlightRec int
 
 	// Periodic observers, each off when zero: the RAS sampler (counter and
 	// link-contention series), the stall detector window, and the heartbeat

@@ -19,7 +19,7 @@ func diffConfig(shards int, seed int64) TorusConfig {
 	return TorusConfig{
 		Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Shards: shards,
 		FaultSeed: seed, // seeds the per-node fault PRNGs even with no rules
-		Telemetry: true, FlightRec: true,
+		Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 		SamplePeriod: 20 * sim.Microsecond,
 		StallWindow:  400 * sim.Microsecond,
 		RASPeriod:    50 * sim.Microsecond,

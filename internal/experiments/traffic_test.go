@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"portals3/internal/flightrec"
 	"portals3/internal/model"
 	"portals3/internal/sim"
 	"portals3/internal/topo"
@@ -19,7 +20,7 @@ func diffTrafConfig(shards int, seed int64) TrafficConfig {
 		TorusConfig: TorusConfig{
 			Dim: 4, Bytes: 256, Shards: shards,
 			FaultSeed: seed,
-			Telemetry: true, FlightRec: true,
+			Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 			SamplePeriod: 20 * sim.Microsecond,
 			StallWindow:  600 * sim.Microsecond,
 			RASPeriod:    50 * sim.Microsecond,
@@ -125,7 +126,7 @@ func TestTrafficDifferentialFaults(t *testing.T) {
 // would mean the uniform generator is not actually uniform.
 func TestTrafficBisectionBound(t *testing.T) {
 	cfg := diffTrafConfig(1, 1)
-	cfg.Telemetry, cfg.FlightRec = false, false
+	cfg.Telemetry, cfg.FlightRec = false, 0
 	cfg.SamplePeriod, cfg.StallWindow, cfg.RASPeriod = 0, 0, 0
 	cfg.Msgs = 8
 	res := TorusTraffic(cfg)

@@ -235,27 +235,41 @@ func (d *Dump) Timeline() []TimelineEvent {
 	return out
 }
 
-// Span extracts one causal span's hop-by-hop timeline across all nodes.
+// Span extracts one causal span's hop-by-hop timeline across all nodes,
+// ordered as in Timeline: it filters before it sorts, and a stable sort
+// keeps the filtered events in their Timeline order.
 func (d *Dump) Span(span uint64) []TimelineEvent {
 	var out []TimelineEvent
-	for _, e := range d.Timeline() {
-		if e.SpanID() == span {
-			out = append(out, e)
+	for _, nd := range d.Nodes {
+		for _, e := range nd.Events {
+			if e.SpanID() == span {
+				out = append(out, TimelineEvent{Node: nd.Node, Event: e})
+			}
 		}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }
 
 // Spans returns every nonzero span id present in the dump, sorted.
 func (d *Dump) Spans() []uint64 {
 	var out []uint64
+	for s := range d.SpanEvents() {
+		out = append(out, s)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SpanEvents counts each nonzero span's events in one walk of the dump.
+func (d *Dump) SpanEvents() map[uint64]int {
+	n := make(map[uint64]int)
 	for _, nd := range d.Nodes {
 		for _, e := range nd.Events {
 			if s := e.SpanID(); s != 0 {
-				out = append(out, s)
+				n[s]++
 			}
 		}
 	}
-	slices.Sort(out)
-	return slices.Compact(out)
+	return n
 }

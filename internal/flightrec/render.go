@@ -42,12 +42,13 @@ func (d *Dump) RenderText(w io.Writer, top int) {
 	fmt.Fprintln(w)
 	summarize(d.Records()).render(w, top)
 
-	fmt.Fprintf(w, "\ntimeline (%d events", len(d.Timeline()))
+	tl := d.Timeline()
+	fmt.Fprintf(w, "\ntimeline (%d events", len(tl))
 	if dropped := d.Dropped(); dropped > 0 {
 		fmt.Fprintf(w, ", %d older events lost to ring wrap", dropped)
 	}
 	fmt.Fprintf(w, ")\n")
-	d.renderEvents(w, d.Timeline())
+	d.renderEvents(w, tl)
 }
 
 // RenderSpan writes one causal span's hop-by-hop timeline.

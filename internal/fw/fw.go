@@ -368,6 +368,11 @@ type NIC struct {
 
 	killed bool
 
+	// accepted counts headers that got a pending — the receive side of
+	// Progress. HeadersRx also counts flow-control frames and every header
+	// the firmware rejects (NACKed, out of sequence, duplicate, dead pid).
+	accepted uint64
+
 	// The free lists that remain are of what moves concurrently behind a
 	// server shared with other traffic, where no one queue orders it: payload
 	// chunks in the TX pipeline (bounded by the TX FIFO) and in host deposit
@@ -726,11 +731,12 @@ func (n *NIC) OpenWork() int {
 	return open
 }
 
-// Progress is the node's forward-progress counter: completions, accepted
-// headers and posted events. Retransmit attempts deliberately do not count —
-// a sender spinning on its go-back-n timer is not making progress.
+// Progress is the node's forward-progress counter: completions, headers
+// that got a pending and posted events. Retransmit attempts and rejected
+// headers deliberately do not count — a sender spinning on its go-back-n
+// timer, or a receiver answering it with NACKs, is not making progress.
 func (n *NIC) Progress() uint64 {
-	return n.Stats.Completions + n.Stats.HeadersRx + n.Stats.EventsPosted
+	return n.Stats.Completions + n.accepted + n.Stats.EventsPosted
 }
 
 // RxWindow implements fabric.Endpoint: the chip's bounded receive FIFO.

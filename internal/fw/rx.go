@@ -103,6 +103,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		return
 	}
 	p := proc.rx.take(proc, false)
+	n.accepted++
 	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(proc.rx.avail()), 0)
 	n.gbnAdvance(src, m)
 	n.FR.Record(flightrec.KRxHeader, n.S.Now(), m.Span, m.FwSeq, uint32(m.PayloadLen))

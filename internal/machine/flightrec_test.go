@@ -254,6 +254,64 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 	}
 }
 
+// TestSourceExhaustionLivelockIsAStall: on a 3³ torus whose NICs hold 8
+// source structures, 26 peers incast into node 5 under go-back-n. The
+// first 8 flows claim the hot node's sources, which are never reclaimed;
+// every other flow is NACKed for ever and retransmits on its timer, so the
+// job never ends (Run would not return; the test runs to a horizon). The
+// NACKed headers are not progress, so the stall detector must file a
+// report — counting every arriving header, it never did.
+func TestSourceExhaustionLivelockIsAStall(t *testing.T) {
+	p := model.Defaults()
+	p.NumSources = 8
+	tp, err := topo.XT3Torus(3, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewSharded(p, tp, 1)
+	m.EnableGoBackN()
+	m.StartStallDetector(400 * sim.Microsecond)
+	const hot, msgs, msgBytes = 5, 2, 1024
+	recv, err := m.Spawn(hot, "incast-recv", Generic, func(app *App) {
+		_, eq := recvSetup(t, app, msgBytes, core.MDOpPut|core.MDManageRemote|core.MDEventStartDisable)
+		for {
+			if _, err := app.API.EQWait(eq); err != nil && err != core.ErrEQDropped {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < tp.Nodes(); s++ {
+		if s == hot {
+			continue
+		}
+		if _, err := m.Spawn(topo.NodeID(s), fmt.Sprintf("incast-tx%d", s), Generic, func(app *App) {
+			app.Proc.Sleep(50 * sim.Microsecond)
+			md, _ := app.API.MDBind(core.MDesc{Region: app.Alloc(msgBytes), Threshold: core.ThresholdInfinite})
+			for i := 0; i < msgs; i++ {
+				if err := app.API.Put(md, core.NoAck, recv.ID(), testPtl, 7, 0, 0); err != nil {
+					return
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.RunUntil(10 * sim.Millisecond)
+
+	stalls := 0
+	for _, r := range m.Reports() {
+		if r.Kind == FailureStall {
+			stalls++
+		}
+	}
+	if stalls == 0 {
+		t.Fatalf("a source-exhaustion livelock filed no stall report; reports: %v", m.Reports())
+	}
+}
+
 // TestDeadlockWithoutAPanicReportStillPanics: a process left blocked on a
 // healthy machine is a bug in the program, and Run says so.
 func TestDeadlockWithoutAPanicReportStillPanics(t *testing.T) {

@@ -21,12 +21,10 @@ const HostProfileKind = "host_profile"
 // HostProfile is the exported host-execution artifact: the kernel's
 // profile (for every lane, busy+wait+drain sums to WallNs within clock
 // granularity) plus the machine-measured wall of the kernel run calls, the
-// external reference that accounting is checked against. Runs is 1 for a
-// single run and counts merged arms after Merge (a sweep writes one profile
-// covering every load arm).
+// external reference that accounting is checked against. One profile
+// covers one run; a sweep writes one per load arm.
 type HostProfile struct {
 	Kind      string `json:"kind"`
-	Runs      int    `json:"runs"`
 	RunWallNs int64  `json:"run_wall_ns"`
 	sim.KernelProfile
 }
@@ -65,61 +63,7 @@ func (m *Machine) HostProfile() *HostProfile {
 	if kp == nil {
 		return nil
 	}
-	return &HostProfile{Kind: HostProfileKind, Runs: 1, RunWallNs: int64(m.runWall), KernelProfile: *kp}
-}
-
-// Merge folds another run's profile into this one — how a sweep's per-arm
-// profiles become a single artifact. Times, events, windows, parks and
-// straggler counts add; watermarks and max imbalance take the max; the mean
-// imbalance averages weighted by window count. Lane lists align by index
-// (arms of one sweep share a shard count; a differing count merges the
-// common prefix and appends the rest).
-func (hp *HostProfile) Merge(o *HostProfile) {
-	if o == nil {
-		return
-	}
-	hp.Runs += o.Runs
-	if o.Shards > hp.Shards {
-		hp.Shards = o.Shards
-	}
-	if tw := hp.Windows + o.Windows; tw > 0 {
-		hp.MeanImbalancePct = (hp.MeanImbalancePct*float64(hp.Windows) +
-			o.MeanImbalancePct*float64(o.Windows)) / float64(tw)
-	}
-	hp.Windows += o.Windows
-	hp.Events += o.Events
-	hp.WallNs += o.WallNs
-	hp.RunWallNs += o.RunWallNs
-	hp.ExecNs += o.ExecNs
-	hp.DrainNs += o.DrainNs
-	hp.Parks += o.Parks
-	hp.InlineWindows += o.InlineWindows
-	if o.MaxImbalancePct > hp.MaxImbalancePct {
-		hp.MaxImbalancePct = o.MaxImbalancePct
-	}
-	hp.MemSamples += o.MemSamples
-	if o.HeapInuseHigh > hp.HeapInuseHigh {
-		hp.HeapInuseHigh = o.HeapInuseHigh
-	}
-	if o.HeapAllocHigh > hp.HeapAllocHigh {
-		hp.HeapAllocHigh = o.HeapAllocHigh
-	}
-	if o.SysHigh > hp.SysHigh {
-		hp.SysHigh = o.SysHigh
-	}
-	if o.NumGC > hp.NumGC {
-		hp.NumGC = o.NumGC
-	}
-	for i, l := range o.Lanes {
-		if i < len(hp.Lanes) {
-			hp.Lanes[i].BusyNs += l.BusyNs
-			hp.Lanes[i].WaitNs += l.WaitNs
-			hp.Lanes[i].Events += l.Events
-			hp.Lanes[i].StragglerWindows += l.StragglerWindows
-		} else {
-			hp.Lanes = append(hp.Lanes, l)
-		}
-	}
+	return &HostProfile{Kind: HostProfileKind, RunWallNs: int64(m.runWall), KernelProfile: *kp}
 }
 
 // JSON renders the profile as indented JSON, trailing newline included —

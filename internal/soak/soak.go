@@ -31,6 +31,7 @@ import (
 	"portals3/internal/core"
 	"portals3/internal/experiments"
 	"portals3/internal/fabric"
+	"portals3/internal/flightrec"
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -257,16 +258,19 @@ func audit(m *machine.Machine, res *Result) {
 // campaign's shard count, go-back-n carrying recovery, the schedule, the
 // stall detector sized above it, and the host profiler armed.
 func torusConfig(c Campaign, sched model.FaultSchedule) experiments.TorusConfig {
-	return experiments.TorusConfig{
+	cfg := experiments.TorusConfig{
 		Dim:         3,
 		Shards:      c.Shards,
 		GoBackN:     true,
 		Schedule:    sched,
-		FlightRec:   c.FlightRec,
 		StallWindow: stallWindow(sched),
 		HostProf:    true,
 		Progress:    c.Progress,
 	}
+	if c.FlightRec {
+		cfg.FlightRec = flightrec.DefaultRingEvents
+	}
+	return cfg
 }
 
 // runTorus drives the halo-exchange workload through the experiments

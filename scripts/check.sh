@@ -84,17 +84,18 @@ done
 echo "check.sh: 8 programs ran"
 
 echo "== smoke: one artifact set, written by netpipe, read back by p3stat =="
-# Both run modes write what the machine recorded (machine.Artifacts); p3stat
-# must render every file given only its path. The flight recorder's dump is
-# the one timeline file: a bound above the run's event count keeps every
-# event, and p3stat -chrome renders a dump as a Chrome trace-event array,
-# which p3stat writes and does not read back.
+# Both run modes end in one epilogue that writes what the machine recorded
+# (machine.Artifacts) under -out BASE; p3stat must render every file given
+# only its path. The flight recorder's dump is the one timeline file: a bound
+# above the run's event count keeps every event, and p3stat -chrome renders a
+# dump as a Chrome trace-event array, which p3stat writes and does not read
+# back.
 art=$(mktemp -d)
 trap 'rm -rf "$art"' EXIT
-go run ./cmd/netpipe -torus -dim 3 -telemetry "$art/torus.json" -hostprof "$art/hostprof.json" >/dev/null
-go run ./cmd/netpipe -series put -max 4096 -flightrec -dumpout "$art/run.p3dump" >/dev/null
-go run ./cmd/netpipe -series put -max 4096 -flightrec -flightrec-events 100000000 -dumpout "$art/whole.p3dump" >/dev/null
-for f in torus.json hostprof.json run.p3dump whole.p3dump; do
+go run ./cmd/netpipe -torus -dim 3 -telemetry -hostprof -flightrec -out "$art/torus" >/dev/null
+go run ./cmd/netpipe -series put -max 4096 -flightrec -out "$art/run" >/dev/null
+go run ./cmd/netpipe -series put -max 4096 -flightrec -flightrec-events 100000000 -out "$art/whole" >/dev/null
+for f in torus.telemetry.json torus.hostprof.json torus.p3dump run.p3dump whole.p3dump; do
     if ! smoke_out=$(go run ./cmd/p3stat "$art/$f" 2>&1); then
         echo "FAIL: p3stat $f exited non-zero:"
         echo "$smoke_out"
@@ -111,7 +112,7 @@ if ! head -c 2 "$art/whole.json" | grep -q '^\[{'; then
     head -c 200 "$art/whole.json"
     exit 1
 fi
-echo "check.sh: p3stat rendered 4 artifacts and wrote a Chrome timeline"
+echo "check.sh: p3stat rendered 5 artifacts and wrote a Chrome timeline"
 
 echo "== smoke: every NetPIPE module and pattern through the CLI =="
 # One driver runs every series (put and get over the Portals module, mpich1
