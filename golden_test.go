@@ -17,7 +17,9 @@
 // rules at the same rates roll other dice. The six torus digest lines were
 // re-recorded when the digest dropped its Chrome trace section, a second
 // rendering of the dump's events: each is the former digest with that
-// section cut. Every other line is as recorded.
+// section cut. The A2 and A6 blocks were re-recorded again when a go-back-n
+// timeout began resending a flow's oldest unacked message alone instead of
+// its whole unacked tail. Every other line is as recorded.
 package portals3
 
 import (

@@ -271,9 +271,14 @@ type source struct {
 	rxSeq      uint32
 	txSeq      uint32
 	timerArmed bool
-	unacked    []*TxReq
-	unacked1   [1]*TxReq
-	lastAck    sim.Time
+	// idle counts the timer periods a flow has stayed silent since its last
+	// retransmission, backoff the doublings of that wait (at most 6, so 64
+	// periods); an FC_ACK or FC_NACK zeroes both. Two bytes in what would
+	// otherwise be padding: source stays 64 B.
+	idle, backoff uint8
+	unacked       []*TxReq
+	unacked1      [1]*TxReq
+	lastAck       sim.Time
 	// ackedSeq is the peer's cumulative acknowledgment high-water mark. An
 	// ack can outrun our own transmit completion — the peer re-acks a
 	// duplicate as soon as its header arrives, while our chunk pipeline is

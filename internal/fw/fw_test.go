@@ -3,6 +3,7 @@ package fw
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"portals3/internal/fabric"
 	"portals3/internal/model"
@@ -429,6 +430,17 @@ func TestSourcePoolSharedAndReused(t *testing.T) {
 	}
 	if fp.nics[0].SourceCount() != 1 {
 		t.Errorf("sender allocated %d sources for one destination", fp.nics[0].SourceCount())
+	}
+}
+
+// TestSourceFitsOneCacheLine: every flow of a machine-scale job holds a
+// source, so its size is per-flow memory times the node count. The
+// go-back-n backoff counters sit in what was padding after timerArmed; a
+// field that pushes the struct past 64 B shows in the lossy benchmark's
+// bytes per job.
+func TestSourceFitsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(source{}); n > 64 {
+		t.Errorf("source is %d B, want at most 64", n)
 	}
 }
 

@@ -1,6 +1,8 @@
 package fw
 
 import (
+	"slices"
+
 	"portals3/internal/fabric"
 	"portals3/internal/flightrec"
 	"portals3/internal/sim"
@@ -24,7 +26,10 @@ import (
 // an end-to-end CRC failure), it discards the payload and sends FC_NACK
 // with the sequence to resume from; the sender re-enqueues every
 // unacknowledged message from that point, in order. A timeout retransmits
-// when the ack or nack itself is lost.
+// when the ack or nack itself is lost: the oldest unacked message alone, so
+// an incast whose queueing outlasts the timeout is not fed a copy of every
+// message in flight, and each further silent expiry doubles the flow's wait
+// (up to 64 timeouts) until the peer speaks again.
 
 // gbnAssignSeq stamps an outgoing data message with the next sequence for
 // its destination flow. No-op when the protocol is disabled.
@@ -120,8 +125,10 @@ func (n *NIC) gbnDataReceived(p *Pending, ok bool) {
 }
 
 // gbnHoldCompletion parks a fully transmitted message on the flow's
-// unacked list instead of completing it; the host's transmit-complete event
-// waits for the peer's ack.
+// unacked list, in sequence order, instead of completing it; the host's
+// transmit-complete event waits for the peer's ack. A retransmitted head
+// completes after its successors, and appended it would sit behind them,
+// where a later NACK's split by sequence would resend the wrong suffix.
 func (n *NIC) gbnHoldCompletion(req *TxReq) {
 	src := n.sources[topo.NodeID(req.Hdr.DstNid)]
 	if src == nil {
@@ -136,7 +143,11 @@ func (n *NIC) gbnHoldCompletion(req *TxReq) {
 		return
 	}
 	req.state = txHeld
-	src.unacked = append(src.unacked, req)
+	i := len(src.unacked)
+	for i > 0 && src.unacked[i-1].seq > req.seq {
+		i--
+	}
+	src.unacked = slices.Insert(src.unacked, i, req)
 	n.gbnArmTimer(src)
 }
 
@@ -159,6 +170,7 @@ func (n *NIC) handleFlowControl(m *fabric.Message) {
 		return // no state, nothing to release or rewind
 	}
 	seq := m.Hdr.Offset
+	src.idle, src.backoff = 0, 0
 	switch m.Hdr.Type {
 	case wire.TypeFcAck:
 		src.lastAck = n.S.Now()
@@ -251,10 +263,16 @@ func (n *NIC) gbnTimerExpired() {
 		n.gbnArmTimer(src)
 		return
 	}
+	src.idle++
+	if src.idle < 1<<src.backoff {
+		n.gbnArmTimer(src) // still silent: wait out the backoff
+		return
+	}
+	src.idle = 0
+	src.backoff = min(src.backoff+1, 6) // at most 64 periods
 	n.Stats.GbnTimeouts++
 	n.FR.Record(flightrec.KGbnTimeout, n.S.Now(), 0, uint32(len(src.unacked)), 0)
-	n.gbnRequeue(src.unacked)
-	clear(src.unacked)
-	src.unacked = src.unacked[:0]
+	n.gbnRequeue(src.unacked[:1])
+	src.unacked = slices.Delete(src.unacked, 0, 1)
 	n.gbnArmTimer(src)
 }
