@@ -10,7 +10,10 @@ import (
 	"runtime"
 	"testing"
 
+	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/netpipe"
+	"portals3/internal/sim"
 )
 
 // Iteration counts. An allocation count is exact long before a timing is, so
@@ -180,4 +183,42 @@ func setupLiveBytes(faults []model.FaultRule) int64 {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestContractStallReportBytes: a failure report after the run's first
+// costs the events it reports, not the machine's rings. On the put series
+// to 64 B with a 2 µs stall window the detector files a report every few
+// microseconds on either node; the first dump holds both rings, each later
+// one a single node's events since that node's previous report: ≤ 1 KB of
+// encoding on average, 817 B measured (up to 262 KB each while every
+// report held every ring in full).
+func TestContractStallReportBytes(t *testing.T) {
+	var m *machine.Machine
+	cfg := netpipe.DefaultConfig()
+	cfg.MaxBytes = 64
+	cfg.Observe = func(mm *machine.Machine) {
+		m = mm
+		m.EnableFlightRecorder(0)
+		m.StartStallDetector(2 * sim.Microsecond)
+	}
+	netpipe.RunPortals(model.Defaults(), netpipe.OpPut, netpipe.PingPong, cfg)
+	reports := m.Reports()
+	if len(reports) < 100 {
+		t.Fatalf("%d reports, want the detector tripping all series long", len(reports))
+	}
+	if n := len(reports[0].Dump.Nodes); n != 2 {
+		t.Errorf("the first report's dump holds %d nodes, want both", n)
+	}
+	var later int
+	for _, r := range reports[1:] {
+		if len(r.Dump.Nodes) != 1 || r.Dump.Nodes[0].Node != int(r.Node) {
+			t.Fatalf("%v: dump holds %d nodes, want the reporting node alone", r, len(r.Dump.Nodes))
+		}
+		later += len(r.Dump.Bytes())
+	}
+	mean := later / (len(reports) - 1)
+	t.Logf("%d reports; the first %d B, later ones %d B on average", len(reports), len(reports[0].Dump.Bytes()), mean)
+	if mean > 1024 {
+		t.Errorf("a later report's dump encodes to %d B on average, want at most 1024", mean)
+	}
 }
