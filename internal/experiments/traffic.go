@@ -47,17 +47,6 @@ type TrafficConfig struct {
 	Seed uint64 // destination-stream seed
 }
 
-// DefaultTrafficConfig is the benchmark shape: 512 nodes, 1 KB messages,
-// 8 per sender at full offered load, uniform destinations.
-func DefaultTrafficConfig() TrafficConfig {
-	return TrafficConfig{
-		TorusConfig: TorusConfig{Dim: 8, Bytes: 1024, Shards: 1},
-		Msgs:        8,
-		Load:        1.0,
-		Seed:        1,
-	}
-}
-
 // splitmix64 advances one destination stream.
 func splitmix64(x *uint64) uint64 {
 	*x += 0x9E3779B97F4A7C15

@@ -113,6 +113,26 @@ func (r FaultRule) Between(after, until sim.Time) FaultRule {
 	return r
 }
 
+// head spells a rule's kind, frame and probability, as both grammars begin
+// a rule.
+func (r FaultRule) head() string {
+	return fmt.Sprintf("%s:%s:%s", r.Kind, r.Frame, strconv.FormatFloat(r.Prob, 'g', -1, 64))
+}
+
+// FormatFaults spells rules in ParseFaults' grammar, which carries a rule's
+// kind, frame, probability and delay; scope, count and window have no
+// spelling there.
+func FormatFaults(rules []FaultRule) string {
+	parts := make([]string, len(rules))
+	for i, r := range rules {
+		parts[i] = r.head()
+		if r.Kind == FaultDelay || r.Kind == FaultReorder {
+			parts[i] += ":" + fmtDur(r.Delay)
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
 // ParseFaults parses the CLI fault spec: comma-separated rules of the form
 //
 //	kind:frame:prob[:delay]

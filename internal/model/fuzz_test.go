@@ -44,10 +44,11 @@ func FuzzParseSchedule(f *testing.F) {
 	})
 }
 
-// FuzzParseFaults: no spec panics the parser, every rule it accepts is one
-// the fault plane can evaluate (a probability in (0, 1], a positive delay
-// where the kind needs one), and each rule survives the schedule grammar's
-// rendering of it as a burst.
+// FuzzParseFaults: no spec panics the parser, what it accepts renders
+// (FormatFaults) to a spec that parses back to the same rules, every rule is
+// one the fault plane can evaluate (a probability in (0, 1], a positive
+// delay where the kind needs one), and each rule survives the schedule
+// grammar's rendering of it as a burst.
 func FuzzParseFaults(f *testing.F) {
 	for _, spec := range []string{
 		"drop:data:0.02,drop:fcack:0.1,delay:data:0.05:20us",
@@ -63,6 +64,9 @@ func FuzzParseFaults(f *testing.F) {
 		rules, err := ParseFaults(spec)
 		if err != nil {
 			return
+		}
+		if back, err := ParseFaults(FormatFaults(rules)); err != nil || !reflect.DeepEqual(back, rules) {
+			t.Fatalf("ParseFaults(%q) renders as %q, which parses to %+v (%v)", spec, FormatFaults(rules), back, err)
 		}
 		for _, r := range rules {
 			if !(r.Prob > 0 && r.Prob <= 1) {

@@ -76,8 +76,7 @@ func (e ScheduleEntry) String() string {
 	case SchedRestart:
 		return fmt.Sprintf("restart:%d:%s:%s", e.Node, fmtDur(e.At), fmtDur(e.Dur))
 	case SchedBurst:
-		s := fmt.Sprintf("burst:%s:%s:%s:%s:%s", e.Rule.Kind, e.Rule.Frame,
-			strconv.FormatFloat(e.Rule.Prob, 'g', -1, 64), fmtDur(e.At), fmtDur(e.Dur))
+		s := fmt.Sprintf("burst:%s:%s:%s", e.Rule.head(), fmtDur(e.At), fmtDur(e.Dur))
 		if e.Rule.Kind == FaultDelay || e.Rule.Kind == FaultReorder {
 			s += ":" + fmtDur(e.Rule.Delay)
 		}

@@ -11,9 +11,9 @@ package soak
 
 import (
 	"fmt"
+	"strings"
 
 	"portals3/internal/model"
-	"portals3/internal/topo"
 )
 
 // BisectOutcome is the result of minimizing one failing campaign.
@@ -32,12 +32,6 @@ type BisectOutcome struct {
 
 	// Trials counts distinct schedules executed (memoized repeats excluded).
 	Trials int
-}
-
-// Repro renders the ready-to-paste reproduction command for the minimal
-// schedule.
-func (o BisectOutcome) Repro(c Campaign) string {
-	return ReproCommand(c, o.Minimal)
 }
 
 // Bisect resolves the campaign's schedule, confirms it fails, minimizes it
@@ -150,24 +144,14 @@ func complement(chunks []model.FaultSchedule, skip int) model.FaultSchedule {
 	return out
 }
 
-// ReproCommand renders the soak CLI invocation that replays sched under
-// the campaign's workload and shard count, verbatim paste-able.
+// ReproCommand renders the command that replays sched under the campaign,
+// verbatim paste-able: for a torus workload the netpipe run of its Job
+// (experiments.Job.Args), which replays the campaign's finish, ledger and
+// errors exactly, and for a line workload soak's replay mode.
 func ReproCommand(c Campaign, sched model.FaultSchedule) string {
-	shards := c.Shards
-	if shards <= 0 {
-		shards = 1
+	c.Shards = max(c.Shards, 1)
+	if j, ok := torusJob(c, sched); ok {
+		return "go run ./cmd/netpipe " + strings.Join(j.Args(), " ")
 	}
-	return fmt.Sprintf("go run ./cmd/soak -workload %s -shards %d -schedule '%s'",
-		c.Workload, shards, sched)
-}
-
-// NetpipeRepro renders a netpipe replay command when the schedule fits the
-// two-node netpipe machine (nodes 0-1, X links only) — the quickest rig
-// for staring at a minimal schedule under -flightrec.
-func NetpipeRepro(sched model.FaultSchedule) (string, bool) {
-	tp, err := topo.New(2, 1, 1, false, false, false)
-	if err != nil || len(sched) == 0 || sched.Validate(tp) != nil {
-		return "", false
-	}
-	return fmt.Sprintf("go run ./cmd/netpipe -series put -pattern stream -gbn -schedule '%s'", sched), true
+	return fmt.Sprintf("go run ./cmd/soak -workload %s -shards %d -schedule '%s'", c.Workload, c.Shards, sched)
 }

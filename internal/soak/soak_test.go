@@ -128,22 +128,21 @@ func TestBisectOnPassingCampaignIsANoop(t *testing.T) {
 }
 
 func TestReproCommands(t *testing.T) {
-	c := Campaign{Workload: GbnStream, Shards: 2}
 	sched, _ := model.ParseSchedule("corrupt:1:300us")
-	cmd := ReproCommand(c, sched)
+	cmd := ReproCommand(Campaign{Workload: GbnStream, Shards: 2}, sched)
 	want := "go run ./cmd/soak -workload gbn-stream -shards 2 -schedule 'corrupt:1:300us'"
 	if cmd != want {
 		t.Errorf("ReproCommand = %q, want %q", cmd, want)
 	}
-	// A schedule confined to nodes 0-1 on X links replays on the two-node
-	// netpipe machine; one touching node 3 does not.
-	np, ok := NetpipeRepro(sched)
-	if !ok || !strings.Contains(np, "-schedule 'corrupt:1:300us'") {
-		t.Errorf("NetpipeRepro = %q, %v", np, ok)
-	}
-	far, _ := model.ParseSchedule("stall:3:100us:50us")
-	if _, ok := NetpipeRepro(far); ok {
-		t.Error("NetpipeRepro accepted a schedule outside the pair topology")
+	// A torus campaign replays as the netpipe run of its Job: the traffic
+	// seed, the stall window above the schedule's longest entry, and
+	// everything else the row sets.
+	stall, _ := model.ParseSchedule("stall:3:100us:50us")
+	cmd = ReproCommand(Campaign{Workload: HotSpot, Seed: 2, Shards: 2}, stall)
+	want = "go run ./cmd/netpipe -workload hotspot -bytes 512 -dim 3 -dump-on-stall 1600 -gbn -hostprof" +
+		" -hot 13 -hotfrac 0.3 -load 0.25 -msgs 24 -schedule stall:3:100us:50us -shards 2 -wseed 5308925248"
+	if cmd != want {
+		t.Errorf("ReproCommand = %q, want %q", cmd, want)
 	}
 }
 
