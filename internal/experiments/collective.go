@@ -136,9 +136,3 @@ func TorusCollective(cfg TorusConfig) TorusResult {
 // the allreduce, and a (P−1)-edge rotating-root broadcast. Liveness
 // monitors (the soak driver's stall budget) size themselves with it.
 func CollectiveMsgs(nodes, steps int) int { return steps * 3 * (nodes - 1) }
-
-// DefaultCollectiveConfig is the benchmark shape: 512 ranks, a 32-slot
-// (256-byte) vector, 2 steps.
-func DefaultCollectiveConfig() TorusConfig {
-	return TorusConfig{Dim: 8, Bytes: 256, Steps: 2, Shards: 1}
-}
