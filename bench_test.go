@@ -335,7 +335,7 @@ func BenchmarkSimulatedMPI(b *testing.B) {
 }
 
 // BenchmarkPingPongTelemetryOn is BenchmarkSimulatedPut with full telemetry:
-// message attribution records, per-node interrupt histograms, and the RAS
+// message attribution records, per-node interrupt histograms, and the
 // sampler at a 100 µs simulated period. The delta against the put is the
 // whole observability tax.
 func BenchmarkPingPongTelemetryOn(b *testing.B) {
@@ -419,11 +419,11 @@ func BenchmarkTorusHaloSeq(b *testing.B) { benchTorusHalo(b, 1) }
 func BenchmarkTorusHaloShard4(b *testing.B) { benchTorusHalo(b, 4) }
 
 // BenchmarkTorusHaloShard4SamplerOn is the observed sharded arm: four
-// lanes with every periodic observer armed — telemetry, the RAS sampler
-// (counter + link-contention series), the stall detector, the heartbeat
-// monitor and the flight recorder at its default bound. The delta against
-// BenchmarkTorusHaloShard4 is the price of lane-local observation on the
-// hot path; TestContractHaloArms bounds it.
+// lanes with every periodic observer armed — telemetry, the sampler
+// (counter + link-contention series), the stall detector and the flight
+// recorder at its default bound. The delta against BenchmarkTorusHaloShard4
+// is the price of lane-local observation on the hot path;
+// TestContractHaloArms bounds it.
 func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	b.ReportAllocs()
 	cfg := experiments.DefaultTorusConfig()
@@ -432,7 +432,6 @@ func BenchmarkTorusHaloShard4SamplerOn(b *testing.B) {
 	cfg.FlightRec = flightrec.DefaultRingEvents
 	cfg.SamplePeriod = 20 * sim.Microsecond
 	cfg.StallWindow = 400 * sim.Microsecond
-	cfg.RASPeriod = 50 * sim.Microsecond
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := experiments.TorusHalo(cfg)

@@ -318,7 +318,7 @@ func hopRows(telemetryJSON []byte) ([]experiments.HopRow, error) {
 }
 
 // runTorus drives one machine-scale workload (or the latency-under-load
-// sweep) on the sharded kernel. With telemetry on, the RAS sampler runs
+// sweep) on the sharded kernel. With telemetry on, the sampler runs
 // too (lane-local, merged at snapshot time) so the export carries the
 // per-link contention series, and the per-hop-count latency summary
 // prints after the run.

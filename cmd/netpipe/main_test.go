@@ -120,6 +120,24 @@ func TestStallWindowBelowTheGbnTimeout(t *testing.T) {
 	}
 }
 
+// TestLongTransfersAreNotStalls: an 8 MB message moves for far longer than
+// a 400 µs window between its header and its completion, and each chunk
+// it moves is progress, so a healthy series to 8 MB — ping-pong, or a
+// go-back-n stream — files no stall report (it filed 213 and 108 while
+// only headers, completions and events counted).
+func TestLongTransfersAreNotStalls(t *testing.T) {
+	for _, args := range []string{
+		"-series put -pattern pingpong -dump-on-stall 400",
+		"-series put -pattern stream -gbn -dump-on-stall 400",
+	} {
+		code, _, stderr := runCLI(append(strings.Fields(args), "-out", filepath.Join(t.TempDir(), "x"))...)
+		if code != 0 || stderr != "" {
+			t.Errorf("netpipe %s: exit %d with %d reports, want 0 and none; stderr starts %.200q",
+				args, code, strings.Count(stderr, "failure report"), stderr)
+		}
+	}
+}
+
 // TestSoakReproReplays: a torus campaign's repro line is a netpipe command,
 // and running it yields what the campaign's summary holds — the finish
 // time, the fault ledger and the errors (none: seed 1 passes every torus
@@ -336,22 +354,30 @@ func TestSweepArmsWriteUnderTheirLoad(t *testing.T) {
 
 // TestStallReportsCostBoundedMemory: a stall window far below a put's round
 // trip trips, clears and trips again on both nodes of the pair for the
-// whole series — 17,059 reports. The first report's dump holds both rings;
-// each later one holds its node's events since that node's previous report,
-// so the run's heap stays under 100 MB (a full pair of rings per report
-// took it past 2.9 GB).
+// whole series — 17,059 reports. Only each node's first report carries a
+// dump (the run's first holds both rings), so the run writes three dumps,
+// those two and the end-of-run one, and its heap stays under 100 MB (a full
+// pair of rings per report took it past 2.9 GB; a dump per report wrote
+// 17,060 files, 68 MB).
 func TestStallReportsCostBoundedMemory(t *testing.T) {
+	dir := t.TempDir()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	code, _, stderr := runCLI("-series", "put", "-max", "1024", "-dump-on-stall", "2", "-out", filepath.Join(t.TempDir(), "x"))
+	code, _, stderr := runCLI("-series", "put", "-max", "1024", "-dump-on-stall", "2", "-out", filepath.Join(dir, "x"))
 	runtime.ReadMemStats(&after)
 	if n := strings.Count(stderr, "ERROR: failure report: stall on node"); code != 1 || n < 10_000 {
 		t.Fatalf("exit %d with %d stall reports, want 1 and the detector tripping all series long", code, n)
 	}
-	grew := after.HeapSys - before.HeapSys
+	// Signed: the runtime may return more memory during the run than it
+	// takes, and an unsigned difference would then wrap.
+	grew := int64(after.HeapSys) - int64(before.HeapSys)
 	t.Logf("heap grew by %.1f MB", float64(grew)/(1<<20))
 	if grew > 100<<20 {
 		t.Errorf("the heap grew by %.1f MB, want at most 100", float64(grew)/(1<<20))
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "*.p3dump"))
+	if err != nil || len(dumps) != 3 {
+		t.Errorf("wrote %d dumps (%v), want 3: each node's first report's and the end-of-run one", len(dumps), err)
 	}
 }

@@ -1,6 +1,6 @@
 // Command p3stat renders every artifact the machine writes
 // (machine.Artifacts) as aligned text — the offline half of the machine's
-// RAS view. It needs only the path: the file's content says what it is.
+// monitoring view. It needs only the path: the file's content says what it is.
 //
 //	p3stat run.json                 # telemetry: breakdown, histograms, occupancy, links, series
 //	p3stat h.json                   # host-execution profile: lane busy/wait table

@@ -124,9 +124,9 @@ func TorusCollective(cfg TorusConfig) TorusResult {
 	if err != nil {
 		res.Errors = append(res.Errors, "launch: "+err.Error())
 	}
-	ras := startObservers(m, cfg)
+	startObservers(m, cfg)
 	m.Run()
-	harvest(m, ras, &res)
+	harvest(m, &res)
 	appendRankErrors(&res, rankErrs)
 	return res
 }

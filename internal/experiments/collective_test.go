@@ -18,7 +18,6 @@ func diffCollConfig(shards int, seed int64) TorusConfig {
 		Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 		SamplePeriod: 20 * sim.Microsecond,
 		StallWindow:  600 * sim.Microsecond,
-		RASPeriod:    50 * sim.Microsecond,
 	}
 }
 

@@ -52,26 +52,20 @@ func buildTorusMachine(cfg *TorusConfig) (*machine.Machine, *topo.Topology) {
 	return m, tp
 }
 
-// startObservers begins the configured periodic observers. Call it after
-// every node exists (the heartbeat driver and monitor capture the
-// instantiated node set).
-func startObservers(m *machine.Machine, cfg TorusConfig) *machine.RAS {
+// startObservers begins the configured periodic observers.
+func startObservers(m *machine.Machine, cfg TorusConfig) {
 	if cfg.SamplePeriod > 0 {
 		m.StartSampler(cfg.SamplePeriod)
 	}
 	if cfg.StallWindow > 0 {
 		m.StartStallDetector(cfg.StallWindow)
 	}
-	if cfg.RASPeriod > 0 {
-		return m.StartRAS(cfg.RASPeriod)
-	}
-	return nil
 }
 
 // harvest collects what every workload digest carries: finish time, window
 // count, counter table, whatever the armed planes recorded
-// (machine.Artifacts), the fault ledger, failure reports and RAS verdicts.
-func harvest(m *machine.Machine, ras *machine.RAS, res *TorusResult) {
+// (machine.Artifacts), the fault ledger and failure reports.
+func harvest(m *machine.Machine, res *TorusResult) {
 	res.Shards = m.ShardKernel().Shards()
 	res.FinishPs = int64(m.S.Now())
 	res.Windows = m.ShardKernel().Windows
@@ -85,11 +79,6 @@ func harvest(m *machine.Machine, ras *machine.RAS, res *TorusResult) {
 	}
 	for _, r := range m.Reports() {
 		res.Errors = append(res.Errors, "failure report: "+r.String())
-	}
-	if ras != nil {
-		for _, f := range ras.Dead() {
-			res.Errors = append(res.Errors, "ras: "+f.String())
-		}
 	}
 }
 

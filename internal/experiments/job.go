@@ -87,8 +87,12 @@ func (j Job) Title(r TorusResult) string {
 	d := j.Dim
 	switch j.Workload {
 	case "halo":
-		return fmt.Sprintf("# torus halo: %d nodes (%dx%dx%d, radius %d), %d KB faces, %d steps, shards=%d\n",
-			r.Nodes, d, d, d, j.Radius, j.Bytes/1024, j.Steps, r.Shards)
+		face := fmt.Sprintf("%d KB", j.Bytes/1024)
+		if j.Bytes%1024 != 0 {
+			face = fmt.Sprintf("%d B", j.Bytes)
+		}
+		return fmt.Sprintf("# torus halo: %d nodes (%dx%dx%d, radius %d), %s faces, %d steps, shards=%d\n",
+			r.Nodes, d, d, d, j.Radius, face, j.Steps, r.Shards)
 	case "collective":
 		return fmt.Sprintf("# torus collective: %d ranks (%dx%dx%d), %d-byte vectors, %d allreduce+bcast rounds, shards=%d\n",
 			r.Nodes, d, d, d, j.Bytes, j.Steps, r.Shards)
@@ -179,8 +183,8 @@ func (f *jobFlags) define(fs *flag.FlagSet) {
 	fs.Int64Var(&f.FaultSeed, "faultseed", 0, "fault plane PRNG seed; 0 uses the built-in default (with -faults)")
 	fs.StringVar(&f.schedule, "schedule", "", "declarative timed-fault schedule: linkdown:NODE:DIR:AT:DUR, stall:NODE:AT:DUR, restart:NODE:AT:DUR, burst:KIND:FRAME:PROB:AT:DUR[:DELAY], corrupt:NODE:AT, comma-separated; works at any -shards count (combine with -gbn to recover losses)")
 	fs.BoolVar(&f.Telemetry, "telemetry", false, "record telemetry and write BASE.telemetry.json (with -series or -torus)")
-	fs.IntVar(&f.sampleUs, "sample", 1000, "RAS sampler period in simulated microseconds, 0 to disable (with -telemetry)")
-	fs.BoolVar(&f.flightrec, "flightrec", false, "enable the per-node flight recorder and write BASE.p3dump, each failure report's dump beside it as BASE.<i>.<kind>.p3dump (with -series or -torus)")
+	fs.IntVar(&f.sampleUs, "sample", 1000, "telemetry sampler period in simulated microseconds, 0 to disable (with -telemetry)")
+	fs.BoolVar(&f.flightrec, "flightrec", false, "enable the per-node flight recorder and write BASE.p3dump, each node's first failure report's dump beside it as BASE.<i>.<kind>.p3dump (with -series or -torus)")
 	fs.IntVar(&f.ringEvents, "flightrec-events", flightrec.DefaultRingEvents, "flight recorder ring bound per node; a bound above the run's event count keeps every event")
 	fs.IntVar(&f.stallUs, "dump-on-stall", 0, "stall detection window in simulated microseconds, at least the go-back-n timeout with -gbn; a stalled flow files a report with a dump (implies -flightrec)")
 	fs.BoolVar(&f.HostProf, "hostprof", false, "write the host-execution profile (per-lane busy/wait/drain, stragglers, memory watermarks) as BASE.hostprof.json (with -torus)")
@@ -252,7 +256,7 @@ func ParseJob(args []string) (Job, error) {
 // Args is the canonical netpipe argument list of j: -workload, then in
 // name order every flag whose value differs from its default, a switch as
 // its bare name. ParseJob(j.Args()) is j but for what has no spelling:
-// Progress, RASPeriod, a period's fraction of a microsecond, and a stall
+// Progress, a period's fraction of a microsecond, and a stall
 // window without the flight recorder (the window spells -dump-on-stall,
 // which arms the recorder, an observer that moves no simulated number).
 func (j Job) Args() []string {

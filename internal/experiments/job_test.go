@@ -89,6 +89,26 @@ func TestJobDefaults(t *testing.T) {
 	}
 }
 
+// TestHaloTitleFaces: the halo header states its face size exactly — in KB
+// when it is whole KB, as every default run prints it, and in bytes when
+// not (soak's 512 B halo once read "0 KB faces").
+func TestHaloTitleFaces(t *testing.T) {
+	for _, tc := range []struct{ args, faces string }{
+		{"-workload halo -dim 3", " 1 KB faces,"},
+		{"-workload halo -bytes 4096 -dim 3", " 4 KB faces,"},
+		{"-workload halo -bytes 512 -dim 3 -steps 4 -radius 1", " 512 B faces,"},
+		{"-workload halo -bytes 1536 -dim 3", " 1536 B faces,"},
+	} {
+		j, err := ParseJob(strings.Fields(tc.args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if title := j.Title(TorusResult{Nodes: 27, Shards: 1}); !strings.Contains(title, tc.faces) {
+			t.Errorf("%s: title %q, want %q", tc.args, title, tc.faces)
+		}
+	}
+}
+
 // FuzzParseJob: no command line panics ParseJob or Validate, and every one
 // netpipe would run (both accept it) spells, through Args, a command line
 // that parses back to the same Job. The seed corpus under

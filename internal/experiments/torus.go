@@ -54,13 +54,12 @@ type TorusConfig struct {
 	// bound above the run's event count keeps every event.
 	FlightRec int
 
-	// Periodic observers, each off when zero: the RAS sampler (counter and
-	// link-contention series), the stall detector window, and the heartbeat
-	// monitor period. On sharded runs all three fire at the kernel's
-	// canonical barrier ticks, so their artifacts reshard bit-identically.
+	// Periodic observers, each off when zero: the telemetry sampler
+	// (counter and link-contention series) and the stall detector window.
+	// On sharded runs both fire at the kernel's canonical barrier ticks, so
+	// their artifacts reshard bit-identically.
 	SamplePeriod sim.Time
 	StallWindow  sim.Time
-	RASPeriod    sim.Time
 
 	// HostProf arms the host-execution profiler: the run's result carries a
 	// machine.HostProfile (wall-clock lane accounting, straggler ranking,
@@ -233,11 +232,11 @@ func TorusHalo(cfg TorusConfig) TorusResult {
 		}
 		apps[id] = app
 	}
-	ras := startObservers(m, cfg)
+	startObservers(m, cfg)
 	m.Run()
 
 	res := TorusResult{Nodes: nodes, Errors: spawnErrs}
-	harvest(m, ras, &res)
+	harvest(m, &res)
 
 	// Verify every received face against the sender's pure pattern.
 	got := make([]byte, B)

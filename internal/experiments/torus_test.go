@@ -12,9 +12,9 @@ import (
 
 // diffConfig is the differential-test shape: small enough to run many
 // seeds, big enough to route multi-hop and cross every lane boundary.
-// Every observer is on — telemetry, flight recorder, the RAS sampler, the
-// stall detector and the heartbeat monitor — so the digest covers every
-// artifact the lane-local observers merge.
+// Every observer is on — telemetry, flight recorder, the sampler and the
+// stall detector — so the digest covers every artifact the lane-local
+// observers merge.
 func diffConfig(shards int, seed int64) TorusConfig {
 	return TorusConfig{
 		Dim: 4, Bytes: 256, Steps: 2, Radius: 2, Shards: shards,
@@ -22,7 +22,6 @@ func diffConfig(shards int, seed int64) TorusConfig {
 		Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 		SamplePeriod: 20 * sim.Microsecond,
 		StallWindow:  400 * sim.Microsecond,
-		RASPeriod:    50 * sim.Microsecond,
 	}
 }
 

@@ -208,9 +208,9 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 		}
 		apps[id] = app
 	}
-	ras := startObservers(m, cfg.TorusConfig)
+	startObservers(m, cfg.TorusConfig)
 	m.Run()
-	harvest(m, ras, &res)
+	harvest(m, &res)
 	appendRankErrors(&res, sendErrs)
 	for id := 0; id < nodes; id++ {
 		if gotCount[id] != wantCount[id] {

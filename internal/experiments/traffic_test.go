@@ -22,7 +22,6 @@ func diffTrafConfig(shards int, seed int64) TrafficConfig {
 			Telemetry: true, FlightRec: flightrec.DefaultRingEvents,
 			SamplePeriod: 20 * sim.Microsecond,
 			StallWindow:  600 * sim.Microsecond,
-			RASPeriod:    50 * sim.Microsecond,
 		},
 		Msgs: 4,
 		Load: 1.0,
@@ -126,7 +125,7 @@ func TestTrafficDifferentialFaults(t *testing.T) {
 func TestTrafficBisectionBound(t *testing.T) {
 	cfg := diffTrafConfig(1, 1)
 	cfg.Telemetry, cfg.FlightRec = false, 0
-	cfg.SamplePeriod, cfg.StallWindow, cfg.RASPeriod = 0, 0, 0
+	cfg.SamplePeriod, cfg.StallWindow = 0, 0
 	cfg.Msgs = 8
 	res := TorusTraffic(cfg)
 	if len(res.Errors) > 0 {

@@ -399,7 +399,7 @@ func (p *FaultPlane) crossings(nbytes int) int {
 		pOK *= 1 - ber
 	}
 	n := 1
-	for n <= 64 && p.float64() > pOK { // a link this sick would be routed around by RAS; cap it
+	for n <= 64 && p.float64() > pOK { // a link this sick would be routed around; cap it
 		n++
 	}
 	return n

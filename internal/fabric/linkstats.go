@@ -16,7 +16,7 @@
 //
 // Meters exist only while telemetry is enabled (one pointer test per
 // reservation otherwise) and live on the lane that owns the link, so the
-// hot path stays single-goroutine and lock-free; the RAS sampler reads them
+// hot path stays single-goroutine and lock-free; the machine's sampler reads them
 // at canonical barrier ticks and the per-lane series/gauges merge like
 // every other telemetry artifact (each directed link is owned by exactly
 // one lane).
@@ -75,7 +75,7 @@ func (mt *LinkMeter) note(arrive, free, done sim.Time) {
 
 // Sample appends one point to the meter's utilization series and refreshes
 // its watermark gauges, binding the instruments on first use. Called by the
-// machine's RAS sampler with the canonical sample time; tel is the lane's
+// machine's sampler with the canonical sample time; tel is the lane's
 // telemetry instance.
 func (mt *LinkMeter) Sample(tel *telemetry.Telemetry, now sim.Time) {
 	mt.bind(tel)

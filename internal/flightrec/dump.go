@@ -12,7 +12,7 @@ import (
 )
 
 // Occupancy is one node's firmware resource watermarks at snapshot time —
-// the control-block numbers a RAS poll would read off the real SeaStar.
+// the control-block numbers a service poll would read off the real SeaStar.
 // Low-water marks start at the pool total and record the worst depletion;
 // high-water marks record the deepest queue.
 type Occupancy struct {

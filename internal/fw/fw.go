@@ -215,6 +215,7 @@ type TxReq struct {
 	pending *Pending
 	ctrl    bool // NIC-level flow control frame, no pending, no host data
 	state   txState
+	resent  bool // requeued by go-back-n: its chunks are not progress
 	seq     uint32
 	crc     uint32
 	msg     *fabric.Message
@@ -373,10 +374,14 @@ type NIC struct {
 
 	killed bool
 
-	// accepted counts headers that got a pending — the receive side of
-	// Progress. HeadersRx also counts flow-control frames and every header
-	// the firmware rejects (NACKed, out of sequence, duplicate, dead pid).
-	accepted uint64
+	// moved counts the data movement Progress adds to completions and
+	// events: headers that got a pending, payload chunks consumed into one,
+	// and chunks injected on a request's first transmission — a long message
+	// moves for many windows between its header and its completion.
+	// HeadersRx also counts flow-control frames and every header the
+	// firmware rejects (NACKed, out of sequence, duplicate, dead pid), and
+	// a go-back-n retransmission's chunks do not count.
+	moved uint64
 
 	// The free lists that remain are of what moves concurrently behind a
 	// server shared with other traffic, where no one queue orders it: payload
@@ -395,7 +400,7 @@ type NIC struct {
 	// array escape (one allocation per message).
 	hdrScratch [wire.HeaderBytes]byte
 
-	// Heartbeat is the control block RAS heartbeat counter (§4.2);
+	// Heartbeat is the control block's heartbeat counter (§4.2);
 	// incremented as each handler is dispatched to the (FIFO) firmware CPU,
 	// so it stalls exactly when the firmware stops making progress.
 	Heartbeat uint64
@@ -547,7 +552,7 @@ type handler struct {
 }
 
 // exec queues h as one firmware handler, charging cycles on the PowerPC and
-// ticking the RAS heartbeat. The PowerPC serves in order, so the handler
+// ticking the heartbeat. The PowerPC serves in order, so the handler
 // waits as an entry of n.handlers and the one continuation bound per NIC
 // runs the head — this is the hottest dispatch point in the model, and it
 // builds nothing per handler.
@@ -736,19 +741,22 @@ func (n *NIC) OpenWork() int {
 	return open
 }
 
-// Progress is the node's forward-progress counter: completions, headers
-// that got a pending and posted events. Retransmit attempts and rejected
-// headers deliberately do not count — a sender spinning on its go-back-n
-// timer, or a receiver answering it with NACKs, is not making progress.
+// Progress is the node's forward-progress counter: completions, posted
+// events and moved data (headers that got a pending, payload chunks
+// consumed into one, first-transmission chunks injected). Retransmit
+// attempts and rejected headers deliberately do not count — a sender
+// spinning on its go-back-n timer, or a receiver answering it with NACKs,
+// is not making progress.
 func (n *NIC) Progress() uint64 {
-	return n.Stats.Completions + n.accepted + n.Stats.EventsPosted
+	return n.Stats.Completions + n.moved + n.Stats.EventsPosted
 }
 
 // RxWindow implements fabric.Endpoint: the chip's bounded receive FIFO.
 func (n *NIC) RxWindow() *sim.Credits { return n.Chip.RxFIFO }
 
 // Kill marks the node failed (the §4.3 panic): the firmware stops
-// processing — arriving traffic is blackholed and the RAS heartbeat stops,
+// processing — arriving traffic is blackholed and the heartbeat stops. The
+// machine calls it from the handler that files the panic's failure report,
 // which is how the rest of the machine finds out.
 func (n *NIC) Kill() { n.killed = true }
 

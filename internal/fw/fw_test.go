@@ -487,7 +487,7 @@ func TestHeartbeatAdvances(t *testing.T) {
 	fp.put(0, 1, []byte("x"), nil)
 	fp.s.Run()
 	if fp.nics[0].Heartbeat == 0 || fp.nics[1].Heartbeat == 0 {
-		t.Error("RAS heartbeat counters never ticked")
+		t.Error("heartbeat counters never ticked")
 	}
 }
 

@@ -217,6 +217,7 @@ func (n *NIC) gbnRequeue(resend []*TxReq) {
 	n.Stats.Retransmits += uint64(len(resend))
 	for _, req := range resend {
 		req.state = txQueued
+		req.resent = true
 		n.FR.Record(flightrec.KGbnRewind, n.S.Now(), req.Span, req.seq, 0)
 	}
 	insert := 0

@@ -103,7 +103,7 @@ func (n *NIC) handleHeader(m *fabric.Message) {
 		return
 	}
 	p := proc.rx.take(proc, false)
-	n.accepted++
+	n.moved++
 	n.FR.Record(flightrec.KPendAlloc, n.S.Now(), m.Span, uint32(proc.rx.avail()), 0)
 	n.gbnAdvance(src, m)
 	n.FR.Record(flightrec.KRxHeader, n.S.Now(), m.Span, m.FwSeq, uint32(m.PayloadLen))
@@ -276,6 +276,7 @@ func (d *rxDeposit) write() {
 // within the host's manipulated length crosses HyperTransport into the
 // target buffer; the rest (truncation) is discarded on the spot.
 func (n *NIC) consumeChunk(p *Pending, c *fabric.Chunk) {
+	n.moved++
 	p.crc = crc32.Update(p.crc, crc32.IEEETable, c.Data)
 	depositLen := 0
 	if !p.discardAll {
@@ -568,7 +569,7 @@ func (p *Process) runCmd() {
 // command FIFO and busy-waits until the firmware writes the answer to the
 // result FIFO ("If the command returns a result, the host busy-waits until
 // the firmware posts the result", §4.1). It returns a snapshot of the
-// firmware counters — what a RAS poll reads from the control block.
+// firmware counters — what a service poll reads from the control block.
 func (p *Process) QueryStats(caller *sim.Proc) Stats {
 	n := p.nic
 	var out Stats

@@ -287,6 +287,9 @@ func (t *txChunk) injected() {
 	if n.FR != nil {
 		n.FR.Record(flightrec.KChunkTx, n.S.Now(), req.Span, uint32(t.off), uint32(sz))
 	}
+	if !req.resent {
+		n.moved++
+	}
 	t.req = nil
 	n.txcFree = append(n.txcFree, t)
 	n.Chip.TxFIFO.Put(int64(sz))

@@ -17,7 +17,7 @@ import (
 type Artifacts struct {
 	Telemetry   []byte // telemetry JSON export
 	Dump        []byte // end-of-run flight-recorder dump
-	ReportDumps []File // each failure report's detection dump, "<report index>.<kind>.p3dump", in report order
+	ReportDumps []File // the detection dump of each report that carries one, "<report index>.<kind>.p3dump", in report order
 	HostProfile []byte // host-execution profile JSON (host-side values)
 }
 
@@ -61,8 +61,8 @@ func (m *Machine) Artifacts(reason string) Artifacts {
 }
 
 // WriteFiles writes every recorded artifact under dir (created if missing)
-// as base.telemetry.json, base.<i>.<kind>.p3dump per
-// failure report, base.p3dump and base.hostprof.json, in that order, and
+// as base.telemetry.json, base.<i>.<kind>.p3dump per failure
+// report that carries a dump, base.p3dump and base.hostprof.json, in that order, and
 // returns the paths written. It stops at the first error.
 func (a Artifacts) WriteFiles(dir, base string) ([]string, error) {
 	files := append([]File{{"telemetry.json", a.Telemetry}}, a.ReportDumps...)

@@ -312,18 +312,14 @@ func TestRandomTrafficEndToEndProperty(t *testing.T) {
 	}
 }
 
-func TestRASDetectsPanickedNode(t *testing.T) {
-	// Exhaust a starved receiver (panic policy), and let the heartbeat
-	// monitor find the corpse while the rest of the machine keeps working.
+// TestPanickedNodeFilesOneReport: a starved receiver (panic policy) files
+// one FailurePanic report and its NIC dies, while the rest of the machine
+// keeps working.
+func TestPanickedNodeFilesOneReport(t *testing.T) {
 	p := model.Defaults()
 	p.NumGenericPendings = 2 // one RX pending: trivially exhaustible
 	tp, _ := topo.New(3, 1, 1, false, false, false)
 	m := New(p, tp)
-	// Instantiate all three nodes before starting RAS.
-	for i := topo.NodeID(0); i < 3; i++ {
-		m.Node(i)
-	}
-	ras := m.StartRAS(20 * sim.Microsecond)
 
 	var victim *App
 	victim, _ = m.Spawn(1, "victim", Generic, func(app *App) {
@@ -355,21 +351,10 @@ func TestRASDetectsPanickedNode(t *testing.T) {
 		app.API.Put(md, core.NoAck, peer.ID(), testPtl, 7, 0, 0)
 	})
 	m.RunUntil(5 * sim.Millisecond)
-	ras.Stop()
 
 	fails := m.Reports()
 	if len(fails) != 1 || fails[0].Kind != FailurePanic || fails[0].Node != 1 {
 		t.Fatalf("reports = %v, want node 1's panic", fails)
-	}
-	dead := ras.Dead()
-	if len(dead) != 1 || dead[0].Node != 1 {
-		t.Fatalf("RAS detected %v, want node 1", dead)
-	}
-	if dead[0].At <= fails[0].At {
-		t.Error("RAS detection cannot precede the failure")
-	}
-	if dead[0].At-fails[0].At > 200*sim.Microsecond {
-		t.Errorf("RAS took %v to notice; want within a few periods", dead[0].At-fails[0].At)
 	}
 	if !survived {
 		t.Error("healthy nodes stopped working after an unrelated node death")

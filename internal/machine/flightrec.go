@@ -44,15 +44,16 @@ func (k FailureKind) String() string {
 
 // FailureReport is the single funnel for machine-detected failures. Node
 // panics, stall detections and ledger imbalances all land here; when the
-// flight recorder is on, each report carries a dump snapshotted at
-// detection time.
+// flight recorder is on, a node's first report carries a dump snapshotted
+// at detection time (fileReport).
 type FailureReport struct {
 	Kind   FailureKind
 	Node   topo.NodeID // -1 for machine-scoped failures (ledger)
 	Reason string
 	At     sim.Time
 	// Dump is the machine snapshot taken at detection; nil when the flight
-	// recorder is off.
+	// recorder is off, on a node's later reports and on a sharded
+	// machine's panics.
 	Dump *flightrec.Dump
 }
 
@@ -73,34 +74,48 @@ func (m *Machine) Reports() []FailureReport {
 // flight recorder is running and the caller vouches for dump safety (dump
 // is true only on the classic machine, at kernel barrier ticks, or after
 // Run — anywhere every lane's state is quiescent and readable), attach a
-// dump stamped at the detection time. The run's first dump holds every
-// node's ring, as does a machine-scoped report's (node -1: the ledger, at
-// most one per run). A later node's report holds that node's events since
-// its previous dump alone, so a detector that keeps tripping costs the
-// events it reports, not a machine's rings per report.
+// dump stamped at the detection time to a node's first report. The run's
+// first report holds every node's ring, as does a machine-scoped report's
+// (node -1: the ledger, at most one per run); a node's first report after
+// that holds its own ring alone, and its later reports carry no dump — a
+// detector that keeps tripping costs a report line, not a ring per report.
 func (m *Machine) fileReport(kind FailureKind, node topo.NodeID, reason string, at sim.Time, dump bool) {
 	r := FailureReport{Kind: kind, Node: node, Reason: reason, At: at}
-	if m.dumpEvents > 0 && dump {
-		first := m.dumped == nil
-		if first {
-			m.dumped = make(map[topo.NodeID]uint64)
-		}
-		r.Dump = m.takeDumpAt(reason, kind.String(), int(node), at, func(id topo.NodeID, ring *flightrec.Ring) int {
-			total := ring.Dropped() + uint64(ring.Len())
-			keep := int(m.dumpEvents)
-			if !first && node >= 0 {
-				if id != node {
-					return -1
-				}
-				keep = int(min(uint64(keep), total-m.dumped[id]))
-			}
-			m.dumped[id] = total
-			return keep
-		})
-	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.dumpEvents > 0 && dump && !m.reported[node] {
+		all := node < 0 || len(m.reports) == 0
+		r.Dump = m.takeDumpAt(reason, kind.String(), int(node), at, all)
+	}
+	if m.reported == nil {
+		m.reported = make(map[topo.NodeID]bool)
+	}
+	m.reported[node] = true
 	m.reports = append(m.reports, r)
-	m.mu.Unlock()
+}
+
+// installFailureHandler is called at node construction. The handler files
+// the panic as a FailurePanic report (Reports) and kills the firmware
+// (blackholing its traffic) instead of crashing the process; a dead node's
+// later exhaustions — headers already queued on its PowerPC — file
+// nothing more, so a node files one report however it died. Set
+// Node(n).NIC.OnPanic yourself to restore the crash-hard behavior. The
+// report goes through fileReport, so a panic with the flight recorder on
+// also snapshots a dump — on a classic machine only: a sharded node panics
+// on a lane worker mid-window, where snapshotting the other lanes would
+// race.
+func (m *Machine) installFailureHandler(n *Node) {
+	nic := n.NIC
+	id := n.ID
+	nic.OnPanic = func(reason string) {
+		if nic.Dead() {
+			return
+		}
+		// nic.S is the node's own lane, so the timestamp is race-free on a
+		// sharded machine too; the funnel itself serializes internally.
+		m.fileReport(FailurePanic, id, reason, nic.S.Now(), !m.Sharded())
+		nic.Kill()
+	}
 }
 
 // EnableFlightRecorder starts per-node flight recording, with ringEvents
@@ -153,32 +168,25 @@ func (m *Machine) TakeDump(reason string) *flightrec.Dump {
 	if m.dumpEvents == 0 {
 		return nil
 	}
-	return m.takeDumpAt(reason, "snapshot", -1, m.S.Now(), nil)
+	return m.takeDumpAt(reason, "snapshot", -1, m.S.Now(), true)
 }
 
-// takeDumpAt snapshots, for every instantiated node that keep does not
-// skip (a negative count), its occupancy and the newest keep events of its
-// ring (a nil keep: every node's newest dumpEvents), with an explicit
-// timestamp — the canonical tick time when called from a kernel barrier,
-// where lane clocks sit at the previous horizon rather than the tick time
-// itself.
-func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time, keep func(topo.NodeID, *flightrec.Ring) int) *flightrec.Dump {
+// takeDumpAt snapshots the occupancy and the newest dumpEvents events of
+// every instantiated node's ring (all), or of node's alone, with an
+// explicit timestamp — the canonical tick time when called from a kernel
+// barrier, where lane clocks sit at the previous horizon rather than the
+// tick time itself.
+func (m *Machine) takeDumpAt(reason, trigger string, node int, at sim.Time, all bool) *flightrec.Dump {
 	d := &flightrec.Dump{Reason: reason, Trigger: trigger, At: at, Node: node}
 	for _, n := range m.nodes {
-		if n == nil {
+		if n == nil || !all && int(n.ID) != node {
 			continue
 		}
 		ring := m.rec.Ring(int(n.ID))
-		k := int(m.dumpEvents)
-		if keep != nil {
-			if k = keep(n.ID, ring); k < 0 {
-				continue
-			}
-		}
 		occ := n.NIC.Occupancy()
 		occ.EvQueueDepth = n.Generic.EvQueueDepth()
 		occ.EvQueueHigh = n.Generic.EvQueueHigh()
-		events := ring.Newest(k)
+		events := ring.Newest(int(m.dumpEvents))
 		d.Nodes = append(d.Nodes, flightrec.NodeDump{
 			Node:    int(n.ID),
 			Occ:     occ,
@@ -218,7 +226,6 @@ func (m *Machine) checkLedger() {
 type StallDetector struct {
 	m      *Machine
 	window sim.Time
-	halted bool
 
 	lastProg map[topo.NodeID]uint64   // progress counter at the last tick
 	lastMove map[topo.NodeID]sim.Time // when progress last advanced
@@ -227,9 +234,6 @@ type StallDetector struct {
 	// Stalls counts detections, for tests and reports.
 	Stalls int
 }
-
-// Stop halts the detector after the current tick.
-func (sd *StallDetector) Stop() { sd.halted = true }
 
 // StartStallDetector begins stall watching with the given detection window:
 // a node holding open work (queued transmits, open receive streams, unacked
@@ -256,7 +260,7 @@ func (m *Machine) StartStallDetector(window sim.Time) *StallDetector {
 	if period <= 0 {
 		period = 1
 	}
-	m.every(period, false, &sd.halted, sd.checkAt)
+	m.every(period, sd.checkAt)
 	return sd
 }
 
@@ -286,7 +290,27 @@ func (sd *StallDetector) checkAt(now sim.Time) {
 		// Stall checks run at safe points on every machine kind (classic
 		// event, sharded barrier tick), so dumps are always allowed.
 		m.fileReport(FailureStall, id, fmt.Sprintf(
-			"no forward progress for %v with %d open work items", now-sd.lastMove[id], open),
+			"no forward progress for %v with %d open work items%s", now-sd.lastMove[id], open, emptyPools(n.NIC.Occupancy())),
 			now, true)
 	}
+}
+
+// emptyPools names each firmware pool with no free entry, for a stall
+// report's reason: a node whose sources are all claimed NACKs every new
+// flow for ever, and its report should say so.
+func emptyPools(o flightrec.Occupancy) string {
+	var s string
+	for _, p := range []struct {
+		name        string
+		free, total int
+	}{
+		{"sources", o.SourcesFree, o.SourcesTotal},
+		{"RX pendings", o.RxPendFree, o.RxPendTotal},
+		{"TX pendings", o.TxPendFree, o.TxPendTotal},
+	} {
+		if p.free == 0 && p.total > 0 {
+			s += fmt.Sprintf("; %s pool empty (0 of %d free)", p.name, p.total)
+		}
+	}
+	return s
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"portals3/internal/core"
@@ -259,8 +260,10 @@ func TestPanicReportCarriesExhaustDump(t *testing.T) {
 // first 8 flows claim the hot node's sources, which are never reclaimed;
 // every other flow is NACKed for ever and retransmits on its timer, so the
 // job never ends (Run would not return; the test runs to a horizon). The
-// NACKed headers are not progress, so the stall detector must file a
-// report — counting every arriving header, it never did.
+// NACKed headers and the retransmitted chunks are not progress, so the
+// stall detector must file a report — counting every arriving header, it
+// never did — and the hot node's must name the pool that ran dry, while
+// no sender's names any.
 func TestSourceExhaustionLivelockIsAStall(t *testing.T) {
 	p := model.Defaults()
 	p.NumSources = 8
@@ -301,14 +304,24 @@ func TestSourceExhaustionLivelockIsAStall(t *testing.T) {
 	}
 	m.RunUntil(10 * sim.Millisecond)
 
-	stalls := 0
+	stalls, named := 0, false
 	for _, r := range m.Reports() {
-		if r.Kind == FailureStall {
-			stalls++
+		if r.Kind != FailureStall {
+			continue
+		}
+		stalls++
+		switch pool := strings.Contains(r.Reason, "pool empty"); {
+		case r.Node == hot:
+			named = named || strings.Contains(r.Reason, "sources pool empty")
+		case pool:
+			t.Errorf("a sender's report names a pool: %v", r)
 		}
 	}
 	if stalls == 0 {
 		t.Fatalf("a source-exhaustion livelock filed no stall report; reports: %v", m.Reports())
+	}
+	if !named {
+		t.Errorf("no report of node %d names its empty source pool; reports: %v", hot, m.Reports())
 	}
 }
 

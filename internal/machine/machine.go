@@ -63,7 +63,6 @@ type Machine struct {
 	gbn       bool
 	idleTicks int32 // pending self-terminating observer ticks (every); shares gbn's word, so Machine keeps its size class
 	sampler   *Sampler
-	ras       *RAS
 
 	// lanes is the event-lane table: one entry on a classic machine (New),
 	// one per kernel shard on a sharded one (NewSharded). Every node lives
@@ -91,12 +90,12 @@ type Machine struct {
 	// rec is the one event recorder, armed by EnableFlightRecorder;
 	// dumpEvents is the events per node a dump holds, 0 until then. It
 	// shares ledgerReported's word, so Machine keeps its size class.
-	// dumped holds each node ring's lifetime event count at its last report
-	// dump, nil until a report has carried every node's ring (fileReport).
+	// reported holds every node that has filed a report, whose later
+	// reports carry no dump (fileReport).
 	rec            *flightrec.Recorder
 	stall          *StallDetector
 	reports        []FailureReport
-	dumped         map[topo.NodeID]uint64
+	reported       map[topo.NodeID]bool
 	ledgerReported bool
 	dumpEvents     int32
 }
@@ -196,7 +195,7 @@ func (m *Machine) home(id topo.NodeID) (*lane, fabric.Port) {
 // EnableTelemetry attaches a telemetry handle to every lane — existing and
 // subsequently built nodes — and returns lane 0's: per-message latency
 // attribution through the generic driver, per-node interrupt dispatch
-// histograms, and the registry the RAS sampler and exporters use. Like
+// histograms, and the registry the sampler and exporters use. Like
 // the flight recorder, enable it before spawning processes; a machine without it pays
 // one pointer test per site and allocates nothing. On a sharded machine
 // read the merged view through Machine.Telemetry after the run.
@@ -336,7 +335,7 @@ func (m *Machine) Run() {
 	t0 := time.Now()
 	m.runEngine()
 	m.runWall += time.Since(t0)
-	if m.sampler != nil && !m.sampler.halted {
+	if m.sampler != nil {
 		// On a sharded machine every lane's clock reads the final horizon
 		// here (RunUntil sets it), which is shard-invariant, so the closing
 		// sample lands at the same timestamp at every shard count. The
@@ -391,8 +390,9 @@ func (m *Machine) flushMeters() {
 }
 
 // RunUntil executes the simulation up to a virtual-time horizon, then
-// advances the clock to (at least) t — the idiom RAS monitors and staged
-// scenario drivers use between final Run calls. On a sharded machine the
+// advances the clock to (at least) t — the idiom staged scenario drivers
+// use between final Run calls; the barrier ticks of periodic observers due
+// through t fire even once the lanes are quiescent. On a sharded machine the
 // horizon rounds up to the kernel's next window barrier, so events within
 // lookahead−1 past t may run with their window; the rounding depends only
 // on the workload's event times, never on the partition, so a

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 )
 
 // What the classic machine and the sharded one share above the walk, stated
-// as properties rather than goldens: one message-ID and span scheme, one
-// fault-plane scope, one heartbeat clock (DESIGN.md §11). On a two-node line
+// as properties rather than goldens: one message-ID and span scheme and one
+// fault-plane scope (DESIGN.md §11). On a two-node line
 // a route is one hop and the receive window never fills, so the whole-path
 // and hop-by-hop walks coincide and the two machines must agree exactly.
 
@@ -157,41 +156,4 @@ func TestCorruptEntryLandsOnItsNodesPlane(t *testing.T) {
 			t.Errorf("reports = %v, want the one ledger imbalance", reports)
 		}
 	})
-}
-
-// TestRASDeclaresDeathAtTheSameTime: heartbeats and the monitor run on the
-// machine's one periodic clock, so a node killed mid-run is declared dead at
-// the same virtual time on every machine. (The kill falls strictly between
-// heartbeat ticks: where a tick and a sample coincide the classic clock runs
-// the sample first and the kernel's barrier ticks the heartbeat first — the
-// remaining difference in every — which no monitor verdict may depend on.)
-func TestRASDeclaresDeathAtTheSameTime(t *testing.T) {
-	const period = 100 * sim.Microsecond
-	var verdicts []string
-	forEachPair(t, func(t *testing.T, build func(model.Params) *Machine) {
-		m := build(model.Defaults())
-		m.Node(0)
-		m.Node(1)
-		ras := m.StartRAS(period)
-		m.RunUntil(260 * sim.Microsecond)
-		m.Node(1).NIC.Kill() // the lanes are joined at a RunUntil return
-		m.RunUntil(10 * period)
-		ras.Stop()
-		m.Run()
-		dead := ras.Dead()
-		// The last heartbeat lands at 250 us; the samples at 400, 500 and 600
-		// us read it unchanged.
-		if len(dead) != 1 || dead[0].Node != 1 || dead[0].At != 6*period {
-			t.Errorf("dead = %v, want node 1 at %v", dead, 6*period)
-		}
-		if hb := m.Node(0).NIC.Heartbeat; hb < 39 {
-			t.Errorf("the live node's heartbeat = %d after %v, want one tick per %v", hb, 10*period, period/4)
-		}
-		verdicts = append(verdicts, fmt.Sprint(dead))
-	})
-	for _, v := range verdicts[1:] {
-		if v != verdicts[0] {
-			t.Errorf("verdicts differ between machines: %q", verdicts)
-		}
-	}
 }

@@ -2,7 +2,9 @@ package machine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"portals3/internal/core"
@@ -12,12 +14,15 @@ import (
 )
 
 // runHorizonDriven drives a sharded 4-node line machine with a stepped
-// RunUntil loop — the RAS-monitor idiom — instead of a single Run: a
-// go-back-n-free put stream 0→1 supplies traffic, node 3 sits idle with
-// only its firmware heartbeat, and at a fixed horizon the driver kills
-// node 3's NIC so the RAS monitor (sampling at kernel barrier ticks)
-// declares it dead mid-loop. Returns a digest covering payloads, finish
-// time, stats, RAS verdicts and the kernel window count.
+// RunUntil loop instead of a single Run: a go-back-n-free put stream 0→1
+// supplies traffic, node 3 sits idle, and the telemetry sampler records
+// every node's counters at kernel barrier ticks through each horizon.
+// Returns a digest covering payloads, finish time, stats, the sample count,
+// the sampler's series (a hash of the telemetry export) and the kernel
+// window count.
+// horizon is the last RunUntil step of runHorizonDriven.
+const horizon = 900 * sim.Microsecond
+
 func runHorizonDriven(t *testing.T, shards int) string {
 	t.Helper()
 	const msgs = 8
@@ -50,22 +55,16 @@ func runHorizonDriven(t *testing.T, shards int) string {
 			app.Proc.Sleep(60 * sim.Microsecond)
 		}
 	})
-	m.Node(3) // instantiate the bystander so RAS watches it
-	ras := m.StartRAS(20 * sim.Microsecond)
+	m.Node(3) // instantiate the bystander so the sampler records it
+	sp := m.StartSampler(20 * sim.Microsecond)
 
-	// Stepped horizons well past the stream's natural finish: the monitor
+	// Stepped horizons well past the stream's natural finish: the sampler
 	// must keep sampling (barrier ticks fire through each horizon even once
-	// the lanes are quiescent) and must notice the kill three samples later.
-	const killAt = 300 * sim.Microsecond
-	for h := 50 * sim.Microsecond; h <= 900*sim.Microsecond; h += 50 * sim.Microsecond {
+	// the lanes are quiescent).
+	for h := 50 * sim.Microsecond; h <= horizon; h += 50 * sim.Microsecond {
 		m.RunUntil(h)
 		if now := m.S.Now(); now < h {
 			t.Fatalf("shards=%d: lane 0 at %v after RunUntil(%v)", shards, now, h)
-		}
-		if h == killAt {
-			// At a RunUntil return the lanes are joined, so a coordinator-side
-			// mutation of node state is race-free at any shard count.
-			m.Node(3).NIC.Kill()
 		}
 	}
 	m.Run()
@@ -76,15 +75,13 @@ func runHorizonDriven(t *testing.T, shards int) string {
 	var sb bytes.Buffer
 	fmt.Fprintf(&sb, "rx_done_ps=%d finish_ps=%d windows=%d\n", done, m.S.Now(), m.ShardKernel().Windows)
 	fmt.Fprintf(&sb, "payload=%x\n", got[:64])
-	for _, d := range ras.Dead() {
-		fmt.Fprintf(&sb, "dead: %s\n", d)
-	}
+	fmt.Fprintf(&sb, "samples=%d telemetry=%x\n", sp.Samples, sha256.Sum256(m.Artifacts("").Telemetry))
 	sb.WriteString(m.Stats().String())
 	return sb.String()
 }
 
 // TestRunUntilShardedBitIdentity: a horizon-driven sharded run — RunUntil
-// steps with a mid-loop NIC kill observed by the RAS monitor — produces a
+// steps observed by the sampler at kernel barrier ticks — produces a
 // byte-identical digest at every shard count. This is the idiom seqOnly
 // used to reject; it now runs on the parallel kernel with the horizon
 // rounded up to the next window barrier.
@@ -93,10 +90,9 @@ func TestRunUntilShardedBitIdentity(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("empty reference digest")
 	}
-	for _, d := range []string{"dead: node 3"} {
-		if !bytes.Contains([]byte(ref), []byte(d)) {
-			t.Fatalf("reference digest missing %q:\n%s", d, ref)
-		}
+	var samples int
+	if _, err := fmt.Sscanf(ref[strings.Index(ref, "samples="):], "samples=%d", &samples); err != nil || samples < int(horizon/(20*sim.Microsecond)) {
+		t.Fatalf("reference digest holds %d samples (%v), want one per 20 us through %v:\n%s", samples, err, horizon, ref)
 	}
 	for _, shards := range []int{2, 4} {
 		if got := runHorizonDriven(t, shards); got != ref {

@@ -7,11 +7,12 @@ import (
 	"portals3/internal/topo"
 )
 
-// This file is the telemetry half of the RAS loop: where ras.go watches
-// heartbeats for liveness, the Sampler periodically snapshots every node's
-// counters and utilizations into virtual-time series — the counter-
-// gathering path the real Red Storm RAS network provided, feeding the
-// machine's telemetry registry for export.
+// This file is the machine's counter-gathering loop: the Sampler
+// periodically snapshots every node's counters (the firmware heartbeat
+// among them) and utilizations into virtual-time series — the path the
+// real Red Storm's reliability network provided — feeding the machine's
+// telemetry registry for export. Liveness is not its job: a node that
+// dies files its own report (installFailureHandler).
 //
 // The sampler is lane-local: ticks fire through Machine.every — on a
 // sharded machine at the kernel's canonical barrier times, where every
@@ -61,7 +62,6 @@ type laneFab struct {
 type Sampler struct {
 	m      *Machine
 	period sim.Time
-	halted bool
 	nodes  map[topo.NodeID]*nodeSeries
 
 	// Fabric aggregates, one entry per lane (partials that sum pointwise
@@ -95,8 +95,7 @@ type Sampler struct {
 // into telemetry time series, every period of simulated time. Telemetry is
 // enabled if it was not already.
 //
-// Unlike the classic heartbeat monitor (StartRAS), the sampler
-// self-terminates (Machine.every without keepAlive), so Machine.Run still
+// The sampler self-terminates (Machine.every), so Machine.Run still
 // returns, with a final sample taken at quiesce time.
 func (m *Machine) StartSampler(period sim.Time) *Sampler {
 	if m.sampler != nil {
@@ -115,7 +114,7 @@ func (m *Machine) StartSampler(period sim.Time) *Sampler {
 		sp.simFired = tel0.SeriesFor("sim_events_fired_total")
 		sp.simPending = tel0.SeriesFor("sim_events_pending")
 	}
-	m.every(period, false, &sp.halted, sp.sampleAt)
+	m.every(period, sp.sampleAt)
 	return sp
 }
 
@@ -128,9 +127,6 @@ func bindFab(tel *telemetry.Telemetry) laneFab {
 		retries:   tel.SeriesFor("fabric_link_retries_total"),
 	}
 }
-
-// Stop halts the sampler after the current period.
-func (sp *Sampler) Stop() { sp.halted = true }
 
 // sampleAt appends one point to every series at the given canonical time
 // (a tick time, or the quiesce time for the closing sample).

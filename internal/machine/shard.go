@@ -16,12 +16,11 @@ import (
 // shard count (DESIGN.md §11); the classic machine remains the reference
 // for the whole-path wire model.
 //
-// Observers — the flight recorder, the RAS sampler, the heartbeat monitor,
-// the stall detector — are lane-local on every machine: each node records
-// into its own ring and each lane into its own telemetry instance, periodic
-// checks fire through
-// Machine.every (classic self-rescheduling events, or the kernel's
-// canonical barrier ticks), and the per-lane artifacts merge
+// Observers — the flight recorder, the telemetry sampler, the stall
+// detector — are lane-local on every machine: each node records into its
+// own ring and each lane into its own telemetry instance, periodic checks
+// fire through Machine.every (classic self-rescheduling events, or the
+// kernel's canonical barrier ticks), and the per-lane artifacts merge
 // deterministically at snapshot time (DESIGN.md §12). Faults are declared
 // up front on both (Params.Faults, Params.Schedule).
 
@@ -76,42 +75,30 @@ func (m *Machine) FaultSnapshot() (fabric.FaultStats, bool) {
 	return m.lanes[0].fab.FaultSnapshot()
 }
 
-// every calls fn at each multiple of period until *halted — the one clock
-// the machine's periodic observers (sampler, stall detector, heartbeat
-// monitor) run on. On a classic machine it is a self-rescheduling event
-// that, unless keepAlive, stops once nothing but other such observers'
-// ticks is pending (m.idleTicks counts those: two observers must not keep
-// each other, and so the run, alive), so Run still returns. On a sharded
-// machine it is a kernel barrier tick
+// every calls fn at each multiple of period — the one clock the machine's
+// periodic observers (sampler, stall detector) run on. On a classic
+// machine it is a self-rescheduling event that stops once nothing but
+// such observers' ticks is pending (m.idleTicks counts those: two
+// observers must not keep each other, and so the run, alive), so Run
+// still returns. On a sharded machine it is a kernel barrier tick
 // (sim.Kernel.Every): the lane workers have joined there, so fn may read
 // any node race-free, the canonical tick times make whatever it records
 // identical at every shard count, and ticks never keep the machine alive
 // (RunUntil still fires the ones due through its horizon).
-func (m *Machine) every(period sim.Time, keepAlive bool, halted *bool, fn func(now sim.Time)) {
+func (m *Machine) every(period sim.Time, fn func(now sim.Time)) {
 	if m.kern != nil {
-		m.kern.Every(period, func(now sim.Time) {
-			if !*halted {
-				fn(now)
-			}
-		})
+		m.kern.Every(period, fn)
 		return
 	}
 	var tick func()
 	arm := func() {
-		if !keepAlive {
-			m.idleTicks++
-		}
+		m.idleTicks++
 		m.S.After(period, tick)
 	}
 	tick = func() {
-		if !keepAlive {
-			m.idleTicks--
-		}
-		if *halted {
-			return
-		}
+		m.idleTicks--
 		fn(m.S.Now())
-		if keepAlive || m.S.Pending() > int(m.idleTicks) {
+		if m.S.Pending() > int(m.idleTicks) {
 			arm()
 		}
 	}

@@ -9,8 +9,8 @@ import (
 	"portals3/internal/topo"
 )
 
-// NodeStats is one node's counter snapshot: what the RAS system would
-// gather from the heartbeat/telemetry path on the real machine.
+// NodeStats is one node's counter snapshot: what the real machine's
+// reliability network would gather from its heartbeat/telemetry path.
 type NodeStats struct {
 	Node       topo.NodeID
 	OS         string

@@ -142,10 +142,9 @@ func TestTelemetryDeterministic(t *testing.T) {
 	}
 }
 
-// TestSamplerTicksAndSelfTerminates: the RAS sampler takes periodic
-// snapshots in virtual time, its counter series are monotone, and — unlike
-// the heartbeat monitor — it does not keep the event loop alive (Run
-// returning at all proves that).
+// TestSamplerTicksAndSelfTerminates: the sampler takes periodic snapshots
+// in virtual time, its counter series are monotone, and it does not keep
+// the event loop alive (Run returning at all proves that).
 func TestSamplerTicksAndSelfTerminates(t *testing.T) {
 	m := pingPongWithTelemetry(t, 16384, 10, 50*sim.Microsecond)
 	sp := m.sampler
@@ -191,7 +190,7 @@ func TestSamplerTicksAndSelfTerminates(t *testing.T) {
 	}
 }
 
-// TestStatsStringGolden pins the RAS table rendering.
+// TestStatsStringGolden pins the counter table rendering.
 func TestStatsStringGolden(t *testing.T) {
 	s := Stats{
 		Nodes: []NodeStats{
@@ -218,7 +217,7 @@ func TestStatsStringGolden(t *testing.T) {
 }
 
 // TestCounterConsistencyMultiNode exchanges messages around a four-node
-// line and checks the cross-layer counter invariants the RAS view relies
+// line and checks the cross-layer counter invariants the counter view relies
 // on: fabric delivery never exceeds injection, coalesced raises never
 // exceed raise requests, inline deliveries never exceed headers, and
 // firmware TX counts account for every fabric message.

@@ -261,7 +261,7 @@ func (g *Signal) Raise() {
 // Barrier is a one-shot counting barrier for the processes of one simulator:
 // the first need-1 arrivals block and the last releases them all. It is the
 // out-of-band start synchronization of a job launch or a benchmark pair
-// (the real launcher does this over the RAS network, outside the Portals
+// (the real launcher does this over the reliability network, outside the Portals
 // data path).
 type Barrier struct {
 	need, have int

@@ -189,8 +189,7 @@ func TestKernelRunUntilHorizonRounding(t *testing.T) {
 
 // TestKernelRunUntilTicksPastQuiescence: barrier ticks due at or before the
 // horizon fire even after the lanes run dry — the property that lets a
-// sharded RAS monitor keep sampling under a RunUntil-driven loop, exactly
-// like a classic Sim's self-rescheduling monitor.
+// sharded machine's sampler keep sampling under a RunUntil-driven loop.
 func TestKernelRunUntilTicksPastQuiescence(t *testing.T) {
 	k := NewKernel(2, 100)
 	var ticks []Time

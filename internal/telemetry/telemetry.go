@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer of the simulated machine:
 // a metrics registry (counters, gauges, log-bucketed histograms), per-
 // message latency attribution records, virtual-time series filled by the
-// machine's RAS sampler, and a JSON exporter whose documents ReadJSON
+// machine's sampler, and a JSON exporter whose documents ReadJSON
 // reads back.
 //
 // The paper's contribution is explaining where each microsecond of a
@@ -235,7 +235,7 @@ type Sample struct {
 	V float64
 }
 
-// Series is one named virtual-time series, filled by the RAS sampler.
+// Series is one named virtual-time series, filled by the machine's sampler.
 // labelStr caches the rendered label set, like Metric's — the per-link
 // utilization series alone number in the thousands at machine scale.
 type Series struct {

@@ -2,7 +2,8 @@
 # `make check-fast`: gofmt, test names cited in the docs, vet, build,
 # race-enabled tests, a smoke run of the examples and small tools, one
 # artifact set written and read back, every NetPIPE series and pattern
-# through the CLI, and the benchmark module's self-test and tests. `make
+# through the CLI, a healthy 1 MB series that must file no stall report,
+# and the benchmark module's self-test and tests. `make
 # check` adds the host-cost contract tests (`make contracts`, DESIGN.md §7),
 # which skip under the race runtime.
 set -e
@@ -141,6 +142,15 @@ for series in put get mpich1 mpich2; do
 done
 np_smoke -accel -series put
 echo "check.sh: netpipe printed $np_runs tables"
+# A healthy long transfer is not a stall: every chunk a 1 MB message moves is
+# progress, so a 400 us window files no report (and stderr stays empty).
+if ! stall_err=$("$art/netpipe" -series put -max 1048576 -dump-on-stall 400 -out "$art/stall" 2>&1 >/dev/null) ||
+    [ -n "$stall_err" ]; then
+    echo "FAIL: netpipe -series put -max 1048576 -dump-on-stall 400 reported a healthy run:"
+    echo "$stall_err" | head -5
+    exit 1
+fi
+echo "check.sh: a 1 MB series filed no stall report"
 
 echo "== smoke: a seeded lossy torus job, replayed and resharded =="
 # A node's fault stream is a function of the fault seed and the node alone:
