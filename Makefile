@@ -1,6 +1,6 @@
 # Stdlib-only Go; these targets just bundle the usual invocations.
 
-.PHONY: all build test race vet bench figures check check-fast contracts alloc-sites machine-scale soak soak-short sloc
+.PHONY: all build test race vet bench figures check check-fast contracts alloc-sites machine-scale soak sloc
 
 all: build
 
@@ -55,18 +55,15 @@ alloc-sites:
 machine-scale:
 	go test -run xxx -bench TorusCollective32k -benchtime 1x .
 
-# Chaos soak campaigns: seeded virtual-time fault schedules over the
-# standard workloads at shards 1 and 4, ledger-balanced and byte-identical
-# across shard counts; failures auto-bisect to a minimal schedule. Everything
-# a run leaves behind lands under the git-ignored soak_artifacts/: each arm's
-# host-execution profile, a failing run's dumps (render either with p3stat)
-# and this checkout's trend file, which grows by one entry per invocation.
-# soak-short is the ~1 minute CI gate.
+# Chaos soak campaigns, the CI gate: seeded virtual-time fault schedules over
+# four torus jobs (halo, collective, uniform and hot-spot traffic on the 3x3x3
+# torus), 5 seeds each at shards 1 and 4 in under a second, ledger-balanced
+# and byte-identical across shard counts; failures auto-bisect to a minimal
+# schedule and print its netpipe repro. Everything a run leaves behind lands
+# under the git-ignored soak_artifacts/: each arm's host-execution profile
+# and a failing run's dumps (render either with p3stat).
 soak:
-	go run ./cmd/soak -seeds 5 -hostprof -out soak_artifacts/SOAK_trend.json
-
-soak-short:
-	go run ./cmd/soak -short -hostprof -out soak_artifacts/SOAK_trend.json
+	go run ./cmd/soak -seeds 5 -hostprof
 
 # Non-test Go lines outside bench/, per package (blank lines and whole-line
 # comments not counted), then the total: run it before and after a change to

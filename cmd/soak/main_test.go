@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,16 +25,13 @@ func TestFlagValidation(t *testing.T) {
 		args string
 		want string // substring of the diagnostic
 	}{
-		{"-schedule corrupt:2:300us", "-schedule requires -workload"},
-		{"-workload gbn-stream -schedule teleport:2:300us", "unknown kind"},
-		{"-workload gbn-stream -schedule corrupt:9:300us", "node 9 outside"},
-		{"-workload gbn-stream -schedule linkdown:0:Y+:100us:50us", "no Y+ link"},
 		{"-workload no-such-workload", "unknown workload"},
 		{"-shards 1,zero", "-shards"},
 		{"-shards 0", "-shards"},
 		{"-seeds 0", "-seeds 0"},
 		{"-seeds -3", "-seeds -3"},
 		{"-entries -2", "-entries -2"},
+		{"-entries 0", "-entries 0 must be at least 1"},
 	} {
 		code, stdout, stderr := runCLI(strings.Fields(tc.args)...)
 		if code != 2 || stdout != "" {
@@ -50,13 +49,14 @@ func TestFlagValidation(t *testing.T) {
 // TestPlantedFailureLeavesItsArtifacts: a campaign with a planted ledger
 // corruption must fail (exit 1), bisect to the planted entry, and leave the
 // minimal schedule plus what the failing run recorded — both dumps, and
-// with -hostprof every arm's profile — under -artifacts; a passing campaign
-// writes only the profiles, and -out creates its directory.
+// with -hostprof every arm's profile — under -artifacts (made on demand);
+// the printed repro, a netpipe command, must fail the same way; a passing
+// campaign writes only the profiles.
 func TestPlantedFailureLeavesItsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	artifacts := filepath.Join(dir, "made", "on", "demand")
-	code, stdout, stderr := runCLI("-workload", "gbn-stream", "-short", "-shards", "1,2", "-plant",
-		"-hostprof", "-artifacts", artifacts, "-out", filepath.Join(artifacts, "trend.json"))
+	code, stdout, stderr := runCLI("-workload", "rand-traffic", "-seeds", "1", "-shards", "1,2", "-plant",
+		"-hostprof", "-artifacts", artifacts)
 	if code != 1 {
 		t.Fatalf("planted campaign: exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -71,34 +71,45 @@ func TestPlantedFailureLeavesItsArtifacts(t *testing.T) {
 		got[i] = filepath.Base(got[i])
 	}
 	want := []string{
-		"gbn-stream-seed1-shards1.hostprof.json",
-		"gbn-stream-seed1-shards2.hostprof.json",
-		"gbn-stream-seed1.0.ledger.p3dump",
-		"gbn-stream-seed1.hostprof.json",
-		"gbn-stream-seed1.minimal.schedule",
-		"gbn-stream-seed1.p3dump",
-		"trend.json",
+		"rand-traffic-seed1-shards1.hostprof.json",
+		"rand-traffic-seed1-shards2.hostprof.json",
+		"rand-traffic-seed1.0.ledger.p3dump",
+		"rand-traffic-seed1.hostprof.json",
+		"rand-traffic-seed1.minimal.schedule",
+		"rand-traffic-seed1.p3dump",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("artifacts:\n got %v\nwant %v", got, want)
 	}
-	for _, name := range want[:len(want)-1] {
+	for _, name := range want {
 		if !strings.Contains(stdout, filepath.Join(artifacts, name)) {
 			t.Errorf("stdout never names %s", name)
 		}
 	}
 
-	// The bisector's repro command is replay mode; it must fail the same way.
-	code, stdout, _ = runCLI("-workload", "gbn-stream", "-shards", "1", "-schedule", "corrupt:2:300us",
-		"-artifacts", filepath.Join(dir, "replay"))
-	if code != 1 || !strings.Contains(stdout, "status=FAIL") {
-		t.Errorf("replay of the minimal schedule: exit %d\n%s", code, stdout)
+	// The bisector's repro line is a netpipe command; run it and require
+	// exit 1 with the ledger's failure report.
+	_, repro, ok := strings.Cut(stdout, "repro: go run ./cmd/netpipe ")
+	if !ok {
+		t.Fatalf("no netpipe repro line:\n%s", stdout)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "replay", "gbn-stream-replay-shards1.0.ledger.p3dump")); err != nil {
-		t.Errorf("replay left no report dump: %v", err)
+	repro, _, _ = strings.Cut(repro, "\n")
+	bin := filepath.Join(dir, "netpipe")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/netpipe")
+	build.Dir = filepath.Join("..", "..")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/netpipe: %v\n%s", err, out)
+	}
+	var npErr bytes.Buffer
+	np := exec.Command(bin, append(strings.Fields(repro), "-out", filepath.Join(dir, "r"))...)
+	np.Stderr = &npErr
+	var exit *exec.ExitError
+	if err := np.Run(); !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!strings.Contains(npErr.String(), "ERROR: failure report: ledger at ") {
+		t.Errorf("netpipe %s: %v, want exit 1 and the ledger report\nstderr: %s", repro, exit, npErr.String())
 	}
 
-	code, stdout, stderr = runCLI("-workload", "gbn-stream", "-short", "-shards", "1,2", "-artifacts", filepath.Join(dir, "clean"))
+	code, stdout, stderr = runCLI("-workload", "rand-traffic", "-seeds", "1", "-shards", "1,2", "-artifacts", filepath.Join(dir, "clean"))
 	if code != 0 || stderr != "" || !strings.Contains(stdout, "soak: 1 campaigns passed") {
 		t.Errorf("clean campaign: exit %d, stderr %q\n%s", code, stderr, stdout)
 	}

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"portals3/internal/experiments"
 	"portals3/internal/machine"
 	"portals3/internal/model"
 	"portals3/internal/netpipe"
@@ -103,7 +104,7 @@ func TestContractHaloArms(t *testing.T) {
 		t.Errorf("4-lane halo: %d allocs/job, more than 5%% from 1 lane's %d", par, seq)
 	}
 	// The observers add registration (3072 link meters) plus the end-of-run
-	// merge and export: fixed, 589k measured. One per event is millions.
+	// merge and export: fixed, 591.5k measured. One per event is millions.
 	if added := allocsPerOp(t, perJob, BenchmarkTorusHaloShard4SamplerOn) - par; added > 650_000 {
 		t.Errorf("observed halo: %d allocs/job above the bare arm's %d, want at most 650000", added, par)
 	}
@@ -223,5 +224,42 @@ func TestContractStallReportBytes(t *testing.T) {
 	}
 	if len(seen) != 2 {
 		t.Errorf("reports from %d nodes, want both", len(seen))
+	}
+}
+
+// TestContractDeterministicCost pins what bench/'s three torus jobs cost in
+// the units that do not drift with the host: events fired (the host
+// profile's count) and kernel windows, exactly. A change that leaves the
+// simulated results alone but fires one more event per message, or splits a
+// window, moves these before it moves a wall-clock bound. The shapes are
+// bench/'s halo_512 and collective_512 (2 lanes) and uniform_lossy_512 at
+// seed 1 (1 lane, go-back-n, lossyFaults).
+func TestContractDeterministicCost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("three 512-node jobs; the plain run asserts the contract")
+	}
+	halo := experiments.TorusConfig{Dim: 8, Bytes: 1024, Steps: 20, Radius: 2, Shards: 2, HostProf: true}
+	collective := experiments.TorusConfig{Dim: 8, Bytes: 256, Steps: 8, Shards: 2, HostProf: true}
+	lossy := experiments.TrafficConfig{
+		TorusConfig: experiments.TorusConfig{Dim: 8, Bytes: 1024, Shards: 1, GoBackN: true,
+			Faults: lossyFaults, FaultSeed: 1, HostProf: true},
+		Msgs: 32, Load: 1, Seed: 1,
+	}
+	for _, tc := range []struct {
+		name            string
+		run             func() experiments.TorusResult
+		events, windows uint64
+	}{
+		{"halo", func() experiments.TorusResult { return experiments.TorusHalo(halo) }, 2_463_744, 2_973},
+		{"collective", func() experiments.TorusResult { return experiments.TorusCollective(collective) }, 691_254, 26_425},
+		{"lossy, seed 1", func() experiments.TorusResult { return experiments.TorusTraffic(lossy) }, 1_035_699, 6_229},
+	} {
+		r := tc.run()
+		if len(r.Errors) > 0 {
+			t.Fatalf("%s: %d errors, first: %s", tc.name, len(r.Errors), r.Errors[0])
+		}
+		if got := r.HostProfile.Events; got != tc.events || r.Windows != tc.windows {
+			t.Errorf("%s: %d events in %d windows, want %d in %d", tc.name, got, r.Windows, tc.events, tc.windows)
+		}
 	}
 }

@@ -11,7 +11,10 @@
 // sender), a pure function, so the run precomputes every sender's
 // destination sequence, derives each receiver's expected message count and
 // an order-independent checksum, and verifies delivery without any
-// cross-lane bookkeeping during the run.
+// cross-lane bookkeeping during the run. Each receiver also records the
+// arrival ordinal of every message it takes, and after the run every
+// (source, destination) flow must have arrived in send order: the SeaStar
+// routes a pair over one fixed path, and go-back-n redelivers in order.
 package experiments
 
 import (
@@ -87,8 +90,35 @@ func trafficDests(cfg *TrafficConfig, nodes int, src topo.NodeID) []topo.NodeID 
 	return out
 }
 
+// flowOrderErrors checks that every (src, dst) flow arrived in send order.
+// dests[src] is src's destination sequence and arrival[src*len(dests[src])+k]
+// the arrival ordinal of its message k at the receiver (1 for the receiver's
+// first arrival), 0 for a message that never arrived, which the count check
+// reports. There is one error per message that overtook an earlier one of
+// its flow.
+func flowOrderErrors(dests [][]topo.NodeID, arrival []int32) []string {
+	last := make([]int32, len(dests)) // per dst: latest ordinal of src's flow into it
+	var errs []string
+	for src, ds := range dests {
+		clear(last)
+		for k, dst := range ds {
+			a := arrival[src*len(ds)+k]
+			if a == 0 {
+				continue
+			}
+			if a < last[dst] {
+				errs = append(errs, fmt.Sprintf(
+					"node %d: message %d from node %d overtook an earlier one of its flow", dst, k, src))
+			}
+			last[dst] = max(last[dst], a)
+		}
+	}
+	return errs
+}
+
 // TorusTraffic runs one traffic-generator experiment and verifies every
-// node received exactly its expected messages (count and checksum).
+// node received exactly its expected messages (count and checksum), each
+// flow in send order.
 func TorusTraffic(cfg TrafficConfig) TorusResult {
 	m, tp := buildTorusMachine(&cfg.TorusConfig)
 	nodes := tp.Nodes()
@@ -124,6 +154,7 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 
 	gotCount := make([]int, nodes)
 	gotSum := make([]uint64, nodes)
+	arrival := make([]int32, nodes*cfg.Msgs) // flowOrderErrors' layout
 	sendErrs := make([][]string, nodes)
 	apps := make([]*machine.App, nodes)
 	res := TorusResult{Nodes: nodes}
@@ -190,7 +221,7 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 			waitEvents(app, sendEq, core.EventSendEnd, sent)
 
 			// Drain arrivals; each PUT_END carries (initiator, k) for the
-			// order-independent checksum.
+			// order-independent checksum and the message's arrival ordinal.
 			for gotCount[id] < wantCount[id] {
 				ev, err := app.API.EQWait(recvEq)
 				if err != nil && err != core.ErrEQDropped {
@@ -200,7 +231,11 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 					continue
 				}
 				gotCount[id]++
-				gotSum[id] += msgSum(topo.NodeID(ev.Initiator.Nid), ev.HdrData)
+				src, k := int(ev.Initiator.Nid), ev.HdrData
+				gotSum[id] += msgSum(topo.NodeID(src), k)
+				if src < nodes && k < uint64(cfg.Msgs) { // else the checksum fails
+					arrival[src*cfg.Msgs+int(k)] = int32(gotCount[id])
+				}
 			}
 		})
 		if err != nil {
@@ -222,6 +257,7 @@ func TorusTraffic(cfg TrafficConfig) TorusResult {
 				"node %d: checksum %#x, want %#x", id, gotSum[id], wantSum[id]))
 		}
 	}
+	res.Errors = append(res.Errors, flowOrderErrors(dests, arrival)...)
 	return res
 }
 

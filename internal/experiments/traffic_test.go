@@ -57,6 +57,29 @@ func TestTorusTrafficCompletes(t *testing.T) {
 	}
 }
 
+// TestFlowOrderErrors: node 0 sends messages 0 and 1 to node 2, node 1
+// sends its message 0 to node 2 and message 1 to node 0. Flows into one
+// receiver may interleave; a flow's own messages may not swap, and a message
+// that never arrived is the count check's to report.
+func TestFlowOrderErrors(t *testing.T) {
+	dests := [][]topo.NodeID{{2, 2}, {2, 0}, {0, 1}}
+	for _, tc := range []struct {
+		name    string
+		arrival []int32 // src*2 + k
+		want    []string
+	}{
+		{"in order, flows interleaved", []int32{1, 3, 2, 1, 2, 1}, nil},
+		{"a message lost", []int32{0, 2, 1, 1, 2, 1}, nil},
+		{"a swapped pair", []int32{3, 1, 2, 1, 2, 1},
+			[]string{"node 2: message 1 from node 0 overtook an earlier one of its flow"}},
+	} {
+		got := flowOrderErrors(dests, tc.arrival)
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%s: errors %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestTrafficDifferential: resharding bit-identity for the hot-spot
 // generator — the strongest congestion case, where head-of-line blocking
 // on the victim's links reorders arrivals most aggressively.

@@ -10,7 +10,6 @@
 package soak
 
 import (
-	"fmt"
 	"strings"
 
 	"portals3/internal/model"
@@ -145,13 +144,9 @@ func complement(chunks []model.FaultSchedule, skip int) model.FaultSchedule {
 }
 
 // ReproCommand renders the command that replays sched under the campaign,
-// verbatim paste-able: for a torus workload the netpipe run of its Job
-// (experiments.Job.Args), which replays the campaign's finish, ledger and
-// errors exactly, and for a line workload soak's replay mode.
+// verbatim paste-able: the netpipe run of its Job (experiments.Job.Args),
+// which replays the campaign's finish, ledger and errors exactly.
 func ReproCommand(c Campaign, sched model.FaultSchedule) string {
 	c.Shards = max(c.Shards, 1)
-	if j, ok := torusJob(c, sched); ok {
-		return "go run ./cmd/netpipe " + strings.Join(j.Args(), " ")
-	}
-	return fmt.Sprintf("go run ./cmd/soak -workload %s -shards %d -schedule '%s'", c.Workload, c.Shards, sched)
+	return "go run ./cmd/netpipe " + strings.Join(torusJob(c, sched).Args(), " ")
 }

@@ -48,7 +48,7 @@ func TestCampaignsPassAndReshardIdentically(t *testing.T) {
 
 func TestSameSeedSameSummary(t *testing.T) {
 	// Same seed, same campaign, two independent runs: bit-identical.
-	c := Campaign{Workload: GbnStream, Seed: 7, Shards: 2}
+	c := Campaign{Workload: RandTraffic, Seed: 7, Shards: 2}
 	a, b := Run(c), Run(c)
 	if a.Summary() != b.Summary() {
 		t.Errorf("same-seed reruns diverged:\n%s\nvs\n%s", a.Summary(), b.Summary())
@@ -59,7 +59,7 @@ func TestSameSeedSameSummary(t *testing.T) {
 // entry — planted silent data loss the ledger audit must catch — on top of
 // seed-generated noise entries.
 func plantedCampaign(shards int) Campaign {
-	c := Campaign{Workload: GbnStream, Seed: 5, Shards: shards}
+	c := Campaign{Workload: RandTraffic, Seed: 5, Shards: shards}
 	sched, err := Resolve(c)
 	if err != nil {
 		panic(err)
@@ -118,7 +118,7 @@ func TestBisectionDeterministicAndMinimal(t *testing.T) {
 }
 
 func TestBisectOnPassingCampaignIsANoop(t *testing.T) {
-	out, err := Bisect(Campaign{Workload: GbnStream, Seed: campaignSeed(GbnStream), Shards: 1})
+	out, err := Bisect(Campaign{Workload: RandTraffic, Seed: campaignSeed(RandTraffic), Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +128,12 @@ func TestBisectOnPassingCampaignIsANoop(t *testing.T) {
 }
 
 func TestReproCommands(t *testing.T) {
-	sched, _ := model.ParseSchedule("corrupt:1:300us")
-	cmd := ReproCommand(Campaign{Workload: GbnStream, Shards: 2}, sched)
-	want := "go run ./cmd/soak -workload gbn-stream -shards 2 -schedule 'corrupt:1:300us'"
-	if cmd != want {
-		t.Errorf("ReproCommand = %q, want %q", cmd, want)
-	}
-	// A torus campaign replays as the netpipe run of its Job: the traffic
-	// seed, the stall window above the schedule's longest entry, and
-	// everything else the row sets.
+	// A campaign replays as the netpipe run of its Job: the traffic seed,
+	// the stall window above the schedule's longest entry, and everything
+	// else the row sets.
 	stall, _ := model.ParseSchedule("stall:3:100us:50us")
-	cmd = ReproCommand(Campaign{Workload: HotSpot, Seed: 2, Shards: 2}, stall)
-	want = "go run ./cmd/netpipe -workload hotspot -bytes 512 -dim 3 -dump-on-stall 1600 -gbn -hostprof" +
+	cmd := ReproCommand(Campaign{Workload: HotSpot, Seed: 2, Shards: 2}, stall)
+	want := "go run ./cmd/netpipe -workload hotspot -bytes 512 -dim 3 -dump-on-stall 1600 -gbn -hostprof" +
 		" -hot 13 -hotfrac 0.3 -load 0.25 -msgs 24 -schedule stall:3:100us:50us -shards 2 -wseed 5308925248"
 	if cmd != want {
 		t.Errorf("ReproCommand = %q, want %q", cmd, want)
@@ -150,9 +144,9 @@ func TestResolveRejectsBadCampaigns(t *testing.T) {
 	if _, err := Resolve(Campaign{Workload: "no-such-workload"}); err == nil {
 		t.Error("unknown workload not rejected")
 	}
-	bad, _ := model.ParseSchedule("linkdown:0:Y+:100us:50us") // no Y links on a line
-	if _, err := Resolve(Campaign{Workload: GbnStream, Schedule: bad}); err == nil {
-		t.Error("schedule invalid for the workload topology not rejected")
+	bad, _ := model.ParseSchedule("corrupt:27:300us") // the 3x3x3 torus has nodes 0..26
+	if _, err := Resolve(Campaign{Workload: TorusHalo, Schedule: bad}); err == nil || !strings.Contains(err.Error(), "node 27 outside") {
+		t.Errorf("a node outside the 27-node torus: error %v", err)
 	}
 }
 
