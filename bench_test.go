@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"portals3/internal/core"
 	"portals3/internal/experiments"
 	"portals3/internal/flightrec"
 	"portals3/internal/machine"
@@ -281,6 +282,97 @@ func BenchmarkSleepInPlace(b *testing.B) {
 	})
 	s.Run()
 	b.ReportMetric(float64(s.Parks)/float64(b.N), "parks/op")
+}
+
+// BenchmarkParkedCall is the Portals call that leaves the CPU: a 1-byte put
+// ping-pong between the two nodes of a 2-lane machine, so an op is a round of
+// one PutRegion and one EQWait on each node. A lane's window is one hop
+// latency, shorter than any host cost, so no sleep of a call stays on the CPU:
+// what a call costs in switches is its chain's (sim.Step) — one park per
+// PutRegion and one per EQWait that finds its queue empty — and the steady
+// state allocates nothing.
+func BenchmarkParkedCall(b *testing.B) {
+	b.ReportAllocs()
+	tp, err := topo.New(2, 1, 1, false, false, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := machine.NewSharded(model.Defaults(), tp, 2)
+	var ids [2]core.ProcessID
+	for rank := range ids {
+		app, err := m.Spawn(topo.NodeID(rank), "rank", machine.Generic, func(app *machine.App) {
+			api := app.API
+			buf := app.Alloc(1)
+			eq, err := api.EQAlloc(64)
+			check := func(err error) {
+				if err != nil {
+					panic(err)
+				}
+			}
+			check(err)
+			me, err := api.MEAttach(4, core.ProcessID{Nid: core.NidAny, Pid: core.PidAny}, 1, 0, core.Retain, core.After)
+			check(err)
+			_, err = api.MDAttach(me, core.MDesc{Region: buf, Threshold: core.ThresholdInfinite, EQ: eq,
+				Options: core.MDOpPut | core.MDManageRemote}, core.Retain)
+			check(err)
+			md, err := api.MDBind(core.MDesc{Region: buf, Threshold: core.ThresholdInfinite, EQ: eq,
+				Options: core.MDEventStartDisable})
+			check(err)
+			app.Proc.Sleep(10 * sim.Microsecond) // both sides attached
+			if rank == 0 {
+				b.ResetTimer()
+			}
+			peer := ids[1-rank]
+			for i := 0; i < b.N; i++ {
+				if rank == 0 {
+					check(api.PutRegion(md, 0, 1, core.NoAck, peer, 4, 1, 0, 0))
+				}
+				for { // the peer's put; this side's SEND_END comes first
+					ev, err := api.EQWait(eq)
+					check(err)
+					if ev.Type == core.EventPutEnd {
+						break
+					}
+				}
+				if rank == 1 {
+					check(api.PutRegion(md, 0, 1, core.NoAck, peer, 4, 1, 0, 0))
+				}
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[rank] = app.ID()
+	}
+	m.Run()
+	k := m.ShardKernel()
+	b.ReportMetric(float64(k.Lane(0).Parks+k.Lane(1).Parks)/float64(b.N), "parks/op")
+}
+
+// BenchmarkSpawnCall is what a process and its Portals API cost to set up: an
+// op spawns a process on a built pair that binds a descriptor and puts one
+// byte from it, and runs the machine until the put is done.
+func BenchmarkSpawnCall(b *testing.B) {
+	b.ReportAllocs()
+	m := machine.NewPair(model.Defaults())
+	m.Node(1)
+	nobody := core.ProcessID{Nid: 1, Pid: 1}
+	caller := func(app *machine.App) {
+		md, err := app.API.MDBind(core.MDesc{Region: app.Alloc(1), Threshold: core.ThresholdInfinite, EQ: core.NoEQ})
+		if err == nil {
+			err = app.API.PutRegion(md, 0, 1, core.NoAck, nobody, 4, 1, 0, 0)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Spawn(0, "caller", machine.Generic, caller); err != nil {
+			b.Fatal(err)
+		}
+		m.Run()
+	}
 }
 
 // BenchmarkFigure4LatencySequential is the parallel-driver baseline: the

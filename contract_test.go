@@ -13,6 +13,7 @@ import (
 	"portals3/internal/experiments"
 	"portals3/internal/machine"
 	"portals3/internal/model"
+	"portals3/internal/mpi"
 	"portals3/internal/netpipe"
 	"portals3/internal/sim"
 	"portals3/internal/topo"
@@ -65,6 +66,22 @@ func TestContractSimAllocatesNothingPerEvent(t *testing.T) {
 		if got := allocsPerOp(t, perEvent, bench); got != 0 {
 			t.Errorf("%s: %d allocs/op, want 0", name, got)
 		}
+	}
+	// A Portals call that parks is a chain: its crossing, library and
+	// set-up sleeps and its event-queue wait cost one switch, not one each,
+	// and nothing per process, per API or per call. Before the chain a round
+	// parked 30 times.
+	r := benchmark(t, perMessage, BenchmarkParkedCall)
+	if got, parks := r.AllocsPerOp(), r.Extra["parks/op"]; got != 0 || parks > 15 {
+		t.Errorf("parked Portals call: %d allocs and %.1f parks per round, want 0 and at most 15", got, parks)
+	}
+	// What a process and its API cost to set up, as before the chain: a
+	// step bound as a method value per process or per API allocates once
+	// more, and a Proc or an API past its size class 16 bytes more.
+	r = benchmark(t, 1000, BenchmarkSpawnCall)
+	if r.AllocsPerOp() != 28 || r.AllocedBytesPerOp() > 4015 {
+		t.Errorf("a process spawned to make one call: %d allocs and %d B, want 28 and at most 4015",
+			r.AllocsPerOp(), r.AllocedBytesPerOp())
 	}
 }
 
@@ -227,16 +244,22 @@ func TestContractStallReportBytes(t *testing.T) {
 	}
 }
 
-// TestContractDeterministicCost pins what bench/'s three torus jobs cost in
-// the units that do not drift with the host: events fired (the host
-// profile's count) and kernel windows, exactly. A change that leaves the
-// simulated results alone but fires one more event per message, or splits a
-// window, moves these before it moves a wall-clock bound. The shapes are
-// bench/'s halo_512 and collective_512 (2 lanes) and uniform_lossy_512 at
-// seed 1 (1 lane, go-back-n, lossyFaults).
+// TestContractDeterministicCost pins what bench/'s five jobs cost in the
+// units that do not drift with the host, exactly: events fired, kernel
+// windows and process parks (Sim.Parks, the switches into and out of
+// coroutine processes). A change that leaves the simulated results alone but
+// fires one more event per message, splits a window or parks a process once
+// more per call moves these before it moves a wall-clock bound. The torus
+// shapes are bench/'s halo_512 and collective_512 (2 lanes) and
+// uniform_lossy_512 at seed 1 (1 lane, go-back-n, lossyFaults), read from the
+// host profile; the figure shapes sum Sim.Fired and Sim.Parks over the
+// machines of every series of figure 4, and of figures 5–7, and pin where
+// their sleeps end (sim.SleepCounts; DESIGN.md §7 quotes the shares). Before
+// a Portals call chained its sleeps (sim.Step), the five jobs parked 650,752,
+// 315,807, 163,174, 133,692 and 803,539 times.
 func TestContractDeterministicCost(t *testing.T) {
 	if raceEnabled {
-		t.Skip("three 512-node jobs; the plain run asserts the contract")
+		t.Skip("three 512-node jobs and four figures; the plain run asserts the contract")
 	}
 	halo := experiments.TorusConfig{Dim: 8, Bytes: 1024, Steps: 20, Radius: 2, Shards: 2, HostProf: true}
 	collective := experiments.TorusConfig{Dim: 8, Bytes: 256, Steps: 8, Shards: 2, HostProf: true}
@@ -246,13 +269,13 @@ func TestContractDeterministicCost(t *testing.T) {
 		Msgs: 32, Load: 1, Seed: 1,
 	}
 	for _, tc := range []struct {
-		name            string
-		run             func() experiments.TorusResult
-		events, windows uint64
+		name                   string
+		run                    func() experiments.TorusResult
+		events, windows, parks uint64
 	}{
-		{"halo", func() experiments.TorusResult { return experiments.TorusHalo(halo) }, 2_463_744, 2_973},
-		{"collective", func() experiments.TorusResult { return experiments.TorusCollective(collective) }, 691_254, 26_425},
-		{"lossy, seed 1", func() experiments.TorusResult { return experiments.TorusTraffic(lossy) }, 1_035_699, 6_229},
+		{"halo", func() experiments.TorusResult { return experiments.TorusHalo(halo) }, 2_463_744, 2_973, 187_392},
+		{"collective", func() experiments.TorusResult { return experiments.TorusCollective(collective) }, 691_254, 26_425, 127_624},
+		{"lossy, seed 1", func() experiments.TorusResult { return experiments.TorusTraffic(lossy) }, 1_035_699, 6_229, 67_554},
 	} {
 		r := tc.run()
 		if len(r.Errors) > 0 {
@@ -261,5 +284,71 @@ func TestContractDeterministicCost(t *testing.T) {
 		if got := r.HostProfile.Events; got != tc.events || r.Windows != tc.windows {
 			t.Errorf("%s: %d events in %d windows, want %d in %d", tc.name, got, r.Windows, tc.events, tc.windows)
 		}
+		if got := r.HostProfile.ProcParks; got != tc.parks {
+			t.Errorf("%s: %d process parks, want %d", tc.name, got, tc.parks)
+		}
 	}
+	for _, tc := range []struct {
+		name          string
+		pats          []netpipe.Pattern
+		events, parks uint64
+		sleeps        sim.SleepCounts
+	}{
+		{"fig4_latency", nil, 1_345_314, 68_783, sim.SleepCounts{
+			Alone: 211_983, Dispatched: 130_288, Stepped: 124_928, Raised: 2, Nested: 12_151}},
+		{"fig567_bandwidth", []netpipe.Pattern{netpipe.PingPong, netpipe.Stream, netpipe.Bidir}, 14_918_121, 353_449, sim.SleepCounts{
+			Alone: 574_699, Dispatched: 565_526, Stepped: 585_783, Raised: 3_152, Nested: 165_470}},
+	} {
+		c := figureCost(tc.pats...)
+		if c.events != tc.events || c.parks != tc.parks {
+			t.Errorf("%s: %d events and %d process parks, want %d and %d", tc.name, c.events, c.parks, tc.events, tc.parks)
+		}
+		if c.sleeps != tc.sleeps {
+			t.Errorf("%s: sleeps %+v, want %+v", tc.name, c.sleeps, tc.sleeps)
+		}
+	}
+}
+
+// figureJob is what one of bench's figure jobs costs the host, summed over
+// the machines of its series.
+type figureJob struct {
+	events, parks uint64
+	sleeps        sim.SleepCounts
+}
+
+// figureCost runs, one after another, the four series a figure draws for each
+// of pats (experiments.Figure5–7), or for figure 4's ping-pong to 1 KB when
+// pats is empty.
+func figureCost(pats ...netpipe.Pattern) figureJob {
+	cfg := netpipe.DefaultConfig()
+	if len(pats) == 0 {
+		cfg.MaxBytes = 1 << 10
+		pats = []netpipe.Pattern{netpipe.PingPong}
+	}
+	var ms []*machine.Machine
+	var counts []*sim.SleepCounts
+	cfg.Observe = func(m *machine.Machine) {
+		ms = append(ms, m)
+		counts = append(counts, m.S.CountSleeps())
+	}
+	p := model.Defaults()
+	for _, pat := range pats {
+		netpipe.RunPortals(p, netpipe.OpGet, pat, cfg)
+		netpipe.RunMPI(p, mpi.MPICH2, pat, cfg)
+		netpipe.RunMPI(p, mpi.MPICH1, pat, cfg)
+		netpipe.RunPortals(p, netpipe.OpPut, pat, cfg)
+	}
+	var j figureJob
+	for i, m := range ms {
+		j.events += m.S.Fired
+		j.parks += m.S.Parks
+		c := counts[i]
+		j.sleeps.Alone += c.Alone
+		j.sleeps.Dispatched += c.Dispatched
+		j.sleeps.Stepped += c.Stepped
+		j.sleeps.Raised += c.Raised
+		j.sleeps.Nested += c.Nested
+		j.sleeps.Beyond += c.Beyond
+	}
+	return j
 }

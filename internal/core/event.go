@@ -160,6 +160,10 @@ func (q *EQ) get() (Event, error) {
 // Pending reports queued events.
 func (q *EQ) Pending() int { return q.count }
 
+// Empty reports whether a get would find nothing: no event, and no overflow
+// to report.
+func (q *EQ) Empty() bool { return q.count == 0 && !q.dropped }
+
 // Signal exposes the wakeup used by blocking waits. NAL bridges use it to
 // implement PtlEQWait; tests use it to observe wakeups.
 func (q *EQ) Signal() *sim.Signal { return q.signal }

@@ -130,6 +130,9 @@ func (l *Lib) Unlock() {
 	l.lockSig.Raise()
 }
 
+// Locked reports whether driver-side processing holds the library.
+func (l *Lib) Locked() bool { return l.locked }
+
 // AwaitUnlocked blocks the calling process while the library is locked.
 func (l *Lib) AwaitUnlocked(p *sim.Proc) {
 	for l.locked {

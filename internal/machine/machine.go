@@ -122,8 +122,12 @@ type Node struct {
 	lane *lane
 }
 
-// New builds a machine over the given topology.
+// New builds a machine over the given topology. It panics on parameters the
+// model cannot run (model.Params.Validate).
 func New(p model.Params, tp *topo.Topology) *Machine {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	s := sim.New()
 	m := &Machine{
 		S:      s,

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"portals3/internal/core"
@@ -441,5 +442,32 @@ func TestGenericAndAcceleratedCoexistOnOneNode(t *testing.T) {
 	// add any (only the generic message's interrupts appear).
 	if irq := m.Node(1).Kernel.Interrupts; irq == 0 {
 		t.Error("generic app on the shared node should have used interrupts")
+	}
+}
+
+// TestConstructorsValidateParams: A5 at a 4 KB chunk (a chunk larger than its
+// 2 KB RX FIFO) fails when the machine is built, naming the fields, rather
+// than as a credit request past the FIFO's capacity mid-run.
+func TestConstructorsValidateParams(t *testing.T) {
+	p := model.Defaults()
+	p.RxFIFOBytes, p.ChunkBytes = 2<<10, 4<<10
+	tp, err := topo.XT3Torus(3, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(){
+		"NewPair":    func() { NewPair(p) },
+		"New":        func() { New(p, tp) },
+		"NewSharded": func() { NewSharded(p, tp, 2) },
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "ChunkBytes 4096 exceeds RxFIFOBytes 2048") {
+					t.Errorf("%s: panicked with %v, want the parameters' validation error", name, err)
+				}
+			}()
+			build()
+		}()
 	}
 }

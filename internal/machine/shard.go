@@ -33,8 +33,12 @@ import (
 // surplus lanes permanently empty (the block map id*shards/total then
 // skips lane indices, and fabric.NewCluster rejects the out-of-range
 // assignments), and the simulated results are bit-identical at every
-// shard count anyway, so the clamp only removes degenerate partitions.
+// shard count anyway, so the clamp only removes degenerate partitions. Like
+// New, it panics on parameters the model cannot run.
 func NewSharded(p model.Params, tp *topo.Topology, shards int) *Machine {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
 	if shards < 1 {
 		shards = 1
 	}

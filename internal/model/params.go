@@ -6,7 +6,13 @@
 // Figures 4–7 (see EXPERIMENTS.md for paper-vs-measured numbers).
 package model
 
-import "portals3/internal/sim"
+import (
+	"errors"
+	"fmt"
+
+	"portals3/internal/sim"
+	"portals3/internal/wire"
+)
 
 // Params is the complete parameter set for one simulated machine. The zero
 // value is not useful; start from Defaults().
@@ -269,6 +275,28 @@ func Defaults() Params {
 		MPICH2RecvCycles: 5660,
 		MPICH2EagerMax:   64 << 10,
 	}
+}
+
+// Validate reports the combinations of parameters the model cannot run,
+// naming the fields: a payload chunk larger than the RX or TX FIFO it
+// passes through whole, or inline data past the header packet's room. The
+// machine constructors call it, so such a set fails at set-up rather than
+// mid-run.
+func (p *Params) Validate() error {
+	var errs []error
+	if int64(p.ChunkBytes) > p.RxFIFOBytes {
+		errs = append(errs, fmt.Errorf("ChunkBytes %d exceeds RxFIFOBytes %d: a chunk must fit the RX FIFO", p.ChunkBytes, p.RxFIFOBytes))
+	}
+	if int64(p.ChunkBytes) > p.TxFIFOBytes {
+		errs = append(errs, fmt.Errorf("ChunkBytes %d exceeds TxFIFOBytes %d: a chunk must fit the TX FIFO", p.ChunkBytes, p.TxFIFOBytes))
+	}
+	if p.InlineDataMax > wire.InlineMax {
+		errs = append(errs, fmt.Errorf("InlineDataMax %d exceeds the %d bytes the header packet holds", p.InlineDataMax, wire.InlineMax))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("model: invalid parameters: %w", err)
+	}
+	return nil
 }
 
 // PPCCycles converts firmware cycles to time.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"strings"
 	"testing"
 
 	"portals3/internal/sim"
@@ -77,5 +78,37 @@ func TestRedStormLatencyTargetsPlausible(t *testing.T) {
 	delta := sim.Time(52) * p.HopLatency
 	if delta < 2*sim.Microsecond || delta > 4*sim.Microsecond {
 		t.Errorf("52-hop delta = %v, want 2-4 µs to honor the §1 requirements", delta)
+	}
+}
+
+// TestValidate: a set the model cannot run is refused with the fields
+// named; the sets the figures and ablations run pass.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(p *Params)
+		fields []string // named in the error; none: valid
+	}{
+		{"defaults", func(p *Params) {}, nil},
+		{"A5: a 2 KB RX FIFO", func(p *Params) { p.RxFIFOBytes = 2 << 10 }, nil},
+		{"an 8 KB chunk, the largest ChunkRobustness runs", func(p *Params) { p.ChunkBytes = 8 << 10 }, nil},
+		{"A5 at a 4 KB chunk", func(p *Params) { p.RxFIFOBytes, p.ChunkBytes = 2<<10, 4<<10 }, []string{"ChunkBytes 4096", "RxFIFOBytes 2048"}},
+		{"a chunk past the TX FIFO", func(p *Params) { p.ChunkBytes = 16 << 10 }, []string{"ChunkBytes 16384", "TxFIFOBytes 8192"}},
+		{"15 bytes inline", func(p *Params) { p.InlineDataMax = 15 }, []string{"InlineDataMax 15"}},
+		{"all three", func(p *Params) { p.RxFIFOBytes, p.ChunkBytes, p.InlineDataMax = 2<<10, 16<<10, 13 },
+			[]string{"RxFIFOBytes 2048", "TxFIFOBytes 8192", "InlineDataMax 13"}},
+	} {
+		p := Defaults()
+		tc.change(&p)
+		err := p.Validate()
+		if (err != nil) != (tc.fields != nil) {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+			continue
+		}
+		for _, f := range tc.fields {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("%s: %q does not name %q", tc.name, err, f)
+			}
+		}
 	}
 }

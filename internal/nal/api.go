@@ -1,6 +1,8 @@
 package nal
 
 import (
+	"math"
+
 	"portals3/internal/core"
 	"portals3/internal/model"
 	"portals3/internal/sim"
@@ -16,24 +18,106 @@ type API struct {
 	// from it.
 	Proc *sim.Proc
 
-	lib *core.Lib
-	br  Bridge
-	p   *model.Params
+	lib   *core.Lib
+	p     *model.Params
+	cross sim.Time // the bridge's crossing cost
+
+	// The call under way, for its chain (Step): where it stands, what
+	// follows its library cost and that tail's arguments — the descriptor or
+	// event queue, and the pages a PutRegion spans. The struct fills its
+	// 48-byte size class: every process has one.
+	stage  stage
+	tail   tail
+	handle uint32
+	pages  uint32
 }
 
 // NewAPI binds an API front end to a library instance through a bridge.
 // The machine layer calls this; tests may too.
 func NewAPI(proc *sim.Proc, lib *core.Lib, br Bridge, p *model.Params) *API {
-	return &API{Proc: proc, lib: lib, br: br, p: p}
+	return &API{Proc: proc, lib: lib, p: p, cross: br.Cross()}
 }
+
+// stage is where a call's chain stands: the cost it has just paid.
+type stage uint8
+
+const (
+	crossed stage = iota // the bridge crossing: the library cost is next, unless a driver holds the library
+	charged              // the library cost: the tail is next
+	setUp                // a transmit's set-up: the call is done
+	raised               // EQWait: its queue's signal was raised, the call begins again
+	done
+)
+
+// tail is what a call does once its library cost is paid, before the
+// library state machine runs.
+type tail uint8
+
+const (
+	tailNone   tail = iota
+	tailPut         // the transmit set-up of the whole descriptor
+	tailRegion      // the transmit set-up of a part of the descriptor
+	tailGet         // a get's transmit set-up
+	tailEQ          // EQWait: wait on the queue while it is empty
+)
 
 // call charges one API crossing and serializes against in-progress driver
 // processing of the same library (the kernel-lock semantics the receive
 // protocols depend on).
-func (a *API) call() {
-	a.br.Cross(a.Proc)
-	a.lib.AwaitUnlocked(a.Proc)
-	a.Proc.Sleep(a.p.HostCycles(a.p.HostAPICycles))
+func (a *API) call() { a.charge(tailNone) }
+
+// charge makes a call's host-side charges and then its tail: the bridge
+// crossing, the wait while a driver holds the library, the library cost,
+// then a transmit's set-up or an EQWait's wait. The process parks once for
+// all of them, each wake-up between being a Step on the event loop. Only a
+// driver holding the library past the crossing resumes the process early:
+// it waits for the lock itself and chains the rest.
+func (a *API) charge(t tail) {
+	a.tail = t
+	a.stage = crossed
+	if a.cross > 0 {
+		a.Proc.Chain(a.cross, a)
+	}
+	for a.stage == crossed {
+		a.lib.AwaitUnlocked(a.Proc)
+		a.stage = charged
+		a.Proc.Chain(a.p.HostCycles(a.p.HostAPICycles), a)
+	}
+}
+
+// Step is the call's chain (sim.Step), called only by the chain: at each
+// wake-up it does what the process would do next and answers the sleep or
+// wait that follows, until the call is done or a driver holds the library.
+func (a *API) Step(*sim.Proc) sim.Next {
+	switch a.stage {
+	case raised:
+		a.stage = crossed
+		if a.cross > 0 {
+			return sim.SleepFor(a.cross)
+		}
+		fallthrough
+	case crossed:
+		if a.lib.Locked() {
+			return sim.Resume()
+		}
+		a.stage = charged
+		return sim.SleepFor(a.p.HostCycles(a.p.HostAPICycles))
+	case charged:
+		switch a.tail {
+		case tailEQ:
+			// The process takes the event itself, at this instant; an empty
+			// queue is waited on, and every raise begins the call again.
+			if q, ok := a.lib.EQ(core.EQHandle(a.handle)); ok && q.Empty() {
+				a.stage = raised
+				return sim.WaitFor(q.Signal())
+			}
+		case tailPut, tailRegion, tailGet:
+			a.stage = setUp
+			return sim.SleepFor(a.sendSetup())
+		}
+	}
+	a.stage = done
+	return sim.Resume()
 }
 
 // ID returns this process's Portals id (PtlGetId).
@@ -108,18 +192,9 @@ func (a *API) EQGet(h core.EQHandle) (core.Event, error) { a.call(); return a.li
 // accelerated mode the user-level library polls — either way the wait is
 // a Signal on the queue, with the crossing cost per check.
 func (a *API) EQWait(h core.EQHandle) (core.Event, error) {
-	for {
-		a.call()
-		ev, err := a.lib.EQGet(h)
-		if err != core.ErrEQEmpty {
-			return ev, err
-		}
-		q, ok := a.lib.EQ(h)
-		if !ok {
-			return core.Event{}, core.ErrInvalidHandle
-		}
-		q.Signal().Wait(a.Proc)
-	}
+	a.handle = uint32(h)
+	a.charge(tailEQ)
+	return a.lib.EQGet(h)
 }
 
 // EQPoll waits on several queues with a timeout (PtlEQPoll). It returns
@@ -176,56 +251,61 @@ func (a *API) ACEntry(index int, uid uint32, matchID core.ProcessID, ptl int) er
 	return a.lib.ACEntry(index, uid, matchID, ptl)
 }
 
-// sendSetup charges the host-side transmit preparation: header build,
-// pending allocation, command push, and — for non-contiguous buffers — the
-// per-page DMA command pre-computation of §3.3.
-func (a *API) sendSetup(h core.MDHandle, off, length int) {
+// sendSetup is the host-side transmit preparation of the call's tail:
+// header build, pending allocation, command push, and — for non-contiguous
+// buffers — the per-page DMA command pre-computation of §3.3.
+func (a *API) sendSetup() sim.Time {
 	cycles := a.p.HostTxSetupCycles
-	if r, ok := a.lib.MDRegion(h); ok && r.Segments() > 1 && length > 0 {
-		page := int(a.p.PageBytes)
-		segs := (off+length-1)/page - off/page + 1
-		cycles += int64(segs) * a.p.HostPerPageCycles
+	if a.tail == tailGet {
+		return a.p.HostCycles(cycles)
 	}
-	a.Proc.Sleep(a.p.HostCycles(cycles))
+	if r, ok := a.lib.MDRegion(core.MDHandle(a.handle)); ok && r.Segments() > 1 {
+		pages := a.pages
+		if a.tail == tailPut {
+			pages = a.spanned(0, r.Len())
+		}
+		cycles += int64(pages) * a.p.HostPerPageCycles
+	}
+	return a.p.HostCycles(cycles)
+}
+
+// spanned is the number of pages the length bytes at off touch, 0 for none.
+func (a *API) spanned(off, length int) uint32 {
+	if length <= 0 {
+		return 0
+	}
+	page := int(a.p.PageBytes)
+	return uint32(min((off+length-1)/page-off/page+1, math.MaxUint32))
 }
 
 // Put transmits the descriptor's memory to the target (PtlPut).
 func (a *API) Put(md core.MDHandle, ack core.AckReq, target core.ProcessID, ptl int,
 	matchBits uint64, remoteOffset int, hdrData uint64) error {
-	a.call()
-	length := 0
-	if r, ok := a.lib.MDRegion(md); ok {
-		length = r.Len()
-	}
-	a.sendSetup(md, 0, length)
+	a.handle = uint32(md)
+	a.charge(tailPut)
 	return a.lib.Put(md, ack, target, ptl, matchBits, remoteOffset, hdrData)
 }
 
 // PutRegion transmits part of the descriptor's memory (PtlPutRegion).
 func (a *API) PutRegion(md core.MDHandle, localOffset, length int, ack core.AckReq,
 	target core.ProcessID, ptl int, matchBits uint64, remoteOffset int, hdrData uint64) error {
-	a.call()
-	a.sendSetup(md, localOffset, length)
+	a.handle, a.pages = uint32(md), a.spanned(localOffset, length)
+	a.charge(tailRegion)
 	return a.lib.PutRegion(md, localOffset, length, ack, target, ptl, matchBits, remoteOffset, hdrData)
 }
 
 // Get requests the target's matched memory (PtlGet).
 func (a *API) Get(md core.MDHandle, target core.ProcessID, ptl int, matchBits uint64, remoteOffset int) error {
-	a.call()
-	a.Proc.Sleep(a.p.HostCycles(a.p.HostTxSetupCycles))
+	a.charge(tailGet)
 	return a.lib.Get(md, target, ptl, matchBits, remoteOffset)
 }
 
 // GetRegion requests part of the target's matched memory (PtlGetRegion).
 func (a *API) GetRegion(md core.MDHandle, localOffset, length int, target core.ProcessID,
 	ptl int, matchBits uint64, remoteOffset int) error {
-	a.call()
-	a.Proc.Sleep(a.p.HostCycles(a.p.HostTxSetupCycles))
+	a.charge(tailGet)
 	return a.lib.GetRegion(md, localOffset, length, target, ptl, matchBits, remoteOffset)
 }
 
 // Lib exposes the underlying library for white-box tests and tools.
 func (a *API) Lib() *core.Lib { return a.lib }
-
-// Bridge reports which bridge this API crosses.
-func (a *API) Bridge() string { return a.br.Name() }

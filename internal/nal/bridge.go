@@ -21,10 +21,11 @@ import (
 	"portals3/internal/sim"
 )
 
-// Bridge charges the API-to-library crossing cost of one Portals call.
+// Bridge is the API-to-library crossing of one Portals call.
 type Bridge interface {
-	// Cross blocks the calling process for the crossing cost.
-	Cross(p *sim.Proc)
+	// Cross is what one crossing costs the calling process: the API charges
+	// it as a sleep, and none when it is 0.
+	Cross() sim.Time
 	// Name identifies the bridge in diagnostics.
 	Name() string
 }
@@ -32,8 +33,8 @@ type Bridge interface {
 // QKBridge is the Catamount user-to-kernel bridge.
 type QKBridge struct{ K *oskernel.Kernel }
 
-// Cross pays one Catamount trap (§3.3: ~75 ns).
-func (b QKBridge) Cross(p *sim.Proc) { p.Sleep(b.K.TrapCost()) }
+// Cross is one Catamount trap (§3.3: ~75 ns).
+func (b QKBridge) Cross() sim.Time { return b.K.TrapCost() }
 
 // Name returns "qkbridge".
 func (b QKBridge) Name() string { return "qkbridge" }
@@ -41,8 +42,8 @@ func (b QKBridge) Name() string { return "qkbridge" }
 // UKBridge is the Linux user-to-kernel bridge.
 type UKBridge struct{ K *oskernel.Kernel }
 
-// Cross pays one Linux system call.
-func (b UKBridge) Cross(p *sim.Proc) { p.Sleep(b.K.TrapCost()) }
+// Cross is one Linux system call.
+func (b UKBridge) Cross() sim.Time { return b.K.TrapCost() }
 
 // Name returns "ukbridge".
 func (b UKBridge) Name() string { return "ukbridge" }
@@ -52,7 +53,7 @@ func (b UKBridge) Name() string { return "ukbridge" }
 type KBridge struct{}
 
 // Cross costs nothing.
-func (KBridge) Cross(*sim.Proc) {}
+func (KBridge) Cross() sim.Time { return 0 }
 
 // Name returns "kbridge".
 func (KBridge) Name() string { return "kbridge" }
@@ -63,7 +64,7 @@ func (KBridge) Name() string { return "kbridge" }
 type AccelBridge struct{}
 
 // Cross costs nothing.
-func (AccelBridge) Cross(*sim.Proc) {}
+func (AccelBridge) Cross() sim.Time { return 0 }
 
 // Name returns "accel".
 func (AccelBridge) Name() string { return "accel" }

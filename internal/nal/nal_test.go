@@ -30,16 +30,8 @@ func TestBridgeCrossingCosts(t *testing.T) {
 		{nal.AccelBridge{}, 0},
 	}
 	for _, c := range cases {
-		c := c
-		var took sim.Time
-		s.Go(c.br.Name(), func(proc *sim.Proc) {
-			t0 := proc.Now()
-			c.br.Cross(proc)
-			took = proc.Now() - t0
-		})
-		s.Run()
-		if took != c.want {
-			t.Errorf("%s crossing cost %v, want %v", c.br.Name(), took, c.want)
+		if got := c.br.Cross(); got != c.want {
+			t.Errorf("%s crossing cost %v, want %v", c.br.Name(), got, c.want)
 		}
 	}
 }

@@ -76,6 +76,8 @@ type KernelProfile struct {
 	// most one worker held an event). Both count from NewKernel.
 	Parks         uint64 `json:"parks"`
 	InlineWindows uint64 `json:"inline_windows"`
+	// ProcParks sums the lanes' Sim.Parks: the times a process left the CPU.
+	ProcParks uint64 `json:"proc_parks"`
 
 	// Lane load-imbalance per window: skew = (max busy − mean busy) / mean
 	// busy, in percent, over windows with nonzero mean busy time.
@@ -243,6 +245,7 @@ func (k *Kernel) Profile() *KernelProfile {
 	}
 	for i := range kp.Lanes {
 		kp.Events += kp.Lanes[i].Events
+		kp.ProcParks += k.lanes[i].Parks
 	}
 	for w := range k.workers {
 		kp.Parks += k.workers[w].work.parks + k.workers[w].done.parks

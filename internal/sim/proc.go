@@ -27,13 +27,13 @@ type Proc struct {
 	s    *Sim
 	name string
 
-	next   func() (struct{}, bool) // simulator -> process: run until you park
+	next   func() (struct{}, bool) // simulator -> process: run until you park; nil once the process has finished
 	yield  func(struct{}) bool     // process -> simulator: I am blocked again
 	wakeFn func()                  // p.resume bound once; Sleep runs hot, a fresh method value per call is measurable
-	dead   bool
-	// whole: this activation began as an event of its own (resume), not
-	// inside someone's callback (Raise) that still has to finish.
-	whole bool
+	// step, while a Chain is under way, runs at each wake-up in the
+	// process's place. The struct fills its 64-byte size class: one more
+	// field costs every process 16 bytes.
+	step Step
 }
 
 // Panic is what Run panics with when model code panicked off the caller's
@@ -81,7 +81,7 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 		}()
 		p.yield = yield
 		fn(p)
-		p.dead = true
+		p.next = nil
 		s.procs--
 	})
 	s.After(0, p.wakeFn)
@@ -89,26 +89,34 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 }
 
 // wake transfers control to the process and returns when the process parks
-// again (by sleeping, waiting, or finishing). A panic in the process body
+// again (by sleeping, waiting, or finishing). whole says whether the
+// activation is an event of its own (resume) rather than a turn inside a
+// callback that still has to finish (Raise); Sim.whole holds it for the
+// running process and gets the waker's back. A panic in the process body
 // comes out of here, on the waker's stack.
-func (p *Proc) wake() {
-	if p.dead {
+func (p *Proc) wake(whole bool) {
+	if p.next == nil {
 		panic("sim: waking dead process " + p.name)
 	}
+	s := p.s
+	outer := s.whole
+	s.whole = whole
 	p.next()
+	s.whole = outer
 }
 
 // resume is the wake-up the event loop dispatches: the start event and every
-// Sleep's wake-up.
+// Sleep's wake-up. A chained process's step runs first, and the process is
+// resumed only when the step says so.
 func (p *Proc) resume() {
-	p.whole = true
-	p.wake()
+	if p.step == nil || p.stepped() {
+		p.wake(true)
+	}
 }
 
 // park returns control to whoever woke the process and blocks until the
 // next wake.
 func (p *Proc) park() {
-	p.whole = false
 	p.s.Parks++
 	p.yield(struct{}{})
 }
@@ -133,15 +141,144 @@ func (p *Proc) Now() Time { return p.s.now }
 // it) and no other process dispatching (one woken from inside that loop
 // cannot resume the dispatcher beneath it on the stack). DESIGN.md §7.
 func (p *Proc) Sleep(d Time) {
+	if !p.stay(d) {
+		p.park()
+	}
+}
+
+// stay queues the process's wake-up d from now and reports whether it was
+// taken in place (Sleep's rule); when it was not, the process is to park.
+func (p *Proc) stay(d Time) bool {
 	if d < 0 {
 		d = 0
 	}
 	s := p.s
 	s.After(d, p.wakeFn)
-	if p.whole && !s.dispatching && d <= s.limit-s.now && p.dispatchUntil(s.seq) {
-		return
+	if !s.whole || s.dispatching || d > s.limit-s.now {
+		if s.sleeps != nil {
+			s.sleeps.parked(s)
+		}
+		return false
+	}
+	if s.sleeps == nil {
+		return p.dispatchUntil(s.seq)
+	}
+	fired := s.Fired
+	ok := p.dispatchUntil(s.seq)
+	s.sleeps.inPlace(s.Fired - fired)
+	return ok
+}
+
+// SleepCounts sorts a Sim's sleeps — Sleep's and a chain's — by where they
+// ended (Sim.CountSleeps). A sleep stays on the CPU with nothing ahead of
+// its wake-up (Alone) or after dispatching what was (Dispatched); a chain's
+// step queues one on the event loop with no switch (Stepped); or the
+// process parks, because the activation is a turn inside a Raise (Raised),
+// another process is dispatching (Nested) or the wake-up lies past the
+// run's horizon (Beyond).
+type SleepCounts struct {
+	Alone, Dispatched, Stepped, Raised, Nested, Beyond uint64
+}
+
+// CountSleeps starts sorting the sleeps of s, and returns the counts.
+func (s *Sim) CountSleeps() *SleepCounts {
+	s.sleeps = &SleepCounts{}
+	return s.sleeps
+}
+
+func (c *SleepCounts) inPlace(fired uint64) {
+	if fired == 1 {
+		c.Alone++
+	} else {
+		c.Dispatched++
+	}
+}
+
+func (c *SleepCounts) parked(s *Sim) {
+	switch {
+	case !s.whole:
+		c.Raised++
+	case s.dispatching:
+		c.Nested++
+	default:
+		c.Beyond++
+	}
+}
+
+// Step is what a process leaves for its wake-ups while it is parked in a
+// Chain: the host-side work between two of its sleeps, run where the wake-up
+// runs, so that a wake-up which would only have the process queue its next
+// sleep costs no switch. Being an interface value (a pointer the process
+// already owns), storing one allocates nothing.
+//
+// Step runs at the wake-up instant — on the event loop at the sleep's own
+// event or at the process's turn in Signal.Raise, in waiter order; on the
+// process's stack when the wake-up came up in place — and does only what
+// the process would have done there, in the same order. It never blocks: it
+// answers the process's next sleep (SleepFor) or wait (WaitFor), which the
+// chain queues with the very call Sleep or Wait makes (same instant, same
+// seq, same lane) while the process stays parked; or Resume, and the process
+// returns from Chain at that instant.
+type Step interface {
+	Step(p *Proc) Next
+}
+
+// Next is a step's answer: what its process does after the wake-up.
+type Next struct {
+	d     Time
+	g     *Signal
+	sleep bool
+}
+
+// Resume ends the chain: the process returns from Chain.
+func Resume() Next { return Next{} }
+
+// SleepFor chains a sleep of d.
+func SleepFor(d Time) Next { return Next{d: d, sleep: true} }
+
+// WaitFor chains a wait for g's next Raise.
+func WaitFor(g *Signal) Next { return Next{g: g} }
+
+// Chain sleeps d and then hands each wake-up to st until a step answers
+// Resume, and returns at that wake-up. Its events, their seqs and instants
+// are those of the plain Sleeps and Waits it stands for, and so is every
+// callback's order: only the switches into the process fall. A sleep that
+// may stay on the CPU (Sleep's rule) does, and its step then runs on the
+// process's own stack. DESIGN.md §7.
+func (p *Proc) Chain(d Time, st Step) {
+	p.step = st
+	for p.stay(d) {
+		n := st.Step(p)
+		if !n.sleep {
+			if n.g == nil {
+				p.step = nil
+				return
+			}
+			n.g.procs = append(n.g.procs, p)
+			break
+		}
+		d = n.d
 	}
 	p.park()
+}
+
+// stepped runs a chained process's step at a wake-up on the event loop and
+// queues what it answers; it reports whether the process is to be resumed.
+func (p *Proc) stepped() bool {
+	n := p.step.Step(p)
+	switch {
+	case n.sleep:
+		p.s.After(n.d, p.wakeFn)
+		if p.s.sleeps != nil {
+			p.s.sleeps.Stepped++
+		}
+	case n.g != nil:
+		n.g.procs = append(n.g.procs, p)
+	default:
+		p.step = nil
+		return true
+	}
+	return false
 }
 
 // dispatchUntil runs events in dispatch order on the process's own stack up
@@ -214,7 +351,7 @@ func (g *Signal) WaitTimeout(p *Proc, d Time) bool {
 		}
 		fired = true
 		raised = byRaise
-		p.wake()
+		p.wake(false)
 	}
 	g.callbks = append(g.callbks, func() { wakeOnce(true) })
 	g.s.After(d, func() { wakeOnce(false) })
@@ -229,7 +366,8 @@ func (g *Signal) Notify(fn func()) {
 }
 
 // Raise wakes every current waiter. Processes are woken in the order they
-// waited, at the current virtual time; callbacks run immediately.
+// waited, at the current virtual time — a chained one by running its step,
+// which may leave it parked; callbacks run immediately.
 // Waiters that arrive during Raise are not woken (they wait for the next
 // Raise).
 func (g *Signal) Raise() {
@@ -246,7 +384,9 @@ func (g *Signal) Raise() {
 		fn()
 	}
 	for _, p := range procs {
-		p.wake()
+		if p.step == nil || p.stepped() {
+			p.wake(false)
+		}
 	}
 	for i := range procs {
 		procs[i] = nil

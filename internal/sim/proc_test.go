@@ -131,7 +131,7 @@ func TestWakeDeadProcessPanics(t *testing.T) {
 	s := New()
 	p := s.Go("done", func(p *Proc) {})
 	s.Run()
-	if r := recovered(p.wake); r != "sim: waking dead process done" {
+	if r := recovered(p.resume); r != "sim: waking dead process done" {
 		t.Errorf("recovered %v", r)
 	}
 }

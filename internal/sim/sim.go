@@ -54,13 +54,14 @@ type Sim struct {
 	ringLen uint32
 	seq     uint64
 
-	// These three share a word and the ring's two indices another, which keeps
+	// These four share a word and the ring's two indices another, which keeps
 	// the struct at no more than 128 bytes, inside the size class that gives
 	// each Sim two cache lines of its own. The next one packs a Kernel's lanes
 	// 144 bytes apart, across lines their workers both write, and the 2-lane
 	// workloads measured 9-11 % slower.
 	stopped     bool
 	dispatching bool  // a sleeping process is running the event loop (Proc.Sleep)
+	whole       bool  // the running process's activation is an event of its own (Proc.wake)
 	procs       int32 // live coroutine processes, for deadlock diagnostics
 
 	// Fired counts events executed, for diagnostics and runaway detection.
@@ -78,6 +79,8 @@ type Sim struct {
 
 	// far is nil until the heap first holds deepAt events.
 	far *wheel
+	// sleeps is nil until CountSleeps.
+	sleeps *SleepCounts
 }
 
 // New returns a simulator with its clock at zero.
