@@ -17,9 +17,9 @@ vet:
 	go vet ./...
 
 # Substrate microbenchmarks (event kernel, process switch, one full put, one
-# MPI round).
+# MPI round, a Portals call that parks in EQWait and one in EQPoll).
 bench:
-	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut|SimulatedMPI' -benchmem .
+	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut|SimulatedMPI|ParkedCall|PolledCall' -benchmem .
 
 # Every paper figure, one iteration each.
 figures:

@@ -246,7 +246,7 @@ func BenchmarkSimulatorEventThroughputLane(b *testing.B) {
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	sig := sim.NewSignal(s)
+	sig := &sim.Signal{}
 	s.Go("waiter", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			sig.Wait(p)
@@ -291,7 +291,15 @@ func BenchmarkSleepInPlace(b *testing.B) {
 // what a call costs in switches is its chain's (sim.Step) — one park per
 // PutRegion and one per EQWait that finds its queue empty — and the steady
 // state allocates nothing.
-func BenchmarkParkedCall(b *testing.B) {
+func BenchmarkParkedCall(b *testing.B) { benchParkedCall(b, false) }
+
+// BenchmarkPolledCall is BenchmarkParkedCall with each side waiting in EQPoll
+// over an idle queue and its busy one, with no timeout instead of EQWait: a
+// poll builds nothing per queue and nothing per wait, so the steady state
+// allocates nothing either.
+func BenchmarkPolledCall(b *testing.B) { benchParkedCall(b, true) }
+
+func benchParkedCall(b *testing.B, poll bool) {
 	b.ReportAllocs()
 	tp, err := topo.New(2, 1, 1, false, false, false)
 	if err != nil {
@@ -318,6 +326,16 @@ func BenchmarkParkedCall(b *testing.B) {
 			md, err := api.MDBind(core.MDesc{Region: buf, Threshold: core.ThresholdInfinite, EQ: eq,
 				Options: core.MDEventStartDisable})
 			check(err)
+			wait := func() (core.Event, error) { return api.EQWait(eq) }
+			if poll {
+				idle, err := api.EQAlloc(64)
+				check(err)
+				hs := []core.EQHandle{idle, eq}
+				wait = func() (core.Event, error) {
+					ev, _, err := api.EQPoll(hs, sim.Never)
+					return ev, err
+				}
+			}
 			app.Proc.Sleep(10 * sim.Microsecond) // both sides attached
 			if rank == 0 {
 				b.ResetTimer()
@@ -328,7 +346,7 @@ func BenchmarkParkedCall(b *testing.B) {
 					check(api.PutRegion(md, 0, 1, core.NoAck, peer, 4, 1, 0, 0))
 				}
 				for { // the peer's put; this side's SEND_END comes first
-					ev, err := api.EQWait(eq)
+					ev, err := wait()
 					check(err)
 					if ev.Type == core.EventPutEnd {
 						break

@@ -75,6 +75,15 @@ func TestContractSimAllocatesNothingPerEvent(t *testing.T) {
 	if got, parks := r.AllocsPerOp(), r.Extra["parks/op"]; got != 0 || parks > 15 {
 		t.Errorf("parked Portals call: %d allocs and %.1f parks per round, want 0 and at most 15", got, parks)
 	}
+	// EQPoll waits on its library's one event signal: nothing per polled
+	// queue or per wait. With a callback per queue and a fan-in signal per
+	// wait a round allocated 16 times, and the idle queue kept every callback.
+	// A round parks 16 times: each wake-up of a poll is a plain Wait's, and
+	// the call that follows it parks again.
+	r = benchmark(t, perMessage, BenchmarkPolledCall)
+	if got, parks := r.AllocsPerOp(), r.Extra["parks/op"]; got != 0 || parks > 17 {
+		t.Errorf("polled Portals call: %d allocs and %.1f parks per round, want 0 and at most 17", got, parks)
+	}
 	// What a process and its API cost to set up, as before the chain: a
 	// step bound as a method value per process or per API allocates once
 	// more, and a Proc or an API past its size class 16 bytes more.

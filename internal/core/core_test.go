@@ -794,13 +794,15 @@ func TestDistanceDelegates(t *testing.T) {
 func TestEQFreeWakesWaiters(t *testing.T) {
 	n, _, b := pair(t)
 	eq, _ := b.EQAlloc(4)
-	q, _ := b.EQ(eq)
-	woke := false
-	q.Signal().Notify(func() { woke = true })
-	b.EQFree(eq)
+	woke := sim.Never
+	n.s.Go("waiter", func(p *sim.Proc) {
+		b.Events().Wait(p)
+		woke = p.Now()
+	})
+	n.s.After(sim.Microsecond, func() { b.EQFree(eq) })
 	n.s.Run()
-	if !woke {
-		t.Error("EQFree must wake blocked waiters")
+	if woke != sim.Microsecond {
+		t.Errorf("a process waiting on the library's events woke at %v, want the EQFree at 1us", woke)
 	}
 }
 

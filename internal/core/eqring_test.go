@@ -57,14 +57,17 @@ var eqRingDepths = [...]int{1, 5, 64, 100, 512}
 // bits: 0 posts 1–64 events, 1 posts 1–64 between BeginDefer and EndDefer, 2
 // gets 1–64 times, 3 gets once (0xFF: until empty). Every get must return
 // the reference's event, Sequence and error; Pending and eqDrops must agree
-// after every operation; and the ring must never be longer than the depth or
-// than twice what the queue has held at once.
+// after every operation; the ring must never be longer than the depth or
+// than twice what the queue has held at once; and a process parked on the
+// library's events must wake once per post, dropped ones included, a
+// deferred one at EndDefer, and once more at EQFree.
 func checkEQRing(t *testing.T, prog []byte) {
 	if len(prog) == 0 {
 		return
 	}
 	depth := eqRingDepths[int(prog[0])%len(eqRingDepths)]
-	l := NewLib(sim.New(), ProcessID{Nid: 0, Pid: 1}, 0, Limits{}, nil)
+	s := sim.New()
+	l := NewLib(s, ProcessID{Nid: 0, Pid: 1}, 0, Limits{}, nil)
 	h, err := l.EQAlloc(depth)
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +76,17 @@ func checkEQRing(t *testing.T, prog []byte) {
 	ref := &refRing{buf: make([]Event, depth)}
 	var payload uint64
 	high := 0
+	// The wake-ups of a process parked on the library's events, and the
+	// posts that have reached the queue.
+	var wakes, raises int
+	freed := false
+	s.Go("waiter", func(p *sim.Proc) {
+		for !freed {
+			l.Events().Wait(p)
+			wakes++
+		}
+	})
+	s.RunUntil(0)
 
 	post := func(n int) {
 		for i := 0; i < n; i++ {
@@ -97,14 +111,16 @@ func checkEQRing(t *testing.T, prog []byte) {
 		switch b >> 6 {
 		case 0:
 			post(n)
+			raises += n
 		case 1:
 			before := q.Pending()
 			l.BeginDefer()
 			post(n)
-			if q.Pending() != before {
-				t.Fatalf("depth %d, op %d: deferred events reached the queue before EndDefer", depth, step)
+			if q.Pending() != before || wakes != raises {
+				t.Fatalf("depth %d, op %d: deferred events reached the queue or its waiter before EndDefer", depth, step)
 			}
 			l.EndDefer()
+			raises += n
 		case 2:
 			for i := 0; i < n; i++ {
 				get(step)
@@ -117,6 +133,9 @@ func checkEQRing(t *testing.T, prog []byte) {
 			t.Fatalf("depth %d, op %d: pending %d drops %d, reference has %d and %d",
 				depth, step, q.Pending(), l.counters.eqDrops, ref.count, ref.drops)
 		}
+		if wakes != raises {
+			t.Fatalf("depth %d, op %d: the library's events waiter woke %d times for %d posts", depth, step, wakes, raises)
+		}
 		high = max(high, q.Pending())
 		if len(q.ring) > depth || len(q.ring) > max(eqFirstRing, 2*high) {
 			t.Fatalf("depth %d, op %d: ring of %d slots for a queue that has held %d at once",
@@ -124,6 +143,10 @@ func checkEQRing(t *testing.T, prog []byte) {
 		}
 	}
 	for get(len(prog)) {
+	}
+	freed = true
+	if l.EQFree(h); wakes != raises+1 {
+		t.Fatalf("depth %d: the waiter woke %d times for %d posts and an EQFree", depth, wakes, raises)
 	}
 }
 

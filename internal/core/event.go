@@ -55,7 +55,9 @@ type Event struct {
 
 // EQ is an event queue: a ring of the depth given to EQAlloc, written by the
 // library and read by the application. Overflow drops the newest events and
-// poisons the queue with ErrEQDropped, as the specification requires.
+// poisons the queue with ErrEQDropped, as the specification requires. A
+// queue has no wake-up of its own: every post raises its library's one
+// event signal (Lib.Events), and a waiter re-checks its own queues.
 //
 // The depth is what is modelled; the host backs only what a queue has held
 // at once. The ring starts at eqFirstRing slots and doubles, up to depth,
@@ -70,10 +72,6 @@ type EQ struct {
 	dropped bool
 	seq     uint64
 	freed   bool
-
-	// signal wakes processes blocked in EQWait; the NAL arranges the
-	// delivery costs, the queue only does bookkeeping.
-	signal *sim.Signal
 }
 
 // eqFirstRing is the ring a queue starts with, in events of 128 bytes. The
@@ -86,8 +84,7 @@ type EQ struct {
 const eqFirstRing = 16
 
 func newEQ(lib *Lib, h EQHandle, size int) *EQ {
-	return &EQ{lib: lib, handle: h, depth: size, ring: make([]Event, min(size, eqFirstRing)),
-		signal: sim.NewSignal(lib.sim)}
+	return &EQ{lib: lib, handle: h, depth: size, ring: make([]Event, min(size, eqFirstRing))}
 }
 
 // grow doubles a full ring, unwrapping it so the oldest event lands in slot 0.
@@ -110,8 +107,8 @@ func (q *EQ) post(ev Event) {
 	q.insert(ev)
 }
 
-// insert writes the event record into the (host-memory) ring and wakes
-// waiters.
+// insert writes the event record into the (host-memory) ring and raises the
+// library's event signal, also when overflow drops the record.
 func (q *EQ) insert(ev Event) {
 	if q.freed {
 		return
@@ -133,7 +130,7 @@ func (q *EQ) insert(ev Event) {
 		q.lib.FR.Put(flightrec.Event{T: ev.At, Kind: flightrec.KEQPost, Sub: uint8(ev.Type),
 			Span: ev.Sequence, A: q.lib.id.Pid, B: uint32(ev.MLength)})
 	}
-	q.signal.Raise()
+	q.lib.events.Raise()
 }
 
 // get removes the oldest event. It returns ErrEQDropped (with a valid
@@ -163,7 +160,3 @@ func (q *EQ) Pending() int { return q.count }
 // Empty reports whether a get would find nothing: no event, and no overflow
 // to report.
 func (q *EQ) Empty() bool { return q.count == 0 && !q.dropped }
-
-// Signal exposes the wakeup used by blocking waits. NAL bridges use it to
-// implement PtlEQWait; tests use it to observe wakeups.
-func (q *EQ) Signal() *sim.Signal { return q.signal }

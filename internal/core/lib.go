@@ -80,6 +80,11 @@ type Lib struct {
 	deferred  []deferredEvent
 	locked    bool
 	lockSig   *sim.Signal
+	// events is raised by every post that reaches a live queue and by
+	// EQFree: the one wake-up of all the library's queues, built by the
+	// first EQAlloc. Both signals sit behind pointers: held by value they
+	// would take the Lib past its size class.
+	events *sim.Signal
 	// Free lists for the per-message bookkeeping structures. Receive
 	// operations are recycled at their terminal calls (Delivered,
 	// ReplySent); send requests when transmission completes (SendDone) or
@@ -111,7 +116,7 @@ func NewLib(s *sim.Sim, id ProcessID, uid uint32, limits Limits, backend Backend
 		acl:     make([]acEntry, limits.MaxACEntries),
 	}
 	l.acl[0] = acEntry{valid: true, uid: UIDAny, matchID: ProcessID{NidAny, PidAny}, ptl: PtlIndexAny}
-	l.lockSig = sim.NewSignal(s)
+	l.lockSig = &sim.Signal{}
 	return l
 }
 
@@ -210,6 +215,9 @@ func (l *Lib) EQAlloc(count int) (EQHandle, error) {
 		return EQHandle(InvalidHandle), err
 	}
 	*q = *newEQ(l, EQHandle(h), count)
+	if l.events == nil {
+		l.events = &sim.Signal{}
+	}
 	return EQHandle(h), nil
 }
 
@@ -222,7 +230,7 @@ func (l *Lib) EQFree(h EQHandle) error {
 		return ErrInvalidHandle
 	}
 	q.freed = true
-	q.signal.Raise()
+	l.events.Raise()
 	l.eqs.release(uint32(h))
 	return nil
 }
@@ -242,6 +250,11 @@ func (l *Lib) EQGet(h EQHandle) (Event, error) {
 func (l *Lib) EQ(h EQHandle) (*EQ, bool) {
 	return l.eqs.get(uint32(h))
 }
+
+// Events is the signal every post to one of the library's queues raises,
+// dropped posts included, and EQFree too; the NAL's blocking calls wait on
+// it and re-check their own queues. It is nil until the first EQAlloc.
+func (l *Lib) Events() *sim.Signal { return l.events }
 
 // eqFor resolves an MD's event queue, nil when absent or freed. Both NoEQ
 // and the zero value mean "no queue".

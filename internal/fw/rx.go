@@ -574,7 +574,7 @@ func (p *Process) QueryStats(caller *sim.Proc) Stats {
 	n := p.nic
 	var out Stats
 	got := false
-	sig := sim.NewSignal(n.S)
+	var sig sim.Signal
 	p.command(mboxCmd{op: cmdQuery, cycles: n.P.FwReleaseCycles, fn: func() {
 		out = n.Stats
 		out.HeadersRx = n.Stats.HeadersRx // snapshot under the handler

@@ -24,12 +24,14 @@ type API struct {
 
 	// The call under way, for its chain (Step): where it stands, what
 	// follows its library cost and that tail's arguments — the descriptor or
-	// event queue, and the pages a PutRegion spans. The struct fills its
+	// event queue, and the pages a PutRegion spans; and the number of the
+	// last EQPoll, which its deadline event checks. The struct fills its
 	// 48-byte size class: every process has one.
 	stage  stage
 	tail   tail
 	handle uint32
 	pages  uint32
+	polls  uint32
 }
 
 // NewAPI binds an API front end to a library instance through a bridge.
@@ -45,7 +47,8 @@ const (
 	crossed stage = iota // the bridge crossing: the library cost is next, unless a driver holds the library
 	charged              // the library cost: the tail is next
 	setUp                // a transmit's set-up: the call is done
-	raised               // EQWait: its queue's signal was raised, the call begins again
+	raised               // EQWait: the library's events were raised, the call begins again if its queue is not empty
+	polling              // EQPoll: waiting on the library's events
 	done
 )
 
@@ -91,6 +94,10 @@ func (a *API) charge(t tail) {
 func (a *API) Step(*sim.Proc) sim.Next {
 	switch a.stage {
 	case raised:
+		if q, ok := a.lib.EQ(core.EQHandle(a.handle)); ok && q.Empty() {
+			// The raise was for another of the library's queues.
+			return sim.WaitFor(a.lib.Events())
+		}
 		a.stage = crossed
 		if a.cross > 0 {
 			return sim.SleepFor(a.cross)
@@ -106,10 +113,11 @@ func (a *API) Step(*sim.Proc) sim.Next {
 		switch a.tail {
 		case tailEQ:
 			// The process takes the event itself, at this instant; an empty
-			// queue is waited on, and every raise begins the call again.
+			// queue is waited on, and a raise that leaves it non-empty (or
+			// frees it) begins the call again.
 			if q, ok := a.lib.EQ(core.EQHandle(a.handle)); ok && q.Empty() {
 				a.stage = raised
-				return sim.WaitFor(q.Signal())
+				return sim.WaitFor(a.lib.Events())
 			}
 		case tailPut, tailRegion, tailGet:
 			a.stage = setUp
@@ -190,7 +198,8 @@ func (a *API) EQGet(h core.EQHandle) (core.Event, error) { a.call(); return a.li
 // EQWait blocks until an event is available (PtlEQWait). In generic mode
 // the process sleeps in the kernel and the interrupt path wakes it; in
 // accelerated mode the user-level library polls — either way the wait is
-// a Signal on the queue, with the crossing cost per check.
+// on the library's event signal, with the crossing cost per check that
+// finds the queue non-empty.
 func (a *API) EQWait(h core.EQHandle) (core.Event, error) {
 	a.handle = uint32(h)
 	a.charge(tailEQ)
@@ -200,11 +209,20 @@ func (a *API) EQWait(h core.EQHandle) (core.Event, error) {
 // EQPoll waits on several queues with a timeout (PtlEQPoll). It returns
 // the queue index alongside the event; ErrEQEmpty signals timeout. Pass
 // sim.Never for no timeout.
+//
+// Each round is a call that polls every queue and then waits on the
+// library's event signal, which a post to any queue raises. A call with a
+// timeout that waits schedules one deadline event; it raises the signal only
+// if this same call is still waiting then, and the call returns at the
+// deadline.
 func (a *API) EQPoll(hs []core.EQHandle, timeout sim.Time) (core.Event, int, error) {
 	deadline := sim.Never
 	if timeout != sim.Never {
 		deadline = a.Proc.Now() + timeout
 	}
+	a.polls++
+	poll := a.polls
+	armed := deadline == sim.Never // no deadline event to schedule
 	for {
 		a.call()
 		for i, h := range hs {
@@ -216,31 +234,22 @@ func (a *API) EQPoll(hs []core.EQHandle, timeout sim.Time) (core.Event, int, err
 		if len(hs) == 0 {
 			return core.Event{}, -1, core.ErrInvalidHandle
 		}
-		// Sleep until any of the polled queues delivers: an aggregate
-		// signal fans in every queue's wakeup. Stale registrations from
-		// earlier rounds raise the aggregate with no waiter, which is
-		// harmless — the loop re-polls every queue after each wake.
-		agg := sim.NewSignal(a.Proc.Sim())
-		registered := false
-		for _, h := range hs {
-			if q, ok := a.lib.EQ(h); ok {
-				q.Signal().Notify(func() { agg.Raise() })
-				registered = true
-			}
-		}
-		if !registered {
-			return core.Event{}, -1, core.ErrInvalidHandle
-		}
-		if deadline == sim.Never {
-			agg.Wait(a.Proc)
-			continue
-		}
-		remaining := deadline - a.Proc.Now()
-		if remaining <= 0 {
+		if a.Proc.Now() >= deadline {
 			return core.Event{}, -1, core.ErrEQEmpty
 		}
-		if !agg.WaitTimeout(a.Proc, remaining) && a.Proc.Now() >= deadline {
-			return core.Event{}, -1, core.ErrEQEmpty
+		if !armed {
+			armed = true
+			a.Proc.Sim().At(deadline, func() {
+				if a.polls == poll && a.stage == polling {
+					a.stage = done
+					a.lib.Events().Raise()
+				}
+			})
+		}
+		a.stage = polling
+		a.lib.Events().Wait(a.Proc)
+		if a.stage == done {
+			return core.Event{}, -1, core.ErrEQEmpty // the deadline event woke the call
 		}
 	}
 }

@@ -191,8 +191,72 @@ func TestEQPollTimesOut(t *testing.T) {
 	if err != core.ErrEQEmpty {
 		t.Errorf("EQPoll timeout returned %v, want ErrEQEmpty", err)
 	}
-	if waited < 10*sim.Microsecond {
-		t.Errorf("EQPoll returned after %v, before the timeout", waited)
+	if waited != 10*sim.Microsecond {
+		t.Errorf("EQPoll returned after %v, want the 10us timeout exactly", waited)
+	}
+}
+
+// refPoll runs body as a process whose API (kbridge: no crossing cost) sits
+// on a reference-NAL library with one queue, and puts a 1-byte message into
+// that queue at each of the instants given; it arrives 1 us later. It
+// returns the run's simulator.
+func refPoll(puts []sim.Time, body func(api *nal.API, eq core.EQHandle)) *sim.Sim {
+	s := sim.New()
+	n := nal.NewRefNAL(s, sim.Microsecond, 1_000_000_000)
+	rx := n.AddProcess(core.ProcessID{Nid: 1, Pid: 1}, 1, core.Limits{})
+	tx := n.AddProcess(core.ProcessID{Nid: 0, Pid: 1}, 1, core.Limits{})
+	eq, _ := rx.EQAlloc(16)
+	me, _ := rx.MEAttach(4, core.ProcessID{Nid: core.NidAny, Pid: core.PidAny}, 1, 0, core.Retain, core.After)
+	rx.MDAttach(me, core.MDesc{Region: make(core.SliceRegion, 1), Threshold: core.ThresholdInfinite,
+		Options: core.MDOpPut | core.MDManageRemote | core.MDEventStartDisable, EQ: eq}, core.Retain)
+	md, _ := tx.MDBind(core.MDesc{Region: make(core.SliceRegion, 1), Threshold: core.ThresholdInfinite, EQ: core.NoEQ})
+	for _, at := range puts {
+		s.At(at, func() { tx.Put(md, core.NoAck, rx.ID(), 4, 1, 0, 0) })
+	}
+	p := model.Defaults()
+	s.Go("poller", func(proc *sim.Proc) { body(nal.NewAPI(proc, rx, nal.KBridge{}, &p), eq) })
+	s.Run()
+	return s
+}
+
+// TestEQPollDeadlineWakesOnlyItsCall: a poll that an event satisfies before
+// its timeout leaves a deadline event behind, and that event must not wake
+// the process from the poll it blocks in next. The second poll returns at
+// the same instant, after as many parks, as when the first had no timeout.
+func TestEQPollDeadlineWakesOnlyItsCall(t *testing.T) {
+	run := func(timeout sim.Time) (first, second sim.Time, parks uint64) {
+		s := refPoll([]sim.Time{0, 9 * sim.Microsecond}, func(api *nal.API, eq core.EQHandle) {
+			for i, d := range []sim.Time{timeout, sim.Never} {
+				if _, _, err := api.EQPoll([]core.EQHandle{eq}, d); err != nil {
+					t.Errorf("timeout %v, poll %d: %v", timeout, i, err)
+				}
+				first, second = second, api.Proc.Now()
+			}
+		})
+		return first, second, s.Parks
+	}
+	f, s, parks := run(5 * sim.Microsecond)
+	wantF, wantS, wantParks := run(sim.Never)
+	if f != wantF || f >= 5*sim.Microsecond || s != wantS || s < 10*sim.Microsecond || parks != wantParks {
+		t.Errorf("polls returned at %v and %v after %d parks, want %v and %v after %d as with no timeout",
+			f, s, parks, wantF, wantS, wantParks)
+	}
+}
+
+// TestEQPollFreedQueue: a queue freed while a poll waits on it ends the poll
+// with ErrInvalidHandle, at the next check.
+func TestEQPollFreedQueue(t *testing.T) {
+	var err error
+	idx := -1
+	var at sim.Time
+	refPoll(nil, func(api *nal.API, eq core.EQHandle) {
+		api.Proc.Sim().At(3*sim.Microsecond, func() { api.Lib().EQFree(eq) })
+		_, idx, err = api.EQPoll([]core.EQHandle{eq}, sim.Never)
+		at = api.Proc.Now()
+	})
+	p := model.Defaults()
+	if want := 3*sim.Microsecond + p.HostCycles(p.HostAPICycles); err != core.ErrInvalidHandle || idx != 0 || at != want {
+		t.Errorf("poll of a freed queue: %v on queue %d at %v, want %v on queue 0 at %v", err, idx, at, core.ErrInvalidHandle, want)
 	}
 }
 
@@ -359,5 +423,46 @@ func TestEQPollResolvesQueueIndex(t *testing.T) {
 	m.Run()
 	if gotIdx != 1 {
 		t.Errorf("EQPoll resolved index %d, want 1", gotIdx)
+	}
+}
+
+// TestEQWaitIgnoresOtherQueues: a process blocked in EQWait on queue A while
+// eight events land on its library's queue B pays nothing for them. Its
+// resume instant and the run's event and park counts are those recorded when
+// every queue had a signal of its own and B's posts woke nobody.
+func TestEQWaitIgnoresOtherQueues(t *testing.T) {
+	p := model.Defaults()
+	tp, _ := topo.New(2, 1, 1, false, false, false)
+	m := machine.New(p, tp)
+	const n = 8
+	var resumed sim.Time
+	var dst *machine.App
+	dst, _ = m.Spawn(1, "rx", machine.Generic, func(app *machine.App) {
+		a, _ := app.API.EQAlloc(16)
+		b, _ := app.API.EQAlloc(16)
+		for bits, eq := range []core.EQHandle{b, a} { // match bits 0 post to B, 1 to A
+			me, _ := app.API.MEAttach(4, core.ProcessID{Nid: core.NidAny, Pid: core.PidAny}, uint64(bits), 0, core.Retain, core.After)
+			app.API.MDAttach(me, core.MDesc{Region: app.Alloc(64), Threshold: core.ThresholdInfinite,
+				Options: core.MDOpPut | core.MDManageRemote | core.MDEventStartDisable, EQ: eq}, core.Retain)
+		}
+		ev, err := app.API.EQWait(a)
+		resumed = app.Proc.Now()
+		if q, _ := app.API.Lib().EQ(b); err != nil || ev.MatchBits != 1 || q.Pending() != n {
+			t.Errorf("EQWait(A): event with match bits %d, %v, and %d events on B, want 1, no error and %d",
+				ev.MatchBits, err, q.Pending(), n)
+		}
+	})
+	m.Spawn(0, "tx", machine.Generic, func(app *machine.App) {
+		app.Proc.Sleep(30 * sim.Microsecond)
+		md, _ := app.API.MDBind(core.MDesc{Region: app.Alloc(8), Threshold: core.ThresholdInfinite})
+		for i := 0; i <= n; i++ {
+			app.API.Put(md, core.NoAck, dst.ID(), 4, uint64(i/n), 0, 0)
+		}
+	})
+	m.Run()
+	const wantResumed, wantFired, wantParks = 47_230_574 * sim.Picosecond, 219, 2
+	if resumed != wantResumed || m.S.Fired != wantFired || m.S.Parks != wantParks {
+		t.Errorf("EQWait(A) resumed at %v, the run fired %d events and parked %d times, want %v, %d and %d",
+			resumed, m.S.Fired, m.S.Parks, wantResumed, wantFired, wantParks)
 	}
 }

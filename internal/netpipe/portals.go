@@ -153,7 +153,7 @@ func (s *npSide) get(n int) {
 // machine.
 func RunPortals(p model.Params, op Op, pat Pattern, cfg Config) Result {
 	return drive(p, op.String(), pat, cfg, func(m *machine.Machine, c *curve) {
-		gate := sim.NewBarrier(m.S, 2) // both sides set up before timing begins
+		gate := sim.NewBarrier(2) // both sides set up before timing begins
 		// Peer ids are filled in after both Spawn calls return (pids are
 		// assigned synchronously); the closures read them at run time.
 		var ids [2]core.ProcessID

@@ -122,7 +122,7 @@ func (r *chainRun) note(who string, what ...any) {
 func (r *chainRun) start(delay Time) {
 	r.sigs = make([]*Signal, r.c.sigs)
 	for i := range r.sigs {
-		r.sigs[i] = NewSignal(r.s)
+		r.sigs[i] = &Signal{}
 	}
 	r.ready = make([]bool, r.c.sigs)
 	for i, script := range r.c.procs {

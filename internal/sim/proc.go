@@ -90,9 +90,9 @@ func (s *Sim) Go(name string, fn func(p *Proc)) *Proc {
 
 // wake transfers control to the process and returns when the process parks
 // again (by sleeping, waiting, or finishing). whole says whether the
-// activation is an event of its own (resume) rather than a turn inside a
-// callback that still has to finish (Raise); Sim.whole holds it for the
-// running process and gets the waker's back. A panic in the process body
+// activation is an event of its own (resume) rather than a turn inside an
+// event that still has to finish (a Signal's Raise); Sim.whole holds it for
+// the running process and gets the waker's back. A panic in the process body
 // comes out of here, on the waker's stack.
 func (p *Proc) wake(whole bool) {
 	if p.next == nil {
@@ -136,10 +136,10 @@ func (p *Proc) Now() Time { return p.s.now }
 // The wake-up is queued like any event. When parking would only have the run
 // loop dispatch the events ahead of it and switch straight back, the process
 // dispatches them itself and takes its wake-up in place. That needs a whole
-// activation (a Raise's callback would still have to finish, at the old
-// time), a wake-up within the run's horizon (then so is every event ahead of
-// it) and no other process dispatching (one woken from inside that loop
-// cannot resume the dispatcher beneath it on the stack). DESIGN.md §7.
+// activation (the event that raised a Signal would still have to finish, at
+// the old time), a wake-up within the run's horizon (then so is every event
+// ahead of it) and no other process dispatching (one woken from inside that
+// loop cannot resume the dispatcher beneath it on the stack). DESIGN.md §7.
 func (p *Proc) Sleep(d Time) {
 	if !p.stay(d) {
 		p.park()
@@ -307,25 +307,19 @@ func (p *Proc) dispatchUntil(mine uint64) bool {
 // String identifies the process in diagnostics.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }
 
-// Signal is a broadcast condition variable for coroutine processes and
-// callback waiters. A typical use: a Portals event queue raises its signal
-// when the firmware posts an event, waking a process blocked in PtlEQWait.
+// Signal is a broadcast condition variable for coroutine processes, ready
+// to use at its zero value. A typical use: a Portals library raises its
+// event signal when the firmware posts an event to one of its queues,
+// waking a process blocked in PtlEQWait or PtlEQPoll.
 //
 // Signal has no memory: a Raise with no waiters is lost. Users must re-check
 // their predicate after waking (standard condition-variable discipline).
 type Signal struct {
-	s       *Sim
-	procs   []*Proc
-	callbks []func()
-
-	// Drained waiter arrays from the last Raise, handed back to the live
-	// slices so steady-state Wait/Notify never reallocates.
-	procsSpare   []*Proc
-	callbksSpare []func()
+	procs []*Proc
+	// The drained waiter array of the last Raise, handed back to procs so
+	// steady-state Wait never reallocates.
+	procsSpare []*Proc
 }
-
-// NewSignal returns a signal bound to s.
-func NewSignal(s *Sim) *Signal { return &Signal{s: s} }
 
 // Wait blocks the calling process until the next Raise.
 func (g *Signal) Wait(p *Proc) {
@@ -333,56 +327,17 @@ func (g *Signal) Wait(p *Proc) {
 	p.park()
 }
 
-// WaitTimeout blocks the calling process until the next Raise or until d has
-// elapsed, whichever comes first. It reports whether the signal was raised
-// (false means timeout). Pass Never for no timeout.
-func (g *Signal) WaitTimeout(p *Proc, d Time) bool {
-	if d == Never {
-		g.Wait(p)
-		return true
-	}
-	raised := false
-	fired := false
-	// The timer and the raise race; whichever runs first wakes the process
-	// and disarms the other.
-	wakeOnce := func(byRaise bool) {
-		if fired {
-			return
-		}
-		fired = true
-		raised = byRaise
-		p.wake(false)
-	}
-	g.callbks = append(g.callbks, func() { wakeOnce(true) })
-	g.s.After(d, func() { wakeOnce(false) })
-	p.park()
-	return raised
-}
-
-// Notify registers fn to be called (once, at Raise time) on the next Raise.
-// It is the callback analogue of Wait.
-func (g *Signal) Notify(fn func()) {
-	g.callbks = append(g.callbks, fn)
-}
-
-// Raise wakes every current waiter. Processes are woken in the order they
-// waited, at the current virtual time — a chained one by running its step,
-// which may leave it parked; callbacks run immediately.
-// Waiters that arrive during Raise are not woken (they wait for the next
-// Raise).
+// Raise wakes every current waiter, in the order they waited, at the current
+// virtual time — a chained one by running its step, which may leave it
+// parked. Waiters that arrive during Raise are not woken (they wait for the
+// next Raise).
 func (g *Signal) Raise() {
 	procs := g.procs
-	cbs := g.callbks
-	// New waiters go into the spare arrays (ping-pong buffering). The spares
-	// are nilled while we iterate so a nested Raise from a woken process
-	// falls back to fresh slices instead of scribbling over this iteration.
+	// New waiters go into the spare array (ping-pong buffering). The spare
+	// is nilled while we iterate so a nested Raise from a woken process
+	// falls back to a fresh slice instead of scribbling over this iteration.
 	g.procs = g.procsSpare[:0]
-	g.callbks = g.callbksSpare[:0]
 	g.procsSpare = nil
-	g.callbksSpare = nil
-	for _, fn := range cbs {
-		fn()
-	}
 	for _, p := range procs {
 		if p.step == nil || p.stepped() {
 			p.wake(false)
@@ -391,11 +346,7 @@ func (g *Signal) Raise() {
 	for i := range procs {
 		procs[i] = nil
 	}
-	for i := range cbs {
-		cbs[i] = nil
-	}
 	g.procsSpare = procs[:0]
-	g.callbksSpare = cbs[:0]
 }
 
 // Barrier is a one-shot counting barrier for the processes of one simulator:
@@ -405,13 +356,11 @@ func (g *Signal) Raise() {
 // data path).
 type Barrier struct {
 	need, have int
-	sig        *Signal
+	sig        Signal
 }
 
 // NewBarrier returns a barrier that opens at the need-th Wait.
-func NewBarrier(s *Sim, need int) *Barrier {
-	return &Barrier{need: need, sig: NewSignal(s)}
-}
+func NewBarrier(need int) *Barrier { return &Barrier{need: need} }
 
 // Wait blocks the calling process until need processes have arrived.
 func (b *Barrier) Wait(p *Proc) {

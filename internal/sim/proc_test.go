@@ -55,7 +55,7 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // attributed, once, to the process that raised it.
 func TestNestedProcPanicWrappedOnce(t *testing.T) {
 	s := New()
-	sig := NewSignal(s)
+	sig := &Signal{}
 	s.Go("inner", func(p *Proc) {
 		sig.Wait(p)
 		explode("inner broke")
@@ -140,7 +140,7 @@ func TestWakeDeadProcessPanics(t *testing.T) {
 // finished processes are not counted, blocked ones are, across lanes.
 func TestDeadlockDiagnostics(t *testing.T) {
 	s := New()
-	sig := NewSignal(s)
+	sig := &Signal{}
 	s.Go("finishes", func(p *Proc) { p.Sleep(2 * Microsecond) })
 	s.Go("stuck1", func(p *Proc) { sig.Wait(p) })
 	s.Go("stuck2", func(p *Proc) { p.Sleep(Microsecond); sig.Wait(p) })
@@ -152,7 +152,7 @@ func TestDeadlockDiagnostics(t *testing.T) {
 	k := NewKernel(2, 100)
 	for lane, n := range []int{1, 2} {
 		l := k.Lane(lane)
-		sig := NewSignal(l)
+		sig := &Signal{}
 		for i := 0; i < n; i++ {
 			l.Go("stuck", func(p *Proc) { sig.Wait(p) })
 		}
@@ -168,7 +168,7 @@ func TestDeadlockDiagnostics(t *testing.T) {
 // continues.
 func TestNestedRaiseRunsWokenFirst(t *testing.T) {
 	s := New()
-	sig := NewSignal(s)
+	sig := &Signal{}
 	var log []string
 	for _, name := range []string{"w1", "w2"} {
 		s.Go(name, func(p *Proc) {
@@ -188,35 +188,5 @@ func TestNestedRaiseRunsWokenFirst(t *testing.T) {
 	want := []string{"raise", "w1 woke", "w2 woke", "raised", "w1 slept", "w2 slept"}
 	if !reflect.DeepEqual(log, want) {
 		t.Errorf("log = %v\nwant  %v", log, want)
-	}
-}
-
-// TestWaitTimeoutDisarms: whichever of the raise and the timer wakes the
-// process disarms the other — the loser firing later must not wake a process
-// that has since parked on something else.
-func TestWaitTimeoutDisarms(t *testing.T) {
-	s := New()
-	sig := NewSignal(s)
-	var raisedFirst, timerFirst bool
-	var resumed [2]Time
-	s.Go("raise-first", func(p *Proc) {
-		raisedFirst = sig.WaitTimeout(p, 5*Microsecond) // raised at 1us
-		p.Sleep(10 * Microsecond)                       // the 5us timer fires meanwhile
-		resumed[0] = p.Now()
-	})
-	s.Go("timer-first", func(p *Proc) {
-		p.Sleep(2 * Microsecond)
-		timerFirst = sig.WaitTimeout(p, Microsecond) // times out at 3us
-		p.Sleep(10 * Microsecond)                    // the 4us raise fires meanwhile
-		resumed[1] = p.Now()
-	})
-	s.After(1*Microsecond, sig.Raise)
-	s.After(4*Microsecond, sig.Raise)
-	s.Run()
-	if !raisedFirst || resumed[0] != 11*Microsecond {
-		t.Errorf("raise-first: raised=%v, resumed at %v, want true at 11us", raisedFirst, resumed[0])
-	}
-	if timerFirst || resumed[1] != 13*Microsecond {
-		t.Errorf("timer-first: raised=%v, resumed at %v, want false at 13us", timerFirst, resumed[1])
 	}
 }

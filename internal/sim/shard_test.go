@@ -96,7 +96,7 @@ func TestKernelLookaheadViolationPanics(t *testing.T) {
 func TestKernelDeadlockPanics(t *testing.T) {
 	k := NewKernel(2, 100)
 	s := k.Lane(1)
-	sig := NewSignal(s)
+	sig := &Signal{}
 	s.Go("stuck", func(p *Proc) { sig.Wait(p) })
 	k.Lane(0).At(5, func() {})
 	defer func() {

@@ -242,7 +242,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestSignalWakesWaitersInOrder(t *testing.T) {
 	s := New()
-	sig := NewSignal(s)
+	sig := &Signal{}
 	var order []string
 	s.Go("w1", func(p *Proc) {
 		sig.Wait(p)
@@ -263,43 +263,6 @@ func TestSignalWakesWaitersInOrder(t *testing.T) {
 	}
 }
 
-func TestSignalNotifyCallback(t *testing.T) {
-	s := New()
-	sig := NewSignal(s)
-	fired := 0
-	sig.Notify(func() { fired++ })
-	s.After(1*Nanosecond, func() { sig.Raise() })
-	s.After(2*Nanosecond, func() { sig.Raise() }) // no waiter: lost, by design
-	s.Run()
-	if fired != 1 {
-		t.Errorf("callback fired %d times, want 1", fired)
-	}
-}
-
-func TestSignalWaitTimeout(t *testing.T) {
-	s := New()
-	sig := NewSignal(s)
-	var gotRaise, gotTimeout bool
-	var raiseAt, timeoutAt Time
-	s.Go("lucky", func(p *Proc) {
-		gotRaise = sig.WaitTimeout(p, 10*Microsecond)
-		raiseAt = p.Now()
-	})
-	s.Go("unlucky", func(p *Proc) {
-		p.Sleep(2 * Microsecond) // wait after the raise below has no raiser left
-		gotTimeout = sig.WaitTimeout(p, 3*Microsecond)
-		timeoutAt = p.Now()
-	})
-	s.After(1*Microsecond, func() { sig.Raise() })
-	s.Run()
-	if !gotRaise || raiseAt != 1*Microsecond {
-		t.Errorf("lucky: raised=%v at %v", gotRaise, raiseAt)
-	}
-	if gotTimeout || timeoutAt != 5*Microsecond {
-		t.Errorf("unlucky: raised=%v at %v, want timeout at 5us", gotTimeout, timeoutAt)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -307,7 +270,7 @@ func TestDeadlockDetection(t *testing.T) {
 		}
 	}()
 	s := New()
-	sig := NewSignal(s)
+	sig := &Signal{}
 	s.Go("stuck", func(p *Proc) { sig.Wait(p) })
 	s.Run()
 }

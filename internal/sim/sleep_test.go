@@ -13,7 +13,7 @@ import (
 // between them, a process woken by Raise that then sleeps, and a process
 // spawned by an event. Every callback reports through rec.
 func scriptedMix(s *Sim, rec func(label string)) {
-	sig := NewSignal(s)
+	sig := &Signal{}
 	s.Go("A", func(p *Proc) {
 		rec("A starts")
 		p.Sleep(10)
