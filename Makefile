@@ -16,10 +16,11 @@ race:
 vet:
 	go vet ./...
 
-# Substrate microbenchmarks (event kernel, process switch, one full put, one
-# MPI round, a Portals call that parks in EQWait and one in EQPoll).
+# Substrate microbenchmarks (event kernel, a kernel lane's mail, process
+# switch, one full put, one MPI round, a Portals call that parks in EQWait and
+# one in EQPoll).
 bench:
-	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|ProcSwitch|SleepInPlace|SimulatedPut|SimulatedMPI|ParkedCall|PolledCall' -benchmem .
+	go test -run xxx -bench 'SimulatorEventThroughput$$|SimulatorZeroDelayLane|SimulatorEventThroughputDeep|SimulatorEventThroughputLane|KernelMail|ProcSwitch|SleepInPlace|SimulatedPut|SimulatedMPI|ParkedCall|PolledCall' -benchmem .
 
 # Every paper figure, one iteration each.
 figures:

@@ -236,6 +236,41 @@ func BenchmarkSimulatorEventThroughputLane(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkKernelMail is a kernel lane's mail as uniform_lossy_512 loads it
+// (DESIGN.md §7): one lane, windows one hop latency (55 ns) long, and 265
+// packets in flight, each of which, when it arrives, posts itself on to the
+// next router 55–465 ns ahead and queues a local event at the instant it
+// posted for. That is 56 posts a window, 36 % of them due before the post
+// ahead of them in the outbox, merged into a lane that stands about 500
+// events deep. An op is one post: sorted into its window's batch, merged,
+// dispatched, with its local event.
+func BenchmarkKernelMail(b *testing.B) {
+	b.ReportAllocs()
+	const packets = 265
+	k := sim.NewKernel(1, model.Defaults().HopLatency)
+	l := k.Lane(0)
+	local := func() {}
+	posted := 0
+	for node := range packets {
+		var seq uint64
+		var arrive func()
+		arrive = func() {
+			if posted == b.N {
+				return
+			}
+			posted++
+			seq++
+			at := l.Now() + sim.Time(55+posted*7961%411)*sim.Nanosecond
+			l.At(at, local)
+			k.Post(0, 0, at, int32(node), seq, arrive)
+		}
+		arrive()
+	}
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(b.N)/float64(k.Windows), "posts/window")
+}
+
 // BenchmarkProcSwitch measures one simulated process switch pair: a timed
 // event raises a signal, which wakes the waiting process (a coroutine switch
 // in), and the process waits again (a switch back out). A Raise-woken process

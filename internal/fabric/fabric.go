@@ -366,7 +366,7 @@ func (m *Message) SetCRC(crc uint32) { m.CRC = crc }
 // Links are owned by the lane of the node they leave, so contention is
 // resolved in that lane's event order.
 func (f *Fabric) hop(at, src, dst topo.NodeID, t sim.Time, nbytes int) (topo.NodeID, sim.Time) {
-	d, ok := f.Topo.NextHop(at, dst)
+	d, next, ok := f.Topo.Step(at, dst)
 	if !ok {
 		panic("fabric: hop walk already at destination")
 	}
@@ -380,12 +380,7 @@ func (f *Fabric) hop(at, src, dst topo.NodeID, t sim.Time, nbytes int) (topo.Nod
 		f.Stats.LinkRetries += uint64(k - 1)
 		occupancy = sim.Time(k)*occupancy + sim.Time(k-1)*f.P.LinkRetryDelay
 	}
-	t = f.linkReserve(at, d, t, occupancy, hops) + f.P.HopLatency
-	next, ok := f.Topo.Neighbor(at, d)
-	if !ok {
-		panic("fabric: route fell off the mesh")
-	}
-	return next, t
+	return next, f.linkReserve(at, d, t, occupancy, hops) + f.P.HopLatency
 }
 
 // traverse reserves the fixed path from src to dst for nbytes, hop by hop

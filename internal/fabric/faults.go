@@ -376,13 +376,9 @@ func (p *FaultPlane) pathDown(src, dst topo.NodeID) bool {
 		return false
 	}
 	for cur := src; cur != dst; {
-		d, _ := p.f.Topo.NextHop(cur, dst)
+		d, next, _ := p.f.Topo.Step(cur, dst)
 		if p.down[linkKey{cur, d}] {
 			return true
-		}
-		next, ok := p.f.Topo.Neighbor(cur, d)
-		if !ok {
-			return false
 		}
 		cur = next
 	}

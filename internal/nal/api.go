@@ -24,14 +24,18 @@ type API struct {
 
 	// The call under way, for its chain (Step): where it stands, what
 	// follows its library cost and that tail's arguments — the descriptor or
-	// event queue, and the pages a PutRegion spans; and the number of the
-	// last EQPoll, which its deadline event checks. The struct fills its
-	// 48-byte size class: every process has one.
-	stage  stage
-	tail   tail
-	handle uint32
-	pages  uint32
-	polls  uint32
+	// event queue, the pages a PutRegion spans, or an EQPoll's queues, its
+	// deadline and whether its deadline event is queued; and the number of
+	// the last EQPoll, which that event checks. The struct fills its 80-byte
+	// size class: every process has one.
+	polled   []core.EQHandle
+	deadline sim.Time
+	stage    stage
+	tail     tail
+	armed    bool
+	handle   uint32
+	pages    uint32
+	polls    uint32
 }
 
 // NewAPI binds an API front end to a library instance through a bridge.
@@ -48,7 +52,8 @@ const (
 	charged              // the library cost: the tail is next
 	setUp                // a transmit's set-up: the call is done
 	raised               // EQWait: the library's events were raised, the call begins again if its queue is not empty
-	polling              // EQPoll: waiting on the library's events
+	polling              // EQPoll: waiting on the library's events, whose raise begins the call again
+	expired              // EQPoll: its deadline event ended the wait
 	done
 )
 
@@ -62,6 +67,7 @@ const (
 	tailRegion      // the transmit set-up of a part of the descriptor
 	tailGet         // a get's transmit set-up
 	tailEQ          // EQWait: wait on the queue while it is empty
+	tailPoll        // EQPoll: wait on the library's events while every queue is empty
 )
 
 // call charges one API crossing and serializes against in-progress driver
@@ -91,13 +97,15 @@ func (a *API) charge(t tail) {
 // Step is the call's chain (sim.Step), called only by the chain: at each
 // wake-up it does what the process would do next and answers the sleep or
 // wait that follows, until the call is done or a driver holds the library.
-func (a *API) Step(*sim.Proc) sim.Next {
+func (a *API) Step(proc *sim.Proc) sim.Next {
 	switch a.stage {
 	case raised:
 		if q, ok := a.lib.EQ(core.EQHandle(a.handle)); ok && q.Empty() {
 			// The raise was for another of the library's queues.
 			return sim.WaitFor(a.lib.Events())
 		}
+		fallthrough
+	case polling:
 		a.stage = crossed
 		if a.cross > 0 {
 			return sim.SleepFor(a.cross)
@@ -119,10 +127,25 @@ func (a *API) Step(*sim.Proc) sim.Next {
 				a.stage = raised
 				return sim.WaitFor(a.lib.Events())
 			}
+		case tailPoll:
+			// Every queue is polled at this instant: the process is resumed
+			// only to take an event, to report a bad handle, or at the
+			// deadline; else the call waits again, and a deadline arms one
+			// event at the first wait.
+			if len(a.polled) > 0 && !a.ready() && proc.Now() < a.deadline {
+				if !a.armed {
+					a.armed = true
+					proc.Sim().At(a.deadline, a.expire(a.polls))
+				}
+				a.stage = polling
+				return sim.WaitFor(a.lib.Events())
+			}
 		case tailPut, tailRegion, tailGet:
 			a.stage = setUp
 			return sim.SleepFor(a.sendSetup())
 		}
+	case expired:
+		return sim.Resume()
 	}
 	a.stage = done
 	return sim.Resume()
@@ -211,45 +234,54 @@ func (a *API) EQWait(h core.EQHandle) (core.Event, error) {
 // sim.Never for no timeout.
 //
 // Each round is a call that polls every queue and then waits on the
-// library's event signal, which a post to any queue raises. A call with a
+// library's event signal, which a post to any queue raises. The rounds are
+// the call's chain (Step): a raise begins the call again on the event loop,
+// and the process is resumed once a round finds something. A call with a
 // timeout that waits schedules one deadline event; it raises the signal only
 // if this same call is still waiting then, and the call returns at the
 // deadline.
 func (a *API) EQPoll(hs []core.EQHandle, timeout sim.Time) (core.Event, int, error) {
-	deadline := sim.Never
+	a.polled, a.deadline = hs, sim.Never
 	if timeout != sim.Never {
-		deadline = a.Proc.Now() + timeout
+		a.deadline = a.Proc.Now() + timeout
 	}
+	a.armed = a.deadline == sim.Never // no deadline event to schedule
 	a.polls++
-	poll := a.polls
-	armed := deadline == sim.Never // no deadline event to schedule
-	for {
-		a.call()
-		for i, h := range hs {
-			ev, err := a.lib.EQGet(h)
-			if err != core.ErrEQEmpty {
-				return ev, i, err
-			}
+	a.charge(tailPoll)
+	a.polled = nil
+	if a.stage == expired {
+		return core.Event{}, -1, core.ErrEQEmpty // the deadline event woke the call
+	}
+	for i, h := range hs {
+		ev, err := a.lib.EQGet(h)
+		if err != core.ErrEQEmpty {
+			return ev, i, err
 		}
-		if len(hs) == 0 {
-			return core.Event{}, -1, core.ErrInvalidHandle
+	}
+	if len(hs) == 0 {
+		return core.Event{}, -1, core.ErrInvalidHandle
+	}
+	return core.Event{}, -1, core.ErrEQEmpty
+}
+
+// ready reports whether a get from one of the polled queues would find
+// something: an event, an overflow or a bad handle.
+func (a *API) ready() bool {
+	for _, h := range a.polled {
+		if q, ok := a.lib.EQ(h); !ok || !q.Empty() {
+			return true
 		}
-		if a.Proc.Now() >= deadline {
-			return core.Event{}, -1, core.ErrEQEmpty
-		}
-		if !armed {
-			armed = true
-			a.Proc.Sim().At(deadline, func() {
-				if a.polls == poll && a.stage == polling {
-					a.stage = done
-					a.lib.Events().Raise()
-				}
-			})
-		}
-		a.stage = polling
-		a.lib.Events().Wait(a.Proc)
-		if a.stage == done {
-			return core.Event{}, -1, core.ErrEQEmpty // the deadline event woke the call
+	}
+	return false
+}
+
+// expire is poll number n's deadline event: it ends the wait of that call,
+// if it is still waiting.
+func (a *API) expire(n uint32) func() {
+	return func() {
+		if a.polls == n && a.stage == polling {
+			a.stage = expired
+			a.lib.Events().Raise()
 		}
 	}
 }

@@ -13,9 +13,11 @@
 //     window horizon h = m + lookahead − 1. It reads no queue and no mail.
 //  2. Every lane first merges its own mail — the posts the previous window
 //     addressed to it, sorted by (time, source node, source sequence), keys
-//     that depend only on the simulated workload, never on the shard count —
-//     so each lane's tie-breaking insertion sequence is identical at any
-//     shard count, and then runs RunUntil(h). This window's posts go to the
+//     that depend only on the simulated workload, never on the shard count,
+//     and given the lane's next insertion sequences in that order, into the
+//     mail run beside its wheel (or through At while the lane has none) — so
+//     each lane's tie-breaking insertion sequence is identical at any shard
+//     count, and then runs RunUntil(h). This window's posts go to the
 //     outboxes of the other parity, which nobody reads until the next one.
 //     The lanes are spread over W = min(lanes, GOMAXPROCS) workers that stay
 //     on their Ps for the whole Run (worker 0 is the coordinator; worker w
@@ -43,7 +45,8 @@
 // per-hop wire latency plus a non-zero link occupancy provides L =
 // Params.HopLatency). Posts therefore always land beyond the current
 // horizon, no lane ever receives mail in its past, and At's monotonicity
-// panic doubles as the runtime check. Post additionally asserts it.
+// panic (merge's own, on a lane with a mail run) doubles as the runtime check.
+// Post additionally asserts it.
 //
 // Determinism argument (why shards=1 and shards=N produce bit-identical
 // simulated results): the window sequence depends only on global minimum
@@ -59,10 +62,10 @@
 package sim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -272,30 +275,97 @@ func (k *Kernel) merge(dst int, mail []outbox) {
 		clear(ob.posts)
 		ob.posts, ob.min = ob.posts[:0], Never
 	}
-	if len(b) > 1 {
-		// The key is a total order (a node never reuses a sequence number),
-		// so any correct sort produces the same batch; and a global sort
-		// restricted to one destination is that destination's sort.
-		slices.SortFunc(b, comparePosts)
-	}
+	// The key is a total order (a node never reuses a sequence number), so
+	// any correct sort produces the same batch; and a global sort restricted
+	// to one destination is that destination's sort.
+	sortPosts(b)
 	l := k.lanes[dst]
-	for i := range b {
-		l.At(b[i].at, b[i].fn)
+	switch {
+	case len(b) == 0:
+	case l.far != nil:
+		// A deep lane takes the batch as it stands: its mail run is kept in
+		// dispatch order beside the wheel.
+		if b[0].at < l.now {
+			panic(fmt.Sprintf("sim: scheduling at %v before now %v", b[0].at, l.now))
+		}
+		l.far.merge(l, b)
+	default:
+		for i := range b {
+			l.At(b[i].at, b[i].fn)
+		}
 	}
 	clear(b)
 	k.batch[dst] = b[:0]
 }
 
-// comparePosts orders mailbox entries by (time, source node, source
-// sequence).
-func comparePosts(a, b post) int {
-	if a.at != b.at {
-		return cmp.Compare(a.at, b.at)
+// before orders mailbox entries by (time, source node, source sequence).
+func (p *post) before(o *post) bool {
+	if p.at != o.at {
+		return p.at < o.at
 	}
-	if a.srcNode != b.srcNode {
-		return cmp.Compare(a.srcNode, b.srcNode)
+	if p.srcNode != o.srcNode {
+		return p.srcNode < o.srcNode
 	}
-	return cmp.Compare(a.srcSeq, b.srcSeq)
+	return p.srcSeq < o.srcSeq
+}
+
+// sortPosts sorts b by before, in place. A window's batch is a few dozen
+// posts in little order: a quicksort (median-of-three pivot, insertion sort
+// below 12 posts) whose comparisons inline sorts it a fifth faster than
+// slices.SortFunc, whose comparator copies both posts at each call. A
+// partition that keeps coming out lopsided hands its range to
+// slices.SortFunc, so the worst case stays n log n.
+func sortPosts(b []post) {
+	for depth := 2 * bits.Len(uint(len(b))); len(b) > 12; depth-- {
+		if depth == 0 {
+			slices.SortFunc(b, func(p, o post) int {
+				if p.before(&o) {
+					return -1
+				}
+				return 1
+			})
+			return
+		}
+		m, l := len(b)/2, len(b)-1
+		if b[m].before(&b[0]) {
+			b[0], b[m] = b[m], b[0]
+		}
+		if b[l].before(&b[m]) {
+			b[m], b[l] = b[l], b[m]
+			if b[m].before(&b[0]) {
+				b[0], b[m] = b[m], b[0]
+			}
+		}
+		pivot := b[m]
+		i, j := 0, l
+		for {
+			for b[i].before(&pivot) {
+				i++
+			}
+			for pivot.before(&b[j]) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			b[i], b[j] = b[j], b[i]
+			i, j = i+1, j-1
+		}
+		if j+1 < len(b)-j-1 { // recurse into the smaller side
+			sortPosts(b[:j+1])
+			b = b[j+1:]
+		} else {
+			sortPosts(b[j+1:])
+			b = b[:j+1]
+		}
+	}
+	for i := 1; i < len(b); i++ {
+		p, k := b[i], i
+		for ; k > 0 && p.before(&b[k-1]); k-- {
+			b[k] = b[k-1]
+		}
+		b[k] = p
+	}
 }
 
 // Run executes the sharded simulation to completion: windows advance until

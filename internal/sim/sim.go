@@ -29,7 +29,7 @@ func (e event) less(o event) bool {
 // goroutine (coroutine processes hand control back and forth, never run in
 // parallel).
 //
-// The queue has two lanes:
+// The queue starts with two tiers:
 //
 //   - a hand-rolled 4-ary min-heap of inline event records, keyed on
 //     (time, insertion order), for events in the future, and
@@ -38,14 +38,15 @@ func (e event) less(o event) bool {
 //     firmware and fabric models (handler chaining, credit grants, posted
 //     writes), and appending to a ring is much cheaper than a heap sift.
 //
-// The two lanes together dispatch in exactly the (time, insertion order)
+// The two tiers together dispatch in exactly the (time, insertion order)
 // sequence a single heap would: ring entries all carry the current time, so
 // the ring drains before the clock may advance, and a ring head only runs
 // once no heap entry at the same time with a smaller sequence remains.
 //
 // A queue that has once run deep (deepAt) files future events in a third
-// place, the wheel, and sorts them only when they fall due; the dispatch order
-// is the same.
+// tier, the wheel, and sorts them only when they fall due; from then on a
+// kernel lane's merged mail goes to a fourth, the mail run, which arrives
+// sorted. The dispatch order is the same.
 type Sim struct {
 	now     Time
 	heap    eventHeap // future events (all of them, until the queue builds its wheel)
@@ -211,13 +212,19 @@ type farNode struct {
 // whose tail pop takes events. The heap keeps what the wheel cannot file:
 // events beyond its span (a retransmission timer) and events that land in or
 // before the current bucket.
+//
+// Mail a kernel merges into the lane (Kernel.merge) skips the buckets: it
+// arrives sorted, a window's batch at a time, and is merged into the mail
+// run, which keeps it in dispatch order from mailHd on.
 type wheel struct {
-	run  []event  // the current bucket in descending dispatch order
-	edge Time     // a bucket boundary: the run lies before it, the buckets hold [edge, edge+wheelSpan)
-	n    int      // events in the buckets
-	free *farNode // spare nodes: the slabs are the only allocations, and they are never returned
-	used [wheelSize / 64]uint64
-	head [wheelSize]*farNode
+	run    []event  // the current bucket in descending dispatch order
+	edge   Time     // a bucket boundary: the run lies before it, the buckets hold [edge, edge+wheelSpan)
+	n      int      // events in the buckets
+	free   *farNode // spare nodes: the slabs are the only allocations, and they are never returned
+	mail   []event  // merged mail, in dispatch order from mailHd
+	mailHd int
+	used   [wheelSize / 64]uint64
+	head   [wheelSize]*farNode
 }
 
 // put files ev under its instant. It reports false for an instant the buckets
@@ -283,52 +290,123 @@ func (w *wheel) refill() {
 	}
 	w.n -= len(run)
 	if !sorted {
+		sortRun(run)
+	}
+	w.run = run
+}
+
+// sortRun puts an unsorted bucket in descending dispatch order. Most hold a
+// dozen events, which an insertion sort whose comparisons inline orders in a
+// few moves each; a big one, whose moves would grow with its square, goes to
+// slices.SortFunc.
+func sortRun(run []event) {
+	if len(run) > 32 {
 		slices.SortFunc(run, func(a, b event) int {
 			if a.less(b) {
 				return 1
 			}
 			return -1
 		})
+		return
 	}
-	w.run = run
+	for i := 1; i < len(run); i++ {
+		ev, k := run[i], i
+		for ; k > 0 && run[k-1].less(ev); k-- {
+			run[k] = run[k-1]
+		}
+		run[k] = ev
+	}
 }
 
-// timed brings the run up to date and returns the next event in dispatch
-// order outside the ring, which is the run's tail (inRun) or the heap's head;
-// nil when there is none.
-func (w *wheel) timed(h eventHeap) (next *event, inRun bool) {
+// tier names where a deep queue's next event waits.
+type tier uint8
+
+const (
+	inRing tier = iota
+	inRun
+	inHeap
+	inMail
+)
+
+// next brings the run up to date and returns the next event in dispatch
+// order and the tier holding it — the ring's head, the run's tail, the
+// heap's head or the mail run's head — nil when the queue is empty.
+func (w *wheel) next(s *Sim) (next *event, from tier) {
 	if len(w.run) == 0 && w.n > 0 {
 		w.refill()
 	}
-	r := len(w.run) - 1
-	switch {
-	case r >= 0 && (len(h) == 0 || w.run[r].less(h[0])):
-		return &w.run[r], true
-	case len(h) > 0:
-		return &h[0], false
+	if r := len(w.run) - 1; r >= 0 {
+		next, from = &w.run[r], inRun
 	}
-	return nil, false
+	if len(s.heap) > 0 && (next == nil || s.heap[0].less(*next)) {
+		next, from = &s.heap[0], inHeap
+	}
+	if w.mailHd < len(w.mail) && (next == nil || w.mail[w.mailHd].less(*next)) {
+		next, from = &w.mail[w.mailHd], inMail
+	}
+	// Ring entries are all at time now: a timed event at now with a smaller
+	// sequence was scheduled before the clock reached now and runs first.
+	if s.ringLen > 0 && (next == nil || next.at != s.now || next.seq > s.ring[s.ringHd].seq) {
+		return &s.ring[s.ringHd], inRing
+	}
+	return next, from
 }
 
-// pop is Sim.pop for a queue with a wheel.
-func (w *wheel) pop(s *Sim) event {
-	next, inRun := w.timed(s.heap)
-	if s.ringLen > 0 && (next == nil || next.at != s.now || next.seq > s.ring[s.ringHd].seq) {
-		return s.ringPop()
+// pop is Sim.pop for a queue with a wheel, taking the next event only when it
+// is due by limit: one look at the tiers per event.
+func (w *wheel) pop(s *Sim, limit Time) (event, bool) {
+	next, from := w.next(s)
+	if next == nil || next.at > limit {
+		return event{}, false
 	}
-	var ev event
-	if inRun {
-		ev = *next
+	if from == inRing {
+		return s.ringPop(), true
+	}
+	ev := *next
+	switch from {
+	case inRun:
 		next.fn = nil
 		w.run = w.run[:len(w.run)-1]
-	} else {
-		ev = s.heap.pop()
+	case inHeap:
+		s.heap.pop()
+	case inMail:
+		next.fn = nil
+		if w.mailHd++; w.mailHd == len(w.mail) {
+			w.mail, w.mailHd = w.mail[:0], 0
+		}
 	}
 	if ev.at < s.now {
 		panic("sim: time went backwards")
 	}
 	s.now = ev.at
-	return ev
+	return ev, true
+}
+
+// merge files a sorted batch of posts as mail: each takes the next sequence
+// number in batch order, exactly as At would have given it, and the batch is
+// merged into what is left of earlier mail, whose sequences are all smaller.
+// The merge runs from the back, so only the mail due after the batch's
+// first post moves.
+func (w *wheel) merge(s *Sim, b []post) {
+	live := len(w.mail) - w.mailHd
+	if w.mailHd > 0 && cap(w.mail)-len(w.mail) < len(b) {
+		copy(w.mail, w.mail[w.mailHd:])
+		clear(w.mail[live:])
+		w.mail, w.mailHd = w.mail[:live], 0
+	}
+	i := len(w.mail) - 1
+	w.mail = slices.Grow(w.mail, len(b))[:len(w.mail)+len(b)]
+	first := s.seq + 1
+	s.seq += uint64(len(b))
+	for j, k := len(b)-1, len(w.mail)-1; j >= 0; k-- {
+		if i >= w.mailHd && w.mail[i].at > b[j].at {
+			w.mail[k] = w.mail[i]
+			i--
+		} else {
+			w.mail[k] = event{at: b[j].at, seq: first + uint64(j), fn: b[j].fn}
+			j--
+		}
+	}
 }
 
 // file queues a future event on a deep queue: in the wheel — built at the
@@ -384,14 +462,15 @@ func (s *Sim) After(d Time, fn func()) {
 // Stop makes Run return after the currently executing event.
 func (s *Sim) Stop() { s.stopped = true }
 
-// pop removes the next event in dispatch order from a non-empty queue — the
-// one place the ring head is weighed against the timed events — advances the
-// clock to it and counts it. The run loop and a sleeping process dispatching
-// in place (Proc.Sleep) both take their events here.
+// pop removes the next event in dispatch order from a non-empty queue — here
+// the ring head is weighed against the heap, in wheel.next against every tier
+// of a deep queue — advances the clock to it and counts it. The run loops and
+// a sleeping process dispatching in place (Proc.Sleep) take their events here
+// (RunUntil, on a deep queue, from wheel.pop).
 func (s *Sim) pop() event {
 	var ev event
 	if s.far != nil {
-		ev = s.far.pop(s)
+		ev, _ = s.far.pop(s, Never)
 	} else if s.ringLen > 0 {
 		// Ring entries are all at time now. A heap entry at the same time
 		// with a smaller sequence was scheduled before the clock reached
@@ -408,11 +487,23 @@ func (s *Sim) pop() event {
 		}
 		s.now = ev.at
 	}
+	s.count()
+	return ev
+}
+
+// count counts a dispatched event against MaxEvents.
+func (s *Sim) count() {
 	s.Fired++
 	if s.MaxEvents != 0 && s.Fired > s.MaxEvents {
-		panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at %v", s.MaxEvents, s.now))
+		s.runaway()
 	}
-	return ev
+}
+
+// runaway stays out of line, so that count inlines.
+//
+//go:noinline
+func (s *Sim) runaway() {
+	panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at %v", s.MaxEvents, s.now))
 }
 
 // Deadlock is what Run panics with when coroutine processes are still
@@ -443,7 +534,7 @@ func (s *Sim) nextAt() (Time, bool) {
 		return s.now, true
 	}
 	if s.far != nil {
-		if next, _ := s.far.timed(s.heap); next != nil {
+		if next, _ := s.far.next(s); next != nil {
 			return next.at, true
 		}
 		return 0, false
@@ -461,6 +552,15 @@ func (s *Sim) RunUntil(t Time) {
 	s.stopped = false
 	s.limit = t
 	for !s.stopped {
+		if w := s.far; w != nil {
+			ev, ok := w.pop(s, t)
+			if !ok {
+				break
+			}
+			s.count()
+			ev.fn()
+			continue
+		}
 		at, ok := s.nextAt()
 		if !ok || at > t {
 			break
@@ -476,7 +576,7 @@ func (s *Sim) RunUntil(t Time) {
 func (s *Sim) Pending() int {
 	n := len(s.heap) + int(s.ringLen)
 	if w := s.far; w != nil {
-		n += w.n + len(w.run)
+		n += w.n + len(w.run) + len(w.mail) - w.mailHd
 	}
 	return n
 }

@@ -93,14 +93,12 @@ func (t *Topology) Dims() (nx, ny, nz int) { return t.dims[0], t.dims[1], t.dims
 // Wrapped reports whether axis a is a torus.
 func (t *Topology) Wrapped(a Axis) bool { return t.wrap[a] }
 
-// Coord returns the position of node id.
+// Coord returns the position of node id: two divisions, 32 bits wide.
 func (t *Topology) Coord(id NodeID) Coord {
-	n := int(id)
-	z := n % t.dims[2]
-	n /= t.dims[2]
-	y := n % t.dims[1]
-	x := n / t.dims[1]
-	return Coord{x, y, z}
+	n, ny, nz := uint32(id), uint32(t.dims[1]), uint32(t.dims[2])
+	xy := n / nz
+	x := xy / ny
+	return Coord{int(x), int(xy - x*ny), int(n - xy*nz)}
 }
 
 // ID returns the node at position c.
@@ -228,6 +226,39 @@ func (t *Topology) NextHop(at, dst NodeID) (Dir, bool) {
 		}
 	}
 	return Dir{}, false
+}
+
+// Step is one hop of the route from at to dst: the direction NextHop gives
+// and the router Neighbor finds that way, from one pair of coordinate lookups
+// and no modulo; ok=false when at == dst. The fabric takes every hop here.
+func (t *Topology) Step(at, dst NodeID) (d Dir, next NodeID, ok bool) {
+	ca, cd := t.Coord(at), t.Coord(dst)
+	from := [3]int{ca.X, ca.Y, ca.Z}
+	to := [3]int{cd.X, cd.Y, cd.Z}
+	stride := [3]int{t.dims[1] * t.dims[2], t.dims[2], 1}
+	for a, p := range from {
+		q, n := to[a], t.dims[a]
+		if p == q {
+			continue
+		}
+		fwd := q - p // hops going +, as axisStep counts them
+		if fwd < 0 {
+			fwd += n
+		}
+		sign := 1
+		if t.wrap[a] && fwd > n-fwd || !t.wrap[a] && q < p {
+			sign = -1
+		}
+		id := int(at) + sign*stride[a]
+		switch p + sign { // across a torus's seam
+		case -1:
+			id += n * stride[a]
+		case n:
+			id -= n * stride[a]
+		}
+		return Dir{Axis: Axis(a), Sign: sign}, NodeID(id), true
+	}
+	return Dir{}, 0, false
 }
 
 // RouteTable materializes one node's full routing table: the next-hop

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -216,6 +217,73 @@ func TestRouteTableCoversAllDestinations(t *testing.T) {
 		}
 		if _, ok := tp.Neighbor(at, d); !ok {
 			t.Fatalf("table[%d] = %v points off the mesh", dst, d)
+		}
+	}
+}
+
+// TestStepIsTheTableHop: Step, the one call the fabric makes per hop, gives
+// the direction of the router's table (RouteTable, built from NextHop) and
+// the router Neighbor finds that way, for every ordered pair of tori and
+// meshes with odd, even, single and double axes (New never wraps an axis of
+// two), and walking it visits what Walk visits. Red Storm is sampled with
+// strides.
+func TestStepIsTheTableHop(t *testing.T) {
+	every := func(n int) []NodeID {
+		ids := make([]NodeID, n)
+		for i := range ids {
+			ids[i] = NodeID(i)
+		}
+		return ids
+	}
+	strided := func(n, stride int) (ids []NodeID) {
+		for i := 0; i < n; i += stride {
+			ids = append(ids, NodeID(i))
+		}
+		return ids
+	}
+	for _, c := range []struct {
+		dims     [3]int
+		wrap     [3]bool
+		src, dst func(n int) []NodeID
+	}{
+		{[3]int{8, 8, 8}, [3]bool{true, true, true}, every, every},
+		{[3]int{5, 3, 7}, [3]bool{true, true, true}, every, every},
+		{[3]int{5, 3, 7}, [3]bool{false, true, false}, every, every},
+		{[3]int{4, 1, 6}, [3]bool{true, true, true}, every, every},
+		{[3]int{2, 3, 4}, [3]bool{true, true, true}, every, every},
+		{[3]int{27, 16, 24}, [3]bool{false, false, true},
+			func(n int) []NodeID { return strided(n, 101) }, func(n int) []NodeID { return strided(n, 7) }},
+	} {
+		tp, err := New(c.dims[0], c.dims[1], c.dims[2], c.wrap[0], c.wrap[1], c.wrap[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsts := c.dst(tp.Nodes())
+		for _, at := range c.src(tp.Nodes()) {
+			table := tp.RouteTable(at)
+			for _, dst := range dsts {
+				d, next, ok := tp.Step(at, dst)
+				if dst == at {
+					if ok {
+						t.Fatalf("%v: Step(%d, %d) = %v, %d at the destination", c.dims, at, dst, d, next)
+					}
+					continue
+				}
+				want, wok := tp.Neighbor(at, table[dst])
+				if !ok || !wok || d != table[dst] || next != want {
+					t.Fatalf("%v wrap %v: Step(%d, %d) = %v, %d, %v; the table says %v to %d", c.dims, c.wrap, at, dst, d, next, ok, table[dst], want)
+				}
+			}
+			for _, dst := range dsts {
+				walk := []NodeID{at}
+				for cur := at; cur != dst && len(walk) <= tp.Nodes(); {
+					_, cur, _ = tp.Step(cur, dst)
+					walk = append(walk, cur)
+				}
+				if want := tp.Walk(at, dst); !slices.Equal(walk, want) {
+					t.Fatalf("%v: stepping %d to %d visits %v, Walk %v", c.dims, at, dst, walk, want)
+				}
+			}
 		}
 	}
 }
